@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json race check bench sweep examples clean
+.PHONY: all build test vet lint lint-json race check bench bench-e2e-check sweep examples clean
 
 all: check
 
@@ -38,6 +38,15 @@ bench:
 	$(GO) run ./cmd/nebula-bench
 	$(GO) run ./cmd/nebula-parbench
 	$(GO) test -bench=. -benchmem -benchtime=1x .
+
+# The end-to-end benchmark is a module of its own (bench/, replace repro =>
+# ../) that `go build/vet/test ./...` from the root never compile. This
+# checks it still builds, passes its tests and counts deterministically
+# against the tree as it is now; ci.sh runs the same three commands.
+bench-e2e-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	$(GO) run -C bench . -check-determinism
 
 # Regenerate every table and figure (quick profile).
 sweep:

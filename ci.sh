@@ -304,6 +304,15 @@ allocs=$(awk '/BenchmarkConvGemmImplicit/ {print $(NF-1)}' "$smoketmp/implicit.o
 }
 rm -rf "$smoketmp"
 
+echo "== bench module gate (bench/ vets, passes its tests and counts deterministically against this tree)"
+# bench/ is its own module (replace repro => ../), so the root `go build`,
+# `go vet` and `go test ./...` above never compile it: an internal/ signature
+# change could break the benchmark every performance claim is measured with
+# and nothing here would notice. Read-only use — nothing under bench/ changes.
+go -C bench vet ./...
+go -C bench test ./...
+go run -C bench . -check-determinism >/dev/null
+
 if [ "${1:-}" != "" ]; then
     echo "== seed audit (seed $1)"
     go run ./cmd/nebula-sim -exp fig1b -seed "$1" -seed-audit >/dev/null

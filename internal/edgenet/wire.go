@@ -18,13 +18,14 @@ package edgenet
 //      difference crosses the wire. Cache miss or version mismatch falls
 //      back to a full payload — never an error.
 //   3. Deterministic top-k sparsification (pushes): keep the fraction of
-//      delta coordinates with the largest magnitude (ties broken by index),
-//      ship them as per-chunk (offset, code) pairs.
+//      delta coordinates with the largest magnitude (ties broken by index;
+//      see magKey for the total order), ship them as per-chunk (offset,
+//      code) pairs.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/nn"
 )
@@ -134,100 +135,128 @@ func (p *WirePayload) WireBytes() int64 {
 // reconstruction of the previous exchange, not the raw values); DecodeVec on
 // the payload then reproduces one exact vector on both ends.
 func EncodeVec(vec, base []float32, opts WireOpts) *WirePayload {
-	work := vec
-	delta := false
-	if base != nil && len(base) == len(vec) {
-		delta = true
-		work = make([]float32, len(vec))
-		for i := range vec {
-			work[i] = vec[i] - base[i]
-		}
-	}
+	delta := base != nil && len(base) == len(vec)
 	chunk := opts.chunkSize()
-	nChunks := (len(work) + chunk - 1) / chunk
+	nChunks := (len(vec) + chunk - 1) / chunk
 	p := &WirePayload{
-		Header: WireHeader{Delta: delta, Len: len(work), Chunks: nChunks},
+		Header: WireHeader{Delta: delta, Len: len(vec), Chunks: nChunks},
 		Chunks: make([]WireChunk, 0, nChunks),
 	}
 
-	var keep []bool
-	if delta && opts.TopK > 0 && opts.TopK < 1 {
-		keep = topKMask(work, opts.TopK)
-	}
-	for start := 0; start < len(work); start += chunk {
-		end := start + chunk
-		if end > len(work) {
-			end = len(work)
+	var cut *topKCut
+	var diff []float32 // one chunk of vec − base at a time; never the whole delta
+	if delta {
+		diff = make([]float32, min(chunk, len(vec)))
+		if opts.TopK > 0 && opts.TopK < 1 {
+			cut = selectTopK(vec, base, opts.TopK, len(diff))
 		}
-		p.Chunks = append(p.Chunks, encodeChunk(work[start:end], keepSlice(keep, start, end), opts.F16))
+	}
+	for start := 0; start < len(vec); start += chunk {
+		end := min(start+chunk, len(vec))
+		win := vec[start:end]
+		if delta {
+			win = diff[:end-start]
+			for i := range win {
+				win[i] = vec[start+i] - base[start+i]
+			}
+		}
+		p.Chunks = append(p.Chunks, encodeChunk(win, cut, opts.F16))
 	}
 	return p
 }
 
-// keepSlice returns the window of the sparsification mask (nil = dense).
-func keepSlice(keep []bool, start, end int) []bool {
-	if keep == nil {
-		return nil
-	}
-	return keep[start:end]
+// magKey is a coordinate's selection key: its IEEE-754 bit pattern with the
+// sign cleared. Unsigned order on keys is the codec's total order on
+// magnitudes — NaN (ordered by payload bits) > +Inf > every finite value,
+// denormals included, > 0, with −0 tying +0 — and it agrees with |a| > |b|
+// wherever floats compare at all. Ordering bits rather than floats is what
+// keeps the selection defined for a diverged device: NaN breaks every float
+// comparator, but its key is just a large integer.
+func magKey(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
+
+// topKCut is the top-k boundary under (magKey descending, index ascending):
+// the selection is every coordinate whose key exceeds thr, plus the first
+// ties coordinates, in index order, whose key equals it. That set is unique,
+// so the kept coordinates are a pure function of the values. encodeChunk
+// spends ties as it walks the chunks in index order.
+type topKCut struct {
+	thr  uint32
+	ties int
+
+	// Gather scratch for the sparse chunk encoder, reused across chunks.
+	idx  []uint16
+	vals []float32
 }
 
-// topKMask marks the ⌈frac·n⌉ coordinates with the largest |value|; ties
-// break toward the lower index, so the mask is a pure function of the values.
-func topKMask(vals []float32, frac float64) []bool {
-	n := len(vals)
+// selectTopK finds the boundary that keeps the ⌈frac·n⌉ largest-magnitude
+// coordinates of the delta vec − base, or nil when that is all of them (dense
+// is strictly cheaper). Linear time: a most-significant-byte-first radix
+// select — each of the four passes histograms one key byte under the prefix
+// fixed so far and descends into the bucket that holds the k-th largest key.
+// The delta is recomputed per pass rather than stored: a subtraction is
+// cheaper than a second vector. scratch sizes the cut's gather buffers (the
+// largest chunk it will see).
+func selectTopK(vec, base []float32, frac float64, scratch int) *topKCut {
+	n := len(vec)
 	k := int(frac*float64(n) + 0.999999)
 	if k < 1 {
 		k = 1
 	}
 	if k >= n {
-		return nil // keep everything: dense is strictly cheaper
+		return nil
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		va, vb := abs32(vals[idx[a]]), abs32(vals[idx[b]])
-		if va != vb {
-			return va > vb
+	base = base[:n]
+	var prefix, mask uint32
+	rank := k // the boundary is the rank-th largest key among those matching prefix
+	for shift := 24; shift >= 0; shift -= 8 {
+		var hist [256]int
+		for i, v := range vec {
+			if key := magKey(v - base[i]); key&mask == prefix {
+				hist[key>>shift&0xff]++
+			}
 		}
-		return idx[a] < idx[b]
-	})
-	keep := make([]bool, n)
-	for _, i := range idx[:k] {
-		keep[i] = true
+		b := 255
+		for ; hist[b] < rank; b-- {
+			rank -= hist[b]
+		}
+		prefix |= uint32(b) << shift
+		mask |= 0xff << shift
 	}
-	return keep
+	// rank is now the boundary's rank among the coordinates that tie on it.
+	return &topKCut{thr: prefix, ties: rank, idx: make([]uint16, 0, scratch), vals: make([]float32, 0, scratch)}
 }
 
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
+// gather returns the in-chunk offsets and values of the window's kept
+// coordinates. The values alias the cut's scratch (quantization copies them
+// out); the offsets are the chunk's own.
+func (t *topKCut) gather(window []float32) ([]uint16, []float32) {
+	idx, vals := t.idx[:0], t.vals[:0]
+	for i, v := range window {
+		key := magKey(v)
+		if key < t.thr {
+			continue
+		}
+		if key == t.thr {
+			if t.ties == 0 {
+				continue
+			}
+			t.ties--
+		}
+		idx = append(idx, uint16(i))
+		vals = append(vals, v)
 	}
-	return v
+	t.idx, t.vals = idx, vals
+	return append(make([]uint16, 0, len(idx)), idx...), vals
 }
 
-// encodeChunk quantizes one window, dense or sparse.
-func encodeChunk(vals []float32, keep []bool, f16 bool) WireChunk {
+// encodeChunk quantizes one window: dense when cut is nil, else only the
+// coordinates inside the top-k boundary.
+func encodeChunk(vals []float32, cut *topKCut, f16 bool) WireChunk {
 	c := WireChunk{N: len(vals)}
 	enc := vals
-	if keep != nil {
+	if cut != nil {
 		c.Sparse = true
-		kept := 0
-		for _, k := range keep {
-			if k {
-				kept++
-			}
-		}
-		c.Idx = make([]uint16, 0, kept)
-		enc = make([]float32, 0, kept)
-		for i, k := range keep {
-			if k {
-				c.Idx = append(c.Idx, uint16(i))
-				enc = append(enc, vals[i])
-			}
-		}
+		c.Idx, enc = cut.gather(vals)
 	}
 	if f16 {
 		c.F16 = nn.QuantizeF16(enc)
@@ -246,7 +275,10 @@ var errWire = errors.New("edgenet: malformed wire payload")
 // base must be the reference the encoder used (same length, bit-identical
 // content); full payloads ignore base. Every malformed condition — length
 // mismatch, chunk count mismatch, out-of-range sparse offset — returns an
-// error, never panics: payloads cross a network.
+// error, never panics: payloads cross a network. Every frame is validated
+// before the output is allocated, so a peer cannot make the decoder allocate
+// more than the reference it already holds (delta) or the codes it actually
+// sent (full).
 func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
 	h := p.Header
 	if len(p.Chunks) != h.Chunks {
@@ -255,68 +287,99 @@ func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
 	if h.Delta && len(base) != h.Len {
 		return nil, fmt.Errorf("%w: delta of %d elements against reference of %d", errWire, h.Len, len(base))
 	}
-	out := make([]float32, 0, h.Len)
+	total := 0
 	for i := range p.Chunks {
 		c := &p.Chunks[i]
-		vals, err := decodeChunk(c)
+		codes, err := c.codeCount()
 		if err != nil {
 			return nil, err
 		}
-		start := len(out)
-		if start+c.N > h.Len {
+		if c.N < 0 || c.N > h.Len-total {
 			return nil, fmt.Errorf("%w: chunks overrun header length %d", errWire, h.Len)
 		}
+		total += c.N
 		if !c.Sparse {
-			if len(vals) != c.N {
-				return nil, fmt.Errorf("%w: dense chunk carries %d codes for %d elements", errWire, len(vals), c.N)
-			}
-			if h.Delta {
-				for j, v := range vals {
-					out = append(out, base[start+j]+v)
-				}
-			} else {
-				out = append(out, vals...)
+			if codes != c.N {
+				return nil, fmt.Errorf("%w: dense chunk carries %d codes for %d elements", errWire, codes, c.N)
 			}
 			continue
 		}
-		// Sparse: unchanged coordinates keep the reference value (delta 0).
 		if !h.Delta {
 			return nil, fmt.Errorf("%w: sparse chunk in a full payload", errWire)
 		}
-		if len(vals) != len(c.Idx) {
-			return nil, fmt.Errorf("%w: sparse chunk carries %d codes for %d offsets", errWire, len(vals), len(c.Idx))
+		if codes != len(c.Idx) {
+			return nil, fmt.Errorf("%w: sparse chunk carries %d codes for %d offsets", errWire, codes, len(c.Idx))
 		}
-		out = append(out, base[start:start+c.N]...)
-		win := out[start:]
-		for j, off := range c.Idx {
+		for _, off := range c.Idx {
 			if int(off) >= c.N {
 				return nil, fmt.Errorf("%w: sparse offset %d outside chunk of %d", errWire, off, c.N)
 			}
-			win[off] = base[start+int(off)] + vals[j]
 		}
 	}
-	if len(out) != h.Len {
-		return nil, fmt.Errorf("%w: chunks reconstruct %d of %d elements", errWire, len(out), h.Len)
+	if total != h.Len {
+		return nil, fmt.Errorf("%w: chunks reconstruct %d of %d elements", errWire, total, h.Len)
+	}
+
+	out := make([]float32, h.Len)
+	start := 0
+	for i := range p.Chunks {
+		c := &p.Chunks[i]
+		win := out[start : start+c.N]
+		switch {
+		case c.Sparse:
+			// Unchanged coordinates keep the reference value (delta 0).
+			ref := base[start : start+c.N]
+			copy(win, ref)
+			for j, off := range c.Idx {
+				win[off] = ref[off] + c.code(j)
+			}
+		case h.Delta:
+			c.decodeInto(win)
+			for j, b := range base[start : start+c.N] {
+				win[j] = b + win[j]
+			}
+		default:
+			c.decodeInto(win)
+		}
+		start += c.N
 	}
 	return out, nil
 }
 
-// decodeChunk expands one chunk's codes.
-func decodeChunk(c *WireChunk) ([]float32, error) {
+// codeCount checks that the chunk carries one kind of codes and returns how
+// many.
+func (c *WireChunk) codeCount() (int, error) {
 	switch {
 	case c.Q8 != nil && c.F16 != nil:
-		return nil, fmt.Errorf("%w: chunk carries both int8 and float16 codes", errWire)
+		return 0, fmt.Errorf("%w: chunk carries both int8 and float16 codes", errWire)
 	case c.Q8 != nil:
-		return c.Q8.Dequantize8(), nil
+		return len(c.Q8.Codes), nil
 	case c.F16 != nil:
-		return nn.DequantizeF16(c.F16), nil
+		return len(c.F16), nil
 	case c.N == 0, c.Sparse && len(c.Idx) == 0:
 		// Nothing kept — gob strips the resulting empty code slices, so an
 		// all-below-threshold sparse chunk legitimately arrives bare.
-		return nil, nil
+		return 0, nil
 	default:
-		return nil, fmt.Errorf("%w: chunk carries no codes", errWire)
+		return 0, fmt.Errorf("%w: chunk carries no codes", errWire)
 	}
+}
+
+// decodeInto expands all of the chunk's codes into dst (one element each).
+func (c *WireChunk) decodeInto(dst []float32) {
+	if c.Q8 != nil {
+		c.Q8.DequantizeInto(dst)
+	} else {
+		nn.DequantizeF16Into(dst, c.F16)
+	}
+}
+
+// code expands the chunk's j-th code.
+func (c *WireChunk) code(j int) float32 {
+	if c.Q8 != nil {
+		return c.Q8.At(j)
+	}
+	return nn.F16ToF32(c.F16[j])
 }
 
 // MappingEqual reports whether two per-layer active-module index sets are

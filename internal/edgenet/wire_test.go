@@ -1,8 +1,12 @@
 package edgenet
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -157,18 +161,280 @@ func TestEncodeVecTopKSparse(t *testing.T) {
 	}
 }
 
+// maskBySort is the selection the codec shipped before the linear-time
+// select: a stable sort of the whole index, first k kept. before orders two
+// coordinates by their original indices.
+func maskBySort(vals []float32, frac float64, before func(i, j int) bool) []bool {
+	n := len(vals)
+	k := int(frac*float64(n) + 0.999999)
+	if k < 1 {
+		k = 1
+	}
+	if k >= n {
+		return nil // keep everything: dense is strictly cheaper
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return before(idx[a], idx[b]) })
+	keep := make([]bool, n)
+	for _, i := range idx[:k] {
+		keep[i] = true
+	}
+	return keep
+}
+
+// topKMaskSorted is that sort under its original comparator, (|v| descending,
+// index ascending) on floats — the differential oracle. The comparator is
+// only a strict weak order on NaN-free input — exactly the defect the key
+// order fixes — so the differentials feed it NaN-free vectors and
+// topKMaskKeyed covers the rest.
+func topKMaskSorted(vals []float32, frac float64) []bool {
+	abs32 := func(v float32) float32 {
+		if v < 0 {
+			return -v
+		}
+		return v
+	}
+	return maskBySort(vals, frac, func(i, j int) bool {
+		va, vb := abs32(vals[i]), abs32(vals[j])
+		if va != vb {
+			return va > vb
+		}
+		return i < j
+	})
+}
+
+// topKMaskKeyed is the same sort under the documented total order (magKey
+// descending, index ascending), defined for every bit pattern.
+func topKMaskKeyed(vals []float32, frac float64) []bool {
+	return maskBySort(vals, frac, func(i, j int) bool {
+		ki, kj := magKey(vals[i]), magKey(vals[j])
+		if ki != kj {
+			return ki > kj
+		}
+		return i < j
+	})
+}
+
+// topKMask is the mask EncodeVec actually ships for vals as the delta: vals
+// against an all-zero base (v − 0 is v, bit for bit), read back from the
+// payload's sparse offsets. nil means the payload came out dense.
+func topKMask(vals []float32, opts WireOpts) []bool {
+	p := EncodeVec(vals, make([]float32, len(vals)), opts)
+	var keep []bool
+	start := 0
+	for i := range p.Chunks {
+		c := &p.Chunks[i]
+		if c.Sparse {
+			if keep == nil {
+				keep = make([]bool, len(vals))
+			}
+			for _, off := range c.Idx {
+				keep[start+int(off)] = true
+			}
+		}
+		start += c.N
+	}
+	return keep
+}
+
 func TestTopKMaskDeterministicTieBreak(t *testing.T) {
 	// All-equal magnitudes: the kept set must be the lowest indices, always.
 	vals := []float32{1, -1, 1, -1, 1, -1, 1, -1}
-	keep := topKMask(vals, 0.5)
+	keep := topKMask(vals, WireOpts{TopK: 0.5})
 	want := []bool{true, true, true, true, false, false, false, false}
 	if !reflect.DeepEqual(keep, want) {
 		t.Fatalf("tie-break not index-ascending: %v", keep)
 	}
 	// And the whole mask is a pure function: recompute equals.
-	if again := topKMask(vals, 0.5); !reflect.DeepEqual(keep, again) {
+	if again := topKMask(vals, WireOpts{TopK: 0.5}); !reflect.DeepEqual(keep, again) {
 		t.Fatal("topKMask not deterministic")
 	}
+}
+
+// TestTopKMaskMatchesSortOracle is the differential that lets the linear-time
+// select replace the sort: over generated vectors the shipped mask equals the
+// sort's, bit for bit — heavy ties, all-equal, k = 1, k = n−1, vectors shorter
+// than a chunk and exact multiples of it, ±0, denormals, both code kinds.
+func TestTopKMaskMatchesSortOracle(t *testing.T) {
+	rng := tensor.NewRNG(31)
+	denorm := math.Float32frombits(1) // smallest positive denormal
+	gens := []struct {
+		name string
+		gen  func(i int) float32
+	}{
+		{"normal", func(int) float32 { return float32(rng.NormFloat64()) }},
+		{"heavy ties", func(int) float32 { return float32(rng.Intn(5)-2) * 0.25 }},
+		{"all equal", func(int) float32 { return -3 }},
+		{"zeros", func(int) float32 { return []float32{0, float32(math.Copysign(0, -1)), 1e-3, -1e-3}[rng.Intn(4)] }},
+		{"denormals", func(int) float32 { return float32(rng.Intn(7)-3) * denorm }},
+		{"wide range", func(int) float32 { return float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))) }},
+		{"ascending", func(i int) float32 { return float32(i) }},
+	}
+	for _, g := range gens {
+		name, gen := g.name, g.gen
+		for _, n := range []int{1, 2, 7, 64, 100, 128, 1000, 3 * 1024, 5000} {
+			vals := make([]float32, n)
+			for i := range vals {
+				vals[i] = gen(i)
+			}
+			fracs := []float64{1 / float64(n), 0.1, 0.25, 0.5, float64(n-1) / float64(n), rng.Float64()}
+			for _, frac := range fracs {
+				if frac <= 0 || frac >= 1 {
+					continue // not a sparsifying fraction (n = 1)
+				}
+				want := topKMaskSorted(vals, frac)
+				if keyed := topKMaskKeyed(vals, frac); !reflect.DeepEqual(keyed, want) {
+					t.Fatalf("%s n=%d frac=%v: key order disagrees with the float order on NaN-free input", name, n, frac)
+				}
+				for _, opts := range []WireOpts{{TopK: frac}, {TopK: frac, F16: true}, {TopK: frac, Chunk: 64}, {TopK: frac, Chunk: 100, F16: true}} {
+					if got := topKMask(vals, opts); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s n=%d opts=%+v: mask differs from the sort oracle", name, n, opts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// payloadBits flattens a payload to its exact bits (reflect.DeepEqual cannot
+// compare payloads whose quantization headers went NaN).
+func payloadBits(p *WirePayload) []uint32 {
+	h := p.Header
+	out := []uint32{uint32(h.Len), uint32(h.Chunks), uint32(h.BaseVer), uint32(h.Version)}
+	if h.Delta {
+		out = append(out, 1)
+	}
+	for i := range p.Chunks {
+		c := &p.Chunks[i]
+		out = append(out, uint32(c.N), uint32(len(c.Idx)), uint32(len(c.F16)))
+		if c.Sparse {
+			out = append(out, 1)
+		}
+		if c.Q8 != nil {
+			out = append(out, math.Float32bits(c.Q8.Min), math.Float32bits(c.Q8.Scale), uint32(len(c.Q8.Codes)))
+			for _, b := range c.Q8.Codes {
+				out = append(out, uint32(b))
+			}
+		}
+		for _, v := range c.F16 {
+			out = append(out, uint32(v))
+		}
+		for _, v := range c.Idx {
+			out = append(out, uint32(v))
+		}
+	}
+	return out
+}
+
+// TestEncodeVecNonFinite is the regression test for the diverged-device bug:
+// with NaN in the delta the old float comparator was not a strict weak order
+// and the sort's result was unspecified. Under the key order the selection is
+// total — NaN > ±Inf > finite, −0 ties +0 — so EncodeVec stays a pure function
+// and DecodeVec returns without panicking.
+func TestEncodeVecNonFinite(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	denorm := math.Float32frombits(3)
+	special := []float32{nan, inf, -inf, 0, negZero, denorm, -denorm, 1, -2, -nan}
+	rng := tensor.NewRNG(32)
+	vals := make([]float32, 700)
+	for i := range vals {
+		vals[i] = special[rng.Intn(len(special))]
+	}
+	var nans, infs int
+	for _, v := range vals {
+		switch {
+		case v != v:
+			nans++
+		case math.IsInf(float64(v), 0):
+			infs++
+		}
+	}
+	for _, f16 := range []bool{false, true} {
+		// Exactly the non-finite coordinates fit: all of them are kept,
+		// nothing finite is, whatever their positions.
+		frac := float64(nans+infs) / float64(len(vals))
+		opts := WireOpts{TopK: frac, Chunk: 64, F16: f16}
+		keep := topKMask(vals, opts)
+		for i, v := range vals {
+			if nonFinite := v != v || math.IsInf(float64(v), 0); keep[i] != nonFinite {
+				t.Fatalf("f16=%v: coordinate %d (%v) kept=%v under a budget of exactly the non-finite ones", f16, i, v, keep[i])
+			}
+		}
+		// One fewer: the budget runs out inside the Inf ties, so the Inf
+		// with the highest index is the one dropped and every NaN stays.
+		opts.TopK = float64(nans+infs-1) / float64(len(vals))
+		keep = topKMask(vals, opts)
+		lastInf := -1
+		for i, v := range vals {
+			if math.IsInf(float64(v), 0) {
+				lastInf = i
+			}
+		}
+		for i, v := range vals {
+			if want := v != v || (math.IsInf(float64(v), 0) && i != lastInf); keep[i] != want {
+				t.Fatalf("f16=%v: coordinate %d (%v) kept=%v, want %v (NaN above Inf, Inf ties by index)", f16, i, v, keep[i], want)
+			}
+		}
+		if want := topKMaskKeyed(vals, opts.TopK); !reflect.DeepEqual(keep, want) {
+			t.Fatalf("f16=%v: mask differs from the key-order oracle", f16)
+		}
+
+		base := randVec(rng, len(vals), 1)
+		vec := make([]float32, len(vals))
+		for i := range vec {
+			vec[i] = base[i] + vals[i]
+		}
+		for _, o := range []WireOpts{{F16: f16}, {TopK: 0.25, F16: f16}, {TopK: 0.9, Chunk: 50, F16: f16}} {
+			a, b := EncodeVec(vec, base, o), EncodeVec(vec, base, o)
+			if !reflect.DeepEqual(payloadBits(a), payloadBits(b)) {
+				t.Fatalf("opts %+v: encoding a non-finite vector is not a pure function", o)
+			}
+			if out, err := DecodeVec(a, base); err != nil || len(out) != len(vec) {
+				t.Fatalf("opts %+v: decode of a non-finite payload: %d elements, err %v", o, len(out), err)
+			}
+			if _, err := DecodeVec(EncodeVec(vec, nil, o), nil); err != nil {
+				t.Fatalf("opts %+v: decode of a full non-finite payload: %v", o, err)
+			}
+		}
+	}
+}
+
+// FuzzTopKMask: any bit patterns, any fraction, any chunk size — the shipped
+// mask equals the sort under the documented key order, and equals the old
+// float-comparator sort wherever that one is defined (no NaN).
+func FuzzTopKMask(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 128, 191, 0, 0, 128, 63, 0, 0, 128, 191}, uint8(128), uint16(0), false)            // ±1 ties
+	f.Add([]byte{0, 0, 192, 127, 0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 0, 128, 1, 0, 0, 0}, uint8(100), uint16(2), true) // NaN, ±Inf, −0, denormal
+	f.Add(make([]byte, 4*300), uint8(7), uint16(64), false)                                                              // all zero
+	f.Fuzz(func(t *testing.T, raw []byte, fracByte uint8, chunk uint16, f16 bool) {
+		vals := make([]float32, len(raw)/4)
+		hasNaN := false
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+			hasNaN = hasNaN || vals[i] != vals[i]
+		}
+		// The selection sees vals − 0, which is vals except that the FPU
+		// quiets a signalling NaN; give the oracles the same bits.
+		zero := make([]float32, len(vals))
+		for i := range vals {
+			vals[i] -= zero[i]
+		}
+		frac := (float64(fracByte) + 0.5) / 256
+		got := topKMask(vals, WireOpts{TopK: frac, Chunk: int(chunk), F16: f16})
+		if want := topKMaskKeyed(vals, frac); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mask differs from the key-order sort (n=%d frac=%v chunk=%d)", len(vals), frac, chunk)
+		}
+		if !hasNaN {
+			if want := topKMaskSorted(vals, frac); !reflect.DeepEqual(got, want) {
+				t.Fatalf("mask differs from the float-order sort (n=%d frac=%v chunk=%d)", len(vals), frac, chunk)
+			}
+		}
+	})
 }
 
 func TestEncodeVecF16RoundTrip(t *testing.T) {
@@ -322,50 +588,148 @@ func TestWireDeltaReferenceStaysInSync(t *testing.T) {
 	}
 }
 
-func TestDecodeVecRejectsMalformed(t *testing.T) {
+// malformedPayload is one row of the malformed-payload table: a payload a
+// hostile or broken peer could send, and the reference it decodes against.
+type malformedPayload struct {
+	name string
+	p    *WirePayload
+	base []float32
+}
+
+// malformedPayloads builds the table TestDecodeVecRejectsMalformed checks and
+// FuzzDecodeVec starts from.
+func malformedPayloads() []malformedPayload {
 	rng := tensor.NewRNG(27)
 	vec := randVec(rng, 100, 1)
 	base := randVec(rng, 100, 1)
 
 	breakers := []struct {
 		name string
+		opts WireOpts
 		mod  func(p *WirePayload) []float32 // returns decode base
 	}{
-		{"chunk count lies", func(p *WirePayload) []float32 { p.Header.Chunks++; return nil }},
-		{"length overrun", func(p *WirePayload) []float32 { p.Header.Len -= 10; return nil }},
-		{"length underrun", func(p *WirePayload) []float32 { p.Header.Len += 10; return nil }},
-		{"codes truncated", func(p *WirePayload) []float32 {
+		{"chunk count lies", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Chunks++; return nil }},
+		{"length overrun", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Len -= 10; return nil }},
+		{"length underrun", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Len += 10; return nil }},
+		{"negative length", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Len = -1; return nil }},
+		{"negative chunk length", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Chunks[1].N = -32; return nil }},
+		{"codes truncated", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 {
 			p.Chunks[0].Q8.Codes = p.Chunks[0].Q8.Codes[:10]
 			return nil
 		}},
-		{"both code kinds", func(p *WirePayload) []float32 {
+		{"f16 codes truncated", WireOpts{Chunk: 32, F16: true}, func(p *WirePayload) []float32 {
+			p.Chunks[0].F16 = p.Chunks[0].F16[:10]
+			return nil
+		}},
+		{"both code kinds", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 {
 			p.Chunks[0].F16 = []uint16{0}
 			return nil
 		}},
-		{"no codes", func(p *WirePayload) []float32 { p.Chunks[0].Q8 = nil; return nil }},
-		{"delta base length mismatch", func(p *WirePayload) []float32 {
+		{"no codes", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Chunks[0].Q8 = nil; return nil }},
+		{"delta base length mismatch", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 {
 			p.Header.Delta = true
 			return base[:50]
 		}},
 	}
+	var out []malformedPayload
 	for _, b := range breakers {
-		p := EncodeVec(vec, nil, WireOpts{Chunk: 32})
-		dbase := b.mod(p)
-		if _, err := DecodeVec(p, dbase); err == nil {
-			t.Fatalf("%s: decode accepted malformed payload", b.name)
-		}
+		p := EncodeVec(vec, nil, b.opts)
+		out = append(out, malformedPayload{b.name, p, b.mod(p)})
 	}
 
-	// Sparse-specific: offset outside chunk, and sparse frame in a full payload.
-	sp := EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.2})
+	// Sparse-specific rows.
+	sparse := func() *WirePayload { return EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.2}) }
+	sp := sparse()
 	sp.Chunks[0].Idx[0] = 40
-	if _, err := DecodeVec(sp, base); err == nil {
-		t.Fatal("out-of-range sparse offset accepted")
-	}
-	sp = EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.2})
+	out = append(out, malformedPayload{"sparse offset outside chunk", sp, base})
+	sp = sparse()
 	sp.Header.Delta = false
-	if _, err := DecodeVec(sp, nil); err == nil {
-		t.Fatal("sparse chunk in full payload accepted")
+	out = append(out, malformedPayload{"sparse chunk in full payload", sp, nil})
+	sp = sparse()
+	sp.Chunks[0].Idx = sp.Chunks[0].Idx[:1]
+	out = append(out, malformedPayload{"sparse codes without offsets", sp, base})
+	sp = sparse()
+	sp.Chunks[3].N = -4
+	sp.Chunks[2].N += 8
+	out = append(out, malformedPayload{"negative sparse chunk length", sp, base})
+	return out
+}
+
+func TestDecodeVecRejectsMalformed(t *testing.T) {
+	for _, m := range malformedPayloads() {
+		if _, err := DecodeVec(m.p, m.base); err == nil {
+			t.Fatalf("%s: decode accepted malformed payload", m.name)
+		}
+	}
+}
+
+// fuzzedPayload is FuzzDecodeVec's input as it crosses the fuzzer: gob, the
+// framing payloads cross the real wire in.
+type fuzzedPayload struct {
+	P WirePayload
+}
+
+// FuzzDecodeVec: whatever a peer sends, DecodeVec returns — a vector of the
+// header's length or an error — and never panics or indexes out of range.
+func FuzzDecodeVec(f *testing.F) {
+	seed := func(p *WirePayload, baseLen int) {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(fuzzedPayload{*p}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes(), uint16(baseLen))
+	}
+	for _, m := range malformedPayloads() {
+		seed(m.p, len(m.base))
+	}
+	rng := tensor.NewRNG(28)
+	vec, base := randVec(rng, 100, 1), randVec(rng, 100, 1)
+	seed(EncodeVec(vec, nil, WireOpts{Chunk: 32}), 0)
+	seed(EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.2, F16: true}), 100)
+	f.Fuzz(func(t *testing.T, raw []byte, baseLen uint16) {
+		var in fuzzedPayload
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&in); err != nil {
+			return // not a payload
+		}
+		out, err := DecodeVec(&in.P, make([]float32, baseLen))
+		if err == nil && len(out) != in.P.Header.Len {
+			t.Fatalf("decoded %d elements, header says %d", len(out), in.P.Header.Len)
+		}
+	})
+}
+
+// TestCodecAllocsPerChunk pins the codec's allocation shape: a top-k encode
+// makes six allocations per payload (payload, chunk table, one chunk's worth
+// of delta scratch, the selection boundary and its two gather buffers) plus
+// three per chunk (sparse offsets, codes, quantization header); a decode
+// makes one — the output — however many chunks it expands. Nothing the size
+// of the vector is allocated on the encode side at all.
+func TestCodecAllocsPerChunk(t *testing.T) {
+	rng := tensor.NewRNG(29)
+	for _, chunks := range []int{1, 4, 16} {
+		n := chunks * 256
+		base := randVec(rng, n, 1)
+		vec := make([]float32, n)
+		for i := range vec {
+			vec[i] = base[i] + float32(rng.NormFloat64()*0.01)
+		}
+		opts := WireOpts{Chunk: 256, TopK: 0.25}
+		if got, want := testing.AllocsPerRun(20, func() { EncodeVec(vec, base, opts) }), float64(6+3*chunks); got != want {
+			t.Errorf("top-k EncodeVec over %d chunks: %v allocations, want 6 + 3 per chunk = %v", chunks, got, want)
+		}
+		for _, p := range []*WirePayload{EncodeVec(vec, base, opts), EncodeVec(vec, base, WireOpts{Chunk: 256}), EncodeVec(vec, nil, WireOpts{Chunk: 256, F16: true})} {
+			dbase := base
+			if !p.Header.Delta {
+				dbase = nil
+			}
+			if got := testing.AllocsPerRun(20, func() {
+				if _, err := DecodeVec(p, dbase); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 1 {
+				t.Errorf("DecodeVec over %d chunks (%+v): %v allocations, want 1 + 0 per chunk", chunks, p.Header, got)
+			}
+		}
 	}
 }
 

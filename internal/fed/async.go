@@ -255,6 +255,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 	for _, id := range a.prev {
 		prevSet[id] = true
 	}
+	var sel *modular.Selector // importance-probe copy, made for the first newcomer
 	for _, c := range clients {
 		id := c.Dev.ID
 		if prevSet[id] {
@@ -265,9 +266,13 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			// A brand-new device bootstraps before its first round: probe
 			// importance, derive a budget-fitting sub-model, ship it whole
 			// (selector included).
-			imp := s.importanceWith(s.Model.Selector.Clone(), c)
+			if sel == nil {
+				sel = s.Model.Selector.Clone()
+			}
+			imp := s.importanceWith(sel, c)
 			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
 			sub := s.Model.Extract(active)
+			sub.Park()
 			down = sub.ParamBytes()
 			s.subs[id] = sub
 			s.imps[id] = imp

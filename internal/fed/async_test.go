@@ -69,14 +69,34 @@ func runNebulaAsync(t *testing.T, workers int, dropout float64, faults bool) ([]
 // optionally binds a private registry (obs cross-check tests).
 func asyncChurnScenario(t *testing.T, workers int, reg *obs.Registry) ([]byte, Costs, []float32, *Nebula) {
 	t.Helper()
+	return asyncChurnScenarioOver(t, workers, reg, false)
+}
+
+// asyncChurnScenarioOver is asyncChurnScenario with the link chosen: lossy
+// puts the whole lifecycle on the simulated v2 wire (delta + top-k pushes)
+// under a fault model, so parked sub-models, upload carriers and wire
+// references cross pend, land, leave and join.
+func asyncChurnScenarioOver(t *testing.T, workers int, reg *obs.Registry, lossy bool) ([]byte, Costs, []float32, *Nebula) {
+	t.Helper()
 	rng := tensor.NewRNG(77)
 	task := HARTask(78, ScaleQuick)
 	cfg := tinyCfg()
 	cfg.DevicesPerRound = 8
 	cfg.Workers = workers
 	cfg.Async = true
+	cfg.WireCompress = lossy
+	if lossy {
+		cfg.WireTopK = 0.25
+	}
 	nb := NewNebula(task, cfg)
 	nb.TrainCfg.Epochs = 1
+	if lossy {
+		fc, err := edgenet.ParseFaultSpec("drop=0.4,seed=9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb.Faults = NewFaultModel(fc)
+	}
 	if reg != nil {
 		nb.Metrics = NewRoundMetrics(reg)
 	}
@@ -243,6 +263,11 @@ func TestAsyncChurnReplaysBitwise(t *testing.T) {
 // charges, and join bootstrap downloads.
 func TestAsyncCostsMatchTrace(t *testing.T) {
 	log, costs, _, _ := asyncChurnScenario(t, 2, nil)
+	assertCostsMatchTrace(t, log, costs)
+}
+
+func assertCostsMatchTrace(t *testing.T, log []byte, costs Costs) {
+	t.Helper()
 	events, err := trace.Read(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)

@@ -183,6 +183,7 @@ func TrainSubModel(rng *tensor.RNG, s *modular.SubModel, ds *data.Dataset, epoch
 	}
 	opt := nn.NewSGD(lr, 0.9, 1e-4)
 	params := s.Params()
+	nn.EnsureGrads(params) // a parked sub-model carries none
 	for e := 0; e < epochs; e++ {
 		ds.Batches(rng, batch, func(x *tensor.Tensor, y []int) {
 			logits := s.Forward(x, true)

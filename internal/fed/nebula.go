@@ -185,8 +185,9 @@ func (s *Nebula) capabilityFraction(effectiveFLOPS float64) float64 {
 
 // importanceWith computes a device's module importance from (a sample of)
 // its local data using only the lightweight selector. Callers pass their own
-// selector copy (Selector.Clone) because Forward mutates activation caches
-// and importance probes run concurrently across devices.
+// selector copy (Selector.Clone; the round loop makes one per worker) because
+// Forward mutates activation caches and importance probes run concurrently
+// across devices.
 func (s *Nebula) importanceWith(sel *modular.Selector, c *Client) [][]float64 {
 	ds := c.Dev.Train
 	n := ds.Len()
@@ -317,7 +318,8 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 // the async path (commit in the landing round).
 func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 	res := make([]nebulaResult, len(p.part))
-	forEachDevice(s.cfg.Workers, len(p.part), func(i int) {
+	newSelector := func() any { return s.Model.Selector.Clone() }
+	forEachDeviceState(s.cfg.Workers, len(p.part), newSelector, func(sel any, i int) {
 		if p.drop[i] {
 			return
 		}
@@ -343,7 +345,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		var bytes int64
 		fspan := s.Spans.Start(p.trace, dspan.ID(), "fed.fetch")
 		fspan.SetDevice(id)
-		imp := s.importanceWith(s.Model.Selector.Clone(), c)
+		imp := s.importanceWith(sel.(*modular.Selector), c)
 		if p.fetchOK[i] {
 			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
 			if p.held[i] != nil && overlapRatio(p.held[i].Mapping, active) >= s.RederiveOverlap {
@@ -351,7 +353,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				// parameters for the held modules and blend them in. Under
 				// WireCompress the pull crosses the simulated v2 link first,
 				// so the device blends in the lossy reconstruction.
-				cloudSub := s.Model.Extract(p.held[i].Mapping)
+				cloudSub := s.Model.ExtractWeights(p.held[i].Mapping)
 				if s.cfg.WireCompress {
 					bytes, r.wireRef = wireDownlink(cloudSub, p.wireRef[i], s.wireDownOpts())
 				} else {
@@ -411,7 +413,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 					if ref == nil {
 						ref = p.wireRef[i]
 					}
-					upBytes, upSub = wireUplink(s.Model, sub, ref, s.wireUpOpts())
+					upBytes, upSub = wireUplink(sub, ref, s.wireUpOpts())
 				}
 				r.update = &modular.Update{Sub: upSub, Importance: imp, Weight: float64(c.Dev.Train.Len()), ClassWeights: cw}
 				t += prof.TransferTime(upBytes)
@@ -425,6 +427,9 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				r.span.Notef("round %d device %d: push lost, round aggregates without it", round, id)
 			}
 		}
+		// The device goes back to the pool (or pends) as the model alone; its
+		// training scratch is dead weight until it is sampled again.
+		sub.Park()
 		r.sub, r.imp, r.down, r.t = sub, imp, bytes, t
 	})
 	return res
@@ -578,6 +583,7 @@ func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 			res[i].down = sub.ParamBytes()
 		}
 		TrainSubModel(streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize)
+		sub.Park()
 		p := c.Mon.Profile()
 		fwd := 0
 		if m := s.Model; m != nil {
@@ -687,6 +693,7 @@ func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 		}
 		res[i].sub = sub
 		res[i].acc = EvalSubModel(sub, c.Dev.TestSet(s.cfg.TestPerDevice))
+		sub.Park() // the evaluation batch's activations go; the model stays
 	})
 	var sum float64
 	m := s.metrics()
@@ -708,5 +715,7 @@ func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 // Costs returns accumulated accounting.
 func (s *Nebula) Costs() Costs { return s.costs }
 
-// SubModelOf returns the stored sub-model of a client (nil if none).
+// SubModelOf returns the stored sub-model of a client (nil if none). Stored
+// sub-models are parked (modular.SubModel.Park): they evaluate as they are
+// and TrainSubModel re-arms them.
 func (s *Nebula) SubModelOf(id int) *modular.SubModel { return s.subs[id] }

@@ -240,6 +240,11 @@ func TestAsyncTraceSummarizeMatchesCounters(t *testing.T) {
 func TestAsyncReplayTraceMatchesLiveRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	log, _, _, _ := asyncChurnScenario(t, 2, reg)
+	assertAsyncReplayMatchesLive(t, reg, log)
+}
+
+func assertAsyncReplayMatchesLive(t *testing.T, reg *obs.Registry, log []byte) {
+	t.Helper()
 	events, err := trace.Read(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)

@@ -61,11 +61,11 @@ func wireDownlink(sub *modular.SubModel, ref *edgenet.WireRef, opts edgenet.Wire
 
 // wireUplink simulates pushing a trained sub-model from device to cloud:
 // encode the trained backbone (delta + top-k against the downlink
-// reference), charge the exact wire size, and return a cloud-side sub-model
-// loaded with the reconstruction — aggregation folds in what the wire
-// delivered while the device keeps its full-precision local weights.
-// model.Extract is a read-only snapshot, so this stays worker-safe.
-func wireUplink(model *modular.Model, sub *modular.SubModel, ref *edgenet.WireRef, opts edgenet.WireOpts) (int64, *modular.SubModel) {
+// reference), charge the exact wire size, and return what the cloud holds
+// afterwards — a weights-only sub-model carrying the reconstruction, which is
+// all aggregation reads — while the device keeps its full-precision local
+// weights. Reads sub only, so this stays worker-safe.
+func wireUplink(sub *modular.SubModel, ref *edgenet.WireRef, opts edgenet.WireOpts) (int64, *modular.SubModel) {
 	vec := sub.BackboneVector()
 	var base []float32
 	if ref != nil && edgenet.MappingEqual(ref.Mapping, sub.Mapping) {
@@ -76,7 +76,5 @@ func wireUplink(model *modular.Model, sub *modular.SubModel, ref *edgenet.WireRe
 	if err != nil {
 		return sub.BackboneBytes(), sub
 	}
-	up := model.Extract(sub.Mapping)
-	up.LoadBackboneVector(recon)
-	return p.WireBytes(), up
+	return p.WireBytes(), sub.WithBackbone(recon)
 }

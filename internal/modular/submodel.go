@@ -22,18 +22,31 @@ type SubModel struct {
 // Extract builds a sub-model from the cloud model for the given per-layer
 // module selection (original indices, sorted).
 func (m *Model) Extract(active [][]int) *SubModel {
+	s := m.extract(active, nn.CloneLayer)
+	s.Selector = m.Selector.Clone()
+	return s
+}
+
+// ExtractWeights is Extract for a sub-model that will only be read — flattened
+// for a transfer, blended into a device's copy, folded in by
+// AggregateModuleWise: the same stem, modules, head and mapping, without
+// gradient accumulators and without a selector. It cannot run or train.
+func (m *Model) ExtractWeights(active [][]int) *SubModel {
+	return m.extract(active, nn.CloneWeights)
+}
+
+func (m *Model) extract(active [][]int, clone func(nn.Layer) nn.Layer) *SubModel {
 	s := &SubModel{
-		Stem:     nn.CloneLayer(m.Stem),
-		Head:     nn.CloneLayer(m.Head),
-		Selector: m.Selector.Clone(),
-		TopK:     m.TopK,
-		InShape:  append([]int(nil), m.InShape...),
+		Stem:    clone(m.Stem),
+		Head:    clone(m.Head),
+		TopK:    m.TopK,
+		InShape: append([]int(nil), m.InShape...),
 	}
 	for l, idx := range active {
 		layer := NewModuleLayer()
 		mapping := make([]int, len(idx))
 		for j, i := range idx {
-			layer.Modules = append(layer.Modules, nn.CloneLayer(m.Layers[l].Modules[i]))
+			layer.Modules = append(layer.Modules, clone(m.Layers[l].Modules[i]))
 			mapping[j] = i
 		}
 		s.Layers = append(s.Layers, layer)
@@ -42,20 +55,72 @@ func (m *Model) Extract(active [][]int) *SubModel {
 	return s
 }
 
-// Clone deep-copies a selector. The clone is built from reads only — it must
-// not draw from the parent's RNG stream, because Extract runs concurrently
-// across devices during parallel rounds and the parent stream would then
-// depend on extraction order. The clone gets a fixed-seed stream instead; it
-// is only ever consumed by noisy-top-k training forwards, which edge-side
-// selector copies (frozen, train=false) never perform.
-func (s *Selector) Clone() *Selector {
+// rebuilt returns a sub-model of s's structure (its own copy of the mapping)
+// whose stem, modules and head are remake(s's); no selector.
+func (s *SubModel) rebuilt(remake func(nn.Layer) nn.Layer) *SubModel {
+	c := &SubModel{
+		Stem:    remake(s.Stem),
+		Head:    remake(s.Head),
+		TopK:    s.TopK,
+		InShape: s.InShape,
+	}
+	for l, layer := range s.Layers {
+		nl := NewModuleLayer()
+		for _, mod := range layer.Modules {
+			nl.Modules = append(nl.Modules, remake(mod))
+		}
+		c.Layers = append(c.Layers, nl)
+		c.Mapping = append(c.Mapping, append([]int(nil), s.Mapping[l]...))
+	}
+	return c
+}
+
+// WithBackbone returns the weights-only sub-model (see ExtractWeights) that
+// has s's structure and states and vec — a BackboneVector of that structure —
+// as its backbone: what the far end of a link holds after s crossed it.
+func (s *SubModel) WithBackbone(vec []float32) *SubModel {
+	c := s.rebuilt(nn.CloneWeights)
+	c.LoadBackboneVector(vec)
+	return c
+}
+
+// Park sheds everything s holds beyond the model itself — gradient
+// accumulators, the last batch's activations and routing, layer reuse
+// buffers — keeping weights, states, selector and mapping. A device's
+// sub-model spends most rounds unsampled; parked, it pins what it would cost
+// to ship, not what it cost to train. Training a parked sub-model needs
+// nn.EnsureGrads first; the optimizer leaves gradients zero after every
+// step, so train → Park → train computes exactly what train → train does.
+func (s *SubModel) Park() {
+	sel := s.Selector
+	*s = *s.rebuilt(nn.Bare)
+	if sel != nil {
+		s.Selector = sel.bare()
+	}
+}
+
+// Clone deep-copies a selector for forward-only use: importance probes and
+// the frozen edge-side copy inside a sub-model, neither of which trains it,
+// so the copy carries no gradient accumulators. The clone is built from reads
+// only — it must not draw from the parent's RNG stream, because Extract runs
+// concurrently across devices during parallel rounds and the parent stream
+// would then depend on extraction order. The clone gets a fixed-seed stream
+// instead; it is only ever consumed by noisy-top-k training forwards, which
+// edge-side selector copies (frozen, train=false) never perform.
+func (s *Selector) Clone() *Selector { return s.remade(nn.CloneWeights) }
+
+// bare is the selector over the same weights with its activation caches
+// dropped (see nn.Bare).
+func (s *Selector) bare() *Selector { return s.remade(nn.Bare) }
+
+func (s *Selector) remade(remake func(nn.Layer) nn.Layer) *Selector {
 	c := &Selector{
-		Embed:    nn.CloneLayer(s.Embed).(*nn.Sequential),
+		Embed:    remake(s.Embed).(*nn.Sequential),
 		NoiseStd: s.NoiseStd,
 		rng:      tensor.NewRNG(0x5e1ec708), // "selector": constant, parent stream untouched
 	}
 	for _, h := range s.Heads {
-		c.Heads = append(c.Heads, nn.CloneLayer(h).(*nn.Dense))
+		c.Heads = append(c.Heads, remake(h).(*nn.Dense))
 	}
 	return c
 }

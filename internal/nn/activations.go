@@ -4,9 +4,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// ReLU is the rectified linear activation, applied elementwise.
+// ReLU is the rectified linear activation, applied elementwise. Its output
+// and input-gradient tensors follow the reuse contract of reuse.go.
 type ReLU struct {
-	mask []bool
+	mask  []bool
+	y, dx *tensor.Tensor
 }
 
 // NewReLU returns a ReLU layer.
@@ -14,31 +16,36 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward zeroes negative elements and records the active mask.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := x.Clone()
-	if cap(r.mask) < y.Len() {
-		r.mask = make([]bool, y.Len())
+	r.y = reuseLike(r.y, x)
+	y := r.y.Data
+	if cap(r.mask) < len(y) {
+		r.mask = make([]bool, len(y))
 	}
-	r.mask = r.mask[:y.Len()]
-	for i, v := range y.Data {
+	r.mask = r.mask[:len(y)]
+	for i, v := range x.Data {
 		if v <= 0 {
-			y.Data[i] = 0
+			y[i] = 0
 			r.mask[i] = false
 		} else {
+			y[i] = v
 			r.mask[i] = true
 		}
 	}
-	return y
+	return r.y
 }
 
 // Backward passes gradient only through active elements.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := grad.Clone()
-	for i := range dx.Data {
-		if !r.mask[i] {
-			dx.Data[i] = 0
+	r.dx = reuseLike(r.dx, grad)
+	dx := r.dx.Data
+	for i, g := range grad.Data {
+		if r.mask[i] {
+			dx[i] = g
+		} else {
+			dx[i] = 0
 		}
 	}
-	return dx
+	return r.dx
 }
 
 // Params returns nil; ReLU has no parameters.

@@ -31,6 +31,48 @@ func TestDenseZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestReLUZeroAllocSteadyState: ReLU reuses its output and input-gradient
+// tensors like every other layer, for any input rank, and reallocates only
+// when the shape changes.
+func TestReLUZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates; alloc counts are meaningless under -race")
+	}
+	rng := tensor.NewRNG(7)
+	for _, shape := range [][]int{{32, 64}, {4, 8, 6, 6}} {
+		r := NewReLU()
+		x := tensor.New(shape...)
+		g := tensor.New(shape...)
+		rng.FillNormal(x, 0, 1)
+		rng.FillNormal(g, 0, 1)
+		step := func() {
+			r.Forward(x, true)
+			r.Backward(g)
+		}
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Errorf("ReLU forward+backward on %v: %v allocs/op in steady state, want 0", shape, allocs)
+		}
+		y, dx := r.Forward(x, true), r.Backward(g)
+		for i, v := range x.Data {
+			wantY, wantDx := float32(0), float32(0)
+			if v > 0 {
+				wantY, wantDx = v, g.Data[i]
+			}
+			if y.Data[i] != wantY || dx.Data[i] != wantDx {
+				t.Fatalf("ReLU on %v: element %d (x=%v) gave y=%v dx=%v, want %v %v", shape, i, v, y.Data[i], dx.Data[i], wantY, wantDx)
+			}
+		}
+		if &x.Data[0] == &y.Data[0] || &g.Data[0] == &dx.Data[0] {
+			t.Fatalf("ReLU on %v wrote through its input", shape)
+		}
+		small := tensor.New(shape[0]/2, shape[1])
+		if got := r.Forward(small, true); !got.SameShape(small) {
+			t.Fatalf("ReLU kept shape %v for an input of shape %v", got.Shape(), small.Shape())
+		}
+	}
+}
+
 // TestConvZeroAllocSteadyState is the same invariant for Conv2D, whose seed
 // implementation allocated dw/db/dcol on every backward chunk and an output
 // tensor every forward.

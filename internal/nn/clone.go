@@ -9,25 +9,76 @@ import (
 // CloneLayer deep-copies a layer: same architecture, independent parameter
 // and state tensors, no shared caches. Sub-model extraction and per-device
 // model instantiation are built on this.
-func CloneLayer(l Layer) Layer {
+func CloneLayer(l Layer) Layer { return cloneLayer(l, cloneTrainable) }
+
+// CloneWeights is CloneLayer without gradient accumulators: a copy that can
+// run Forward and be read (transferred, aggregated, evaluated) at half the
+// memory. EnsureGrads makes it trainable.
+func CloneWeights(l Layer) Layer { return cloneLayer(l, cloneWeights) }
+
+// Bare returns l's architecture over the very same weight and state tensors
+// and nothing else: no gradient accumulators, no cached activations, no reuse
+// buffers, no per-call closures. It is how a model that sits idle between
+// training bouts sheds everything that is not the model; EnsureGrads makes it
+// trainable again. l must not be used afterwards — the two share weights.
+func Bare(l Layer) Layer { return cloneLayer(l, shareWeights) }
+
+// EnsureGrads gives every parameter that lacks one (CloneWeights, Bare) a
+// zero gradient accumulator — the state every optimizer step leaves behind.
+func EnsureGrads(params []*Param) {
+	for _, p := range params {
+		if p.G == nil {
+			p.G = tensor.New(p.W.Shape()...)
+		}
+	}
+}
+
+// cloneMode says what a rebuilt layer's tensors are.
+type cloneMode int
+
+const (
+	cloneTrainable cloneMode = iota // copied weights and states, zero gradients
+	cloneWeights                    // copied weights and states, no gradients
+	shareWeights                    // the source's own weights and states, no gradients
+)
+
+func (m cloneMode) param(p *Param) *Param {
+	switch m {
+	case cloneTrainable:
+		return &Param{Name: p.Name, W: p.W.Clone(), G: tensor.New(p.W.Shape()...)}
+	case cloneWeights:
+		return &Param{Name: p.Name, W: p.W.Clone()}
+	default:
+		return &Param{Name: p.Name, W: p.W}
+	}
+}
+
+func (m cloneMode) state(t *tensor.Tensor) *tensor.Tensor {
+	if m == shareWeights {
+		return t
+	}
+	return t.Clone()
+}
+
+func cloneLayer(l Layer, m cloneMode) Layer {
 	switch v := l.(type) {
 	case *Dense:
-		c := &Dense{In: v.In, Out: v.Out,
-			Weight: cloneParam(v.Weight), Bias: cloneParam(v.Bias)}
-		return c
+		return &Dense{In: v.In, Out: v.Out, Weight: m.param(v.Weight), Bias: m.param(v.Bias)}
 	case *Conv2D:
 		return &Conv2D{
 			InC: v.InC, OutC: v.OutC, KH: v.KH, KW: v.KW, Stride: v.Stride, Pad: v.Pad,
-			Weight: cloneParam(v.Weight), Bias: cloneParam(v.Bias),
+			Weight: m.param(v.Weight), Bias: m.param(v.Bias),
 		}
 	case *BatchNorm:
-		c := &BatchNorm{Feat: v.Feat, Eps: v.Eps, Momentum: v.Momentum,
-			Gamma: cloneParam(v.Gamma), Beta: cloneParam(v.Beta),
-			RunMean: v.RunMean.Clone(), RunVar: v.RunVar.Clone()}
-		return c
+		return &BatchNorm{Feat: v.Feat, Eps: v.Eps, Momentum: v.Momentum,
+			Gamma: m.param(v.Gamma), Beta: m.param(v.Beta),
+			RunMean: m.state(v.RunMean), RunVar: m.state(v.RunVar)}
 	case *ReLU:
 		return NewReLU()
 	case *Dropout:
+		if m == shareWeights {
+			return &Dropout{Rate: v.Rate, rng: v.rng} // the same layer, so the same stream
+		}
 		// Clone keeps the rate; gives the copy a derived RNG stream.
 		return &Dropout{Rate: v.Rate, rng: v.rng.Split()}
 	case *MaxPool2D:
@@ -35,8 +86,7 @@ func CloneLayer(l Layer) Layer {
 	case *AvgPool2D:
 		return NewAvgPool2D(v.Size, v.Stride)
 	case *LayerNorm:
-		return &LayerNorm{Feat: v.Feat, Eps: v.Eps,
-			Gamma: cloneParam(v.Gamma), Beta: cloneParam(v.Beta)}
+		return &LayerNorm{Feat: v.Feat, Eps: v.Eps, Gamma: m.param(v.Gamma), Beta: m.param(v.Beta)}
 	case *GlobalAvgPool:
 		return NewGlobalAvgPool()
 	case *Flatten:
@@ -48,22 +98,18 @@ func CloneLayer(l Layer) Layer {
 	case *Sequential:
 		s := NewSequential()
 		for _, inner := range v.Layers {
-			s.Append(CloneLayer(inner))
+			s.Append(cloneLayer(inner, m))
 		}
 		return s
 	case *Residual:
 		var proj Layer
 		if v.Proj != nil {
-			proj = CloneLayer(v.Proj)
+			proj = cloneLayer(v.Proj, m)
 		}
-		return NewResidual(CloneLayer(v.Body), proj)
+		return NewResidual(cloneLayer(v.Body, m), proj)
 	default:
 		panic(fmt.Sprintf("nn: CloneLayer does not support %T", l))
 	}
-}
-
-func cloneParam(p *Param) *Param {
-	return &Param{Name: p.Name, W: p.W.Clone(), G: tensor.New(p.W.Shape()...)}
 }
 
 // CopyParams copies parameter values (and states) from src to dst layers of

@@ -92,8 +92,15 @@ func QuantizeF16(vec []float32) []uint16 {
 // DequantizeF16 reverses QuantizeF16.
 func DequantizeF16(codes []uint16) []float32 {
 	out := make([]float32, len(codes))
-	for i, h := range codes {
-		out[i] = F16ToF32(h)
-	}
+	DequantizeF16Into(out, codes)
 	return out
+}
+
+// DequantizeF16Into decodes codes into dst, which must hold len(codes)
+// elements.
+func DequantizeF16Into(dst []float32, codes []uint16) {
+	dst = dst[:len(codes)]
+	for i, h := range codes {
+		dst[i] = F16ToF32(h)
+	}
 }

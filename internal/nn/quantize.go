@@ -57,11 +57,22 @@ func Quantize8(vec []float32) Quantized8 {
 // Dequantize8 decodes back to float32s.
 func (q Quantized8) Dequantize8() []float32 {
 	out := make([]float32, len(q.Codes))
-	for i, c := range q.Codes {
-		out[i] = q.Min + q.Scale*float32(c)
-	}
+	q.DequantizeInto(out)
 	return out
 }
+
+// DequantizeInto decodes into dst, which must hold len(q.Codes) elements —
+// for decoders that already own the destination (the wire codec writes
+// straight into its output vector).
+func (q Quantized8) DequantizeInto(dst []float32) {
+	dst = dst[:len(q.Codes)]
+	for i, c := range q.Codes {
+		dst[i] = q.Min + q.Scale*float32(c)
+	}
+}
+
+// At decodes element i alone.
+func (q Quantized8) At(i int) float32 { return q.Min + q.Scale*float32(q.Codes[i]) }
 
 // MaxError returns the worst-case reconstruction error (half a step).
 func (q Quantized8) MaxError() float32 { return q.Scale / 2 }

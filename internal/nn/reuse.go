@@ -9,7 +9,8 @@ import "repro/internal/tensor"
 // Forward/Backward; callers that hold results longer must Clone them.
 //
 // The helpers are monomorphic (reuse2/reuse4) rather than variadic so the
-// hit path does not allocate a shape slice.
+// hit path does not allocate a shape slice; reuseLike serves the elementwise
+// layers, whose output has whatever shape the input has.
 
 // reuse2 returns t when it already has shape [d0, d1], else a fresh tensor.
 func reuse2(t *tensor.Tensor, d0, d1 int) *tensor.Tensor {
@@ -27,4 +28,13 @@ func reuse4(t *tensor.Tensor, d0, d1, d2, d3 int) *tensor.Tensor {
 		return t
 	}
 	return tensor.New(d0, d1, d2, d3)
+}
+
+// reuseLike returns t when it already has x's shape, else a fresh tensor of
+// that shape.
+func reuseLike(t, x *tensor.Tensor) *tensor.Tensor {
+	if t != nil && t.SameShape(x) {
+		return t
+	}
+	return tensor.New(x.Shape()...)
 }
