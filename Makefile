@@ -31,13 +31,10 @@ check: build vet lint race
 test:
 	$(GO) test ./...
 
-# Kernel benchmarks → BENCH_kernels.json (ns/op, allocs/op, speedup vs the
-# naive reference; see docs/PERF.md), the parallel-round benchmark →
-# BENCH_parallel.json (docs/PARALLEL.md), then the per-figure benches.
+# The end-to-end benchmark BENCHMARK.json declares: four workloads, a fresh
+# process each; `-trace 1` adds the per-layer metrics (bench/README.md).
 bench:
-	$(GO) run ./cmd/nebula-bench
-	$(GO) run ./cmd/nebula-parbench
-	$(GO) test -bench=. -benchmem -benchtime=1x .
+	$(GO) run -C bench .
 
 # The end-to-end benchmark is a module of its own (bench/, replace repro =>
 # ../) that `go build/vet/test ./...` from the root never compile. This

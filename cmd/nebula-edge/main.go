@@ -38,7 +38,6 @@ func main() {
 		shift    = flag.Float64("shift", 0.5, "data replaced per step")
 		devClass = flag.String("class", "jetson-nano", "device class for the resource profile")
 		scale    = flag.String("scale", "quick", "model scale: quick | paper")
-		quant    = flag.Bool("quant", false, "8-bit-quantize parameter transfers")
 		timeout  = flag.Duration("timeout", 15*time.Second, "per-call deadline before a retry")
 		retries  = flag.Int("retries", 4, "attempts per call (reconnect + backoff between attempts)")
 		faults   = flag.String("faults", "", "inject a seeded lossy link client-side, e.g. 'drop=0.25,delay=20ms,reset=0.05,seed=7'")
@@ -75,7 +74,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("dial: %v", err)
 	}
-	cl.Quantize = *quant
 	cl.Policy.CallTimeout = *timeout
 	cl.Policy.MaxAttempts = *retries
 	cl.Policy.Seed = *seed

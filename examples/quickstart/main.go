@@ -16,7 +16,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/fed"
 	"repro/internal/metrics"
@@ -35,13 +34,14 @@ func main() {
 	cfg := fed.DefaultConfig()
 	cfg.Rounds = 3
 	cfg.DevicesPerRound = 8
-	sys := core.NewSystem(task, cfg, seed)
+	neb := fed.NewNebula(task, cfg)
+	nebRNG := tensor.NewRNG(seed) // the strategy's own stream: training and client sampling
 
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), 40)
 	fmt.Printf("offline: training modularized cloud model on %d proxy samples...\n", proxy.Len())
-	sys.OfflineTrain(proxy)
+	neb.Pretrain(nebRNG, proxy)
 	fmt.Printf("offline: done — %d module layers, top-%d routing\n",
-		len(sys.CloudModel().Layers), sys.CloudModel().TopK)
+		len(neb.Model.Layers), neb.Model.TopK)
 
 	// --- Online stage: edge-cloud collaborative adaptation ---------------
 	// A fleet of 12 devices, each holding 2 of the 6 activity classes
@@ -52,7 +52,7 @@ func main() {
 	})
 	clients := fed.NewClients(rng, fleet)
 
-	fmt.Printf("\nbefore adaptation: mean local accuracy %s\n", metrics.FmtPct(sys.Accuracy(clients)))
+	fmt.Printf("\nbefore adaptation: mean local accuracy %s\n", metrics.FmtPct(neb.LocalAccuracy(clients)))
 
 	for step := 1; step <= 3; step++ {
 		// The edge environment changes: half of each device's data is
@@ -61,16 +61,16 @@ func main() {
 			c.Dev.Shift(0.5)
 			c.Mon.Step()
 		}
-		sys.AdaptStep(clients)
-		costs := sys.Costs()
+		neb.Adapt(nebRNG, clients)
+		costs := neb.Costs()
 		fmt.Printf("step %d: accuracy %s, cumulative traffic ↓%s ↑%s, simulated time %s\n",
-			step, metrics.FmtPct(sys.Accuracy(clients)),
+			step, metrics.FmtPct(neb.LocalAccuracy(clients)),
 			metrics.FmtBytes(costs.BytesDown), metrics.FmtBytes(costs.BytesUp),
 			metrics.FmtDur(costs.SimTime))
 	}
 
 	// Inspect one device's personalized sub-model.
-	sub := sys.Strategy.SubModelOf(clients[0].Dev.ID)
+	sub := neb.SubModelOf(clients[0].Dev.ID)
 	if sub != nil {
 		fmt.Printf("\ndevice 0 sub-model: %d modules across %d layers, %s on the wire\n",
 			sub.NumModules(), len(sub.Layers), metrics.FmtBytes(sub.ParamBytes()))

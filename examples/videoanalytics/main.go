@@ -16,7 +16,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/fed"
 	"repro/internal/metrics"
@@ -33,11 +32,12 @@ func main() {
 	cfg := fed.DefaultConfig()
 	cfg.Rounds = 2
 	cfg.DevicesPerRound = 6
-	sys := core.NewSystem(task, cfg, seed)
+	neb := fed.NewNebula(task, cfg)
+	nebRNG := tensor.NewRNG(seed) // the strategy's own stream: training and client sampling
 
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), 30)
 	fmt.Println("training cloud model on historical footage (proxy data)...")
-	sys.OfflineTrain(proxy)
+	neb.Pretrain(nebRNG, proxy)
 
 	// Static baseline: the cloud model as deployed, never updated.
 	static := fed.NewNoAdapt(task, cfg)
@@ -55,17 +55,17 @@ func main() {
 			c.Dev.Shift(0.5) // scene change: new objects, lighting drift
 			c.Mon.Step()     // background apps come and go
 		}
-		sys.AdaptStep(cams)
+		neb.Adapt(nebRNG, cams)
 		fmt.Printf("%4d  %12s  %7s\n", hour,
 			metrics.FmtPct(static.LocalAccuracy(cams)),
-			metrics.FmtPct(sys.Accuracy(cams)))
+			metrics.FmtPct(neb.LocalAccuracy(cams)))
 	}
 
 	// Inner runtime dynamics: camera 0's video encoder spikes and steals
 	// compute. The on-device module scheduler (paper §5.1) switches to a
 	// cheaper rung of nested module subsets — no cloud round-trip.
 	cam := cams[0]
-	sub := sys.Strategy.SubModelOf(cam.Dev.ID)
+	sub := neb.SubModelOf(cam.Dev.ID)
 	if sub == nil {
 		return
 	}
@@ -84,7 +84,7 @@ func main() {
 			procs, rung, sched.FlopsOf(rung), metrics.FmtPct(acc))
 	}
 
-	costs := sys.Costs()
+	costs := neb.Costs()
 	fmt.Printf("total adaptation traffic: ↓%s ↑%s across %d rounds\n",
 		metrics.FmtBytes(costs.BytesDown), metrics.FmtBytes(costs.BytesUp), costs.Rounds)
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/modular"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 )
@@ -65,8 +64,6 @@ type RetryStats struct {
 type EdgeClient struct {
 	DeviceID int
 	Skeleton *modular.Model
-	// Quantize requests/sends 8-bit-quantized parameter payloads.
-	Quantize bool
 	// Policy configures per-call deadlines and retries. Retrying needs
 	// Redial: a gob stream is stateful, so recovery always means a fresh
 	// connection and codec.
@@ -98,6 +95,9 @@ type EdgeClient struct {
 	stats  RetryStats
 	proto  int      // negotiated protocol version; 0 until Hello succeeds (acts as v1)
 	ref    *WireRef // reconstruction of the last v2 sub-model fetch (delta base)
+	// maxVecLen is Skeleton's full backbone length, the longest download
+	// recvPayload accepts a header for; computed at the first v2 payload.
+	maxVecLen int
 
 	// traffic accumulated over connections torn down by reconnects.
 	pastIn, pastOut int64
@@ -359,19 +359,20 @@ func (c *EdgeClient) exchange(req *Request, out []WireChunk, to time.Duration) (
 	}
 	var pay *WirePayload
 	if resp.OK && resp.Payload != nil {
-		if resp.Payload.Chunks < 0 || resp.Payload.Chunks > maxWireChunks {
-			return nil, nil, fmt.Errorf("edgenet: response announces %d chunks", resp.Payload.Chunks)
+		if c.maxVecLen == 0 {
+			c.maxVecLen = fullBackboneLen(c.Skeleton)
 		}
-		pay = &WirePayload{Header: *resp.Payload, Chunks: make([]WireChunk, resp.Payload.Chunks)}
-		for i := range pay.Chunks {
+		var err error
+		pay, err = recvPayload(resp.Payload, c.maxVecLen, func(ch *WireChunk) error {
 			arm(true)
 			chs := c.reqSpan(req, "rpc.chunk_recv")
-			err := c.codec.Recv(&pay.Chunks[i])
+			err := c.codec.Recv(ch)
 			chs.SetErr(err)
 			chs.End()
-			if err != nil {
-				return nil, nil, fmt.Errorf("edgenet: recv chunk %d/%d: %w", i+1, len(pay.Chunks), err)
-			}
+			return err
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	if !resp.OK {
@@ -489,7 +490,6 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 		Proto:      c.proto,
 		Importance: importance,
 		Budget:     FromBudget(budget),
-		Quant:      c.Quantize,
 	}
 	if c.proto >= ProtoV2 && c.ref != nil {
 		req.HaveVer = c.ref.Version
@@ -512,8 +512,6 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 			return nil, fmt.Errorf("edgenet: fetch: %w", err)
 		}
 		c.ref = &WireRef{Version: pay.Header.Version, Mapping: resp.Active, Vec: vec}
-	} else if len(resp.BackboneQ) > 0 {
-		vec = nn.DequantizeChunks(resp.BackboneQ)
 	}
 	if err := safeLoad(sub, vec); err != nil {
 		return nil, fmt.Errorf("edgenet: fetch: %w", err)
@@ -564,11 +562,7 @@ func (c *EdgeClient) PushUpdate(sub *modular.SubModel, importance [][]float64, w
 		}
 		return err
 	}
-	if c.Quantize {
-		req.BackboneQ = nn.QuantizeChunks(sub.BackboneVector(), 1024)
-	} else {
-		req.Backbone = sub.BackboneVector()
-	}
+	req.Backbone = sub.BackboneVector()
 	_, err := c.call(req)
 	return err
 }

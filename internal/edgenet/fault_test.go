@@ -136,6 +136,28 @@ func TestTrafficCountedOnSendErrorExit(t *testing.T) {
 	}
 }
 
+// TestServerDropsImplausibleHeader: an upload whose header announces more
+// than the server's own model could hold ends the connection — counted as a
+// reset — without the server waiting for, or sizing anything from, the 2^20
+// frames it was promised.
+func TestServerDropsImplausibleHeader(t *testing.T) {
+	srv := NewServer(buildModel(24), 1)
+	a, b := net.Pipe()
+	done := serveDone(srv, a)
+	err := NewCodec(b).Send(&Request{
+		Kind: KindPushUpdate, DeviceID: 1, Proto: ProtoV2,
+		Payload: &WireHeader{Len: 1 << 30, Chunks: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	_ = b.Close()
+	if st := srv.StatsSnapshot(); st.Resets != 1 || st.UpdatesReceived != 0 {
+		t.Fatalf("stats after an implausible header: %+v", st)
+	}
+}
+
 func TestTrafficCountedOnShutdownExit(t *testing.T) {
 	srv := NewServer(buildModel(23), 1)
 	a, b := net.Pipe()
@@ -256,7 +278,6 @@ func TestConcurrentQuantizedFetches(t *testing.T) {
 				return
 			}
 			defer func() { _ = cl.Close() }()
-			cl.Quantize = true
 			if err := cl.Hello(); err != nil {
 				errs <- err
 				return

@@ -24,7 +24,6 @@ func TestConcurrentQuantizedPushes(t *testing.T) {
 			defer wg.Done()
 			cl := pipePair(t, srv, buildModel(20))
 			cl.DeviceID = d
-			cl.Quantize = true
 			if err := cl.Hello(); err != nil {
 				errs <- err
 				return

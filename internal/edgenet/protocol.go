@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/modular"
-	"repro/internal/nn"
 )
 
 // MsgKind discriminates protocol messages.
@@ -64,20 +63,15 @@ type Request struct {
 	// GetSubModel fields.
 	Importance [][]float64
 	Budget     BudgetMsg
-	// Quant asks the cloud to 8-bit-quantize the sub-model payload
-	// (~4× smaller transfers at bounded reconstruction error). v1 only; the
-	// v2 wire format always quantizes.
-	Quant bool
 	// HaveVer is the version of the client's cached sub-model reconstruction
 	// (0 = none); a v2 server that still holds the matching reference sends
 	// a delta payload instead of full parameters.
 	HaveVer uint64
 
 	// PushUpdate fields.
-	Active    [][]int
-	Backbone  []float32
-	BackboneQ []nn.Quantized8 // v1 quantized alternative to Backbone
-	Weight    float64
+	Active   [][]int
+	Backbone []float32
+	Weight   float64
 	// Payload, when set, announces a v2 chunk-streamed upload: exactly
 	// Payload.Chunks WireChunk frames follow this envelope on the stream.
 	// Only sent after Hello negotiated ProtoV2 — a v1 server would misread
@@ -126,9 +120,8 @@ type Response struct {
 	Proto int
 
 	// GetSubModel reply.
-	Active    [][]int
-	Backbone  []float32
-	BackboneQ []nn.Quantized8 // v1: set instead of Backbone when quantized
+	Active   [][]int
+	Backbone []float32
 	// Payload, when set, announces a v2 chunk-streamed sub-model: exactly
 	// Payload.Chunks WireChunk frames follow this envelope.
 	Payload *WireHeader

@@ -5,12 +5,14 @@ import (
 	"testing"
 )
 
+// TestQuantizedFetchAndPush is the v2 round-trip closeness test: after Hello
+// the link carries int8 chunk payloads both ways, and what the client decodes
+// stays within one quantization step of the cloud's weights.
 func TestQuantizedFetchAndPush(t *testing.T) {
 	cloud := buildModel(10)
 	skeleton := buildModel(10)
 	srv := NewServer(cloud, 1)
 	cl := pipePair(t, srv, skeleton)
-	cl.Quantize = true
 	if err := cl.Hello(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,35 +48,5 @@ func TestQuantizedFetchAndPush(t *testing.T) {
 	}
 	if st := srv.StatsSnapshot(); st.UpdatesReceived != 1 || st.Aggregations != 1 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestQuantizedTransferIsSmaller(t *testing.T) {
-	imp := uniformImportance(buildModel(11))
-
-	traffic := func(quant bool) int64 {
-		cloud := buildModel(11)
-		skeleton := buildModel(11)
-		srv := NewServer(cloud, 1)
-		cl := pipePair(t, srv, skeleton)
-		cl.MaxProto = ProtoV1 // this test pins the v1 Quant knob; v2 compression is measured elsewhere
-		cl.Quantize = quant
-		if err := cl.Hello(); err != nil {
-			t.Fatal(err)
-		}
-		sub, err := cl.FetchSubModel(imp, looseBudget())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.PushUpdate(sub, imp, 1); err != nil {
-			t.Fatal(err)
-		}
-		in, out := cl.Traffic()
-		return in + out
-	}
-	plain := traffic(false)
-	quant := traffic(true)
-	if quant >= plain*2/3 {
-		t.Fatalf("quantized traffic %d not substantially below plain %d", quant, plain)
 	}
 }

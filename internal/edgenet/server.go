@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/modular"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 )
@@ -52,6 +51,9 @@ type Server struct {
 	// (replaced wholesale), so handlers may read Vec outside s.mu.
 	wireRefs map[int]*WireRef
 	wireVer  uint64
+	// maxVecLen is Model's full backbone length, the longest upload
+	// recvPayload accepts a header for. Shapes never change after NewServer.
+	maxVecLen int
 
 	// metrics is the per-server obs registry — the single source of truth
 	// for the protocol counters. StatsSnapshot and KindStats render views of
@@ -77,6 +79,7 @@ func NewServer(model *modular.Model, aggregateEvery int) *Server {
 		lastSeq:        map[int]int64{},
 		conns:          map[net.Conn]struct{}{},
 		wireRefs:       map[int]*WireRef{},
+		maxVecLen:      fullBackboneLen(model),
 		metrics:        newServerMetrics(),
 	}
 }
@@ -307,10 +310,6 @@ func (s *Server) ServeConn(rw interface {
 	}
 }
 
-// maxWireChunks bounds how many chunk frames one request may announce — a
-// corrupt or hostile header must not pin the handler in a frame loop.
-const maxWireChunks = 1 << 20
-
 // recvChunks drains the chunk frames a v2 envelope announced, re-arming the
 // read deadline before each frame so one stalled chunk — not the whole
 // payload — is what the timeout bounds.
@@ -318,19 +317,12 @@ func (s *Server) recvChunks(codec *Codec, dl connDeadliner, h *WireHeader) (*Wir
 	if h == nil {
 		return nil, nil
 	}
-	if h.Chunks < 0 || h.Chunks > maxWireChunks {
-		return nil, fmt.Errorf("edgenet: payload announces %d chunks", h.Chunks)
-	}
-	p := &WirePayload{Header: *h, Chunks: make([]WireChunk, h.Chunks)}
-	for i := range p.Chunks {
+	return recvPayload(h, s.maxVecLen, func(ch *WireChunk) error {
 		if dl != nil && s.ReadTimeout > 0 {
 			_ = dl.SetReadDeadline(time.Now().Add(s.ReadTimeout)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
 		}
-		if err := codec.Recv(&p.Chunks[i]); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+		return codec.Recv(ch)
+	})
 }
 
 // noteConnError classifies a connection teardown into the Stats counters:
@@ -425,11 +417,7 @@ func (s *Server) serveSubModel(req *Request, ps span.SpanID) (resp *Response, ou
 		resp.Payload = &out.Header
 		return resp, out, nil
 	}
-	if req.Quant {
-		resp.BackboneQ = nn.QuantizeChunks(sub.BackboneVector(), 1024)
-	} else {
-		resp.Backbone = sub.BackboneVector()
-	}
+	resp.Backbone = sub.BackboneVector()
 	es.End()
 	return resp, nil, nil
 }
@@ -487,11 +475,6 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 	// every other device behind s.mu (same shape as serveSubModel, which
 	// quantizes the response after releasing the lock).
 	vec := req.Backbone
-	if len(req.BackboneQ) > 0 {
-		dq := s.reqSpan(req, ps, "srv.dequantize")
-		vec = nn.DequantizeChunks(req.BackboneQ)
-		dq.End()
-	}
 	if pay != nil {
 		var base []float32
 		if pay.Header.Delta {

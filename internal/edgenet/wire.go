@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/modular"
 	"repro/internal/nn"
 )
 
@@ -344,6 +345,40 @@ func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
 		start += c.N
 	}
 	return out, nil
+}
+
+// fullBackboneLen is the length of the backbone vector of a sub-model that
+// selects every module of m: the longest vector a peer can legitimately send.
+func fullBackboneLen(m *modular.Model) int {
+	n := nn.ParamCount(m.BackboneParams())
+	for _, l := range []nn.Layer{m.Stem, m.Head} {
+		for _, st := range nn.LayerStates(l) {
+			n += st.Len()
+		}
+	}
+	return n
+}
+
+// recvPayload assembles the payload header h announced from h.Chunks frames.
+// recvFrame receives one frame and is where the caller re-arms its read
+// deadline, so a timeout bounds one stalled frame, not the whole payload.
+// The header is the peer's word, so nothing is sized from it until it is
+// plausible for this receiver: every chunk reconstructs at least one element,
+// and no vector is longer than maxLen, the receiver's own full backbone. A
+// rejected header leaves its frames unread on the stream, so like a failed
+// frame it ends the connection.
+func recvPayload(h *WireHeader, maxLen int, recvFrame func(*WireChunk) error) (*WirePayload, error) {
+	if h.Len < 0 || h.Len > maxLen || h.Chunks < 0 || h.Chunks > h.Len {
+		return nil, fmt.Errorf("edgenet: payload header announces %d chunks for %d elements, this peer's model holds %d",
+			h.Chunks, h.Len, maxLen)
+	}
+	p := &WirePayload{Header: *h, Chunks: make([]WireChunk, h.Chunks)}
+	for i := range p.Chunks {
+		if err := recvFrame(&p.Chunks[i]); err != nil {
+			return nil, fmt.Errorf("edgenet: recv chunk %d/%d: %w", i+1, h.Chunks, err)
+		}
+	}
+	return p, nil
 }
 
 // codeCount checks that the chunk carries one kind of codes and returns how

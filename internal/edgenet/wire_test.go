@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -594,14 +595,21 @@ type malformedPayload struct {
 	name string
 	p    *WirePayload
 	base []float32
+	// header marks a row whose header alone condemns it for a receiver whose
+	// full backbone is malformedVecLen long: recvPayload must reject it
+	// before reading a frame or sizing anything from it.
+	header bool
 }
+
+// malformedVecLen is the length of the vector the table's payloads encode.
+const malformedVecLen = 100
 
 // malformedPayloads builds the table TestDecodeVecRejectsMalformed checks and
 // FuzzDecodeVec starts from.
 func malformedPayloads() []malformedPayload {
 	rng := tensor.NewRNG(27)
-	vec := randVec(rng, 100, 1)
-	base := randVec(rng, 100, 1)
+	vec := randVec(rng, malformedVecLen, 1)
+	base := randVec(rng, malformedVecLen, 1)
 
 	breakers := []struct {
 		name string
@@ -611,7 +619,6 @@ func malformedPayloads() []malformedPayload {
 		{"chunk count lies", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Chunks++; return nil }},
 		{"length overrun", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Len -= 10; return nil }},
 		{"length underrun", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Len += 10; return nil }},
-		{"negative length", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Len = -1; return nil }},
 		{"negative chunk length", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Chunks[1].N = -32; return nil }},
 		{"codes truncated", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 {
 			p.Chunks[0].Q8.Codes = p.Chunks[0].Q8.Codes[:10]
@@ -634,24 +641,39 @@ func malformedPayloads() []malformedPayload {
 	var out []malformedPayload
 	for _, b := range breakers {
 		p := EncodeVec(vec, nil, b.opts)
-		out = append(out, malformedPayload{b.name, p, b.mod(p)})
+		out = append(out, malformedPayload{name: b.name, p: p, base: b.mod(p)})
+	}
+
+	// Announced sizes a receiver must not allocate on.
+	for _, b := range []struct {
+		name string
+		mod  func(h *WireHeader)
+	}{
+		{"negative length", func(h *WireHeader) { h.Len = -1 }},
+		{"negative chunk count", func(h *WireHeader) { h.Chunks = -1 }},
+		{"chunks outnumber elements", func(h *WireHeader) { h.Chunks = 1 << 20 }},
+		{"length above the receiver's model", func(h *WireHeader) { h.Len = 1 << 30 }},
+	} {
+		p := EncodeVec(vec, nil, WireOpts{Chunk: 32})
+		b.mod(&p.Header)
+		out = append(out, malformedPayload{name: b.name, p: p, header: true})
 	}
 
 	// Sparse-specific rows.
 	sparse := func() *WirePayload { return EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.2}) }
 	sp := sparse()
 	sp.Chunks[0].Idx[0] = 40
-	out = append(out, malformedPayload{"sparse offset outside chunk", sp, base})
+	out = append(out, malformedPayload{name: "sparse offset outside chunk", p: sp, base: base})
 	sp = sparse()
 	sp.Header.Delta = false
-	out = append(out, malformedPayload{"sparse chunk in full payload", sp, nil})
+	out = append(out, malformedPayload{name: "sparse chunk in full payload", p: sp})
 	sp = sparse()
 	sp.Chunks[0].Idx = sp.Chunks[0].Idx[:1]
-	out = append(out, malformedPayload{"sparse codes without offsets", sp, base})
+	out = append(out, malformedPayload{name: "sparse codes without offsets", p: sp, base: base})
 	sp = sparse()
 	sp.Chunks[3].N = -4
 	sp.Chunks[2].N += 8
-	out = append(out, malformedPayload{"negative sparse chunk length", sp, base})
+	out = append(out, malformedPayload{name: "negative sparse chunk length", p: sp, base: base})
 	return out
 }
 
@@ -659,6 +681,25 @@ func TestDecodeVecRejectsMalformed(t *testing.T) {
 	for _, m := range malformedPayloads() {
 		if _, err := DecodeVec(m.p, m.base); err == nil {
 			t.Fatalf("%s: decode accepted malformed payload", m.name)
+		}
+		if !m.header {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := recvPayload(&m.p.Header, malformedVecLen, func(*WireChunk) error {
+			t.Fatalf("%s: recvPayload read a frame on the header's word", m.name)
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: recvPayload accepted the header", m.name)
+		}
+		// The error is all the reject path allocates; a frame table sized by
+		// the 2^20-chunk row would be ~100 MB. The slack absorbs whatever
+		// other goroutines of the test binary allocate meanwhile.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: rejecting the header allocated %d bytes", m.name, got)
 		}
 	}
 }

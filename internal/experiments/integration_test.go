@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/edgenet"
 	"repro/internal/fed"
@@ -15,7 +14,7 @@ import (
 )
 
 // TestFullPipelineIntegration drives the whole stack end to end: offline
-// training through the core façade, a traced online adaptation step, a
+// training with the Nebula strategy, a traced online adaptation step, a
 // checkpoint round-trip of the cloud model, and serving the restored model
 // over the real TCP protocol to an edge client.
 func TestFullPipelineIntegration(t *testing.T) {
@@ -26,22 +25,23 @@ func TestFullPipelineIntegration(t *testing.T) {
 	cfg.DevicesPerRound = 3
 	cfg.TestPerDevice = 30
 
-	// 1. Offline stage via the façade.
-	sys := core.NewSystem(task, cfg, seed)
-	sys.Strategy.TrainCfg.Epochs = 2
+	// 1. Offline stage.
+	neb := fed.NewNebula(task, cfg)
+	neb.TrainCfg.Epochs = 2
+	nebRNG := tensor.NewRNG(seed)
 	rng := tensor.NewRNG(seed)
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), 15)
-	sys.OfflineTrain(proxy)
+	neb.Pretrain(nebRNG, proxy)
 
 	// 2. Traced online adaptation.
 	var traceBuf bytes.Buffer
-	sys.Strategy.Trace = trace.New(&traceBuf)
+	neb.Trace = trace.New(&traceBuf)
 	fleet := data.NewFleet(rng, task.Gen, data.PartitionConfig{
 		NumDevices: 5, ClassesPerDevice: 2, MinVolume: 30, MaxVolume: 50,
 	})
 	clients := fed.NewClients(rng, fleet)
-	sys.AdaptStep(clients)
-	acc := sys.Accuracy(clients)
+	neb.Adapt(nebRNG, clients)
+	acc := neb.LocalAccuracy(clients)
 	if acc < 0.3 {
 		t.Fatalf("pipeline accuracy %.3f implausible", acc)
 	}
@@ -53,7 +53,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 	// 3. Checkpoint the adapted cloud model and restore into a fresh
 	// skeleton.
 	var ckpt bytes.Buffer
-	if err := modular.SaveCheckpoint(&ckpt, sys.CloudModel()); err != nil {
+	if err := modular.SaveCheckpoint(&ckpt, neb.Model); err != nil {
 		t.Fatal(err)
 	}
 	restored := task.BuildModular(tensor.NewRNG(seed))

@@ -118,7 +118,6 @@ func All() []Analyzer {
 		RNGEscape{},
 		LockedCall{},
 		ArtifactOrder{},
-		FastMath{},
 		SpanLeak{},
 	}
 }

@@ -48,7 +48,6 @@ func TestFixtures(t *testing.T) {
 		"rngescape.go":     {"rngescape"},
 		"lockedcall.go":    {"lockedcall"},
 		"artifactorder.go": {"artifactorder"},
-		"fastmath.go":      {"fastmath"},
 		"rawclock.go":      {"rawclock", "rawclock"},
 		"spanleak.go":      {"spanleak", "spanleak"},
 		"clean.go":      nil,

@@ -30,10 +30,10 @@ var scratchPools [scratchMaxBits - scratchMinBits + 1]sync.Pool
 
 // Outstanding-bytes accounting: every live Scratch contributes its backing
 // capacity (the full size class, or the exact length for oversized buffers)
-// between Get and Put. The peak watermark is what nebula-bench reports as
-// peak_scratch_bytes — the measured footprint of a kernel's working set —
-// and what proved the implicit-GEMM conv deleted the column matrix rather
-// than just relocating it. Plain atomics: two adds and a CAS loop per
+// between Get and Put. The peak watermark is the measured footprint of a
+// kernel's working set, and what proves the implicit-GEMM conv deleted the
+// column matrix rather than just relocating it
+// (TestConvGemmScratchAccounting). Plain atomics: two adds and a CAS loop per
 // Get/Put, no locks, no allocations, never read by kernel code.
 var (
 	scratchLiveBytes atomic.Int64

@@ -2,15 +2,13 @@
 
 package tensor
 
-// Runtime CPU-feature probing for the fast-math kernel (fastmath.go) and the
-// bench provenance string. Uses raw CPUID/XGETBV (cpu_amd64.s) instead of a
-// dependency: AVX2 use is gated on both the CPU bit and the OS having enabled
+// Runtime CPU-feature probing for kernel selection (cpu.go) and the bench
+// provenance string. Uses raw CPUID/XGETBV (cpu_amd64.s) instead of a
+// dependency: AVX use is gated on both the CPU bit and the OS having enabled
 // YMM state saving (OSXSAVE + XCR0 bits 1..2), the same discipline as
 // golang.org/x/sys/cpu.
 func cpuidex(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
-
-var cpuHasSSE42, cpuHasAVX, cpuHasAVX2, cpuHasFMA bool
 
 func init() {
 	maxLeaf, _, _, _ := cpuidex(0, 0)

@@ -4,16 +4,22 @@
 
 // func gemmKernel6x8AVX(a, b, c *float32, k, ldc, mode int)
 //
-// Strict 256-bit variant of gemmKernel6x8SSE — same packed-panel layout, same
-// mode contract (0 = C = acc, 1 = C += acc, 2 = acc preloaded from C), and
-// the SAME floating-point semantics: each C element is updated by a separate
+// 6×8 GEMM micro-kernel over packed panels (see pack.go for the layouts):
+//
+//   a: A panel, k steps of 6 contiguous floats (one per C row)
+//   b: B panel, k steps of 8 contiguous floats (one per C column)
+//   c: top-left of the C tile, row stride ldc floats
+//
+// modes: 0 = C = acc (acc starts zero), 1 = C += acc (acc starts zero),
+//        2 = C = acc (acc preloaded from C).
+//
+// Strict 256-bit kernel: each C element is updated by a separate
 // single-rounded VMULPS followed by a single-rounded VADDPS in ascending-p
-// order, exactly the operation sequence of the SSE kernel and the portable
-// goGemmKernel6x8, just eight lanes at a time instead of four. No FMA — the
-// fused kernel (gemm_avx2_amd64.s) contracts the round between multiply and
-// add and is reachable only in fast-math mode. This kernel is therefore
-// bitwise identical to the SSE kernel and safe for every bitwise gate; it is
-// selected at package init when the CPU supports AVX (cpu_amd64.go).
+// order, exactly the operation sequence of the portable goGemmKernel6x8,
+// eight lanes at a time. No FMA — fusing would contract the round between
+// multiply and add. The result is therefore bitwise identical to the portable
+// kernel and safe for every bitwise gate; it is selected at package init when
+// the CPU and OS support AVX (cpu_amd64.go).
 //
 // Register plan: Y10..Y15 hold the 6×8 accumulator (one row each), Y0 holds
 // the current B row, Y1 the broadcast A element and Y2 the product. SI walks
@@ -108,7 +114,7 @@ store:
 
 addstore:
 	// mode 1: C = C + acc, with the loaded C value as the left operand —
-	// the same operand roles as the SSE ADDPS, so NaN propagation matches.
+	// the operand roles of goGemmKernel6x8's `crow[j] += acc[r][j]`.
 	MOVQ    DI, R8
 	VMOVUPS (R8), Y0
 	VADDPS  Y10, Y0, Y0

@@ -2,24 +2,17 @@
 
 package tensor
 
-// haveAsmKernel reports whether kernel6x8 is the SSE assembly version; the
-// cross-check test uses it to know when comparing against goGemmKernel6x8 is
-// meaningful.
-const haveAsmKernel = true
-
 // kernel6x8 computes one mr×nr C tile from packed panels; see
-// goGemmKernel6x8 for the mode contract. SSE2 is part of the amd64 baseline,
-// so the fallback path needs no CPU-feature probing.
+// goGemmKernel6x8 for the mode contract. The AVX assembly runs when CPUID
+// and XGETBV allow it (cpu_amd64.go); any other amd64 CPU gets the portable
+// kernel, the reference the assembly is pinned against.
 func kernel6x8(a, b, c []float32, k, ldc, mode int) {
 	if strictAVX {
 		gemmKernel6x8AVX(&a[0], &b[0], &c[0], k, ldc, mode)
 		return
 	}
-	gemmKernel6x8SSE(&a[0], &b[0], &c[0], k, ldc, mode)
+	goGemmKernel6x8(a, b, c, k, ldc, mode)
 }
-
-//go:noescape
-func gemmKernel6x8SSE(a, b, c *float32, k, ldc, mode int)
 
 //go:noescape
 func gemmKernel6x8AVX(a, b, c *float32, k, ldc, mode int)

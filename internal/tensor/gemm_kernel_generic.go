@@ -2,12 +2,9 @@
 
 package tensor
 
-// haveAsmKernel reports whether kernel6x8 is backed by assembly.
-const haveAsmKernel = false
-
-// kernel6x8 falls back to the portable micro-kernel on non-amd64 targets.
+// kernel6x8 is the portable micro-kernel on non-amd64 targets.
 // goGemmKernel6x8 is written so its multiply/add sequence cannot be fused
-// into FMAs, keeping results bitwise identical to the amd64 SSE kernel.
+// into FMAs, keeping results bitwise identical to the amd64 AVX kernel.
 func kernel6x8(a, b, c []float32, k, ldc, mode int) {
 	goGemmKernel6x8(a, b, c, k, ldc, mode)
 }

@@ -54,24 +54,28 @@ func gemmCase(t *testing.T, rng *rand.Rand, transA, transB bool, m, n, k int, al
 	}
 }
 
-// TestGemmPackedDifferential pins the packed kernel against the retained
-// naive reference across all four transpose variants, odd/prime and
-// tile-boundary sizes in 1..67, and alpha/beta ∈ {0, 1, 0.5}.
-func TestGemmPackedDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sizes := [][3]int{
+// gemmDiffSizes and gemmDiffScalars are the structured differential table:
+// odd/prime and tile-boundary sizes in 1..67, alpha/beta ∈ {0, 1, 0.5}.
+var (
+	gemmDiffSizes = [][3]int{
 		{1, 1, 1}, {1, 8, 1}, {2, 3, 5}, {7, 5, 9}, {5, 7, 11},
 		{6, 8, 13}, {6, 8, 1}, {12, 16, 8}, {13, 17, 19}, {17, 13, 23},
 		{23, 29, 31}, {31, 37, 7}, {37, 31, 41}, {43, 47, 3}, {48, 64, 32},
 		{53, 59, 61}, {61, 67, 2}, {67, 61, 53}, {64, 48, 67}, {1, 67, 67},
 		{67, 1, 67}, {67, 67, 1}, {6, 16, 67}, {18, 24, 66},
 	}
-	alphabeta := []float32{0, 1, 0.5}
-	for _, sz := range sizes {
+	gemmDiffScalars = []float32{0, 1, 0.5}
+)
+
+// TestGemmPackedDifferential pins the packed kernel against the retained
+// naive reference across all four transpose variants of the table above.
+func TestGemmPackedDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, sz := range gemmDiffSizes {
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
-				for _, alpha := range alphabeta {
-					for _, beta := range alphabeta {
+				for _, alpha := range gemmDiffScalars {
+					for _, beta := range gemmDiffScalars {
 						gemmCase(t, rng, ta, tb, sz[0], sz[1], sz[2], alpha, beta)
 					}
 				}
@@ -141,13 +145,14 @@ func TestGemmValidation(t *testing.T) {
 	}
 }
 
-// TestKernel6x8AsmMatchesGo pins the architecture kernel against the
+// TestKernel6x8AsmMatchesGo pins the AVX assembly kernel against the
 // portable reference, bitwise, across all three modes and several k values
-// and ldc layouts. On non-amd64 builds the two are the same function and
-// the test degenerates to a smoke test.
+// and ldc layouts. Where kernel6x8 is the portable kernel itself (non-amd64,
+// or amd64 without AVX) the two are the same function and the test
+// degenerates to a smoke test.
 func TestKernel6x8AsmMatchesGo(t *testing.T) {
-	if !haveAsmKernel {
-		t.Log("no assembly kernel on this architecture; smoke-testing the portable kernel against itself")
+	if !strictAVX {
+		t.Logf("kernel mode %s: smoke-testing the portable kernel against itself", KernelMode())
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 2, 7, 16, 64, 129} {
@@ -169,6 +174,83 @@ func TestKernel6x8AsmMatchesGo(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGemmPortableMatchesAVX runs whole GEMMs and convolutions under each of
+// the two kernels kernel6x8 can select and requires bitwise-equal outputs, so
+// the fallback an amd64 CPU without AVX gets is exercised on AVX hosts: the
+// Gemm table of TestGemmPackedDifferential (Gemm, plus gemmPacked directly
+// where the dispatcher would go naive, so edge tiles count at n < nr too) and
+// ConvGemm/ConvGemmBack over TestConvGemmExperimentShapes' table.
+func TestGemmPortableMatchesAVX(t *testing.T) {
+	if !strictAVX {
+		t.Skipf("kernel mode %s: no AVX on this host, kernel6x8 already is the portable kernel", KernelMode())
+	}
+	defer func() { strictAVX = true }()
+	// diff runs fn under each kernel; fn returns every buffer it wrote.
+	diff := func(fn func() [][]float32, format string, args ...any) {
+		t.Helper()
+		strictAVX = true
+		avx := fn()
+		strictAVX = false
+		portable := fn()
+		for o := range avx {
+			for i := range avx[o] {
+				if avx[o][i] != portable[o][i] {
+					t.Fatalf(format+": output %d [%d] avx=%v portable=%v",
+						append(args, o, i, avx[o][i], portable[o][i])...)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	for _, sz := range gemmDiffSizes {
+		m, n, k := sz[0], sz[1], sz[2]
+		a := make([]float32, m*k)
+		b := make([]float32, k*n)
+		c0 := make([]float32, m*n)
+		fillRand(rng, a)
+		fillRand(rng, b)
+		fillRand(rng, c0)
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				for _, beta := range gemmDiffScalars {
+					diff(func() [][]float32 {
+						c := append([]float32(nil), c0...)
+						Gemm(ta, tb, m, n, k, 1, a, b, beta, c)
+						outs := [][]float32{c}
+						if beta != 0.5 { // gemmPacked takes beta ∈ {0, 1} only
+							cp := append([]float32(nil), c0...)
+							gemmPacked(ta, tb, m, n, k, a, b, beta, cp)
+							outs = append(outs, cp)
+						}
+						return outs
+					}, "Gemm transA=%v transB=%v m=%d n=%d k=%d beta=%v", ta, tb, m, n, k, beta)
+				}
+			}
+		}
+	}
+
+	for _, c := range convExperimentCases {
+		g := c.geom()
+		w := make([]float32, c.outC*g.Kdim())
+		src := make([]float32, g.Channels*g.Height*g.Width)
+		grad := make([]float32, c.outC*g.Cols())
+		dw0 := make([]float32, len(w))
+		fillRand(rng, w)
+		fillRand(rng, src)
+		fillRand(rng, grad)
+		fillRand(rng, dw0)
+		diff(func() [][]float32 {
+			out := make([]float32, len(grad))
+			dw := append([]float32(nil), dw0...)
+			dx := make([]float32, len(src))
+			ConvGemm(w, c.outC, src, g, out)
+			ConvGemmBack(w, c.outC, src, g, grad, dw, dx)
+			return [][]float32{out, dw, dx}
+		}, "ConvGemm fwd+back outC=%d %+v", c.outC, g)
 	}
 }
 

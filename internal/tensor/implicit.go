@@ -385,8 +385,8 @@ func ConvGemmBack(w []float32, outC int, src []float32, g ConvGeom, grad, dw, dx
 
 // ConvGemmRef is the retained im2col reference forward — materialize the
 // column matrix, run the dispatching Gemm — kept verbatim as the
-// differential-test oracle and the nebula-bench baseline for the implicit
-// path, the way GemmNaive anchors the packed GEMM.
+// differential-test oracle and the BenchmarkConvGemmIm2col baseline for the
+// implicit path, the way GemmNaive anchors the packed GEMM.
 func ConvGemmRef(w []float32, outC int, src []float32, g ConvGeom, out []float32) {
 	kdim, cols := g.Kdim(), g.Cols()
 	checkConvOperands("ConvGemmRef", g, outC, w, src, out, outC*cols, "output")

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Implicit-vs-im2col benchmark pairs at the shapes nebula-bench reports.
-// conv_step_b16_c16x32_12x12 is one sample of the Fig-9 training conv
-// (16→32 channels, 12×12, 3×3 s1 p1); gemm_conv_64x256x576 is the
-// 64-channel 16×16 trunk conv.
+// Implicit-vs-im2col benchmark pairs at the shapes bench/ probes as
+// tensor.conv_fwdbwd_ms.*: c16x32_12x12 is one sample of the Fig-9 training
+// conv (16→32 channels, 12×12, 3×3 s1 p1); c64x64_16x16 is the 64-channel
+// 16×16 trunk conv (a 64×256×576 GEMM).
 
 func convBenchOperands(g ConvGeom, outC int) (w, src, out, grad, dw, dx []float32) {
 	rng := rand.New(rand.NewSource(1))

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -55,35 +56,43 @@ func convCase(t *testing.T, rng *rand.Rand, outC int, g ConvGeom) {
 	}
 }
 
-// TestConvGemmExperimentShapes covers every (kernel, stride, pad) combination
-// the model zoo instantiates (models.go, modular/builders.go) at the spatial
-// sizes the experiments run, plus the bench shapes.
+// convShape is one row of convExperimentCases.
+type convShape struct {
+	inC, outC, h, w, kh, kw, stride, pad int
+}
+
+func (c convShape) geom() ConvGeom {
+	return ConvGeom{
+		Channels: c.inC, Height: c.h, Width: c.w,
+		KH: c.kh, KW: c.kw, Stride: c.stride, Pad: c.pad,
+	}
+}
+
+// convExperimentCases is every (kernel, stride, pad) combination the model
+// zoo instantiates (models.go, modular/builders.go) at the spatial sizes the
+// experiments run, plus the bench shapes.
+var convExperimentCases = []convShape{
+	// 3×3 stride-1 pad-1 trunk convs.
+	{3, 16, 12, 12, 3, 3, 1, 1},
+	{16, 32, 12, 12, 3, 3, 1, 1},
+	{16, 16, 16, 16, 3, 3, 1, 1},
+	{8, 16, 8, 8, 3, 3, 1, 1},
+	// 3×3 stride-2 pad-1 downsampling convs.
+	{16, 32, 12, 12, 3, 3, 2, 1},
+	{32, 64, 6, 6, 3, 3, 2, 1},
+	// 1×1 projections (stride 1 and the stride-2 shortcut).
+	{16, 32, 12, 12, 1, 1, 1, 0},
+	{32, 64, 12, 12, 1, 1, 2, 0},
+	// Bench shape: outC=64, kdim=576=64·3·3, cols=256=16·16.
+	{64, 64, 16, 16, 3, 3, 1, 1},
+}
+
+// TestConvGemmExperimentShapes pins the implicit path against the im2col
+// oracle at every shape of convExperimentCases.
 func TestConvGemmExperimentShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	type sc struct {
-		inC, outC, h, w, kh, kw, stride, pad int
-	}
-	cases := []sc{
-		// 3×3 stride-1 pad-1 trunk convs.
-		{3, 16, 12, 12, 3, 3, 1, 1},
-		{16, 32, 12, 12, 3, 3, 1, 1},
-		{16, 16, 16, 16, 3, 3, 1, 1},
-		{8, 16, 8, 8, 3, 3, 1, 1},
-		// 3×3 stride-2 pad-1 downsampling convs.
-		{16, 32, 12, 12, 3, 3, 2, 1},
-		{32, 64, 6, 6, 3, 3, 2, 1},
-		// 1×1 projections (stride 1 and the stride-2 shortcut).
-		{16, 32, 12, 12, 1, 1, 1, 0},
-		{32, 64, 12, 12, 1, 1, 2, 0},
-		// Bench shape: gemm_conv_64x256x576 is outC=64, kdim=576=64·3·3,
-		// cols=256=16·16.
-		{64, 64, 16, 16, 3, 3, 1, 1},
-	}
-	for _, c := range cases {
-		convCase(t, rng, c.outC, ConvGeom{
-			Channels: c.inC, Height: c.h, Width: c.w,
-			KH: c.kh, KW: c.kw, Stride: c.stride, Pad: c.pad,
-		})
+	for _, c := range convExperimentCases {
+		convCase(t, rng, c.outC, c.geom())
 	}
 }
 
@@ -162,6 +171,38 @@ func TestConvGemmParallelInvariance(t *testing.T) {
 				t.Fatalf("Parallelism=%d: dx[%d]=%v, serial %v", par, i, dx[i], dxSerial[i])
 			}
 		}
+	}
+}
+
+// TestConvGemmImplicitZeroAlloc pins the implicit path's steady state at zero
+// heap allocations at the Fig-9 training conv shape. The path gathers image
+// pixels straight into arena-backed panels; any allocation here means a panel
+// escaped the arena, the regression the deleted column-matrix buffer used to
+// mask.
+func TestConvGemmImplicitZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates; alloc counts are meaningless under -race")
+	}
+	bc := convBenchGeoms[0] // c16x32_12x12
+	w, src, out, grad, dw, dx := convBenchOperands(bc.g, bc.outC)
+	step := func() {
+		ConvGemm(w, bc.outC, src, bc.g, out)
+		ConvGemmBack(w, bc.outC, src, bc.g, grad, dw, dx)
+	}
+	step() // first use grows the arena
+	// A GC cycle finishing mid-measurement empties the arena's sync.Pools and
+	// the refill would be charged to the steady state; start from a finished
+	// cycle and accept the first clean measurement. A real per-op allocation
+	// fails every attempt.
+	runtime.GC()
+	var allocs float64
+	for attempt := 0; attempt < 5; attempt++ {
+		if allocs = testing.AllocsPerRun(100, step); allocs == 0 {
+			break
+		}
+	}
+	if allocs != 0 {
+		t.Errorf("ConvGemm+ConvGemmBack at %s: %v allocs/op in steady state, want 0", bc.name, allocs)
 	}
 }
 

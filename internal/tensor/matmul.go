@@ -72,9 +72,8 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta 
 
 // GemmNaive is the pre-blocking reference kernel: a row-parallel triple loop
 // with no packing and no tiling. It is retained verbatim as (a) the fallback
-// for general alpha/beta, (b) the differential-test oracle the packed kernel
-// is pinned against, and (c) the baseline nebula-bench reports speedups
-// relative to.
+// for general alpha/beta and (b) the differential-test oracle the packed
+// kernel is pinned against.
 func GemmNaive(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	checkGemmOperands(transA, transB, m, n, k, a, b, c)
 	gemmNaive(transA, transB, m, n, k, alpha, a, b, beta, c)
