@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json race check bench bench-e2e-check sweep examples clean
+.PHONY: all build test vet lint lint-json race check fuzz-smoke bench bench-e2e-check sweep examples clean
 
 all: check
 
@@ -30,6 +30,14 @@ check: build vet lint race
 
 test:
 	$(GO) test ./...
+
+# Every native Fuzz* target in the tree for 5s each beyond its seed corpus
+# (`go test` alone only replays the seeds); ci.sh runs the same loop.
+fuzz-smoke:
+	$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ {n[++k]=$$1} /^ok/ {for (i=1; i<=k; i++) print $$2, n[i]; k=0}' | \
+		while read -r pkg target; do \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s "$$pkg" || exit 1; \
+		done
 
 # The end-to-end benchmark BENCHMARK.json declares: four workloads, a fresh
 # process each; `-trace 1` adds the per-layer metrics (bench/README.md).

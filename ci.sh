@@ -284,6 +284,14 @@ rm -rf "$spantmp"
 echo "== zero-alloc gates (AllocsPerRun tests skip under -race, so run them once without it)"
 go test -run 'ZeroAlloc' ./internal/tensor/ ./internal/nn/
 
+echo "== fuzz smoke (every native Fuzz* target in the tree, 5s each beyond its seed corpus)"
+# `go test` alone only replays a fuzzer's seeds; -fuzz takes one target of
+# one package per invocation, so list them all and run each briefly.
+go test -list '^Fuzz' ./... | awk '/^Fuzz/ {n[++k]=$1} /^ok/ {for (i=1; i<=k; i++) print $2, n[i]; k=0}' |
+    while read -r pkg target; do
+        go test -run '^$' -fuzz "^$target\$" -fuzztime 5s "$pkg" || exit 1
+    done
+
 echo "== bench module gate (bench/ vets, passes its tests and counts deterministically against this tree)"
 # bench/ is its own module (replace repro => ../), so the root `go build`,
 # `go vet` and `go test ./...` above never compile it: an internal/ signature

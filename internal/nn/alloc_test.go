@@ -32,7 +32,7 @@ func TestDenseZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestReLUZeroAllocSteadyState: ReLU reuses its output and input-gradient
-// tensors like every other layer, for any input rank, and reallocates only
+// tensors like every other layer, for any input rank, and follows the input
 // when the shape changes.
 func TestReLUZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {

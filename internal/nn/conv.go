@@ -8,12 +8,13 @@ import (
 
 // Conv2D is a 2-D convolution over batch-first [batch, inC, H, W] tensors,
 // implemented as implicit GEMM (tensor.ConvGemm/ConvGemmBack): the packed
-// kernel's B panels are gathered straight from the input image, so the
-// im2col column matrix — formerly the largest scratch-arena consumer, one
-// batch·kdim·cols buffer pinned from Forward to Backward — is never
-// materialized and the layer retains no scratch between steps. Weight has
-// logical shape [outC, inC, kh, kw] so that width-slicing (HeteroFL) can
-// take nested channel prefixes along both channel dimensions.
+// kernel's B panels are gathered from a per-sample zero-bordered copy of the
+// input image (tensor/implicit.go), so the im2col column matrix — formerly
+// the largest scratch-arena consumer, one batch·kdim·cols buffer pinned from
+// Forward to Backward — is never materialized and the layer retains no
+// scratch between steps. Weight has logical shape [outC, inC, kh, kw] so
+// that width-slicing (HeteroFL) can take nested channel prefixes along both
+// channel dimensions.
 //
 // 1×1 stride-1 unpadded convolutions skip the gather entirely: im2col is the
 // identity layout there (TestIm2ColIdentityKernel), so forward and backward

@@ -9,6 +9,13 @@ import (
 // BatchNorm normalizes activations per feature (rank-2 input [batch, feat])
 // or per channel (rank-4 input [batch, C, H, W]), with learnable scale/shift
 // and running statistics for inference.
+//
+// Both layouts are [batch, feat, spatial] with spatial = 1 or H·W, so every
+// pass is a (b, f) loop over contiguous runs of spatial elements. A feature's
+// elements are met in ascending flat index, which fixes the order of every
+// float64 accumulation. The output, normalized-input and input-gradient
+// tensors and the per-feature accumulators are layer-owned and reused under
+// the ownership contract of reuse.go; nn.Bare drops them.
 type BatchNorm struct {
 	Feat     int
 	Eps      float32
@@ -23,8 +30,13 @@ type BatchNorm struct {
 	// caches for backward
 	xhat    *tensor.Tensor
 	invStd  []float32
-	shape   []int
 	perFeat int // elements per feature per batch (batch*H*W for conv)
+
+	y  *tensor.Tensor // reused output
+	dx *tensor.Tensor // reused input gradient
+	// Per-feature float64 accumulators: mean and variance in Forward, dgamma
+	// and dbeta in Backward.
+	accA, accB []float64
 }
 
 // NewBatchNorm creates a batch normalization layer over feat features or
@@ -44,41 +56,64 @@ func NewBatchNorm(feat int) *BatchNorm {
 	return bn
 }
 
-// featureIndexers returns iteration geometry: the number of groups (batch for
-// rank-2, batch for rank-4), spatial size per feature, and stride layout.
-func (bn *BatchNorm) geometry(x *tensor.Tensor) (batch, spatial int) {
+// geometry returns the [batch, feat, spatial] view of x: spatial is 1 for
+// rank-2 input and H·W for rank-4.
+func (bn *BatchNorm) geometry(x *tensor.Tensor) (batch, feat, spatial int) {
 	switch x.Rank() {
 	case 2:
-		return x.Dim(0), 1
+		return x.Dim(0), x.Dim(1), 1
 	case 4:
-		return x.Dim(0), x.Dim(2) * x.Dim(3)
+		return x.Dim(0), x.Dim(1), x.Dim(2) * x.Dim(3)
 	default:
 		panic("nn: BatchNorm expects rank-2 or rank-4 input")
 	}
 }
 
+// accumulators returns the two per-feature float64 accumulators, zeroed.
+func (bn *BatchNorm) accumulators() (a, b []float64) {
+	if len(bn.accA) != bn.Feat {
+		bn.accA = make([]float64, bn.Feat)
+		bn.accB = make([]float64, bn.Feat)
+	}
+	for f := range bn.accA {
+		bn.accA[f], bn.accB[f] = 0, 0
+	}
+	return bn.accA, bn.accB
+}
+
 // Forward normalizes with batch statistics (training) or running statistics
 // (inference).
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	batch, spatial := bn.geometry(x)
+	batch, feat, spatial := bn.geometry(x)
 	n := batch * spatial
-	bn.shape = x.Shape()
-	y := x.Clone()
-	if bn.invStd == nil || len(bn.invStd) != bn.Feat {
+	if len(bn.invStd) != bn.Feat {
 		bn.invStd = make([]float32, bn.Feat)
 	}
 
-	mean := make([]float64, bn.Feat)
-	variance := make([]float64, bn.Feat)
+	mean, variance := bn.accumulators()
 	if train {
-		bn.forEach(x, func(f int, v float32) { mean[f] += float64(v) })
+		for b := 0; b < batch; b++ {
+			for f := 0; f < feat; f++ {
+				sum := mean[f]
+				for _, v := range x.Data[(b*feat+f)*spatial : (b*feat+f+1)*spatial] {
+					sum += float64(v)
+				}
+				mean[f] = sum
+			}
+		}
 		for f := range mean {
 			mean[f] /= float64(n)
 		}
-		bn.forEach(x, func(f int, v float32) {
-			d := float64(v) - mean[f]
-			variance[f] += d * d
-		})
+		for b := 0; b < batch; b++ {
+			for f := 0; f < feat; f++ {
+				m, sum := mean[f], variance[f]
+				for _, v := range x.Data[(b*feat+f)*spatial : (b*feat+f+1)*spatial] {
+					d := float64(v) - m
+					sum += d * d
+				}
+				variance[f] = sum
+			}
+		}
 		for f := range variance {
 			variance[f] /= float64(n)
 		}
@@ -95,70 +130,60 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for f := 0; f < bn.Feat; f++ {
 		bn.invStd[f] = float32(1 / math.Sqrt(variance[f]+float64(bn.Eps)))
 	}
-	bn.xhat = tensor.New(x.Shape()...)
-	bn.mapEach(x, y, func(f int, v float32, i int) float32 {
-		xh := (v - float32(mean[f])) * bn.invStd[f]
-		bn.xhat.Data[i] = xh
-		return bn.Gamma.W.Data[f]*xh + bn.Beta.W.Data[f]
-	})
+	bn.y = reuseLike(bn.y, x)
+	bn.xhat = reuseLike(bn.xhat, x)
+	for b := 0; b < batch; b++ {
+		for f := 0; f < feat; f++ {
+			m, inv := float32(mean[f]), bn.invStd[f]
+			gamma, beta := bn.Gamma.W.Data[f], bn.Beta.W.Data[f]
+			lo, hi := (b*feat+f)*spatial, (b*feat+f+1)*spatial
+			xh, y := bn.xhat.Data[lo:hi], bn.y.Data[lo:hi]
+			for i, v := range x.Data[lo:hi] {
+				h := (v - m) * inv
+				xh[i] = h
+				y[i] = gamma*h + beta
+			}
+		}
+	}
 	bn.perFeat = n
-	return y
+	return bn.y
 }
 
 // Backward implements the standard batchnorm gradient.
 func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	batch, feat, spatial := bn.geometry(grad)
 	n := float32(bn.perFeat)
-	dgamma := make([]float64, bn.Feat)
-	dbeta := make([]float64, bn.Feat)
-	bn.forEachIdx(grad, func(f int, g float32, i int) {
-		dgamma[f] += float64(g) * float64(bn.xhat.Data[i])
-		dbeta[f] += float64(g)
-	})
+	dgamma, dbeta := bn.accumulators()
+	for b := 0; b < batch; b++ {
+		for f := 0; f < feat; f++ {
+			lo, hi := (b*feat+f)*spatial, (b*feat+f+1)*spatial
+			xh := bn.xhat.Data[lo:hi]
+			dg, db := dgamma[f], dbeta[f]
+			for i, g := range grad.Data[lo:hi] {
+				dg += float64(g) * float64(xh[i])
+				db += float64(g)
+			}
+			dgamma[f], dbeta[f] = dg, db
+		}
+	}
 	for f := 0; f < bn.Feat; f++ {
 		bn.Gamma.G.Data[f] += float32(dgamma[f])
 		bn.Beta.G.Data[f] += float32(dbeta[f])
 	}
-	dx := tensor.New(bn.shape...)
-	bn.forEachIdx(grad, func(f int, g float32, i int) {
-		// dx = gamma*invStd/n * (n*g - dbeta - xhat*dgamma)
-		dx.Data[i] = bn.Gamma.W.Data[f] * bn.invStd[f] / n *
-			(n*g - float32(dbeta[f]) - bn.xhat.Data[i]*float32(dgamma[f]))
-	})
-	return dx
-}
-
-// forEach visits every element with its feature index.
-func (bn *BatchNorm) forEach(x *tensor.Tensor, fn func(f int, v float32)) {
-	bn.forEachIdx(x, func(f int, v float32, _ int) { fn(f, v) })
-}
-
-func (bn *BatchNorm) forEachIdx(x *tensor.Tensor, fn func(f int, v float32, i int)) {
-	if x.Rank() == 2 {
-		feat := x.Dim(1)
-		for i, v := range x.Data {
-			fn(i%feat, v, i)
+	bn.dx = reuseLike(bn.dx, bn.xhat)
+	for b := 0; b < batch; b++ {
+		for f := 0; f < feat; f++ {
+			// dx = gamma*invStd/n * (n*g - dbeta - xhat*dgamma)
+			scale := bn.Gamma.W.Data[f] * bn.invStd[f] / n
+			dg, db := float32(dgamma[f]), float32(dbeta[f])
+			lo, hi := (b*feat+f)*spatial, (b*feat+f+1)*spatial
+			xh, dx := bn.xhat.Data[lo:hi], bn.dx.Data[lo:hi]
+			for i, g := range grad.Data[lo:hi] {
+				dx[i] = scale * (n*g - db - xh[i]*dg)
+			}
 		}
-		return
 	}
-	c, spatial := x.Dim(1), x.Dim(2)*x.Dim(3)
-	for i, v := range x.Data {
-		fn((i/spatial)%c, v, i)
-	}
-}
-
-// mapEach writes fn over every element of src into dst.
-func (bn *BatchNorm) mapEach(src, dst *tensor.Tensor, fn func(f int, v float32, i int) float32) {
-	if src.Rank() == 2 {
-		feat := src.Dim(1)
-		for i, v := range src.Data {
-			dst.Data[i] = fn(i%feat, v, i)
-		}
-		return
-	}
-	c, spatial := src.Dim(1), src.Dim(2)*src.Dim(3)
-	for i, v := range src.Data {
-		dst.Data[i] = fn((i/spatial)%c, v, i)
-	}
+	return bn.dx
 }
 
 // Params returns gamma and beta. Running statistics are state, not

@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // Im2Col unfolds an input image of shape [channels, height, width] (flat
 // slice src) into a column matrix dst of shape
 // [channels*kh*kw, outH*outW], so that a convolution becomes a single GEMM:
@@ -66,6 +68,13 @@ func Col2Im(cols []float32, channels, height, width, kh, kw, stride, pad int, ds
 			for kx := 0; kx < kw; kx++ {
 				loX, hiX := convTapRange(outW, width, stride, pad, kx)
 				crow := cols[row*nc : row*nc+nc]
+				row++
+				if loX == hiX {
+					// The tap never lands inside the image (a column of pure
+					// padding): nothing to add, and loX·stride−pad+kx below
+					// may be negative.
+					continue
+				}
 				for oy := loY; oy < hiY; oy++ {
 					rowBase := chanBase + (oy*stride-pad+ky)*width
 					i := oy * outW
@@ -82,7 +91,6 @@ func Col2Im(cols []float32, channels, height, width, kh, kw, stride, pad int, ds
 						}
 					}
 				}
-				row++
 			}
 		}
 	}
@@ -111,7 +119,13 @@ func convTapRange(outSize, size, stride, pad, k int) (lo, hi int) {
 }
 
 // ConvOutSize returns the spatial output size of a convolution/pooling with
-// the given input size, kernel, stride and padding.
+// the given input size, kernel, stride and padding. A kernel larger than the
+// padded input has no output; the formula would go negative or — truncating
+// toward zero at stride > 1 — count a window that hangs over the edge, so it
+// panics instead.
 func ConvOutSize(in, kernel, stride, pad int) int {
+	if in+2*pad < kernel {
+		panic(fmt.Sprintf("tensor: ConvOutSize kernel %d does not fit input %d with pad %d", kernel, in, pad))
+	}
 	return (in+2*pad-kernel)/stride + 1
 }

@@ -9,18 +9,30 @@ import "fmt"
 // (pack.go) never reads its B operand directly either — it reads the packed
 // B panels. So the column matrix exists only to be repacked, and ConvGemm /
 // ConvGemmBack delete it: their pack routines walk the (channel, ky, kx,
-// oy, ox) coordinate space and gather pixels straight from the image into
-// the panel layout, zero-filling padding taps in place.
+// oy, ox) coordinate space and gather pixels straight into the panel layout.
+//
+// The gathers read a once-padded copy of the image: padImage frames the
+// sample with its zero border ([C, H+2p, W+2p], in the arena block the call
+// already holds; the image itself when Pad == 0), after which tap (ky, kx)
+// of output pixel (oy, ox) is always the real element (oy·stride+ky,
+// ox·stride+kx) of its channel plane. No tap is ever out of range, so the
+// forward gather (packBConv) is unconditional window copies, the transposed
+// gather of the weight-gradient product (packBConvT) is nr fixed offsets
+// walked pixel-major, and the col2im fold of the input gradient (foldCols)
+// accumulates into the padded region without clamping and copies the
+// interior out. The border is zeros and is the only source of zeros.
 //
 // Bitwise contract: the panels packBConv/packBConvT produce are element-for-
 // element identical to packB(im2col(src)) — same layout, same zero padding —
 // and the panels then flow through the same runPacked band grid and the same
-// full-k ascending-p summation chains. The implicit path is therefore
-// bitwise identical to the retained Im2Col + Gemm reference (ConvGemmRef /
-// ConvGemmBackRef below), which stays as the differential-test oracle the
-// way GemmNaive anchors the packed GEMM. The implicit_test.go suite pins
-// this for every stride/pad/kernel shape the experiments use plus fuzzed
-// shapes.
+// full-k ascending-p summation chains; foldCols adds each column-gradient
+// element onto the pixel Col2Im adds it onto, and every pixel takes its
+// addends in the order Col2Im gives them (ascending (ky, kx)). The implicit
+// path is therefore bitwise identical to the retained Im2Col + Gemm + Col2Im
+// reference (ConvGemmRef / ConvGemmBackRef below), which stays as the
+// differential-test oracle the way GemmNaive anchors the packed GEMM. The
+// implicit_test.go suite pins this for every stride/pad/kernel shape the
+// experiments use plus fuzzed shapes (TestConvGemmFuzzShapes, FuzzConvGemm).
 //
 // What this buys (docs/PERF.md § Implicit GEMM): the forward column matrix
 // (batch·kdim·cols floats — the largest scratch-arena consumer) is never
@@ -50,6 +62,14 @@ func (g ConvGeom) Kdim() int { return g.Channels * g.KH * g.KW }
 // Cols returns OutH·OutW (columns of the virtual column matrix).
 func (g ConvGeom) Cols() int { return g.OutH() * g.OutW() }
 
+// fits reports whether the kernel fits inside the padded image, i.e. whether
+// the convolution has any output at all. Where it does not, OutH/OutW are
+// meaningless (negative, or — through truncating division at stride > 1 —
+// a positive count of windows that hang over the image's edge).
+func (g ConvGeom) fits() bool {
+	return g.Height+2*g.Pad >= g.KH && g.Width+2*g.Pad >= g.KW
+}
+
 // checkConvOperands validates operand extents with shape-carrying messages,
 // mirroring checkGemmOperands: a short operand must die loudly at the entry
 // point, not as an index panic inside a pack routine. Operands a caller does
@@ -58,6 +78,10 @@ func (g ConvGeom) Cols() int { return g.OutH() * g.OutW() }
 func checkConvOperands(fn string, g ConvGeom, outC int, w, src, out []float32, outLen int, outName string) {
 	if g.Stride < 1 || g.KH < 1 || g.KW < 1 || g.Pad < 0 {
 		panic(fmt.Sprintf("tensor: %s invalid geometry %+v", fn, g))
+	}
+	if !g.fits() {
+		panic(fmt.Sprintf("tensor: %s kernel %dx%d does not fit the padded image %dx%d (h,w=%d,%d pad=%d)",
+			fn, g.KH, g.KW, g.Height+2*g.Pad, g.Width+2*g.Pad, g.Height, g.Width, g.Pad))
 	}
 	if img := g.Channels * g.Height * g.Width; src != nil && len(src) < img {
 		panic(fmt.Sprintf("tensor: %s image too short: len=%d, need channels*h*w=%d*%d*%d=%d",
@@ -72,90 +96,162 @@ func checkConvOperands(fn string, g ConvGeom, outC int, w, src, out []float32, o
 	}
 }
 
+// paddedLen returns the element count of the padded image padImage builds:
+// zero when Pad == 0 (the gathers read src itself), else C·(H+2p)·(W+2p).
+func (g ConvGeom) paddedLen() int {
+	if g.Pad == 0 {
+		return 0
+	}
+	return g.Channels * (g.Height + 2*g.Pad) * (g.Width + 2*g.Pad)
+}
+
+// padImage returns the image the gathers and the fold address: src framed by
+// a zero border of Pad pixels, [C, H+2p, W+2p], written into dst (which must
+// hold paddedLen elements) — or src itself when Pad == 0. A kernel tap of an
+// output pixel is then always a real element of the returned image, at
+// (oy·stride+ky, ox·stride+kx) of its channel plane: checkConvOperands has
+// rejected every geometry whose kernel does not fit, so no tap is ever out
+// of range and the border is the only source of padding zeros.
+func padImage(src []float32, g ConvGeom, dst []float32) []float32 {
+	h, w, pad := g.Height, g.Width, g.Pad
+	if pad == 0 {
+		return src[:g.Channels*h*w]
+	}
+	wp := w + 2*pad
+	dst = dst[:g.paddedLen()]
+	for i := range dst {
+		dst[i] = 0
+	}
+	o := pad*wp + pad
+	for c := 0; c < g.Channels; c++ {
+		for y := 0; y < h; y++ {
+			copy(dst[o:o+w], src[(c*h+y)*w:])
+			o += wp
+		}
+		o += 2 * pad * wp
+	}
+	return dst
+}
+
+// unpadImage copies the interior of a padded image back out: the inverse of
+// padImage's row copies, dropping the border.
+func unpadImage(img []float32, g ConvGeom, dst []float32) {
+	h, w, pad := g.Height, g.Width, g.Pad
+	wp := w + 2*pad
+	o := pad*wp + pad
+	for c := 0; c < g.Channels; c++ {
+		for y := 0; y < h; y++ {
+			copy(dst[(c*h+y)*w:(c*h+y+1)*w], img[o:])
+			o += wp
+		}
+		o += 2 * pad * wp
+	}
+}
+
+// copy4 copies one fixed-width window. Written as a tuple assignment, which
+// the compiler pairs into two 8-byte loads and stores; the array assignment
+// *d = *s measured no faster here, and at any wider width it becomes a
+// memmove call (the pointers may alias), which costs more than the copy.
+func copy4(d, s *[nr / 2]float32) {
+	d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+}
+
+// stride4 is copy4 from a strided source: every stride-th element of s.
+func stride4(d *[nr / 2]float32, s []float32, stride int) {
+	d[0], d[1], d[2], d[3] = s[0], s[stride], s[2*stride], s[3*stride]
+}
+
 // packBConv packs the virtual column matrix (kdim × cols, never built) into
 // nr-column B panels: element (p, j) of the panel layout — exactly where
 // packB(transB=false) would have put col[p][j] — is the pixel the im2col row
-// p = (channel, ky, kx) and column j = (oy, ox) address, or zero for a
-// padding tap. dst must hold ceil(cols/nr)·nr·kdim elements.
-func packBConv(src []float32, g ConvGeom, dst []float32) {
-	outW := g.OutW()
-	cols := g.OutH() * outW
+// p = (channel, ky, kx) and column j = (oy, ox) address. img is the padded
+// image (padImage), so a padding tap reads a border zero like any other
+// pixel and every copy is unconditional. dst must hold ceil(cols/nr)·nr·kdim
+// elements.
+func packBConv(img []float32, g ConvGeom, dst []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	cols := outH * outW
 	kdim := g.Kdim()
-	height, width, stride := g.Height, g.Width, g.Stride
-	// A panel's nr output pixels split into runs sharing one output row oy
-	// (at most nr runs; usually one or two). Per run: panel column range,
-	// oy·stride−pad, ox·stride−pad of the first column, and — refreshed per
-	// (c, ky) — the image row offset, or −1 in vertical padding. Working a
-	// whole run at once turns the stride-1 inner gather into a bounds-clamped
-	// contiguous copy instead of a per-element branch.
-	var segStart, segLen, segOy, segOx0, segRow [nr]int
-	for j0 := 0; j0 < cols; j0 += nr {
+	stride := g.Stride
+	wp := g.Width + 2*g.Pad
+	plane := (g.Height + 2*g.Pad) * wp
+
+	// Fixed-width panels. When outW is a multiple of nr/2, each half of a
+	// panel — nr/2 consecutive output pixels — lies within one output row, so
+	// a k-step is two fixed-width window copies (adjacent windows of one row
+	// when outW is a multiple of nr, one window from each of two rows when
+	// outW == nr/2) with no run table. The choice reads the geometry only. A
+	// last panel holding a single half falls to the general loop below.
+	const half = nr / 2
+	j0 := 0
+	if outW%half == 0 {
+		for ; j0+nr <= cols; j0 += nr {
+			oy0, oy1 := j0/outW, (j0+half)/outW
+			off0 := oy0*stride*wp + (j0-oy0*outW)*stride
+			off1 := oy1*stride*wp + (j0+half-oy1*outW)*stride
+			panel := dst[j0*kdim : j0*kdim+kdim*nr]
+			ri := 0
+			for c := 0; c < g.Channels; c++ {
+				for ky := 0; ky < g.KH; ky++ {
+					row := img[c*plane+ky*wp:]
+					for kx := 0; kx < g.KW; kx++ {
+						d := (*[nr]float32)(panel[ri:])
+						d0, d1 := (*[half]float32)(d[:half]), (*[half]float32)(d[half:])
+						if stride == 1 {
+							copy4(d0, (*[half]float32)(row[off0+kx:]))
+							copy4(d1, (*[half]float32)(row[off1+kx:]))
+						} else {
+							stride4(d0, row[off0+kx:], stride)
+							stride4(d1, row[off1+kx:], stride)
+						}
+						ri += nr
+					}
+				}
+			}
+		}
+	}
+
+	// General panels. A panel's nr output pixels split into runs sharing one
+	// output row (at most nr runs; usually one or two), each a walk along the
+	// padded row at the stride. The run table — panel column range and the
+	// run's offset within a channel plane at tap (0, 0) — is built once per
+	// panel; a tap only adds its (c, ky, kx) offset.
+	var segStart, segLen, segOff [nr]int
+	for ; j0 < cols; j0 += nr {
 		w8 := cols - j0
 		if w8 > nr {
 			w8 = nr
 		}
 		nseg := 0
+		oy := j0 / outW
+		ox := j0 - oy*outW
 		for cc := 0; cc < w8; nseg++ {
-			oy := (j0 + cc) / outW
-			ox := j0 + cc - oy*outW
 			l := outW - ox
 			if l > w8-cc {
 				l = w8 - cc
 			}
 			segStart[nseg] = cc
 			segLen[nseg] = l
-			segOy[nseg] = oy*stride - g.Pad
-			segOx0[nseg] = ox*stride - g.Pad
+			segOff[nseg] = oy*stride*wp + ox*stride
 			cc += l
+			oy, ox = oy+1, 0
 		}
-		dstPanel := dst[j0*kdim : j0*kdim+kdim*nr]
+		panel := dst[j0*kdim : j0*kdim+kdim*nr]
 		ri := 0
 		for c := 0; c < g.Channels; c++ {
-			chanBase := c * height * width
 			for ky := 0; ky < g.KH; ky++ {
-				for s := 0; s < nseg; s++ {
-					if sy := segOy[s] + ky; uint(sy) < uint(height) {
-						segRow[s] = chanBase + sy*width
-					} else {
-						segRow[s] = -1
-					}
-				}
 				for kx := 0; kx < g.KW; kx++ {
-					dp := dstPanel[ri : ri+nr]
+					tap := img[c*plane+ky*wp+kx:]
+					dp := panel[ri : ri+nr]
 					for s := 0; s < nseg; s++ {
 						d := dp[segStart[s] : segStart[s]+segLen[s]]
-						ro := segRow[s]
-						if ro < 0 {
-							for i := range d {
-								d[i] = 0
-							}
+						run := tap[segOff[s]:]
+						if stride == 1 {
+							copy(d, run)
 							continue
 						}
-						sx := segOx0[s] + kx
-						if stride == 1 {
-							i := 0
-							for ; i < len(d) && sx+i < 0; i++ {
-								d[i] = 0
-							}
-							hi := width - sx
-							if hi > len(d) {
-								hi = len(d)
-							}
-							if hi > i {
-								copy(d[i:hi], src[ro+sx+i:ro+sx+hi])
-								i = hi
-							}
-							for ; i < len(d); i++ {
-								d[i] = 0
-							}
-						} else {
-							for i := range d {
-								if x := sx + i*stride; uint(x) < uint(width) {
-									d[i] = src[ro+x]
-								} else {
-									d[i] = 0
-								}
-							}
+						for i := range d {
+							d[i] = run[i*stride]
 						}
 					}
 					for cc := w8; cc < nr; cc++ {
@@ -171,65 +267,129 @@ func packBConv(src []float32, g ConvGeom, dst []float32) {
 // packBConvT packs the transpose view of the virtual column matrix — op(B) =
 // colᵀ (cols × kdim), the B operand of the backward weight-gradient GEMM —
 // into nr-column panels, identical to packB(col, transB=true). Panels run
-// over the kdim dimension; within a panel column c = im2col row (channel,
-// ky, kx), the k steps walk the output pixels in ascending (oy, ox), which
-// is a strided Im2Col row write. dst must hold ceil(kdim/nr)·nr·cols
-// elements.
-func packBConvT(src []float32, g ConvGeom, dst []float32) {
+// over the kdim dimension: a panel's nr columns are nr consecutive im2col
+// rows (channel, ky, kx), i.e. nr fixed offsets into the padded image img,
+// and its k steps are the output pixels in ascending (oy, ox). The walk is
+// pixel-major, so each k-step is one contiguous nr-float store of the nr taps
+// of that pixel. dst must hold ceil(kdim/nr)·nr·cols elements.
+func packBConvT(img []float32, g ConvGeom, dst []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW
 	kdim := g.Kdim()
-	khkw := g.KH * g.KW
+	stride := g.Stride
+	wp := g.Width + 2*g.Pad
+	plane := (g.Height + 2*g.Pad) * wp
+	ch, ky, kx := 0, 0, 0 // (channel, ky, kx) of im2col row j0+c
 	for j0 := 0; j0 < kdim; j0 += nr {
-		base := j0 * cols
 		w8 := kdim - j0
 		if w8 > nr {
 			w8 = nr
 		}
+		var off [nr]int
 		for c := 0; c < w8; c++ {
-			kd := j0 + c
-			ch := kd / khkw
-			rem := kd - ch*khkw
-			ky := rem / g.KW
-			kx := rem - ky*g.KW
-			chanBase := ch * g.Height * g.Width
-			// Output pixels whose (ky, kx) tap lands inside the image form a
-			// contiguous (oy, ox) rectangle; everything outside is a padding
-			// zero, so the in-range inner loop is branch-free.
-			loY, hiY := convTapRange(outH, g.Height, g.Stride, g.Pad, ky)
-			loX, hiX := convTapRange(outW, g.Width, g.Stride, g.Pad, kx)
-			i := base + c
-			for p := 0; p < loY*outW; p++ {
-				dst[i] = 0
-				i += nr
+			off[c] = ch*plane + ky*wp + kx
+			if kx++; kx == g.KW {
+				kx = 0
+				if ky++; ky == g.KH {
+					ky = 0
+					ch++
+				}
 			}
-			for oy := loY; oy < hiY; oy++ {
-				rowBase := chanBase + (oy*g.Stride-g.Pad+ky)*g.Width
-				for ox := 0; ox < loX; ox++ {
-					dst[i] = 0
-					i += nr
-				}
-				sx := loX*g.Stride - g.Pad + kx
-				for ox := loX; ox < hiX; ox++ {
-					dst[i] = src[rowBase+sx]
-					sx += g.Stride
-					i += nr
-				}
-				for ox := hiX; ox < outW; ox++ {
-					dst[i] = 0
+		}
+		panel := dst[j0*cols : j0*cols+cols*nr]
+		i := 0
+		if w8 == nr {
+			o0, o1, o2, o3, o4, o5, o6, o7 := off[0], off[1], off[2], off[3], off[4], off[5], off[6], off[7]
+			for oy := 0; oy < outH; oy++ {
+				row := img[oy*stride*wp:]
+				for ox := 0; ox < outW; ox++ {
+					px := row[ox*stride:]
+					d := (*[nr]float32)(panel[i:])
+					d[0] = px[o0]
+					d[1] = px[o1]
+					d[2] = px[o2]
+					d[3] = px[o3]
+					d[4] = px[o4]
+					d[5] = px[o5]
+					d[6] = px[o6]
+					d[7] = px[o7]
 					i += nr
 				}
 			}
-			for p := hiY * outW; p < cols; p++ {
-				dst[i] = 0
+			continue
+		}
+		// Last panel of a kdim that is not a multiple of nr: the columns past
+		// kdim are the panel layout's zero fill.
+		for oy := 0; oy < outH; oy++ {
+			row := img[oy*stride*wp:]
+			for ox := 0; ox < outW; ox++ {
+				px := row[ox*stride:]
+				d := (*[nr]float32)(panel[i:])
+				for c := 0; c < w8; c++ {
+					d[c] = px[off[c]]
+				}
+				for c := w8; c < nr; c++ {
+					d[c] = 0
+				}
 				i += nr
 			}
 		}
-		for c := w8; c < nr; c++ {
-			i := base + c
-			for p := 0; p < cols; p++ {
-				dst[i] = 0
-				i += nr
+	}
+}
+
+// foldCols is the col2im fold over the padded image: element (oy, ox) of row
+// (c, ky, kx) of the column gradient dcol (kdim × cols) is added onto the
+// pixel of channel c its tap addresses. What fixes the bits of dx is the
+// order in which one pixel takes its addends, and Col2Im's visiting order
+// gives each pixel its addends in ascending (ky, kx) — for a given pixel and
+// tap there is at most one (oy, ox). Both loops below keep that order, so
+// every interior element, starting from the same zero, ends with the same
+// bits. Contributions of padding taps land in the border, which the caller
+// drops. img must be zeroed by the caller.
+func foldCols(dcol []float32, g ConvGeom, img []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	nc := outH * outW
+	stride := g.Stride
+	wp := g.Width + 2*g.Pad
+	plane := (g.Height + 2*g.Pad) * wp
+	if stride == 1 && g.KW == 3 && outW >= 2 {
+		// The three taps of a kernel row address the same padded row shifted
+		// by 0, 1 and 2 pixels, so one pass over that row adds all three:
+		// each pixel is loaded and stored once instead of three times, and
+		// the left-to-right sum adds kx = 0, 1, 2 in that order. Kernel rows
+		// run in ascending (c, ky) outside.
+		for ck := 0; ck < g.Channels*g.KH; ck++ {
+			c, ky := ck/g.KH, ck%g.KH
+			taps := dcol[3*ck*nc : 3*(ck+1)*nc]
+			for oy := 0; oy < outH; oy++ {
+				t := img[c*plane+(oy+ky)*wp:][:outW+2]
+				k0 := taps[oy*outW:][:outW]
+				k1 := taps[nc+oy*outW:][:outW]
+				k2 := taps[2*nc+oy*outW:][:outW]
+				t[0] += k0[0]
+				t[1] = t[1] + k0[1] + k1[0]
+				for j := 2; j < len(k0); j++ {
+					t[j] = t[j] + k0[j] + k1[j-1] + k2[j-2]
+				}
+				t[outW] = t[outW] + k1[outW-1] + k2[outW-2]
+				t[outW+1] += k2[outW-1]
+			}
+		}
+		return
+	}
+	row := 0
+	for c := 0; c < g.Channels; c++ {
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
+				crow := dcol[row*nc : row*nc+nc]
+				tap := img[c*plane+ky*wp+kx:]
+				for oy := 0; oy < outH; oy++ {
+					d := tap[oy*stride*wp:]
+					for ox, v := range crow[oy*outW : oy*outW+outW] {
+						d[ox*stride] += v
+					}
+				}
+				row++
 			}
 		}
 	}
@@ -281,7 +441,7 @@ func (cw *ConvWeights) Release() {
 }
 
 // Conv computes the forward GEMM out = W · im2col(src) without materializing
-// the column matrix: the B panels are gathered straight from the image by
+// the column matrix: the B panels are gathered from the padded image by
 // packBConv and swept with the prepacked W panels exactly as a packed
 // Gemm(false, false, outC, cols, kdim, 1, w, col, 0, out) would. out is fully
 // overwritten (beta = 0); the caller adds bias. Bitwise identical to
@@ -294,11 +454,14 @@ func (cw *ConvWeights) Conv(src, out []float32) {
 	}
 	checkConvOperands("Conv", g, outC, nil, src, out, outC*cols, "output")
 	convImplicitCount.Inc()
-	nTiles := (cols + nr - 1) / nr
-	sb := GetScratch(nTiles * nr * kdim)
-	packBConv(src, g, sb.Data)
-	runPacked(cw.fwd.Data, sb.Data, out, outC, cols, kdim, 0)
-	PutScratch(sb)
+	// One arena block: the B panels, then the padded image they are gathered
+	// from.
+	bLen := (cols + nr - 1) / nr * nr * kdim
+	s := GetScratch(bLen + g.paddedLen())
+	sb := s.Data[:bLen]
+	packBConv(padImage(src, g, s.Data[bLen:]), g, sb)
+	runPacked(cw.fwd.Data, sb, out, outC, cols, kdim, 0)
+	PutScratch(s)
 }
 
 // ConvBack runs the convolution backward for one sample:
@@ -307,14 +470,14 @@ func (cw *ConvWeights) Conv(src, out []float32) {
 //	dx  = col2im(Wᵀ · grad)     (input gradient, overwritten)
 //
 // The weight-gradient GEMM is implicit: its B panels (the transposed column
-// matrix) are gathered from the image by packBConvT, and beta = 1 with a
+// matrix) are gathered from the padded image by packBConvT, and beta = 1 with a
 // transposed B is kernel mode 1 — the same dot-order summation the reference
 // Gemm(false, true, …, 1, dw) used, so dw stays bitwise identical. The
 // input-gradient GEMM reuses the prepacked Wᵀ panels with grad packed as B —
 // panel-for-panel what the reference Gemm(true, false, …) packs — and its
-// column gradient still materializes, in arena scratch scoped to this call
-// (its accumulation order into dx is the bits of dx; fusing the col2im fold
-// into the tile sweep would reorder it — see docs/PERF.md).
+// column gradient still materializes, in arena scratch scoped to this call,
+// and foldCols folds it (its accumulation order into dx is the bits of dx;
+// fusing the fold into the tile sweep would reorder it — see docs/PERF.md).
 func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	g, outC := cw.g, cw.outC
 	kdim, cols := g.Kdim(), g.Cols()
@@ -332,13 +495,16 @@ func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	}
 	convImplicitCount.Inc()
 
-	// One arena block serves both GEMMs — an A region and a B region — so a
-	// sample's backward is a single pool round-trip. The A region is sized
-	// for whichever is larger: the packed grad A panels of the dW product or
-	// the packed grad B panels of the dcol product (the two layouts differ,
-	// so the pack runs twice); the B region holds the packBConvT panels and
-	// is then recycled as the column gradient (nTiles·nr ≥ kdim, and
-	// runPacked fully overwrites it with beta = 0 before Col2Im reads it).
+	// One arena block serves both GEMMs — an A region, a B region and the
+	// padded image — so a sample's backward is a single pool round-trip. The
+	// A region is sized for whichever is larger: the packed grad A panels of
+	// the dW product or the packed grad B panels of the dcol product (the two
+	// layouts differ, so the pack runs twice); the B region holds the
+	// packBConvT panels and is then recycled as the column gradient
+	// (nTiles·nr ≥ kdim, and runPacked fully overwrites it with beta = 0
+	// before the fold reads it). The image region is padded once, read by
+	// the transposed gather, and then recycled as the padded dx the fold
+	// accumulates into.
 	mTiles := (outC + mr - 1) / mr
 	nTiles := (kdim + nr - 1) / nr
 	gTiles := (cols + nr - 1) / nr
@@ -346,21 +512,32 @@ func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	if gLen := gTiles * nr * outC; gLen > aLen {
 		aLen = gLen
 	}
-	s := GetScratch(aLen + nTiles*nr*cols)
+	bLen := nTiles * nr * cols
+	s := GetScratch(aLen + bLen + g.paddedLen())
 	sa := s.Data[:aLen]
-	sb := s.Data[aLen:]
+	sb := s.Data[aLen : aLen+bLen]
+	pimg := s.Data[aLen+bLen:]
 	packA(grad, outC, cols, false, sa)
-	packBConvT(src, g, sb)
+	packBConvT(padImage(src, g, pimg), g, sb)
 	runPacked(sa, sb, dw, outC, kdim, cols, 1)
 
 	packB(grad, outC, cols, false, sa)
 	dcol := sb[:kdim*cols]
 	runPacked(cw.bwd.Data, sa, dcol, kdim, cols, outC, 0)
-	dx = dx[:img]
-	for i := range dx {
-		dx[i] = 0
+	// Fold into zeros: the padded region when there is a border to absorb
+	// the padding taps (the interior is then copied out, overwriting dx),
+	// dx itself when there is none.
+	acc := dx[:img]
+	if g.Pad > 0 {
+		acc = pimg
 	}
-	Col2Im(dcol, g.Channels, g.Height, g.Width, g.KH, g.KW, g.Stride, g.Pad, dx)
+	for i := range acc {
+		acc[i] = 0
+	}
+	foldCols(dcol, g, acc)
+	if g.Pad > 0 {
+		unpadImage(acc, g, dx)
+	}
 	PutScratch(s)
 }
 

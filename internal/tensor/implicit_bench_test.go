@@ -5,10 +5,15 @@ import (
 	"testing"
 )
 
-// Implicit-vs-im2col benchmark pairs at the shapes bench/ probes as
-// tensor.conv_fwdbwd_ms.*: c16x32_12x12 is one sample of the Fig-9 training
-// conv (16→32 channels, 12×12, 3×3 s1 p1); c64x64_16x16 is the 64-channel
-// 16×16 trunk conv (a 64×256×576 GEMM).
+// Implicit-vs-im2col benchmark pairs. The first two are the shapes bench/
+// probes as tensor.conv_fwdbwd_ms.*: c16x32_12x12 is one sample of the Fig-9
+// training conv (16→32 channels, 12×12, 3×3 s1 p1); c64x64_16x16 is the
+// 64-channel 16×16 trunk conv (a 64×256×576 GEMM). The rest are the
+// quick-scale image10-resnet shapes sim_cnn_sync and offline_cloud spend
+// their time in (stem, the two convs of a stage-1 module, the strided and
+// the 4×4 conv of a stage-2 module) and one width that is not a multiple of
+// 4 (9×9: the general gather loop) — the rows of docs/PERF.md's per-shape
+// table.
 
 func convBenchOperands(g ConvGeom, outC int) (w, src, out, grad, dw, dx []float32) {
 	rng := rand.New(rand.NewSource(1))
@@ -31,6 +36,12 @@ var convBenchGeoms = []struct {
 }{
 	{"c16x32_12x12", ConvGeom{Channels: 16, Height: 12, Width: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, 32},
 	{"c64x64_16x16", ConvGeom{Channels: 64, Height: 16, Width: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 64},
+	{"c3x16_8x8", ConvGeom{Channels: 3, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 16},
+	{"c16x12_8x8", ConvGeom{Channels: 16, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 12},
+	{"c12x24_8x8", ConvGeom{Channels: 12, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 24},
+	{"c24x16_8x8_s2", ConvGeom{Channels: 24, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 16},
+	{"c16x32_9x9", ConvGeom{Channels: 16, Height: 9, Width: 9, KH: 3, KW: 3, Stride: 1, Pad: 1}, 32},
+	{"c16x32_4x4", ConvGeom{Channels: 16, Height: 4, Width: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 32},
 }
 
 func BenchmarkConvGemmImplicit(b *testing.B) {

@@ -70,7 +70,8 @@ func (c convShape) geom() ConvGeom {
 
 // convExperimentCases is every (kernel, stride, pad) combination the model
 // zoo instantiates (models.go, modular/builders.go) at the spatial sizes the
-// experiments run, plus the bench shapes.
+// experiments run, the bench shapes, and one row per boundary of the gather
+// and fold paths.
 var convExperimentCases = []convShape{
 	// 3×3 stride-1 pad-1 trunk convs.
 	{3, 16, 12, 12, 3, 3, 1, 1},
@@ -85,6 +86,47 @@ var convExperimentCases = []convShape{
 	{32, 64, 12, 12, 1, 1, 2, 0},
 	// Bench shape: outC=64, kdim=576=64·3·3, cols=256=16·16.
 	{64, 64, 16, 16, 3, 3, 1, 1},
+	// Quick-scale image10-resnet, where sim_cnn_sync and offline_cloud spend
+	// their time (fed/tasks.go: stem 16, stages 24 s1 and 32 s2, module
+	// widths 6..15 and 8..22): stem, the two convs of a stage-1 module at
+	// 8×8, the strided and the 4×4 conv of a stage-2 module.
+	{3, 16, 8, 8, 3, 3, 1, 1},
+	{16, 6, 8, 8, 3, 3, 1, 1},
+	{16, 15, 8, 8, 3, 3, 1, 1},
+	{6, 24, 8, 8, 3, 3, 1, 1},
+	{15, 24, 8, 8, 3, 3, 1, 1},
+	{24, 8, 8, 8, 3, 3, 2, 1},
+	{24, 22, 8, 8, 3, 3, 2, 1},
+	{8, 32, 4, 4, 3, 3, 1, 1},
+	{22, 32, 4, 4, 3, 3, 1, 1},
+	// Quick-scale image100-vgg (loopback_rpc's set-up): both stages stride 2.
+	{16, 10, 8, 8, 3, 3, 2, 1},
+	{24, 17, 4, 4, 3, 3, 2, 1},
+	{17, 40, 2, 2, 3, 3, 1, 1},
+	// Path boundaries. Stride-1 output widths either side of the fixed-width
+	// panels (7, 9; 4, 8 and 16 are above), each with a last kdim panel of
+	// fewer than nr columns (kdim = 45).
+	{5, 7, 7, 7, 3, 3, 1, 1},
+	{5, 7, 9, 9, 3, 3, 1, 1},
+	// outW = 4 with an odd row count: the last panel holds a single row.
+	{4, 5, 5, 4, 3, 3, 1, 1},
+	// The fold's three-tap pass needs two output columns; one column, a
+	// 2-wide and a 5-wide kernel at stride 1 take the tap-by-tap loop.
+	{2, 3, 4, 1, 3, 3, 1, 1},
+	{3, 4, 6, 6, 2, 2, 1, 1},
+	{2, 3, 8, 8, 5, 5, 1, 2},
+	{3, 5, 6, 2, 3, 3, 1, 1},
+	// pad == 0 (the gathers read the image itself, the fold writes dx
+	// directly) at outW = 8, outW = 4 and a general width, and at stride 2.
+	{4, 9, 10, 10, 3, 3, 1, 0},
+	{2, 3, 6, 6, 3, 3, 1, 0},
+	{3, 4, 9, 7, 3, 3, 1, 0},
+	{3, 4, 9, 9, 3, 3, 2, 0},
+	// pad ≥ kernel (whole windows inside the border) at outW = 8, outW = 9
+	// and, at stride 2, outW = 4.
+	{2, 3, 3, 3, 2, 2, 1, 3},
+	{2, 5, 6, 6, 2, 2, 1, 2},
+	{3, 4, 4, 4, 3, 3, 2, 3},
 }
 
 // TestConvGemmExperimentShapes pins the implicit path against the im2col
@@ -115,7 +157,7 @@ func TestConvGemmFuzzShapes(t *testing.T) {
 			Stride:   1 + rng.Intn(3),
 			Pad:      rng.Intn(4),
 		}
-		if g.Height+2*g.Pad < g.KH || g.Width+2*g.Pad < g.KW {
+		if !g.fits() {
 			continue // empty output
 		}
 		outC := 1 + rng.Intn(17)
@@ -123,6 +165,30 @@ func TestConvGemmFuzzShapes(t *testing.T) {
 			it, g.Channels, g.Height, g.Width, g.KH, g.KW, g.Stride, g.Pad, outC),
 			func(t *testing.T) { convCase(t, rng, outC, g) })
 	}
+}
+
+// FuzzConvGemm lets the fuzzer pick the geometry, the output channel count
+// and the data seed, and holds forward, dw and dx to the im2col oracles
+// bitwise. Seeded from convExperimentCases; geometries whose kernel does not
+// fit the padded image are the entry points' to reject (TestConvGemmOperandChecks)
+// and are skipped here by the same predicate.
+func FuzzConvGemm(f *testing.F) {
+	for i, c := range convExperimentCases {
+		f.Add(uint8(c.inC), uint8(c.outC), uint8(c.h), uint8(c.w), uint8(c.kh), uint8(c.kw), uint8(c.stride), uint8(c.pad), int64(i))
+	}
+	f.Fuzz(func(t *testing.T, inC, outC, h, w, kh, kw, stride, pad uint8, seed int64) {
+		// Fold every byte into the swept range (the identity on the seeds):
+		// 1..64 channels, 1..20 pixels, 1..5 taps, stride 1..3, pad 0..5.
+		in := func(v uint8, n int) int { return 1 + int(v-1)%n }
+		g := ConvGeom{
+			Channels: in(inC, 64), Height: in(h, 20), Width: in(w, 20),
+			KH: in(kh, 5), KW: in(kw, 5), Stride: in(stride, 3), Pad: int(pad) % 6,
+		}
+		if !g.fits() {
+			t.Skip("kernel does not fit the padded image")
+		}
+		convCase(t, rand.New(rand.NewSource(seed)), in(outC, 64), g)
+	})
 }
 
 // TestConvGemmParallelInvariance pins that the implicit path's band-grid
@@ -250,7 +316,7 @@ func TestConvGemmOperandChecks(t *testing.T) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: no panic on short operand", name)
+				t.Errorf("%s: no panic", name)
 			}
 		}()
 		fn()
@@ -265,4 +331,26 @@ func TestConvGemmOperandChecks(t *testing.T) {
 		bad.Stride = 0
 		ConvGemm(ok, 4, ok, bad, ok)
 	})
+	// A kernel that does not fit the padded image: OutH() is −1 for the
+	// first, and for the second truncating division makes it 1 although the
+	// only window hangs over the bottom edge. Every entry point rejects both.
+	for _, bad := range []ConvGeom{
+		{Channels: 2, Height: 1, Width: 4, KH: 3, KW: 3, Stride: 1, Pad: 0},
+		{Channels: 2, Height: 2, Width: 4, KH: 3, KW: 3, Stride: 2, Pad: 0},
+		{Channels: 2, Height: 4, Width: 2, KH: 3, KW: 5, Stride: 2, Pad: 1},
+	} {
+		bad := bad
+		name := fmt.Sprintf("kernel does not fit %+v: ", bad)
+		var cw ConvWeights
+		mustPanic(name+"ConvGemm", func() { ConvGemm(ok, 4, ok, bad, ok) })
+		mustPanic(name+"ConvGemmBack", func() { ConvGemmBack(ok, 4, ok, bad, ok, ok, ok) })
+		mustPanic(name+"ConvGemmRef", func() { ConvGemmRef(ok, 4, ok, bad, ok) })
+		mustPanic(name+"ConvGemmBackRef", func() { ConvGemmBackRef(ok, 4, ok, bad, ok, ok, ok) })
+		mustPanic(name+"PackFwd", func() { cw.PackFwd(ok, 4, bad) })
+		mustPanic(name+"PackBwd", func() { cw.PackBwd(ok, 4, bad) })
+		mustPanic(name+"ConvOutSize", func() {
+			ConvOutSize(bad.Height, bad.KH, bad.Stride, bad.Pad)
+			ConvOutSize(bad.Width, bad.KW, bad.Stride, bad.Pad)
+		})
+	}
 }
