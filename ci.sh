@@ -8,6 +8,32 @@
 #   ./ci.sh 7    # additionally runs `nebula-sim -exp fig1b -seed 7 -seed-audit`
 set -eu
 
+# await_quiescent <gate> <pid> <stderr file>: read the admin address a
+# backgrounded nebula-sim printed to its stderr, poll /statusz until the run
+# reports quiescence (every counter and span is final from then on), and
+# leave the address in $addr. Kills the run and fails the gate otherwise.
+await_quiescent() {
+    addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's|^admin: serving on http://||p' "$3")
+        [ -n "$addr" ] && break
+        sleep 0.2
+    done
+    [ -n "$addr" ] || { echo "ci: $1: admin server never reported a bound address" >&2; exit 1; }
+    state=""
+    for _ in $(seq 1 300); do
+        state=$(curl -sf "http://$addr/statusz" | sed -n '1p')
+        case "$state" in *quiescent*) return 0 ;; esac
+        sleep 0.2
+    done
+    echo "ci: $1: run never reached quiescence (last statusz line: $state)" >&2
+    kill "$2" 2>/dev/null || true
+    exit 1
+}
+
+# same <a> <b> <what went wrong>: two artifacts must be byte-identical.
+same() { cmp "$1" "$2" || { echo "ci: $3" >&2; exit 1; }; }
+
 echo "== go build ./..."
 go build ./...
 
@@ -45,9 +71,6 @@ for c in $("$linttmp/nebula-lint" -list | awk '$1 != "scope:" {print $1}'); do
 done
 rm -rf "$linttmp"
 
-echo "== go test -race (fed parallel determinism tests)"
-go test -race -run 'WorkersDifferential|ParticipantSets|ForEachDevice' ./internal/fed/
-
 echo "== go test -race ./..."
 go test -race ./...
 
@@ -61,14 +84,10 @@ for w in 1 4; do
         -workers "$w" -admin-addr 127.0.0.1:0 \
         -trace "$difftmp/w$w.jsonl" >"$difftmp/w$w.out" 2>/dev/null
 done
-cmp "$difftmp/w1.out" "$difftmp/w4.out" || {
-    echo "ci: experiment output differs between -workers 1 and -workers 4" >&2
-    exit 1
-}
-cmp "$difftmp/w1.jsonl" "$difftmp/w4.jsonl" || {
-    echo "ci: trace JSONL differs between -workers 1 and -workers 4" >&2
-    exit 1
-}
+same "$difftmp/w1.out" "$difftmp/w4.out" \
+    "experiment output differs between -workers 1 and -workers 4"
+same "$difftmp/w1.jsonl" "$difftmp/w4.jsonl" \
+    "trace JSONL differs between -workers 1 and -workers 4"
 go run ./cmd/nebula-trace "$difftmp/w1.jsonl" >/dev/null
 rm -rf "$difftmp"
 
@@ -88,14 +107,10 @@ grep -q 'straggler-gate: PASS' "$asynctmp/w1.out" || {
     echo "ci: semi-async rounds did not beat bulk-sync latency at equal accuracy" >&2
     exit 1
 }
-cmp "$asynctmp/w1.out" "$asynctmp/w4.out" || {
-    echo "ci: straggler experiment output differs between -workers 1 and -workers 4" >&2
-    exit 1
-}
-cmp "$asynctmp/w1.jsonl" "$asynctmp/w4.jsonl" || {
-    echo "ci: semi-async trace JSONL differs between -workers 1 and -workers 4" >&2
-    exit 1
-}
+same "$asynctmp/w1.out" "$asynctmp/w4.out" \
+    "straggler experiment output differs between -workers 1 and -workers 4"
+same "$asynctmp/w1.jsonl" "$asynctmp/w4.jsonl" \
+    "semi-async trace JSONL differs between -workers 1 and -workers 4"
 go run ./cmd/nebula-trace "$asynctmp/w1.jsonl" >/dev/null
 # Async determinism end-to-end: same seed, two passes, byte-identical output.
 go run ./cmd/nebula-sim -exp straggler -devices 6 -proxy 8 -steps 2 \
@@ -119,10 +134,8 @@ grep -q 'compress-gate: PASS' "$comptmp/w1.out" || {
     echo "ci: wire-format v2 did not cut traffic >=2x at bounded accuracy delta with exact counters" >&2
     exit 1
 }
-cmp "$comptmp/w1.out" "$comptmp/w4.out" || {
-    echo "ci: compress experiment output differs between -workers 1 and -workers 4" >&2
-    exit 1
-}
+same "$comptmp/w1.out" "$comptmp/w4.out" \
+    "compress experiment output differs between -workers 1 and -workers 4"
 go run ./cmd/nebula-sim -exp compress -devices 8 -proxy 8 -rounds 3 \
     -per-round 6 -pretrain-epochs 1 -local-epochs 1 -seed 5 \
     -seed-audit >/dev/null
@@ -138,39 +151,17 @@ go build -o "$admtmp/nebula-sim" ./cmd/nebula-sim
     -admin-addr 127.0.0.1:0 -admin-linger 60s \
     >"$admtmp/run.out" 2>"$admtmp/run.err" &
 simpid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's|^admin: serving on http://||p' "$admtmp/run.err")
-    [ -n "$addr" ] && break
-    sleep 0.2
-done
-[ -n "$addr" ] || { echo "ci: admin server never reported a bound address" >&2; exit 1; }
-# Poll /statusz until the run reports quiescence: after that point every
-# counter is final, so two scrapes must be byte-identical.
-state=""
-for _ in $(seq 1 300); do
-    state=$(curl -sf "http://$addr/statusz" | sed -n '1p')
-    case "$state" in *quiescent*) break ;; esac
-    sleep 0.2
-done
-case "$state" in
-*quiescent*) ;;
-*)
-    echo "ci: run never reached quiescence (last statusz line: $state)" >&2
-    kill "$simpid" 2>/dev/null || true
-    exit 1
-    ;;
-esac
+# After quiescence every counter is final, so two scrapes must be
+# byte-identical.
+await_quiescent "admin gate" "$simpid" "$admtmp/run.err"
 curl -sf "http://$addr/healthz" | grep -qx 'ok' || {
     echo "ci: /healthz did not answer ok" >&2
     exit 1
 }
 curl -sf "http://$addr/metrics" >"$admtmp/m1.txt"
 curl -sf "http://$addr/metrics" >"$admtmp/m2.txt"
-cmp "$admtmp/m1.txt" "$admtmp/m2.txt" || {
-    echo "ci: /metrics not byte-stable across two scrapes at quiescence" >&2
-    exit 1
-}
+same "$admtmp/m1.txt" "$admtmp/m2.txt" \
+    "/metrics not byte-stable across two scrapes at quiescence"
 # Exposition sanity: every non-comment line is `name{labels} value`, and all
 # three instrumented layers export families.
 if grep -v '^#' "$admtmp/m1.txt" | grep -qvE '^[a-zA-Z_][a-zA-Z0-9_]*(\{[^}]*\})? [-+0-9.eEInfa]+$'; then
@@ -212,34 +203,12 @@ go build -o "$spantmp/nebula-trace" ./cmd/nebula-trace
     -admin-addr 127.0.0.1:0 -admin-linger 60s \
     >"$spantmp/traced.out" 2>"$spantmp/run.err" &
 spanpid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's|^admin: serving on http://||p' "$spantmp/run.err")
-    [ -n "$addr" ] && break
-    sleep 0.2
-done
-[ -n "$addr" ] || { echo "ci: span gate: admin server never reported a bound address" >&2; exit 1; }
-state=""
-for _ in $(seq 1 300); do
-    state=$(curl -sf "http://$addr/statusz" | sed -n '1p')
-    case "$state" in *quiescent*) break ;; esac
-    sleep 0.2
-done
-case "$state" in
-*quiescent*) ;;
-*)
-    echo "ci: span gate: run never reached quiescence (last statusz line: $state)" >&2
-    kill "$spanpid" 2>/dev/null || true
-    exit 1
-    ;;
-esac
+await_quiescent "span gate" "$spanpid" "$spantmp/run.err"
 # At quiescence the recorder is final, so the live /spans scrape must
 # byte-match the capture the run wrote on exit (same snapshot, same codec).
 curl -sf "http://$addr/spans" >"$spantmp/scraped.jsonl"
-cmp "$spantmp/scraped.jsonl" "$spantmp/spans.jsonl" || {
-    echo "ci: /spans scrape differs from the -spans capture at quiescence" >&2
-    exit 1
-}
+same "$spantmp/scraped.jsonl" "$spantmp/spans.jsonl" \
+    "/spans scrape differs from the -spans capture at quiescence"
 # The round-health /statusz section rides the same recorder.
 curl -sf "http://$addr/statusz" | grep -q 'round health' || {
     echo "ci: /statusz is missing the round health section" >&2
@@ -271,14 +240,10 @@ rounds=$("$spantmp/nebula-trace" "$spantmp/traced.jsonl" | sed -n 's/^rounds:[[:
     -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 7 \
     -faults drop=0.2 -wire \
     -trace "$spantmp/base.jsonl" >"$spantmp/base.out" 2>/dev/null
-cmp "$spantmp/traced.out" "$spantmp/base.out" || {
-    echo "ci: experiment output differs with span tracing on vs off" >&2
-    exit 1
-}
-cmp "$spantmp/traced.jsonl" "$spantmp/base.jsonl" || {
-    echo "ci: trace JSONL differs with span tracing on vs off" >&2
-    exit 1
-}
+same "$spantmp/traced.out" "$spantmp/base.out" \
+    "experiment output differs with span tracing on vs off"
+same "$spantmp/traced.jsonl" "$spantmp/base.jsonl" \
+    "trace JSONL differs with span tracing on vs off"
 rm -rf "$spantmp"
 
 echo "== zero-alloc gates (AllocsPerRun tests skip under -race, so run them once without it)"

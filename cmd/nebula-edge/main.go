@@ -128,9 +128,9 @@ func main() {
 			sub = cached
 		}
 		cached = sub
-		before := fed.EvalSubModel(sub, dev.TestSet(60))
-		fed.TrainSubModel(rng, sub, dev.Train, *epochs, 0.01, 16)
-		after := fed.EvalSubModel(sub, dev.TestSet(60))
+		before := fed.EvalLayer(sub, dev.TestSet(60))
+		fed.TrainLayer(rng, sub, dev.Train, *epochs, 0.01, 16, nil)
+		after := fed.EvalLayer(sub, dev.TestSet(60))
 		if err := cl.PushUpdate(sub, imp, float64(dev.Train.Len())); err != nil {
 			log.Printf("step %d: push lost (%v); round proceeds without this device", step, err)
 		}

@@ -1,8 +1,8 @@
 // Command nebula-lint is the project's static analyzer: it enforces the
 // determinism and concurrency invariants Nebula's correctness claims rest on
 // (module-wise aggregation order, leak-free goroutine fan-out, error-checked
-// protocol I/O, lock hygiene, config-seeded randomness, and the
-// coordinator/worker/reduce contract of the parallel executor). The engine is
+// protocol I/O, config-seeded randomness, and the coordinator/worker/reduce
+// contract of the parallel executor). The engine is
 // whole-program and fully type-checked: cross-package captures, transitive
 // blocking callees, and sink types all resolve for real.
 //
@@ -13,12 +13,10 @@
 //	nebula-lint -checks maporder,goleak internal/modular
 //	nebula-lint -unscoped internal/lint/testdata
 //	nebula-lint -json ./...              byte-stable JSON findings array
-//	nebula-lint -baseline lint.baseline ./...
-//	nebula-lint -write-baseline lint.baseline ./...
 //
 // Diagnostics print as `file:line: [check] message`; the exit status is 1
-// when any finding survives //nolint and baseline filtering, so `make check`
-// and ci.sh can gate on it. Suppress a finding with `//nolint:check -- reason`
+// when any finding survives //nolint filtering, so `make check` and ci.sh
+// can gate on it. Suppress a finding with `//nolint:check -- reason`
 // on or above the offending line; a reason is mandatory.
 package main
 
@@ -35,12 +33,10 @@ import (
 
 func main() {
 	var (
-		list          = flag.Bool("list", false, "describe every check and exit")
-		checks        = flag.String("checks", "", "comma-separated subset of checks to report (default: all)")
-		unscoped      = flag.Bool("unscoped", false, "ignore per-check path scoping (lint fixture trees)")
-		jsonOut       = flag.Bool("json", false, "emit findings as a byte-stable JSON array")
-		baselinePath  = flag.String("baseline", "", "filter findings against this baseline file")
-		writeBaseline = flag.String("write-baseline", "", "write surviving findings to this baseline file and exit 0")
+		list     = flag.Bool("list", false, "describe every check and exit")
+		checks   = flag.String("checks", "", "comma-separated subset of checks to report (default: all)")
+		unscoped = flag.Bool("unscoped", false, "ignore per-check path scoping (lint fixture trees)")
+		jsonOut  = flag.Bool("json", false, "emit findings as a byte-stable JSON array")
 	)
 	flag.Parse()
 
@@ -80,28 +76,6 @@ func main() {
 			}
 		}
 		diags = kept
-	}
-
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nebula-lint: baseline:", err)
-			os.Exit(2)
-		}
-		var suppressed int
-		diags, suppressed = lint.FilterBaseline(diags, base)
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "nebula-lint: %d baselined finding(s) suppressed\n", suppressed)
-		}
-	}
-
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "nebula-lint: write baseline:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "nebula-lint: wrote %s (%d finding(s))\n", *writeBaseline, len(diags))
-		return
 	}
 
 	if *jsonOut {

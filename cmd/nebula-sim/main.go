@@ -111,6 +111,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "nebula-sim:", err)
 			os.Exit(2)
 		}
+		if cfg.BandwidthBps > 0 {
+			// The simulated link's speed is device.Profile.TransferTime;
+			// fed.FaultModel replays loss and delay only, so a bw= cap would
+			// be accepted and never charged.
+			fmt.Fprintln(os.Stderr, "nebula-sim: -faults bw= has no effect on the simulated link (its bandwidth is the device profile's); bw= throttles a real connection — use nebula-edge -faults")
+			os.Exit(2)
+		}
 		opt.Faults = cfg
 	}
 	opt.Out = os.Stdout

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -66,16 +65,6 @@ func LoadCSV(r io.Reader, sep rune, numClasses int) (*Dataset, error) {
 		return nil, fmt.Errorf("data: no samples found")
 	}
 	return ds, nil
-}
-
-// LoadCSVFile is LoadCSV over a file path.
-func LoadCSVFile(path string, sep rune, numClasses int) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadCSV(f, sep, numClasses)
 }
 
 // SaveCSV writes the dataset in the format LoadCSV reads (comma-separated,

@@ -72,30 +72,3 @@ func TestContentionAffectsTrainingAndInferenceEqually(t *testing.T) {
 		t.Fatalf("ratio %v, want ContentionFactor(2)=%v", infRatio, ContentionFactor(2))
 	}
 }
-
-func TestEnergyModelOrdering(t *testing.T) {
-	flag := ClassByName("flagship-soc")
-	pi := RaspberryPi()
-	if EnergyEfficiencyJPerGFLOP(flag) >= EnergyEfficiencyJPerGFLOP(pi) {
-		t.Fatal("flagship must be more energy-efficient than a Pi")
-	}
-	const fwd = 10_000_000
-	eFlag := TrainEnergyJ(flag, fwd, 16)
-	ePi := TrainEnergyJ(pi, fwd, 16)
-	if eFlag >= ePi {
-		t.Fatalf("same work must cost less energy on flagship: %v vs %v", eFlag, ePi)
-	}
-	if eFlag <= 0 {
-		t.Fatal("energy must be positive")
-	}
-	// Transfer energy scales with bytes and inversely with bandwidth.
-	if TransferEnergyJ(pi, 2<<20) <= TransferEnergyJ(pi, 1<<20) {
-		t.Fatal("more bytes must cost more energy")
-	}
-	if TransferEnergyJ(flag, 1<<20) >= TransferEnergyJ(pi, 1<<20) {
-		t.Fatal("faster link should finish sooner and spend less radio energy")
-	}
-	if TransferEnergyJ(Class{}, 100) != 0 {
-		t.Fatal("zero bandwidth reports 0")
-	}
-}

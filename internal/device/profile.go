@@ -96,37 +96,3 @@ func CostOf(model nn.Layer, inElems int) ModelCost {
 		TrainMemEl: mem,
 	}
 }
-
-// EnergyEfficiencyJPerGFLOP maps device classes to an approximate energy
-// cost per GFLOP of neural-network compute. Flagship SoCs are the most
-// efficient; IoT boards without accelerators pay the most — matching the
-// energy spreads mobile-AI surveys report.
-func EnergyEfficiencyJPerGFLOP(class Class) float64 {
-	switch {
-	case class.ComputeFLOPS >= 5e11:
-		return 0.05
-	case class.ComputeFLOPS >= 1e11:
-		return 0.12
-	case class.ComputeFLOPS >= 3e10:
-		return 0.25
-	default:
-		return 0.6
-	}
-}
-
-// TrainEnergyJ estimates the energy one training step costs on a device of
-// the given class: training FLOPs × per-GFLOP energy.
-func TrainEnergyJ(class Class, fwdFlopsPerSample, batch int) float64 {
-	gflops := float64(3*fwdFlopsPerSample*batch) / 1e9
-	return gflops * EnergyEfficiencyJPerGFLOP(class)
-}
-
-// TransferEnergyJ estimates radio energy for moving bytes at the class's
-// nominal bandwidth, with a typical WiFi radio power of ~0.8 W.
-func TransferEnergyJ(class Class, bytes int64) float64 {
-	if class.BandwidthBps <= 0 {
-		return 0
-	}
-	seconds := float64(bytes*8) / class.BandwidthBps
-	return 0.8 * seconds
-}

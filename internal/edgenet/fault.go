@@ -2,6 +2,7 @@ package edgenet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strconv"
@@ -106,7 +107,7 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("probability %g outside [0,1]", p)
 	}
 	return p, nil
@@ -126,6 +127,9 @@ func parseBytesPerSec(s string) (int64, error) {
 	}
 	if n <= 0 {
 		return 0, fmt.Errorf("bandwidth must be positive")
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("bandwidth overflows int64 bytes/s")
 	}
 	return n * mult, nil
 }

@@ -11,23 +11,66 @@ import (
 
 // --- fault injector ---------------------------------------------------------
 
+// faultSpecCases is TestParseFaultSpec's table and FuzzParseFaultSpec's seed
+// corpus. A nil want means the spec must not parse.
+var faultSpecCases = []struct {
+	spec string
+	want *FaultConfig
+}{
+	{"drop=0.25,delay=20ms,reset=0.05,bw=256k,seed=7",
+		&FaultConfig{Seed: 7, Drop: 0.25, Delay: 20 * time.Millisecond, Reset: 0.05, BandwidthBps: 256 << 10}},
+	{"", &FaultConfig{}},
+	{"none", &FaultConfig{}},
+	{"bw=3m", &FaultConfig{BandwidthBps: 3 << 20}},
+	{"bw=8796093022207m", &FaultConfig{BandwidthBps: 8796093022207 << 20}}, // largest that fits
+	{"drop=1.5", nil},
+	{"drop=NaN", nil},
+	{"delay=-1s", nil},
+	{"bogus=1", nil},
+	{"drop", nil},
+	{"bw=0", nil},
+	// n·mult used to wrap: to 0 (a silently clean network) and to -1048576.
+	{"bw=17592186044416m", nil},
+	{"bw=9223372036854775807m", nil},
+}
+
 func TestParseFaultSpec(t *testing.T) {
-	cfg, err := ParseFaultSpec("drop=0.25,delay=20ms,reset=0.05,bw=256k,seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FaultConfig{Seed: 7, Drop: 0.25, Delay: 20 * time.Millisecond, Reset: 0.05, BandwidthBps: 256 << 10}
-	if cfg != want {
-		t.Fatalf("got %+v, want %+v", cfg, want)
-	}
-	if c, err := ParseFaultSpec(""); err != nil || c.Enabled() {
-		t.Fatalf("empty spec: %+v, %v", c, err)
-	}
-	for _, bad := range []string{"drop=1.5", "delay=-1s", "bogus=1", "drop"} {
-		if _, err := ParseFaultSpec(bad); err == nil {
-			t.Fatalf("spec %q should not parse", bad)
+	for _, tc := range faultSpecCases {
+		cfg, err := ParseFaultSpec(tc.spec)
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("spec %q should not parse, got %+v", tc.spec, cfg)
+		case tc.want != nil && err != nil:
+			t.Errorf("spec %q: %v", tc.spec, err)
+		case tc.want != nil && cfg != *tc.want:
+			t.Errorf("spec %q: got %+v, want %+v", tc.spec, cfg, *tc.want)
 		}
 	}
+	if c, _ := ParseFaultSpec(""); c.Enabled() {
+		t.Fatalf("empty spec enables faults: %+v", c)
+	}
+}
+
+// FuzzParseFaultSpec: the parser never panics, whatever it accepts is a
+// well-formed link (probabilities in [0,1], nothing negative), and String
+// renders it as a spec that parses back to the same config.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, tc := range faultSpecCases {
+		f.Add(tc.spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := ParseFaultSpec(spec)
+		if err != nil {
+			return
+		}
+		if !(c.Drop >= 0 && c.Drop <= 1) || !(c.Reset >= 0 && c.Reset <= 1) || c.Delay < 0 || c.BandwidthBps < 0 {
+			t.Fatalf("spec %q parsed to an impossible link %+v", spec, c)
+		}
+		back, err := ParseFaultSpec(c.String())
+		if err != nil || back != c {
+			t.Fatalf("spec %q -> %+v -> %q -> %+v, %v", spec, c, c.String(), back, err)
+		}
+	})
 }
 
 func TestFaultRollDeterministicAndKeyed(t *testing.T) {

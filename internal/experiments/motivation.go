@@ -43,9 +43,9 @@ func RunFig1a(opt Options) *metrics.Figure {
 	// Static cloud model: the full model, frozen after pre-deployment
 	// training. Static edge model: a quarter-width model, likewise frozen.
 	staticCloud := task.BuildFull(rng, 1.0)
-	fed.TrainLayer(rng, staticCloud, proxy, opt.PretrainEpochs, cfg.LR, cfg.BatchSize)
+	fed.TrainLayer(rng, staticCloud, proxy, opt.PretrainEpochs, cfg.LR, cfg.BatchSize, nil)
 	staticEdge := task.BuildFull(rng, 0.25)
-	fed.TrainLayer(rng, staticEdge, proxy, opt.PretrainEpochs, cfg.LR, cfg.BatchSize)
+	fed.TrainLayer(rng, staticEdge, proxy, opt.PretrainEpochs, cfg.LR, cfg.BatchSize, nil)
 	individual := nn.CloneLayer(staticEdge)
 	collaborative := nn.CloneLayer(staticEdge)
 
@@ -77,8 +77,8 @@ func RunFig1a(opt Options) *metrics.Figure {
 				d.ReplaceData(0.5)
 				pooled.Append(d.Train)
 			}
-			fed.TrainLayer(rng, individual, devices[0].Train, 2, cfg.LR, cfg.BatchSize)
-			fed.TrainLayer(rng, collaborative, pooled, 2, cfg.LR, cfg.BatchSize)
+			fed.TrainLayer(rng, individual, devices[0].Train, 2, cfg.LR, cfg.BatchSize, nil)
+			fed.TrainLayer(rng, collaborative, pooled, 2, cfg.LR, cfg.BatchSize, nil)
 		}
 		x := float64(slot)
 		sCloud.Add(x, evalAll(staticCloud))

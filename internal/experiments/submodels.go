@@ -68,7 +68,7 @@ func RunFig12(opt Options) []*metrics.Table {
 			b := fracBudget(withAE.Model, frac)
 			active := withAE.Model.Derive(imp, b, false)
 			sub := withAE.Model.Extract(active)
-			acc := fed.EvalSubModel(sub, test)
+			acc := fed.EvalLayer(sub, test)
 			tb.AddRow("selected (knapsack)", nn.ParamCount(sub.Params()), f2(100*acc))
 		}
 		tables = append(tables, tb)
@@ -94,7 +94,7 @@ func randomSubModels(rng *tensor.RNG, m *modular.Model, n int, test *data.Datase
 			active[l] = sel
 		}
 		sub := m.Extract(active)
-		pts = append(pts, subPoint{params: nn.ParamCount(sub.Params()), acc: fed.EvalSubModel(sub, test)})
+		pts = append(pts, subPoint{params: nn.ParamCount(sub.Params()), acc: fed.EvalLayer(sub, test)})
 	}
 	sort.Slice(pts, func(a, b int) bool { return pts[a].params < pts[b].params })
 	return pts

@@ -95,28 +95,7 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 		// Calibration round: bulk-sync semantics (everything lands, the slot
 		// is the slowest participant), then derive the deadline from the
 		// observed per-device times.
-		var updates []*modular.Update
-		var slot float64
-		live := 0
-		var times []float64
-		for i := range res {
-			if p.drop[i] {
-				continue
-			}
-			r := &res[i]
-			if r.t > slot {
-				slot = r.t
-			}
-			times = append(times, r.t)
-			if u := s.commitDevice(round, part[i], r, 0); u != nil {
-				updates = append(updates, u)
-			}
-			if r.sub != nil {
-				live++
-			}
-		}
-		m.participants.Set(float64(live))
-		s.aggregate(round, updates, slot)
+		slot, times := s.landAll(round, p, res)
 		a.clock = start + slot
 		a.deadline = calibrateDeadline(times)
 		return
@@ -127,17 +106,11 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 	// deadline, then this round's fresh completions. Fresh work that overruns
 	// the deadline pends instead, and its device stays busy (unsampleable)
 	// until its seeded completion time.
-	type landed struct {
-		c      *Client
-		launch int
-		done   float64
-		res    *nebulaResult
-	}
-	var landings []landed
+	var landings []landing
 	kept := a.pending[:0]
 	for _, pw := range a.pending {
 		if pw.done <= roundEnd {
-			landings = append(landings, landed{pw.c, pw.launch, pw.done, &pw.res})
+			landings = append(landings, landing{pw.c, pw.launch, pw.done, &pw.res})
 			delete(a.busy, pw.c.Dev.ID)
 		} else {
 			kept = append(kept, pw)
@@ -151,7 +124,7 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 		r := &res[i]
 		done := start + r.t
 		if done <= roundEnd {
-			landings = append(landings, landed{part[i], round, done, r})
+			landings = append(landings, landing{part[i], round, done, r})
 			continue
 		}
 		a.busy[part[i].Dev.ID] = done
@@ -168,26 +141,7 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 	// with the (launch round, canonical index) insertion order breaking ties.
 	sort.SliceStable(landings, func(i, j int) bool { return landings[i].done < landings[j].done })
 
-	var updates []*modular.Update
-	live := 0
-	for _, ld := range landings {
-		if stale := round - ld.launch; stale > 0 {
-			// Marker span: a carried straggler update lands this round.
-			le := s.Spans.Start(tid, rs.ID(), "fed.land")
-			le.SetDevice(ld.c.Dev.ID)
-			le.SetRound(round)
-			le.SetAttempt(stale)
-			le.End()
-		}
-		if u := s.commitDevice(round, ld.c, ld.res, round-ld.launch); u != nil {
-			updates = append(updates, u)
-		}
-		if ld.res.sub != nil {
-			live++
-		}
-	}
-	m.participants.Set(float64(live))
-	s.aggregate(round, updates, a.deadline)
+	s.land(round, p, landings, a.deadline)
 	a.clock = roundEnd
 }
 
@@ -263,22 +217,14 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 		}
 		var down int64
 		if s.subs[id] == nil {
-			// A brand-new device bootstraps before its first round: probe
-			// importance, derive a budget-fitting sub-model, ship it whole
-			// (selector included).
+			// A brand-new device bootstraps before its first round with a
+			// budget-fitting sub-model, shipped whole (selector included).
 			if sel == nil {
 				sel = s.Model.Selector.Clone()
 			}
-			imp := s.importanceWith(sel, c)
-			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
-			sub := s.Model.Extract(active)
+			sub := s.deriveFresh(sel, c)
 			sub.Park()
-			down = sub.ParamBytes()
-			s.subs[id] = sub
-			s.imps[id] = imp
-			s.hasGatePkg[id] = true
-			s.costs.BytesDown += down
-			m.bytesDown.Add(float64(down))
+			down = s.adoptFresh(id, sub)
 		}
 		s.Trace.Churn(round, id, "join", down)
 		m.churnEvents["join"].Inc()

@@ -321,7 +321,7 @@ func TestCommitDeviceStalenessDecay(t *testing.T) {
 		imp := nb.importanceWith(nb.Model.Selector.Clone(), c)
 		active := nb.Model.Derive(imp, nb.deviceBudget(c), false)
 		sub := nb.Model.Extract(active)
-		return &nebulaResult{sub: sub, imp: imp, down: 10, up: 20, t: 1.5,
+		return &nebulaResult{sub: sub, down: 10, up: 20, t: 1.5,
 			update: &modular.Update{Sub: sub, Importance: imp, Weight: 8}}
 	}
 	run := func(cfg Config, stale int) (float64, trace.Event) {

@@ -9,7 +9,7 @@ import (
 
 // PretrainEpochs is the number of proxy-data epochs used by every strategy's
 // offline stage.
-var PretrainEpochs = 5
+const PretrainEpochs = 5
 
 // --- No Adaptation --------------------------------------------------------
 
@@ -32,7 +32,7 @@ func (s *NoAdapt) Name() string { return "NA" }
 // Pretrain fits the full cloud model on proxy data.
 func (s *NoAdapt) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.model = s.Task.BuildFull(rng, 1.0)
-	TrainLayer(rng, s.model, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize)
+	TrainLayer(rng, s.model, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
 }
 
 // Adapt does nothing: the model is static.
@@ -72,7 +72,7 @@ func (s *LocalAdapt) Name() string { return "LA" }
 // Pretrain fits the shared cloud model that devices start from.
 func (s *LocalAdapt) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.cloud = s.Task.BuildFull(rng, 1.0)
-	TrainLayer(rng, s.cloud, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize)
+	TrainLayer(rng, s.cloud, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
 }
 
 // Adapt fine-tunes every client's private copy on its current local data.
@@ -98,7 +98,7 @@ func (s *LocalAdapt) Adapt(rng *tensor.RNG, clients []*Client) {
 			m = nn.CloneLayer(s.cloud)
 			res[i].down = modelBytes(m) // one-time model download
 		}
-		TrainLayer(streams[i], m, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize)
+		TrainLayer(streams[i], m, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
 		p := c.Mon.Profile()
 		fwd, _ := nn.ForwardCost(m, s.Task.InElems())
 		res[i].m = m
@@ -209,7 +209,7 @@ func (s *AdaptiveNet) Adapt(rng *tensor.RNG, clients []*Client) {
 			m = s.cloud.Clone()
 			res[i].down = s.cloud.BranchBytes(s.cloud.NumBranches() - 1)
 		}
-		TrainLayer(streams[i], branchModel{m, b}, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize)
+		TrainLayer(streams[i], branchModel{m, b}, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
 		res[i].m, res[i].b = m, b
 		res[i].t = trainTime(p, m.BranchCost(s.Task.InElems(), b), c.Dev.Train.Len(), s.cfg.FinetuneEpochs, s.cfg.BatchSize)
 	})

@@ -8,7 +8,6 @@ package fed
 import (
 	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/modular"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -81,8 +80,6 @@ type Config struct {
 	// WireTopK in (0,1) keeps only that fraction of uplink delta
 	// coordinates (deterministic top-k by |value|). 0 = dense uplink.
 	WireTopK float64
-	// WireChunk is the codec chunk size in elements (0 = 1024).
-	WireChunk int
 	// WireF16 selects float16 codes over the default int8.
 	WireF16 bool
 }
@@ -99,6 +96,15 @@ func DefaultConfig() Config {
 		Rounds:          10,
 		TestPerDevice:   60,
 	}
+}
+
+// collabScale is the local-LR factor of global-model federated training
+// (an unset CollabLRScale means the full LR).
+func (c Config) collabScale() float32 {
+	if c.CollabLRScale > 0 {
+		return c.CollabLRScale
+	}
+	return 1
 }
 
 // Costs accumulates a strategy's resource usage across an adaptation run.
@@ -131,18 +137,27 @@ type System interface {
 
 // --- shared helpers -------------------------------------------------------
 
-// TrainLayer runs standard mini-batch CE training on an nn.Layer model.
-func TrainLayer(rng *tensor.RNG, m nn.Layer, ds *data.Dataset, epochs int, lr float32, batch int) {
+// TrainLayer runs mini-batch cross-entropy training on a model — a plain
+// network, one branch of a MultiBranch, or a Nebula sub-model (whose selector
+// stays frozen): SGD with momentum, gradients clipped to norm 5. Parameters
+// without a gradient accumulator (a parked sub-model's) get one first.
+// afterBackward, when non-nil, sees the parameters after each backward pass
+// and before clipping; FedProx's proximal step is its one user.
+func TrainLayer(rng *tensor.RNG, m nn.Layer, ds *data.Dataset, epochs int, lr float32, batch int, afterBackward func(params []*nn.Param)) {
 	if ds.Len() == 0 {
 		return
 	}
 	opt := nn.NewSGD(lr, 0.9, 1e-4)
 	params := m.Params()
+	nn.EnsureGrads(params)
 	for e := 0; e < epochs; e++ {
 		ds.Batches(rng, batch, func(x *tensor.Tensor, y []int) {
 			logits := m.Forward(x, true)
 			_, grad := nn.SoftmaxCrossEntropy(logits, y)
 			m.Backward(grad)
+			if afterBackward != nil {
+				afterBackward(params)
+			}
 			nn.ClipGradNorm(params, 5)
 			opt.Step(params)
 		})
@@ -167,52 +182,6 @@ func EvalLayer(m nn.Layer, ds *data.Dataset) float64 {
 		}
 		x, y := ds.Batch(idx)
 		logits := m.Forward(x, false)
-		for b := range y {
-			if logits.ArgMaxRow(b) == y[b] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.Len())
-}
-
-// TrainSubModel runs CE training on a Nebula sub-model (selector frozen).
-func TrainSubModel(rng *tensor.RNG, s *modular.SubModel, ds *data.Dataset, epochs int, lr float32, batch int) {
-	if ds.Len() == 0 {
-		return
-	}
-	opt := nn.NewSGD(lr, 0.9, 1e-4)
-	params := s.Params()
-	nn.EnsureGrads(params) // a parked sub-model carries none
-	for e := 0; e < epochs; e++ {
-		ds.Batches(rng, batch, func(x *tensor.Tensor, y []int) {
-			logits := s.Forward(x, true)
-			_, grad := nn.SoftmaxCrossEntropy(logits, y)
-			s.Backward(grad)
-			nn.ClipGradNorm(params, 5)
-			opt.Step(params)
-		})
-	}
-}
-
-// EvalSubModel returns a sub-model's accuracy on a dataset.
-func EvalSubModel(s *modular.SubModel, ds *data.Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	const chunk = 128
-	for start := 0; start < ds.Len(); start += chunk {
-		end := start + chunk
-		if end > ds.Len() {
-			end = ds.Len()
-		}
-		idx := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
-			idx = append(idx, i)
-		}
-		x, y := ds.Batch(idx)
-		logits := s.Forward(x, false)
 		for b := range y {
 			if logits.ArgMaxRow(b) == y[b] {
 				correct++

@@ -29,7 +29,7 @@ func (s *FedAvg) Name() string { return "FA" }
 // Pretrain fits the global model on proxy data.
 func (s *FedAvg) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.global = s.Task.BuildFull(rng, 1.0)
-	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize)
+	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
 }
 
 // Adapt runs cfg.Rounds communication rounds.
@@ -52,7 +52,10 @@ func (s *FedAvg) round(rng *tensor.RNG, clients []*Client) {
 	sumVec := make([]float32, nn.VectorLen(gp, gs))
 	bytes := modelBytes(s.global)
 	fwd, _ := nn.ForwardCost(s.global, s.Task.InElems())
-	anchor := nn.FlattenVector(gp, nil)
+	var prox func([]*nn.Param)
+	if s.Mu > 0 {
+		prox = proxStep(nn.FlattenVector(gp, nil), s.Mu)
+	}
 
 	// Coordinator prep: dropout rolls and per-device streams off the master
 	// stream in canonical order.
@@ -79,7 +82,7 @@ func (s *FedAvg) round(rng *tensor.RNG, clients []*Client) {
 		}
 		c := part[i]
 		local := nn.CloneLayer(s.global)
-		s.withProx(streams[i], local, anchor, c.Dev.Train)
+		TrainLayer(streams[i], local, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*s.cfg.collabScale(), s.cfg.BatchSize, prox)
 		res[i].vec = nn.FlattenVector(local.Params(), nn.LayerStates(local))
 		res[i].w = float64(c.Dev.Train.Len())
 		p := c.Mon.Profile()
@@ -123,11 +126,19 @@ func (s *FedAvg) LocalAccuracy(clients []*Client) float64 {
 // Costs returns accumulated accounting.
 func (s *FedAvg) Costs() Costs { return s.costs }
 
-func (s *FedAvg) collabScale() float32 {
-	if s.cfg.CollabLRScale > 0 {
-		return s.cfg.CollabLRScale
+// proxStep is FedProx's proximal term as a TrainLayer hook: every gradient
+// gains μ·(w − anchor), penalizing drift from anchor — the flattened global
+// parameters the round started from.
+func proxStep(anchor []float32, mu float32) func([]*nn.Param) {
+	return func(params []*nn.Param) {
+		off := 0
+		for _, p := range params {
+			for i := range p.W.Data {
+				p.G.Data[i] += mu * (p.W.Data[i] - anchor[off+i])
+			}
+			off += p.W.Len()
+		}
 	}
-	return 1
 }
 
 // Global exposes the aggregated model.

@@ -42,7 +42,7 @@ func (s *HeteroFL) Name() string { return "HFL" }
 // Pretrain fits the full-width global model.
 func (s *HeteroFL) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.global = s.Task.BuildFull(rng, 1.0)
-	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize)
+	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
 }
 
 // clientRate maps a device's compute capability to the nested rate ladder.
@@ -134,7 +134,7 @@ func (s *HeteroFL) round(rng *tensor.RNG, clients []*Client) {
 		c := part[i]
 		local := s.sliceDown(streams[i], rates[i])
 		bytes := modelBytes(local)
-		TrainLayer(streams[i], local, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*s.collabScale(), s.cfg.BatchSize)
+		TrainLayer(streams[i], local, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*s.cfg.collabScale(), s.cfg.BatchSize, nil)
 		p := c.Mon.Profile()
 		fwd, _ := nn.ForwardCost(local, s.Task.InElems())
 		res[i] = result{local: local, bytes: bytes,
@@ -192,10 +192,3 @@ func (s *HeteroFL) LocalAccuracy(clients []*Client) float64 {
 
 // Costs returns accumulated accounting.
 func (s *HeteroFL) Costs() Costs { return s.costs }
-
-func (s *HeteroFL) collabScale() float32 {
-	if s.cfg.CollabLRScale > 0 {
-		return s.cfg.CollabLRScale
-	}
-	return 1
-}

@@ -37,15 +37,12 @@ type Nebula struct {
 
 	// Budget shaping. A device's Eq. 2 budget is the always-present
 	// stem+head cost plus a capability-dependent fraction of the total
-	// module pool cost: frac = clamp((effectiveFLOPS/flagshipFLOPS)^CapExp,
+	// module pool cost: frac = clamp((effectiveFLOPS/flagshipFLOPS)^0.3,
 	// MinFraction, MaxFraction). Runtime contention lowers effective FLOPS
 	// and therefore shrinks the derived sub-model — the paper's
 	// accuracy-latency tradeoff under inner runtime dynamics.
 	MinFraction float64
 	MaxFraction float64
-	CapExp      float64
-	// MaxModules optionally caps sub-model module counts (0 = uncapped).
-	MaxModules int
 	// ExactDerive switches the Eq. 2 solver to branch-and-bound.
 	ExactDerive bool
 	// PullBlend controls how strongly a refresh pulls the cloud's current
@@ -83,7 +80,6 @@ type Nebula struct {
 	Faults *FaultModel
 
 	subs       map[int]*modular.SubModel
-	imps       map[int][][]float64
 	hasGatePkg map[int]bool // devices that already hold the selector
 	// wireRefs holds the per-device delta-coding reference for the simulated
 	// v2 link (cfg.WireCompress; internal/fed/wire.go): the reconstruction of
@@ -116,11 +112,9 @@ func NewNebula(task *Task, cfg Config) *Nebula {
 		CloudCollaboration: true,
 		MinFraction:        0.2,
 		MaxFraction:        0.45,
-		CapExp:             0.3,
 		PullBlend:          0.1,
 		RederiveOverlap:    0.55,
 		subs:               map[int]*modular.SubModel{},
-		imps:               map[int][][]float64{},
 		hasGatePkg:         map[int]bool{},
 		wireRefs:           map[int]*edgenet.WireRef{},
 	}
@@ -155,24 +149,26 @@ func (s *Nebula) deviceBudget(c *Client) modular.Budget {
 		}
 	}
 	return modular.Budget{
-		CommBytes:  float64(stem.Bytes+head.Bytes) + frac*poolBytes,
-		FwdFLOPs:   float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*poolFlops,
-		MemElems:   float64(stem.TrainMemEl+head.TrainMemEl) + frac*poolMem,
-		MaxModules: s.MaxModules,
+		CommBytes: float64(stem.Bytes+head.Bytes) + frac*poolBytes,
+		FwdFLOPs:  float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*poolFlops,
+		MemElems:  float64(stem.TrainMemEl+head.TrainMemEl) + frac*poolMem,
 	}
 }
 
 // capabilityFraction maps effective device compute (contention included) to
 // the fraction of the module pool the device may hold.
 func (s *Nebula) capabilityFraction(effectiveFLOPS float64) float64 {
-	const flagship = 1.2e12 // device.Catalogue top tier
+	const (
+		flagship = 1.2e12 // device.Catalogue top tier
+		capExp   = 0.3    // sub-linear: a 10× slower device holds half the pool share
+	)
 	r := effectiveFLOPS / flagship
 	if r <= 0 {
 		return s.MinFraction
 	}
 	frac := 1.0
 	if r < 1 {
-		frac = math.Pow(r, s.CapExp)
+		frac = math.Pow(r, capExp)
 	}
 	if frac < s.MinFraction {
 		frac = s.MinFraction
@@ -200,6 +196,27 @@ func (s *Nebula) importanceWith(sel *modular.Selector, c *Client) [][]float64 {
 	}
 	x, _ := ds.Batch(idx)
 	return s.Model.ImportanceWith(sel, x)
+}
+
+// deriveFresh builds the sub-model of a device the cloud has not served yet:
+// probe importance on its local data, solve Eq. 2 under its current budget,
+// extract. It only reads the cloud model, so workers may call it; sel is the
+// caller's own selector copy (see importanceWith).
+func (s *Nebula) deriveFresh(sel *modular.Selector, c *Client) *modular.SubModel {
+	imp := s.importanceWith(sel, c)
+	return s.Model.Extract(s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive))
+}
+
+// adoptFresh records a deriveFresh sub-model as the device's own and charges
+// its transfer — a pure download, selector included. Serial coordinator
+// only. Returns the bytes charged.
+func (s *Nebula) adoptFresh(id int, sub *modular.SubModel) int64 {
+	down := sub.ParamBytes()
+	s.costs.BytesDown += down
+	s.metrics().bytesDown.Add(float64(down))
+	s.hasGatePkg[id] = true
+	s.subs[id] = sub
+	return down
 }
 
 // Adapt runs cfg.Rounds online rounds (or, for the w/o-cloud variant, pure
@@ -232,7 +249,6 @@ func (s *Nebula) Round(rng *tensor.RNG, clients []*Client) {
 // into strategy state by the coordinator in canonical device order.
 type nebulaResult struct {
 	sub    *modular.SubModel
-	imp    [][]float64
 	update *modular.Update
 	down   int64
 	up     int64
@@ -354,21 +370,13 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				// WireCompress the pull crosses the simulated v2 link first,
 				// so the device blends in the lossy reconstruction.
 				cloudSub := s.Model.ExtractWeights(p.held[i].Mapping)
-				if s.cfg.WireCompress {
-					bytes, r.wireRef = wireDownlink(cloudSub, p.wireRef[i], s.wireDownOpts())
-				} else {
-					bytes = cloudSub.BackboneBytes()
-				}
+				bytes, r.wireRef = s.downlink(cloudSub, p.wireRef[i])
 				blendSubModels(p.held[i], cloudSub, s.PullBlend)
 				sub = p.held[i]
 			} else {
 				// First contact or the local task moved: new structure.
 				sub = s.Model.Extract(active)
-				if s.cfg.WireCompress {
-					bytes, r.wireRef = wireDownlink(sub, p.wireRef[i], s.wireDownOpts())
-				} else {
-					bytes = sub.BackboneBytes()
-				}
+				bytes, r.wireRef = s.downlink(sub, p.wireRef[i])
 			}
 			if !p.hadGate[i] {
 				bytes += sub.SelectorBytes()
@@ -388,7 +396,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		if s.LocalTraining {
 			tspan := s.Spans.Start(p.trace, dspan.ID(), "fed.train")
 			tspan.SetDevice(id)
-			TrainSubModel(p.streams[i], sub, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, s.cfg.BatchSize)
+			TrainLayer(p.streams[i], sub, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
 			tspan.End()
 			upBytes := int64(nn.ParamCount(sub.Params())) * 4 // modules+stem+head; selector is not updated on edge
 			_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
@@ -430,7 +438,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		// The device goes back to the pool (or pends) as the model alone; its
 		// training scratch is dead weight until it is sampled again.
 		sub.Park()
-		r.sub, r.imp, r.down, r.t = sub, imp, bytes, t
+		r.sub, r.down, r.t = sub, bytes, t
 	})
 	return res
 }
@@ -460,7 +468,6 @@ func (s *Nebula) commitDevice(landing int, c *Client, r *nebulaResult, stale int
 	m.bytesUp.Add(float64(r.up))
 	m.deviceSimSeconds.Observe(r.t)
 	s.subs[id] = r.sub
-	s.imps[id] = r.imp
 	if r.gate {
 		s.hasGatePkg[id] = true
 	}
@@ -531,13 +538,55 @@ func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 	res := s.runDevices(p, round)
 	m.phaseParallel.ObserveSince(swParallel)
 
-	// Canonical reduce: fold results in device order — identical to what the
-	// serial loop produced. Metric updates here are part of the serial
-	// phase, so counter values (and float accumulation order) are a pure
-	// function of the seeds — exactly what trace.Summarize recomputes.
+	s.landAll(round, p, res)
+}
+
+// landing is one finished device result on its way into strategy state:
+// launched in round launch (the landing round itself for on-time and
+// bulk-sync work), complete at absolute sim time done.
+type landing struct {
+	c      *Client
+	launch int
+	done   float64
+	res    *nebulaResult
+}
+
+// land is the one place a round's device work enters strategy state — the
+// canonical reduce of docs/PARALLEL.md: commit each landing in the order
+// given (device order for bulk-sync rounds, seeded arrival order for
+// deadline-paced ones), then aggregate the updates that made it and close the
+// round with slot. Metric updates here are part of the serial phase, so
+// counter values (and float accumulation order) are a pure function of the
+// seeds — exactly what trace.Summarize recomputes.
+func (s *Nebula) land(round int, p *roundPrep, landings []landing, slot float64) {
 	var updates []*modular.Update
-	var slot float64
 	live := 0
+	for _, ld := range landings {
+		stale := round - ld.launch
+		if stale > 0 {
+			// Marker span: a carried straggler update lands this round.
+			le := s.Spans.Start(p.trace, p.root, "fed.land")
+			le.SetDevice(ld.c.Dev.ID)
+			le.SetRound(round)
+			le.SetAttempt(stale)
+			le.End()
+		}
+		if u := s.commitDevice(round, ld.c, ld.res, stale); u != nil {
+			updates = append(updates, u)
+		}
+		if ld.res.sub != nil {
+			live++
+		}
+	}
+	s.metrics().participants.Set(float64(live))
+	s.aggregate(round, updates, slot)
+}
+
+// landAll is the bulk-synchronous landing: every launched device lands this
+// round, in device order, and the slot is the slowest participant's time.
+// Returns that slot and the per-device times it was taken over.
+func (s *Nebula) landAll(round int, p *roundPrep, res []nebulaResult) (slot float64, times []float64) {
+	var landings []landing
 	for i := range res {
 		if p.drop[i] {
 			continue
@@ -546,15 +595,11 @@ func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 		if r.t > slot {
 			slot = r.t
 		}
-		if u := s.commitDevice(round, part[i], r, 0); u != nil {
-			updates = append(updates, u)
-		}
-		if r.sub != nil {
-			live++
-		}
+		times = append(times, r.t)
+		landings = append(landings, landing{c: p.part[i], launch: round, res: r})
 	}
-	m.participants.Set(float64(live))
-	s.aggregate(round, updates, slot)
+	s.land(round, p, landings, slot)
+	return slot, times
 }
 
 // adaptLocalOnly implements the w/o-cloud ablation: derive once, then only
@@ -562,47 +607,32 @@ func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 // parallel / canonical-reduce structure as the full round.
 func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 	n := len(clients)
-	held := make([]*modular.SubModel, n)
-	for i, c := range clients {
-		held[i] = s.subs[c.Dev.ID]
-	}
+	held := s.heldBy(clients)
 	streams := splitStreams(rng, n)
 	type result struct {
-		sub  *modular.SubModel
-		down int64
-		t    float64
+		sub *modular.SubModel
+		t   float64
 	}
 	res := make([]result, n)
 	forEachDevice(s.cfg.Workers, n, func(i int) {
 		c := clients[i]
 		sub := held[i]
 		if sub == nil {
-			imp := s.importanceWith(s.Model.Selector.Clone(), c)
-			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
-			sub = s.Model.Extract(active)
-			res[i].down = sub.ParamBytes()
+			sub = s.deriveFresh(s.Model.Selector.Clone(), c)
 		}
-		TrainSubModel(streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize)
+		TrainLayer(streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
 		sub.Park()
-		p := c.Mon.Profile()
-		fwd := 0
-		if m := s.Model; m != nil {
-			_, f, _ := m.SelectionCost(sub.Mapping)
-			fwd = f
-		}
+		_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
 		res[i].sub = sub
-		res[i].t = trainTime(p, fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs, s.cfg.BatchSize)
+		res[i].t = trainTime(c.Mon.Profile(), fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs, s.cfg.BatchSize)
 	})
 	var slot float64
 	m := s.metrics()
 	for i, c := range clients {
 		r := &res[i]
 		if held[i] == nil {
-			s.costs.BytesDown += r.down
-			m.bytesDown.Add(float64(r.down))
-			s.hasGatePkg[c.Dev.ID] = true
+			s.adoptFresh(c.Dev.ID, r.sub)
 		}
-		s.subs[c.Dev.ID] = r.sub
 		if r.t > slot {
 			slot = r.t
 		}
@@ -613,6 +643,16 @@ func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 	m.simSeconds.Add(slot)
 	m.roundSlotSeconds.Observe(slot)
 	m.rounds.Inc()
+}
+
+// heldBy snapshots each client's stored sub-model (nil = never served), in
+// canonical order, for workers to read.
+func (s *Nebula) heldBy(clients []*Client) []*modular.SubModel {
+	held := make([]*modular.SubModel, len(clients))
+	for i, c := range clients {
+		held[i] = s.subs[c.Dev.ID]
+	}
+	return held
 }
 
 // overlapRatio computes the Jaccard overlap between a held sub-model's
@@ -672,43 +712,31 @@ func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 		return 0
 	}
 	n := len(clients)
-	held := make([]*modular.SubModel, n)
-	for i, c := range clients {
-		held[i] = s.subs[c.Dev.ID]
-	}
+	held := s.heldBy(clients)
 	type result struct {
-		sub  *modular.SubModel
-		down int64
-		acc  float64
+		sub *modular.SubModel
+		acc float64
 	}
 	res := make([]result, n)
 	forEachDevice(s.cfg.Workers, n, func(i int) {
 		c := clients[i]
 		sub := held[i]
 		if sub == nil {
-			imp := s.importanceWith(s.Model.Selector.Clone(), c)
-			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
-			sub = s.Model.Extract(active)
-			res[i].down = sub.ParamBytes()
+			sub = s.deriveFresh(s.Model.Selector.Clone(), c)
 		}
 		res[i].sub = sub
-		res[i].acc = EvalSubModel(sub, c.Dev.TestSet(s.cfg.TestPerDevice))
+		res[i].acc = EvalLayer(sub, c.Dev.TestSet(s.cfg.TestPerDevice))
 		sub.Park() // the evaluation batch's activations go; the model stays
 	})
 	var sum float64
-	m := s.metrics()
 	for i, c := range clients {
-		r := &res[i]
 		if held[i] == nil {
-			s.costs.BytesDown += r.down
-			m.bytesDown.Add(float64(r.down))
-			s.hasGatePkg[c.Dev.ID] = true
-			s.subs[c.Dev.ID] = r.sub
+			s.adoptFresh(c.Dev.ID, res[i].sub)
 		}
-		sum += r.acc
+		sum += res[i].acc
 	}
 	acc := sum / float64(len(clients))
-	m.lastAccuracy.Set(acc)
+	s.metrics().lastAccuracy.Set(acc)
 	return acc
 }
 
@@ -717,5 +745,5 @@ func (s *Nebula) Costs() Costs { return s.costs }
 
 // SubModelOf returns the stored sub-model of a client (nil if none). Stored
 // sub-models are parked (modular.SubModel.Park): they evaluate as they are
-// and TrainSubModel re-arms them.
+// and TrainLayer re-arms them.
 func (s *Nebula) SubModelOf(id int) *modular.SubModel { return s.subs[id] }

@@ -56,9 +56,9 @@ func TestParkedSubModelTrainsIdentically(t *testing.T) {
 			sub := model.Extract(active)
 			stream := tensor.NewRNG(45)
 			for bout := 0; bout < 3; bout++ {
-				TrainSubModel(stream.Split(), sub, c.Dev.Train, 1, 0.02, 16)
+				TrainLayer(stream.Split(), sub, c.Dev.Train, 1, 0.02, 16, nil)
 				if bout == 1 {
-					EvalSubModel(sub, c.Dev.TestSet(20))
+					EvalLayer(sub, c.Dev.TestSet(20))
 				}
 				if !park {
 					continue
@@ -77,7 +77,7 @@ func TestParkedSubModelTrainsIdentically(t *testing.T) {
 			t.Fatalf("%s: train → park → train diverges from train → train", task.Name)
 		}
 		test := c.Dev.TestSet(40)
-		if a, b := EvalSubModel(kept, test), EvalSubModel(parked, test); a != b {
+		if a, b := EvalLayer(kept, test), EvalLayer(parked, test); a != b {
 			t.Fatalf("%s: parked sub-model evaluates to %v, unparked to %v", task.Name, b, a)
 		}
 		if reflect.DeepEqual(subModelBits(kept), subModelBits(model.Extract(active))) {
@@ -101,7 +101,7 @@ func TestWireUplinkCarrierIsWhatAggregationReads(t *testing.T) {
 	}
 	sub := cloud.Extract(active)
 	_, ref := wireDownlink(sub, nil, edgenet.WireOpts{})
-	TrainSubModel(rng, sub, c.Dev.Train, 1, 0.02, 16)
+	TrainLayer(rng, sub, c.Dev.Train, 1, 0.02, 16, nil)
 	sub.Park()
 
 	up, carrier := wireUplink(sub, ref, edgenet.WireOpts{TopK: 0.25})

@@ -22,19 +22,23 @@ import (
 // commitDevice — so compressed runs keep the bitwise worker-count
 // determinism contract of docs/PARALLEL.md.
 
-// wireDownOpts is the downlink codec config: dense (top-k never applies to
-// the cloud→device direction — a fresh structure has no base to be sparse
-// against, and refreshes want every module parameter).
-func (s *Nebula) wireDownOpts() edgenet.WireOpts {
-	return edgenet.WireOpts{Chunk: s.cfg.WireChunk, F16: s.cfg.WireF16}
+// downlink charges one cloud→device transfer of sub's backbone and returns
+// the device's new delta-coding reference (nil on the exact link). Off
+// WireCompress it is the analytic 4 B/element charge and sub arrives exact;
+// on it, sub crosses the simulated v2 link — dense, because top-k never
+// applies in this direction (a fresh structure has no base to be sparse
+// against, and refreshes want every module parameter). Worker-safe.
+func (s *Nebula) downlink(sub *modular.SubModel, ref *edgenet.WireRef) (int64, *edgenet.WireRef) {
+	if !s.cfg.WireCompress {
+		return sub.BackboneBytes(), nil
+	}
+	return wireDownlink(sub, ref, edgenet.WireOpts{F16: s.cfg.WireF16})
 }
 
-// wireUpOpts is the uplink codec config: downlink opts plus the configured
-// top-k sparsification for delta pushes.
+// wireUpOpts is the uplink codec config: the downlink's code width plus the
+// configured top-k sparsification for delta pushes.
 func (s *Nebula) wireUpOpts() edgenet.WireOpts {
-	o := s.wireDownOpts()
-	o.TopK = s.cfg.WireTopK
-	return o
+	return edgenet.WireOpts{F16: s.cfg.WireF16, TopK: s.cfg.WireTopK}
 }
 
 // wireDownlink simulates sending sub from cloud to device: encode (delta

@@ -1,8 +1,8 @@
 // Package lint is nebula-lint's engine: a stdlib-only static analyzer that
 // enforces the project invariants the Go compiler cannot check —
 // deterministic aggregation order, leak-free goroutine fan-out, error-checked
-// protocol I/O, lock-safe struct handling, config-seeded randomness, and the
-// coordinator/worker/reduce contract of the parallel round executor.
+// protocol I/O, config-seeded randomness, and the coordinator/worker/reduce
+// contract of the parallel round executor.
 //
 // The engine is whole-program and fully type-checked: Load (program.go)
 // discovers the enclosing module, parses every package under the requested
@@ -15,8 +15,7 @@
 //
 // Diagnostics can be suppressed with a trailing or preceding
 // `//nolint:check -- reason` comment; a nolint directive without a
-// justification is itself a diagnostic. Known findings can be parked in a
-// baseline file (baseline.go) while they are burned down.
+// justification is itself a diagnostic.
 package lint
 
 import (
@@ -111,13 +110,11 @@ func All() []Analyzer {
 		MapOrder{},
 		GoLeak{},
 		ErrDrop{},
-		MutexCopy{},
 		SeedRand{},
 		HotAlloc{},
 		RawClock{},
 		RNGEscape{},
 		LockedCall{},
-		ArtifactOrder{},
 		SpanLeak{},
 	}
 }

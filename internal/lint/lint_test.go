@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,14 +41,13 @@ func TestFixtures(t *testing.T) {
 		"maporder.go":   {"maporder"},
 		"goleak.go":     {"goleak"},
 		"errdrop.go":    {"errdrop"},
-		"mutexcopy.go":  {"mutexcopy"},
 		"seedrand.go":   {"seedrand"},
-		"hotalloc.go":      {"hotalloc"},
-		"rngescape.go":     {"rngescape"},
-		"lockedcall.go":    {"lockedcall"},
-		"artifactorder.go": {"artifactorder"},
-		"rawclock.go":      {"rawclock", "rawclock"},
-		"spanleak.go":      {"spanleak", "spanleak"},
+		"hotalloc.go":   {"hotalloc"},
+		"rngescape.go":  {"rngescape"},
+		"lockedcall.go": {"lockedcall"},
+		"mapsink.go":    {"maporder"},
+		"rawclock.go":   {"rawclock", "rawclock"},
+		"spanleak.go":   {"spanleak", "spanleak"},
 		"clean.go":      nil,
 		"suppressed.go": nil,
 		"nolintbare.go": {"nolint"},
@@ -207,14 +205,14 @@ func TestCrossPackageLockedCall(t *testing.T) {
 	}
 }
 
-// TestCrossPackageArtifactOrder: the sink type (*trace.Span, import path
-// suffix internal/trace) is resolved across the import edge; the sorted
-// variant and its read-only Len call must stay quiet.
+// TestCrossPackageArtifactOrder: maporder's sink rule resolves the sink type
+// (*trace.Span, import path suffix internal/trace) across the import edge;
+// the sorted variant and its read-only Len call must stay quiet.
 func TestCrossPackageArtifactOrder(t *testing.T) {
-	byCheck := runXmod(t, "artifactorder")
-	got := byCheck["artifactorder"]
+	byCheck := runXmod(t, "mapsink")
+	got := byCheck["maporder"]
 	if len(got) != 1 {
-		t.Fatalf("artifactorder findings = %v, want exactly 1", got)
+		t.Fatalf("maporder findings = %v, want exactly 1", got)
 	}
 	if base := filepath.Base(got[0].Pos.Filename); base != "emit.go" {
 		t.Errorf("finding in %s, want emit.go: %s", base, got[0])
@@ -267,42 +265,6 @@ func TestBrokenDependencyDiagnostic(t *testing.T) {
 	if !sawParse {
 		t.Error("syntax-broken dep.go produced no loaderror diagnostic")
 	}
-}
-
-// TestBaselineRoundTrip: keys are line-insensitive, the file round-trips,
-// and filtering suppresses exactly the baselined findings.
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := []Diagnostic{
-		{Pos: tokenPosition("a.go", 10), Check: "maporder", Message: "m one"},
-		{Pos: tokenPosition("b.go", 20), Check: "lockedcall", Message: "m two"},
-	}
-	path := filepath.Join(t.TempDir(), "lint.baseline")
-	if err := WriteBaseline(path, diags); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
-	}
-	base, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	// Same finding on a different line is still baselined; a new message is
-	// not.
-	moved := Diagnostic{Pos: tokenPosition("a.go", 99), Check: "maporder", Message: "m one"}
-	novel := Diagnostic{Pos: tokenPosition("a.go", 10), Check: "maporder", Message: "m three"}
-	fresh, suppressed := FilterBaseline([]Diagnostic{moved, novel}, base)
-	if suppressed != 1 || len(fresh) != 1 || fresh[0].Message != "m three" {
-		t.Errorf("FilterBaseline = fresh %v suppressed %d, want only the novel finding fresh", fresh, suppressed)
-	}
-	// Missing baseline file is empty, not an error.
-	empty, err := LoadBaseline(filepath.Join(t.TempDir(), "absent"))
-	if err != nil || len(empty) != 0 {
-		t.Errorf("LoadBaseline(absent) = %v, %v; want empty, nil", empty, err)
-	}
-}
-
-func tokenPosition(file string, line int) (p token.Position) {
-	p.Filename = file
-	p.Line = line
-	return p
 }
 
 // parseSource loads a single in-memory file through the same pipeline as

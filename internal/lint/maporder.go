@@ -8,15 +8,23 @@ import (
 	"strings"
 )
 
-// MapOrder flags `for k := range m` over maps whose loop body has
-// structurally order-dependent effects: appending to slices, writing through
-// indices of outer containers, sending on channels, or accumulating floats.
-// Go randomizes map iteration order, so any such loop makes aggregation
-// buffers or parameter vectors nondeterministic across runs — the canonical
-// fix is to collect the keys, sort them, and range over the sorted slice.
-// Emission into serialization/trace/exposition sinks is the typed
-// ArtifactOrder check's job (sink-taint on resolved types rather than a name
-// blanket).
+// MapOrder flags `for k := range m` over maps whose loop body has an
+// order-dependent effect. Go randomizes map iteration order, so any such loop
+// makes aggregation buffers, parameter vectors, trace logs, exposition bytes
+// or payloads differ run to run — the property the `ci.sh` byte-compare gates
+// exist to catch dynamically. Two kinds of effect count, classified in one
+// walk over the body:
+//
+//   - structural: appending to a slice, writing through an index of an outer
+//     container, sending on a channel, accumulating floats;
+//   - emission into an artifact sink, decided by the callee's resolved type
+//     rather than its name: a recording method on a trace/metrics/exposition
+//     type (an Event on a *trace.Span is a finding from any package; a method
+//     called Write on a plain struct is not), a gob/json Encode, a write to
+//     anything io.Writer-shaped, an fmt.Fprint*.
+//
+// The canonical fix is to collect the keys, sort them, and range over the
+// sorted slice.
 type MapOrder struct{}
 
 // Name implements Analyzer.
@@ -24,7 +32,7 @@ func (MapOrder) Name() string { return "maporder" }
 
 // Doc implements Analyzer.
 func (MapOrder) Doc() string {
-	return "map iteration with order-dependent effects; sort keys first (deterministic aggregation)"
+	return "map iteration with an order-dependent effect (append, indexed write, send, float accumulation, emission into a typed artifact sink); sort keys first"
 }
 
 // DefaultPaths implements Analyzer: nondeterminism is poison everywhere.
@@ -180,8 +188,8 @@ func isMapSyntax(e ast.Expr, depth int) bool {
 
 // orderSensitive inspects the loop body and returns a short reason when the
 // body's effects depend on iteration order, or "" when the loop is safe
-// (pure reads, writes confined to the ranged map itself, or commutative
-// integer/boolean accumulation).
+// (pure reads, read-only calls on a sink, writes confined to the ranged map
+// itself, or commutative integer/boolean accumulation).
 func orderSensitive(f *File, rng *ast.RangeStmt) string {
 	var why string
 	set := func(reason string) {
@@ -199,6 +207,8 @@ func orderSensitive(f *File, rng *ast.RangeStmt) string {
 		case *ast.CallExpr:
 			if calleeName(v) == "append" {
 				set("appends to a slice")
+			} else if reason := sinkCall(f, v); reason != "" {
+				set(reason)
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range v.Lhs {
@@ -246,4 +256,69 @@ func isFloatExpr(f *File, e ast.Expr) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
+}
+
+// sinkPkgSuffixes are the project packages whose types are artifact sinks:
+// calling any recording method on them in random order reorders artifacts.
+var sinkPkgSuffixes = []string{"internal/trace", "internal/obs", "internal/metrics"}
+
+// encoderCallNames is the syntactic fallback for sink calls when the callee
+// cannot be resolved (degraded type info): serialization and formatted
+// output names.
+var encoderCallNames = map[string]bool{
+	"Encode": true, "Send": true, "Marshal": true,
+	"Fprintf": true, "Fprintln": true, "Fprint": true,
+	"Printf": true, "Println": true, "Print": true,
+}
+
+// sinkCall classifies one call inside a map loop as an artifact emission.
+func sinkCall(f *File, call *ast.CallExpr) string {
+	fn := f.CalleeFunc(call)
+	if fn == nil {
+		// Degraded type info: fall back to the historic name blanket, but
+		// only for selector calls (pkg.Fprintf, enc.Encode) so plain local
+		// helpers stay quiet.
+		if _, ok := call.Fun.(*ast.SelectorExpr); ok && encoderCallNames[calleeName(call)] {
+			return fmt.Sprintf("calls %s (unresolved; name-matched encoder)", calleeName(call))
+		}
+		return ""
+	}
+	if rt := recvType(fn); rt != nil {
+		if pkg := typePkgPath(rt); pkg != "" {
+			for _, suffix := range sinkPkgSuffixes {
+				if pkgPathHasSuffix(pkg, suffix) && recordingMethod(fn.Name()) {
+					return fmt.Sprintf("records into %s.%s (%s sink)", namedOf(rt).Obj().Name(), fn.Name(), suffix)
+				}
+			}
+			if (pkg == "encoding/gob" || pkg == "encoding/json") && fn.Name() == "Encode" {
+				return fmt.Sprintf("encodes via %s", pkg)
+			}
+		}
+		if implementsWriter(rt) && recordingMethod(fn.Name()) {
+			return fmt.Sprintf("writes through io.Writer-shaped %s.%s", types.ExprString(call.Fun), fn.Name())
+		}
+		return ""
+	}
+	if pkg := funcPkgPath(fn); pkg == "fmt" &&
+		(fn.Name() == "Fprintf" || fn.Name() == "Fprintln" || fn.Name() == "Fprint") {
+		return "formats onto a writer via fmt." + fn.Name()
+	}
+	return ""
+}
+
+// recordingMethod reports whether a method name mutates/records rather than
+// reads — only recording calls on a sink type are order-sensitive (Value()
+// on a counter inside a map loop is fine; Inc() is not).
+func recordingMethod(name string) bool {
+	switch name {
+	case "Event", "Emit", "Record", "Log", "Append", "Add", "Inc",
+		"Set", "Observe", "ObserveSince", "Flush", "Encode", "Send":
+		return true
+	}
+	return len(name) >= 5 && (name[:5] == "Write" || name[:5] == "Print")
+}
+
+func pkgPathHasSuffix(pkg, suffix string) bool {
+	return pkg == suffix || len(pkg) > len(suffix) && pkg[len(pkg)-len(suffix)-1] == '/' &&
+		pkg[len(pkg)-len(suffix):] == suffix
 }

@@ -1,7 +1,7 @@
 package fixtures
 
-// artifactorder: ranging a map while recording into an io.Writer-shaped sink
-// makes the artifact bytes depend on map iteration order — exactly one
+// maporder, sink rule: ranging a map while recording into an io.Writer-shaped
+// sink makes the artifact bytes depend on map iteration order — exactly one
 // finding, on the range statement below. The local span type is
 // writer-shaped (Write([]byte) (int, error)), so the check classifies its
 // recording methods structurally, without importing the trace package.

@@ -1,7 +1,7 @@
 // Package emit ranges a map while recording into a sink typed in ANOTHER
 // package (*trace.Span): the emission order — and therefore the artifact —
 // depends on map iteration order. Classifying the call requires resolving
-// the receiver type across the import edge. Exactly one artifactorder
+// the receiver type across the import edge. Exactly one maporder
 // finding, plus a clean sorted variant; the Len call in the clean variant is
 // a read, not a recording, and must stay quiet.
 package emit

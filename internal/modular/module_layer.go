@@ -208,10 +208,6 @@ func (ml *ModuleLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, [][]float32)
 	return dx, gateGrads
 }
 
-// LastSelection returns the per-sample module selections of the last forward
-// pass; experiments use it to inspect routing decisions.
-func (ml *ModuleLayer) LastSelection() [][]int { return ml.selIdx }
-
 // gatherRows assembles the samples at rows into a new contiguous batch.
 func gatherRows(x *tensor.Tensor, rows []int, sampleLen int) *tensor.Tensor {
 	shape := append([]int{len(rows)}, x.Shape()[1:]...)

@@ -85,9 +85,6 @@ func (s *Selector) Forward(x *tensor.Tensor, train bool) [][]([]float32) {
 	return out
 }
 
-// Probs returns the cached probability tensors of the last forward pass.
-func (s *Selector) Probs() []*tensor.Tensor { return s.probs }
-
 // Backward takes per-layer gradients w.r.t. the PROBABILITIES (as produced
 // by ModuleLayer.Backward plus any auxiliary losses) and backpropagates
 // through softmax, heads and embedding, accumulating parameter gradients.

@@ -19,6 +19,9 @@ type SubModel struct {
 	InShape  []int
 }
 
+// A sub-model trains and evaluates through the same loops as any other model.
+var _ nn.Layer = (*SubModel)(nil)
+
 // Extract builds a sub-model from the cloud model for the given per-layer
 // module selection (original indices, sorted).
 func (m *Model) Extract(active [][]int) *SubModel {
@@ -89,8 +92,9 @@ func (s *SubModel) WithBackbone(vec []float32) *SubModel {
 // buffers — keeping weights, states, selector and mapping. A device's
 // sub-model spends most rounds unsampled; parked, it pins what it would cost
 // to ship, not what it cost to train. Training a parked sub-model needs
-// nn.EnsureGrads first; the optimizer leaves gradients zero after every
-// step, so train → Park → train computes exactly what train → train does.
+// nn.EnsureGrads first (fed.TrainLayer does it); the optimizer leaves
+// gradients zero after every step, so train → Park → train computes exactly
+// what train → train does.
 func (s *SubModel) Park() {
 	sel := s.Selector
 	*s = *s.rebuilt(nn.Bare)
@@ -149,14 +153,15 @@ func (s *SubModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates through head, modules and stem, accumulating their
-// gradients. The selector receives no gradient on the edge (it is updated
-// only on the cloud), matching the paper's division of labor.
-func (s *SubModel) Backward(dLogits *tensor.Tensor) {
+// gradients, and returns the stem's input gradient. The selector receives no
+// gradient on the edge (it is updated only on the cloud), matching the
+// paper's division of labor.
+func (s *SubModel) Backward(dLogits *tensor.Tensor) *tensor.Tensor {
 	g := s.Head.Backward(dLogits)
 	for l := len(s.Layers) - 1; l >= 0; l-- {
 		g, _ = s.Layers[l].Backward(g)
 	}
-	s.Stem.Backward(g)
+	return s.Stem.Backward(g)
 }
 
 // Params returns the locally trainable parameters: stem, modules, head.

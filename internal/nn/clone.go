@@ -75,12 +75,6 @@ func cloneLayer(l Layer, m cloneMode) Layer {
 			RunMean: m.state(v.RunMean), RunVar: m.state(v.RunVar)}
 	case *ReLU:
 		return NewReLU()
-	case *Dropout:
-		if m == shareWeights {
-			return &Dropout{Rate: v.Rate, rng: v.rng} // the same layer, so the same stream
-		}
-		// Clone keeps the rate; gives the copy a derived RNG stream.
-		return &Dropout{Rate: v.Rate, rng: v.rng.Split()}
 	case *MaxPool2D:
 		return NewMaxPool2D(v.Size, v.Stride)
 	case *AvgPool2D:

@@ -150,34 +150,3 @@ func TestSoftmaxCrossEntropyGradient(t *testing.T) {
 		}
 	}
 }
-
-func TestKLDivergenceGradientAndValue(t *testing.T) {
-	rng := tensor.NewRNG(21)
-	p := tensor.FromSlice([]float32{0.2, 0.3, 0.5, 0.6, 0.3, 0.1}, 2, 3)
-	ql := tensor.New(2, 3)
-	rng.FillNormal(ql, 0, 1)
-	val, grad := KLDivergence(p, ql)
-	if val < 0 {
-		t.Fatalf("KL must be non-negative, got %v", val)
-	}
-	const eps = 1e-3
-	for i := 0; i < ql.Len(); i++ {
-		orig := ql.Data[i]
-		ql.Data[i] = orig + eps
-		lp, _ := KLDivergence(p, ql)
-		ql.Data[i] = orig - eps
-		lm, _ := KLDivergence(p, ql)
-		ql.Data[i] = orig
-		num := (lp - lm) / (2 * eps)
-		if math.Abs(num-float64(grad.Data[i])) > 1e-3 {
-			t.Fatalf("KL grad[%d]: analytic %v vs numeric %v", i, grad.Data[i], num)
-		}
-	}
-	// KL(p ‖ p) == 0.
-	same := tensor.FromSlice([]float32{0, 0, 0}, 1, 3) // logits → uniform q
-	punif := tensor.FromSlice([]float32{1. / 3, 1. / 3, 1. / 3}, 1, 3)
-	v, _ := KLDivergence(punif, same)
-	if math.Abs(v) > 1e-6 {
-		t.Fatalf("KL(p‖p) = %v, want 0", v)
-	}
-}

@@ -46,48 +46,3 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	}
 	return float64(correct) / float64(batch)
 }
-
-// KLDivergence returns mean KL(p ‖ q) over rows of two [batch, n]
-// probability tensors, plus the gradient w.r.t. the *logits* that produced q
-// via softmax (the standard distillation gradient q - p, scaled by 1/batch).
-func KLDivergence(p, qLogits *tensor.Tensor) (float64, *tensor.Tensor) {
-	batch, n := p.Dim(0), p.Dim(1)
-	grad := tensor.New(batch, n)
-	var loss float64
-	q := make([]float32, n)
-	for b := 0; b < batch; b++ {
-		tensor.Softmax(q, qLogits.Row(b))
-		prow := p.Row(b)
-		grow := grad.Row(b)
-		for i := 0; i < n; i++ {
-			pi, qi := float64(prow[i]), float64(q[i])
-			if pi > 1e-12 {
-				if qi < 1e-12 {
-					qi = 1e-12
-				}
-				loss += pi * math.Log(pi/qi)
-			}
-			grow[i] = q[i] - prow[i]
-		}
-	}
-	inv := float32(1.0 / float64(batch))
-	grad.Scale(inv)
-	return loss / float64(batch), grad
-}
-
-// MSE returns the mean squared error between pred and target and the gradient
-// w.r.t. pred.
-func MSE(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	if pred.Len() != target.Len() {
-		panic("nn: MSE size mismatch")
-	}
-	grad := tensor.New(pred.Shape()...)
-	var loss float64
-	n := float64(pred.Len())
-	for i, v := range pred.Data {
-		d := v - target.Data[i]
-		loss += float64(d) * float64(d)
-		grad.Data[i] = 2 * d / float32(n)
-	}
-	return loss / n, grad
-}

@@ -6,12 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients and clears
-// the gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
 // SGD is stochastic gradient descent with optional momentum and weight decay.
 type SGD struct {
 	LR          float32

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "math"
 
 // Quantized8 is an 8-bit affine quantization of a float32 vector:
 // value ≈ Min + Scale·code. It cuts parameter-transfer bytes by ~4× at a
@@ -80,28 +76,6 @@ func (q Quantized8) MaxError() float32 { return q.Scale / 2 }
 // WireBytes returns the serialized size: header (8 bytes) + one byte per
 // element.
 func (q Quantized8) WireBytes() int64 { return 8 + int64(len(q.Codes)) }
-
-// Marshal serializes to a compact binary form.
-func (q Quantized8) Marshal() []byte {
-	out := make([]byte, 8+len(q.Codes))
-	binary.LittleEndian.PutUint32(out[0:], math.Float32bits(q.Min))
-	binary.LittleEndian.PutUint32(out[4:], math.Float32bits(q.Scale))
-	copy(out[8:], q.Codes)
-	return out
-}
-
-// UnmarshalQuantized8 parses Marshal output.
-func UnmarshalQuantized8(data []byte) (Quantized8, error) {
-	if len(data) < 8 {
-		return Quantized8{}, fmt.Errorf("nn: quantized payload too short (%d bytes)", len(data))
-	}
-	q := Quantized8{
-		Min:   math.Float32frombits(binary.LittleEndian.Uint32(data[0:])),
-		Scale: math.Float32frombits(binary.LittleEndian.Uint32(data[4:])),
-		Codes: append([]byte(nil), data[8:]...),
-	}
-	return q, nil
-}
 
 // QuantizeChunks quantizes vec in fixed-size chunks (per-chunk min/scale),
 // trading a little header overhead for much lower error on vectors whose

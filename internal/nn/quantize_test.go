@@ -91,29 +91,6 @@ func TestQuantize8ConstantVectorExactAndZeroError(t *testing.T) {
 	}
 }
 
-func TestQuantize8MarshalRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	vec := make([]float32, 100)
-	for i := range vec {
-		vec[i] = float32(rng.NormFloat64())
-	}
-	q := Quantize8(vec)
-	data := q.Marshal()
-	if int64(len(data)) != q.WireBytes() {
-		t.Fatalf("marshal size %d vs WireBytes %d", len(data), q.WireBytes())
-	}
-	q2, err := UnmarshalQuantized8(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.Min != q.Min || q2.Scale != q.Scale || len(q2.Codes) != len(q.Codes) {
-		t.Fatal("unmarshal mismatch")
-	}
-	if _, err := UnmarshalQuantized8([]byte{1, 2}); err == nil {
-		t.Fatal("expected error for short payload")
-	}
-}
-
 func TestQuantizeChunksReducesError(t *testing.T) {
 	// A vector with two very different ranges: per-chunk quantization should
 	// beat whole-vector quantization on reconstruction error.

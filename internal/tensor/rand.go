@@ -41,26 +41,11 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 // Shuffle randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
-// FillUniform fills t with uniform values in [lo, hi).
-func (g *RNG) FillUniform(t *Tensor, lo, hi float32) {
-	span := float64(hi - lo)
-	for i := range t.Data {
-		t.Data[i] = lo + float32(g.r.Float64()*span)
-	}
-}
-
 // FillNormal fills t with Gaussian samples of the given mean and stddev.
 func (g *RNG) FillNormal(t *Tensor, mean, std float32) {
 	for i := range t.Data {
 		t.Data[i] = mean + std*float32(g.r.NormFloat64())
 	}
-}
-
-// FillXavier fills a weight tensor using Glorot/Xavier uniform initialization
-// for the given fan-in and fan-out.
-func (g *RNG) FillXavier(t *Tensor, fanIn, fanOut int) {
-	limit := float32(math.Sqrt(6.0 / float64(fanIn+fanOut)))
-	g.FillUniform(t, -limit, limit)
 }
 
 // FillHe fills a weight tensor with He/Kaiming normal initialization for the

@@ -45,11 +45,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{Data: data, shape: append([]int(nil), shape...)}
 }
 
-// Scalar returns a 0-dimensional tensor holding v.
-func Scalar(v float32) *Tensor {
-	return &Tensor{Data: []float32{v}, shape: nil}
-}
-
 // Shape returns the tensor's dimensions. The returned slice must not be
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }
