@@ -247,7 +247,7 @@ same "$spantmp/traced.jsonl" "$spantmp/base.jsonl" \
 rm -rf "$spantmp"
 
 echo "== zero-alloc gates (AllocsPerRun tests skip under -race, so run them once without it)"
-go test -run 'ZeroAlloc' ./internal/tensor/ ./internal/nn/
+go test -run 'ZeroAlloc' ./internal/tensor/ ./internal/nn/ ./internal/modular/
 
 echo "== fuzz smoke (every native Fuzz* target in the tree, 5s each beyond its seed corpus)"
 # `go test` alone only replays a fuzzer's seeds; -fuzz takes one target of

@@ -148,6 +148,7 @@ func TrainLayer(rng *tensor.RNG, m nn.Layer, ds *data.Dataset, epochs int, lr fl
 		return
 	}
 	opt := nn.NewSGD(lr, 0.9, 1e-4)
+	defer opt.Release()
 	params := m.Params()
 	nn.EnsureGrads(params)
 	for e := 0; e < epochs; e++ {

@@ -3,7 +3,9 @@ package fed
 import (
 	"bytes"
 	"math"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/edgenet"
@@ -17,6 +19,16 @@ import (
 // Parked sub-models (modular.SubModel.Park) and weights-only upload carriers
 // must be invisible: they change what a device pins between rounds, never a
 // bit of what it computes.
+
+// Every test of the package runs with arrays NaN-filled on their way back to
+// the arena (tensor.PoisonReleasedForTests): Park hands a device's training
+// buffers to whichever device the worker trains next, and a bout that read
+// one before writing it would put NaN into the differentials and ledgers
+// these tests already check.
+func TestMain(m *testing.M) {
+	tensor.PoisonReleasedForTests(true)
+	os.Exit(m.Run())
+}
 
 // subModelBits is everything a sub-model is, as bits: backbone parameters,
 // every layer state (module BatchNorm statistics included), selector.
@@ -82,6 +94,79 @@ func TestParkedSubModelTrainsIdentically(t *testing.T) {
 		}
 		if reflect.DeepEqual(subModelBits(kept), subModelBits(model.Extract(active))) {
 			t.Fatalf("%s: training moved nothing — the comparison proves nothing", task.Name)
+		}
+	}
+}
+
+// TestRecycledBuffersCarryNoState: a bout's buffers are the previous bout's,
+// unzeroed (here: NaN-filled on their way through the arena, see TestMain).
+// Train sub-model A and park it, then train a structurally different B on the
+// same goroutine — with and without an evaluation bout of a third structure
+// in between: B must end up bit-identical to B trained on an empty arena,
+// where every buffer is a fresh zeroed allocation.
+func TestRecycledBuffersCarryNoState(t *testing.T) {
+	hits := obs.Default().Counter("nebula_tensor_buffer_total", "outcome", "hit")
+	for _, task := range []*Task{HARTask(61, ScaleQuick), Image10Task(62, ScaleQuick)} {
+		model := task.BuildModular(tensor.NewRNG(63))
+		var c *Client
+		if len(task.InShape) == 1 {
+			c = harFleet(tensor.NewRNG(64), task, 1, 3)[0]
+		} else {
+			c = harFleetImage(tensor.NewRNG(64), task, 1)[0]
+		}
+		// A holds the even modules, B every third plus each layer's last
+		// (the bypass), E the odd ones: different module counts and widths,
+		// so no buffer of one bout has the shape the next bout asks for.
+		a := make([][]int, len(model.Layers))
+		b := make([][]int, len(model.Layers))
+		e := make([][]int, len(model.Layers))
+		for l, layer := range model.Layers {
+			for i := 0; i < layer.N(); i++ {
+				if i%2 == 0 {
+					a[l] = append(a[l], i)
+				} else {
+					e[l] = append(e[l], i)
+				}
+				if i%3 == 1 || i == layer.N()-1 {
+					b[l] = append(b[l], i)
+				}
+			}
+		}
+		trainB := func() []uint32 {
+			sub := model.Extract(b)
+			TrainLayer(tensor.NewRNG(65), sub, c.Dev.Train, 2, 0.02, 16, nil)
+			sub.Park()
+			return subModelBits(sub)
+		}
+		// Two collections empty every sync.Pool: the state of a new process.
+		runtime.GC()
+		runtime.GC()
+		want := trainB()
+		for _, w := range want {
+			if f := math.Float32frombits(w); f != f {
+				t.Fatalf("%s: the reference run itself computed NaN", task.Name)
+			}
+		}
+		if reflect.DeepEqual(want, subModelBits(model.Extract(b))) {
+			t.Fatalf("%s: training moved nothing — the comparison proves nothing", task.Name)
+		}
+		for _, evalBetween := range []bool{false, true} {
+			before := hits.Value()
+			subA := model.Extract(a)
+			TrainLayer(tensor.NewRNG(66), subA, c.Dev.Train, 1, 0.05, 16, nil)
+			subA.Park()
+			if evalBetween {
+				subE := model.Extract(e)
+				EvalLayer(subE, c.Dev.TestSet(50))
+				subE.Park()
+			}
+			got := trainB()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (eval bout in between: %v): B trained on recycled buffers differs from B trained on an empty arena", task.Name, evalBetween)
+			}
+			if hits.Value() == before {
+				t.Fatalf("%s: no buffer was recycled — the comparison proves nothing", task.Name)
+			}
 		}
 	}
 }

@@ -157,18 +157,9 @@ func (s *Scheduler) active() [][]int {
 func (s *Scheduler) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	probs := s.Sub.Selector.Forward(x, false)
 	h := s.Sub.Stem.Forward(x, train)
-	batch := x.Dim(0)
 	act := s.active()
 	for l, layer := range s.Sub.Layers {
-		compact := make([][]float32, batch)
-		for b := 0; b < batch; b++ {
-			row := make([]float32, layer.N())
-			for j, orig := range s.Sub.Mapping[l] {
-				row[j] = probs[l][b][orig]
-			}
-			compact[b] = row
-		}
-		h = layer.Forward(h, compact, s.Sub.TopK, act[l], train)
+		h = layer.Forward(h, s.Sub.compactGates(l, probs[l]), s.Sub.TopK, act[l], train)
 	}
 	return s.Sub.Head.Forward(h, train)
 }

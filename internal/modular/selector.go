@@ -21,8 +21,13 @@ type Selector struct {
 
 	// caches
 	h      *tensor.Tensor   // embedding output
+	flat   *tensor.Tensor   // [batch, inFlat] view of an input of higher rank
 	logits []*tensor.Tensor // per layer [batch, N(l)]
-	probs  []*tensor.Tensor // per layer softmax'd probabilities
+	// probs are the per-layer softmax'd probabilities, held under the reuse
+	// contract of nn/reuse.go; rows are their per-sample windows, which is
+	// what Forward returns (valid until the next Forward).
+	probs []*tensor.Tensor
+	rows  [][][]float32
 }
 
 // NewSelector builds a selector with the given flattened input size,
@@ -57,12 +62,18 @@ func (s *Selector) Params() []*nn.Param {
 // model input; it is flattened internally. In training mode Gaussian noise
 // perturbs logits before the softmax.
 func (s *Selector) Forward(x *tensor.Tensor, train bool) [][]([]float32) {
-	flat := x.Reshape(x.Dim(0), -1)
+	flat := x
+	if x.Rank() != 2 {
+		s.flat = tensor.FromSliceInto(s.flat, x.Data, x.Dim(0), x.Len()/x.Dim(0))
+		flat = s.flat
+	}
 	s.h = s.Embed.Forward(flat, train)
 	batch := flat.Dim(0)
-	s.logits = make([]*tensor.Tensor, len(s.Heads))
-	s.probs = make([]*tensor.Tensor, len(s.Heads))
-	out := make([][]([]float32), len(s.Heads))
+	if len(s.probs) != len(s.Heads) {
+		s.logits = make([]*tensor.Tensor, len(s.Heads))
+		s.probs = make([]*tensor.Tensor, len(s.Heads))
+		s.rows = make([][][]float32, len(s.Heads))
+	}
 	for l, head := range s.Heads {
 		z := head.Forward(s.h, train)
 		if train && s.NoiseStd > 0 {
@@ -71,18 +82,19 @@ func (s *Selector) Forward(x *tensor.Tensor, train bool) [][]([]float32) {
 			}
 		}
 		s.logits[l] = z
-		p := tensor.New(z.Shape()...)
-		for b := 0; b < batch; b++ {
-			tensor.Softmax(p.Row(b), z.Row(b))
-		}
+		p := tensor.Refit(s.probs[l], batch, z.Dim(1))
 		s.probs[l] = p
-		rows := make([][]float32, batch)
-		for b := 0; b < batch; b++ {
+		if cap(s.rows[l]) < batch {
+			s.rows[l] = make([][]float32, batch)
+		}
+		rows := s.rows[l][:batch]
+		for b := range rows {
+			tensor.Softmax(p.Row(b), z.Row(b))
 			rows[b] = p.Row(b)
 		}
-		out[l] = rows
+		s.rows[l] = rows
 	}
-	return out
+	return s.rows
 }
 
 // Backward takes per-layer gradients w.r.t. the PROBABILITIES (as produced
@@ -167,9 +179,11 @@ func GateGradToProbGrad(gateGrads [][]float32, selIdx [][]int, selGate [][]float
 	return dp
 }
 
-// SelGates exposes a module layer's cached selection for gradient routing.
+// SelGates exposes a module layer's cached selection for gradient routing:
+// the layer's own tables, valid until its next Forward.
 func (ml *ModuleLayer) SelGates() (idx [][]int, gates [][]float32) {
-	return ml.selIdx, ml.selGate
+	batch := ml.inShape[0]
+	return ml.selIdx[:batch], ml.selGate[:batch]
 }
 
 // LoadBalanceLoss computes the squared coefficient of variation of the

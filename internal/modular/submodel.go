@@ -17,6 +17,12 @@ type SubModel struct {
 	Selector *Selector
 	TopK     int
 	InShape  []int
+
+	// One layer's gate rows restricted to the present modules, rebuilt per
+	// layer per Forward over the same flat array (a routed layer reads its
+	// gates only while routing).
+	gateRows [][]float32
+	gateFlat []float32
 }
 
 // A sub-model trains and evaluates through the same loops as any other model.
@@ -87,20 +93,42 @@ func (s *SubModel) WithBackbone(vec []float32) *SubModel {
 	return c
 }
 
-// Park sheds everything s holds beyond the model itself — gradient
-// accumulators, the last batch's activations and routing, layer reuse
-// buffers — keeping weights, states, selector and mapping. A device's
-// sub-model spends most rounds unsampled; parked, it pins what it would cost
-// to ship, not what it cost to train. Training a parked sub-model needs
-// nn.EnsureGrads first (fed.TrainLayer does it); the optimizer leaves
-// gradients zero after every step, so train → Park → train computes exactly
-// what train → train does.
+// Park ends a training or evaluation bout: s sheds everything it holds beyond
+// the model itself — gradient accumulators, the last batch's activations and
+// routing, layer reuse buffers — keeping weights, states, selector and
+// mapping, and every shed array goes back to the arena (nn.Bare), where the
+// next bout on this worker, on whichever device's sub-model, borrows it. A
+// device's sub-model spends most rounds unsampled; parked, it pins what it
+// would cost to ship, not what it cost to train. Tensors s returned before
+// the call are dead. Training a parked sub-model needs nn.EnsureGrads first
+// (fed.TrainLayer does it); the optimizer leaves gradients zero after every
+// step, so train → Park → train computes exactly what train → train does.
 func (s *SubModel) Park() {
-	sel := s.Selector
-	*s = *s.rebuilt(nn.Bare)
-	if sel != nil {
-		s.Selector = sel.bare()
+	s.Stem, s.Head = nn.Bare(s.Stem), nn.Bare(s.Head)
+	for _, layer := range s.Layers {
+		layer.park(nn.Bare)
 	}
+	if s.Selector != nil {
+		s.Selector = s.Selector.bare()
+	}
+	s.gateRows, s.gateFlat = nil, nil
+}
+
+// Park is SubModel.Park for the cloud model, which sits idle between the
+// offline stage and whatever trains it next (TrainEndToEnd and AbilityEnhance
+// re-arm its gradients). Its layers stay the objects they were: the cost
+// model behind Derive reads the input geometry they recorded while training.
+func (m *Model) Park() {
+	nn.ReleaseBuffers(m.Stem)
+	nn.ReleaseBuffers(m.Head)
+	for _, layer := range m.Layers {
+		layer.park(func(l nn.Layer) nn.Layer {
+			nn.ReleaseBuffers(l)
+			return l
+		})
+	}
+	m.Selector = m.Selector.bare()
+	m.lastProbs = nil
 }
 
 // Clone deep-copies a selector for forward-only use: importance probes and
@@ -111,17 +139,27 @@ func (s *SubModel) Park() {
 // would then depend on extraction order. The clone gets a fixed-seed stream
 // instead; it is only ever consumed by noisy-top-k training forwards, which
 // edge-side selector copies (frozen, train=false) never perform.
-func (s *Selector) Clone() *Selector { return s.remade(nn.CloneWeights) }
+func (s *Selector) Clone() *Selector {
+	// "selector": constant, parent stream untouched
+	return s.remade(nn.CloneWeights, tensor.NewRNG(0x5e1ec708))
+}
 
-// bare is the selector over the same weights with its activation caches
-// dropped (see nn.Bare).
-func (s *Selector) bare() *Selector { return s.remade(nn.Bare) }
+// bare is the selector over the same weights and noise stream with its
+// activation caches dropped and their arrays back in the arena (see nn.Bare).
+// s must not be used afterwards.
+func (s *Selector) bare() *Selector {
+	for _, p := range s.probs {
+		tensor.Release(p)
+	}
+	s.probs, s.rows = nil, nil
+	return s.remade(nn.Bare, s.rng)
+}
 
-func (s *Selector) remade(remake func(nn.Layer) nn.Layer) *Selector {
+func (s *Selector) remade(remake func(nn.Layer) nn.Layer, rng *tensor.RNG) *Selector {
 	c := &Selector{
 		Embed:    remake(s.Embed).(*nn.Sequential),
 		NoiseStd: s.NoiseStd,
-		rng:      tensor.NewRNG(0x5e1ec708), // "selector": constant, parent stream untouched
+		rng:      rng,
 	}
 	for _, h := range s.Heads {
 		c.Heads = append(c.Heads, remake(h).(*nn.Dense))
@@ -135,21 +173,31 @@ func (s *Selector) remade(remake func(nn.Layer) nn.Layer) *Selector {
 func (s *SubModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	probs := s.Selector.Forward(x, false) // selector is frozen on the edge
 	h := s.Stem.Forward(x, train)
-	batch := x.Dim(0)
 	for l, layer := range s.Layers {
-		// Build compact gate rows: probability of each present module under
-		// the full selector distribution.
-		compact := make([][]float32, batch)
-		for b := 0; b < batch; b++ {
-			row := make([]float32, layer.N())
-			for j, orig := range s.Mapping[l] {
-				row[j] = probs[l][b][orig]
-			}
-			compact[b] = row
-		}
-		h = layer.Forward(h, compact, s.TopK, nil, train)
+		h = layer.Forward(h, s.compactGates(l, probs[l]), s.TopK, nil, train)
 	}
 	return s.Head.Forward(h, train)
+}
+
+// compactGates builds layer l's gate rows: the probability of each present
+// module under the full selector distribution.
+func (s *SubModel) compactGates(l int, probs [][]float32) [][]float32 {
+	batch, n := len(probs), s.Layers[l].N()
+	if cap(s.gateFlat) < batch*n {
+		s.gateFlat = make([]float32, batch*n)
+	}
+	if cap(s.gateRows) < batch {
+		s.gateRows = make([][]float32, batch)
+	}
+	rows := s.gateRows[:batch]
+	for b := range rows {
+		row := s.gateFlat[b*n : (b+1)*n]
+		for j, orig := range s.Mapping[l] {
+			row[j] = probs[b][orig]
+		}
+		rows[b] = row
+	}
+	return rows
 }
 
 // Backward propagates through head, modules and stem, accumulating their

@@ -46,6 +46,7 @@ func DefaultTrainConfig() TrainConfig {
 func (m *Model) TrainEndToEnd(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfig) []float64 {
 	opt := nn.NewAdam(cfg.LR)
 	params := m.Params()
+	nn.EnsureGrads(params)
 	losses := make([]float64, 0, cfg.Epochs)
 	for e := 0; e < cfg.Epochs; e++ {
 		var sum float64
@@ -151,6 +152,7 @@ func (m *Model) AbilityEnhance(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfi
 	// Fine-tune: CE through the full model plus KL guidance on the selector.
 	opt := nn.NewAdam(cfg.LR)
 	params := m.Params()
+	nn.EnsureGrads(params)
 	for e := 0; e < cfg.Epochs; e++ {
 		ds.Batches(rng, cfg.BatchSize, func(x *tensor.Tensor, y []int) {
 			logits := m.Forward(x, nil, true)

@@ -5,44 +5,40 @@ import (
 )
 
 // ReLU is the rectified linear activation, applied elementwise. Its output
-// and input-gradient tensors follow the reuse contract of reuse.go.
+// and input-gradient tensors follow the reuse contract of reuse.go. It keeps
+// no mask: an element was active exactly when the output it still holds is
+// not ≤ 0 (NaN passes through both directions, −0 and everything below block).
 type ReLU struct {
-	mask  []bool
 	y, dx *tensor.Tensor
 }
 
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative elements and records the active mask.
+// Forward zeroes negative elements.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.y = reuseLike(r.y, x)
 	y := r.y.Data
-	if cap(r.mask) < len(y) {
-		r.mask = make([]bool, len(y))
-	}
-	r.mask = r.mask[:len(y)]
 	for i, v := range x.Data {
 		if v <= 0 {
 			y[i] = 0
-			r.mask[i] = false
 		} else {
 			y[i] = v
-			r.mask[i] = true
 		}
 	}
 	return r.y
 }
 
-// Backward passes gradient only through active elements.
+// Backward passes gradient only through the elements the last Forward left
+// active, read off its output.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = reuseLike(r.dx, grad)
-	dx := r.dx.Data
+	dx, y := r.dx.Data, r.y.Data
 	for i, g := range grad.Data {
-		if r.mask[i] {
-			dx[i] = g
-		} else {
+		if y[i] <= 0 {
 			dx[i] = 0
+		} else {
+			dx[i] = g
 		}
 	}
 	return r.dx

@@ -18,19 +18,84 @@ func CloneWeights(l Layer) Layer { return cloneLayer(l, cloneWeights) }
 
 // Bare returns l's architecture over the very same weight and state tensors
 // and nothing else: no gradient accumulators, no cached activations, no reuse
-// buffers, no per-call closures. It is how a model that sits idle between
-// training bouts sheds everything that is not the model; EnsureGrads makes it
-// trainable again. l must not be used afterwards — the two share weights.
-func Bare(l Layer) Layer { return cloneLayer(l, shareWeights) }
+// buffers, no recorded input geometry, no per-call closures. It is how a
+// model that sits idle between training bouts sheds everything that is not
+// the model, and where the bout's loan ends (ReleaseBuffers). EnsureGrads
+// makes the result trainable again. l must not be used afterwards — the two
+// share weights.
+func Bare(l Layer) Layer {
+	ReleaseBuffers(l)
+	return cloneLayer(l, shareWeights)
+}
+
+// ReleaseBuffers ends a training or evaluation bout on l in place: every
+// gradient accumulator and every reuse buffer its tree holds goes back to the
+// arena (tensor.Release) for the next bout — on whichever model — to borrow.
+// Tensors l returned before the call are dead. l keeps its weights, states
+// and what it recorded about its input geometry (Conv2D.Cost reads that);
+// EnsureGrads re-arms it, and it needs a Forward before its next Backward.
+func ReleaseBuffers(l Layer) {
+	for _, p := range l.Params() {
+		release(&p.G)
+	}
+	releaseActivations(l)
+}
+
+func releaseActivations(l Layer) {
+	switch v := l.(type) {
+	case *Dense:
+		release(&v.y, &v.dx)
+		v.x = nil
+	case *Conv2D:
+		release(&v.y, &v.dx)
+		v.fwdX, v.trained = nil, false
+	case *BatchNorm:
+		release(&v.y, &v.dx, &v.xhat)
+	case *LayerNorm:
+		release(&v.y, &v.dx, &v.xhat)
+	case *ReLU:
+		release(&v.y, &v.dx)
+	case *MaxPool2D:
+		release(&v.y, &v.dx)
+	case *AvgPool2D:
+		release(&v.y, &v.dx)
+	case *GlobalAvgPool:
+		release(&v.y, &v.dx)
+	case *Sequential:
+		for _, inner := range v.Layers {
+			releaseActivations(inner)
+		}
+	case *Residual:
+		releaseActivations(v.Body)
+		if v.Proj != nil {
+			releaseActivations(v.Proj)
+		}
+	}
+}
+
+func release(bufs ...**tensor.Tensor) {
+	for _, b := range bufs {
+		tensor.Release(*b)
+		*b = nil
+	}
+}
 
 // EnsureGrads gives every parameter that lacks one (CloneWeights, Bare) a
 // zero gradient accumulator — the state every optimizer step leaves behind.
 func EnsureGrads(params []*Param) {
 	for _, p := range params {
 		if p.G == nil {
-			p.G = tensor.New(p.W.Shape()...)
+			p.G = zeroLike(p.W)
 		}
 	}
+}
+
+// zeroLike borrows a zeroed tensor of w's shape: gradient accumulators and
+// optimizer state live for one bout, like the layers' buffers.
+func zeroLike(w *tensor.Tensor) *tensor.Tensor {
+	z := tensor.Borrow(w.Shape()...)
+	z.Zero()
+	return z
 }
 
 // cloneMode says what a rebuilt layer's tensors are.
@@ -45,6 +110,9 @@ const (
 func (m cloneMode) param(p *Param) *Param {
 	switch m {
 	case cloneTrainable:
+		// A plain accumulator, not a loan: most trainable clones are never
+		// parked (the RPC server extracts one per fetch), and a borrowed
+		// array would cost them its size class for nothing.
 		return &Param{Name: p.Name, W: p.W.Clone(), G: tensor.New(p.W.Shape()...)}
 	case cloneWeights:
 		return &Param{Name: p.Name, W: p.W.Clone()}

@@ -29,7 +29,7 @@ func (s *SGD) Step(params []*Param) {
 		if s.Momentum != 0 {
 			v := s.velocity[p]
 			if v == nil {
-				v = tensor.New(p.W.Shape()...)
+				v = zeroLike(p.W)
 				s.velocity[p] = v
 			}
 			v.Scale(s.Momentum)
@@ -40,6 +40,15 @@ func (s *SGD) Step(params []*Param) {
 		}
 		p.ZeroGrad()
 	}
+}
+
+// Release ends the optimizer's bout: its momentum buffers go back to the
+// arena they were borrowed from. A later Step starts from zero velocity.
+func (s *SGD) Release() {
+	for _, v := range s.velocity {
+		tensor.Release(v)
+	}
+	clear(s.velocity)
 }
 
 // Adam is the Adam optimizer with bias correction.

@@ -80,71 +80,76 @@ func GemmNaive(transA, transB bool, m, n, k int, alpha float32, a, b []float32, 
 }
 
 func gemmNaive(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	work := m * n * k
-	body := func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			crow := c[i*n : i*n+n]
-			if beta == 0 {
-				for j := range crow {
-					crow[j] = 0
+	if m*n*k < minParallelWork {
+		// No closure on this path: one handed to ParallelFor escapes, and a
+		// routed module's sub-batch GEMMs are often this small.
+		gemmNaiveRows(transA, transB, m, n, k, alpha, a, b, beta, c, 0, m)
+		return
+	}
+	ParallelFor(m, func(i0, i1 int) {
+		gemmNaiveRows(transA, transB, m, n, k, alpha, a, b, beta, c, i0, i1)
+	})
+}
+
+// gemmNaiveRows computes rows [i0, i1) of C.
+func gemmNaiveRows(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, i0, i1 int) {
+	for i := i0; i < i1; i++ {
+		crow := c[i*n : i*n+n]
+		if beta == 0 {
+			for j := range crow {
+				crow[j] = 0
+			}
+		} else if beta != 1 {
+			for j := range crow {
+				crow[j] *= beta
+			}
+		}
+		switch {
+		case !transA && !transB:
+			arow := a[i*k : i*k+k]
+			for p, av := range arow {
+				if av == 0 {
+					continue
 				}
-			} else if beta != 1 {
-				for j := range crow {
-					crow[j] *= beta
+				av *= alpha
+				brow := b[p*n : p*n+n]
+				for j, bv := range brow {
+					crow[j] += av * bv
 				}
 			}
-			switch {
-			case !transA && !transB:
-				arow := a[i*k : i*k+k]
+		case !transA && transB:
+			arow := a[i*k : i*k+k]
+			for j := 0; j < n; j++ {
+				brow := b[j*k : j*k+k]
+				var s float32
 				for p, av := range arow {
-					if av == 0 {
-						continue
-					}
-					av *= alpha
-					brow := b[p*n : p*n+n]
-					for j, bv := range brow {
-						crow[j] += av * bv
-					}
+					s += av * brow[p]
 				}
-			case !transA && transB:
-				arow := a[i*k : i*k+k]
-				for j := 0; j < n; j++ {
-					brow := b[j*k : j*k+k]
-					var s float32
-					for p, av := range arow {
-						s += av * brow[p]
-					}
-					crow[j] += alpha * s
+				crow[j] += alpha * s
+			}
+		case transA && !transB:
+			// A is stored [k,m]; walk column i of A.
+			for p := 0; p < k; p++ {
+				av := a[p*m+i]
+				if av == 0 {
+					continue
 				}
-			case transA && !transB:
-				// A is stored [k,m]; walk column i of A.
+				av *= alpha
+				brow := b[p*n : p*n+n]
+				for j, bv := range brow {
+					crow[j] += av * bv
+				}
+			}
+		default: // transA && transB
+			for j := 0; j < n; j++ {
+				var s float32
 				for p := 0; p < k; p++ {
-					av := a[p*m+i]
-					if av == 0 {
-						continue
-					}
-					av *= alpha
-					brow := b[p*n : p*n+n]
-					for j, bv := range brow {
-						crow[j] += av * bv
-					}
+					s += a[p*m+i] * b[j*k+p]
 				}
-			default: // transA && transB
-				for j := 0; j < n; j++ {
-					var s float32
-					for p := 0; p < k; p++ {
-						s += a[p*m+i] * b[j*k+p]
-					}
-					crow[j] += alpha * s
-				}
+				crow[j] += alpha * s
 			}
 		}
 	}
-	if work < minParallelWork {
-		body(0, m)
-		return
-	}
-	ParallelFor(m, body)
 }
 
 // MatVec computes y = A·x for A [m,n] and x length n, writing into y length m.

@@ -19,6 +19,10 @@ var (
 	scratchMiss     = obs.Default().Counter("nebula_tensor_scratch_total", "outcome", "miss")
 	scratchOversize = obs.Default().Counter("nebula_tensor_scratch_total", "outcome", "oversize")
 
+	bufferHit      = obs.Default().Counter("nebula_tensor_buffer_total", "outcome", "hit")
+	bufferMiss     = obs.Default().Counter("nebula_tensor_buffer_total", "outcome", "miss")
+	bufferOversize = obs.Default().Counter("nebula_tensor_buffer_total", "outcome", "oversize")
+
 	parForSerial    = obs.Default().Counter("nebula_tensor_parallel_total", "kernel", "for", "mode", "serial")
 	parForFanout    = obs.Default().Counter("nebula_tensor_parallel_total", "kernel", "for", "mode", "fanout")
 	parChunksSerial = obs.Default().Counter("nebula_tensor_parallel_total", "kernel", "chunks", "mode", "serial")
@@ -32,5 +36,6 @@ func init() {
 	r.Help("nebula_tensor_gemm_total", "GEMM dispatches, by kernel path taken.")
 	r.Help("nebula_tensor_conv_total", "Convolution GEMM dispatches: implicit = fused-gather path, ref = im2col oracle.")
 	r.Help("nebula_tensor_scratch_total", "Scratch-arena requests: hit = pooled buffer reused, miss = fresh allocation, oversize = above the largest size class.")
+	r.Help("nebula_tensor_buffer_total", "Layer-buffer arena requests (Borrow): hit = a released array reused, miss = fresh allocation, oversize = above the largest size class.")
 	r.Help("nebula_tensor_parallel_total", "Parallel kernel dispatches, by kernel and serial-vs-fanout mode.")
 }

@@ -182,7 +182,8 @@ func (t *Tensor) Clip(lo, hi float32) {
 }
 
 // TopK returns the indices of the k largest values in x, in descending value
-// order. k is clamped to len(x). O(n·k), fine for the module counts used here.
+// order. k is clamped to len(x). See TopKInto for the order among ties and
+// values that do not compare.
 func TopK(x []float32, k int) []int {
 	if k > len(x) {
 		k = len(x)
@@ -190,18 +191,44 @@ func TopK(x []float32, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	idx := make([]int, 0, k)
-	taken := make([]bool, len(x))
-	for c := 0; c < k; c++ {
-		best := -1
+	return TopKInto(make([]int, k), x, k)
+}
+
+// TopKInto is TopK into dst, which must hold min(k, len(x)) indices; it
+// allocates nothing and returns the filled prefix of dst. The order is total:
+// among equal values the lowest index comes first, and an entry that compares
+// greater than nothing (NaN, −Inf) ranks after every entry that does, again
+// lowest index first — so diverged scores still select k distinct indices.
+// O(n·k²), fine for the module counts used here.
+func TopKInto(dst []int, x []float32, k int) []int {
+	if k > len(x) {
+		k = len(x)
+	}
+	if k <= 0 {
+		return dst[:0]
+	}
+	dst = dst[:k]
+	for c := range dst {
+		best, first := -1, -1 // largest untaken entry; lowest untaken index
 		bm := float32(math.Inf(-1))
+	scan:
 		for i, v := range x {
-			if !taken[i] && v > bm {
+			for _, t := range dst[:c] {
+				if t == i {
+					continue scan
+				}
+			}
+			if first < 0 {
+				first = i
+			}
+			if v > bm {
 				bm, best = v, i
 			}
 		}
-		taken[best] = true
-		idx = append(idx, best)
+		if best < 0 {
+			best = first
+		}
+		dst[c] = best
 	}
-	return idx
+	return dst
 }

@@ -17,6 +17,9 @@ import (
 type Tensor struct {
 	Data  []float32
 	shape []int
+	// home is the arena block Data belongs to when the tensor was lent by
+	// Borrow; nil for every other tensor, views of a borrowed one included.
+	home *Scratch
 }
 
 // New allocates a zero-filled tensor with the given shape. A tensor with no
@@ -43,6 +46,28 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), shape, n))
 	}
 	return &Tensor{Data: data, shape: append([]int(nil), shape...)}
+}
+
+// FromSliceInto is FromSlice re-using dst's header (a new one when dst is
+// nil), for a holder that re-points one view every step without allocating.
+// dst must not be a borrowed tensor.
+func FromSliceInto(dst *Tensor, data []float32, shape ...int) *Tensor {
+	if dst == nil {
+		dst = &Tensor{}
+	}
+	if dst.home != nil {
+		panic("tensor: FromSliceInto over a borrowed tensor")
+	}
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if len(data) != n {
+		panic(fmt.Sprintf("tensor: data length %d does not match a shape of %d elements", len(data), n))
+	}
+	dst.Data = data
+	dst.shape = append(dst.shape[:0], shape...)
+	return dst
 }
 
 // Shape returns the tensor's dimensions. The returned slice must not be

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +201,45 @@ func TestTopK(t *testing.T) {
 	}
 	if got := TopK(x, 0); got != nil {
 		t.Fatalf("TopK(0) = %v", got)
+	}
+
+	// The order is total: ties go to the lowest index, and entries that
+	// compare greater than nothing (NaN, −Inf) rank last, lowest index first.
+	// Diverged selector scores used to index out of range here.
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, tc := range []struct {
+		x    []float32
+		k    int
+		want []int
+	}{
+		{[]float32{0.5, nan, nan}, 2, []int{0, 1}},
+		{[]float32{nan, nan, nan}, 3, []int{0, 1, 2}},
+		{[]float32{nan, 1, 2}, 3, []int{2, 1, 0}},
+		{[]float32{nan, -inf, 0.5}, 3, []int{2, 0, 1}},
+		{[]float32{-inf, -inf}, 1, []int{0}},
+		{[]float32{1, inf, -inf, inf}, 4, []int{1, 3, 0, 2}},
+		{[]float32{3, 3, 3, 3}, 2, []int{0, 1}},
+		{[]float32{0.1, 0.9, 0.5, 0.7}, 4, []int{1, 3, 2, 0}},
+		{[]float32{0.1, 0.9, 0.5, 0.7}, 9, []int{1, 3, 2, 0}},
+	} {
+		if got := TopK(tc.x, tc.k); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("TopK(%v, %d) = %v, want %v", tc.x, tc.k, got, tc.want)
+		}
+		dst := []int{-7, -7, -7, -7, -7}
+		got := TopKInto(dst, tc.x, tc.k)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("TopKInto(%v, %d) = %v, want %v", tc.x, tc.k, got, tc.want)
+		}
+		if &got[0] != &dst[0] || dst[len(tc.want)] != -7 {
+			t.Errorf("TopKInto(%v, %d) did not fill exactly the prefix of dst: %v", tc.x, tc.k, dst)
+		}
+	}
+	if got := TopKInto(make([]int, 2), x, 0); len(got) != 0 {
+		t.Fatalf("TopKInto(0) = %v", got)
+	}
+	dst := make([]int, 3)
+	if allocs := testing.AllocsPerRun(10, func() { TopKInto(dst, x, 3) }); allocs != 0 && !raceEnabled {
+		t.Errorf("TopKInto: %v allocs/op, want 0", allocs)
 	}
 }
 
