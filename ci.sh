@@ -246,8 +246,8 @@ same "$spantmp/traced.jsonl" "$spantmp/base.jsonl" \
     "trace JSONL differs with span tracing on vs off"
 rm -rf "$spantmp"
 
-echo "== zero-alloc gates (AllocsPerRun tests skip under -race, so run them once without it)"
-go test -run 'ZeroAlloc' ./internal/tensor/ ./internal/nn/ ./internal/modular/
+echo "== allocation gates (AllocsPerRun and allocation-budget tests skip under -race, so run them once without it)"
+go test -run 'ZeroAlloc|AllocBudget' ./internal/tensor/ ./internal/nn/ ./internal/modular/ ./internal/edgenet/
 
 echo "== fuzz smoke (every native Fuzz* target in the tree, 5s each beyond its seed corpus)"
 # `go test` alone only replays a fuzzer's seeds; -fuzz takes one target of

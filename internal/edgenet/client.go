@@ -12,6 +12,7 @@ import (
 	"repro/internal/modular"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/tensor"
 )
 
 // RetryPolicy controls client-side resilience: per-call deadlines plus
@@ -92,11 +93,11 @@ type EdgeClient struct {
 	// the caller's trace.
 	traceID     span.TraceID
 	traceParent span.SpanID
-	stats  RetryStats
-	proto  int      // negotiated protocol version; 0 until Hello succeeds (acts as v1)
-	ref    *WireRef // reconstruction of the last v2 sub-model fetch (delta base)
-	// maxVecLen is Skeleton's full backbone length, the longest download
-	// recvPayload accepts a header for; computed at the first v2 payload.
+	stats       RetryStats
+	proto       int      // negotiated protocol version; 0 until Hello succeeds (acts as v1)
+	ref         *WireRef // reconstruction of the last v2 sub-model fetch (delta base)
+	// maxVecLen is Skeleton's full backbone length (see maxVec); computed at
+	// the first v2 payload.
 	maxVecLen int
 
 	// traffic accumulated over connections torn down by reconnects.
@@ -104,6 +105,9 @@ type EdgeClient struct {
 }
 
 // Dial connects to the cloud server over TCP with the default retry policy.
+// It parks skeleton (modular.Model.Park): on the edge the skeleton is
+// architecture plus selector and is never trained, so it keeps no gradient
+// accumulators for a cloud-sized model the device only ever holds a part of.
 func Dial(addr string, deviceID int, skeleton *modular.Model) (*EdgeClient, error) {
 	return dialWrapped(addr, deviceID, skeleton, nil)
 }
@@ -136,14 +140,16 @@ func dialWrapped(addr string, deviceID int, skeleton *modular.Model, wrap func(n
 	if err != nil {
 		return nil, err
 	}
+	skeleton.Park()
 	c := &EdgeClient{DeviceID: deviceID, Skeleton: skeleton, Policy: DefaultRetryPolicy(), Redial: redial}
 	c.attach(rw)
 	return c, nil
 }
 
 // NewPipeClient wraps an in-process stream (e.g. net.Pipe) — used by tests
-// and the simulation harness.
+// and the simulation harness. Like Dial, it parks skeleton.
 func NewPipeClient(rw io.ReadWriter, deviceID int, skeleton *modular.Model) *EdgeClient {
+	skeleton.Park()
 	c := &EdgeClient{DeviceID: deviceID, Skeleton: skeleton}
 	c.attach(rw)
 	return c
@@ -325,33 +331,23 @@ func (c *EdgeClient) callChunks(req *Request, out []WireChunk) (*Response, *Wire
 
 // exchange performs one request/response round trip including v2 chunk
 // streams. Deadlines (when to > 0 and the transport supports them) re-arm
-// before every frame, so the timeout bounds one stalled frame rather than
-// requiring the whole payload to fit inside it.
+// before every frame, so the timeout bounds one stalled write or frame read
+// rather than requiring the whole payload to fit inside it.
 func (c *EdgeClient) exchange(req *Request, out []WireChunk, to time.Duration) (*Response, *WirePayload, error) {
-	arm := func(read bool) {
-		if c.dl == nil || to <= 0 {
-			return
-		}
-		if read {
+	armRead, armWrite := func() {}, func() {}
+	if c.dl != nil && to > 0 {
+		armRead = func() {
 			_ = c.dl.SetReadDeadline(time.Now().Add(to)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
-		} else {
+		}
+		armWrite = func() {
 			_ = c.dl.SetWriteDeadline(time.Now().Add(to)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
 		}
 	}
-	arm(false)
-	arm(true)
-	if err := c.codec.Send(req); err != nil {
-		return nil, nil, fmt.Errorf("edgenet: send: %w", err)
-	}
-	for i := range out {
-		arm(false)
-		chs := c.reqSpan(req, "rpc.chunk_send")
-		err := c.codec.Send(&out[i])
-		chs.SetErr(err)
-		chs.End()
-		if err != nil {
-			return nil, nil, fmt.Errorf("edgenet: send chunk %d/%d: %w", i+1, len(out), err)
-		}
+	armRead()
+	err := c.codec.sendMessage(req, out, armWrite,
+		func() span.Active { return c.reqSpan(req, "rpc.chunk_send") })
+	if err != nil {
+		return nil, nil, err
 	}
 	var resp Response
 	if err := c.codec.Recv(&resp); err != nil {
@@ -359,12 +355,8 @@ func (c *EdgeClient) exchange(req *Request, out []WireChunk, to time.Duration) (
 	}
 	var pay *WirePayload
 	if resp.OK && resp.Payload != nil {
-		if c.maxVecLen == 0 {
-			c.maxVecLen = fullBackboneLen(c.Skeleton)
-		}
-		var err error
-		pay, err = recvPayload(resp.Payload, c.maxVecLen, func(ch *WireChunk) error {
-			arm(true)
+		pay, err = recvPayload(resp.Payload, c.maxVec(), func(ch *WireChunk) error {
+			armRead()
 			chs := c.reqSpan(req, "rpc.chunk_recv")
 			err := c.codec.Recv(ch)
 			chs.SetErr(err)
@@ -426,6 +418,15 @@ func (c *EdgeClient) reconnect() error {
 	return nil
 }
 
+// maxVec returns Skeleton's full backbone length, the longest vector either
+// direction of this link carries.
+func (c *EdgeClient) maxVec() int {
+	if c.maxVecLen == 0 {
+		c.maxVecLen = fullBackboneLen(c.Skeleton)
+	}
+	return c.maxVecLen
+}
+
 // maxProto is the highest protocol version this client offers.
 func (c *EdgeClient) maxProto() int {
 	if c.MaxProto > 0 {
@@ -483,6 +484,11 @@ func safeLoadSelector(sel *modular.Selector, vec []float32) (err error) {
 // against the previous fetch whenever the server still holds the matching
 // reference — and the decoded reconstruction becomes the client's new delta
 // base for both the next fetch and the next push.
+//
+// The sub-model is built from the received vector alone (the skeleton lends
+// its architecture, its module states and a copy of its selector) and is
+// weights-only: it evaluates as it is, and trains once its parameters have
+// gradient accumulators — nn.EnsureGrads, which fed.TrainLayer calls.
 func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget) (*modular.SubModel, error) {
 	req := &Request{
 		Kind:       KindGetSubModel,
@@ -498,7 +504,6 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 	if err != nil {
 		return nil, err
 	}
-	sub := c.Skeleton.Extract(resp.Active)
 	vec := resp.Backbone
 	if pay != nil {
 		var base []float32
@@ -512,10 +517,15 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 			return nil, fmt.Errorf("edgenet: fetch: %w", err)
 		}
 		c.ref = &WireRef{Version: pay.Header.Version, Mapping: resp.Active, Vec: vec}
+		// The reference is immutable and the sub-model is about to be trained:
+		// it gets its own copy of the vector to live in.
+		vec = append([]float32(nil), vec...)
 	}
-	if err := safeLoad(sub, vec); err != nil {
+	sub, err := c.Skeleton.SubModelOver(resp.Active, vec)
+	if err != nil {
 		return nil, fmt.Errorf("edgenet: fetch: %w", err)
 	}
+	sub.Selector = c.Skeleton.Selector.Clone()
 	return sub, nil
 }
 
@@ -540,7 +550,10 @@ func (c *EdgeClient) PushUpdate(sub *modular.SubModel, importance [][]float64, w
 		Weight:     weight,
 	}
 	if c.proto >= ProtoV2 {
-		vec := sub.BackboneVector()
+		// The flat vector dies with this call, so its array is borrowed.
+		sc := tensor.GetScratch(c.maxVec())
+		defer tensor.PutScratch(sc)
+		vec := sub.AppendBackboneVector(sc.Data[:0])
 		var base []float32
 		var baseVer uint64
 		if c.ref != nil && MappingEqual(c.ref.Mapping, sub.Mapping) {

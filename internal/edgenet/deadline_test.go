@@ -3,8 +3,13 @@ package edgenet
 import (
 	"errors"
 	"io"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/modular"
+	"repro/internal/tensor"
 )
 
 // brokenConn fails every I/O immediately — a link that is down hard, so each
@@ -70,5 +75,133 @@ func TestCallDeadlineZeroMeansUnbounded(t *testing.T) {
 	}
 	if attempts != 2 { // redials for attempts 2 and 3
 		t.Fatalf("expected every retry to run, saw %d redials", attempts)
+	}
+}
+
+// tallyConn counts what one end of a link does to its transport: Write calls
+// and write-deadline re-arms (clearing a deadline is not one).
+type tallyConn struct {
+	net.Conn
+	writes, arms atomic.Int64
+}
+
+func (c *tallyConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c *tallyConn) SetWriteDeadline(t time.Time) error {
+	if !t.IsZero() {
+		c.arms.Add(1)
+	}
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// tallyPair is pipePair with both ends of the pipe counted.
+func tallyPair(t *testing.T, srv *Server, skeleton *modular.Model) (cl *EdgeClient, clientEnd, serverEnd *tallyConn) {
+	t.Helper()
+	a, b := net.Pipe()
+	clientEnd, serverEnd = &tallyConn{Conn: b}, &tallyConn{Conn: a}
+	return servePair(t, srv, skeleton, serverEnd, clientEnd), clientEnd, serverEnd
+}
+
+func buildWideModel(seed int64, hidden int) *modular.Model {
+	cfg := modular.Config{ModulesPerLayer: 4, TopK: 2, EmbedDim: 16, ResidualModules: true, MinShrink: 0.25, MaxShrink: 0.5}
+	return modular.NewModularMLP(tensor.NewRNG(seed), 16, hidden, 4, cfg)
+}
+
+// TestOneWritePerMessage pins the write shape of a v2 exchange: a protocol
+// message — envelope plus every chunk frame it announces — is encoded into
+// the codec's 64 KiB buffer and flushed once, so a message that fits the
+// buffer is one Write on the transport however many frames it has, and a
+// larger one is ⌈bytes/64 KiB⌉ (one more allowed for a frame that straddles
+// a flush). One write per frame is what FaultyConn's per-write drop and delay
+// rolls used to multiply by.
+func TestOneWritePerMessage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		hidden int
+	}{{"fits the buffer", 64}, {"spans buffers", 256}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cloud := buildWideModel(31, tc.hidden)
+			srv := NewServer(cloud, 1)
+			cl, clientEnd, serverEnd := tallyPair(t, srv, buildWideModel(31, tc.hidden))
+			if err := cl.Hello(); err != nil {
+				t.Fatal(err)
+			}
+			imp := uniformImportance(cloud)
+			// call runs one RPC and returns the writes and bytes it cost in
+			// each direction.
+			call := func(rpc func() error) (upWrites, upBytes, downWrites, downBytes int64) {
+				t.Helper()
+				in0, out0 := cl.Traffic()
+				w0, s0 := clientEnd.writes.Load(), serverEnd.writes.Load()
+				if err := rpc(); err != nil {
+					t.Fatal(err)
+				}
+				in1, out1 := cl.Traffic()
+				return clientEnd.writes.Load() - w0, out1 - out0, serverEnd.writes.Load() - s0, in1 - in0
+			}
+			check := func(what string, writes, bytes int64, frames int) {
+				t.Helper()
+				const buf = 64 << 10
+				limit := int64(1)
+				if bytes > buf {
+					limit = (bytes+buf-1)/buf + 1
+				}
+				t.Logf("%s: %d B, %d frame(s), %d write(s)", what, bytes, frames, writes)
+				if writes < 1 || writes > limit {
+					t.Errorf("%s: %d B in %d frames took %d writes, want at most %d", what, bytes, frames, writes, limit)
+				}
+			}
+			var sub *modular.SubModel
+			upW, upB, downW, downB := call(func() (err error) {
+				sub, err = cl.FetchSubModel(imp, looseBudget())
+				return err
+			})
+			frames := (len(sub.BackboneVector()) + 1023) / 1024
+			if frames < 2 {
+				t.Fatalf("payload is %d frame(s); the test needs a chunk stream", frames)
+			}
+			if large := downB > 64<<10; large != (tc.hidden == 256) {
+				t.Fatalf("fetch response is %d B, which is not the size this case is named for", downB)
+			}
+			check("fetch request", upW, upB, 0)
+			check("fetch response", downW, downB, frames)
+			upW, upB, downW, downB = call(func() error { return cl.PushUpdate(sub, imp, 1) })
+			check("push request", upW, upB, frames)
+			check("push response", downW, downB, 0)
+		})
+	}
+}
+
+// TestWriteDeadlineRearmsPerFrame: batching a message's frames into one flush
+// did not batch its deadline. Both ends still re-arm the write deadline ahead
+// of the envelope and of every chunk frame, so the timeout bounds whichever
+// physical write comes next rather than the whole payload.
+func TestWriteDeadlineRearmsPerFrame(t *testing.T) {
+	cloud := buildWideModel(33, 64)
+	srv := NewServer(cloud, 1) // WriteTimeout defaults to a minute
+	cl, clientEnd, serverEnd := tallyPair(t, srv, buildWideModel(33, 64))
+	cl.Policy = RetryPolicy{MaxAttempts: 1, CallTimeout: time.Minute}
+	if err := cl.Hello(); err != nil {
+		t.Fatal(err)
+	}
+	imp := uniformImportance(cloud)
+	s0 := serverEnd.arms.Load()
+	sub, err := cl.FetchSubModel(imp, looseBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := int64(len(sub.BackboneVector())+1023) / 1024
+	if got := serverEnd.arms.Load() - s0; got != 1+frames {
+		t.Errorf("server armed its write deadline %d times for an envelope and %d frames", got, frames)
+	}
+	c0 := clientEnd.arms.Load()
+	if err := cl.PushUpdate(sub, imp, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := clientEnd.arms.Load() - c0; got != 1+frames {
+		t.Errorf("client armed its write deadline %d times for an envelope and %d frames", got, frames)
 	}
 }

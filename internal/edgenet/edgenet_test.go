@@ -35,15 +35,22 @@ func looseBudget() modular.Budget {
 func pipePair(t *testing.T, srv *Server, skeleton *modular.Model) *EdgeClient {
 	t.Helper()
 	a, b := net.Pipe()
+	return servePair(t, srv, skeleton, a, b)
+}
+
+// servePair serves serverEnd in a goroutine and returns a client over
+// clientEnd — the two ends of one link, wrapped however the test likes.
+func servePair(t *testing.T, srv *Server, skeleton *modular.Model, serverEnd, clientEnd net.Conn) *EdgeClient {
+	t.Helper()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		srv.ServeConn(a)
-		_ = a.Close() // net.Pipe close cannot fail; explicit drop keeps errdrop honest
+		srv.ServeConn(serverEnd)
+		_ = serverEnd.Close() // net.Pipe close cannot fail; explicit drop keeps errdrop honest
 	}()
-	t.Cleanup(func() { _ = b.Close(); wg.Wait() })
-	return NewPipeClient(b, 1, skeleton)
+	t.Cleanup(func() { _ = clientEnd.Close(); wg.Wait() })
+	return NewPipeClient(clientEnd, 1, skeleton)
 }
 
 func TestHelloTransfersSelector(t *testing.T) {
@@ -209,7 +216,9 @@ func TestTCPEndToEnd(t *testing.T) {
 				errs <- err
 				return
 			}
-			// One local training pass on synthetic data.
+			// One local training pass on synthetic data; a fetched sub-model
+			// is weights-only until it is given gradient accumulators.
+			nn.EnsureGrads(sub.Params())
 			xs := tensor.New(4, 16)
 			rng.FillNormal(xs, 0, 1)
 			logits := sub.Forward(xs, true)
@@ -243,3 +252,18 @@ var errTraffic = &trafficErr{}
 type trafficErr struct{}
 
 func (*trafficErr) Error() string { return "traffic counters not incremented" }
+
+// TestServerCloseTwice: a deferred Close beside an explicit one must not take
+// the process down with a close of a closed channel; the second is a no-op,
+// with or without a listener.
+func TestServerCloseTwice(t *testing.T) {
+	srv := NewServer(buildModel(8), 1)
+	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	unlistened := NewServer(buildModel(8), 1)
+	for _, stop := range []func(){srv.Close, srv.Close, unlistened.Close, unlistened.Close} {
+		stop()
+	}
+}

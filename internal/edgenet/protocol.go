@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/modular"
+	"repro/internal/obs/span"
 )
 
 // MsgKind discriminates protocol messages.
@@ -179,10 +180,11 @@ type Codec struct {
 }
 
 // NewCodec wraps a bidirectional stream. Outbound gob output is buffered and
-// flushed once per Send: gob emits type descriptors and values as separate
-// small writes, and coalescing them keeps one protocol message ≈ one wire
-// write — which matters under fault injection, where each write rolls for
-// loss independently.
+// flushed once per protocol message (Send, sendMessage): gob emits type
+// descriptors and values as separate small writes, and a v2 payload is an
+// envelope plus a frame per chunk; coalescing them keeps one message ≈ one
+// wire write — which matters under fault injection, where each write rolls
+// for loss independently.
 func NewCodec(rw io.ReadWriter) *Codec {
 	c := &Codec{}
 	cc := countingConn{rw: rw, in: &c.in, out: &c.out}
@@ -198,6 +200,35 @@ func (c *Codec) Send(v any) error {
 		return err
 	}
 	return c.w.Flush()
+}
+
+// sendMessage writes one protocol message — an envelope and the chunk frames
+// it announces — into the codec's buffer and flushes once at the end, so the
+// message reaches the stream in ⌈bytes/64 KiB⌉ writes (the buffer emptying
+// itself when it fills) rather than one per frame. arm runs ahead of the
+// envelope and of every chunk frame; it is where the caller re-arms its write
+// deadline, which therefore bounds each physical write, never the whole
+// payload. chunkSpan opens the span a chunk frame is recorded under (the zero
+// Active for a sender that records none).
+func (c *Codec) sendMessage(env any, chunks []WireChunk, arm func(), chunkSpan func() span.Active) error {
+	arm()
+	if err := c.enc.Encode(env); err != nil {
+		return fmt.Errorf("edgenet: send: %w", err)
+	}
+	for i := range chunks {
+		arm()
+		cs := chunkSpan()
+		err := c.enc.Encode(&chunks[i])
+		cs.SetErr(err)
+		cs.End()
+		if err != nil {
+			return fmt.Errorf("edgenet: send chunk %d/%d: %w", i+1, len(chunks), err)
+		}
+	}
+	if err := c.w.Flush(); err != nil {
+		return fmt.Errorf("edgenet: send: %w", err)
+	}
+	return nil
 }
 
 // Recv decodes into v.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/modular"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/tensor"
 )
 
 // Server is the cloud side of the testbed: it owns the modularized model,
@@ -30,8 +31,8 @@ type Server struct {
 	// WriteTimeout bounds one response send (a client that stops reading
 	// otherwise wedges the handler). 0 disables the deadline. For v2 chunk
 	// streams the deadline re-arms before every chunk, so it bounds one
-	// frame, not the whole payload — one slow link cannot pin a handler for
-	// payload-size-proportional time.
+	// write of the buffered stream, not the whole payload — one slow link
+	// cannot pin a handler for payload-size-proportional time.
 	WriteTimeout time.Duration
 	// MaxProto caps the protocol version this server negotiates (0 =
 	// ProtoV2). Tests pin it to ProtoV1 to prove mixed-version interop.
@@ -60,9 +61,10 @@ type Server struct {
 	// it (see obs.go). Counter updates are atomic and need no s.mu.
 	metrics *serverMetrics
 
-	ln     net.Listener
-	closed chan struct{}
-	wg     sync.WaitGroup
+	ln        net.Listener
+	closed    chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // NewServer wraps a trained modularized model.
@@ -190,8 +192,13 @@ func (s *Server) acceptLoop() {
 
 // Close stops the listener, tears down in-flight connections, and waits for
 // their handlers. Read deadlines plus explicit conn close guarantee the wait
-// terminates even if a client hangs mid-request.
+// terminates even if a client hangs mid-request. Closing a closed server is
+// a no-op.
 func (s *Server) Close() {
+	s.closeOnce.Do(s.shutdown)
+}
+
+func (s *Server) shutdown() {
 	close(s.closed)
 	if s.ln != nil {
 		if err := s.ln.Close(); err != nil {
@@ -238,6 +245,13 @@ func (s *Server) ServeConn(rw interface {
 		s.metrics.bytesOut.Add(float64(out))
 	}()
 	dl, _ := rw.(connDeadliner)
+	// Re-armed before every frame of a response: the deadline bounds one
+	// write, not the whole payload.
+	armWrite := func() {
+		if dl != nil && s.WriteTimeout > 0 {
+			_ = dl.SetWriteDeadline(time.Now().Add(s.WriteTimeout)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
+		}
+	}
 	// prevIn/prevOut checkpoint the codec's traffic so each request and
 	// response wire size can be observed individually.
 	var prevIn, prevOut int64
@@ -280,25 +294,13 @@ func (s *Server) ServeConn(rw interface {
 		// (interop tests); v1 peers never see the field (gob drops zeros).
 		resp.TraceID = req.TraceID
 		hs.End()
-		if dl != nil && s.WriteTimeout > 0 {
-			_ = dl.SetWriteDeadline(time.Now().Add(s.WriteTimeout)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
+		var outChunks []WireChunk
+		if outPay != nil {
+			outChunks = outPay.Chunks
 		}
-		if err := codec.Send(resp); err != nil {
+		if err := codec.sendMessage(resp, outChunks, armWrite, noChunkSpan); err != nil {
 			s.noteConnError("send", err)
 			return
-		}
-		if outPay != nil {
-			for i := range outPay.Chunks {
-				if dl != nil && s.WriteTimeout > 0 {
-					// Re-arm per chunk: the deadline bounds one frame, not
-					// the whole payload.
-					_ = dl.SetWriteDeadline(time.Now().Add(s.WriteTimeout)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
-				}
-				if err := codec.Send(&outPay.Chunks[i]); err != nil {
-					s.noteConnError("send", err)
-					return
-				}
-			}
 		}
 		_, out := codec.Traffic()
 		s.metrics.rspBytes[req.Kind].Observe(float64(out - prevOut))
@@ -309,6 +311,10 @@ func (s *Server) ServeConn(rw interface {
 		}
 	}
 }
+
+// noChunkSpan is the server's sendMessage span opener: response frames are
+// covered by the client's rpc.chunk_recv spans, the server records none.
+func noChunkSpan() span.Active { return span.Active{} }
 
 // recvChunks drains the chunk frames a v2 envelope announced, re-arming the
 // read deadline before each frame so one stalled chunk — not the whole
@@ -389,14 +395,22 @@ func (s *Server) serveSubModel(req *Request, ps span.SpanID) (resp *Response, ou
 	if len(req.Importance) != len(s.Model.Layers) {
 		return nil, nil, errors.New("importance layer count mismatch")
 	}
-	// Hold the model lock only for derivation and the parameter snapshot;
-	// Extract copies parameters into a private SubModel, so quantization and
-	// vector flattening run outside the lock instead of serializing every
-	// device behind one fetch.
+	// Hold the model lock only for derivation and the parameter snapshot —
+	// one flatten of the cloud's own tensors for the selection, straight into
+	// the wire vector; quantization runs outside the lock instead of
+	// serializing every device behind one fetch.
 	var (
 		active [][]int
-		sub    *modular.SubModel
+		vec    []float32
 	)
+	v2 := s.reqProto(req) >= ProtoV2
+	if v2 {
+		// A v2 serve quantizes the flat vector and drops it before this
+		// handler returns, so its array is borrowed; a v1 response keeps it.
+		sc := tensor.GetScratch(s.maxVecLen)
+		defer tensor.PutScratch(sc)
+		vec = sc.Data[:0]
+	}
 	// The derive span covers the lock wait plus the locked derivation —
 	// on a contended server it shows devices queueing on s.mu.
 	dvs := s.reqSpan(req, ps, "srv.derive")
@@ -404,20 +418,26 @@ func (s *Server) serveSubModel(req *Request, ps span.SpanID) (resp *Response, ou
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		active = s.Model.Derive(req.Importance, req.Budget.ToBudget(), false)
-		sub = s.Model.Extract(active)
+		vec = s.Model.AppendBackboneVector(vec, active)
 	}()
 	dvs.End()
 	s.metrics.subModelsServed.Inc()
-	s.logf("device %d sub-model: %d modules, %d B", req.DeviceID, sub.NumModules(), sub.BackboneBytes())
+	if s.Logf != nil {
+		modules := 0
+		for _, idx := range active {
+			modules += len(idx)
+		}
+		s.Logf("device %d sub-model: %d modules, %d B", req.DeviceID, modules, 4*len(vec))
+	}
 	resp = &Response{OK: true, Active: active}
 	es := s.reqSpan(req, ps, "srv.encode")
-	if s.reqProto(req) >= ProtoV2 {
-		out = s.encodeServe(req, active, sub.BackboneVector())
+	if v2 {
+		out = s.encodeServe(req, active, vec)
 		es.End()
 		resp.Payload = &out.Header
 		return resp, out, nil
 	}
-	resp.Backbone = sub.BackboneVector()
+	resp.Backbone = vec
 	es.End()
 	return resp, nil, nil
 }
@@ -518,19 +538,12 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 		s.logf("device %d replayed update seq %d (deduped)", req.DeviceID, req.Seq)
 		return &Response{OK: true, Deduped: true}, nil
 	}
-	if len(req.Active) != len(s.Model.Layers) {
-		return nil, errors.New("active layer count mismatch")
-	}
-	for l, idx := range req.Active {
-		for _, i := range idx {
-			if i < 0 || i >= s.Model.Layers[l].N() {
-				return nil, fmt.Errorf("active[%d] references module %d of %d", l, i, s.Model.Layers[l].N())
-			}
-		}
-	}
-	sub := s.Model.Extract(req.Active)
-	if loadErr := safeLoad(sub, vec); loadErr != nil {
-		return nil, loadErr
+	// The update's sub-model is a view of the decoded vector, which nothing
+	// else holds (DecodeVec and gob both allocated it for this request). It is
+	// built under the lock because it copies the cloud's module states.
+	sub, err := s.Model.SubModelOver(req.Active, vec)
+	if err != nil {
+		return nil, err
 	}
 	if len(req.Importance) != len(s.Model.Layers) {
 		return nil, errors.New("importance layer count mismatch")
@@ -582,16 +595,6 @@ func (s *Server) StatsSnapshot() Stats {
 		WireDelta:       int64(m.wireDelta.Value()),
 		WireFallbacks:   int64(m.wireFallbacks.Value()),
 	}
-}
-
-func safeLoad(sub *modular.SubModel, vec []float32) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("bad backbone vector: %v", r)
-		}
-	}()
-	sub.LoadBackboneVector(vec)
-	return nil
 }
 
 func (s *Server) logf(format string, args ...any) {

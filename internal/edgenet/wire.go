@@ -156,9 +156,11 @@ func EncodeVec(vec, base []float32, opts WireOpts) *WirePayload {
 		end := min(start+chunk, len(vec))
 		win := vec[start:end]
 		if delta {
-			win = diff[:end-start]
-			for i := range win {
-				win[i] = vec[start+i] - base[start+i]
+			// Re-sliced to one length so the loop carries no bounds check.
+			v, b := win, base[start:end]
+			win, b = diff[:len(v)], b[:len(v)]
+			for i, x := range v {
+				win[i] = x - b[i]
 			}
 		}
 		p.Chunks = append(p.Chunks, encodeChunk(win, cut, opts.F16))
@@ -336,7 +338,8 @@ func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
 			}
 		case h.Delta:
 			c.decodeInto(win)
-			for j, b := range base[start : start+c.N] {
+			ref := base[start : start+c.N]
+			for j, b := range ref[:len(win)] {
 				win[j] = b + win[j]
 			}
 		default:

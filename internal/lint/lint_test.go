@@ -187,21 +187,25 @@ func TestCrossPackageRNGEscape(t *testing.T) {
 	}
 }
 
-// TestCrossPackageLockedCall: the flagged call blocks only transitively —
-// srv.Broadcast → wire.Send → gob.Encode, across two package boundaries —
-// and the diagnostic names the resolved chain. The snapshot-then-send
-// variant must stay quiet.
+// TestCrossPackageLockedCall: the first flagged call blocks only
+// transitively — srv.Broadcast → wire.Send → gob.Encode, across two package
+// boundaries — and the diagnostic names the resolved chain. The other two
+// never block: they are the CPU-heavy seeds (a weight clone of the model, the
+// quantizer), recognised by the import-path suffix of the package that
+// declares them. The snapshot-then-work variants must stay quiet.
 func TestCrossPackageLockedCall(t *testing.T) {
 	byCheck := runXmod(t, "lockedcall")
 	got := byCheck["lockedcall"]
-	if len(got) != 1 {
-		t.Fatalf("lockedcall findings = %v, want exactly 1", got)
+	if len(got) != 3 {
+		t.Fatalf("lockedcall findings = %v, want exactly 3", got)
 	}
-	if base := filepath.Base(got[0].Pos.Filename); base != "srv.go" {
-		t.Errorf("finding in %s, want srv.go: %s", base, got[0])
-	}
-	if !strings.Contains(got[0].Message, "gob") {
-		t.Errorf("diagnostic does not name the transitive gob chain: %s", got[0])
+	for i, want := range []string{"gob", "modular.Model.Extract (weight clone", "nn.Quantize8 (CPU-heavy"} {
+		if base := filepath.Base(got[i].Pos.Filename); base != "srv.go" {
+			t.Errorf("finding in %s, want srv.go: %s", base, got[i])
+		}
+		if !strings.Contains(got[i].Message, want) {
+			t.Errorf("diagnostic %d does not name %q: %s", i, want, got[i])
+		}
 	}
 }
 

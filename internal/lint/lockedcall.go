@@ -19,10 +19,11 @@ import (
 //
 // Blocking seeds: any method on a net-package type or on a conn-shaped value
 // (has Read/Write/SetReadDeadline), gob/json Encode/Decode, net.Dial/Listen,
-// time.Sleep, and the nn quantization kernels (QuantizeChunks /
-// DequantizeChunks — CPU-heavy enough to be a critical-section bug, per
-// PR 2). The sanctioned shape is serveSubModel's: snapshot under the lock in
-// a small closure, do the slow work outside.
+// time.Sleep, and the repo's own calls that are a critical-section bug by
+// their CPU cost alone (cpuHeavySeeds): the wire codec and the quantizer
+// under it, and a weight clone of the cloud model. The sanctioned shape is
+// serveSubModel's: snapshot under the lock in a small closure, do the slow
+// work outside.
 type LockedCall struct{}
 
 // Name implements Analyzer.
@@ -283,8 +284,38 @@ var blockingConnMethods = map[string]bool{
 	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
 }
 
+// cpuHeavySeeds are the repo's own functions that take time proportional to a
+// model: the import-path suffix of their package, their name ("Receiver.Name"
+// for a method), and what the diagnostic calls them. Each one held every
+// device of a round behind s.mu at some point: the codec in PR 2, Extract
+// until the server stopped cloning the model per request.
+var cpuHeavySeeds = []struct{ pkgSuffix, fn, why string }{
+	{"internal/nn", "Quantize8", "CPU-heavy quantization"},
+	{"internal/edgenet", "EncodeVec", "CPU-heavy wire codec"},
+	{"internal/edgenet", "DecodeVec", "CPU-heavy wire codec"},
+	{"internal/modular", "Model.Extract", "weight clone of the model"},
+	{"internal/modular", "Model.ExtractWeights", "weight clone of the model"},
+}
+
+// cpuHeavySeed classifies fn against cpuHeavySeeds.
+func cpuHeavySeed(fn *types.Func) string {
+	pkg, name := funcPkgPath(fn), fn.Name()
+	if named := namedOf(recvType(fn)); named != nil && named.Obj() != nil {
+		name = named.Obj().Name() + "." + name
+	}
+	for _, seed := range cpuHeavySeeds {
+		if seed.fn == name && strings.HasSuffix(pkg, seed.pkgSuffix) {
+			return fmt.Sprintf("%s.%s (%s)", pkg[strings.LastIndex(pkg, "/")+1:], name, seed.why)
+		}
+	}
+	return ""
+}
+
 // seedBlocking is the base classification: calls that block by themselves.
 func seedBlocking(fn *types.Func) string {
+	if why := cpuHeavySeed(fn); why != "" {
+		return why
+	}
 	name := fn.Name()
 	if rt := recvType(fn); rt != nil {
 		pkgPath := typePkgPath(rt)
@@ -308,8 +339,6 @@ func seedBlocking(fn *types.Func) string {
 		return "net." + name
 	case pkg == "time" && name == "Sleep":
 		return "time.Sleep"
-	case strings.HasSuffix(pkg, "internal/nn") && (name == "QuantizeChunks" || name == "DequantizeChunks"):
-		return "nn." + name + " (CPU-heavy quantization)"
 	}
 	return ""
 }

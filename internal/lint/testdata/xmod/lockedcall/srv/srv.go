@@ -2,13 +2,17 @@
 // on the wire while holding the registry mutex. The call itself
 // (codec.Send) looks innocent; it blocks because Send's body reaches
 // (*gob.Encoder).Encode two packages away — the finding only exists if the
-// engine walks the callee chain transitively. Exactly one lockedcall
-// finding, plus a clean snapshot-then-send variant.
+// engine walks the callee chain transitively. Two more findings are calls
+// that never block but cost CPU time proportional to the model — a weight
+// clone and the quantizer, recognised by package path suffix — each beside
+// the clean snapshot-then-work variant. Exactly three lockedcall findings.
 package srv
 
 import (
 	"sync"
 
+	"xmodlock/internal/modular"
+	"xmodlock/internal/nn"
 	"xmodlock/wire"
 )
 
@@ -16,6 +20,7 @@ type Server struct {
 	mu     sync.Mutex
 	peers  []*wire.Codec
 	rounds int
+	model  *modular.Model
 }
 
 func (s *Server) Broadcast(v any) {
@@ -38,4 +43,21 @@ func (s *Server) BroadcastSnapshot(v any) {
 	for _, c := range peers {
 		_ = c.Send(v)
 	}
+}
+
+// Serve clones the model and quantizes it while holding the lock every other
+// handler needs: two findings.
+func (s *Server) Serve() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sub := s.model.Extract()         // want: weight clone under s.mu
+	return nn.Quantize8(sub.Weights) // want: quantization under s.mu
+}
+
+// ServeSnapshot flattens under the lock and quantizes outside. No finding.
+func (s *Server) ServeSnapshot() []byte {
+	s.mu.Lock()
+	vec := s.model.Flatten(nil)
+	s.mu.Unlock()
+	return nn.Quantize8(vec)
 }

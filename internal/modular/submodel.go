@@ -1,6 +1,8 @@
 package modular
 
 import (
+	"fmt"
+
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -44,10 +46,11 @@ func (m *Model) ExtractWeights(active [][]int) *SubModel {
 	return m.extract(active, nn.CloneWeights)
 }
 
+// extract builds the sub-model for a selection; clone is handed the stem, the
+// selected modules layer by layer, then the head — backbone-vector order.
 func (m *Model) extract(active [][]int, clone func(nn.Layer) nn.Layer) *SubModel {
 	s := &SubModel{
 		Stem:    clone(m.Stem),
-		Head:    clone(m.Head),
 		TopK:    m.TopK,
 		InShape: append([]int(nil), m.InShape...),
 	}
@@ -61,7 +64,61 @@ func (m *Model) extract(active [][]int, clone func(nn.Layer) nn.Layer) *SubModel
 		s.Layers = append(s.Layers, layer)
 		s.Mapping = append(s.Mapping, mapping)
 	}
+	s.Head = clone(m.Head)
 	return s
+}
+
+// selection returns m's own tensors behind the backbone vector of the
+// sub-model that selects active, in that vector's order: stem, selected module
+// and head parameters; stem and head states.
+func (m *Model) selection(active [][]int) ([]*nn.Param, []*tensor.Tensor) {
+	ps := m.Stem.Params()
+	for l, idx := range active {
+		for _, i := range idx {
+			ps = append(ps, m.Layers[l].Modules[i].Params()...)
+		}
+	}
+	return append(ps, m.Head.Params()...), append(nn.LayerStates(m.Stem), nn.LayerStates(m.Head)...)
+}
+
+// AppendBackboneVector appends to dst, straight from m's own tensors, the wire
+// vector of the sub-model that selects active — bit for bit what
+// Extract(active).BackboneVector() holds, without building the sub-model. It
+// only reads m.
+func (m *Model) AppendBackboneVector(dst []float32, active [][]int) []float32 {
+	params, states := m.selection(active)
+	return nn.AppendVector(dst, params, states)
+}
+
+// SubModelOver returns the weights-only sub-model (see ExtractWeights) that
+// selects active and has vec — a BackboneVector of that structure — as its
+// backbone, without copying it: every parameter tensor is a window of vec, so
+// the caller gives vec up to the sub-model. Stem and head states are copied
+// out of vec's tail; module states, which a backbone vector does not carry,
+// are copies of m's, so the caller must hold whatever guards m against a
+// concurrent aggregation. A selection m does not have or a vector of the wrong
+// length is an error, and nothing is built.
+func (m *Model) SubModelOver(active [][]int, vec []float32) (*SubModel, error) {
+	if len(active) != len(m.Layers) {
+		return nil, fmt.Errorf("modular: selection spans %d layers, model has %d", len(active), len(m.Layers))
+	}
+	for l, idx := range active {
+		for _, i := range idx {
+			if i < 0 || i >= m.Layers[l].N() {
+				return nil, fmt.Errorf("modular: selection names module %d of layer %d, which has %d", i, l, m.Layers[l].N())
+			}
+		}
+	}
+	if want := nn.VectorLen(m.selection(active)); len(vec) != want {
+		return nil, fmt.Errorf("modular: backbone vector of %d elements for a selection that holds %d", len(vec), want)
+	}
+	s := m.extract(active, func(l nn.Layer) nn.Layer {
+		var c nn.Layer
+		c, vec = nn.CloneOver(l, vec)
+		return c
+	})
+	nn.LoadVector(vec, nil, s.backboneStates())
+	return s, nil
 }
 
 // rebuilt returns a sub-model of s's structure (its own copy of the mapping)
@@ -269,6 +326,11 @@ func (s *SubModel) backboneStates() []*tensor.Tensor {
 // stem/head states) into a wire vector.
 func (s *SubModel) BackboneVector() []float32 {
 	return nn.FlattenVector(s.Params(), s.backboneStates())
+}
+
+// AppendBackboneVector is BackboneVector appending to dst.
+func (s *SubModel) AppendBackboneVector(dst []float32) []float32 {
+	return nn.AppendVector(dst, s.Params(), s.backboneStates())
 }
 
 // LoadBackboneVector restores a vector produced by BackboneVector on a

@@ -16,6 +16,22 @@ func CloneLayer(l Layer) Layer { return cloneLayer(l, cloneTrainable) }
 // memory. EnsureGrads makes it trainable.
 func CloneWeights(l Layer) Layer { return cloneLayer(l, cloneWeights) }
 
+// CloneOver is CloneWeights whose parameters are windows of vec instead of
+// copies of l's: in Params() order, each parameter's weights are the next
+// NumEl() elements of vec, shared with it — a flat vector that just crossed a
+// link becomes a layer without being copied tensor by tensor. States are
+// copied from l. It returns the layer and the rest of vec, which must hold at
+// least ParamCount(l.Params()) elements.
+func CloneOver(l Layer, vec []float32) (Layer, []float32) {
+	c := cloneLayer(l, viewWeights)
+	for _, p := range c.Params() {
+		n := p.W.Len()
+		p.W = tensor.FromSlice(vec[:n:n], p.W.Shape()...)
+		vec = vec[n:]
+	}
+	return c, vec
+}
+
 // Bare returns l's architecture over the very same weight and state tensors
 // and nothing else: no gradient accumulators, no cached activations, no reuse
 // buffers, no recorded input geometry, no per-call closures. It is how a
@@ -105,14 +121,15 @@ const (
 	cloneTrainable cloneMode = iota // copied weights and states, zero gradients
 	cloneWeights                    // copied weights and states, no gradients
 	shareWeights                    // the source's own weights and states, no gradients
+	viewWeights                     // the source's own weights until CloneOver re-points them, copied states, no gradients
 )
 
 func (m cloneMode) param(p *Param) *Param {
 	switch m {
 	case cloneTrainable:
 		// A plain accumulator, not a loan: most trainable clones are never
-		// parked (the RPC server extracts one per fetch), and a borrowed
-		// array would cost them its size class for nothing.
+		// parked, and a borrowed array would cost them its size class for
+		// nothing.
 		return &Param{Name: p.Name, W: p.W.Clone(), G: tensor.New(p.W.Shape()...)}
 	case cloneWeights:
 		return &Param{Name: p.Name, W: p.W.Clone()}

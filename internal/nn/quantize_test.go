@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -145,5 +148,172 @@ func TestQuantizeChunksRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// quantize8Reference is Quantize8 as it was before its rounding lost the
+// math.Round call — the loop every code is held to, bit for bit.
+func quantize8Reference(vec []float32) Quantized8 {
+	if len(vec) == 0 {
+		return Quantized8{}
+	}
+	lo, hi := vec[0], vec[0]
+	for _, v := range vec {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	scale := (hi - lo) / 255
+	q := Quantized8{Min: lo, Scale: scale, Codes: make([]byte, len(vec))}
+	if scale <= 0 {
+		q.Scale = 0
+		return q
+	}
+	inv := 1 / scale
+	for i, v := range vec {
+		c := math.Round(float64((v - lo) * inv))
+		if c < 0 {
+			c = 0
+		}
+		if c > 255 {
+			c = 255
+		}
+		q.Codes[i] = byte(c)
+	}
+	return q
+}
+
+// sameQuantized8 compares header bit patterns (−0 ≠ +0, NaN = the same NaN:
+// both reach the wire) and codes.
+func sameQuantized8(a, b Quantized8) bool {
+	return math.Float32bits(a.Min) == math.Float32bits(b.Min) &&
+		math.Float32bits(a.Scale) == math.Float32bits(b.Scale) &&
+		bytes.Equal(a.Codes, b.Codes)
+}
+
+func checkQuantize8(t *testing.T, what string, vec []float32) {
+	t.Helper()
+	if got, want := Quantize8(vec), quantize8Reference(vec); !sameQuantized8(got, want) {
+		for i := range want.Codes {
+			if got.Codes[i] != want.Codes[i] {
+				t.Fatalf("%s: element %d (%v, bits %08x) coded %d, reference %d (min %v scale %v)",
+					what, i, vec[i], math.Float32bits(vec[i]), got.Codes[i], want.Codes[i], want.Min, want.Scale)
+			}
+		}
+		t.Fatalf("%s: header {%v %v}, reference {%v %v}", what, got.Min, got.Scale, want.Min, want.Scale)
+	}
+}
+
+// TestQuantize8MatchesRoundReference holds the truncating rounding to the
+// math.Round loop on the inputs where the two could part: every exact half
+// and its neighbours at several scales, NaN leading and in the middle, ±Inf,
+// ranges that overflow or underflow the scale, constants, −0 beside +0, and
+// random vectors of random scale, length and bit pattern.
+func TestQuantize8MatchesRoundReference(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	for _, step := range []float32{1, 2, 0.5, 3, 1e-3, 1 << 20} {
+		for _, lo := range []float32{0, -17, 1e6 * step} {
+			// Range [lo, lo+255·step]: x lands on k+0.5 exactly wherever the
+			// float32 arithmetic allows, and one ulp to either side of it.
+			vec := []float32{lo, lo + 255*step}
+			for k := 0; k < 256; k++ {
+				h := lo + (float32(k)+0.5)*step
+				vec = append(vec, h, math.Nextafter32(h, -inf), math.Nextafter32(h, inf), lo+float32(k)*step)
+			}
+			checkQuantize8(t, fmt.Sprintf("halves step=%v lo=%v", step, lo), vec)
+		}
+	}
+	checkQuantize8(t, "largest value below a half", []float32{0, 255, 0.5 - 1.0/(1<<25), 0.49999997, 0.5})
+	for name, vec := range map[string][]float32{
+		"nan first":          {nan, 1, 2, 3},
+		"nan middle":         {1, 2, nan, 3, -4},
+		"nan last":           {1, 2, 3, nan},
+		"all nan":            {nan, nan},
+		"+inf":               {1, inf, 2, 3},
+		"-inf":               {1, -inf, 2, 3},
+		"both inf":           {-inf, 0, 1, inf},
+		"inf and nan":        {0, inf, nan, -inf},
+		"constant":           {3, 3, 3},
+		"constant inf":       {inf, inf},
+		"zeros of both sign": {0, float32(math.Copysign(0, -1)), 0},
+		"-0 first":           {float32(math.Copysign(0, -1)), 0, 1},
+		"range overflows":    {-math.MaxFloat32, math.MaxFloat32, 0, 1e38},
+		"denormal range":     {0, math.SmallestNonzeroFloat32, 2 * math.SmallestNonzeroFloat32, 300 * math.SmallestNonzeroFloat32},
+		"inverse overflows":  {1, 1 + 1e-7, 1},
+		"single":             {7},
+	} {
+		checkQuantize8(t, name, vec)
+	}
+
+	rng := tensor.NewRNG(41)
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + rng.Intn(300)
+		scale := math.Pow(10, 12*rng.Float64()-9)
+		vec := make([]float32, n)
+		for i := range vec {
+			vec[i] = float32(rng.NormFloat64() * scale)
+		}
+		switch trial % 8 {
+		case 1: // arbitrary bit patterns: NaN payloads, infinities, denormals
+			for i := range vec {
+				vec[i] = math.Float32frombits(uint32(rng.Intn(1<<16))<<16 | uint32(rng.Intn(1<<16)))
+			}
+		case 2:
+			vec[rng.Intn(n)] = nan
+		case 3:
+			vec[rng.Intn(n)] = inf
+			vec[rng.Intn(n)] = -inf
+		case 4: // a coarse grid, so many elements sit on or beside a half
+			for i := range vec {
+				vec[i] = float32(rng.Intn(511)) * 0.5
+			}
+			vec[0], vec[n-1] = 0, 255
+		}
+		checkQuantize8(t, fmt.Sprintf("random trial %d", trial), vec)
+	}
+}
+
+// FuzzQuantize8 feeds Quantize8 arbitrary float32 bit patterns and holds it
+// to the math.Round reference.
+func FuzzQuantize8(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0x7f, 0x43, 0, 0, 0, 0x3f}) // 0, 255, 0.5
+	f.Add([]byte{0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x3f})          // NaN, 1
+	f.Add([]byte{0, 0, 0x80, 0x7f, 0, 0, 0x80, 0xff, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		vec := make([]float32, len(raw)/4)
+		for i := range vec {
+			vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		if got, want := Quantize8(vec), quantize8Reference(vec); !sameQuantized8(got, want) {
+			t.Fatalf("Quantize8(%x) = {%v %v %v}, reference {%v %v %v}",
+				raw, got.Min, got.Scale, got.Codes, want.Min, want.Scale, want.Codes)
+		}
+	})
+}
+
+var quantize8Sink Quantized8
+
+// BenchmarkQuantize8 times one 1,024-element wire chunk through Quantize8 and
+// through the math.Round reference, in one binary.
+func BenchmarkQuantize8(b *testing.B) {
+	rng := tensor.NewRNG(5)
+	vec := make([]float32, 1024)
+	for i := range vec {
+		vec[i] = float32(rng.NormFloat64() * 0.05)
+	}
+	for _, bc := range []struct {
+		name string
+		fn   func([]float32) Quantized8
+	}{{"truncate", Quantize8}, {"round-reference", quantize8Reference}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * len(vec)))
+			for i := 0; i < b.N; i++ {
+				quantize8Sink = bc.fn(vec)
+			}
+		})
 	}
 }

@@ -63,14 +63,19 @@ func VectorLen(params []*Param, states []*tensor.Tensor) int {
 // The layout is deterministic given a fixed params/states ordering, which all
 // transfer paths in this repo preserve.
 func FlattenVector(params []*Param, states []*tensor.Tensor) []float32 {
-	out := make([]float32, 0, VectorLen(params, states))
+	return AppendVector(make([]float32, 0, VectorLen(params, states)), params, states)
+}
+
+// AppendVector is FlattenVector appending to dst, for a caller that brings
+// the array.
+func AppendVector(dst []float32, params []*Param, states []*tensor.Tensor) []float32 {
 	for _, p := range params {
-		out = append(out, p.W.Data...)
+		dst = append(dst, p.W.Data...)
 	}
 	for _, s := range states {
-		out = append(out, s.Data...)
+		dst = append(dst, s.Data...)
 	}
-	return out
+	return dst
 }
 
 // LoadVector writes a flat vector produced by FlattenVector back into params
