@@ -19,20 +19,50 @@ await_quiescent() {
         [ -n "$addr" ] && break
         sleep 0.2
     done
-    [ -n "$addr" ] || { echo "ci: $1: admin server never reported a bound address" >&2; exit 1; }
+    [ -n "$addr" ] || fail "$1: admin server never reported a bound address"
     state=""
     for _ in $(seq 1 300); do
         state=$(curl -sf "http://$addr/statusz" | sed -n '1p')
         case "$state" in *quiescent*) return 0 ;; esac
         sleep 0.2
     done
-    echo "ci: $1: run never reached quiescence (last statusz line: $state)" >&2
     kill "$2" 2>/dev/null || true
-    exit 1
+    fail "$1: run never reached quiescence (last statusz line: $state)"
 }
 
+# fail <what went wrong>: report and stop the gate.
+fail() { echo "ci: $*" >&2; exit 1; }
+
 # same <a> <b> <what went wrong>: two artifacts must be byte-identical.
-same() { cmp "$1" "$2" || { echo "ci: $3" >&2; exit 1; }; }
+same() { cmp "$1" "$2" || fail "$3"; }
+
+# workers_gate <what the outputs are> <what the traces are> <gate> <gate
+# failure> <audit flags> <nebula-sim args...>: run nebula-sim at -workers 1
+# and 4 and require byte-identical stdout. Optional, "" to skip: a trace per
+# run, byte-identical too and readable by nebula-trace; a `<gate>: PASS`
+# verdict line in the output; a -seed-audit pass (same seed twice,
+# byte-identical) with the audit flags appended to the args.
+workers_gate() {
+    outs=$1 traces=$2 gate=$3 gatefail=$4 audit=$5
+    shift 5
+    tmp=$(mktemp -d)
+    for w in 1 4; do
+        go run ./cmd/nebula-sim "$@" -workers "$w" \
+            ${traces:+-trace "$tmp/w$w.jsonl"} >"$tmp/w$w.out" 2>/dev/null
+    done
+    if [ -n "$gate" ] && ! grep -q "$gate: PASS" "$tmp/w1.out"; then
+        grep "$gate:" "$tmp/w1.out" >&2 || true
+        fail "$gatefail"
+    fi
+    same "$tmp/w1.out" "$tmp/w4.out" "$outs differs between -workers 1 and -workers 4"
+    if [ -n "$traces" ]; then
+        same "$tmp/w1.jsonl" "$tmp/w4.jsonl" "$traces differs between -workers 1 and -workers 4"
+        go run ./cmd/nebula-trace "$tmp/w1.jsonl" >/dev/null
+    fi
+    # shellcheck disable=SC2086 # audit is a list of flags
+    [ -z "$audit" ] || go run ./cmd/nebula-sim "$@" $audit >/dev/null
+    rm -rf "$tmp"
+}
 
 echo "== go build ./..."
 go build ./...
@@ -49,8 +79,7 @@ artifact_dir="${CI_ARTIFACT_DIR:-$linttmp/artifacts}"
 mkdir -p "$artifact_dir"
 if ! "$linttmp/nebula-lint" ./... >"$artifact_dir/lint-report.txt" 2>&1; then
     cat "$artifact_dir/lint-report.txt" >&2
-    echo "ci: nebula-lint found violations (report archived at $artifact_dir/lint-report.txt)" >&2
-    exit 1
+    fail "nebula-lint found violations (report archived at $artifact_dir/lint-report.txt)"
 fi
 "$linttmp/nebula-lint" -json ./... >"$artifact_dir/lint-report.json"
 
@@ -60,14 +89,11 @@ echo "== nebula-lint self-check (a fixture must trip every registered check)"
 # loaderror and nolint pseudo-checks — must appear in the findings.
 if "$linttmp/nebula-lint" -unscoped -json internal/lint/testdata/... \
     >"$linttmp/fixtures.json" 2>/dev/null; then
-    echo "ci: nebula-lint exited 0 on its own fixtures — the analyzer is broken" >&2
-    exit 1
+    fail "nebula-lint exited 0 on its own fixtures — the analyzer is broken"
 fi
 for c in $("$linttmp/nebula-lint" -list | awk '$1 != "scope:" {print $1}'); do
-    grep -q "\"check\": \"$c\"" "$linttmp/fixtures.json" || {
-        echo "ci: no fixture trips check '$c' — every registered check needs a tripping fixture" >&2
-        exit 1
-    }
+    grep -q "\"check\": \"$c\"" "$linttmp/fixtures.json" ||
+        fail "no fixture trips check '$c' — every registered check needs a tripping fixture"
 done
 rm -rf "$linttmp"
 
@@ -75,71 +101,35 @@ echo "== go test -race ./..."
 go test -race ./...
 
 echo "== workers differential gate (artifacts identical for -workers 1 vs 4)"
-difftmp=$(mktemp -d)
 # -admin-addr stays on: artifacts must be identical with the telemetry
 # plane live (the registry is write-only; docs/OBSERVABILITY.md).
-for w in 1 4; do
-    go run ./cmd/nebula-sim -exp faults -devices 6 -proxy 8 -steps 2 \
-        -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5 \
-        -workers "$w" -admin-addr 127.0.0.1:0 \
-        -trace "$difftmp/w$w.jsonl" >"$difftmp/w$w.out" 2>/dev/null
-done
-same "$difftmp/w1.out" "$difftmp/w4.out" \
-    "experiment output differs between -workers 1 and -workers 4"
-same "$difftmp/w1.jsonl" "$difftmp/w4.jsonl" \
-    "trace JSONL differs between -workers 1 and -workers 4"
-go run ./cmd/nebula-trace "$difftmp/w1.jsonl" >/dev/null
-rm -rf "$difftmp"
+workers_gate "experiment output" "trace JSONL" "" "" "" \
+    -exp faults -devices 6 -proxy 8 -steps 2 \
+    -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5 \
+    -admin-addr 127.0.0.1:0
 
 echo "== semi-async gate (straggler experiment: latency win at equal accuracy; async artifacts identical for -workers 1 vs 4)"
-asynctmp=$(mktemp -d)
 # The straggler experiment runs bulk-sync and semi-async on one seeded
 # dynamic fleet (churn + pinned stragglers) and prints a machine-checkable
-# verdict line; only the async run writes the trace, so the byte-diff below
-# exercises the deadline/staleness/churn code paths (docs/ASYNC.md).
-for w in 1 4; do
-    go run ./cmd/nebula-sim -exp straggler -devices 6 -proxy 8 -steps 3 \
-        -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5 \
-        -workers "$w" -trace "$asynctmp/w$w.jsonl" >"$asynctmp/w$w.out" 2>/dev/null
-done
-grep -q 'straggler-gate: PASS' "$asynctmp/w1.out" || {
-    grep 'straggler-gate:' "$asynctmp/w1.out" >&2 || true
-    echo "ci: semi-async rounds did not beat bulk-sync latency at equal accuracy" >&2
-    exit 1
-}
-same "$asynctmp/w1.out" "$asynctmp/w4.out" \
-    "straggler experiment output differs between -workers 1 and -workers 4"
-same "$asynctmp/w1.jsonl" "$asynctmp/w4.jsonl" \
-    "semi-async trace JSONL differs between -workers 1 and -workers 4"
-go run ./cmd/nebula-trace "$asynctmp/w1.jsonl" >/dev/null
-# Async determinism end-to-end: same seed, two passes, byte-identical output.
-go run ./cmd/nebula-sim -exp straggler -devices 6 -proxy 8 -steps 2 \
-    -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5 \
-    -seed-audit >/dev/null
-rm -rf "$asynctmp"
+# verdict line; only the async run writes the trace, so the byte-diff
+# exercises the deadline/staleness/churn code paths (docs/ASYNC.md). The
+# audit is async determinism end to end, at two steps.
+workers_gate "straggler experiment output" "semi-async trace JSONL" straggler-gate \
+    "semi-async rounds did not beat bulk-sync latency at equal accuracy" \
+    "-steps 2 -seed-audit" \
+    -exp straggler -devices 6 -proxy 8 -steps 3 \
+    -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5
 
 echo "== wire-compression gate (compress experiment: >=2x traffic cut at bounded accuracy delta, counters exact; artifacts identical for -workers 1 vs 4)"
-comptmp=$(mktemp -d)
 # The compress experiment runs one seeded adaptation twice — exact float32
 # transfers vs the wire-format v2 codec (docs/PROTOCOL.md) — and prints a
 # machine-checkable verdict: traffic ratio >= 2, accuracy within epsilon,
 # and the Costs ledger exactly equal to trace.Summarize in both runs.
-for w in 1 4; do
-    go run ./cmd/nebula-sim -exp compress -devices 8 -proxy 8 -rounds 3 \
-        -per-round 6 -pretrain-epochs 1 -local-epochs 1 -seed 5 \
-        -workers "$w" >"$comptmp/w$w.out" 2>/dev/null
-done
-grep -q 'compress-gate: PASS' "$comptmp/w1.out" || {
-    grep 'compress-gate:' "$comptmp/w1.out" >&2 || true
-    echo "ci: wire-format v2 did not cut traffic >=2x at bounded accuracy delta with exact counters" >&2
-    exit 1
-}
-same "$comptmp/w1.out" "$comptmp/w4.out" \
-    "compress experiment output differs between -workers 1 and -workers 4"
-go run ./cmd/nebula-sim -exp compress -devices 8 -proxy 8 -rounds 3 \
-    -per-round 6 -pretrain-epochs 1 -local-epochs 1 -seed 5 \
-    -seed-audit >/dev/null
-rm -rf "$comptmp"
+workers_gate "compress experiment output" "" compress-gate \
+    "wire-format v2 did not cut traffic >=2x at bounded accuracy delta with exact counters" \
+    -seed-audit \
+    -exp compress -devices 8 -proxy 8 -rounds 3 \
+    -per-round 6 -pretrain-epochs 1 -local-epochs 1 -seed 5
 
 echo "== admin plane gate (live /healthz, /metrics, pprof; scrapes byte-stable at quiescence)"
 admtmp=$(mktemp -d)
@@ -154,10 +144,7 @@ simpid=$!
 # After quiescence every counter is final, so two scrapes must be
 # byte-identical.
 await_quiescent "admin gate" "$simpid" "$admtmp/run.err"
-curl -sf "http://$addr/healthz" | grep -qx 'ok' || {
-    echo "ci: /healthz did not answer ok" >&2
-    exit 1
-}
+curl -sf "http://$addr/healthz" | grep -qx 'ok' || fail "/healthz did not answer ok"
 curl -sf "http://$addr/metrics" >"$admtmp/m1.txt"
 curl -sf "http://$addr/metrics" >"$admtmp/m2.txt"
 same "$admtmp/m1.txt" "$admtmp/m2.txt" \
@@ -170,21 +157,13 @@ if grep -v '^#' "$admtmp/m1.txt" | grep -qvE '^[a-zA-Z_][a-zA-Z0-9_]*(\{[^}]*\})
     exit 1
 fi
 for fam in nebula_tensor_gemm_total nebula_fed_rounds_total nebula_edgenet_client_events_total; do
-    grep -q "^$fam" "$admtmp/m1.txt" || {
-        echo "ci: /metrics is missing family $fam" >&2
-        exit 1
-    }
+    grep -q "^$fam" "$admtmp/m1.txt" || fail "/metrics is missing family $fam"
 done
-curl -sf "http://$addr/debug/pprof/goroutine?debug=1" | grep -q '^goroutine profile:' || {
-    echo "ci: /debug/pprof/goroutine did not return a profile" >&2
-    exit 1
-}
+curl -sf "http://$addr/debug/pprof/goroutine?debug=1" | grep -q '^goroutine profile:' ||
+    fail "/debug/pprof/goroutine did not return a profile"
 # The run only reaches quiescence after the audit verdict is printed, so
 # this grep cannot race the check above.
-grep -q 'seed-audit: OK' "$admtmp/run.err" || {
-    echo "ci: seed audit failed with the admin plane live" >&2
-    exit 1
-}
+grep -q 'seed-audit: OK' "$admtmp/run.err" || fail "seed audit failed with the admin plane live"
 kill "$simpid" 2>/dev/null || true
 wait "$simpid" 2>/dev/null || true
 rm -rf "$admtmp"
@@ -210,18 +189,15 @@ curl -sf "http://$addr/spans" >"$spantmp/scraped.jsonl"
 same "$spantmp/scraped.jsonl" "$spantmp/spans.jsonl" \
     "/spans scrape differs from the -spans capture at quiescence"
 # The round-health /statusz section rides the same recorder.
-curl -sf "http://$addr/statusz" | grep -q 'round health' || {
-    echo "ci: /statusz is missing the round health section" >&2
-    exit 1
-}
+curl -sf "http://$addr/statusz" | grep -q 'round health' ||
+    fail "/statusz is missing the round health section"
 kill "$spanpid" 2>/dev/null || true
 wait "$spanpid" 2>/dev/null || true
 # Structural validation: nebula-spans -check exits nonzero on any orphaned
 # parent, and prints traces/spans/roots/round_roots counts.
 "$spantmp/nebula-spans" -check "$spantmp/spans.jsonl" >"$spantmp/check.out" || {
     cat "$spantmp/check.out" >&2
-    echo "ci: span capture failed structural validation (orphaned parents)" >&2
-    exit 1
+    fail "span capture failed structural validation (orphaned parents)"
 }
 # Causal completeness: every deadline-paced round must have produced exactly
 # one fed.round root span, so root count equals the adaptation trace's
@@ -230,8 +206,7 @@ roots=$(sed -n 's/.*round_roots=\([0-9][0-9]*\).*/\1/p' "$spantmp/check.out")
 rounds=$("$spantmp/nebula-trace" "$spantmp/traced.jsonl" | sed -n 's/^rounds:[[:space:]]*\([0-9][0-9]*\)$/\1/p')
 [ -n "$roots" ] && [ -n "$rounds" ] && [ "$roots" = "$rounds" ] || {
     cat "$spantmp/check.out" >&2
-    echo "ci: span round roots ($roots) != trace rounds ($rounds)" >&2
-    exit 1
+    fail "span round roots ($roots) != trace rounds ($rounds)"
 }
 # Artifact neutrality at the CLI boundary: the identical run with tracing
 # (and the admin plane) off must produce byte-identical stdout and trace

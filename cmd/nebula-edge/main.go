@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"time"
 
@@ -115,7 +116,7 @@ func main() {
 		imp := skeleton.Importance(x)
 
 		p := mon.Profile()
-		budget := budgetFor(skeleton, p)
+		budget := skeleton.PoolBudget(poolFraction(p))
 		sub, err := cl.FetchSubModel(imp, budget)
 		if err != nil {
 			// Dynamic-edge survival: a lost fetch degrades to the cached
@@ -143,27 +144,8 @@ func main() {
 	}
 }
 
-// budgetFor grants the stem+head plus a capability fraction of the module
-// pool, mirroring the simulation's budget shaping.
-func budgetFor(m *modular.Model, p device.Profile) modular.Budget {
-	stem, head, mods := m.ModuleCosts()
-	var b modular.Budget
-	for _, layer := range mods {
-		for _, mc := range layer {
-			b.CommBytes += float64(mc.Bytes)
-			b.FwdFLOPs += float64(mc.FwdFLOPs)
-			b.MemElems += float64(mc.TrainMemEl)
-		}
-	}
-	frac := 0.4 * p.ComputeFLOPS / device.JetsonNano().ComputeFLOPS
-	if frac < 0.2 {
-		frac = 0.2
-	}
-	if frac > 0.8 {
-		frac = 0.8
-	}
-	b.CommBytes = float64(stem.Bytes+head.Bytes) + frac*b.CommBytes
-	b.FwdFLOPs = float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*b.FwdFLOPs
-	b.MemElems = float64(stem.TrainMemEl+head.TrainMemEl) + frac*b.MemElems
-	return b
+// poolFraction is this binary's budget policy: the share of the module pool
+// a device may hold grows with its effective compute, between 0.2 and 0.8.
+func poolFraction(p device.Profile) float64 {
+	return math.Min(math.Max(0.4*p.ComputeFLOPS/device.JetsonNano().ComputeFLOPS, 0.2), 0.8)
 }

@@ -76,7 +76,7 @@ func main() {
 	fmt.Println("budget  modules  params      accuracy")
 	full := nn.ParamCount(model.BackboneParams())
 	for _, frac := range []float64{0.1, 0.2, 0.35, 0.5, 0.75, 1.0} {
-		b := fracBudget(model, frac)
+		b := model.PoolBudget(frac)
 		active := model.Derive(imp, b, false)
 		sub := model.Extract(active)
 		acc := fed.EvalLayer(sub, test)
@@ -93,20 +93,4 @@ func indices(n int) []int {
 		idx[i] = i
 	}
 	return idx
-}
-
-func fracBudget(m *modular.Model, frac float64) modular.Budget {
-	stem, head, mods := m.ModuleCosts()
-	var b modular.Budget
-	for _, layer := range mods {
-		for _, mc := range layer {
-			b.CommBytes += float64(mc.Bytes)
-			b.FwdFLOPs += float64(mc.FwdFLOPs)
-			b.MemElems += float64(mc.TrainMemEl)
-		}
-	}
-	b.CommBytes = float64(stem.Bytes+head.Bytes) + frac*b.CommBytes
-	b.FwdFLOPs = float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*b.FwdFLOPs
-	b.MemElems = float64(stem.TrainMemEl+head.TrainMemEl) + frac*b.MemElems
-	return b
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"sync"
 
 	"repro/internal/data"
@@ -74,7 +75,7 @@ func main() {
 			// Importance from local data through the downloaded selector.
 			x, _ := dev.Train.Batch(indices(min(dev.Train.Len(), 48)))
 			imp := skeleton.Importance(x)
-			sub, err := cl.FetchSubModel(imp, budgetFor(skeleton, mon.Profile()))
+			sub, err := cl.FetchSubModel(imp, skeleton.PoolBudget(poolFraction(mon.Profile())))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -108,26 +109,8 @@ func indices(n int) []int {
 	return idx
 }
 
-// budgetFor grants stem+head plus a capability-scaled fraction of the pool.
-func budgetFor(m *modular.Model, p device.Profile) modular.Budget {
-	stem, head, mods := m.ModuleCosts()
-	var b modular.Budget
-	for _, layer := range mods {
-		for _, mc := range layer {
-			b.CommBytes += float64(mc.Bytes)
-			b.FwdFLOPs += float64(mc.FwdFLOPs)
-			b.MemElems += float64(mc.TrainMemEl)
-		}
-	}
-	frac := 0.3 * p.ComputeFLOPS / device.JetsonNano().ComputeFLOPS
-	if frac < 0.15 {
-		frac = 0.15
-	}
-	if frac > 0.7 {
-		frac = 0.7
-	}
-	b.CommBytes = float64(stem.Bytes+head.Bytes) + frac*b.CommBytes
-	b.FwdFLOPs = float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*b.FwdFLOPs
-	b.MemElems = float64(stem.TrainMemEl+head.TrainMemEl) + frac*b.MemElems
-	return b
+// poolFraction scales the share of the module pool a device may hold with
+// its effective compute, between 0.15 and 0.7.
+func poolFraction(p device.Profile) float64 {
+	return math.Min(math.Max(0.3*p.ComputeFLOPS/device.JetsonNano().ComputeFLOPS, 0.15), 0.7)
 }

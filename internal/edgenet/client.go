@@ -72,10 +72,7 @@ type EdgeClient struct {
 	// Redial reopens the transport after a failure. Dial installs a TCP
 	// redialer; pipe clients may set one (tests do) or live without retries.
 	Redial func() (io.ReadWriteCloser, error)
-	// MaxProto caps the protocol version this client offers at Hello time
-	// (0 = ProtoV2). Tests pin it to ProtoV1 to prove mixed-version interop.
-	MaxProto int
-	// WireOpts tunes the v2 payload codec (chunk size, float16, top-k
+	// WireOpts tunes the payload codec (chunk size, float16, top-k
 	// sparsification for delta pushes). Zero value: dense int8, 1024-chunk.
 	WireOpts WireOpts
 	// Spans, when set, records distributed-trace spans for every call made
@@ -94,10 +91,9 @@ type EdgeClient struct {
 	traceID     span.TraceID
 	traceParent span.SpanID
 	stats       RetryStats
-	proto       int      // negotiated protocol version; 0 until Hello succeeds (acts as v1)
-	ref         *WireRef // reconstruction of the last v2 sub-model fetch (delta base)
+	ref         *WireRef // reconstruction of the last sub-model fetch (delta base)
 	// maxVecLen is Skeleton's full backbone length (see maxVec); computed at
-	// the first v2 payload.
+	// the first payload.
 	maxVecLen int
 
 	// traffic accumulated over connections torn down by reconnects.
@@ -220,7 +216,7 @@ func (c *EdgeClient) call(req *Request) (*Response, error) {
 	return resp, err
 }
 
-// callChunks is call plus the v2 chunk streams: out frames are written after
+// callChunks is call plus the chunk streams: out frames are written after
 // the request envelope, and a response that announces a payload has its
 // frames read back. The returned payload is fully assembled (header +
 // chunks) or nil.
@@ -329,7 +325,7 @@ func (c *EdgeClient) callChunks(req *Request, out []WireChunk) (*Response, *Wire
 	return nil, nil, lastErr
 }
 
-// exchange performs one request/response round trip including v2 chunk
+// exchange performs one request/response round trip including chunk
 // streams. Deadlines (when to > 0 and the transport supports them) re-arm
 // before every frame, so the timeout bounds one stalled write or frame read
 // rather than requiring the whole payload to fit inside it.
@@ -427,36 +423,18 @@ func (c *EdgeClient) maxVec() int {
 	return c.maxVecLen
 }
 
-// maxProto is the highest protocol version this client offers.
-func (c *EdgeClient) maxProto() int {
-	if c.MaxProto > 0 {
-		return c.MaxProto
-	}
-	return ProtoV2
-}
-
-// Proto reports the negotiated protocol version (ProtoV1 before Hello).
-func (c *EdgeClient) Proto() int {
-	if c.proto < ProtoV1 {
-		return ProtoV1
-	}
-	return c.proto
-}
-
 // Hello fetches the current unified selector into the local skeleton and
-// negotiates the protocol version: the client offers its maximum, the server
-// answers with min(client, server), and every later request carries that
-// version. Until Hello succeeds the client speaks plain v1 — it must never
-// emit v2 chunk frames at a peer that has not agreed to parse them. Run once
-// after connecting; the device then scores module importance locally.
+// checks that both ends speak the same protocol version: the client names
+// its own, the server refuses any other, and the client refuses a reply that
+// names another. Run once after connecting; the device then scores module
+// importance locally.
 func (c *EdgeClient) Hello() error {
-	resp, err := c.call(&Request{Kind: KindHello, DeviceID: c.DeviceID, Proto: c.maxProto()})
+	resp, err := c.call(&Request{Kind: KindHello, DeviceID: c.DeviceID, Proto: ProtoV2})
 	if err != nil {
 		return err
 	}
-	c.proto = resp.Proto
-	if c.proto < ProtoV1 { // pre-handshake server: field absent = v1
-		c.proto = ProtoV1
+	if resp.Proto != ProtoV2 {
+		return fmt.Errorf("edgenet: hello: server speaks protocol version %d, this client speaks version %d", resp.Proto, ProtoV2)
 	}
 	// A malformed reply must not panic the device loop (mirrors the
 	// server's safeLoad guard for uploads).
@@ -479,11 +457,11 @@ func safeLoadSelector(sel *modular.Selector, vec []float32) (err error) {
 }
 
 // FetchSubModel asks the cloud to derive a personalized sub-model for the
-// given importance/budget and instantiates it locally. On a v2 link the
-// parameters arrive as a chunk-streamed quantized payload — delta-encoded
-// against the previous fetch whenever the server still holds the matching
-// reference — and the decoded reconstruction becomes the client's new delta
-// base for both the next fetch and the next push.
+// given importance/budget and instantiates it locally. The parameters arrive
+// as a chunk-streamed quantized payload — delta-encoded against the previous
+// fetch whenever the server still holds the matching reference — and the
+// decoded reconstruction becomes the client's new delta base for both the
+// next fetch and the next push.
 //
 // The sub-model is built from the received vector alone (the skeleton lends
 // its architecture, its module states and a copy of its selector) and is
@@ -493,35 +471,36 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 	req := &Request{
 		Kind:       KindGetSubModel,
 		DeviceID:   c.DeviceID,
-		Proto:      c.proto,
 		Importance: importance,
 		Budget:     FromBudget(budget),
 	}
-	if c.proto >= ProtoV2 && c.ref != nil {
+	if c.ref != nil {
 		req.HaveVer = c.ref.Version
 	}
 	resp, pay, err := c.callChunks(req, nil)
 	if err != nil {
 		return nil, err
 	}
-	vec := resp.Backbone
-	if pay != nil {
-		var base []float32
-		if pay.Header.Delta {
-			if c.ref == nil || c.ref.Version != pay.Header.BaseVer {
-				return nil, fmt.Errorf("edgenet: fetch: delta against version %d, which this client does not hold", pay.Header.BaseVer)
-			}
-			base = c.ref.Vec
-		}
-		if vec, err = DecodeVec(pay, base); err != nil {
-			return nil, fmt.Errorf("edgenet: fetch: %w", err)
-		}
-		c.ref = &WireRef{Version: pay.Header.Version, Mapping: resp.Active, Vec: vec}
-		// The reference is immutable and the sub-model is about to be trained:
-		// it gets its own copy of the vector to live in.
-		vec = append([]float32(nil), vec...)
+	if pay == nil {
+		return nil, errors.New("edgenet: fetch: reply carries no payload")
 	}
-	sub, err := c.Skeleton.SubModelOver(resp.Active, vec)
+	// The server checked the structure before it coded a delta; this end
+	// checks only that the version it names is the one held here.
+	var base []float32
+	if pay.Header.Delta {
+		if c.ref == nil || c.ref.Version != pay.Header.BaseVer {
+			return nil, fmt.Errorf("edgenet: fetch: delta against version %d, which this client does not hold", pay.Header.BaseVer)
+		}
+		base = c.ref.Vec
+	}
+	ref, err := DecodeVec(pay, base)
+	if err != nil {
+		return nil, fmt.Errorf("edgenet: fetch: %w", err)
+	}
+	c.ref = &WireRef{Version: pay.Header.Version, Mapping: resp.Active, Vec: ref}
+	// The reference is immutable and the sub-model is about to be trained:
+	// it gets its own copy of the vector to live in.
+	sub, err := c.Skeleton.SubModelOver(resp.Active, append([]float32(nil), ref...))
 	if err != nil {
 		return nil, fmt.Errorf("edgenet: fetch: %w", err)
 	}
@@ -533,9 +512,9 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 // and aggregation weight. Each update carries a monotonic Seq; a retry
 // resends the same Seq, and the server applies at most once.
 //
-// On a v2 link the backbone travels as a chunk-streamed quantized payload,
-// delta-encoded (with optional top-k sparsification, WireOpts.TopK) against
-// the reconstruction of the last fetch when the mapping is unchanged. If the
+// The backbone travels as a chunk-streamed quantized payload, delta-encoded
+// (with optional top-k sparsification, WireOpts.TopK) against the
+// reconstruction of the last fetch when the mapping is unchanged. If the
 // server no longer holds that reference it answers NeedFull, and the same
 // update — same Seq — is re-sent once as a full payload.
 func (c *EdgeClient) PushUpdate(sub *modular.SubModel, importance [][]float64, weight float64) error {
@@ -543,40 +522,30 @@ func (c *EdgeClient) PushUpdate(sub *modular.SubModel, importance [][]float64, w
 	req := &Request{
 		Kind:       KindPushUpdate,
 		DeviceID:   c.DeviceID,
-		Proto:      c.proto,
 		Seq:        c.seq,
 		Active:     sub.Mapping,
 		Importance: importance,
 		Weight:     weight,
 	}
-	if c.proto >= ProtoV2 {
-		// The flat vector dies with this call, so its array is borrowed.
-		sc := tensor.GetScratch(c.maxVec())
-		defer tensor.PutScratch(sc)
-		vec := sub.AppendBackboneVector(sc.Data[:0])
-		var base []float32
-		var baseVer uint64
-		if c.ref != nil && MappingEqual(c.ref.Mapping, sub.Mapping) {
-			base, baseVer = c.ref.Vec, c.ref.Version
-		}
-		p := EncodeVec(vec, base, c.WireOpts)
-		p.Header.BaseVer = baseVer
-		req.Payload = &p.Header
-		resp, _, err := c.callChunks(req, p.Chunks)
-		if resp != nil && resp.NeedFull {
-			// The server lost our reference (restart, cache eviction). The
-			// update itself is fine — re-send it whole under the same Seq.
-			c.ref = nil
-			clientMetrics.wireFallbacks.Inc()
-			full := EncodeVec(vec, nil, c.WireOpts)
-			req.Payload = &full.Header
-			_, _, err = c.callChunks(req, full.Chunks)
-			return err
-		}
-		return err
+	// The flat vector dies with this call, so its array is borrowed.
+	sc := tensor.GetScratch(c.maxVec())
+	defer tensor.PutScratch(sc)
+	vec := sub.AppendBackboneVector(sc.Data[:0])
+	p := EncodeVec(vec, c.ref.Base(sub.Mapping), c.WireOpts)
+	if p.Header.Delta {
+		p.Header.BaseVer = c.ref.Version
 	}
-	req.Backbone = sub.BackboneVector()
-	_, err := c.call(req)
+	req.Payload = &p.Header
+	resp, _, err := c.callChunks(req, p.Chunks)
+	if resp != nil && resp.NeedFull {
+		// The server lost our reference (restart, cache eviction). The
+		// update itself is fine — re-send it whole under the same Seq.
+		c.ref = nil
+		clientMetrics.wireFallbacks.Inc()
+		full := EncodeVec(vec, nil, c.WireOpts)
+		req.Payload = &full.Header
+		_, _, err = c.callChunks(req, full.Chunks)
+	}
 	return err
 }
 

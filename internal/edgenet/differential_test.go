@@ -66,27 +66,28 @@ func requireSameModel(t *testing.T, when string, got, want *modular.Model) {
 }
 
 // TestServerPushesMatchExtractLoadReplay is the differential for the server's
-// push path: one scripted sequence of v1 and v2 (full, dense delta, top-k
-// delta) pushes, aggregating every third, must leave the cloud model —
-// parameters and running statistics — bit for bit where a replay through the
-// path the server used to take leaves its twin: Extract a trainable clone,
-// LoadBackboneVector the decoded upload into it, AggregateModuleWise.
+// push path: one scripted sequence of full, dense-delta and top-k-delta
+// pushes at two chunk sizes, aggregating every third, must leave the cloud
+// model — parameters and running statistics — bit for bit where a replay
+// through the path the server used to take leaves its twin: Extract a
+// trainable clone, LoadBackboneVector the decoded upload into it,
+// AggregateModuleWise.
 func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 	const seed, every = 61, 3
 	cloud, oracle := buildStatefulModel(seed), buildStatefulModel(seed)
 	srv := NewServer(cloud, every)
 	imp := uniformImportance(cloud)
-	dial := func(id, maxProto int, opts WireOpts) *EdgeClient {
+	dial := func(id int, opts WireOpts) *EdgeClient {
 		cl := pipePair(t, srv, buildStatefulModel(seed))
-		cl.DeviceID, cl.MaxProto, cl.WireOpts = id, maxProto, opts
+		cl.DeviceID, cl.WireOpts = id, opts
 		if err := cl.Hello(); err != nil {
 			t.Fatal(err)
 		}
 		return cl
 	}
-	v1 := dial(1, ProtoV1, WireOpts{})
-	dense := dial(2, 0, WireOpts{Chunk: 16})
-	topk := dial(3, 0, WireOpts{Chunk: 16, TopK: 0.25})
+	plain := dial(1, WireOpts{})
+	dense := dial(2, WireOpts{Chunk: 16})
+	topk := dial(3, WireOpts{Chunk: 16, TopK: 0.25})
 
 	rng := tensor.NewRNG(3)
 	var pending []*modular.Update
@@ -95,16 +96,10 @@ func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 		t.Helper()
 		// What the server will decode. The codec is a pure function, so the
 		// test runs it on the inputs PushUpdate is about to give it.
-		landed := sub.BackboneVector()
-		if cl.Proto() >= ProtoV2 {
-			var base []float32
-			if cl.ref != nil && MappingEqual(cl.ref.Mapping, sub.Mapping) {
-				base = cl.ref.Vec
-			}
-			var err error
-			if landed, err = DecodeVec(EncodeVec(landed, base, cl.WireOpts), base); err != nil {
-				t.Fatal(err)
-			}
+		base := cl.ref.Base(sub.Mapping)
+		landed, err := DecodeVec(EncodeVec(sub.BackboneVector(), base, cl.WireOpts), base)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := cl.PushUpdate(sub, imp, weight); err != nil {
 			t.Fatal(err)
@@ -130,10 +125,10 @@ func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 	}
 
 	for round := 0; round < 4; round++ {
-		for i, cl := range []*EdgeClient{v1, dense, topk} {
+		for i, cl := range []*EdgeClient{plain, dense, topk} {
 			push(cl, fetch(cl, looseBudget()), float64(10+5*i+round))
 		}
-		// A v2 push that cannot be a delta: the client's reference moved on to
+		// A push that cannot be a delta: the client's reference moved on to
 		// a narrower sub-model before the wide one is uploaded.
 		wide := fetch(dense, looseBudget())
 		narrow := looseBudget()
@@ -148,7 +143,7 @@ func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 	if st.UpdatesReceived != int64(pushes) || st.Aggregations != int64(pushes/every) {
 		t.Fatalf("server counted %d updates and %d aggregations for %d pushes", st.UpdatesReceived, st.Aggregations, pushes)
 	}
-	// 4 rounds × (dense + top-k) delta pushes, 4 full v2 pushes, on top of the
+	// 4 rounds × (dense + top-k) delta pushes, 4 full pushes, on top of the
 	// fetches' own payloads.
 	if st.WireDelta < 8 || st.WireFull < 4 || st.WireFallbacks != 0 {
 		t.Fatalf("script did not exercise full and delta payloads: %+v", st)

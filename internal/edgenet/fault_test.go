@@ -4,9 +4,12 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/modular"
 )
 
 // --- fault injector ---------------------------------------------------------
@@ -188,7 +191,7 @@ func TestServerDropsImplausibleHeader(t *testing.T) {
 	a, b := net.Pipe()
 	done := serveDone(srv, a)
 	err := NewCodec(b).Send(&Request{
-		Kind: KindPushUpdate, DeviceID: 1, Proto: ProtoV2,
+		Kind: KindPushUpdate, DeviceID: 1,
 		Payload: &WireHeader{Len: 1 << 30, Chunks: 1 << 20},
 	})
 	if err != nil {
@@ -273,12 +276,13 @@ func TestAcceptLoopSurvivesTransientError(t *testing.T) {
 
 // --- satellite 3: malformed Hello reply errors instead of panicking ---------
 
-func TestHelloMalformedSelectorReturnsError(t *testing.T) {
+// stubServerClient returns a client whose server is a stub that answers the
+// first request with resp, whatever it asked — for replies no real server
+// sends.
+func stubServerClient(t *testing.T, skeleton *modular.Model, resp *Response) *EdgeClient {
+	t.Helper()
 	a, b := net.Pipe()
-	defer a.Close()
-	// Hand-rolled malicious server: replies OK with a truncated selector.
 	done := make(chan struct{})
-	defer func() { <-done }()
 	go func() {
 		defer close(done)
 		codec := NewCodec(a)
@@ -286,13 +290,18 @@ func TestHelloMalformedSelectorReturnsError(t *testing.T) {
 		if err := codec.Recv(&req); err != nil {
 			return
 		}
-		_ = codec.Send(&Response{OK: true, Selector: []float32{1, 2, 3}})
+		_ = codec.Send(resp)
 	}()
-	cl := NewPipeClient(b, 1, buildModel(25))
-	defer cl.Close()
+	t.Cleanup(func() { _ = b.Close(); <-done; _ = a.Close() })
+	return NewPipeClient(b, 1, skeleton)
+}
+
+func TestHelloMalformedSelectorReturnsError(t *testing.T) {
+	// A malicious server: the right version, OK, and a truncated selector.
+	cl := stubServerClient(t, buildModel(25), &Response{OK: true, Proto: ProtoV2, Selector: []float32{1, 2, 3}})
 	err := cl.Hello()
-	if err == nil {
-		t.Fatal("Hello accepted a truncated selector")
+	if err == nil || !strings.Contains(err.Error(), "selector") {
+		t.Fatalf("Hello accepted a truncated selector: %v", err)
 	}
 }
 

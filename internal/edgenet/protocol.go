@@ -47,17 +47,14 @@ type Request struct {
 	// monotonically and resends the same Seq on retry, so the server can
 	// dedupe replays (at-most-once application). 0 means untagged.
 	Seq int64
-	// Proto is the protocol version this request speaks. On Hello it is the
-	// highest version the client supports; afterwards it is the negotiated
-	// version. 0 reads as ProtoV1 — requests from pre-handshake clients are
-	// indistinguishable from v1, which is the point: gob skips unknown
-	// fields, so v1 peers interoperate without ever seeing v2 framing.
+	// Proto is the protocol version the client speaks, sent on Hello only:
+	// the server refuses a Hello that names any version but its own (a
+	// check on outside input, not a negotiation — there is one version).
 	Proto int
 	// TraceID/SpanID carry the caller's distributed-trace context
-	// (internal/obs/span) when span tracing is on; 0 means untraced. The
-	// fields are versioned exactly like Proto: gob omits zero values and
-	// skips fields the peer does not declare, so v1 peers and span-unaware
-	// v2 peers interoperate without ever seeing the context.
+	// (internal/obs/span) when span tracing is on; 0 means untraced. gob
+	// omits zero values and skips fields the peer does not declare, so
+	// span-unaware peers interoperate without ever seeing the context.
 	TraceID uint64
 	SpanID  uint64
 
@@ -65,18 +62,16 @@ type Request struct {
 	Importance [][]float64
 	Budget     BudgetMsg
 	// HaveVer is the version of the client's cached sub-model reconstruction
-	// (0 = none); a v2 server that still holds the matching reference sends
-	// a delta payload instead of full parameters.
+	// (0 = none); a server that still holds the matching reference sends a
+	// delta payload instead of full parameters.
 	HaveVer uint64
 
 	// PushUpdate fields.
-	Active   [][]int
-	Backbone []float32
-	Weight   float64
-	// Payload, when set, announces a v2 chunk-streamed upload: exactly
-	// Payload.Chunks WireChunk frames follow this envelope on the stream.
-	// Only sent after Hello negotiated ProtoV2 — a v1 server would misread
-	// the chunk frames as its next Request.
+	Active [][]int
+	Weight float64
+	// Payload announces the chunk-streamed upload: exactly Payload.Chunks
+	// WireChunk frames follow this envelope on the stream. A push without
+	// one is an error reply.
 	Payload *WireHeader
 }
 
@@ -117,14 +112,14 @@ type Response struct {
 
 	// Hello reply.
 	Selector []float32
-	// Proto is the negotiated protocol version: min(client's, server's).
+	// Proto is the protocol version the server speaks; the client refuses a
+	// reply that names another.
 	Proto int
 
 	// GetSubModel reply.
-	Active   [][]int
-	Backbone []float32
-	// Payload, when set, announces a v2 chunk-streamed sub-model: exactly
-	// Payload.Chunks WireChunk frames follow this envelope.
+	Active [][]int
+	// Payload announces the chunk-streamed sub-model: exactly Payload.Chunks
+	// WireChunk frames follow this envelope.
 	Payload *WireHeader
 
 	// Stats reply.
@@ -236,18 +231,3 @@ func (c *Codec) Recv(v any) error { return c.dec.Decode(v) }
 
 // Traffic returns bytes read and written so far.
 func (c *Codec) Traffic() (in, out int64) { return c.in.Load(), c.out.Load() }
-
-// Call sends a request and waits for the response.
-func (c *Codec) Call(req *Request) (*Response, error) {
-	if err := c.Send(req); err != nil {
-		return nil, fmt.Errorf("edgenet: send: %w", err)
-	}
-	var resp Response
-	if err := c.Recv(&resp); err != nil {
-		return nil, fmt.Errorf("edgenet: recv: %w", err)
-	}
-	if !resp.OK {
-		return &resp, fmt.Errorf("edgenet: remote error: %s", resp.Error)
-	}
-	return &resp, nil
-}

@@ -2,8 +2,11 @@ package edgenet
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,9 +35,6 @@ func TestV2HandshakeAndFetchPush(t *testing.T) {
 	cl := pipePair(t, srv, skeleton)
 	if err := cl.Hello(); err != nil {
 		t.Fatal(err)
-	}
-	if cl.Proto() != ProtoV2 {
-		t.Fatalf("negotiated proto %d, want %d", cl.Proto(), ProtoV2)
 	}
 	imp := uniformImportance(cloud)
 	sub, err := cl.FetchSubModel(imp, looseBudget())
@@ -74,93 +74,222 @@ func TestV2HandshakeAndFetchPush(t *testing.T) {
 }
 
 func TestV2TrafficBeatsV1Plain(t *testing.T) {
-	imp := uniformImportance(buildModel(41))
-	traffic := func(maxProto int) int64 {
-		cloud := buildModel(41)
-		skeleton := buildModel(41)
-		srv := NewServer(cloud, 1)
-		cl := pipePair(t, srv, skeleton)
-		cl.MaxProto = maxProto
-		if err := cl.Hello(); err != nil {
+	cloud := buildModel(41)
+	imp := uniformImportance(cloud)
+	srv := NewServer(cloud, 1)
+	cl := pipePair(t, srv, buildModel(41))
+	if err := cl.Hello(); err != nil {
+		t.Fatal(err)
+	}
+	// Two rounds so delta coding participates. The plain size is analytic:
+	// 4 B per element, each way, and nothing for the envelopes.
+	var plain int64
+	for round := 0; round < 2; round++ {
+		sub, err := cl.FetchSubModel(imp, looseBudget())
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Two rounds so v2's delta coding participates.
-		for round := 0; round < 2; round++ {
-			sub, err := cl.FetchSubModel(imp, looseBudget())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cl.PushUpdate(sub, imp, 1); err != nil {
-				t.Fatal(err)
-			}
+		plain += 2 * 4 * int64(len(sub.BackboneVector()))
+		if err := cl.PushUpdate(sub, imp, 1); err != nil {
+			t.Fatal(err)
 		}
-		in, out := cl.Traffic()
-		return in + out
 	}
-	plain := traffic(ProtoV1)
-	v2 := traffic(ProtoV2)
-	if v2*2 >= plain {
-		t.Fatalf("v2 traffic %d not ≥2× below v1 plain %d", v2, plain)
+	in, out := cl.Traffic()
+	if v2 := in + out; v2*2 >= plain {
+		t.Fatalf("v2 traffic %d not ≥2× below plain float32 %d", v2, plain)
 	}
 }
 
+// rawExchange sends one request envelope over c and reads the reply.
+func rawExchange(t *testing.T, c *Codec, req *Request) *Response {
+	t.Helper()
+	if err := c.Send(req); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := c.Recv(&resp); err != nil {
+		t.Fatal(err)
+	}
+	return &resp
+}
+
+// rawServerConn serves one end of a pipe with srv and returns a codec over
+// the other, for requests no EdgeClient would send.
+func rawServerConn(t *testing.T, srv *Server) *Codec {
+	t.Helper()
+	serverEnd, clientEnd := net.Pipe()
+	done := serveDone(srv, serverEnd)
+	t.Cleanup(func() { _ = clientEnd.Close(); <-done })
+	return NewCodec(clientEnd)
+}
+
+// TestMixedVersionInterop: there is one protocol version, and each end
+// refuses a Hello exchange that names another.
 func TestMixedVersionInterop(t *testing.T) {
-	// v1 client against a v2 server: the client never offers v2, so the
-	// exchange is plain v1 — bit-exact parameters.
+	// A peer of another version (0 is a peer that predates the field) gets an
+	// error reply naming both versions, over a connection that survives: the
+	// same stream then completes a ProtoV2 Hello.
 	t.Run("v1 client, v2 server", func(t *testing.T) {
 		cloud := buildModel(42)
-		skeleton := buildModel(42)
-		srv := NewServer(cloud, 1)
-		cl := pipePair(t, srv, skeleton)
-		cl.MaxProto = ProtoV1
-		if err := cl.Hello(); err != nil {
-			t.Fatal(err)
+		codec := rawServerConn(t, NewServer(cloud, 1))
+		for _, proto := range []int{0, 1} {
+			resp := rawExchange(t, codec, &Request{Kind: KindHello, DeviceID: 1, Proto: proto})
+			if resp.OK || len(resp.Selector) != 0 {
+				t.Fatalf("Hello at version %d accepted: OK=%v with %d selector floats", proto, resp.OK, len(resp.Selector))
+			}
+			for _, want := range []string{fmt.Sprintf("version %d ", proto), fmt.Sprintf("version %d", ProtoV2)} {
+				if !strings.Contains(resp.Error, want) {
+					t.Fatalf("refusal %q does not name %q", resp.Error, want)
+				}
+			}
 		}
-		if cl.Proto() != ProtoV1 {
-			t.Fatalf("negotiated %d, want v1", cl.Proto())
-		}
-		imp := uniformImportance(cloud)
-		sub, err := cl.FetchSubModel(imp, looseBudget())
-		if err != nil {
-			t.Fatal(err)
-		}
-		subClose(t, cloud, sub.Mapping, sub.BackboneVector(), 0) // v1 plain is exact
-		if err := cl.PushUpdate(sub, imp, 1); err != nil {
-			t.Fatal(err)
-		}
-		st := srv.StatsSnapshot()
-		if st.WireFull != 0 || st.WireDelta != 0 {
-			t.Fatalf("v1 exchange must not produce v2 payloads: %+v", st)
+		resp := rawExchange(t, codec, &Request{Kind: KindHello, DeviceID: 1, Proto: ProtoV2})
+		if !resp.OK || resp.Proto != ProtoV2 || len(resp.Selector) != len(cloud.Selector.Vector()) {
+			t.Fatalf("ProtoV2 Hello after a refusal: OK=%v Proto=%d Error=%q, %d selector floats", resp.OK, resp.Proto, resp.Error, len(resp.Selector))
 		}
 	})
 
-	// v2 client against a v1 server: the server caps the handshake at v1 and
-	// the client must never emit chunk frames.
+	// A server that answers with another version is refused by the client.
 	t.Run("v2 client, v1 server", func(t *testing.T) {
-		cloud := buildModel(43)
-		skeleton := buildModel(43)
-		srv := NewServer(cloud, 1)
-		srv.MaxProto = ProtoV1
-		cl := pipePair(t, srv, skeleton)
-		if err := cl.Hello(); err != nil {
-			t.Fatal(err)
-		}
-		if cl.Proto() != ProtoV1 {
-			t.Fatalf("negotiated %d, want v1", cl.Proto())
-		}
-		imp := uniformImportance(cloud)
-		sub, err := cl.FetchSubModel(imp, looseBudget())
-		if err != nil {
-			t.Fatal(err)
-		}
-		subClose(t, cloud, sub.Mapping, sub.BackboneVector(), 0)
-		if err := cl.PushUpdate(sub, imp, 1); err != nil {
-			t.Fatal(err)
-		}
-		if st := srv.StatsSnapshot(); st.UpdatesReceived != 1 {
-			t.Fatalf("v1-capped exchange broke: %+v", st)
+		for _, proto := range []int{0, 1, 3} {
+			skeleton := buildModel(43)
+			cl := stubServerClient(t, skeleton, &Response{OK: true, Selector: skeleton.Selector.Vector(), Proto: proto})
+			if err := cl.Hello(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", proto)) {
+				t.Fatalf("Hello against a version-%d server: %v", proto, err)
+			}
 		}
 	})
+}
+
+// TestPushWithoutPayloadRefused: an update envelope that announces no chunk
+// stream is an error reply, not an update — including the push a version-1
+// peer would send, complete and well-formed, with its parameters in a
+// whole-tensor Backbone field this protocol no longer has.
+func TestPushWithoutPayloadRefused(t *testing.T) {
+	cloud := buildModel(49)
+	srv := NewServer(cloud, 1)
+	codec := rawServerConn(t, srv)
+	imp := uniformImportance(cloud)
+	active := cloud.Derive(imp, looseBudget(), false)
+	type v1Push struct {
+		Kind       MsgKind
+		DeviceID   int
+		Seq        int64
+		Active     [][]int
+		Backbone   []float32
+		Importance [][]float64
+		Weight     float64
+	}
+	if err := codec.Send(&v1Push{
+		Kind: KindPushUpdate, DeviceID: 1, Seq: 1, Active: active,
+		Backbone: cloud.Extract(active).BackboneVector(), Importance: imp, Weight: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := codec.Recv(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || resp.Error == "" {
+		t.Fatalf("payload-less push accepted: %+v", resp)
+	}
+	if st := srv.StatsSnapshot(); st.UpdatesReceived != 0 || st.Aggregations != 0 {
+		t.Fatalf("payload-less push reached aggregation: %+v", st)
+	}
+	if resp := rawExchange(t, codec, &Request{Kind: KindStats}); !resp.OK {
+		t.Fatalf("connection did not survive the refusal: %+v", resp)
+	}
+}
+
+// TestMalformedUpdateRejectedAtTheDoor: importance and weight are outside
+// input aggregation indexes and divides by. A push it cannot use is an error
+// reply that moves no counter and queues nothing — queued, it would fail
+// every later aggregation for every device — and the next good push, from
+// another device, aggregates into a finite model.
+func TestMalformedUpdateRejectedAtTheDoor(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	good := uniformImportance(buildModel(50))
+	last := len(good) - 1
+	withRow := func(row []float64) [][]float64 {
+		imp := append([][]float64(nil), good...)
+		imp[last] = row
+		return imp
+	}
+	withValue := func(v float64) [][]float64 {
+		row := append([]float64(nil), good[last]...)
+		row[len(row)-1] = v
+		return withRow(row)
+	}
+	cases := []struct {
+		name   string
+		imp    [][]float64
+		weight float64
+	}{
+		{"empty importance rows", make([][]float64, len(good)), 1},
+		{"short importance row", withRow(good[last][:len(good[last])-1]), 1},
+		{"long importance row", withRow(append(append([]float64(nil), good[last]...), 0.25)), 1},
+		{"NaN importance", withValue(nan), 1},
+		{"+Inf importance", withValue(inf), 1},
+		{"-Inf importance", withValue(-inf), 1},
+		{"NaN weight", good, nan},
+		{"+Inf weight", good, inf},
+		{"-Inf weight", good, -inf},
+		{"negative weight", good, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cloud := buildModel(50)
+			srv := NewServer(cloud, 2)
+			bad := pipePair(t, srv, buildModel(50))
+			if err := bad.Hello(); err != nil {
+				t.Fatal(err)
+			}
+			sub, err := bad.FetchSubModel(good, looseBudget())
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := srv.StatsSnapshot()
+			if err := bad.PushUpdate(sub, tc.imp, tc.weight); err == nil {
+				t.Fatal("malformed update acknowledged")
+			}
+			after := srv.StatsSnapshot()
+			before.BytesIn, before.BytesOut, after.BytesIn, after.BytesOut = 0, 0, 0, 0 // settled when a connection ends
+			if after != before {
+				t.Fatalf("a rejected update moved counters:\nbefore %+v\nafter  %+v", before, after)
+			}
+			srv.mu.Lock()
+			queued, seq := len(srv.pending), srv.devices[bad.DeviceID].seq
+			srv.mu.Unlock()
+			if queued != 0 || seq != 0 {
+				t.Fatalf("a rejected update left state behind: %d queued, seq %d", queued, seq)
+			}
+
+			// The server is not wedged: two good pushes from a second device
+			// reach AggregateEvery and aggregate.
+			ok := pipePair(t, srv, buildModel(50))
+			ok.DeviceID = 2
+			if err := ok.Hello(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				sub, err := ok.FetchSubModel(good, looseBudget())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ok.PushUpdate(sub, good, 3); err != nil {
+					t.Fatalf("good push %d after a rejected one: %v", i+1, err)
+				}
+			}
+			if st := srv.StatsSnapshot(); st.UpdatesReceived != 2 || st.Aggregations != 1 {
+				t.Fatalf("good pushes did not aggregate: %+v", st)
+			}
+			for _, p := range cloud.Params() {
+				if p.W.HasNaN() {
+					t.Fatal("cloud parameters are not finite after aggregation")
+				}
+			}
+		})
+	}
 }
 
 func TestV2PushFallbackOnLostServerReference(t *testing.T) {
@@ -179,7 +308,7 @@ func TestV2PushFallbackOnLostServerReference(t *testing.T) {
 	// Simulate a server restart: the delta-reference cache is gone but the
 	// client still holds its version.
 	srv.mu.Lock()
-	srv.wireRefs = map[int]*WireRef{}
+	srv.devices = map[int]deviceRecord{}
 	srv.mu.Unlock()
 
 	fallbacksBefore := clientMetrics.wireFallbacks.Value()
@@ -319,9 +448,6 @@ func TestV2ChunkStreamOverFaultyLink(t *testing.T) {
 
 	if err := cl.Hello(); err != nil {
 		t.Fatalf("hello over faulty link: %v", err)
-	}
-	if cl.Proto() != ProtoV2 {
-		t.Fatalf("proto %d, want v2", cl.Proto())
 	}
 	imp := uniformImportance(skeleton)
 	for round := 0; round < 3; round++ {

@@ -92,9 +92,6 @@ func TestConcurrentClientsStatefulModelRace(t *testing.T) {
 			defer wg.Done()
 			cl := pipePair(t, srv, buildStatefulModel(seed))
 			cl.DeviceID = id
-			if id%4 == 0 {
-				cl.MaxProto = ProtoV1 // the whole-tensor path shares the handler
-			}
 			if err := cl.Hello(); err != nil {
 				errs <- err
 				return

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -34,9 +35,6 @@ type Server struct {
 	// write of the buffered stream, not the whole payload — one slow link
 	// cannot pin a handler for payload-size-proportional time.
 	WriteTimeout time.Duration
-	// MaxProto caps the protocol version this server negotiates (0 =
-	// ProtoV2). Tests pin it to ProtoV1 to prove mixed-version interop.
-	MaxProto int
 	// Spans, when set, records handler phase spans (decode, dequantize,
 	// lock wait, aggregate, encode) into the trace context carried by each
 	// request. Nil = tracing off; requests with TraceID 0 record nothing.
@@ -44,14 +42,11 @@ type Server struct {
 
 	mu      sync.Mutex
 	pending []*modular.Update
-	lastSeq map[int]int64 // deviceID → highest applied PushUpdate Seq
 	conns   map[net.Conn]struct{}
-	// wireRefs is the per-device delta-coding cache: the bit-exact
-	// reconstruction of the last v2 sub-model served to each device, under
-	// the version counter wireVer. Entries are immutable once stored
-	// (replaced wholesale), so handlers may read Vec outside s.mu.
-	wireRefs map[int]*WireRef
-	wireVer  uint64
+	// devices is everything the server remembers about a device, by
+	// DeviceID; wireVer numbers the references in it.
+	devices map[int]deviceRecord
+	wireVer uint64
 	// maxVecLen is Model's full backbone length, the longest upload
 	// recvPayload accepts a header for. Shapes never change after NewServer.
 	maxVecLen int
@@ -78,20 +73,21 @@ func NewServer(model *modular.Model, aggregateEvery int) *Server {
 		ReadTimeout:    5 * time.Minute,
 		WriteTimeout:   time.Minute,
 		closed:         make(chan struct{}),
-		lastSeq:        map[int]int64{},
 		conns:          map[net.Conn]struct{}{},
-		wireRefs:       map[int]*WireRef{},
+		devices:        map[int]deviceRecord{},
 		maxVecLen:      fullBackboneLen(model),
 		metrics:        newServerMetrics(),
 	}
 }
 
-// maxProto is the highest protocol version this server speaks.
-func (s *Server) maxProto() int {
-	if s.MaxProto > 0 {
-		return s.MaxProto
-	}
-	return ProtoV2
+// deviceRecord is the server's per-device state.
+type deviceRecord struct {
+	// seq is the highest applied PushUpdate Seq (at-most-once application).
+	seq int64
+	// ref is the delta-coding reference: the bit-exact reconstruction of the
+	// last sub-model served to the device. A WireRef is immutable once stored
+	// (replaced wholesale), so handlers may read its Vec outside s.mu.
+	ref *WireRef
 }
 
 // reqSpan opens a server-side span in the distributed-trace context carried
@@ -102,21 +98,6 @@ func (s *Server) reqSpan(req *Request, parent span.SpanID, kind string) span.Act
 	a.SetDevice(req.DeviceID)
 	a.SetAttempt(req.Attempt)
 	return a
-}
-
-// reqProto resolves the effective protocol version of one request: what the
-// client announced, capped by what this server speaks. Stateless per request,
-// so client reconnects (fresh connection, same negotiated version) need no
-// re-handshake.
-func (s *Server) reqProto(req *Request) int {
-	p := req.Proto
-	if p < ProtoV1 {
-		p = ProtoV1
-	}
-	if m := s.maxProto(); p > m {
-		p = m
-	}
-	return p
 }
 
 // Listen starts accepting connections on addr (e.g. ":7070" or "127.0.0.1:0")
@@ -269,7 +250,7 @@ func (s *Server) ServeConn(rw interface {
 		// context), so one trace shows both sides of the RPC; decode and the
 		// phase spans below it are its children.
 		hs := s.reqSpan(&req, span.SpanID(req.SpanID), "srv."+kindName(req.Kind))
-		// A v2 upload streams its chunk frames right behind the envelope;
+		// An upload streams its chunk frames right behind the envelope;
 		// they are part of this request, so they arrive before the request
 		// size is observed and before the handler runs.
 		ds := s.reqSpan(&req, hs.ID(), "srv.decode")
@@ -291,7 +272,7 @@ func (s *Server) ServeConn(rw interface {
 		}
 		resp, outPay := s.handle(&req, inPay, hs.ID())
 		// Echo the trace so the client can confirm context propagation
-		// (interop tests); v1 peers never see the field (gob drops zeros).
+		// (interop tests); untraced peers never see the field (gob drops zeros).
 		resp.TraceID = req.TraceID
 		hs.End()
 		var outChunks []WireChunk
@@ -316,7 +297,7 @@ func (s *Server) ServeConn(rw interface {
 // covered by the client's rpc.chunk_recv spans, the server records none.
 func noChunkSpan() span.Active { return span.Active{} }
 
-// recvChunks drains the chunk frames a v2 envelope announced, re-arming the
+// recvChunks drains the chunk frames an envelope announced, re-arming the
 // read deadline before each frame so one stalled chunk — not the whole
 // payload — is what the timeout bounds.
 func (s *Server) recvChunks(codec *Codec, dl connDeadliner, h *WireHeader) (*WirePayload, error) {
@@ -348,18 +329,20 @@ func (s *Server) noteConnError(op string, err error) {
 	}
 }
 
-// handle dispatches one request. A non-nil second return is a v2 chunk
+// handle dispatches one request. A non-nil second return is the chunk
 // stream ServeConn writes after the response envelope. ps is the handler
 // span phase spans parent under (0 when the request is untraced).
 func (s *Server) handle(req *Request, pay *WirePayload, ps span.SpanID) (*Response, *WirePayload) {
 	switch req.Kind {
 	case KindHello:
+		if req.Proto != ProtoV2 {
+			return &Response{Error: fmt.Sprintf("protocol version %d not spoken here; this server speaks version %d", req.Proto, ProtoV2)}, nil
+		}
 		s.mu.Lock()
 		vec := s.Model.Selector.Vector()
 		s.mu.Unlock()
-		proto := s.reqProto(req)
-		s.logf("device %d hello (proto %d); selector %d floats", req.DeviceID, proto, len(vec))
-		return &Response{OK: true, Selector: vec, Proto: proto}, nil
+		s.logf("device %d hello; selector %d floats", req.DeviceID, len(vec))
+		return &Response{OK: true, Selector: vec, Proto: ProtoV2}, nil
 
 	case KindGetSubModel:
 		resp, out, err := s.serveSubModel(req, ps)
@@ -398,19 +381,12 @@ func (s *Server) serveSubModel(req *Request, ps span.SpanID) (resp *Response, ou
 	// Hold the model lock only for derivation and the parameter snapshot —
 	// one flatten of the cloud's own tensors for the selection, straight into
 	// the wire vector; quantization runs outside the lock instead of
-	// serializing every device behind one fetch.
-	var (
-		active [][]int
-		vec    []float32
-	)
-	v2 := s.reqProto(req) >= ProtoV2
-	if v2 {
-		// A v2 serve quantizes the flat vector and drops it before this
-		// handler returns, so its array is borrowed; a v1 response keeps it.
-		sc := tensor.GetScratch(s.maxVecLen)
-		defer tensor.PutScratch(sc)
-		vec = sc.Data[:0]
-	}
+	// serializing every device behind one fetch. The flat vector is quantized
+	// and dropped before this handler returns, so its array is borrowed.
+	sc := tensor.GetScratch(s.maxVecLen)
+	defer tensor.PutScratch(sc)
+	var active [][]int
+	vec := sc.Data[:0]
 	// The derive span covers the lock wait plus the locked derivation —
 	// on a contended server it shows devices queueing on s.mu.
 	dvs := s.reqSpan(req, ps, "srv.derive")
@@ -429,31 +405,23 @@ func (s *Server) serveSubModel(req *Request, ps span.SpanID) (resp *Response, ou
 		}
 		s.Logf("device %d sub-model: %d modules, %d B", req.DeviceID, modules, 4*len(vec))
 	}
-	resp = &Response{OK: true, Active: active}
 	es := s.reqSpan(req, ps, "srv.encode")
-	if v2 {
-		out = s.encodeServe(req, active, vec)
-		es.End()
-		resp.Payload = &out.Header
-		return resp, out, nil
-	}
-	resp.Backbone = vec
+	out = s.encodeServe(req, active, vec)
 	es.End()
-	return resp, nil, nil
+	return &Response{OK: true, Active: active, Payload: &out.Header}, out, nil
 }
 
-// encodeServe builds the v2 downlink payload for one sub-model serve: delta
+// encodeServe builds the downlink payload for one sub-model serve: delta
 // against the device's cached reference when the client still holds the same
 // version and the mapping is structurally unchanged, full otherwise. It also
 // advances the cache — the new reference is the *reconstruction* the client
 // will decode, so both ends stay bit-identical.
 func (s *Server) encodeServe(req *Request, active [][]int, vec []float32) *WirePayload {
 	var base []float32
-	var baseVer uint64
 	s.mu.Lock()
-	ref := s.wireRefs[req.DeviceID]
-	if ref != nil && req.HaveVer != 0 && ref.Version == req.HaveVer && MappingEqual(ref.Mapping, active) {
-		base, baseVer = ref.Vec, ref.Version
+	ref := s.devices[req.DeviceID].ref
+	if ref != nil && req.HaveVer == ref.Version {
+		base = ref.Base(active)
 	}
 	s.wireVer++
 	ver := s.wireVer
@@ -461,25 +429,19 @@ func (s *Server) encodeServe(req *Request, active [][]int, vec []float32) *WireP
 
 	// Quantization and reconstruction are CPU work on private data — outside
 	// the lock, like the rest of this handler.
-	p := EncodeVec(vec, base, WireOpts{}) // downlink stays dense: every coordinate is authoritative
-	p.Header.BaseVer = baseVer
+	p, recon := Exchange(vec, base, WireOpts{}) // downlink stays dense: every coordinate is authoritative
 	p.Header.Version = ver
-	recon, err := DecodeVec(p, base)
-	if err != nil {
-		// Cannot happen for a payload this function just built; fall back to
-		// a full payload rather than caching a broken reference.
-		p = EncodeVec(vec, nil, WireOpts{})
-		p.Header.Version = ver
-		recon, _ = DecodeVec(p, nil)
-	}
 	if p.Header.Delta {
+		p.Header.BaseVer = ref.Version
 		s.metrics.wireDelta.Inc()
 	} else {
 		s.metrics.wireFull.Inc()
 	}
 	s.metrics.wireRatio.Observe(float64(int64(len(vec))*4) / float64(p.WireBytes()))
 	s.mu.Lock()
-	s.wireRefs[req.DeviceID] = &WireRef{Version: ver, Mapping: active, Vec: recon}
+	rec := s.devices[req.DeviceID]
+	rec.ref = &WireRef{Version: ver, Mapping: active, Vec: recon}
+	s.devices[req.DeviceID] = rec
 	s.mu.Unlock()
 	return p
 }
@@ -490,39 +452,45 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 			resp, err = nil, fmt.Errorf("malformed update: %v", r)
 		}
 	}()
+	if pay == nil {
+		return nil, errors.New("push carries no payload")
+	}
+	// Validated at the door — before anything is counted, queued or recorded
+	// — because what aggregation would trip over later, it trips over with
+	// every other device's update queued beside it.
+	if err := s.checkUpdate(req); err != nil {
+		return nil, err
+	}
 	// Dequantization is CPU-heavy and depends only on the request, so it
 	// happens before the lock: one large quantized update must not stall
 	// every other device behind s.mu (same shape as serveSubModel, which
 	// quantizes the response after releasing the lock).
-	vec := req.Backbone
-	if pay != nil {
-		var base []float32
-		if pay.Header.Delta {
-			s.mu.Lock()
-			ref := s.wireRefs[req.DeviceID]
-			if ref != nil && ref.Version == pay.Header.BaseVer && MappingEqual(ref.Mapping, req.Active) {
-				base = ref.Vec // immutable once cached; safe to read unlocked
-			}
-			s.mu.Unlock()
-			if base == nil {
-				// The reference this delta was coded against is gone (server
-				// restart, mapping drift). Not a failure of the update —
-				// ask the client to resend it whole.
-				s.metrics.wireFallbacks.Inc()
-				s.logf("device %d delta push against unknown base %d; requesting full", req.DeviceID, pay.Header.BaseVer)
-				return &Response{Error: "stale wire reference; resend full payload", NeedFull: true}, nil
-			}
-			s.metrics.wireDelta.Inc()
-		} else {
-			s.metrics.wireFull.Inc()
+	var base []float32
+	if pay.Header.Delta {
+		s.mu.Lock()
+		ref := s.devices[req.DeviceID].ref
+		s.mu.Unlock()
+		if ref != nil && ref.Version == pay.Header.BaseVer {
+			base = ref.Base(req.Active)
 		}
-		dq := s.reqSpan(req, ps, "srv.dequantize")
-		vec, err = DecodeVec(pay, base)
-		dq.SetErr(err)
-		dq.End()
-		if err != nil {
-			return nil, err
+		if base == nil {
+			// The reference this delta was coded against is gone (server
+			// restart, mapping drift). Not a failure of the update —
+			// ask the client to resend it whole.
+			s.metrics.wireFallbacks.Inc()
+			s.logf("device %d delta push against unknown base %d; requesting full", req.DeviceID, pay.Header.BaseVer)
+			return &Response{Error: "stale wire reference; resend full payload", NeedFull: true}, nil
 		}
+		s.metrics.wireDelta.Inc()
+	} else {
+		s.metrics.wireFull.Inc()
+	}
+	dq := s.reqSpan(req, ps, "srv.dequantize")
+	vec, err := DecodeVec(pay, base)
+	dq.SetErr(err)
+	dq.End()
+	if err != nil {
+		return nil, err
 	}
 	// The lock-wait span isolates time queued on s.mu from time doing
 	// aggregation work under it — the distinction histograms cannot make.
@@ -533,23 +501,22 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 	// At-most-once application: a retried PushUpdate carries the Seq of the
 	// original. If that Seq was already applied, the first attempt succeeded
 	// but its response was lost — acknowledge without re-aggregating.
-	if req.Seq != 0 && req.Seq <= s.lastSeq[req.DeviceID] {
+	rec := s.devices[req.DeviceID]
+	if req.Seq != 0 && req.Seq <= rec.seq {
 		s.metrics.dedups.Inc()
 		s.logf("device %d replayed update seq %d (deduped)", req.DeviceID, req.Seq)
 		return &Response{OK: true, Deduped: true}, nil
 	}
 	// The update's sub-model is a view of the decoded vector, which nothing
-	// else holds (DecodeVec and gob both allocated it for this request). It is
-	// built under the lock because it copies the cloud's module states.
+	// else holds (DecodeVec allocated it for this request). It is built under
+	// the lock because it copies the cloud's module states.
 	sub, err := s.Model.SubModelOver(req.Active, vec)
 	if err != nil {
 		return nil, err
 	}
-	if len(req.Importance) != len(s.Model.Layers) {
-		return nil, errors.New("importance layer count mismatch")
-	}
 	if req.Seq != 0 {
-		s.lastSeq[req.DeviceID] = req.Seq
+		rec.seq = req.Seq
+		s.devices[req.DeviceID] = rec
 	}
 	s.pending = append(s.pending, &modular.Update{Sub: sub, Importance: req.Importance, Weight: req.Weight})
 	s.metrics.updatesReceived.Inc()
@@ -562,6 +529,31 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 		s.logf("aggregated round %d", int64(s.metrics.aggregations.Value()))
 	}
 	return &Response{OK: true}, nil
+}
+
+// checkUpdate rejects a push whose importance or weight aggregation cannot
+// use: AggregateModuleWise indexes Importance[l][i] for every module of every
+// layer and divides by the summed weights, so a short row panics it and a
+// non-finite value turns cloud parameters NaN. It reads architecture only
+// (layer and module counts never change), so it needs no lock.
+func (s *Server) checkUpdate(req *Request) error {
+	if len(req.Importance) != len(s.Model.Layers) {
+		return errors.New("importance layer count mismatch")
+	}
+	for l, row := range req.Importance {
+		if n := s.Model.Layers[l].N(); len(row) != n {
+			return fmt.Errorf("importance for layer %d has %d entries, the layer has %d modules", l, len(row), n)
+		}
+		for i, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("importance[%d][%d] is %v", l, i, v)
+			}
+		}
+	}
+	if w := req.Weight; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		return fmt.Errorf("update weight %v is not a finite non-negative number", w)
+	}
+	return nil
 }
 
 // FlushAggregation forces aggregation of buffered updates (end of a round).

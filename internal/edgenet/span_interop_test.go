@@ -12,9 +12,9 @@ import (
 
 // Interop gates for the trace context riding the RPC plane
 // (docs/PROTOCOL.md "Trace context"): the Request.TraceID/SpanID and
-// Response.TraceID fields are versioned exactly like Proto — gob omits zero
-// values and skips fields a peer does not declare — so traced and untraced
-// peers interoperate freely, and the spans both sides record always stitch
+// Response.TraceID fields need no version — gob omits zero values and skips
+// fields a peer does not declare — so traced and untraced peers interoperate
+// freely, and the spans both sides record always stitch
 // into one well-formed parented tree.
 
 // combined merges client- and server-side recordings the way an operator
@@ -92,7 +92,7 @@ func TestTraceContextCrossesTheWire(t *testing.T) {
 func TestUntracedPeersInteroperate(t *testing.T) {
 	// Traced client against a span-unaware server (nil recorder): the context
 	// fields ride along, the server ignores them, and the exchange is
-	// unaffected — the same tolerance Proto gives v1 peers.
+	// unaffected.
 	t.Run("traced client, unaware server", func(t *testing.T) {
 		cloud := buildModel(61)
 		srv := NewServer(cloud, 1)
@@ -122,7 +122,7 @@ func TestUntracedPeersInteroperate(t *testing.T) {
 	})
 
 	// Untraced client against a span-aware server: every request carries
-	// TraceID 0 (the gob zero value a span-unaware v1 peer would send), so
+	// TraceID 0 (the gob zero value a span-unaware peer would send), so
 	// the server's recorder must stay empty — untraced requests never
 	// manufacture spans.
 	t.Run("untraced client, aware server", func(t *testing.T) {
@@ -144,43 +144,6 @@ func TestUntracedPeersInteroperate(t *testing.T) {
 		}
 		if n := srvRec.Len(); n != 0 {
 			t.Fatalf("server recorded %d spans for untraced requests, want 0", n)
-		}
-	})
-
-	// Traced v2 client capped to a v1 exchange: the context fields are
-	// versioned independently of the payload protocol, so v1 framing still
-	// carries them and both sides trace.
-	t.Run("traced client, v1 exchange", func(t *testing.T) {
-		cloud := buildModel(63)
-		srv := NewServer(cloud, 1)
-		srv.MaxProto = ProtoV1
-		srvRec := span.NewRecorder(256)
-		srv.Spans = srvRec
-		cl := pipePair(t, srv, buildModel(63))
-		rec := span.NewRecorder(256)
-		rec.SetSampler(2, 1)
-		cl.Spans = rec
-		tid, _ := rec.Trace(5)
-		cl.SetTraceContext(tid, 0)
-		if err := cl.Hello(); err != nil {
-			t.Fatal(err)
-		}
-		if cl.Proto() != ProtoV1 {
-			t.Fatalf("negotiated %d, want v1", cl.Proto())
-		}
-		imp := uniformImportance(cloud)
-		sub, err := cl.FetchSubModel(imp, looseBudget())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.PushUpdate(sub, imp, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := span.ValidateParents(combined(rec, srvRec)); err != nil {
-			t.Fatalf("v1-framed trace does not stitch: %v", err)
-		}
-		if n := countKindPrefix(srvRec.Snapshot(), "srv."); n == 0 {
-			t.Fatal("server recorded no spans over the v1 exchange")
 		}
 	})
 }

@@ -31,13 +31,10 @@ import (
 	"repro/internal/nn"
 )
 
-// Protocol versions negotiated at Hello time.
-const (
-	// ProtoV1 is the original whole-tensor gob protocol.
-	ProtoV1 = 1
-	// ProtoV2 adds chunk-streamed, delta-encoded, quantized payloads.
-	ProtoV2 = 2
-)
+// ProtoV2 is the protocol version both peers speak: chunk-streamed,
+// delta-encoded, quantized payloads. It travels on Hello only, where each end
+// checks that the other names the same number.
+const ProtoV2 = 2
 
 // WireOpts configures the v2 payload codec.
 type WireOpts struct {
@@ -420,6 +417,21 @@ func (c *WireChunk) code(j int) float32 {
 	return nn.F16ToF32(c.F16[j])
 }
 
+// Exchange encodes vec for the wire — delta against base when base is
+// non-nil, full otherwise — and returns the payload together with the
+// reconstruction its receiver will decode. That reconstruction, not vec, is
+// the reference both ends of the link hold for the next exchange.
+func Exchange(vec, base []float32, opts WireOpts) (*WirePayload, []float32) {
+	p := EncodeVec(vec, base, opts)
+	recon, err := DecodeVec(p, base)
+	if err != nil {
+		// Invariant: DecodeVec accepts every payload EncodeVec builds when
+		// handed the base it was built against.
+		panic(fmt.Sprintf("edgenet: codec rejected its own payload: %v", err))
+	}
+	return p, recon
+}
+
 // MappingEqual reports whether two per-layer active-module index sets are
 // identical — the structural precondition for delta coding.
 func MappingEqual(a, b [][]int) bool {
@@ -448,4 +460,16 @@ type WireRef struct {
 	Version uint64
 	Mapping [][]int
 	Vec     []float32
+}
+
+// Base is the delta-reference rule: a payload for a sub-model of structure
+// mapping may be coded against this reference only when the reference has
+// that same structure. It returns the reference vector then, and nil — code a
+// full payload — otherwise, including on a nil receiver (no reference yet).
+// Whether the peer still holds this version is for the caller to settle.
+func (r *WireRef) Base(mapping [][]int) []float32 {
+	if r == nil || !MappingEqual(r.Mapping, mapping) {
+		return nil
+	}
+	return r.Vec
 }

@@ -82,11 +82,6 @@ func TestFullPipelineIntegration(t *testing.T) {
 			return
 		}
 		defer cl.Close()
-		// This test pins the exact-transfer contract: fetched outputs must be
-		// bit-identical to a cloud-side extraction. Protocol v2 payloads are
-		// deliberately lossy (quantized), so force v1 here; v2 closeness has
-		// its own tests in internal/edgenet.
-		cl.MaxProto = edgenet.ProtoV1
 		if err := cl.Hello(); err != nil {
 			clientErr = err
 			return
@@ -99,7 +94,16 @@ func TestFullPipelineIntegration(t *testing.T) {
 			clientErr = err
 			return
 		}
+		// The transfer is exact against the codec, which is a pure function:
+		// fetched outputs must be bit-identical to a cloud-side extraction
+		// carried through a full dense payload.
 		want := restored.Extract(sub.Mapping)
+		recon, err := edgenet.DecodeVec(edgenet.EncodeVec(want.BackboneVector(), nil, edgenet.WireOpts{}), nil)
+		if err != nil {
+			clientErr = err
+			return
+		}
+		want.LoadBackboneVector(recon)
 		a := sub.Forward(probe, false)
 		b := want.Forward(probe, false)
 		for i := range a.Data {

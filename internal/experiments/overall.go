@@ -156,22 +156,7 @@ func deployedModels(opt Options, task *fed.Task, m1, m2 int) (full, hfl nn.Layer
 		dev := data.NewDeviceData(rng, task.Gen, 0, data.AllClasses(task.Classes)[:classes], data.RandomEnv(rng), 60)
 		x, _ := dev.Train.Batch([]int{0, 1, 2, 3})
 		imp := nb.Model.Importance(x)
-		stem, head, mods := nb.Model.ModuleCosts()
-		var pool modular.Budget
-		for _, layer := range mods {
-			for _, mc := range layer {
-				pool.CommBytes += float64(mc.Bytes)
-				pool.FwdFLOPs += float64(mc.FwdFLOPs)
-				pool.MemElems += float64(mc.TrainMemEl)
-			}
-		}
-		frac := 0.35
-		b := modular.Budget{
-			CommBytes: float64(stem.Bytes+head.Bytes) + frac*pool.CommBytes,
-			FwdFLOPs:  float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*pool.FwdFLOPs,
-			MemElems:  float64(stem.TrainMemEl+head.TrainMemEl) + frac*pool.MemElems,
-		}
-		active := nb.Model.Derive(imp, b, false)
+		active := nb.Model.Derive(imp, nb.Model.PoolBudget(0.35), false)
 		return nb.Model.Extract(active)
 	}
 	return full, hfl, derive(m1), derive(m2)

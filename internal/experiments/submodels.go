@@ -65,7 +65,7 @@ func RunFig12(opt Options) []*metrics.Table {
 		// Knapsack-selected sub-models across budgets (Pareto curve).
 		imp := withAE.Model.Importance(probe)
 		for _, frac := range []float64{0.15, 0.3, 0.5, 0.75, 1.0} {
-			b := fracBudget(withAE.Model, frac)
+			b := withAE.Model.PoolBudget(frac)
 			active := withAE.Model.Derive(imp, b, false)
 			sub := withAE.Model.Extract(active)
 			acc := fed.EvalLayer(sub, test)
@@ -98,24 +98,6 @@ func randomSubModels(rng *tensor.RNG, m *modular.Model, n int, test *data.Datase
 	}
 	sort.Slice(pts, func(a, b int) bool { return pts[a].params < pts[b].params })
 	return pts
-}
-
-// fracBudget builds a budget granting stem+head plus frac of the module
-// pool in every dimension.
-func fracBudget(m *modular.Model, frac float64) modular.Budget {
-	stem, head, mods := m.ModuleCosts()
-	var b modular.Budget
-	for _, layer := range mods {
-		for _, mc := range layer {
-			b.CommBytes += float64(mc.Bytes)
-			b.FwdFLOPs += float64(mc.FwdFLOPs)
-			b.MemElems += float64(mc.TrainMemEl)
-		}
-	}
-	b.CommBytes = float64(stem.Bytes+head.Bytes) + frac*b.CommBytes
-	b.FwdFLOPs = float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*b.FwdFLOPs
-	b.MemElems = float64(stem.TrainMemEl+head.TrainMemEl) + frac*b.MemElems
-	return b
 }
 
 func firstN(n, max int) []int {

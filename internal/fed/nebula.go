@@ -140,22 +140,7 @@ func (s *Nebula) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 // deviceBudget turns a resource profile into the Eq. 2 budget vector: the
 // fixed stem+head cost plus a capability fraction of the full module pool.
 func (s *Nebula) deviceBudget(c *Client) modular.Budget {
-	p := c.Mon.Profile()
-	frac := s.capabilityFraction(p.ComputeFLOPS)
-	stem, head, mods := s.Model.ModuleCosts()
-	var poolBytes, poolFlops, poolMem float64
-	for _, layer := range mods {
-		for _, mc := range layer {
-			poolBytes += float64(mc.Bytes)
-			poolFlops += float64(mc.FwdFLOPs)
-			poolMem += float64(mc.TrainMemEl)
-		}
-	}
-	return modular.Budget{
-		CommBytes: float64(stem.Bytes+head.Bytes) + frac*poolBytes,
-		FwdFLOPs:  float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*poolFlops,
-		MemElems:  float64(stem.TrainMemEl+head.TrainMemEl) + frac*poolMem,
-	}
+	return s.Model.PoolBudget(s.capabilityFraction(c.Mon.Profile().ComputeFLOPS))
 }
 
 // capabilityFraction maps effective device compute (contention included) to

@@ -15,12 +15,13 @@ import (
 // is what flows onward, so quantization error shows up in accuracy, not
 // just in the byte ledger.
 //
-// Delta bookkeeping follows the transport's rules: both "ends" of the
-// simulated link share one reference per device (the reconstruction of the
-// last downlink), refs are snapshotted serially in prepRound, used read-only
-// by the parallel workers, and committed back in canonical device order by
-// commitDevice — so compressed runs keep the bitwise worker-count
-// determinism contract of docs/PARALLEL.md.
+// Delta bookkeeping is the transport's own (edgenet.WireRef.Base decides
+// full or delta, edgenet.Exchange yields what both ends hold next): both
+// "ends" of the simulated link share one reference per device (the
+// reconstruction of the last downlink), refs are snapshotted serially in
+// prepRound, used read-only by the parallel workers, and committed back in
+// canonical device order by commitDevice — so compressed runs keep the
+// bitwise worker-count determinism contract of docs/PARALLEL.md.
 
 // downlink charges one cloud→device transfer of sub's backbone and returns
 // the device's new delta-coding reference (nil on the exact link). Off
@@ -47,18 +48,7 @@ func (s *Nebula) wireUpOpts() edgenet.WireOpts {
 // wire delivered, not the cloud's float32 originals. Returns the byte
 // charge and the new shared reference. Pure; safe from parallel workers.
 func wireDownlink(sub *modular.SubModel, ref *edgenet.WireRef, opts edgenet.WireOpts) (int64, *edgenet.WireRef) {
-	vec := sub.BackboneVector()
-	var base []float32
-	if ref != nil && edgenet.MappingEqual(ref.Mapping, sub.Mapping) {
-		base = ref.Vec
-	}
-	p := edgenet.EncodeVec(vec, base, opts)
-	recon, err := edgenet.DecodeVec(p, base)
-	if err != nil {
-		// Cannot happen for a payload we just encoded; keep the exact
-		// vector rather than corrupting the device.
-		return sub.BackboneBytes(), &edgenet.WireRef{Mapping: sub.Mapping, Vec: vec}
-	}
+	p, recon := edgenet.Exchange(sub.BackboneVector(), ref.Base(sub.Mapping), opts)
 	sub.LoadBackboneVector(recon)
 	return p.WireBytes(), &edgenet.WireRef{Mapping: sub.Mapping, Vec: recon}
 }
@@ -70,15 +60,6 @@ func wireDownlink(sub *modular.SubModel, ref *edgenet.WireRef, opts edgenet.Wire
 // all aggregation reads — while the device keeps its full-precision local
 // weights. Reads sub only, so this stays worker-safe.
 func wireUplink(sub *modular.SubModel, ref *edgenet.WireRef, opts edgenet.WireOpts) (int64, *modular.SubModel) {
-	vec := sub.BackboneVector()
-	var base []float32
-	if ref != nil && edgenet.MappingEqual(ref.Mapping, sub.Mapping) {
-		base = ref.Vec
-	}
-	p := edgenet.EncodeVec(vec, base, opts)
-	recon, err := edgenet.DecodeVec(p, base)
-	if err != nil {
-		return sub.BackboneBytes(), sub
-	}
+	p, recon := edgenet.Exchange(sub.BackboneVector(), ref.Base(sub.Mapping), opts)
 	return p.WireBytes(), sub.WithBackbone(recon)
 }

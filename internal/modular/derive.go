@@ -13,6 +13,26 @@ type Budget struct {
 	MaxModules int     // optional hard cap on module count (0 = none)
 }
 
+// PoolBudget is the budget that affords stem and head, which every sub-model
+// carries, plus frac of the whole module pool in each dimension. How a
+// device's resources become frac is the caller's policy.
+func (m *Model) PoolBudget(frac float64) Budget {
+	stem, head, mods := m.ModuleCosts()
+	var poolBytes, poolFlops, poolMem float64
+	for _, layer := range mods {
+		for _, mc := range layer {
+			poolBytes += float64(mc.Bytes)
+			poolFlops += float64(mc.FwdFLOPs)
+			poolMem += float64(mc.TrainMemEl)
+		}
+	}
+	return Budget{
+		CommBytes: float64(stem.Bytes+head.Bytes) + frac*poolBytes,
+		FwdFLOPs:  float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*poolFlops,
+		MemElems:  float64(stem.TrainMemEl+head.TrainMemEl) + frac*poolMem,
+	}
+}
+
 // Derive solves the personalized sub-model derivation problem (Eq. 2):
 // select per-layer module subsets maximizing summed importance under the
 // budget, with the most important module of every layer forced so no layer

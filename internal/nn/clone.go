@@ -67,13 +67,9 @@ func releaseActivations(l Layer) {
 		v.fwdX, v.trained = nil, false
 	case *BatchNorm:
 		release(&v.y, &v.dx, &v.xhat)
-	case *LayerNorm:
-		release(&v.y, &v.dx, &v.xhat)
 	case *ReLU:
 		release(&v.y, &v.dx)
 	case *MaxPool2D:
-		release(&v.y, &v.dx)
-	case *AvgPool2D:
 		release(&v.y, &v.dx)
 	case *GlobalAvgPool:
 		release(&v.y, &v.dx)
@@ -162,10 +158,6 @@ func cloneLayer(l Layer, m cloneMode) Layer {
 		return NewReLU()
 	case *MaxPool2D:
 		return NewMaxPool2D(v.Size, v.Stride)
-	case *AvgPool2D:
-		return NewAvgPool2D(v.Size, v.Stride)
-	case *LayerNorm:
-		return &LayerNorm{Feat: v.Feat, Eps: v.Eps, Gamma: m.param(v.Gamma), Beta: m.param(v.Beta)}
 	case *GlobalAvgPool:
 		return NewGlobalAvgPool()
 	case *Flatten:
