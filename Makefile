@@ -27,7 +27,8 @@ race:
 # The CI gate: build, vet, nebula-lint, and the race-instrumented test
 # suite. Everything must exit 0. See docs/ANALYSIS.md for the checks. The
 # allocation tests (*ZeroAlloc* in ./internal/tensor/ ./internal/nn/
-# ./internal/modular/, *AllocBudget* in ./internal/edgenet/) skip under -race;
+# ./internal/modular/, *AllocBudget* in ./internal/edgenet/ ./internal/fed/
+# ./internal/data/) skip under -race;
 # `make test` runs them, and ci.sh has a stage for them.
 check: build vet lint race
 

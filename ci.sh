@@ -222,7 +222,7 @@ same "$spantmp/traced.jsonl" "$spantmp/base.jsonl" \
 rm -rf "$spantmp"
 
 echo "== allocation gates (AllocsPerRun and allocation-budget tests skip under -race, so run them once without it)"
-go test -run 'ZeroAlloc|AllocBudget' ./internal/tensor/ ./internal/nn/ ./internal/modular/ ./internal/edgenet/
+go test -run 'ZeroAlloc|AllocBudget' ./internal/tensor/ ./internal/nn/ ./internal/modular/ ./internal/edgenet/ ./internal/fed/ ./internal/data/
 
 echo "== fuzz smoke (every native Fuzz* target in the tree, 5s each beyond its seed corpus)"
 # `go test` alone only replays a fuzzer's seeds; -fuzz takes one target of

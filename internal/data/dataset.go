@@ -77,10 +77,20 @@ func (d *Dataset) Shuffle(rng *tensor.RNG) {
 }
 
 // Batch assembles the samples at idx into a batch-first tensor plus labels.
+// The caller owns both.
 func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
-	shape := append([]int{len(idx)}, d.SampleShape...)
-	x := tensor.New(shape...)
-	y := make([]int, len(idx))
+	return d.BatchInto(tensor.New(append([]int{len(idx)}, d.SampleShape...)...), nil, idx)
+}
+
+// BatchInto is Batch into a tensor and a label array the caller is done
+// reading: x is refit to the batch (tensor.Refit; a nil x borrows one, and the
+// caller ends the loan with tensor.Release), y's array reused when it fits.
+func (d *Dataset) BatchInto(x *tensor.Tensor, y []int, idx []int) (*tensor.Tensor, []int) {
+	x = tensor.Refit(x, append([]int{len(idx)}, d.SampleShape...)...)
+	if cap(y) < len(idx) {
+		y = make([]int, len(idx))
+	}
+	y = y[:len(idx)]
 	sl := d.SampleLen()
 	for bi, i := range idx {
 		copy(x.Data[bi*sl:(bi+1)*sl], d.X[i])
@@ -90,17 +100,22 @@ func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
 }
 
 // Batches cuts the dataset into shuffled mini-batches and calls fn for each.
+// The batch is lent — one tensor and one label array, refilled per call and
+// taken back when Batches returns: x and y are valid until fn returns.
 func (d *Dataset) Batches(rng *tensor.RNG, batchSize int, fn func(x *tensor.Tensor, y []int)) {
 	if d.Len() == 0 {
 		return
 	}
 	perm := rng.Perm(d.Len())
+	var x *tensor.Tensor
+	var y []int
+	defer func() { tensor.Release(x) }()
 	for start := 0; start < len(perm); start += batchSize {
 		end := start + batchSize
 		if end > len(perm) {
 			end = len(perm)
 		}
-		x, y := d.Batch(perm[start:end])
+		x, y = d.BatchInto(x, y, perm[start:end])
 		fn(x, y)
 	}
 }

@@ -182,7 +182,8 @@ func (s *Nebula) importanceWith(sel *modular.Selector, c *Client) [][]float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	x, _ := ds.Batch(idx)
+	x, _ := ds.BatchInto(nil, nil, idx)
+	defer tensor.Release(x)
 	return s.Model.ImportanceWith(sel, x)
 }
 
@@ -357,14 +358,17 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				// parameters for the held modules and blend them in. Under
 				// WireCompress the pull crosses the simulated v2 link first,
 				// so the device blends in the lossy reconstruction.
-				cloudSub := s.Model.ExtractWeights(p.held[i].Mapping)
-				bytes, r.wireRef = s.downlink(cloudSub, p.wireRef[i])
-				blendSubModels(p.held[i], cloudSub, s.PullBlend)
 				sub = p.held[i]
+				bytes, r.wireRef = s.pullBlend(sub, p.wireRef[i])
 			} else {
-				// First contact or the local task moved: new structure.
+				// First contact or the local task moved: new structure,
+				// exact at 4 B/element or over the simulated v2 link — dense:
+				// a fresh structure has no base to be sparse against.
 				sub = s.Model.Extract(active)
-				bytes, r.wireRef = s.downlink(sub, p.wireRef[i])
+				bytes = sub.BackboneBytes()
+				if s.cfg.WireCompress {
+					bytes, r.wireRef = wireDownlink(sub, p.wireRef[i], edgenet.WireOpts{F16: s.cfg.WireF16})
+				}
 			}
 			if !p.hadGate[i] {
 				bytes += sub.SelectorBytes()
@@ -409,7 +413,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 					if ref == nil {
 						ref = p.wireRef[i]
 					}
-					upBytes, upSub = wireUplink(sub, ref, s.wireUpOpts())
+					upBytes, upSub = wireUplink(sub, ref, edgenet.WireOpts{F16: s.cfg.WireF16, TopK: s.cfg.WireTopK})
 				}
 				r.update = &modular.Update{Sub: upSub, Importance: imp, Weight: float64(c.Dev.Train.Len()), ClassWeights: cw}
 				t += prof.TransferTime(upBytes)
@@ -677,17 +681,16 @@ func overlapRatio(held [][]int, active [][]int) float64 {
 // stem, the selected modules, and head. Module states matter: they carry
 // BatchNorm running statistics, and a refresh that pulls module weights but
 // not their normalization stats would serve cloud weights under stale local
-// normalization.
-func blendSubModels(local, cloud *modular.SubModel, b float32) {
-	lp, cp := local.Params(), cloud.Params()
-	for i := range lp {
-		lp[i].W.Scale(1 - b)
-		lp[i].W.AddScaled(b, cp[i].W)
+// normalization. The cloud's side comes as tensors in local.Params() and
+// local.AllStates() order, and is only read.
+func blendSubModels(local *modular.SubModel, params []*nn.Param, states []*tensor.Tensor, b float32) {
+	for i, p := range local.Params() {
+		p.W.Scale(1 - b)
+		p.W.AddScaled(b, params[i].W)
 	}
-	ls, cs := local.AllStates(), cloud.AllStates()
-	for i := range ls {
-		ls[i].Scale(1 - b)
-		ls[i].AddScaled(b, cs[i])
+	for i, st := range local.AllStates() {
+		st.Scale(1 - b)
+		st.AddScaled(b, states[i])
 	}
 }
 

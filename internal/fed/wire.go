@@ -3,6 +3,7 @@ package fed
 import (
 	"repro/internal/edgenet"
 	"repro/internal/modular"
+	"repro/internal/tensor"
 )
 
 // Simulated wire-format v2 link (docs/PROTOCOL.md "Wire format v2").
@@ -13,7 +14,10 @@ import (
 // (chunk-quantized, delta against the last exchange for this device),
 // charged at its exact WireBytes(), and — crucially — the *reconstruction*
 // is what flows onward, so quantization error shows up in accuracy, not
-// just in the byte ledger.
+// just in the byte ledger. It is also the only vector-sized array a crossing
+// leaves behind (docs/PERF.md "Ledger finding #5"): what is sent is flattened
+// into a borrowed array, and what arrived is read where the codec put it —
+// copied only into a sub-model of a new structure, which the device trains.
 //
 // Delta bookkeeping is the transport's own (edgenet.WireRef.Base decides
 // full or delta, edgenet.Exchange yields what both ends hold next): both
@@ -23,43 +27,71 @@ import (
 // canonical device order by commitDevice — so compressed runs keep the
 // bitwise worker-count determinism contract of docs/PARALLEL.md.
 
-// downlink charges one cloud→device transfer of sub's backbone and returns
-// the device's new delta-coding reference (nil on the exact link). Off
-// WireCompress it is the analytic 4 B/element charge and sub arrives exact;
-// on it, sub crosses the simulated v2 link — dense, because top-k never
-// applies in this direction (a fresh structure has no base to be sparse
-// against, and refreshes want every module parameter). Worker-safe.
-func (s *Nebula) downlink(sub *modular.SubModel, ref *edgenet.WireRef) (int64, *edgenet.WireRef) {
+// pullBlend refreshes a device that keeps its sub-model: the cloud's current
+// parameters and states for the modules held holds are charged as one dense
+// cloud→device transfer and blended into held; the device's new delta-coding
+// reference is returned (nil on the exact link). The blend reads in place —
+// the cloud model's own tensors on the exact link, windows of the new
+// reference on the compressed one, so the device blends in what the wire
+// delivered. Worker-safe: no one writes the cloud model in the parallel phase.
+func (s *Nebula) pullBlend(held *modular.SubModel, ref *edgenet.WireRef) (int64, *edgenet.WireRef) {
 	if !s.cfg.WireCompress {
-		return sub.BackboneBytes(), nil
+		params, states := s.Model.Selection(held.Mapping)
+		blendSubModels(held, params, states, s.PullBlend)
+		return held.BackboneBytes(), nil
 	}
-	return wireDownlink(sub, ref, edgenet.WireOpts{F16: s.cfg.WireF16})
+	bytes, ref := cross(held, func(dst []float32) []float32 {
+		return s.Model.AppendBackboneVector(dst, held.Mapping)
+	}, ref, edgenet.WireOpts{F16: s.cfg.WireF16})
+	pulled, err := s.Model.SubModelOver(held.Mapping, ref.Vec)
+	if err != nil {
+		panic(err) // held was extracted from this model
+	}
+	blendSubModels(held, pulled.Params(), pulled.AllStates(), s.PullBlend)
+	return bytes, ref
 }
 
-// wireUpOpts is the uplink codec config: the downlink's code width plus the
-// configured top-k sparsification for delta pushes.
-func (s *Nebula) wireUpOpts() edgenet.WireOpts {
-	return edgenet.WireOpts{F16: s.cfg.WireF16, TopK: s.cfg.WireTopK}
+// cross carries one backbone vector of sub's structure over the simulated
+// link — delta against ref when ref has that structure — and returns its exact
+// wire size and what the far end then holds: the reconstruction, under its own
+// copy of the mapping (a reference is immutable; SubModel.DropModule edits
+// sub's in place). flatten appends the vector to an array borrowed for as long
+// as the codec reads it. Pure; safe from parallel workers.
+func cross(sub *modular.SubModel, flatten func([]float32) []float32, ref *edgenet.WireRef, opts edgenet.WireOpts) (int64, *edgenet.WireRef) {
+	base := ref.Base(sub.Mapping)
+	n := len(base) // as long as the vector; without one, count
+	if base == nil {
+		n = int(sub.BackboneBytes() / 4)
+	}
+	buf := tensor.GetScratch(n)
+	defer tensor.PutScratch(buf)
+	p, recon := edgenet.Exchange(flatten(buf.Data[:0]), base, opts)
+	far := &edgenet.WireRef{Vec: recon}
+	for _, idx := range sub.Mapping {
+		far.Mapping = append(far.Mapping, append([]int(nil), idx...))
+	}
+	return p.WireBytes(), far
 }
 
-// wireDownlink simulates sending sub from cloud to device: encode (delta
-// against ref when the structure matches), charge the exact wire size, and
-// load the lossy reconstruction into sub — the device receives what the
-// wire delivered, not the cloud's float32 originals. Returns the byte
-// charge and the new shared reference. Pure; safe from parallel workers.
+// wireDownlink simulates sending sub, just extracted for a new structure,
+// from cloud to device: encode (delta against ref when the structure
+// matches), charge the exact wire size, and copy the lossy reconstruction into
+// sub — the device receives, and goes on to train, what the wire delivered,
+// not the cloud's float32 originals. Returns the byte charge and the new
+// shared reference.
 func wireDownlink(sub *modular.SubModel, ref *edgenet.WireRef, opts edgenet.WireOpts) (int64, *edgenet.WireRef) {
-	p, recon := edgenet.Exchange(sub.BackboneVector(), ref.Base(sub.Mapping), opts)
-	sub.LoadBackboneVector(recon)
-	return p.WireBytes(), &edgenet.WireRef{Mapping: sub.Mapping, Vec: recon}
+	bytes, ref := cross(sub, sub.AppendBackboneVector, ref, opts)
+	sub.LoadBackboneVector(ref.Vec)
+	return bytes, ref
 }
 
 // wireUplink simulates pushing a trained sub-model from device to cloud:
 // encode the trained backbone (delta + top-k against the downlink
 // reference), charge the exact wire size, and return what the cloud holds
-// afterwards — a weights-only sub-model carrying the reconstruction, which is
-// all aggregation reads — while the device keeps its full-precision local
+// afterwards — a weights-only view of the reconstruction, which is all
+// aggregation reads — while the device keeps its full-precision local
 // weights. Reads sub only, so this stays worker-safe.
 func wireUplink(sub *modular.SubModel, ref *edgenet.WireRef, opts edgenet.WireOpts) (int64, *modular.SubModel) {
-	p, recon := edgenet.Exchange(sub.BackboneVector(), ref.Base(sub.Mapping), opts)
-	return p.WireBytes(), sub.WithBackbone(recon)
+	bytes, far := cross(sub, sub.AppendBackboneVector, ref, opts)
+	return bytes, sub.WithBackbone(far.Vec)
 }

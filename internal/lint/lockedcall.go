@@ -294,7 +294,6 @@ var cpuHeavySeeds = []struct{ pkgSuffix, fn, why string }{
 	{"internal/edgenet", "EncodeVec", "CPU-heavy wire codec"},
 	{"internal/edgenet", "DecodeVec", "CPU-heavy wire codec"},
 	{"internal/modular", "Model.Extract", "weight clone of the model"},
-	{"internal/modular", "Model.ExtractWeights", "weight clone of the model"},
 }
 
 // cpuHeavySeed classifies fn against cpuHeavySeeds.

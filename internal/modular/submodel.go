@@ -38,14 +38,6 @@ func (m *Model) Extract(active [][]int) *SubModel {
 	return s
 }
 
-// ExtractWeights is Extract for a sub-model that will only be read — flattened
-// for a transfer, blended into a device's copy, folded in by
-// AggregateModuleWise: the same stem, modules, head and mapping, without
-// gradient accumulators and without a selector. It cannot run or train.
-func (m *Model) ExtractWeights(active [][]int) *SubModel {
-	return m.extract(active, nn.CloneWeights)
-}
-
 // extract builds the sub-model for a selection; clone is handed the stem, the
 // selected modules layer by layer, then the head — backbone-vector order.
 func (m *Model) extract(active [][]int, clone func(nn.Layer) nn.Layer) *SubModel {
@@ -56,29 +48,36 @@ func (m *Model) extract(active [][]int, clone func(nn.Layer) nn.Layer) *SubModel
 	}
 	for l, idx := range active {
 		layer := NewModuleLayer()
-		mapping := make([]int, len(idx))
-		for j, i := range idx {
+		for _, i := range idx {
 			layer.Modules = append(layer.Modules, clone(m.Layers[l].Modules[i]))
-			mapping[j] = i
 		}
 		s.Layers = append(s.Layers, layer)
-		s.Mapping = append(s.Mapping, mapping)
+		s.Mapping = append(s.Mapping, append([]int{}, idx...))
 	}
 	s.Head = clone(m.Head)
 	return s
 }
 
-// selection returns m's own tensors behind the backbone vector of the
-// sub-model that selects active, in that vector's order: stem, selected module
-// and head parameters; stem and head states.
-func (m *Model) selection(active [][]int) ([]*nn.Param, []*tensor.Tensor) {
-	ps := m.Stem.Params()
+// Selection returns m's own tensors behind the sub-model that selects active,
+// for a reader that needs no copy of them: parameters in SubModel.Params order
+// — stem, selected modules, head — and states in SubModel.AllStates order. The
+// caller only reads them, under whatever guards m against an aggregation.
+func (m *Model) Selection(active [][]int) ([]*nn.Param, []*tensor.Tensor) {
+	ps, st := m.Stem.Params(), nn.LayerStates(m.Stem)
 	for l, idx := range active {
 		for _, i := range idx {
 			ps = append(ps, m.Layers[l].Modules[i].Params()...)
+			st = append(st, nn.LayerStates(m.Layers[l].Modules[i])...)
 		}
 	}
-	return append(ps, m.Head.Params()...), append(nn.LayerStates(m.Stem), nn.LayerStates(m.Head)...)
+	return append(ps, m.Head.Params()...), append(st, nn.LayerStates(m.Head)...)
+}
+
+// selection is Selection with the states a backbone vector carries: the
+// stem's and the head's.
+func (m *Model) selection(active [][]int) ([]*nn.Param, []*tensor.Tensor) {
+	ps, _ := m.Selection(active)
+	return ps, append(nn.LayerStates(m.Stem), nn.LayerStates(m.Head)...)
 }
 
 // AppendBackboneVector appends to dst, straight from m's own tensors, the wire
@@ -90,14 +89,16 @@ func (m *Model) AppendBackboneVector(dst []float32, active [][]int) []float32 {
 	return nn.AppendVector(dst, params, states)
 }
 
-// SubModelOver returns the weights-only sub-model (see ExtractWeights) that
-// selects active and has vec — a BackboneVector of that structure — as its
-// backbone, without copying it: every parameter tensor is a window of vec, so
-// the caller gives vec up to the sub-model. Stem and head states are copied
-// out of vec's tail; module states, which a backbone vector does not carry,
-// are copies of m's, so the caller must hold whatever guards m against a
-// concurrent aggregation. A selection m does not have or a vector of the wrong
-// length is an error, and nothing is built.
+// SubModelOver returns the sub-model that selects active and has vec — a
+// BackboneVector of that structure — as its backbone, without copying it:
+// every parameter tensor is a window of vec, so the caller gives vec up to the
+// sub-model. It is weights-only — no gradient accumulators, no selector — to
+// be read (flattened, blended from, folded in by AggregateModuleWise), not run
+// or trained. Stem and head states are copied out of vec's tail; module
+// states, which a backbone vector does not carry, are copies of m's, so the
+// caller must hold whatever guards m against a concurrent aggregation. A
+// selection m does not have or a vector of the wrong length is an error, and
+// nothing is built.
 func (m *Model) SubModelOver(active [][]int, vec []float32) (*SubModel, error) {
 	if len(active) != len(m.Layers) {
 		return nil, fmt.Errorf("modular: selection spans %d layers, model has %d", len(active), len(m.Layers))
@@ -121,32 +122,25 @@ func (m *Model) SubModelOver(active [][]int, vec []float32) (*SubModel, error) {
 	return s, nil
 }
 
-// rebuilt returns a sub-model of s's structure (its own copy of the mapping)
-// whose stem, modules and head are remake(s's); no selector.
-func (s *SubModel) rebuilt(remake func(nn.Layer) nn.Layer) *SubModel {
-	c := &SubModel{
-		Stem:    remake(s.Stem),
-		Head:    remake(s.Head),
-		TopK:    s.TopK,
-		InShape: s.InShape,
-	}
-	for l, layer := range s.Layers {
-		nl := NewModuleLayer()
-		for _, mod := range layer.Modules {
-			nl.Modules = append(nl.Modules, remake(mod))
-		}
-		c.Layers = append(c.Layers, nl)
-		c.Mapping = append(c.Mapping, append([]int(nil), s.Mapping[l]...))
-	}
-	return c
-}
-
-// WithBackbone returns the weights-only sub-model (see ExtractWeights) that
-// has s's structure and states and vec — a BackboneVector of that structure —
-// as its backbone: what the far end of a link holds after s crossed it.
+// WithBackbone is SubModelOver with s for the model and all s holds for the
+// selection: the weights-only view of vec, given up to it, with s's mapping
+// and module states — what the far end of a link holds after s crossed it. A
+// vector of the wrong length panics before anything is built.
 func (s *SubModel) WithBackbone(vec []float32) *SubModel {
-	c := s.rebuilt(nn.CloneWeights)
-	c.LoadBackboneVector(vec)
+	whole := &Model{Stem: s.Stem, Layers: s.Layers, Head: s.Head, TopK: s.TopK, InShape: s.InShape}
+	all := make([][]int, len(s.Layers))
+	for l, layer := range s.Layers {
+		for j := 0; j < layer.N(); j++ {
+			all[l] = append(all[l], j)
+		}
+	}
+	c, err := whole.SubModelOver(all, vec)
+	if err != nil {
+		panic(err)
+	}
+	for l := range c.Mapping {
+		copy(c.Mapping[l], s.Mapping[l])
+	}
 	return c
 }
 
@@ -281,14 +275,7 @@ func (s *SubModel) Params() []*nn.Param {
 // BackboneBytes returns the wire size of the stem + selected modules + head
 // (parameters and states) — what a sub-model refresh transfers.
 func (s *SubModel) BackboneBytes() int64 {
-	n := nn.ParamCount(s.Params())
-	for _, st := range nn.LayerStates(s.Stem) {
-		n += st.Len()
-	}
-	for _, st := range nn.LayerStates(s.Head) {
-		n += st.Len()
-	}
-	return int64(n) * 4
+	return nn.BytesOf(s.Params(), s.backboneStates())
 }
 
 // SelectorBytes returns the wire size of the unified selector, transferred

@@ -1,7 +1,9 @@
 package modular
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -182,4 +184,119 @@ func TestSubModelOverRejects(t *testing.T) {
 func replaceFirst(active [][]int, i int) [][]int {
 	active[0] = append([]int{i}, active[0][1:]...)
 	return active
+}
+
+// deviceWithModuleStates is a sub-model of a CNN whose modules, unlike the
+// builders', end in a BatchNorm — so they carry states a backbone vector does
+// not — after the device moved those states away from the cloud's.
+func deviceWithModuleStates(rng *tensor.RNG) (*Model, *SubModel) {
+	m := viewTestModels()[1].m
+	for l, layer := range m.Layers {
+		for i, mod := range layer.Modules {
+			layer.Modules[i] = nn.NewSequential(mod, nn.NewBatchNorm(8<<l)) // the stages' OutC
+		}
+	}
+	sub := m.Extract(randomSelection(rng, m, 1))
+	for _, st := range sub.AllStates() {
+		rng.FillNormal(st, 1, 0.3)
+	}
+	return m, sub
+}
+
+// TestWithBackboneIsAView: what the far end of a link holds is the device's
+// structure and module states over the vector that arrived — parameters are
+// windows of it, not copies, stem and head states are copied out of its tail —
+// and aggregating it is aggregating a deep copy loaded with the same vector.
+func TestWithBackboneIsAView(t *testing.T) {
+	rng := tensor.NewRNG(21)
+	m, sub := deviceWithModuleStates(rng)
+	vec := make([]float32, len(sub.BackboneVector()))
+	for i := range vec {
+		vec[i] = float32(rng.NormFloat64())
+	}
+	// The carrier this one replaced: every weight and state cloned, then the
+	// vector copied in.
+	want := m.Extract(sub.Mapping)
+	for i, st := range want.AllStates() {
+		st.CopyFrom(sub.AllStates()[i])
+	}
+	want.LoadBackboneVector(vec)
+
+	own := append([]float32(nil), vec...)
+	got := sub.WithBackbone(own)
+	if !reflect.DeepEqual(got.Mapping, sub.Mapping) || got.TopK != sub.TopK || got.Selector != nil {
+		t.Fatalf("mapping %v (device %v) top-k %d selector %v", got.Mapping, sub.Mapping, got.TopK, got.Selector)
+	}
+	for l := range got.Mapping {
+		if len(got.Mapping[l]) > 0 && &got.Mapping[l][0] == &sub.Mapping[l][0] {
+			t.Fatalf("layer %d of the view's mapping is the device's own slice", l)
+		}
+	}
+	off := 0
+	for i, p := range got.Params() {
+		if p.G != nil || !p.W.SameShape(want.Params()[i].W) {
+			t.Fatalf("parameter %s: gradient %v, shape %v", p.Name, p.G != nil, p.W.Shape())
+		}
+		n := p.W.Len()
+		if &p.W.Data[0] != &own[off] || cap(p.W.Data) != n {
+			t.Fatalf("parameter %d is not a %d-element window of the vector at %d", i, n, off)
+		}
+		// One array: a write through either is read through the other.
+		own[off], p.W.Data[n-1] = 42, 43
+		if p.W.Data[0] != 42 || own[off+n-1] != 43 {
+			t.Fatalf("parameter %d does not share the vector's memory", i)
+		}
+		own[off], p.W.Data[n-1] = vec[off], vec[off+n-1]
+		off += n
+	}
+	ds, gs := sub.AllStates(), got.AllStates()
+	if len(gs) != len(ds) || len(gs) == len(got.backboneStates()) {
+		t.Fatalf("%d states, device has %d, %d of them in the backbone: no module state covered", len(gs), len(ds), len(got.backboneStates()))
+	}
+	for i, st := range gs {
+		if !sameBits(st.Data, want.AllStates()[i].Data) {
+			t.Fatalf("state %d differs from the cloned carrier's", i)
+		}
+		if &st.Data[0] == &ds[i].Data[0] {
+			t.Fatalf("state %d is the device's own tensor", i)
+		}
+	}
+	for _, st := range got.backboneStates() {
+		if !sameBits(st.Data, vec[off:off+st.Len()]) || &st.Data[0] == &own[off] {
+			t.Fatalf("stem/head state at %d is not a copy of the vector's tail", off)
+		}
+		off += st.Len()
+	}
+	if off != len(own) {
+		t.Fatalf("view covers %d of %d elements", off, len(own))
+	}
+
+	imp := make([][]float64, len(m.Layers))
+	for l, layer := range m.Layers {
+		imp[l] = make([]float64, layer.N())
+		for i := range imp[l] {
+			imp[l][i] = rng.Float64()
+		}
+	}
+	a, _ := deviceWithModuleStates(tensor.NewRNG(21))
+	b, _ := deviceWithModuleStates(tensor.NewRNG(21))
+	a.AggregateModuleWise([]*Update{{Sub: want, Importance: imp, Weight: 3}})
+	b.AggregateModuleWise([]*Update{{Sub: got, Importance: imp, Weight: 3}})
+	if !sameBits(a.AppendBackboneVector(nil, allModules(a)), b.AppendBackboneVector(nil, allModules(b))) {
+		t.Fatal("aggregating the view and the cloned carrier diverge")
+	}
+
+	// A vector of another length is refused whole, by the length check — not
+	// by whichever slice expression runs out first.
+	for _, bad := range []int{len(vec) - 1, len(vec) + 1} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprint(bad)) || !strings.Contains(msg, fmt.Sprint(len(vec))) || strings.Contains(msg, "runtime error") {
+					t.Errorf("vector of %d elements for %d: panic %q does not name both lengths", bad, len(vec), msg)
+				}
+			}()
+			sub.WithBackbone(make([]float32, bad))
+		}()
+	}
 }
