@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json race check fuzz-smoke bench bench-e2e-check sweep examples clean
+.PHONY: all build test vet fmt-check lint lint-json race check fuzz-smoke bench bench-e2e-check sweep examples clean
 
 all: check
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting: gofmt must have nothing to say outside the linter's fixtures.
+fmt-check:
+	@out=$$(gofmt -l . 2>/dev/null | grep -v '/testdata/' || true); \
+		[ -z "$$out" ] || { echo "gofmt -l reports unformatted files: $$out" >&2; exit 1; }
 
 # Project-specific static analysis: the typed whole-program engine
 # (cross-package RNG-escape, lock-scope, and artifact-taint dataflow; see
@@ -24,13 +29,13 @@ lint-json:
 race:
 	$(GO) test -race ./...
 
-# The CI gate: build, vet, nebula-lint, and the race-instrumented test
+# The CI gate: build, vet, gofmt, nebula-lint, and the race-instrumented test
 # suite. Everything must exit 0. See docs/ANALYSIS.md for the checks. The
 # allocation tests (*ZeroAlloc* in ./internal/tensor/ ./internal/nn/
 # ./internal/modular/, *AllocBudget* in ./internal/edgenet/ ./internal/fed/
 # ./internal/data/) skip under -race;
 # `make test` runs them, and ci.sh has a stage for them.
-check: build vet lint race
+check: build vet fmt-check lint race
 
 test:
 	$(GO) test ./...

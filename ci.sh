@@ -1,8 +1,8 @@
 #!/bin/sh
 # ci.sh — the repository's verification gate, exactly what `make check`
 # runs, as a standalone script for CI systems without make. Exits nonzero on
-# the first failure: build break, go vet finding, nebula-lint finding, or a
-# test/race failure.
+# the first failure: build break, go vet or gofmt finding, nebula-lint
+# finding, or a test/race failure.
 #
 # Optionally pass a seed to also audit experiment determinism end-to-end:
 #   ./ci.sh 7    # additionally runs `nebula-sim -exp fig1b -seed 7 -seed-audit`
@@ -69,6 +69,10 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l (everything outside testdata/ is formatted)"
+unformatted=$(gofmt -l . 2>/dev/null | grep -v '/testdata/' || true)
+[ -z "$unformatted" ] || fail "gofmt -l reports unformatted files: $unformatted"
 
 echo "== nebula-lint ./... (typed whole-program engine)"
 linttmp=$(mktemp -d)

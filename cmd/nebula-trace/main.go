@@ -1,6 +1,5 @@
 // Command nebula-trace summarizes a structured adaptation log (JSON lines
-// produced by internal/trace): rounds, per-way traffic, simulated time, and
-// the accuracy trajectory as a sparkline.
+// produced by internal/trace): rounds, per-way traffic and simulated time.
 //
 // Usage:
 //
@@ -8,10 +7,10 @@
 //	... | nebula-trace -
 //	nebula-trace -metrics run.jsonl
 //
-// -metrics replays the log through the same RoundMetrics accounting the live
-// simulator records (internal/fed) and prints the resulting registry in
-// Prometheus text exposition format — the offline counterpart of scraping a
-// live run's /metrics endpoint. Replaying a trace and scraping the run that
+// -metrics replays the log through the per-event step the live simulator's
+// one recording path applies (internal/fed) and prints the resulting registry
+// in Prometheus text exposition format — the offline counterpart of scraping
+// a live run's /metrics endpoint. Replaying a trace and scraping the run that
 // produced it yield identical deterministic families (docs/OBSERVABILITY.md).
 package main
 
@@ -73,13 +72,6 @@ func main() {
 	fmt.Printf("rounds:       %d\n", s.Rounds)
 	fmt.Printf("traffic:      ↓%s ↑%s\n", metrics.FmtBytes(s.BytesDown), metrics.FmtBytes(s.BytesUp))
 	fmt.Printf("sim time:     %s (slowest client per round)\n", metrics.FmtDur(s.SimTime))
-	if len(s.Accuracy) > 0 {
-		series := &metrics.Series{Name: "accuracy"}
-		for i, a := range s.Accuracy {
-			series.Add(float64(i), a)
-		}
-		fmt.Printf("accuracy:     %s  first=%.4f last=%.4f\n", series.Sparkline(), s.Accuracy[0], series.Last())
-	}
 	// Per-client participation histogram.
 	perClient := map[int]int{}
 	for _, e := range events {

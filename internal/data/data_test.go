@@ -64,10 +64,6 @@ func TestDatasetSubsetAndSplit(t *testing.T) {
 	if s.Len() != 2 || s.X[1][0] != 9 {
 		t.Fatal("Subset wrong")
 	}
-	a, b := d.SplitFrac(0.3)
-	if a.Len() != 3 || b.Len() != 7 {
-		t.Fatalf("SplitFrac = %d/%d", a.Len(), b.Len())
-	}
 }
 
 func TestClassHistogramAndClasses(t *testing.T) {

@@ -148,20 +148,3 @@ func (d *Dataset) Classes() []int {
 	}
 	return out
 }
-
-// SplitFrac splits into two datasets with the first receiving frac of the
-// samples (already-shuffled order is preserved; shuffle first for a random
-// split).
-func (d *Dataset) SplitFrac(frac float64) (*Dataset, *Dataset) {
-	n := int(float64(d.Len()) * frac)
-	idxA := make([]int, 0, n)
-	idxB := make([]int, 0, d.Len()-n)
-	for i := 0; i < d.Len(); i++ {
-		if i < n {
-			idxA = append(idxA, i)
-		} else {
-			idxB = append(idxB, i)
-		}
-	}
-	return d.Subset(idxA), d.Subset(idxB)
-}

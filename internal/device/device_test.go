@@ -85,11 +85,11 @@ func TestTrainMemoryAccounting(t *testing.T) {
 	model := nn.NewMLP(rng, 64, []int{128, 128}, 6, 1.0)
 	_, memEl := nn.TrainCost(model, 64)
 	small := Profile{MemoryBytes: 1 << 30}
-	if !small.FitsMemory(memEl, 16) {
+	if TrainMemoryBytes(memEl, 16) > small.MemoryBytes {
 		t.Fatal("small MLP must fit 1 GB")
 	}
 	tiny := Profile{MemoryBytes: 32 << 20}
-	if tiny.FitsMemory(memEl, 16) {
+	if TrainMemoryBytes(memEl, 16) <= tiny.MemoryBytes {
 		t.Fatal("nothing fits below framework overhead")
 	}
 	if TrainMemoryBytes(memEl, 16) <= TrainMemoryBytes(memEl, 1) {
@@ -122,7 +122,7 @@ func TestMonitorStepBounded(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 500; i++ {
 		m.Step()
-		n := m.BackgroundProcs()
+		n := m.backgroundProcs
 		if n < 0 || n > 4 {
 			t.Fatalf("background procs out of range: %d", n)
 		}

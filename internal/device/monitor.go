@@ -51,9 +51,6 @@ func (m *Monitor) SetBackgroundProcs(n int) {
 	m.foreignMemory = int64(n) * (400 << 20)
 }
 
-// BackgroundProcs returns the current co-running process count.
-func (m *Monitor) BackgroundProcs() int { return m.backgroundProcs }
-
 // Profile returns the current available-resource snapshot.
 func (m *Monitor) Profile() Profile {
 	contention := ContentionFactor(m.backgroundProcs)

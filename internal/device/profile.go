@@ -48,12 +48,6 @@ func (p Profile) TransferTime(bytes int64) float64 {
 	return float64(bytes*8) / p.BandwidthBps
 }
 
-// FitsMemory reports whether a training workload with the given element
-// footprint (see nn.TrainCost) fits the available memory.
-func (p Profile) FitsMemory(memElems int, batchSize int) bool {
-	return TrainMemoryBytes(memElems, batchSize) <= p.MemoryBytes
-}
-
 // TrainMemoryBytes converts a TrainCost element footprint into bytes,
 // including optimizer state (momentum ≈ one extra copy of the parameters is
 // already folded into TrainCost's 2×params term) and the framework's fixed

@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // asyncPending is one straggler's carried work: launched in round launch,
@@ -55,9 +56,7 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 	a := s.async
 	round := s.costs.Rounds + 1
 	m := s.metrics()
-	s.Trace.RoundStartAt(round, a.deadline)
-	m.currentRound.Set(float64(round))
-	m.roundDeadline.Set(a.deadline)
+	s.record(trace.RoundStart(round, a.deadline))
 	wall := obs.StartTimer()
 	defer func() { m.noteRoundWall(wall.Seconds()) }()
 	// Root span for the deadline-paced round; churn, pend, and land events
@@ -165,7 +164,6 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 		a.prev = presentIDs(clients)
 		return
 	}
-	m := s.metrics()
 	left := map[int]bool{}
 	for _, id := range a.prev {
 		if cur[id] {
@@ -173,8 +171,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 		}
 		left[id] = true
 		delete(a.busy, id)
-		s.Trace.Churn(round, id, "leave", 0)
-		m.churnEvents["leave"].Inc()
+		s.record(trace.Churn(round, id, "leave", 0))
 		ce := s.Spans.Start(tid, parent, "fed.churn")
 		ce.SetDevice(id)
 		ce.SetRound(round)
@@ -193,10 +190,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			// dropped mid-round without ever blocking aggregation, but the
 			// sub-model download it performed did cross the link.
 			s.Trace.Flush(&pw.res.span)
-			s.Trace.Churn(round, id, "drop_pending", pw.res.down)
-			m.churnEvents["drop_pending"].Inc()
-			s.costs.BytesDown += pw.res.down
-			m.bytesDown.Add(float64(pw.res.down))
+			s.record(trace.Churn(round, id, "drop_pending", pw.res.down))
 			ce := s.Spans.Start(tid, parent, "fed.churn")
 			ce.SetDevice(id)
 			ce.SetRound(round)
@@ -215,7 +209,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 		if prevSet[id] {
 			continue
 		}
-		var down int64
+		var down int64 // a returning device still holds its sub-model
 		if s.subs[id] == nil {
 			// A brand-new device bootstraps before its first round with a
 			// budget-fitting sub-model, shipped whole (selector included).
@@ -226,8 +220,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			sub.Park()
 			down = s.adoptFresh(id, sub)
 		}
-		s.Trace.Churn(round, id, "join", down)
-		m.churnEvents["join"].Inc()
+		s.record(trace.Churn(round, id, "join", down))
 		ce := s.Spans.Start(tid, parent, "fed.churn")
 		ce.SetDevice(id)
 		ce.SetRound(round)

@@ -40,6 +40,22 @@ type FaultStats struct {
 	PushFailures  int64 // uploads lost after all tries (round proceeds)
 }
 
+// faultOutcome is one FaultStats tally under its
+// nebula_fed_fault_events_total label.
+type faultOutcome struct {
+	event string
+	n     int64
+}
+
+// outcomes lists the tallies the metrics mirror exports.
+func (s FaultStats) outcomes() [8]faultOutcome {
+	return [8]faultOutcome{
+		{"fetch", s.Fetches}, {"fetch_retry", s.FetchRetries}, {"fetch_failure", s.FetchFailures},
+		{"fallback", s.Fallbacks}, {"skip", s.SkippedRounds},
+		{"push", s.Pushes}, {"push_retry", s.PushRetries}, {"push_failure", s.PushFailures},
+	}
+}
+
 // NewFaultModel wraps a fault config with the default retry budget.
 func NewFaultModel(cfg edgenet.FaultConfig) *FaultModel {
 	return &FaultModel{Cfg: cfg, MaxAttempts: 4, RetryDelay: 0.05}
@@ -90,11 +106,8 @@ func (f *FaultModel) Fetch(round, dev int) (ok bool, extraTime float64) {
 	ok, extraTime, tries := f.try(opFetch, round, dev)
 	f.stats.Fetches++
 	f.stats.FetchRetries += int64(tries - 1)
-	noteFault("fetch", 1)
-	noteFault("fetch_retry", int64(tries-1))
 	if !ok {
 		f.stats.FetchFailures++
-		noteFault("fetch_failure", 1)
 	}
 	return ok, extraTime
 }
@@ -107,11 +120,8 @@ func (f *FaultModel) Push(round, dev int) (ok bool, extraTime float64) {
 	ok, extraTime, tries := f.try(opPush, round, dev)
 	f.stats.Pushes++
 	f.stats.PushRetries += int64(tries - 1)
-	noteFault("push", 1)
-	noteFault("push_retry", int64(tries-1))
 	if !ok {
 		f.stats.PushFailures++
-		noteFault("push_failure", 1)
 	}
 	return ok, extraTime
 }
@@ -121,7 +131,6 @@ func (f *FaultModel) Push(round, dev int) (ok bool, extraTime float64) {
 func (f *FaultModel) NoteFallback() {
 	if f != nil {
 		f.stats.Fallbacks++
-		noteFault("fallback", 1)
 	}
 }
 
@@ -129,7 +138,6 @@ func (f *FaultModel) NoteFallback() {
 func (f *FaultModel) NoteSkip() {
 	if f != nil {
 		f.stats.SkippedRounds++
-		noteFault("skip", 1)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // Client is one edge device: its local data stream and its runtime resource
@@ -107,16 +108,11 @@ func (c Config) collabScale() float32 {
 	return 1
 }
 
-// Costs accumulates a strategy's resource usage across an adaptation run.
-type Costs struct {
-	BytesUp   int64
-	BytesDown int64
-	SimTime   float64 // simulated wall-clock seconds of the adaptation
-	Rounds    int
-}
-
-// Total returns up+down bytes.
-func (c Costs) Total() int64 { return c.BytesUp + c.BytesDown }
+// Costs accumulates a strategy's resource usage across an adaptation run. It
+// is the type a trace log folds to: for a traced strategy (Nebula) the live
+// ledger and trace.Summarize over its log are the same fold of the same
+// events.
+type Costs = trace.Summary
 
 // System is the common surface the experiments drive. One adaptation step =
 // Adapt on the current fleet state; accuracy is the mean local-task accuracy

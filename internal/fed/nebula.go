@@ -196,16 +196,28 @@ func (s *Nebula) deriveFresh(sel *modular.Selector, c *Client) *modular.SubModel
 	return s.Model.Extract(s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive))
 }
 
-// adoptFresh records a deriveFresh sub-model as the device's own and charges
-// its transfer — a pure download, selector included. Serial coordinator
-// only. Returns the bytes charged.
+// record is the strategy's one accounting path: every fact that moves the
+// ledgers — a round opening or closing, a device's traffic and time, an
+// aggregation, a membership change, a transfer outside a round — is built as
+// one trace.Event and handed here. record emits it and applies it to Costs
+// and to the deterministic metric families through the steps a reader of the
+// log runs (trace.Summary.Apply, RoundMetrics.apply), so the three agree
+// after every call by construction. Serial coordinator only.
+func (s *Nebula) record(e trace.Event) {
+	s.Trace.Emit(e)
+	s.costs.Apply(e)
+	s.metrics().apply(e)
+}
+
+// adoptFresh makes a deriveFresh sub-model the device's own and returns the
+// bytes of its transfer — a pure download, selector included — for the caller
+// to record: as the "join" of a newcomer to an async fleet, or as the
+// "bootstrap" of a device served outside a round of its own. Serial
+// coordinator only.
 func (s *Nebula) adoptFresh(id int, sub *modular.SubModel) int64 {
-	down := sub.ParamBytes()
-	s.costs.BytesDown += down
-	s.metrics().bytesDown.Add(float64(down))
 	s.hasGatePkg[id] = true
 	s.subs[id] = sub
-	return down
+	return sub.ParamBytes()
 }
 
 // Adapt runs cfg.Rounds online rounds (or, for the w/o-cloud variant, pure
@@ -217,11 +229,7 @@ func (s *Nebula) Adapt(rng *tensor.RNG, clients []*Client) {
 		return
 	}
 	for r := 0; r < s.cfg.Rounds; r++ {
-		if s.cfg.Async {
-			s.asyncRound(rng, clients)
-		} else {
-			s.round(rng, clients)
-		}
+		s.Round(rng, clients)
 	}
 }
 
@@ -288,6 +296,7 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 		pushExtra:  make([]float64, n),
 		wireRef:    make([]*edgenet.WireRef, n),
 	}
+	faultsBefore := s.Faults.Stats()
 	for i, c := range part {
 		if s.cfg.DropoutProb > 0 {
 			p.drop[i] = rng.Float64() < s.cfg.DropoutProb
@@ -311,6 +320,7 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 			p.pushOK[i], p.pushExtra[i] = s.Faults.Push(round, id)
 		}
 	}
+	s.metrics().mirrorFaults(faultsBefore, s.Faults.Stats())
 	p.streams = splitStreams(rng, n)
 	return p
 }
@@ -436,43 +446,27 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 }
 
 // commitDevice folds one device's finished result into strategy state: trace
-// span flush + client_update emission, cost and metric accumulation, and
-// strategy-map writes. It runs only on the serial coordinator, in the round
-// the result lands in. stale is landing−launch in rounds (0 for on-time /
-// bulk-sync); a stale update's aggregation weight decays by
-// StalenessDecay^stale. Returns the device's update for the aggregation list
+// span flush, the client_update record, and strategy-map writes. It runs only
+// on the serial coordinator, in the round the result lands in. stale is
+// landing−launch in rounds (0 for on-time / bulk-sync); a stale update's
+// aggregation weight decays by StalenessDecay^stale. Returns the device's update for the aggregation list
 // (nil if the device sat out or its push was lost).
 func (s *Nebula) commitDevice(landing int, c *Client, r *nebulaResult, stale int) *modular.Update {
 	s.Trace.Flush(&r.span)
 	if r.sub == nil {
 		return nil // sat the round out; the span note above is its only record
 	}
-	m := s.metrics()
 	id := c.Dev.ID
-	if stale > 0 {
-		s.Trace.LateUpdate(landing, id, r.sub.NumModules(), r.down, r.up, r.t, stale)
-	} else {
-		s.Trace.ClientUpdate(landing, id, r.sub.NumModules(), r.down, r.up, r.t)
-	}
-	s.costs.BytesDown += r.down
-	s.costs.BytesUp += r.up
-	m.bytesDown.Add(float64(r.down))
-	m.bytesUp.Add(float64(r.up))
-	m.deviceSimSeconds.Observe(r.t)
+	s.record(trace.ClientUpdate(landing, id, r.sub.NumModules(), r.down, r.up, r.t, stale))
 	s.subs[id] = r.sub
 	if r.gate {
 		s.hasGatePkg[id] = true
 	}
 	if r.wireRef != nil {
 		s.wireRefs[id] = r.wireRef
-		m.wirePayloads.Inc()
+		s.metrics().wirePayloads.Inc()
 	}
-	if r.update == nil {
-		return nil
-	}
-	if stale > 0 {
-		m.lateUpdates.Inc()
-		m.staleRounds.Add(float64(stale))
+	if r.update != nil && stale > 0 {
 		r.update.Weight *= math.Pow(s.stalenessDecay(), float64(stale))
 	}
 	return r.update
@@ -489,29 +483,20 @@ func (s *Nebula) stalenessDecay() float64 {
 // aggregate folds the round's landed updates into the cloud model and closes
 // the round's accounting with the given slot time.
 func (s *Nebula) aggregate(round int, updates []*modular.Update, slot float64) {
-	m := s.metrics()
 	if len(updates) > 0 {
 		swAggregate := obs.StartTimer()
 		s.Model.AggregateModuleWise(updates)
-		s.Trace.Aggregate(round, len(updates))
-		m.phaseAggregate.ObserveSince(swAggregate)
-		m.aggregations.Inc()
-		m.updates.Add(float64(len(updates)))
+		s.record(trace.Aggregate(round, len(updates)))
+		s.metrics().phaseAggregate.ObserveSince(swAggregate)
 	}
-	s.Trace.RoundEnd(round, slot)
-	s.costs.SimTime += slot
-	s.costs.Rounds++
-	m.simSeconds.Add(slot)
-	m.roundSlotSeconds.Observe(slot)
-	m.rounds.Inc()
+	s.record(trace.RoundEnd(round, slot))
 }
 
 func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 	part := sampleClients(rng, clients, s.cfg.DevicesPerRound)
 	round := s.costs.Rounds + 1
-	s.Trace.RoundStart(round)
+	s.record(trace.RoundStart(round, 0))
 	m := s.metrics()
-	m.currentRound.Set(float64(round))
 	wall := obs.StartTimer()
 	defer func() { m.noteRoundWall(wall.Seconds()) }()
 	// Root span for the round; the sampling decision is keyed on the round
@@ -547,12 +532,11 @@ type landing struct {
 // canonical reduce of docs/PARALLEL.md: commit each landing in the order
 // given (device order for bulk-sync rounds, seeded arrival order for
 // deadline-paced ones), then aggregate the updates that made it and close the
-// round with slot. Metric updates here are part of the serial phase, so
-// counter values (and float accumulation order) are a pure function of the
-// seeds — exactly what trace.Summarize recomputes.
+// round with slot. Everything recorded here is part of the serial phase, so
+// the ledgers (and their float accumulation order) are a pure function of
+// the seeds.
 func (s *Nebula) land(round int, p *roundPrep, landings []landing, slot float64) {
 	var updates []*modular.Update
-	live := 0
 	for _, ld := range landings {
 		stale := round - ld.launch
 		if stale > 0 {
@@ -566,11 +550,7 @@ func (s *Nebula) land(round int, p *roundPrep, landings []landing, slot float64)
 		if u := s.commitDevice(round, ld.c, ld.res, stale); u != nil {
 			updates = append(updates, u)
 		}
-		if ld.res.sub != nil {
-			live++
-		}
 	}
-	s.metrics().participants.Set(float64(live))
 	s.aggregate(round, updates, slot)
 }
 
@@ -596,9 +576,13 @@ func (s *Nebula) landAll(round int, p *roundPrep, res []nebulaResult) (slot floa
 
 // adaptLocalOnly implements the w/o-cloud ablation: derive once, then only
 // local training. Devices run concurrently with the same coordinator-prep /
-// parallel / canonical-reduce structure as the full round.
+// parallel / canonical-reduce structure as the full round, and the step is
+// recorded as one: a round whose devices move no bytes beyond a first-time
+// bootstrap.
 func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 	n := len(clients)
+	round := s.costs.Rounds + 1
+	s.record(trace.RoundStart(round, 0))
 	held := s.heldBy(clients)
 	streams := splitStreams(rng, n)
 	type result struct {
@@ -619,22 +603,17 @@ func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 		res[i].t = trainTime(c.Mon.Profile(), fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs, s.cfg.BatchSize)
 	})
 	var slot float64
-	m := s.metrics()
 	for i, c := range clients {
 		r := &res[i]
 		if held[i] == nil {
-			s.adoptFresh(c.Dev.ID, r.sub)
+			s.record(trace.Churn(round, c.Dev.ID, "bootstrap", s.adoptFresh(c.Dev.ID, r.sub)))
 		}
 		if r.t > slot {
 			slot = r.t
 		}
-		m.deviceSimSeconds.Observe(r.t)
+		s.record(trace.ClientUpdate(round, c.Dev.ID, r.sub.NumModules(), 0, 0, r.t, 0))
 	}
-	s.costs.SimTime += slot
-	s.costs.Rounds++
-	m.simSeconds.Add(slot)
-	m.roundSlotSeconds.Observe(slot)
-	m.rounds.Inc()
+	s.record(trace.RoundEnd(round, slot))
 }
 
 // heldBy snapshots each client's stored sub-model (nil = never served), in
@@ -652,23 +631,20 @@ func (s *Nebula) heldBy(clients []*Client) []*modular.SubModel {
 func overlapRatio(held [][]int, active [][]int) float64 {
 	inter, union := 0, 0
 	for l := range held {
-		seen := map[int]bool{}
+		set := map[int]bool{} // module -> held (false: only freshly selected)
 		for _, i := range held[l] {
-			seen[i] = true
-		}
-		both := map[int]bool{}
-		for _, i := range held[l] {
-			both[i] = true
+			set[i] = true
 		}
 		if l < len(active) {
 			for _, i := range active[l] {
-				if seen[i] {
+				if set[i] {
 					inter++
+				} else {
+					set[i] = false
 				}
-				both[i] = true
 			}
 		}
-		union += len(both)
+		union += len(set)
 	}
 	if union == 0 {
 		return 1
@@ -695,9 +671,9 @@ func blendSubModels(local *modular.SubModel, params []*nn.Param, states []*tenso
 }
 
 // LocalAccuracy evaluates each device's current sub-model; devices that
-// never participated derive one on the spot (a pure download, charged).
-// Evaluation fans out across devices; derived-on-the-spot sub-models and
-// their cost charges are committed in canonical device order.
+// never participated derive one on the spot (a pure download, recorded as a
+// bootstrap). Evaluation fans out across devices; derived-on-the-spot
+// sub-models are adopted in canonical device order.
 func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 	if len(clients) == 0 {
 		return 0
@@ -722,7 +698,7 @@ func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 	var sum float64
 	for i, c := range clients {
 		if held[i] == nil {
-			s.adoptFresh(c.Dev.ID, res[i].sub)
+			s.record(trace.Churn(s.costs.Rounds, c.Dev.ID, "bootstrap", s.adoptFresh(c.Dev.ID, res[i].sub)))
 		}
 		sum += res[i].acc
 	}

@@ -16,12 +16,14 @@ import (
 // Two classes of metrics live here, with different determinism guarantees:
 //
 //   - Deterministic accounting (rounds, traffic bytes, simulated seconds,
-//     round-slot and per-device sim-time histograms, fault outcomes). These
-//     are recorded only in the serial coordinator phases — prep and
-//     canonical reduce — in canonical device order, so their values are a
-//     pure function of the seeds: equal across worker counts and replays,
-//     and exactly equal to what trace.Summarize computes from the JSONL log
-//     (the cross-check test pins this).
+//     round-slot and per-device sim-time histograms, late updates, churn).
+//     These have one writer, RoundMetrics.apply, which moves them by one
+//     trace.Event: the strategy's serial coordinator hands every accounting
+//     fact to Nebula.record, which emits the event and applies it here and to
+//     Costs. Their values are a pure function of the seeds — equal across
+//     worker counts and replays — and equal to what the JSONL log folds to,
+//     because Replay and trace.Summarize run the same steps over the same
+//     events. The fault outcomes mirror FaultStats, once per round.
 //
 //   - Wall-clock operational metrics (phase timings, worker-pool gauges).
 //     These vary run to run by nature. They are fed exclusively through
@@ -29,7 +31,7 @@ import (
 //     the round logic reads them back — the artifact-neutrality contract.
 //
 // RoundMetrics can be bound to any registry; the package default binds to
-// obs.Default(). ReplayTrace rebuilds the deterministic subset from a JSONL
+// obs.Default(). ReplayTrace rebuilds the deterministic families from a JSONL
 // trace into a fresh registry, which is what `nebula-trace -metrics` prints —
 // so offline traces and live /metrics endpoints are directly comparable.
 
@@ -51,8 +53,7 @@ type RoundMetrics struct {
 	deviceSimSeconds *obs.Histogram
 
 	// Semi-async round engine accounting (docs/ASYNC.md). Deterministic:
-	// recorded only on the serial coordinator, mirrored by Replay from the
-	// trace's stale/deadline/churn fields.
+	// moved by apply from the events' stale/deadline/churn fields.
 	lateUpdates   *obs.Counter
 	staleRounds   *obs.Counter
 	roundDeadline *obs.Gauge
@@ -70,7 +71,8 @@ type RoundMetrics struct {
 	poolInline  *obs.Counter
 	poolFanout  *obs.Counter
 
-	// Fault-model outcome mirrors (FaultStats stays authoritative).
+	// Fault-model outcome mirrors (FaultStats stays authoritative), moved by
+	// mirrorFaults after each round's fault rolls.
 	faultEvents map[string]*obs.Counter
 
 	// wirePayloads counts downlinks that crossed the compressed simulated
@@ -193,11 +195,8 @@ func NewRoundMetrics(r *obs.Registry) *RoundMetrics {
 		faultEvents:      map[string]*obs.Counter{},
 		wirePayloads:     r.Counter("nebula_fed_wire_payloads_total"),
 	}
-	for _, ev := range []string{
-		"fetch", "fetch_retry", "fetch_failure", "fallback", "skip",
-		"push", "push_retry", "push_failure",
-	} {
-		m.faultEvents[ev] = r.Counter("nebula_fed_fault_events_total", "event", ev)
+	for _, o := range (FaultStats{}).outcomes() {
+		m.faultEvents[o.event] = r.Counter("nebula_fed_fault_events_total", "event", o.event)
 	}
 	for _, ev := range []string{"join", "leave", "drop_pending"} {
 		m.churnEvents[ev] = r.Counter("nebula_fed_churn_events_total", "event", ev)
@@ -218,67 +217,45 @@ func (s *Nebula) metrics() *RoundMetrics {
 	return fedMetrics
 }
 
-// Replay folds a JSONL trace into the deterministic subset of the round
-// metrics, mirroring trace.Summarize exactly: bytes come from client_update
-// events; each round contributes its round_end slot when present, otherwise
-// the maximum client-update sim-time of the round.
+// apply moves the deterministic families by one accounting event. It is the
+// only writer of those families: the live strategy calls it from
+// Nebula.record for every event it emits, Replay calls it for every event of
+// a log — which is why a replayed registry and the live one cannot differ.
+func (m *RoundMetrics) apply(e trace.Event) {
+	switch e.Kind {
+	case trace.KindRoundStart:
+		m.rounds.Inc()
+		m.currentRound.Set(float64(e.Round))
+		m.roundDeadline.Set(e.Deadline)
+		m.participants.Set(0)
+	case trace.KindClientUpdate:
+		m.participants.Add(1)
+		m.bytesUp.Add(float64(e.BytesUp))
+		m.bytesDown.Add(float64(e.BytesDn))
+		m.deviceSimSeconds.Observe(e.SimTime)
+		if e.Stale > 0 {
+			m.lateUpdates.Inc()
+			m.staleRounds.Add(float64(e.Stale))
+		}
+	case trace.KindChurn:
+		if c, ok := m.churnEvents[e.Note]; ok {
+			c.Inc()
+		}
+		m.bytesUp.Add(float64(e.BytesUp))
+		m.bytesDown.Add(float64(e.BytesDn))
+	case trace.KindAggregate:
+		m.aggregations.Inc()
+		m.updates.Add(float64(e.Modules))
+	case trace.KindRoundEnd:
+		m.simSeconds.Add(e.SimTime)
+		m.roundSlotSeconds.Observe(e.SimTime)
+	}
+}
+
+// Replay folds a trace log into the deterministic families.
 func (m *RoundMetrics) Replay(events []trace.Event) {
-	var roundMax float64
-	var roundDone bool
-	closeRound := func() {
-		if !roundDone {
-			m.simSeconds.Add(roundMax)
-			m.roundSlotSeconds.Observe(roundMax)
-		}
-		roundMax, roundDone = 0, false
-	}
-	started := false
-	participants := 0
-	for _, e := range events {
-		switch e.Kind {
-		case trace.KindRoundStart:
-			if started {
-				closeRound()
-				m.participants.Set(float64(participants))
-			}
-			started = true
-			participants = 0
-			m.rounds.Inc()
-			m.currentRound.Set(float64(e.Round))
-			m.roundDeadline.Set(e.Deadline)
-		case trace.KindClientUpdate:
-			participants++
-			m.bytesUp.Add(float64(e.BytesUp))
-			m.bytesDown.Add(float64(e.BytesDn))
-			m.deviceSimSeconds.Observe(e.SimTime)
-			if e.Stale > 0 {
-				// A stale update's SimTime spans rounds; it never feeds the
-				// single-round slot fallback (mirrors trace.Summarize).
-				m.lateUpdates.Inc()
-				m.staleRounds.Add(float64(e.Stale))
-			} else if e.SimTime > roundMax {
-				roundMax = e.SimTime
-			}
-		case trace.KindChurn:
-			if c, ok := m.churnEvents[e.Note]; ok {
-				c.Inc()
-			}
-			m.bytesUp.Add(float64(e.BytesUp))
-			m.bytesDown.Add(float64(e.BytesDn))
-		case trace.KindAggregate:
-			m.aggregations.Inc()
-			m.updates.Add(float64(e.Modules))
-		case trace.KindRoundEnd:
-			m.simSeconds.Add(e.SimTime)
-			m.roundSlotSeconds.Observe(e.SimTime)
-			roundDone = true
-		case trace.KindEval:
-			m.lastAccuracy.Set(e.Accuracy)
-		}
-	}
-	if started {
-		closeRound()
-		m.participants.Set(float64(participants))
+	for _, e := range trace.CloseRounds(events) {
+		m.apply(e)
 	}
 }
 
@@ -290,11 +267,14 @@ func ReplayTrace(events []trace.Event) *obs.Registry {
 	return r
 }
 
-// noteFault mirrors one fault outcome onto the package counters (FaultModel
-// has no registry binding of its own; fault rolls happen on the coordinator,
-// so these updates are serial and deterministic).
-func noteFault(event string, n int64) {
-	if n != 0 {
-		fedMetrics.faultEvents[event].Add(float64(n))
+// mirrorFaults adds the link outcomes tallied between two readings of the
+// strategy's FaultStats. Fault rolls happen in the serial prep phase, so the
+// mirror is as deterministic as the stats.
+func (m *RoundMetrics) mirrorFaults(from, to FaultStats) {
+	before := from.outcomes()
+	for i, o := range to.outcomes() {
+		if d := o.n - before[i].n; d != 0 {
+			m.faultEvents[o.event].Add(float64(d))
+		}
 	}
 }

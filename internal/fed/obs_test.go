@@ -287,16 +287,9 @@ func assertAsyncReplayMatchesLive(t *testing.T, reg *obs.Registry, log []byte) {
 }
 
 // TestFaultCountersMirrorStats checks the obs mirror of FaultStats stays in
-// lockstep with the authoritative struct across a faulty run.
+// lockstep with the authoritative struct across a faulty run — on the
+// registry the strategy is bound to, not the process default.
 func TestFaultCountersMirrorStats(t *testing.T) {
-	allEvents := []string{
-		"fetch", "fetch_retry", "fetch_failure", "fallback", "skip",
-		"push", "push_retry", "push_failure",
-	}
-	before := map[string]float64{}
-	for _, ev := range allEvents {
-		before[ev] = fedMetrics.faultEvents[ev].Value()
-	}
 	rng := tensor.NewRNG(77)
 	task := HARTask(78, ScaleQuick)
 	cfg := tinyCfg()
@@ -304,6 +297,8 @@ func TestFaultCountersMirrorStats(t *testing.T) {
 	cfg.DevicesPerRound = 5
 	nb := NewNebula(task, cfg)
 	nb.TrainCfg.Epochs = 1
+	reg := obs.NewRegistry()
+	nb.Metrics = NewRoundMetrics(reg)
 	fc, err := edgenet.ParseFaultSpec("drop=0.4,seed=5")
 	if err != nil {
 		t.Fatal(err)
@@ -312,14 +307,17 @@ func TestFaultCountersMirrorStats(t *testing.T) {
 	nb.Pretrain(rng, proxyFor(rng, task, 10))
 	nb.Adapt(rng, harFleet(rng, task, 6, 2))
 	st := nb.Faults.Stats()
+	if st.FetchRetries == 0 || st.PushRetries == 0 {
+		t.Fatalf("scenario exercised no retries: %+v", st)
+	}
 	want := map[string]int64{
 		"fetch": st.Fetches, "fetch_retry": st.FetchRetries, "fetch_failure": st.FetchFailures,
 		"fallback": st.Fallbacks, "skip": st.SkippedRounds,
 		"push": st.Pushes, "push_retry": st.PushRetries, "push_failure": st.PushFailures,
 	}
 	for ev, w := range want {
-		if got := fedMetrics.faultEvents[ev].Value() - before[ev]; got != float64(w) {
-			t.Errorf("fault counter %q delta = %v, FaultStats says %d", ev, got, w)
+		if got := counterValue(t, reg, "nebula_fed_fault_events_total", `event="`+ev+`"`); got != float64(w) {
+			t.Errorf("fault counter %q = %v, FaultStats says %d", ev, got, w)
 		}
 	}
 }

@@ -317,30 +317,3 @@ func (c *Counters) String() string {
 	c.Fprint(&b)
 	return b.String()
 }
-
-// CSV renders the table as comma-separated values (headers first). Cells
-// containing commas or quotes are quoted.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeCSVRow(&b, t.Headers)
-	for _, row := range t.Rows {
-		writeCSVRow(&b, row)
-	}
-	return b.String()
-}
-
-func writeCSVRow(b *strings.Builder, cells []string) {
-	for i, c := range cells {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if strings.ContainsAny(c, ",\"\n") {
-			b.WriteByte('"')
-			b.WriteString(strings.ReplaceAll(c, `"`, `""`))
-			b.WriteByte('"')
-		} else {
-			b.WriteString(c)
-		}
-	}
-	b.WriteByte('\n')
-}

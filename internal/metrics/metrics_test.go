@@ -114,17 +114,6 @@ func TestTimeToTarget(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("x", "name", "value")
-	tb.AddRow("plain", 1)
-	tb.AddRow("with,comma", `say "hi"`)
-	csv := tb.CSV()
-	want := "name,value\nplain,1\n\"with,comma\",\"say \"\"hi\"\"\"\n"
-	if csv != want {
-		t.Fatalf("CSV:\n%q\nwant:\n%q", csv, want)
-	}
-}
-
 func TestCountersInsertionOrderAndArithmetic(t *testing.T) {
 	c := NewCounters("link faults")
 	c.Add("zulu", 2)

@@ -123,19 +123,3 @@ func QuantizeChunks(vec []float32, chunk int) []Quantized8 {
 	}
 	return out
 }
-
-// DequantizeChunks reverses QuantizeChunks.
-func DequantizeChunks(chunks []Quantized8) []float32 {
-	total := 0
-	for _, q := range chunks {
-		total += len(q.Codes)
-	}
-	out := make([]float32, 0, total)
-	for _, q := range chunks {
-		m, s := q.Min, q.Scale
-		for _, c := range q.Codes {
-			out = append(out, m+s*float32(c))
-		}
-	}
-	return out
-}

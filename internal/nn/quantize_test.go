@@ -86,12 +86,20 @@ func TestQuantize8ConstantVectorExactAndZeroError(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		mixed[i] = float32(i%7) * 0.125
 	}
-	back = DequantizeChunks(QuantizeChunks(mixed, 100))
+	back = dequantizeAll(QuantizeChunks(mixed, 100))
 	for i := 0; i < 100; i++ {
 		if back[i] != 0 || back[i+200] != 0 {
 			t.Fatal("constant chunks must reconstruct exactly")
 		}
 	}
+}
+
+// dequantizeAll decodes a chunked vector back into one slice.
+func dequantizeAll(chunks []Quantized8) (out []float32) {
+	for _, q := range chunks {
+		out = append(out, q.Dequantize8()...)
+	}
+	return out
 }
 
 func TestQuantizeChunksReducesError(t *testing.T) {
@@ -114,7 +122,7 @@ func TestQuantizeChunksReducesError(t *testing.T) {
 		return s / float64(len(a))
 	}
 	whole := Quantize8(vec).Dequantize8()
-	chunked := DequantizeChunks(QuantizeChunks(vec, 1024))
+	chunked := dequantizeAll(QuantizeChunks(vec, 1024))
 	if mse(vec, chunked) >= mse(vec, whole) {
 		t.Fatalf("chunked MSE %v not better than whole %v", mse(vec, chunked), mse(vec, whole))
 	}
@@ -129,7 +137,7 @@ func TestQuantizeChunksRoundTripQuick(t *testing.T) {
 			vec[i] = float32(rng.NormFloat64() * 5)
 		}
 		chunk := int(chunkRaw)%64 + 1
-		back := DequantizeChunks(QuantizeChunks(vec, chunk))
+		back := dequantizeAll(QuantizeChunks(vec, chunk))
 		if len(back) != n {
 			return false
 		}

@@ -102,17 +102,6 @@ func (t *Tensor) Max() float32 {
 	return m
 }
 
-// ArgMax returns the index of the maximum element in a flat tensor.
-func (t *Tensor) ArgMax() int {
-	best, bm := 0, float32(math.Inf(-1))
-	for i, v := range t.Data {
-		if v > bm {
-			bm, best = v, i
-		}
-	}
-	return best
-}
-
 // ArgMaxRow returns, for a rank-2 tensor, the argmax of row i.
 func (t *Tensor) ArgMaxRow(i int) int {
 	row := t.Row(i)
@@ -149,35 +138,6 @@ func Softmax(dst, src []float32) {
 	inv := float32(1.0 / sum)
 	for i := range dst {
 		dst[i] *= inv
-	}
-}
-
-// LogSumExp returns log(Σ exp(x_i)), numerically stabilized.
-func LogSumExp(x []float32) float64 {
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Exp(float64(v - m))
-	}
-	return float64(m) + math.Log(s)
-}
-
-// Clip bounds every element of t into [lo, hi].
-func (t *Tensor) Clip(lo, hi float32) {
-	for i, v := range t.Data {
-		if v < lo {
-			t.Data[i] = lo
-		} else if v > hi {
-			t.Data[i] = hi
-		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package trace provides structured JSON-lines event logging for the online
-// adaptation pipeline: one event per round, client update, aggregation, and
-// evaluation. Consumers can replay a run's accounting (communication,
-// timing, accuracy trajectories) from the log alone — useful both for
-// debugging and for generating custom figures.
+// adaptation pipeline: one event per round boundary, client update,
+// aggregation and membership change. The events are the run's accounting
+// facts — the live ledgers are folds of them — so a consumer replays a run's
+// communication and timing from the log alone.
 package trace
 
 import (
@@ -22,29 +22,25 @@ const (
 	KindClientUpdate Kind = "client_update"
 	KindAggregate    Kind = "aggregate"
 	KindRoundEnd     Kind = "round_end"
-	KindEval         Kind = "eval"
 	KindNote         Kind = "note"
-	// KindChurn records a fleet membership change in async mode: Note is
-	// "join", "leave", or "drop_pending" (a departed device's in-flight work
-	// was discarded; BytesDn then carries the download traffic that device
-	// had already consumed, so replayed accounting still balances).
+	// KindChurn records a fleet membership change or a transfer outside any
+	// device's round; see Churn for the notes and what BytesDn carries.
 	KindChurn Kind = "churn"
 )
 
 // Event is one structured log record. Fields are a superset across kinds;
 // unused ones are omitted from the JSON.
 type Event struct {
-	Seq      int64   `json:"seq"`
-	Wall     string  `json:"wall,omitempty"` // RFC3339 wall-clock timestamp
-	Kind     Kind    `json:"kind"`
-	Round    int     `json:"round,omitempty"`
-	Client   int     `json:"client,omitempty"`
-	Modules  int     `json:"modules,omitempty"`
-	BytesUp  int64   `json:"bytes_up,omitempty"`
-	BytesDn  int64   `json:"bytes_down,omitempty"`
-	SimTime  float64 `json:"sim_time,omitempty"`
-	Accuracy float64 `json:"accuracy,omitempty"`
-	Note     string  `json:"note,omitempty"`
+	Seq     int64   `json:"seq"`
+	Wall    string  `json:"wall,omitempty"` // RFC3339 wall-clock timestamp
+	Kind    Kind    `json:"kind"`
+	Round   int     `json:"round,omitempty"`
+	Client  int     `json:"client,omitempty"`
+	Modules int     `json:"modules,omitempty"`
+	BytesUp int64   `json:"bytes_up,omitempty"`
+	BytesDn int64   `json:"bytes_down,omitempty"`
+	SimTime float64 `json:"sim_time,omitempty"`
+	Note    string  `json:"note,omitempty"`
 	// Stale is the number of rounds between an update's launch and its
 	// landing (client_update in async mode; 0 = on time, omitted).
 	Stale int `json:"stale,omitempty"`
@@ -128,61 +124,47 @@ func (l *Logger) Err() error {
 	return l.err
 }
 
-// RoundStart logs the beginning of a communication round.
-func (l *Logger) RoundStart(round int) {
-	l.Emit(Event{Kind: KindRoundStart, Round: round})
+// The constructors below build the accounting events. A producer hands each
+// to its one recording path (fed.Nebula.record), which emits it and applies
+// it to the live ledgers through the same steps the readers of a log use
+// (Summary.Apply here, RoundMetrics.apply in fed) — so what a run counted and
+// what its log replays to cannot differ.
+
+// RoundStart opens a communication round. deadline is the round's sim-time
+// budget in a deadline-paced (semi-async) round, 0 in a bulk-synchronous one.
+func RoundStart(round int, deadline float64) Event {
+	return Event{Kind: KindRoundStart, Round: round, Deadline: deadline}
 }
 
-// RoundStartAt logs the beginning of a deadline-paced (semi-async) round with
-// the round's sim-time budget.
-func (l *Logger) RoundStartAt(round int, deadline float64) {
-	l.Emit(Event{Kind: KindRoundStart, Round: round, Deadline: deadline})
+// ClientUpdate is one device's participation, landing in round. stale is the
+// number of rounds since the update's launch (0 = on time): a carried
+// straggler's simTime is the time since its launch, not the landing round's
+// slot, so CloseRounds never takes a stale update for a round's slot.
+func ClientUpdate(round, client, modules int, bytesDown, bytesUp int64, simTime float64, stale int) Event {
+	return Event{Kind: KindClientUpdate, Round: round, Client: client, Modules: modules,
+		BytesDn: bytesDown, BytesUp: bytesUp, SimTime: simTime, Stale: stale}
 }
 
-// ClientUpdate logs one device's participation.
-func (l *Logger) ClientUpdate(round, client, modules int, bytesDown, bytesUp int64, simTime float64) {
-	l.Emit(Event{Kind: KindClientUpdate, Round: round, Client: client, Modules: modules,
-		BytesDn: bytesDown, BytesUp: bytesUp, SimTime: simTime})
+// Churn is a fleet membership change or a transfer outside any device's
+// round: note is "join", "leave", "drop_pending" or "bootstrap" (a device
+// that never took part was handed a sub-model, e.g. to be evaluated).
+// bytesDown is the download traffic the event accounts for: the bootstrap
+// sub-model of a join or bootstrap, what a dropped straggler had already
+// consumed, 0 for a leave.
+func Churn(round, client int, note string, bytesDown int64) Event {
+	return Event{Kind: KindChurn, Round: round, Client: client, Note: note, BytesDn: bytesDown}
 }
 
-// LateUpdate logs a straggler's update landing stale rounds after its launch
-// round (async mode). SimTime is the device's total simulated work+link time
-// for the carried update, not the landing round's slot — Summarize therefore
-// never folds stale updates into a round-slot fallback.
-func (l *Logger) LateUpdate(round, client, modules int, bytesDown, bytesUp int64, simTime float64, stale int) {
-	l.Emit(Event{Kind: KindClientUpdate, Round: round, Client: client, Modules: modules,
-		BytesDn: bytesDown, BytesUp: bytesUp, SimTime: simTime, Stale: stale})
+// Aggregate is a cloud aggregation over n device updates.
+func Aggregate(round, updates int) Event {
+	return Event{Kind: KindAggregate, Round: round, Modules: updates}
 }
 
-// Churn logs a fleet membership change: event is "join", "leave", or
-// "drop_pending". bytesDown carries already-consumed download traffic for
-// drop_pending (0 otherwise).
-func (l *Logger) Churn(round, client int, event string, bytesDown int64) {
-	l.Emit(Event{Kind: KindChurn, Round: round, Client: client, Note: event, BytesDn: bytesDown})
-}
-
-// Aggregate logs a cloud aggregation over n updates.
-func (l *Logger) Aggregate(round, updates int) {
-	l.Emit(Event{Kind: KindAggregate, Round: round, Modules: updates})
-}
-
-// RoundEnd logs the end of a round with its authoritative slot time — the
-// simulated seconds the round took (slowest participant, including link time
-// spent by devices that ended up skipping). Replayed summaries sum these
-// instead of re-deriving slots from client updates, which would miss
-// skipped-device link time.
-func (l *Logger) RoundEnd(round int, simTime float64) {
-	l.Emit(Event{Kind: KindRoundEnd, Round: round, SimTime: simTime})
-}
-
-// Eval logs an accuracy measurement.
-func (l *Logger) Eval(round int, acc float64) {
-	l.Emit(Event{Kind: KindEval, Round: round, Accuracy: acc})
-}
-
-// Notef logs a freeform annotation.
-func (l *Logger) Notef(format string, args ...any) {
-	l.Emit(Event{Kind: KindNote, Note: fmt.Sprintf(format, args...)})
+// RoundEnd closes a round with its authoritative slot time — the simulated
+// seconds the round took (slowest participant, including link time spent by
+// devices that ended up skipping, which no client update carries).
+func RoundEnd(round int, simTime float64) Event {
+	return Event{Kind: KindRoundEnd, Round: round, SimTime: simTime}
 }
 
 // Span is a per-producer event buffer for concurrent pipelines: each worker
@@ -193,15 +175,6 @@ func (l *Logger) Notef(format string, args ...any) {
 // only through non-nil spans, so allocate one per device.
 type Span struct {
 	events []Event
-}
-
-// ClientUpdate buffers one device's participation record.
-func (s *Span) ClientUpdate(round, client, modules int, bytesDown, bytesUp int64, simTime float64) {
-	if s == nil {
-		return
-	}
-	s.events = append(s.events, Event{Kind: KindClientUpdate, Round: round, Client: client,
-		Modules: modules, BytesDn: bytesDown, BytesUp: bytesUp, SimTime: simTime})
 }
 
 // Notef buffers a freeform annotation.
@@ -267,54 +240,69 @@ func CheckSeq(events []Event) error {
 	return nil
 }
 
-// Summary aggregates a log's accounting: total bytes both ways, simulated
-// time, rounds seen, and the accuracy trajectory.
+// Summary is the accounting ledger of a run: rounds, bytes both ways and
+// simulated time. It is what a log folds to (Summarize) and, under the name
+// fed.Costs, what a strategy reports live.
 type Summary struct {
-	Rounds    int
 	BytesUp   int64
 	BytesDown int64
-	SimTime   float64
-	Accuracy  []float64
+	SimTime   float64 // simulated wall-clock seconds: the sum of the round slots
+	Rounds    int
 }
 
-// Summarize folds events into a Summary. SimTime matches the live
-// Costs.SimTime accounting: each round contributes its slot — the round_end
-// value when present, otherwise the maximum client-update SimTime within
-// that round — and the slots are summed across rounds.
+// Total returns up+down bytes.
+func (s Summary) Total() int64 { return s.BytesUp + s.BytesDown }
+
+// Apply moves the ledger by one event: a round_start counts a round, client
+// updates and churn carry traffic, a round_end carries the round's slot.
+func (s *Summary) Apply(e Event) {
+	switch e.Kind {
+	case KindRoundStart:
+		s.Rounds++
+	case KindClientUpdate, KindChurn:
+		s.BytesUp += e.BytesUp
+		s.BytesDown += e.BytesDn
+	case KindRoundEnd:
+		s.SimTime += e.SimTime
+	}
+}
+
+// Summarize folds a log into its Summary.
 func Summarize(events []Event) Summary {
 	var s Summary
-	var roundMax float64 // max client SimTime of the open round
-	var roundDone bool   // open round already closed by an authoritative round_end
+	for _, e := range CloseRounds(events) {
+		s.Apply(e)
+	}
+	return s
+}
+
+// CloseRounds returns the log with a round_end supplied for every round that
+// lacks one (a partial log, or one written before round_end existed): its
+// slot is the largest on-time client-update SimTime of the round. A log whose
+// rounds are all closed — every log a live run writes — comes back equal. The
+// input is not modified.
+func CloseRounds(events []Event) []Event {
+	out := make([]Event, 0, len(events))
+	open, round, slot := false, 0, 0.0
 	closeRound := func() {
-		if !roundDone {
-			s.SimTime += roundMax
+		if open {
+			out = append(out, RoundEnd(round, slot))
 		}
-		roundMax, roundDone = 0, false
 	}
 	for _, e := range events {
 		switch e.Kind {
 		case KindRoundStart:
 			closeRound()
-			s.Rounds++
+			open, round, slot = true, e.Round, 0
 		case KindClientUpdate:
-			s.BytesUp += e.BytesUp
-			s.BytesDown += e.BytesDn
-			// A stale update's SimTime spans multiple rounds (time since its
-			// launch), so it never participates in the single-round slot
-			// fallback; async logs always carry authoritative round_end slots.
-			if e.Stale == 0 && e.SimTime > roundMax {
-				roundMax = e.SimTime
+			if e.Stale == 0 && e.SimTime > slot {
+				slot = e.SimTime
 			}
-		case KindChurn:
-			s.BytesUp += e.BytesUp
-			s.BytesDown += e.BytesDn
 		case KindRoundEnd:
-			s.SimTime += e.SimTime
-			roundDone = true
-		case KindEval:
-			s.Accuracy = append(s.Accuracy, e.Accuracy)
+			open = false
 		}
+		out = append(out, e)
 	}
 	closeRound()
-	return s
+	return out
 }

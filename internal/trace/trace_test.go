@@ -15,11 +15,13 @@ func fixedClock() time.Time {
 func TestEmitAndRead(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewWithClock(&buf, fixedClock)
-	l.RoundStart(1)
-	l.ClientUpdate(1, 7, 4, 1000, 800, 0.25)
-	l.Aggregate(1, 6)
-	l.Eval(1, 0.83)
-	l.Notef("hello %d", 42)
+	l.Emit(RoundStart(1, 0))
+	l.Emit(ClientUpdate(1, 7, 4, 1000, 800, 0.25, 0))
+	l.Emit(Aggregate(1, 6))
+	l.Emit(RoundEnd(1, 0.25))
+	var sp Span
+	sp.Notef("hello %d", 42)
+	l.Flush(&sp)
 
 	events, err := Read(&buf)
 	if err != nil {
@@ -35,8 +37,8 @@ func TestEmitAndRead(t *testing.T) {
 	if cu.Client != 7 || cu.Modules != 4 || cu.BytesDn != 1000 || cu.BytesUp != 800 {
 		t.Fatalf("client update: %+v", cu)
 	}
-	if events[3].Accuracy != 0.83 {
-		t.Fatalf("eval: %+v", events[3])
+	if events[3].Kind != KindRoundEnd || events[3].SimTime != 0.25 {
+		t.Fatalf("round end: %+v", events[3])
 	}
 	if events[4].Note != "hello 42" {
 		t.Fatalf("note: %+v", events[4])
@@ -50,7 +52,7 @@ func TestSequenceMonotone(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf)
 	for i := 0; i < 10; i++ {
-		l.Eval(i, float64(i))
+		l.Emit(RoundEnd(i, float64(i)))
 	}
 	events, err := Read(&buf)
 	if err != nil {
@@ -65,19 +67,17 @@ func TestSequenceMonotone(t *testing.T) {
 
 func TestNilLoggerIsSafe(t *testing.T) {
 	var l *Logger
-	l.RoundStart(1) // must not panic
-	l.Eval(1, 0.5)
-	(&Logger{}).Notef("zero value is safe too")
+	l.Emit(RoundStart(1, 0))           // must not panic
+	(&Logger{}).Emit(RoundEnd(1, 0.5)) // the zero value is safe too
 }
 
 func TestSummarize(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf)
 	for r := 1; r <= 3; r++ {
-		l.RoundStart(r)
-		l.ClientUpdate(r, 0, 3, 100, 50, float64(r))
-		l.ClientUpdate(r, 1, 3, 100, 50, float64(r)*2)
-		l.Eval(r, 0.5+float64(r)*0.1)
+		l.Emit(RoundStart(r, 0))
+		l.Emit(ClientUpdate(r, 0, 3, 100, 50, float64(r), 0))
+		l.Emit(ClientUpdate(r, 1, 3, 100, 50, float64(r)*2, 0))
 	}
 	events, err := Read(&buf)
 	if err != nil {
@@ -90,9 +90,6 @@ func TestSummarize(t *testing.T) {
 	if s.BytesDown != 600 || s.BytesUp != 300 {
 		t.Fatalf("bytes %d/%d", s.BytesDown, s.BytesUp)
 	}
-	if len(s.Accuracy) != 3 || s.Accuracy[2] != 0.8 {
-		t.Fatalf("accuracy %v", s.Accuracy)
-	}
 	// SimTime sums the per-round slot maxima — max(1,2) + max(2,4) + max(3,6)
 	// — matching the live Costs.SimTime accounting, not the global maximum.
 	if s.SimTime != 12 {
@@ -103,13 +100,13 @@ func TestSummarize(t *testing.T) {
 func TestSummarizePrefersRoundEndSlot(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf)
-	l.RoundStart(1)
-	l.ClientUpdate(1, 0, 3, 100, 50, 2)
+	l.Emit(RoundStart(1, 0))
+	l.Emit(ClientUpdate(1, 0, 3, 100, 50, 2, 0))
 	// A skipped device's wasted link time can exceed every client update's
 	// SimTime; round_end carries the authoritative slot.
-	l.RoundEnd(1, 5)
-	l.RoundStart(2)
-	l.ClientUpdate(2, 0, 3, 100, 50, 3) // no round_end: falls back to the max
+	l.Emit(RoundEnd(1, 5))
+	l.Emit(RoundStart(2, 0))
+	l.Emit(ClientUpdate(2, 0, 3, 100, 50, 3, 0)) // no round_end: falls back to the max
 	events, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -119,20 +116,38 @@ func TestSummarizePrefersRoundEndSlot(t *testing.T) {
 	}
 }
 
+func TestCloseRounds(t *testing.T) {
+	closed := []Event{RoundStart(1, 0), ClientUpdate(1, 0, 3, 100, 50, 2, 0), RoundEnd(1, 5)}
+	if got := CloseRounds(closed); len(got) != 3 || got[0] != closed[0] || got[1] != closed[1] || got[2] != closed[2] {
+		t.Fatalf("a log whose rounds are all closed must come back equal, got %+v", got)
+	}
+	open := []Event{
+		RoundStart(1, 0), ClientUpdate(1, 0, 3, 100, 50, 2, 0), ClientUpdate(1, 1, 3, 100, 50, 9, 1),
+		RoundStart(2, 0), ClientUpdate(2, 0, 3, 100, 50, 3, 0),
+	}
+	got := CloseRounds(open)
+	if len(got) != len(open)+2 || got[3] != RoundEnd(1, 2) || got[6] != RoundEnd(2, 3) {
+		t.Fatalf("each open round must get its on-time maximum as round_end: %+v", got)
+	}
+	if len(open) != 5 || open[3].Kind != KindRoundStart {
+		t.Fatal("the input log must not be modified")
+	}
+}
+
 func TestSummarizeStaleAndChurn(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf)
-	l.RoundStartAt(1, 0) // calibration round: no deadline yet
-	l.ClientUpdate(1, 0, 3, 100, 50, 2)
-	l.RoundEnd(1, 2)
-	l.RoundStartAt(2, 1.5)
-	l.Churn(2, 0, "leave", 0)
-	l.Churn(2, 9, "drop_pending", 70)
-	l.Churn(2, 5, "join", 40)
+	l.Emit(RoundStart(1, 0)) // calibration round: no deadline yet
+	l.Emit(ClientUpdate(1, 0, 3, 100, 50, 2, 0))
+	l.Emit(RoundEnd(1, 2))
+	l.Emit(RoundStart(2, 1.5))
+	l.Emit(Churn(2, 0, "leave", 0))
+	l.Emit(Churn(2, 9, "drop_pending", 70))
+	l.Emit(Churn(2, 5, "join", 40))
 	// A stale update's SimTime spans rounds; without a round_end it must NOT
 	// become the round's slot fallback — only on-time updates may.
-	l.LateUpdate(2, 1, 3, 100, 50, 9.7, 1)
-	l.ClientUpdate(2, 2, 3, 10, 5, 1.2)
+	l.Emit(ClientUpdate(2, 1, 3, 100, 50, 9.7, 1))
+	l.Emit(ClientUpdate(2, 2, 3, 10, 5, 1.2, 0))
 	events, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -179,12 +194,12 @@ func (w *failAfter) Write(p []byte) (int, error) {
 
 func TestLoggerErrRecordsFirstWriteFailure(t *testing.T) {
 	l := New(&failAfter{n: 1})
-	l.RoundStart(1)
+	l.Emit(RoundStart(1, 0))
 	if err := l.Err(); err != nil {
 		t.Fatalf("unexpected early error: %v", err)
 	}
-	l.Eval(1, 0.5) // dropped
-	l.Eval(1, 0.6) // also dropped
+	l.Emit(Aggregate(1, 2))  // dropped
+	l.Emit(RoundEnd(1, 0.6)) // also dropped
 	err := l.Err()
 	if err == nil {
 		t.Fatal("write failures must surface via Err")
@@ -201,9 +216,9 @@ func TestLoggerErrRecordsFirstWriteFailure(t *testing.T) {
 func TestCheckSeqDetectsGaps(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf)
-	l.RoundStart(1)
-	l.Eval(1, 0.5)
-	l.Eval(1, 0.6)
+	l.Emit(RoundStart(1, 0))
+	l.Emit(Aggregate(1, 2))
+	l.Emit(RoundEnd(1, 0.6))
 	events, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -220,11 +235,11 @@ func TestCheckSeqDetectsGaps(t *testing.T) {
 func TestSpanFlushIsOrderedAndStamped(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewWithClock(&buf, nil) // nil clock: no wall field, byte-stable
-	l.RoundStart(1)
+	l.Emit(RoundStart(1, 0))
 	var a, b Span
 	b.Notef("device 9 first note")
-	b.ClientUpdate(1, 9, 2, 10, 20, 0.5)
-	a.ClientUpdate(1, 4, 2, 10, 20, 0.25)
+	b.Notef("device 9 second note")
+	a.Notef("device 4 note")
 	// Flush in canonical order regardless of fill order.
 	l.Flush(&a)
 	l.Flush(&b)
@@ -239,15 +254,15 @@ func TestSpanFlushIsOrderedAndStamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []struct {
-		kind   Kind
-		client int
-	}{{KindRoundStart, 0}, {KindClientUpdate, 4}, {KindNote, 0}, {KindClientUpdate, 9}}
+		kind Kind
+		note string
+	}{{KindRoundStart, ""}, {KindNote, "device 4 note"}, {KindNote, "device 9 first note"}, {KindNote, "device 9 second note"}}
 	if len(events) != len(want) {
 		t.Fatalf("got %d events", len(events))
 	}
 	for i, w := range want {
-		if events[i].Kind != w.kind || events[i].Client != w.client {
-			t.Fatalf("event %d: %+v, want kind %s client %d", i, events[i], w.kind, w.client)
+		if events[i].Kind != w.kind || events[i].Note != w.note {
+			t.Fatalf("event %d: %+v, want kind %s note %q", i, events[i], w.kind, w.note)
 		}
 		if events[i].Wall != "" {
 			t.Fatalf("nil clock must omit wall: %+v", events[i])
