@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint lint-json race check fuzz-smoke bench bench-e2e-check sweep examples clean
+.PHONY: all build test vet portable fmt-check lint lint-json race check fuzz-smoke bench bench-e2e-check sweep examples clean
 
 all: check
 
@@ -11,6 +11,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The portable paths: gemm_kernel_generic.go and every loop whose bits rest on
+# an explicit float32(a*b) are otherwise only ever compiled for amd64.
+portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Formatting: gofmt must have nothing to say outside the linter's fixtures.
 fmt-check:
@@ -29,13 +35,14 @@ lint-json:
 race:
 	$(GO) test -race ./...
 
-# The CI gate: build, vet, gofmt, nebula-lint, and the race-instrumented test
-# suite. Everything must exit 0. See docs/ANALYSIS.md for the checks. The
+# The CI gate: build, vet (natively and for arm64), gofmt, nebula-lint, and
+# the race-instrumented test suite. Everything must exit 0. See
+# docs/ANALYSIS.md for the checks. The
 # allocation tests (*ZeroAlloc* in ./internal/tensor/ ./internal/nn/
 # ./internal/modular/, *AllocBudget* in ./internal/edgenet/ ./internal/fed/
 # ./internal/data/) skip under -race;
 # `make test` runs them, and ci.sh has a stage for them.
-check: build vet fmt-check lint race
+check: build vet portable fmt-check lint race
 
 test:
 	$(GO) test ./...

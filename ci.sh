@@ -70,6 +70,9 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== GOARCH=arm64 go build + vet ./... (the portable kernel and every float32(a*b) loop compile)"
+GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./...
+
 echo "== gofmt -l (everything outside testdata/ is formatted)"
 unformatted=$(gofmt -l . 2>/dev/null | grep -v '/testdata/' || true)
 [ -z "$unformatted" ] || fail "gofmt -l reports unformatted files: $unformatted"

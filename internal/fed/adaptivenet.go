@@ -137,6 +137,7 @@ func (m *MultiBranch) Clone() *MultiBranch {
 // (deep-supervision), so every branch is a usable classifier.
 func (m *MultiBranch) TrainAllExits(rng *tensor.RNG, ds *data.Dataset, epochs int, lr float32, batch int) {
 	opt := nn.NewAdam(lr)
+	defer opt.Release()
 	params := m.Params()
 	for e := 0; e < epochs; e++ {
 		ds.Batches(rng, batch, func(x *tensor.Tensor, y []int) {

@@ -132,9 +132,6 @@ func (s *Nebula) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 		ae.Epochs = (ae.Epochs + 1) / 2
 		s.Model.AbilityEnhance(rng, proxy, ae)
 	}
-	// The online stage only reads the cloud model and folds updates into it:
-	// what pre-training borrowed goes back for the devices' bouts to use.
-	s.Model.Park()
 }
 
 // deviceBudget turns a resource profile into the Eq. 2 budget vector: the

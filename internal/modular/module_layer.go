@@ -66,7 +66,7 @@ type ModuleLayer struct {
 	// closures handed to the parallel kernels escape, so a literal per call
 	// would be a steady-state heap allocation.
 	x, dy            *tensor.Tensor
-	train            bool
+	train, wantGates bool
 	fwdBody, bwdBody func(i int)
 }
 
@@ -276,6 +276,13 @@ func (ml *ModuleLayer) Forward(x *tensor.Tensor, probs [][]float32, topK int, ac
 // go back to the arena, so calling it again before the next training Forward
 // panics.
 func (ml *ModuleLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, [][]float32) {
+	return ml.backward(dy, true)
+}
+
+// backward is Backward; without wantGates it skips the gate gradients — a dot
+// product per routed row — and returns nil for them. The edge takes that path:
+// a sub-model's selector is frozen (SubModel.Backward).
+func (ml *ModuleLayer) backward(dy *tensor.Tensor, wantGates bool) (*tensor.Tensor, [][]float32) {
 	if !ml.armed {
 		panic("modular: ModuleLayer.Backward without an unconsumed Forward(train=true): a step's routed inputs are returned to the arena by its first Backward")
 	}
@@ -284,9 +291,10 @@ func (ml *ModuleLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, [][]float32)
 	ml.dx = tensor.Refit(ml.dx, ml.inShape...)
 	ml.dx.Zero() // the reduction below accumulates
 	dx := ml.dx
-	gateGrads := ml.gateGrads[:batch]
-	for i := range ml.gateGradFlat[:batch*n] {
-		ml.gateGradFlat[i] = 0
+	var gateGrads [][]float32
+	if wantGates {
+		gateGrads = ml.gateGrads[:batch]
+		clear(ml.gateGradFlat[:batch*n])
 	}
 	sampleLen := dx.Len() / batch
 
@@ -314,14 +322,16 @@ func (ml *ModuleLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, [][]float32)
 				for e, v := range dyRow {
 					dst[e] = g * v
 				}
-				// (b,i) slots are disjoint across workers
-				ml.gateGrads[b][i] = float32(tensor.Dot(out.Data[j*outLen:(j+1)*outLen], dyRow))
+				if ml.wantGates {
+					// (b,i) slots are disjoint across workers
+					ml.gateGrads[b][i] = float32(tensor.Dot(out.Data[j*outLen:(j+1)*outLen], dyRow))
+				}
 			}
 			ml.scaled[i] = sub
 			ml.dsubs[i] = ml.Modules[i].Backward(sub)
 		}
 	}
-	ml.dy = dy
+	ml.dy, ml.wantGates = dy, wantGates
 	tensor.ParallelForAtomic(n, ml.bwdBody)
 	ml.dy = nil
 	for i, dsub := range ml.dsubs {

@@ -1,6 +1,8 @@
 package modular
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"os"
 	"reflect"
@@ -227,67 +229,80 @@ var routedFixtures = []routedFixture{
 // differ (so every reused buffer carries a predecessor's numbers, or NaN from
 // the arena), at Parallelism 1 and 4, with and without an active restriction
 // and with an inference forward in between: outputs, input gradients, gate
-// gradients and every parameter gradient must agree bit for bit.
+// gradients and every parameter gradient must agree bit for bit. The whole
+// run is then repeated through the edge's backward (SubModel.Backward), which
+// returns no gate gradients and may differ in nothing else, and once more
+// alternating the two, so a gate step follows a step that left the gate
+// buffer alone.
 func TestRoutedLayerMatchesLegacy(t *testing.T) {
 	old := tensor.Parallelism
 	defer func() { tensor.Parallelism = old }()
 	for _, fx := range routedFixtures {
 		for _, par := range []int{1, 4} {
 			tensor.Parallelism = par
-			mods := fx.modules(tensor.NewRNG(31))
-			legacy := &legacyModuleLayer{}
-			for _, m := range mods {
-				legacy.modules = append(legacy.modules, nn.CloneLayer(m))
-			}
-			layer := NewModuleLayer(mods...)
-			n := layer.N()
-			rng := tensor.NewRNG(37)
-			for step, batch := range []int{16, 16, 8, 16, 3, 16} {
-				x := tensor.New(append([]int{batch}, fx.inShape...)...)
-				rng.FillNormal(x, 0, 1)
-				probs := randomGates(rng, batch, n)
-				var active []int
-				if step == 3 {
-					active = []int{0, n - 1}
+			for _, mode := range []string{"gates", "edge", "alternate"} {
+				mods := fx.modules(tensor.NewRNG(31))
+				legacy := &legacyModuleLayer{}
+				for _, m := range mods {
+					legacy.modules = append(legacy.modules, nn.CloneLayer(m))
 				}
-				if step == 4 {
-					// An inference forward between two training steps returns
-					// its rows at once and must leave nothing behind.
-					if got, want := layer.Forward(x, probs, 2, nil, false), legacy.forward(x, probs, 2, nil, false); !sameBits(got.Data, want.Data) {
-						t.Fatalf("%s par=%d: inference forward differs from the legacy layer", fx.name, par)
+				layer := NewModuleLayer(mods...)
+				n := layer.N()
+				rng := tensor.NewRNG(37)
+				for step, batch := range []int{16, 16, 8, 16, 3, 16} {
+					x := tensor.New(append([]int{batch}, fx.inShape...)...)
+					rng.FillNormal(x, 0, 1)
+					probs := randomGates(rng, batch, n)
+					var active []int
+					if step == 3 {
+						active = []int{0, n - 1}
+					}
+					if step == 4 {
+						// An inference forward between two training steps returns
+						// its rows at once and must leave nothing behind.
+						if got, want := layer.Forward(x, probs, 2, nil, false), legacy.forward(x, probs, 2, nil, false); !sameBits(got.Data, want.Data) {
+							t.Fatalf("%s par=%d %s: inference forward differs from the legacy layer", fx.name, par, mode)
+						}
+					}
+					y := layer.Forward(x, probs, 3, active, true)
+					wantY := legacy.forward(x, probs, 3, active, true)
+					if !sameBits(y.Data, wantY.Data) || !tensor.FromSlice(y.Data, y.Shape()...).SameShape(wantY) {
+						t.Fatalf("%s par=%d %s step %d: forward differs from the legacy layer", fx.name, par, mode, step)
+					}
+					dy := tensor.New(y.Shape()...)
+					rng.FillNormal(dy, 0, 1)
+					wantGates := mode == "gates" || mode == "alternate" && step%2 == 1
+					dx, gg := layer.backward(dy, wantGates)
+					wantDx, wantGG := legacy.backward(dy)
+					if !sameBits(dx.Data, wantDx.Data) || !dx.SameShape(wantDx) {
+						t.Fatalf("%s par=%d %s step %d: input gradient differs from the legacy layer", fx.name, par, mode, step)
+					}
+					if !wantGates {
+						if gg != nil {
+							t.Fatalf("%s par=%d %s step %d: gate gradients from a backward that was told to skip them", fx.name, par, mode, step)
+						}
+						continue
+					}
+					if len(gg) != len(wantGG) {
+						t.Fatalf("%s par=%d %s step %d: %d gate-gradient rows, want %d", fx.name, par, mode, step, len(gg), len(wantGG))
+					}
+					for b := range gg {
+						if !sameBits(gg[b], wantGG[b]) {
+							t.Fatalf("%s par=%d %s step %d: gate gradients of sample %d differ from the legacy layer", fx.name, par, mode, step, b)
+						}
 					}
 				}
-				y := layer.Forward(x, probs, 3, active, true)
-				wantY := legacy.forward(x, probs, 3, active, true)
-				if !sameBits(y.Data, wantY.Data) || !tensor.FromSlice(y.Data, y.Shape()...).SameShape(wantY) {
-					t.Fatalf("%s par=%d step %d: forward differs from the legacy layer", fx.name, par, step)
-				}
-				dy := tensor.New(y.Shape()...)
-				rng.FillNormal(dy, 0, 1)
-				dx, gg := layer.Backward(dy)
-				wantDx, wantGG := legacy.backward(dy)
-				if !sameBits(dx.Data, wantDx.Data) || !dx.SameShape(wantDx) {
-					t.Fatalf("%s par=%d step %d: input gradient differs from the legacy layer", fx.name, par, step)
-				}
-				if len(gg) != len(wantGG) {
-					t.Fatalf("%s par=%d step %d: %d gate-gradient rows, want %d", fx.name, par, step, len(gg), len(wantGG))
-				}
-				for b := range gg {
-					if !sameBits(gg[b], wantGG[b]) {
-						t.Fatalf("%s par=%d step %d: gate gradients of sample %d differ from the legacy layer", fx.name, par, step, b)
+				lp := legacy.modules
+				for i, m := range layer.Modules {
+					for j, p := range m.Params() {
+						if !sameBits(p.G.Data, lp[i].Params()[j].G.Data) {
+							t.Fatalf("%s par=%d %s: accumulated gradient of module %d %s differs from the legacy layer", fx.name, par, mode, i, p.Name)
+						}
 					}
 				}
-			}
-			lp := legacy.modules
-			for i, m := range layer.Modules {
-				for j, p := range m.Params() {
-					if !sameBits(p.G.Data, lp[i].Params()[j].G.Data) {
-						t.Fatalf("%s par=%d: accumulated gradient of module %d %s differs from the legacy layer", fx.name, par, i, p.Name)
-					}
+				if y := layer.Forward(tensor.New(append([]int{2}, fx.inShape...)...), randomGates(rng, 2, n), 2, nil, true); y.HasNaN() {
+					t.Fatalf("%s par=%d %s: NaN from a recycled buffer", fx.name, par, mode)
 				}
-			}
-			if y := layer.Forward(tensor.New(append([]int{2}, fx.inShape...)...), randomGates(rng, 2, n), 2, nil, true); y.HasNaN() {
-				t.Fatalf("%s par=%d: NaN from a recycled buffer", fx.name, par)
 			}
 		}
 	}
@@ -366,11 +381,14 @@ func TestDropModuleResizesRoutingTables(t *testing.T) {
 	}
 }
 
-// TestModelParkIsInvisible: the cloud model parked between its two offline
-// stages (what fed.Nebula.Pretrain does at their end) ends where an unparked
-// twin ends, bit for bit — selector noise stream included — holds no gradient
-// while parked, and prices its modules as before: its layers keep the input
-// geometry they recorded, which the cost model behind Derive reads.
+// TestModelParkIsInvisible: an offline stage ends its own bout — the cloud
+// model TrainEndToEnd returns holds no gradient — and the parked model prices
+// its modules as a twin that was never parked does: its layers keep the input
+// geometry they recorded, which the cost model behind Derive reads. Parking
+// it once more between the two stages (what a caller that does not know the
+// stages park may still do) changes no bit of where AbilityEnhance ends,
+// selector noise stream included, and that end is the one a model that was
+// never parked reached (pinned).
 func TestModelParkIsInvisible(t *testing.T) {
 	// 4×9 images under a model built for 6×6: the same 36 pixels, so the
 	// selector fits, but a stride-2 stage maps them to 2×5 where the square
@@ -384,21 +402,27 @@ func TestModelParkIsInvisible(t *testing.T) {
 	}
 	tc := DefaultTrainConfig()
 	tc.Epochs = 1
+	build := func(rng *tensor.RNG) *Model {
+		return NewModularCNN(rng, 3, 6, 6, []ConvStage{{OutC: 8, Stride: 1}, {OutC: 12, Stride: 2}}, 10, smallCfg())
+	}
+	unparked := build(tensor.NewRNG(67))
+	x, _ := ds.Batch([]int{0, 1, 2, 3})
+	unparked.Forward(x, nil, true)
+	_, _, wantCosts := unparked.ModuleCosts()
 	run := func(park bool) []float32 {
 		rng := tensor.NewRNG(67)
-		m := NewModularCNN(rng, 3, 6, 6, []ConvStage{{OutC: 8, Stride: 1}, {OutC: 12, Stride: 2}}, 10, smallCfg())
+		m := build(rng)
 		m.TrainEndToEnd(rng, ds, tc)
+		for _, p := range m.Params() {
+			if p.G != nil {
+				t.Fatalf("TrainEndToEnd returned a cloud model that still holds the gradient of %s", p.Name)
+			}
+		}
 		if park {
-			_, _, before := m.ModuleCosts()
 			m.Park()
-			for _, p := range m.Params() {
-				if p.G != nil {
-					t.Fatalf("parked cloud model still holds the gradient of %s", p.Name)
-				}
-			}
-			if _, _, after := m.ModuleCosts(); !reflect.DeepEqual(before, after) {
-				t.Fatal("Park changed what the cloud model's modules cost")
-			}
+		}
+		if _, _, costs := m.ModuleCosts(); !reflect.DeepEqual(costs, wantCosts) {
+			t.Fatal("Park changed what the cloud model's modules cost")
 		}
 		m.AbilityEnhance(rng, ds, tc)
 		var bits []float32
@@ -410,8 +434,24 @@ func TestModelParkIsInvisible(t *testing.T) {
 		}
 		return bits
 	}
-	if !sameBits(run(false), run(true)) {
-		t.Fatal("train → Park → train diverges from train → train on the cloud model")
+	once := run(false)
+	if !sameBits(once, run(true)) {
+		t.Fatal("a Park between the offline stages changed where AbilityEnhance ends")
+	}
+	// Both arms park, so the comparison above cannot see what the stages' own
+	// Park costs. The hash is where this fixture ended before they parked at
+	// all (train → train on a model never parked, taken at ab0c3b8 on amd64;
+	// Adam's products are not float32-wrapped and may fuse elsewhere).
+	if runtime.GOARCH == "amd64" {
+		h := fnv.New64a()
+		var b [4]byte
+		for _, v := range once {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+		if got, want := h.Sum64(), uint64(0x0a9e3e9ac9689833); got != want {
+			t.Fatalf("the offline stages end at weights %016x, want %016x: the Park at a stage's end is not invisible (or the arithmetic changed: re-pin)", got, want)
+		}
 	}
 }
 

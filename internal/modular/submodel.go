@@ -166,9 +166,10 @@ func (s *SubModel) Park() {
 }
 
 // Park is SubModel.Park for the cloud model, which sits idle between the
-// offline stage and whatever trains it next (TrainEndToEnd and AbilityEnhance
-// re-arm its gradients). Its layers stay the objects they were: the cost
-// model behind Derive reads the input geometry they recorded while training.
+// offline stage and whatever trains it next: TrainEndToEnd and AbilityEnhance
+// re-arm its gradients as they start and park it as they return. Its layers
+// stay the objects they were: the cost model behind Derive reads the input
+// geometry they recorded while training.
 func (m *Model) Park() {
 	nn.ReleaseBuffers(m.Stem)
 	nn.ReleaseBuffers(m.Head)
@@ -258,7 +259,7 @@ func (s *SubModel) compactGates(l int, probs [][]float32) [][]float32 {
 func (s *SubModel) Backward(dLogits *tensor.Tensor) *tensor.Tensor {
 	g := s.Head.Backward(dLogits)
 	for l := len(s.Layers) - 1; l >= 0; l-- {
-		g, _ = s.Layers[l].Backward(g)
+		g, _ = s.Layers[l].backward(g, false)
 	}
 	return s.Stem.Backward(g)
 }

@@ -42,9 +42,13 @@ func DefaultTrainConfig() TrainConfig {
 
 // TrainEndToEnd performs the vanilla end-to-end pre-training of Section 4.3:
 // cross-entropy plus the load-balancing term, noisy top-k gating. Returns the
-// per-epoch mean training loss.
+// per-epoch mean training loss. The stage ends its own bout: the optimizer's
+// moments and all the model borrowed go back to the arena as it returns
+// (Model.Park), whether or not the caller keeps the model.
 func (m *Model) TrainEndToEnd(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfig) []float64 {
 	opt := nn.NewAdam(cfg.LR)
+	defer opt.Release()
+	defer m.Park()
 	params := m.Params()
 	nn.EnsureGrads(params)
 	losses := make([]float64, 0, cfg.Epochs)
@@ -119,7 +123,8 @@ func (m *Model) SubTaskMatrix(ds *data.Dataset, groupSize int) [][][]float64 {
 // AbilityEnhance runs the module ability-enhancing algorithm of Section 4.3:
 // build H from the current selector, solve the Eq. 1 assignment per layer,
 // and fine-tune with CE + λ·KL(g_label ‖ g) so each module focuses on its
-// assigned sub-tasks. Returns the per-layer assignment masks.
+// assigned sub-tasks. Returns the per-layer assignment masks. Like
+// TrainEndToEnd it parks the model as it returns.
 func (m *Model) AbilityEnhance(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfig) [][][]bool {
 	h := m.SubTaskMatrix(ds, cfg.GroupSize)
 	masks := make([][][]bool, len(m.Layers))
@@ -151,6 +156,8 @@ func (m *Model) AbilityEnhance(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfi
 
 	// Fine-tune: CE through the full model plus KL guidance on the selector.
 	opt := nn.NewAdam(cfg.LR)
+	defer opt.Release()
+	defer m.Park()
 	params := m.Params()
 	nn.EnsureGrads(params)
 	for e := 0; e < cfg.Epochs; e++ {

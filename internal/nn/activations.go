@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/tensor"
 )
 
@@ -8,6 +10,10 @@ import (
 // and input-gradient tensors follow the reuse contract of reuse.go. It keeps
 // no mask: an element was active exactly when the output it still holds is
 // not ≤ 0 (NaN passes through both directions, −0 and everything below block).
+//
+// Both loops select on the value's bits — keep them or take zero's — which
+// compiles to a conditional move: activations are positive half the time in
+// no learnable order, and a branch here is mispredicted every other element.
 type ReLU struct {
 	y, dx *tensor.Tensor
 }
@@ -18,13 +24,13 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward zeroes negative elements.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.y = reuseLike(r.y, x)
-	y := r.y.Data
+	y := r.y.Data[:len(x.Data)]
 	for i, v := range x.Data {
+		bits := math.Float32bits(v)
 		if v <= 0 {
-			y[i] = 0
-		} else {
-			y[i] = v
+			bits = 0
 		}
+		y[i] = math.Float32frombits(bits)
 	}
 	return r.y
 }
@@ -33,13 +39,13 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // active, read off its output.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = reuseLike(r.dx, grad)
-	dx, y := r.dx.Data, r.y.Data
+	dx, y := r.dx.Data[:len(grad.Data)], r.y.Data[:len(grad.Data)]
 	for i, g := range grad.Data {
+		bits := math.Float32bits(g)
 		if y[i] <= 0 {
-			dx[i] = 0
-		} else {
-			dx[i] = g
+			bits = 0
 		}
+		dx[i] = math.Float32frombits(bits)
 	}
 	return r.dx
 }

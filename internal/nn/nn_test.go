@@ -154,6 +154,25 @@ func TestAdamDescendsQuadratic(t *testing.T) {
 	}
 }
 
+// TestAdamReleaseRestartsMoments: Release hands both moment buffers back (the
+// package's tests poison what the arena receives), and the next Step borrows
+// zeroed ones instead of reading them.
+func TestAdamReleaseRestartsMoments(t *testing.T) {
+	p := NewParam("w", 4)
+	opt := NewAdam(0.1)
+	p.G.Fill(1)
+	opt.Step([]*Param{p})
+	opt.Release()
+	if len(opt.m) != 0 || len(opt.v) != 0 {
+		t.Fatalf("Release left %d first and %d second moments", len(opt.m), len(opt.v))
+	}
+	p.G.Fill(1)
+	opt.Step([]*Param{p})
+	if p.W.HasNaN() {
+		t.Fatalf("Step after Release read a released moment buffer: %v", p.W.Data)
+	}
+}
+
 func TestWeightDecayShrinksWeights(t *testing.T) {
 	p := NewParam("w", 1)
 	p.W.Data[0] = 1

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -19,26 +20,44 @@ func NewSGD(lr, momentum, weightDecay float32) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay, velocity: map[*Param]*tensor.Tensor{}}
 }
 
-// Step applies one update and zeroes gradients.
+// Step applies one update and zeroes gradients, in one pass per parameter:
+// g += wd·w, v = momentum·v + g, w -= lr·v, each product rounded to float32
+// before it is added. The explicit conversions are what forbid a fused
+// multiply-add on platforms that have one (arm64), so the weights carry the
+// same bits everywhere.
 func (s *SGD) Step(params []*Param) {
+	lr, mom, wd := -s.LR, s.Momentum, s.WeightDecay
+	decay := wd != 0
 	for _, p := range params {
-		g := p.G
-		if s.WeightDecay != 0 {
-			g.AddScaled(s.WeightDecay, p.W)
+		g := p.G.Data
+		if len(g) != p.W.Len() {
+			panic(fmt.Sprintf("nn: SGD.Step gradient of %d elements for %d weights", len(g), p.W.Len()))
 		}
-		if s.Momentum != 0 {
+		w := p.W.Data[:len(g)]
+		if mom == 0 {
+			for i, gi := range g {
+				if decay {
+					gi += float32(wd * w[i])
+				}
+				w[i] += float32(lr * gi)
+			}
+		} else {
 			v := s.velocity[p]
 			if v == nil {
 				v = zeroLike(p.W)
 				s.velocity[p] = v
 			}
-			v.Scale(s.Momentum)
-			v.Add(g)
-			p.W.AddScaled(-s.LR, v)
-		} else {
-			p.W.AddScaled(-s.LR, g)
+			vel := v.Data[:len(g)]
+			for i, gi := range g {
+				if decay {
+					gi += float32(wd * w[i])
+				}
+				vi := float32(vel[i]*mom) + gi
+				vel[i] = vi
+				w[i] += float32(lr * vi)
+			}
 		}
-		p.ZeroGrad()
+		clear(g)
 	}
 }
 
@@ -79,8 +98,7 @@ func (a *Adam) Step(params []*Param) {
 		m := a.m[p]
 		v := a.v[p]
 		if m == nil {
-			m = tensor.New(p.W.Shape()...)
-			v = tensor.New(p.W.Shape()...)
+			m, v = zeroLike(p.W), zeroLike(p.W)
 			a.m[p] = m
 			a.v[p] = v
 		}
@@ -93,6 +111,17 @@ func (a *Adam) Step(params []*Param) {
 		}
 		p.ZeroGrad()
 	}
+}
+
+// Release ends the optimizer's bout as SGD.Release does: the moment buffers
+// go back to the arena they were borrowed from.
+func (a *Adam) Release() {
+	for p, m := range a.m {
+		tensor.Release(m)
+		tensor.Release(a.v[p])
+	}
+	clear(a.m)
+	clear(a.v)
 }
 
 // ClipGradNorm rescales all gradients so their global L2 norm is at most

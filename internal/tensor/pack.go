@@ -37,9 +37,13 @@ func packA(a []float32, m, k int, transA bool, dst []float32) {
 		if rows > mr {
 			rows = mr
 		}
-		if transA {
-			// op(A)[i][p] = a[p*m+i]: columns of the stored matrix are
-			// contiguous in dst, so walk p outer, r inner.
+		if transA && rows == mr {
+			// op(A)[i][p] = a[p*m+i]: a k step's mr values are contiguous on
+			// both sides, so a full tile is one fixed-size copy per step.
+			for p := 0; p < k; p++ {
+				*(*[mr]float32)(dst[base+p*mr:]) = *(*[mr]float32)(a[p*m+i0:])
+			}
+		} else if transA {
 			for p := 0; p < k; p++ {
 				src := a[p*m+i0:]
 				dp := dst[base+p*mr : base+p*mr+mr]
@@ -70,13 +74,13 @@ func packA(a []float32, m, k int, transA bool, dst []float32) {
 				dp[5] = r5[p]
 			}
 		} else {
-			for p := 0; p < k; p++ {
-				dp := dst[base+p*mr : base+p*mr+mr]
-				for r := 0; r < rows; r++ {
-					dp[r] = a[(i0+r)*k+p]
-				}
-				for r := rows; r < mr; r++ {
-					dp[r] = 0
+			// Partial row-major tile: clear the panel, then scatter one
+			// source row at a time (a sequential read, one index add each).
+			panel := dst[base : base+mr*k]
+			clear(panel)
+			for r := 0; r < rows; r++ {
+				for p, v := range a[(i0+r)*k : (i0+r)*k+k] {
+					panel[p*mr+r] = v
 				}
 			}
 		}
@@ -92,8 +96,30 @@ func packB(b []float32, k, n int, transB bool, dst []float32) {
 		if cols > nr {
 			cols = nr
 		}
-		if transB {
-			// op(B)[p][j] = b[j*k+p]
+		if transB && cols == nr {
+			// op(B)[p][j] = b[j*k+p]: walk the panel's eight source rows
+			// together so every k step stores one contiguous nr-wide row —
+			// packA's row-major path, eight wide.
+			r0 := b[(j0+0)*k:]
+			r1 := b[(j0+1)*k:]
+			r2 := b[(j0+2)*k:]
+			r3 := b[(j0+3)*k:]
+			r4 := b[(j0+4)*k:]
+			r5 := b[(j0+5)*k:]
+			r6 := b[(j0+6)*k:]
+			r7 := b[(j0+7)*k:]
+			for p := 0; p < k; p++ {
+				dp := dst[base+p*nr : base+p*nr+nr]
+				dp[0] = r0[p]
+				dp[1] = r1[p]
+				dp[2] = r2[p]
+				dp[3] = r3[p]
+				dp[4] = r4[p]
+				dp[5] = r5[p]
+				dp[6] = r6[p]
+				dp[7] = r7[p]
+			}
+		} else if transB {
 			for c := 0; c < cols; c++ {
 				src := b[(j0+c)*k:]
 				for p := 0; p < k; p++ {
