@@ -351,14 +351,8 @@ func (c *EdgeClient) exchange(req *Request, out []WireChunk, to time.Duration) (
 	}
 	var pay *WirePayload
 	if resp.OK && resp.Payload != nil {
-		pay, err = recvPayload(resp.Payload, c.maxVec(), func(ch *WireChunk) error {
-			armRead()
-			chs := c.reqSpan(req, "rpc.chunk_recv")
-			err := c.codec.Recv(ch)
-			chs.SetErr(err)
-			chs.End()
-			return err
-		})
+		pay, err = c.codec.recvPayload(resp.Payload, c.maxVec(), armRead,
+			func() span.Active { return c.reqSpan(req, "rpc.chunk_recv") })
 		if err != nil {
 			return nil, nil, err
 		}
@@ -429,12 +423,12 @@ func (c *EdgeClient) maxVec() int {
 // names another. Run once after connecting; the device then scores module
 // importance locally.
 func (c *EdgeClient) Hello() error {
-	resp, err := c.call(&Request{Kind: KindHello, DeviceID: c.DeviceID, Proto: ProtoV2})
+	resp, err := c.call(&Request{Kind: KindHello, DeviceID: c.DeviceID, Proto: ProtoVersion})
 	if err != nil {
 		return err
 	}
-	if resp.Proto != ProtoV2 {
-		return fmt.Errorf("edgenet: hello: server speaks protocol version %d, this client speaks version %d", resp.Proto, ProtoV2)
+	if resp.Proto != ProtoVersion {
+		return fmt.Errorf("edgenet: hello: server speaks protocol version %d, this client speaks version %d", resp.Proto, ProtoVersion)
 	}
 	// A malformed reply must not panic the device loop (mirrors the
 	// server's safeLoad guard for uploads).
@@ -485,7 +479,10 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 		return nil, errors.New("edgenet: fetch: reply carries no payload")
 	}
 	// The server checked the structure before it coded a delta; this end
-	// checks only that the version it names is the one held here.
+	// checks only that the version it names is the one held here. A delta is
+	// decoded onto the reference's own array — nothing else reads it, and the
+	// whole payload has validated before the first element is written; a full
+	// payload (or a moved structure, which is always full) gets a new one.
 	var base []float32
 	if pay.Header.Delta {
 		if c.ref == nil || c.ref.Version != pay.Header.BaseVer {
@@ -493,13 +490,17 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 		}
 		base = c.ref.Vec
 	}
-	ref, err := DecodeVec(pay, base)
-	if err != nil {
+	if err := pay.check(base); err != nil {
 		return nil, fmt.Errorf("edgenet: fetch: %w", err)
 	}
+	ref := base
+	if !pay.Header.Delta {
+		ref = make([]float32, pay.Header.Len)
+	}
+	pay.decodeInto(ref, base)
 	c.ref = &WireRef{Version: pay.Header.Version, Mapping: resp.Active, Vec: ref}
-	// The reference is immutable and the sub-model is about to be trained:
-	// it gets its own copy of the vector to live in.
+	// The reference stays what the server holds and the sub-model is about to
+	// be trained: it gets its own copy of the vector to live in.
 	sub, err := c.Skeleton.SubModelOver(resp.Active, append([]float32(nil), ref...))
 	if err != nil {
 		return nil, fmt.Errorf("edgenet: fetch: %w", err)

@@ -3,6 +3,7 @@ package edgenet
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/modular"
@@ -50,18 +51,26 @@ func modelTensors(m *modular.Model) []*tensor.Tensor {
 	return append(ts, nn.LayerStates(m.Head)...)
 }
 
-func requireSameModel(t *testing.T, when string, got, want *modular.Model) {
-	t.Helper()
+// modelDiff names the first bit in which two models differ, or "".
+func modelDiff(got, want *modular.Model) string {
 	gt, wt := modelTensors(got), modelTensors(want)
 	if len(gt) != len(wt) {
-		t.Fatalf("%s: %d tensors vs %d", when, len(gt), len(wt))
+		return fmt.Sprintf("%d tensors vs %d", len(gt), len(wt))
 	}
 	for i := range wt {
 		for j := range wt[i].Data {
 			if math.Float32bits(gt[i].Data[j]) != math.Float32bits(wt[i].Data[j]) {
-				t.Fatalf("%s: tensor %d element %d is %v, replay has %v", when, i, j, gt[i].Data[j], wt[i].Data[j])
+				return fmt.Sprintf("tensor %d element %d is %v, replay has %v", i, j, gt[i].Data[j], wt[i].Data[j])
 			}
 		}
+	}
+	return ""
+}
+
+func requireSameModel(t *testing.T, when string, got, want *modular.Model) {
+	t.Helper()
+	if diff := modelDiff(got, want); diff != "" {
+		t.Fatalf("%s: %s", when, diff)
 	}
 }
 
@@ -147,5 +156,147 @@ func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 	// fetches' own payloads.
 	if st.WireDelta < 8 || st.WireFull < 4 || st.WireFallbacks != 0 {
 		t.Fatalf("script did not exercise full and delta payloads: %+v", st)
+	}
+}
+
+// TestConcurrentDevicesMatchSerialReplay is the stateful test of the server's
+// borrowed push vectors: devices fetch and push concurrently while updates
+// queue, aggregate (every push, every third) and give their arrays back, with
+// the paths that borrow and do not queue mixed in — a replayed Seq, a NeedFull
+// bounce off an evicted reference, a push whose frames do not validate and one
+// whose vector does not fit its structure. The cloud model must end bit for
+// bit where a serial Extract + LoadBackboneVector replay of the accepted
+// pushes leaves its twin (the package runs with released arrays poisoned, so
+// a late read is a NaN here), and every borrowed byte must be back.
+func TestConcurrentDevicesMatchSerialReplay(t *testing.T) {
+	for _, every := range []int{1, 3} {
+		t.Run(fmt.Sprintf("aggregate every %d", every), func(t *testing.T) {
+			const seed, devices, rounds = 67, 4, 5
+			live := tensor.ScratchLiveBytes()
+			cloud, oracle := buildStatefulModel(seed), buildStatefulModel(seed)
+			srv := NewServer(cloud, every)
+			imp := uniformImportance(cloud)
+			clients := make([]*EdgeClient, devices)
+			for d := range clients {
+				cl := pipePair(t, srv, buildStatefulModel(seed))
+				cl.DeviceID = d + 1
+				cl.WireOpts = []WireOpts{{}, {Chunk: 16}, {Chunk: 16, TopK: 0.25}}[d%3]
+				if err := cl.Hello(); err != nil {
+					t.Fatal(err)
+				}
+				clients[d] = cl
+			}
+			raw := rawServerConn(t, srv)
+
+			// The replay needs the order updates were queued in, which the
+			// server does not report: pushes take turns. Fetches, and every
+			// push against the other devices' fetches, run concurrently.
+			turn := make(chan struct{}, 1)
+			var pending []*modular.Update
+			land := func(mapping [][]int, vec []float32, weight float64) {
+				osub := oracle.Extract(mapping)
+				osub.LoadBackboneVector(vec)
+				pending = append(pending, &modular.Update{Sub: osub, Importance: imp, Weight: weight})
+				if len(pending) == every {
+					oracle.AggregateModuleWise(pending)
+					pending = nil
+				}
+			}
+			// refused sends one push no EdgeClient would and wants an error
+			// reply over a connection that survives.
+			refused := func(what string, active [][]int, p *WirePayload) {
+				req := &Request{Kind: KindPushUpdate, DeviceID: 99, Seq: 1, Active: active, Importance: imp, Weight: 1, Payload: &p.Header}
+				if err := raw.sendMessage(req, p.Chunks, func() {}, noChunkSpan); err != nil {
+					t.Error(err)
+					return
+				}
+				var resp Response
+				if err := raw.Recv(&resp); err != nil || resp.OK {
+					t.Errorf("%s: reply %+v, %v", what, resp, err)
+				}
+			}
+
+			var wg sync.WaitGroup
+			for d, cl := range clients {
+				wg.Add(1)
+				go func(d int, cl *EdgeClient) {
+					defer wg.Done()
+					rng := tensor.NewRNG(int64(100 + d))
+					for r := 0; r < rounds; r++ {
+						sub, err := cl.FetchSubModel(imp, looseBudget())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						perturb(rng, sub)
+						weight := float64(5 + d + r)
+
+						turn <- struct{}{}
+						if d == 0 && r == 2 {
+							// The server loses this device's reference: the
+							// delta push bounces and goes again whole.
+							srv.mu.Lock()
+							rec := srv.devices[cl.DeviceID]
+							rec.ref = nil
+							srv.devices[cl.DeviceID] = rec
+							srv.mu.Unlock()
+						}
+						base := cl.ref.Base(sub.Mapping)
+						if d == 0 && r == 2 {
+							base = nil
+						}
+						vec := sub.BackboneVector()
+						want, err := DecodeVec(EncodeVec(vec, base, cl.WireOpts), base)
+						if err == nil {
+							err = cl.PushUpdate(sub, imp, weight)
+						}
+						if err == nil {
+							land(sub.Mapping, want, weight)
+							// Held now, not at the end: a NaN the cloud serves
+							// is one the devices push back to both models.
+							if diff := modelDiff(cloud, oracle); diff != "" {
+								err = fmt.Errorf("device %d round %d: %s", cl.DeviceID, r, diff)
+							}
+						}
+						if err == nil && d == 1 && r == 1 {
+							cl.seq-- // the same update again, as a retry whose reply was lost
+							err = cl.PushUpdate(sub, imp, weight)
+						}
+						if d == 2 && r == 3 {
+							short := EncodeVec(vec, nil, WireOpts{})
+							short.Chunks[0].Q8.Codes = short.Chunks[0].Q8.Codes[1:]
+							refused("a chunk one code short", sub.Mapping, short)
+							narrow := make([][]int, len(sub.Mapping))
+							for l := range narrow {
+								narrow[l] = sub.Mapping[l][:1]
+							}
+							refused("a vector longer than its structure", narrow, EncodeVec(vec, nil, WireOpts{}))
+						}
+						<-turn
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(d, cl)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			srv.FlushAggregation()
+			if len(pending) > 0 {
+				oracle.AggregateModuleWise(pending)
+			}
+			requireSameModel(t, "after the flush", cloud, oracle)
+			st := srv.StatsSnapshot()
+			if st.UpdatesReceived != devices*rounds || st.Dedups != 1 || st.WireFallbacks != 1 {
+				t.Fatalf("server counted %+v for %d pushes, one replay and one bounce", st, devices*rounds)
+			}
+			srv.Close() //nolint:errdrop -- Server.Close returns nothing
+			if got := tensor.ScratchLiveBytes(); got != live {
+				t.Fatalf("%d borrowed bytes not returned", got-live)
+			}
+		})
 	}
 }

@@ -298,7 +298,7 @@ func stubServerClient(t *testing.T, skeleton *modular.Model, resp *Response) *Ed
 
 func TestHelloMalformedSelectorReturnsError(t *testing.T) {
 	// A malicious server: the right version, OK, and a truncated selector.
-	cl := stubServerClient(t, buildModel(25), &Response{OK: true, Proto: ProtoV2, Selector: []float32{1, 2, 3}})
+	cl := stubServerClient(t, buildModel(25), &Response{OK: true, Proto: ProtoVersion, Selector: []float32{1, 2, 3}})
 	err := cl.Hello()
 	if err == nil || !strings.Contains(err.Error(), "selector") {
 		t.Fatalf("Hello accepted a truncated selector: %v", err)

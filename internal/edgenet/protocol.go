@@ -1,8 +1,9 @@
 // Package edgenet implements the edge-cloud communication substrate: a
-// gob-over-TCP protocol between a cloud server holding the modularized model
-// and edge clients that request personalized sub-models and push back local
-// updates. It replaces the paper's WiFi-LAN testbed; all traffic is counted
-// byte-accurately for the communication-cost experiments.
+// protocol of gob envelopes and flat chunk frames over TCP between a cloud
+// server holding the modularized model and edge clients that request
+// personalized sub-models and push back local updates. It replaces the paper's
+// WiFi-LAN testbed; all traffic is counted byte-accurately for the
+// communication-cost experiments.
 //
 // Architecture travels as the per-layer active-module index sets; both sides
 // build identical model skeletons from the shared task seed, so only
@@ -11,12 +12,16 @@ package edgenet
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/modular"
+	"repro/internal/nn"
 	"repro/internal/obs/span"
 )
 
@@ -70,7 +75,7 @@ type Request struct {
 	Active [][]int
 	Weight float64
 	// Payload announces the chunk-streamed upload: exactly Payload.Chunks
-	// WireChunk frames follow this envelope on the stream. A push without
+	// chunk frames follow this envelope on the stream. A push without
 	// one is an error reply.
 	Payload *WireHeader
 }
@@ -119,7 +124,7 @@ type Response struct {
 	// GetSubModel reply.
 	Active [][]int
 	// Payload announces the chunk-streamed sub-model: exactly Payload.Chunks
-	// WireChunk frames follow this envelope.
+	// chunk frames follow this envelope.
 	Payload *WireHeader
 
 	// Stats reply.
@@ -165,33 +170,54 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Codec frames Requests/Responses over a stream with gob and counts traffic.
+// Codec frames protocol messages over a stream and counts traffic: envelopes
+// (Request, Response, the WireHeader inside them) are gob, the chunk frames an
+// envelope announces are flat bytes (writeFrame). One buffered reader feeds
+// both: it is an io.ByteReader, so the gob decoder reads through it, takes
+// exactly its message's bytes and leaves the next frame where readFrame finds
+// it.
 type Codec struct {
 	enc *gob.Encoder
 	dec *gob.Decoder
 	w   *bufio.Writer
+	r   *bufio.Reader
 	in  atomic.Int64
 	out atomic.Int64
+
+	// What recvPayload returned last and builds the next payload in: the
+	// chunk table, its quantization headers and the frame bytes they view.
+	pay    WirePayload
+	q8     []nn.Quantized8
+	frames []byte
 }
 
-// NewCodec wraps a bidirectional stream. Outbound gob output is buffered and
+// NewCodec wraps a bidirectional stream. Outbound output is buffered and
 // flushed once per protocol message (Send, sendMessage): gob emits type
 // descriptors and values as separate small writes, and a v2 payload is an
 // envelope plus a frame per chunk; coalescing them keeps one message ≈ one
 // wire write — which matters under fault injection, where each write rolls
-// for loss independently.
+// for loss independently. The read buffer is the size gob would wrap the
+// stream in itself.
 func NewCodec(rw io.ReadWriter) *Codec {
 	c := &Codec{}
 	cc := countingConn{rw: rw, in: &c.in, out: &c.out}
 	c.w = bufio.NewWriterSize(cc, 64<<10)
+	c.r = bufio.NewReaderSize(cc, 4<<10)
 	c.enc = gob.NewEncoder(c.w)
-	c.dec = gob.NewDecoder(cc)
+	c.dec = gob.NewDecoder(c.r)
 	return c
 }
 
-// Send encodes any gob-compatible message and flushes it to the wire.
+// Send writes one message — a *WireChunk as its flat frame, anything else as
+// gob — and flushes it to the wire.
 func (c *Codec) Send(v any) error {
-	if err := c.enc.Encode(v); err != nil {
+	var err error
+	if ch, ok := v.(*WireChunk); ok {
+		err = writeFrame(c.w, ch)
+	} else {
+		err = c.enc.Encode(v)
+	}
+	if err != nil {
 		return err
 	}
 	return c.w.Flush()
@@ -213,7 +239,7 @@ func (c *Codec) sendMessage(env any, chunks []WireChunk, arm func(), chunkSpan f
 	for i := range chunks {
 		arm()
 		cs := chunkSpan()
-		err := c.enc.Encode(&chunks[i])
+		err := writeFrame(c.w, &chunks[i])
 		cs.SetErr(err)
 		cs.End()
 		if err != nil {
@@ -226,8 +252,171 @@ func (c *Codec) sendMessage(env any, chunks []WireChunk, arm func(), chunkSpan f
 	return nil
 }
 
-// Recv decodes into v.
+// Recv decodes a gob message into v.
 func (c *Codec) Recv(v any) error { return c.dec.Decode(v) }
 
 // Traffic returns bytes read and written so far.
 func (c *Codec) Traffic() (in, out int64) { return c.in.Load(), c.out.Load() }
+
+// A chunk frame (docs/PROTOCOL.md "Chunk frame") is a u32 size and that many
+// bytes, little-endian: flags and a u24 element count N (the 4 B chunk
+// header), Min and Scale when the codes are int8, K codes of 1 or 2 B, and K
+// 2 B offsets when sparse — a chunk's wireBytes behind 4 B of length.
+const (
+	frameSparse = 1 << 0
+	frameF16    = 1 << 1
+)
+
+// writeFrame writes c's frame into w (no flush). A chunk the layout cannot
+// hold — both kinds of codes, codes and offsets that do not pair up — is an
+// error: the receiver would read some other chunk.
+func writeFrame(w *bufio.Writer, c *WireChunk) error {
+	codes, err := c.codeCount()
+	if err != nil {
+		return err
+	}
+	if c.N < 0 || c.N >= 1<<24 || (c.Sparse && codes != len(c.Idx)) || (!c.Sparse && len(c.Idx) != 0) {
+		return fmt.Errorf("%w: no frame for a chunk of %d elements, %d codes, %d offsets", errWire, c.N, codes, len(c.Idx))
+	}
+	flags := uint32(0)
+	if c.Sparse {
+		flags |= frameSparse
+	}
+	if c.Q8 == nil {
+		flags |= frameF16
+	}
+	// Built in the writer's own free space: a slice handed to Write escapes
+	// through the io.Writer behind it, and would cost an allocation a frame.
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(c.wireBytes()))
+	hdr = binary.LittleEndian.AppendUint32(hdr, flags|uint32(c.N)<<8)
+	if c.Q8 != nil {
+		hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(c.Q8.Min))
+		hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(c.Q8.Scale))
+		hdr = append(hdr, c.Q8.Codes...)
+	}
+	for _, vals := range [][]uint16{c.F16, c.Idx} {
+		for _, v := range vals {
+			hdr = binary.LittleEndian.AppendUint16(hdr, v)
+		}
+	}
+	_, err = w.Write(hdr)
+	return err
+}
+
+// readFrame reads one frame from r into ch, whose quantization header is q
+// and whose int8 codes view the frame's bytes: the front of free when the
+// frame fits there, an array of its own when not; the rest of free is
+// returned. The size is the peer's word: it is held against the most a chunk
+// of the remaining elements — what the payload still owes — can occupy (12 B
+// of headers, 4 B an element: a sparse float16 chunk that kept everything)
+// before the body is read or room made for it. Checked here is that the frame
+// parses; whether K codes suit N elements is WirePayload.check's to say.
+func readFrame(r *bufio.Reader, ch *WireChunk, q *nn.Quantized8, free []byte, remaining int) ([]byte, error) {
+	pre, err := r.Peek(4)
+	if err != nil {
+		return free, err
+	}
+	size := binary.LittleEndian.Uint32(pre)
+	if size < 4 || uint64(size) > 12+4*uint64(remaining) {
+		return free, fmt.Errorf("%w: chunk frame of %d bytes with %d elements still to come", errWire, size, remaining)
+	}
+	var b []byte
+	if int(size) <= len(free) {
+		b, free = free[:size:size], free[size:]
+	} else {
+		b = make([]byte, size)
+	}
+	if _, err := r.Discard(4); err != nil {
+		return free, err
+	}
+	if _, err := io.ReadFull(r, b); err != nil {
+		return free, err
+	}
+	flags, f16 := b[0], b[0]&frameF16 != 0
+	*ch = WireChunk{N: int(b[1]) | int(b[2])<<8 | int(b[3])<<16, Sparse: flags&frameSparse != 0}
+	b, per := b[4:], 1
+	switch {
+	case f16:
+		per = 2
+	case len(b) >= 8:
+		q.Min = math.Float32frombits(binary.LittleEndian.Uint32(b))
+		q.Scale = math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
+		ch.Q8, b = q, b[8:]
+	}
+	if ch.Sparse {
+		per += 2
+	}
+	if flags&^(frameSparse|frameF16) != 0 || ch.N > remaining || (!f16 && ch.Q8 == nil) || len(b)%per != 0 {
+		return free, fmt.Errorf("%w: chunk frame of %d bytes, flags %#x, for %d of the %d elements still to come", errWire, size, flags, ch.N, remaining)
+	}
+	k := len(b) / per
+	if ch.Q8 != nil {
+		q.Codes, b = b[:k:k], b[k:]
+	} else {
+		ch.F16, b = cutU16s(b, k)
+	}
+	if ch.Sparse {
+		ch.Idx, _ = cutU16s(b, k)
+	}
+	return free, nil
+}
+
+// cutU16s decodes the k little-endian values at the front of b.
+func cutU16s(b []byte, k int) ([]uint16, []byte) {
+	out := make([]uint16, k)
+	for j := range out {
+		out[j] = binary.LittleEndian.Uint16(b[2*j:])
+	}
+	return out, b[2*k:]
+}
+
+// RecvPayload reads the chunk frames header h announced, as recvPayload does
+// for a caller with deadlines and spans.
+func (c *Codec) RecvPayload(h *WireHeader, maxLen int) (*WirePayload, error) {
+	return c.recvPayload(h, maxLen, func() {}, noChunkSpan)
+}
+
+// recvPayload assembles the payload header h announced from the h.Chunks
+// frames that follow it on the stream, into the codec's receive buffers: the
+// payload is valid until the next one is received. arm runs before every
+// frame — where the caller re-arms its read deadline, so a timeout bounds one
+// stalled frame, not the whole payload — and chunkSpan opens the span a
+// frame's read is recorded under.
+//
+// The header is the peer's word, so nothing is sized from it until it is
+// plausible for this receiver: every chunk reconstructs at least one element,
+// and no vector is longer than maxLen, the receiver's own full backbone. A
+// rejected header leaves its frames unread on the stream, so like a failed
+// frame it ends the connection.
+func (c *Codec) recvPayload(h *WireHeader, maxLen int, arm func(), chunkSpan func() span.Active) (*WirePayload, error) {
+	if h.Len < 0 || h.Len > maxLen || h.Chunks < 0 || h.Chunks > h.Len {
+		return nil, fmt.Errorf("edgenet: payload header announces %d chunks for %d elements, this peer's model holds %d",
+			h.Chunks, h.Len, maxLen)
+	}
+	p := &c.pay
+	p.Header = *h
+	p.Chunks = slices.Grow(p.Chunks[:0], h.Chunks)[:h.Chunks]
+	c.q8 = slices.Grow(c.q8[:0], h.Chunks)[:h.Chunks]
+	// Room for the frames of a dense int8 payload, and never for more than
+	// the vector the header announces; a frame that does not fit gets its own.
+	if room := min(h.Len+12*h.Chunks, 4*h.Len); room > len(c.frames) {
+		c.frames = make([]byte, room)
+	}
+	free, remaining := c.frames, h.Len
+	for i := range p.Chunks {
+		arm()
+		cs := chunkSpan()
+		var err error
+		free, err = readFrame(c.r, &p.Chunks[i], &c.q8[i], free, remaining)
+		cs.SetErr(err)
+		cs.End()
+		if err != nil {
+			return nil, fmt.Errorf("edgenet: recv chunk %d/%d: %w", i+1, h.Chunks, err)
+		}
+		remaining -= p.Chunks[i].N
+	}
+	return p, nil
+}
+
+// noChunkSpan is the span opener of a side that records no span per frame.
+func noChunkSpan() span.Active { return span.Active{} }

@@ -128,7 +128,7 @@ func rawServerConn(t *testing.T, srv *Server) *Codec {
 func TestMixedVersionInterop(t *testing.T) {
 	// A peer of another version (0 is a peer that predates the field) gets an
 	// error reply naming both versions, over a connection that survives: the
-	// same stream then completes a ProtoV2 Hello.
+	// same stream then completes a version-3 Hello.
 	t.Run("v1 client, v2 server", func(t *testing.T) {
 		cloud := buildModel(42)
 		codec := rawServerConn(t, NewServer(cloud, 1))
@@ -137,21 +137,21 @@ func TestMixedVersionInterop(t *testing.T) {
 			if resp.OK || len(resp.Selector) != 0 {
 				t.Fatalf("Hello at version %d accepted: OK=%v with %d selector floats", proto, resp.OK, len(resp.Selector))
 			}
-			for _, want := range []string{fmt.Sprintf("version %d ", proto), fmt.Sprintf("version %d", ProtoV2)} {
+			for _, want := range []string{fmt.Sprintf("version %d ", proto), fmt.Sprintf("version %d", ProtoVersion)} {
 				if !strings.Contains(resp.Error, want) {
 					t.Fatalf("refusal %q does not name %q", resp.Error, want)
 				}
 			}
 		}
-		resp := rawExchange(t, codec, &Request{Kind: KindHello, DeviceID: 1, Proto: ProtoV2})
-		if !resp.OK || resp.Proto != ProtoV2 || len(resp.Selector) != len(cloud.Selector.Vector()) {
-			t.Fatalf("ProtoV2 Hello after a refusal: OK=%v Proto=%d Error=%q, %d selector floats", resp.OK, resp.Proto, resp.Error, len(resp.Selector))
+		resp := rawExchange(t, codec, &Request{Kind: KindHello, DeviceID: 1, Proto: ProtoVersion})
+		if !resp.OK || resp.Proto != ProtoVersion || len(resp.Selector) != len(cloud.Selector.Vector()) {
+			t.Fatalf("ProtoVersion Hello after a refusal: OK=%v Proto=%d Error=%q, %d selector floats", resp.OK, resp.Proto, resp.Error, len(resp.Selector))
 		}
 	})
 
 	// A server that answers with another version is refused by the client.
 	t.Run("v2 client, v1 server", func(t *testing.T) {
-		for _, proto := range []int{0, 1, 3} {
+		for _, proto := range []int{0, 1, 2, ProtoVersion + 1} {
 			skeleton := buildModel(43)
 			cl := stubServerClient(t, skeleton, &Response{OK: true, Selector: skeleton.Selector.Vector(), Proto: proto})
 			if err := cl.Hello(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", proto)) {

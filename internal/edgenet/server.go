@@ -42,7 +42,10 @@ type Server struct {
 
 	mu      sync.Mutex
 	pending []*modular.Update
-	conns   map[net.Conn]struct{}
+	// pendingVecs[i] is the borrowed array pending[i]'s sub-model is a view
+	// of; it goes back to the arena when aggregation has consumed the batch.
+	pendingVecs []*tensor.Scratch
+	conns       map[net.Conn]struct{}
 	// devices is everything the server remembers about a device, by
 	// DeviceID; wireVer numbers the references in it.
 	devices map[int]deviceRecord
@@ -226,8 +229,13 @@ func (s *Server) ServeConn(rw interface {
 		s.metrics.bytesOut.Add(float64(out))
 	}()
 	dl, _ := rw.(connDeadliner)
-	// Re-armed before every frame of a response: the deadline bounds one
-	// write, not the whole payload.
+	// Re-armed before every frame of a request or a response: a deadline
+	// bounds one stalled frame or one write, not the whole payload.
+	armRead := func() {
+		if dl != nil && s.ReadTimeout > 0 {
+			_ = dl.SetReadDeadline(time.Now().Add(s.ReadTimeout)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
+		}
+	}
 	armWrite := func() {
 		if dl != nil && s.WriteTimeout > 0 {
 			_ = dl.SetWriteDeadline(time.Now().Add(s.WriteTimeout)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
@@ -237,9 +245,7 @@ func (s *Server) ServeConn(rw interface {
 	// response wire size can be observed individually.
 	var prevIn, prevOut int64
 	for {
-		if dl != nil && s.ReadTimeout > 0 {
-			_ = dl.SetReadDeadline(time.Now().Add(s.ReadTimeout)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
-		}
+		armRead()
 		var req Request
 		if err := codec.Recv(&req); err != nil {
 			s.noteConnError("recv", err)
@@ -252,9 +258,14 @@ func (s *Server) ServeConn(rw interface {
 		hs := s.reqSpan(&req, span.SpanID(req.SpanID), "srv."+kindName(req.Kind))
 		// An upload streams its chunk frames right behind the envelope;
 		// they are part of this request, so they arrive before the request
-		// size is observed and before the handler runs.
+		// size is observed and before the handler runs. The client's
+		// rpc.chunk_send spans cover them; the server records none.
 		ds := s.reqSpan(&req, hs.ID(), "srv.decode")
-		inPay, err := s.recvChunks(codec, dl, req.Payload)
+		var inPay *WirePayload
+		var err error
+		if req.Payload != nil {
+			inPay, err = codec.recvPayload(req.Payload, s.maxVecLen, armRead, noChunkSpan)
+		}
 		in, _ := codec.Traffic()
 		ds.SetBytes(in - prevIn)
 		ds.SetErr(err)
@@ -293,25 +304,6 @@ func (s *Server) ServeConn(rw interface {
 	}
 }
 
-// noChunkSpan is the server's sendMessage span opener: response frames are
-// covered by the client's rpc.chunk_recv spans, the server records none.
-func noChunkSpan() span.Active { return span.Active{} }
-
-// recvChunks drains the chunk frames an envelope announced, re-arming the
-// read deadline before each frame so one stalled chunk — not the whole
-// payload — is what the timeout bounds.
-func (s *Server) recvChunks(codec *Codec, dl connDeadliner, h *WireHeader) (*WirePayload, error) {
-	if h == nil {
-		return nil, nil
-	}
-	return recvPayload(h, s.maxVecLen, func(ch *WireChunk) error {
-		if dl != nil && s.ReadTimeout > 0 {
-			_ = dl.SetReadDeadline(time.Now().Add(s.ReadTimeout)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
-		}
-		return codec.Recv(ch)
-	})
-}
-
 // noteConnError classifies a connection teardown into the Stats counters:
 // deadline hits are Timeouts, clean EOF/closure is silent, anything else
 // (mid-stream reset, corrupt frame) is a Reset.
@@ -335,14 +327,14 @@ func (s *Server) noteConnError(op string, err error) {
 func (s *Server) handle(req *Request, pay *WirePayload, ps span.SpanID) (*Response, *WirePayload) {
 	switch req.Kind {
 	case KindHello:
-		if req.Proto != ProtoV2 {
-			return &Response{Error: fmt.Sprintf("protocol version %d not spoken here; this server speaks version %d", req.Proto, ProtoV2)}, nil
+		if req.Proto != ProtoVersion {
+			return &Response{Error: fmt.Sprintf("protocol version %d not spoken here; this server speaks version %d", req.Proto, ProtoVersion)}, nil
 		}
 		s.mu.Lock()
 		vec := s.Model.Selector.Vector()
 		s.mu.Unlock()
 		s.logf("device %d hello; selector %d floats", req.DeviceID, len(vec))
-		return &Response{OK: true, Selector: vec, Proto: ProtoV2}, nil
+		return &Response{OK: true, Selector: vec, Proto: ProtoVersion}, nil
 
 	case KindGetSubModel:
 		resp, out, err := s.serveSubModel(req, ps)
@@ -427,8 +419,8 @@ func (s *Server) encodeServe(req *Request, active [][]int, vec []float32) *WireP
 	ver := s.wireVer
 	s.mu.Unlock()
 
-	// Quantization and reconstruction are CPU work on private data — outside
-	// the lock, like the rest of this handler.
+	// Quantization and reconstruction — one walk over the vector — are CPU
+	// work on private data: outside the lock, like the rest of this handler.
 	p, recon := Exchange(vec, base, WireOpts{}) // downlink stays dense: every coordinate is authoritative
 	p.Header.Version = ver
 	if p.Header.Delta {
@@ -485,13 +477,27 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 	} else {
 		s.metrics.wireFull.Inc()
 	}
+	// The decoded vector lives until aggregation has folded it in, and is
+	// read by nothing after: its array is borrowed, and goes back on every
+	// path that does not queue it.
 	dq := s.reqSpan(req, ps, "srv.dequantize")
-	vec, err := DecodeVec(pay, base)
+	err = pay.check(base)
+	var sc *tensor.Scratch
+	if err == nil {
+		sc = tensor.GetScratch(pay.Header.Len)
+		pay.decodeInto(sc.Data, base)
+	}
 	dq.SetErr(err)
 	dq.End()
 	if err != nil {
 		return nil, err
 	}
+	queued := false
+	defer func() {
+		if !queued {
+			tensor.PutScratch(sc)
+		}
+	}()
 	// The lock-wait span isolates time queued on s.mu from time doing
 	// aggregation work under it — the distinction histograms cannot make.
 	lw := s.reqSpan(req, ps, "srv.lock_wait")
@@ -508,9 +514,9 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 		return &Response{OK: true, Deduped: true}, nil
 	}
 	// The update's sub-model is a view of the decoded vector, which nothing
-	// else holds (DecodeVec allocated it for this request). It is built under
-	// the lock because it copies the cloud's module states.
-	sub, err := s.Model.SubModelOver(req.Active, vec)
+	// else holds. It is built under the lock because it copies the cloud's
+	// module states.
+	sub, err := s.Model.SubModelOver(req.Active, sc.Data)
 	if err != nil {
 		return nil, err
 	}
@@ -519,16 +525,27 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 		s.devices[req.DeviceID] = rec
 	}
 	s.pending = append(s.pending, &modular.Update{Sub: sub, Importance: req.Importance, Weight: req.Weight})
+	s.pendingVecs = append(s.pendingVecs, sc)
+	queued = true
 	s.metrics.updatesReceived.Inc()
 	if len(s.pending) >= s.AggregateEvery {
 		ag := s.reqSpan(req, ps, "srv.aggregate")
-		s.Model.AggregateModuleWise(s.pending)
+		s.aggregatePending()
 		ag.End()
-		s.pending = nil
-		s.metrics.aggregations.Inc()
 		s.logf("aggregated round %d", int64(s.metrics.aggregations.Value()))
 	}
 	return &Response{OK: true}, nil
+}
+
+// aggregatePending folds the queued updates into the model and returns the
+// arrays they were views of. The caller holds s.mu.
+func (s *Server) aggregatePending() {
+	s.Model.AggregateModuleWise(s.pending)
+	for _, sc := range s.pendingVecs {
+		tensor.PutScratch(sc)
+	}
+	s.pending, s.pendingVecs = nil, nil
+	s.metrics.aggregations.Inc()
 }
 
 // checkUpdate rejects a push whose importance or weight aggregation cannot
@@ -561,9 +578,7 @@ func (s *Server) FlushAggregation() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.pending) > 0 {
-		s.Model.AggregateModuleWise(s.pending)
-		s.pending = nil
-		s.metrics.aggregations.Inc()
+		s.aggregatePending()
 	}
 }
 

@@ -2,8 +2,8 @@ package edgenet
 
 // Wire-format v2 (docs/PROTOCOL.md "Wire format v2"): sub-model parameter
 // payloads travel as a compact header in the request/response envelope plus a
-// stream of per-chunk quantized frames, instead of a whole []float32 (or
-// []Quantized8) gob field. The codec is pure and deterministic — every
+// stream of per-chunk quantized frames (flat bytes, protocol.go), instead of a
+// whole []float32 gob field. The codec is pure and deterministic — every
 // rounding decision is a fixed rule, never platform- or schedule-dependent —
 // so the simulation (internal/fed) and the real wire share it, and delta
 // references stay bit-identical on both ends of a link.
@@ -31,10 +31,15 @@ import (
 	"repro/internal/nn"
 )
 
-// ProtoV2 is the protocol version both peers speak: chunk-streamed,
-// delta-encoded, quantized payloads. It travels on Hello only, where each end
-// checks that the other names the same number.
-const ProtoV2 = 2
+// ProtoVersion is the protocol version both peers speak: chunk-streamed,
+// delta-encoded, quantized payloads whose chunk frames are flat bytes (version
+// 2 carried each frame as a gob struct). It travels on Hello only, where each
+// end checks that the other names the same number.
+const ProtoVersion = 3
+
+// maxChunk is the most elements a chunk the codec cuts holds, and the most a
+// receiver accepts in a sparse one: a sparse offset is a uint16.
+const maxChunk = 1 << 16
 
 // WireOpts configures the v2 payload codec.
 type WireOpts struct {
@@ -52,14 +57,17 @@ type WireOpts struct {
 }
 
 func (o WireOpts) chunkSize() int {
-	if o.Chunk <= 0 {
+	switch {
+	case o.Chunk <= 0:
 		return 1024
+	case o.Chunk > maxChunk:
+		return maxChunk
 	}
 	return o.Chunk
 }
 
 // WireHeader describes a v2 payload. It rides in the Request/Response
-// envelope; the chunk frames follow as separate gob messages.
+// envelope (gob); the chunk frames follow it on the stream as flat bytes.
 type WireHeader struct {
 	// Delta marks the codes as differences against the BaseVer reference.
 	Delta bool
@@ -79,22 +87,22 @@ type WireChunk struct {
 	// N is the dense element count this chunk reconstructs.
 	N int
 	// Sparse marks a top-k chunk: only the Idx offsets carry codes, the rest
-	// decode as "unchanged". An explicit flag rather than Idx != nil because
-	// gob drops empty slices in transit — a sparse chunk that kept zero
-	// coordinates must not arrive looking dense.
+	// decode as "unchanged". An explicit flag rather than Idx != nil: a sparse
+	// chunk that kept zero coordinates must not look dense.
 	Sparse bool
 	// Q8 holds int8 affine codes (dense: N codes; sparse: len(Idx) codes).
 	Q8 *nn.Quantized8
 	// F16 holds float16 codes when the payload was encoded with WireOpts.F16.
 	F16 []uint16
-	// Idx lists the in-chunk offsets the codes apply to (Sparse only).
+	// Idx lists the in-chunk offsets the codes apply to, ascending (Sparse
+	// only).
 	Idx []uint16
 }
 
-// wireBytes is the chunk's analytic wire size: what a compact binary framing
-// would spend, and what the simulation charges. 4 B chunk header, 8 B
-// quantization header + 1 B/code for int8, 2 B/code for float16, 2 B per
-// sparse offset.
+// wireBytes is the chunk's wire size: what the simulation charges, and what
+// its frame occupies on a real stream behind the frame's 4 B length prefix
+// (writeFrame). 4 B chunk header, 8 B quantization header + 1 B/code for int8,
+// 2 B/code for float16, 2 B per sparse offset.
 func (c *WireChunk) wireBytes() int64 {
 	n := int64(4)
 	if c.Q8 != nil {
@@ -133,6 +141,23 @@ func (p *WirePayload) WireBytes() int64 {
 // reconstruction of the previous exchange, not the raw values); DecodeVec on
 // the payload then reproduces one exact vector on both ends.
 func EncodeVec(vec, base []float32, opts WireOpts) *WirePayload {
+	return encode(vec, base, opts, nil)
+}
+
+// Exchange encodes vec for the wire — delta against base when base is
+// non-nil, full otherwise — and returns the payload together with the
+// reconstruction its receiver will decode. That reconstruction, not vec, is
+// the reference both ends of the link hold for the next exchange. It is
+// written chunk by chunk as the chunk is quantized, by the loop DecodeVec runs
+// on the far end (WireChunk.decodeInto), so the two cannot differ by a bit.
+func Exchange(vec, base []float32, opts WireOpts) (*WirePayload, []float32) {
+	recon := make([]float32, len(vec))
+	return encode(vec, base, opts, recon), recon
+}
+
+// encode is EncodeVec, and Exchange when recon (len(vec) elements) is there
+// to take the receiver's reconstruction.
+func encode(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
 	delta := base != nil && len(base) == len(vec)
 	chunk := opts.chunkSize()
 	nChunks := (len(vec) + chunk - 1) / chunk
@@ -151,18 +176,38 @@ func EncodeVec(vec, base []float32, opts WireOpts) *WirePayload {
 	}
 	for start := 0; start < len(vec); start += chunk {
 		end := min(start+chunk, len(vec))
-		win := vec[start:end]
+		var ref, out []float32
 		if delta {
-			// Re-sliced to one length so the loop carries no bounds check.
-			v, b := win, base[start:end]
-			win, b = diff[:len(v)], b[:len(v)]
-			for i, x := range v {
-				win[i] = x - b[i]
-			}
+			ref = base[start:end]
 		}
-		p.Chunks = append(p.Chunks, encodeChunk(win, cut, opts.F16))
+		if recon != nil {
+			out = recon[start:end]
+		}
+		p.Chunks = append(p.Chunks, exchangeChunk(vec[start:end], ref, diff, cut, opts.F16, out))
 	}
 	return p
+}
+
+// exchangeChunk is one chunk's whole walk, made while the chunk is in cache:
+// take the difference against ref (the same window of the reference; nil for
+// a full payload) into diff, quantize it, and — when recon is there to take
+// it — write what the receiver will reconstruct. A function of its own so the
+// difference loop keeps its index in a register (inside encode's loop the
+// compiler spills it every iteration, a sixth of EncodeVec's time).
+func exchangeChunk(vals, ref, diff []float32, cut *topKCut, f16 bool, recon []float32) WireChunk {
+	if ref != nil {
+		// Re-sliced to one length so the loop carries no bounds check.
+		diff, ref = diff[:len(vals)], ref[:len(vals)]
+		for i, x := range vals {
+			diff[i] = x - ref[i]
+		}
+		vals = diff
+	}
+	c := encodeChunk(vals, cut, f16)
+	if recon != nil {
+		c.decodeInto(recon, ref)
+	}
+	return c
 }
 
 // magKey is a coordinate's selection key: its IEEE-754 bit pattern with the
@@ -280,71 +325,106 @@ var errWire = errors.New("edgenet: malformed wire payload")
 // more than the reference it already holds (delta) or the codes it actually
 // sent (full).
 func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
+	if err := p.check(base); err != nil {
+		return nil, err
+	}
+	out := make([]float32, p.Header.Len)
+	p.decodeInto(out, base)
+	return out, nil
+}
+
+// check is DecodeVec's validation: nil means decodeInto can expand p against
+// base without indexing outside a chunk, the reference or the output.
+func (p *WirePayload) check(base []float32) error {
 	h := p.Header
 	if len(p.Chunks) != h.Chunks {
-		return nil, fmt.Errorf("%w: %d chunk frames, header says %d", errWire, len(p.Chunks), h.Chunks)
+		return fmt.Errorf("%w: %d chunk frames, header says %d", errWire, len(p.Chunks), h.Chunks)
 	}
 	if h.Delta && len(base) != h.Len {
-		return nil, fmt.Errorf("%w: delta of %d elements against reference of %d", errWire, h.Len, len(base))
+		return fmt.Errorf("%w: delta of %d elements against reference of %d", errWire, h.Len, len(base))
 	}
 	total := 0
 	for i := range p.Chunks {
 		c := &p.Chunks[i]
 		codes, err := c.codeCount()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if c.N < 0 || c.N > h.Len-total {
-			return nil, fmt.Errorf("%w: chunks overrun header length %d", errWire, h.Len)
+			return fmt.Errorf("%w: chunks overrun header length %d", errWire, h.Len)
 		}
 		total += c.N
 		if !c.Sparse {
 			if codes != c.N {
-				return nil, fmt.Errorf("%w: dense chunk carries %d codes for %d elements", errWire, codes, c.N)
+				return fmt.Errorf("%w: dense chunk carries %d codes for %d elements", errWire, codes, c.N)
 			}
 			continue
 		}
 		if !h.Delta {
-			return nil, fmt.Errorf("%w: sparse chunk in a full payload", errWire)
+			return fmt.Errorf("%w: sparse chunk in a full payload", errWire)
+		}
+		if c.N > maxChunk {
+			return fmt.Errorf("%w: sparse chunk of %d elements, offsets address %d", errWire, c.N, maxChunk)
 		}
 		if codes != len(c.Idx) {
-			return nil, fmt.Errorf("%w: sparse chunk carries %d codes for %d offsets", errWire, codes, len(c.Idx))
+			return fmt.Errorf("%w: sparse chunk carries %d codes for %d offsets", errWire, codes, len(c.Idx))
 		}
-		for _, off := range c.Idx {
-			if int(off) >= c.N {
-				return nil, fmt.Errorf("%w: sparse offset %d outside chunk of %d", errWire, off, c.N)
+		// Ascending, so no coordinate is written twice and decoding onto the
+		// reference's own array equals decoding beside it.
+		for j, off := range c.Idx {
+			if int(off) >= c.N || (j > 0 && off <= c.Idx[j-1]) {
+				return fmt.Errorf("%w: sparse offset %d out of order or outside chunk of %d", errWire, off, c.N)
 			}
 		}
 	}
 	if total != h.Len {
-		return nil, fmt.Errorf("%w: chunks reconstruct %d of %d elements", errWire, total, h.Len)
+		return fmt.Errorf("%w: chunks reconstruct %d of %d elements", errWire, total, h.Len)
 	}
+	return nil
+}
 
-	out := make([]float32, h.Len)
+// decodeInto expands p, which check accepted against base, into dst
+// (Header.Len elements). dst may be base's own array: every element is
+// written from the reference value at its own index only.
+func (p *WirePayload) decodeInto(dst, base []float32) {
 	start := 0
 	for i := range p.Chunks {
 		c := &p.Chunks[i]
-		win := out[start : start+c.N]
-		switch {
-		case c.Sparse:
-			// Unchanged coordinates keep the reference value (delta 0).
-			ref := base[start : start+c.N]
-			copy(win, ref)
-			for j, off := range c.Idx {
-				win[off] = ref[off] + c.code(j)
-			}
-		case h.Delta:
-			c.decodeInto(win)
-			ref := base[start : start+c.N]
-			for j, b := range ref[:len(win)] {
-				win[j] = b + win[j]
-			}
-		default:
-			c.decodeInto(win)
+		var ref []float32
+		if p.Header.Delta {
+			ref = base[start : start+c.N]
 		}
+		c.decodeInto(dst[start:start+c.N], ref)
 		start += c.N
 	}
-	return out, nil
+}
+
+// decodeInto writes the N elements the chunk reconstructs into win: its codes
+// expanded, and added to ref, the same window of the reference, when the
+// payload is a delta (ref is nil for a full one). This is the one loop that
+// turns codes into values — the receiver's, and the sender's when it computes
+// what the receiver will hold — and every sum and product in it is rounded to
+// float32 on its own (see nn.Quantized8.DequantizeInto).
+func (c *WireChunk) decodeInto(win, ref []float32) {
+	switch {
+	case c.Sparse:
+		// Unchanged coordinates keep the reference value (delta 0).
+		copy(win, ref)
+		for j, off := range c.Idx {
+			win[off] = ref[off] + c.code(j)
+		}
+	case c.Q8 != nil && ref != nil:
+		c.Q8.AddInto(win, ref)
+	case c.Q8 != nil:
+		c.Q8.DequantizeInto(win)
+	case ref != nil:
+		ref = ref[:len(c.F16)]
+		for j, h := range c.F16 {
+			win[j] = ref[j] + nn.F16ToF32(h)
+		}
+	default:
+		nn.DequantizeF16Into(win, c.F16)
+	}
 }
 
 // fullBackboneLen is the length of the backbone vector of a sub-model that
@@ -359,54 +439,16 @@ func fullBackboneLen(m *modular.Model) int {
 	return n
 }
 
-// recvPayload assembles the payload header h announced from h.Chunks frames.
-// recvFrame receives one frame and is where the caller re-arms its read
-// deadline, so a timeout bounds one stalled frame, not the whole payload.
-// The header is the peer's word, so nothing is sized from it until it is
-// plausible for this receiver: every chunk reconstructs at least one element,
-// and no vector is longer than maxLen, the receiver's own full backbone. A
-// rejected header leaves its frames unread on the stream, so like a failed
-// frame it ends the connection.
-func recvPayload(h *WireHeader, maxLen int, recvFrame func(*WireChunk) error) (*WirePayload, error) {
-	if h.Len < 0 || h.Len > maxLen || h.Chunks < 0 || h.Chunks > h.Len {
-		return nil, fmt.Errorf("edgenet: payload header announces %d chunks for %d elements, this peer's model holds %d",
-			h.Chunks, h.Len, maxLen)
-	}
-	p := &WirePayload{Header: *h, Chunks: make([]WireChunk, h.Chunks)}
-	for i := range p.Chunks {
-		if err := recvFrame(&p.Chunks[i]); err != nil {
-			return nil, fmt.Errorf("edgenet: recv chunk %d/%d: %w", i+1, h.Chunks, err)
-		}
-	}
-	return p, nil
-}
-
 // codeCount checks that the chunk carries one kind of codes and returns how
-// many.
+// many (none at all is a count of 0).
 func (c *WireChunk) codeCount() (int, error) {
-	switch {
-	case c.Q8 != nil && c.F16 != nil:
-		return 0, fmt.Errorf("%w: chunk carries both int8 and float16 codes", errWire)
-	case c.Q8 != nil:
-		return len(c.Q8.Codes), nil
-	case c.F16 != nil:
-		return len(c.F16), nil
-	case c.N == 0, c.Sparse && len(c.Idx) == 0:
-		// Nothing kept — gob strips the resulting empty code slices, so an
-		// all-below-threshold sparse chunk legitimately arrives bare.
-		return 0, nil
-	default:
-		return 0, fmt.Errorf("%w: chunk carries no codes", errWire)
-	}
-}
-
-// decodeInto expands all of the chunk's codes into dst (one element each).
-func (c *WireChunk) decodeInto(dst []float32) {
 	if c.Q8 != nil {
-		c.Q8.DequantizeInto(dst)
-	} else {
-		nn.DequantizeF16Into(dst, c.F16)
+		if c.F16 != nil {
+			return 0, fmt.Errorf("%w: chunk carries both int8 and float16 codes", errWire)
+		}
+		return len(c.Q8.Codes), nil
 	}
+	return len(c.F16), nil
 }
 
 // code expands the chunk's j-th code.
@@ -415,21 +457,6 @@ func (c *WireChunk) code(j int) float32 {
 		return c.Q8.At(j)
 	}
 	return nn.F16ToF32(c.F16[j])
-}
-
-// Exchange encodes vec for the wire — delta against base when base is
-// non-nil, full otherwise — and returns the payload together with the
-// reconstruction its receiver will decode. That reconstruction, not vec, is
-// the reference both ends of the link hold for the next exchange.
-func Exchange(vec, base []float32, opts WireOpts) (*WirePayload, []float32) {
-	p := EncodeVec(vec, base, opts)
-	recon, err := DecodeVec(p, base)
-	if err != nil {
-		// Invariant: DecodeVec accepts every payload EncodeVec builds when
-		// handed the base it was built against.
-		panic(fmt.Sprintf("edgenet: codec rejected its own payload: %v", err))
-	}
-	return p, recon
 }
 
 // MappingEqual reports whether two per-layer active-module index sets are
@@ -453,9 +480,10 @@ func MappingEqual(a, b [][]int) bool {
 
 // WireRef is one peer's delta-coding reference for a device: the bit-exact
 // reconstruction of the last v2 exchange, its version, and the sub-model
-// structure it belongs to. The server keeps one per DeviceID; the client
-// keeps its own. References are immutable once created — concurrent readers
-// share them safely.
+// structure it belongs to. The server keeps one per DeviceID, immutable once
+// stored and replaced wholesale — concurrent handlers share it safely. The
+// client keeps its own, is its only reader, and decodes the next delta fetch
+// onto its Vec in place.
 type WireRef struct {
 	Version uint64
 	Mapping [][]int

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -677,6 +678,19 @@ func malformedPayloads() []malformedPayload {
 	return out
 }
 
+// unreadable is the stream behind a header recvPayload must reject unread.
+type unreadable struct {
+	t    *testing.T
+	name string
+}
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.t.Fatalf("%s: recvPayload read a frame on the header's word", u.name)
+	return 0, io.EOF
+}
+
+func (u unreadable) Write(p []byte) (int, error) { return len(p), nil }
+
 func TestDecodeVecRejectsMalformed(t *testing.T) {
 	for _, m := range malformedPayloads() {
 		if _, err := DecodeVec(m.p, m.base); err == nil {
@@ -685,12 +699,10 @@ func TestDecodeVecRejectsMalformed(t *testing.T) {
 		if !m.header {
 			continue
 		}
+		codec := NewCodec(unreadable{t, m.name})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := recvPayload(&m.p.Header, malformedVecLen, func(*WireChunk) error {
-			t.Fatalf("%s: recvPayload read a frame on the header's word", m.name)
-			return nil
-		})
+		_, err := codec.RecvPayload(&m.p.Header, malformedVecLen)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("%s: recvPayload accepted the header", m.name)
@@ -704,8 +716,9 @@ func TestDecodeVecRejectsMalformed(t *testing.T) {
 	}
 }
 
-// fuzzedPayload is FuzzDecodeVec's input as it crosses the fuzzer: gob, the
-// framing payloads cross the real wire in.
+// fuzzedPayload is FuzzDecodeVec's input as it crosses the fuzzer: gob, which
+// can carry every chunk a peer's memory can hold, the ones the flat frame
+// cannot express (FuzzChunkFrame covers that layer) included.
 type fuzzedPayload struct {
 	P WirePayload
 }

@@ -2,7 +2,6 @@ package fed
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"net"
@@ -32,23 +31,22 @@ func (w *wireTap) Write(p []byte) (int, error) {
 	return w.Conn.Write(p)
 }
 
-// tappedPayload decodes the next protocol message from one direction of the
-// tap — env is its envelope, header picks the payload header out of it — and
-// returns the payload that followed.
-func tappedPayload(t *testing.T, dec *gob.Decoder, env any, header func() *edgenet.WireHeader) *edgenet.WirePayload {
+// tappedPayload reads the next protocol message from one direction of the
+// tap with the transport's own codec — env is its envelope, header picks the
+// payload header out of it — and returns the payload that followed, valid
+// until the next one is read from that direction.
+func tappedPayload(t *testing.T, dec *edgenet.Codec, env any, header func() *edgenet.WireHeader) *edgenet.WirePayload {
 	t.Helper()
-	if err := dec.Decode(env); err != nil {
+	if err := dec.Recv(env); err != nil {
 		t.Fatal(err)
 	}
 	h := header()
 	if h == nil {
 		t.Fatalf("message carries no payload: %+v", env)
 	}
-	p := &edgenet.WirePayload{Header: *h, Chunks: make([]edgenet.WireChunk, h.Chunks)}
-	for i := range p.Chunks {
-		if err := dec.Decode(&p.Chunks[i]); err != nil {
-			t.Fatal(err)
-		}
+	p, err := dec.RecvPayload(h, h.Len)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return p
 }
@@ -114,13 +112,13 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 	if err := cl.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	downDec, upDec := gob.NewDecoder(&tap.down), gob.NewDecoder(&tap.up)
+	downDec, upDec := edgenet.NewCodec(&tap.down), edgenet.NewCodec(&tap.up)
 	var helloReq edgenet.Request
 	var helloResp edgenet.Response
-	if err := upDec.Decode(&helloReq); err != nil {
+	if err := upDec.Recv(&helloReq); err != nil {
 		t.Fatal(err)
 	}
-	if err := downDec.Decode(&helloResp); err != nil {
+	if err := downDec.Recv(&helloResp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,7 +175,7 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 		// gob leaves fields a message omits as they were: a fresh value each.
 		var fetchReq, pushReq edgenet.Request
 		var fetchResp, pushResp edgenet.Response
-		if err := upDec.Decode(&fetchReq); err != nil {
+		if err := upDec.Recv(&fetchReq); err != nil {
 			t.Fatal(err)
 		}
 		down := tappedPayload(t, downDec, &fetchResp, func() *edgenet.WireHeader { return fetchResp.Payload })
@@ -215,7 +213,7 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 		if err := cl.PushUpdate(sub, imp, weight); err != nil {
 			t.Fatal(err)
 		}
-		if err := downDec.Decode(&pushResp); err != nil {
+		if err := downDec.Recv(&pushResp); err != nil {
 			t.Fatal(err)
 		}
 		up := tappedPayload(t, upDec, &pushReq, func() *edgenet.WireHeader { return pushReq.Payload })

@@ -293,6 +293,10 @@ var cpuHeavySeeds = []struct{ pkgSuffix, fn, why string }{
 	{"internal/nn", "Quantize8", "CPU-heavy quantization"},
 	{"internal/edgenet", "EncodeVec", "CPU-heavy wire codec"},
 	{"internal/edgenet", "DecodeVec", "CPU-heavy wire codec"},
+	{"internal/edgenet", "Exchange", "CPU-heavy wire codec"},
+	{"internal/edgenet", "WirePayload.decodeInto", "CPU-heavy wire codec"},
+	{"internal/edgenet", "writeFrame", "chunk frame onto a stream"},
+	{"internal/edgenet", "readFrame", "chunk frame off a stream"},
 	{"internal/modular", "Model.Extract", "weight clone of the model"},
 }
 

@@ -88,16 +88,29 @@ func (q Quantized8) Dequantize8() []float32 {
 
 // DequantizeInto decodes into dst, which must hold len(q.Codes) elements —
 // for decoders that already own the destination (the wire codec writes
-// straight into its output vector).
+// straight into its output vector). The conversion rounds the product before
+// the sum: a platform that fuses multiply-adds would decode other bits, and
+// the two ends of a link must hold one reconstruction.
 func (q Quantized8) DequantizeInto(dst []float32) {
 	dst = dst[:len(q.Codes)]
 	for i, c := range q.Codes {
-		dst[i] = q.Min + q.Scale*float32(c)
+		dst[i] = q.Min + float32(q.Scale*float32(c))
+	}
+}
+
+// AddInto writes base[i] plus the i-th decoded value into dst[i] — a delta
+// payload's dequantize and its add to the reference in one pass, each
+// rounded to float32 as DequantizeInto followed by the add rounds them. dst
+// and base hold len(q.Codes) elements and may be the same array.
+func (q Quantized8) AddInto(dst, base []float32) {
+	dst, base = dst[:len(q.Codes)], base[:len(q.Codes)]
+	for i, c := range q.Codes {
+		dst[i] = base[i] + float32(q.Min+float32(q.Scale*float32(c)))
 	}
 }
 
 // At decodes element i alone.
-func (q Quantized8) At(i int) float32 { return q.Min + q.Scale*float32(q.Codes[i]) }
+func (q Quantized8) At(i int) float32 { return q.Min + float32(q.Scale*float32(q.Codes[i])) }
 
 // MaxError returns the worst-case reconstruction error (half a step).
 func (q Quantized8) MaxError() float32 { return q.Scale / 2 }
