@@ -13,10 +13,15 @@ vet:
 	$(GO) vet ./...
 
 # The portable paths: gemm_kernel_generic.go and every loop whose bits rest on
-# an explicit float32(a*b) are otherwise only ever compiled for amd64.
+# an explicit float32(a*b) are otherwise only ever compiled for amd64. No fused
+# multiply-add may appear in the arm64 listings of internal/edgenet and
+# nn/quantize.go (ci.sh has the same stage).
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
+	@fused=$$( { GOARCH=arm64 $(GO) build -gcflags=-S ./internal/edgenet 2>&1; \
+		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1 | grep 'nn/quantize\.go:'; } | grep -E 'FN?M(ADD|SUB)' || true); \
+		[ -z "$$fused" ] || { echo "fused multiply-add in the arm64 build: $$fused" >&2; exit 1; }
 
 # Formatting: gofmt must have nothing to say outside the linter's fixtures.
 fmt-check:

@@ -10,24 +10,25 @@ import (
 )
 
 // exchangeAllocBudget is TestExchangeAllocBudget's bound, in bytes allocated
-// per backbone byte exchanged: 2.8–2.9 measured, plus 15 %. It was 6.1 while
-// every decode allocated its output and gob allocated every chunk's codes
-// twice, and 13.3 when the server and the client still cloned a trainable
-// sub-model per call.
-const exchangeAllocBudget = 3.3
+// per backbone byte exchanged: 1.19–1.22 measured, plus 15 %. It was 3.3
+// while the server allocated every new reference and both senders every
+// chunk's codes, 6.1 while every decode allocated its output and gob
+// allocated every chunk's codes twice, and 13.3 when the server and the
+// client still cloned a trainable sub-model per call.
+const exchangeAllocBudget = 1.4
 
 // TestExchangeAllocBudget bounds what one steady-state fetch + push exchange
 // allocates, both ends and the transport between them included, as a multiple
-// of the backbone bytes it moves. Two vectors are allocated per exchange —
-// the server's new reference for the device, and the copy the device trains
-// in — and the int8 codes the two senders build, a quarter of a vector each:
-// two and a half vector sizes, and the envelopes and the sub-model's own
-// structure on top. The three decodes allocate nothing: the client lands a
-// delta fetch on its reference's own array, the server's push decode borrows
-// from the arena, the sender's reconstruction is the reference it has to
-// allocate anyway, and received frames live in buffers the codec keeps. One
-// more vector anywhere on the path is +1.0 and trips this; cloning a
-// trainable sub-model — weights plus gradient accumulators — is +2.0.
+// of the backbone bytes it moves. One vector is allocated per exchange — the
+// copy the device trains in, which has a second reader — and the envelopes and
+// the sub-model's own structure come on top (≈ 0.2). Nothing else the size of
+// the vector is: the server's new reference for the device lives in an arena
+// array the reference it replaced handed back, each sender builds its codes
+// and chunk table in arrays it keeps, the client lands a delta fetch on its
+// reference's own array, the server's push decode borrows from the arena, and
+// received frames live in buffers the codec keeps. One more vector anywhere on
+// the path is +1.0 and one sender's int8 codes +0.25, and either trips this;
+// cloning a trainable sub-model — weights plus gradient accumulators — is +2.0.
 func TestExchangeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are the race detector's under -race")

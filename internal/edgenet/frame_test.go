@@ -101,20 +101,26 @@ func codecTable(visit func(name string, vec, base []float32, opts WireOpts)) {
 // Exchange builds is EncodeVec's, field for field, and the reconstruction it
 // writes while quantizing is what DecodeVec makes of that payload — beside the
 // reference or on top of it — before and after the payload crosses a stream
-// as flat frames.
+// as flat frames. A sender's encoder, reused across the whole table as a
+// connection reuses it, builds that payload too.
 func TestExchangeMatchesEncodeThenDecode(t *testing.T) {
+	var reused encoder
 	codecTable(func(name string, vec, base []float32, opts WireOpts) {
 		want := EncodeVec(vec, base, opts)
 		wantVec, err := DecodeVec(want, base)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, gotVec := Exchange(vec, base, opts)
+		gotVec := make([]float32, len(vec))
+		got := Exchange(vec, base, opts, gotVec)
 		if !slices.Equal(payloadBits(got), payloadBits(want)) || got.WireBytes() != want.WireBytes() {
 			t.Fatalf("%s: Exchange built another payload than EncodeVec", name)
 		}
 		if !sameBits(gotVec, wantVec) {
 			t.Fatalf("%s: Exchange reconstructed other bits than DecodeVec", name)
+		}
+		if !slices.Equal(payloadBits(reused.encode(vec, base, opts, nil)), payloadBits(want)) {
+			t.Fatalf("%s: a reused encoder built another payload than EncodeVec", name)
 		}
 
 		far, raw := overFrames(t, want)

@@ -54,6 +54,11 @@ type serverMetrics struct {
 	wireFull, wireDelta, wireFallbacks *obs.Counter
 	wireRatio                          *obs.Histogram
 
+	// Delta-coding references: the bytes of the arena arrays they hold (a
+	// replaced one a handler still reads included), and the arrays handed back.
+	refBytes     *obs.Gauge
+	refsRecycled *obs.Counter
+
 	rpcSeconds         map[MsgKind]*obs.Histogram
 	reqBytes, rspBytes map[MsgKind]*obs.Histogram
 }
@@ -69,6 +74,8 @@ func newServerMetrics() *serverMetrics {
 	r.Help("nebula_edgenet_server_payload_bytes", "Wire size of one request (dir=in) or response (dir=out), by kind.")
 	r.Help("nebula_edgenet_server_wire_total", "Wire-format v2 payload encodings: full, delta, or delta rejected for a stale base (fallback).")
 	r.Help("nebula_edgenet_server_wire_compression_ratio", "Raw float32 bytes divided by v2 payload wire bytes, per encoded payload.")
+	r.Help("nebula_edgenet_server_wire_ref_bytes", "Bytes of arena arrays the per-device delta-coding references hold.")
+	r.Help("nebula_edgenet_server_wire_refs_recycled_total", "Replaced delta-coding references whose arrays went back to the arena once their last reader was done.")
 	m := &serverMetrics{
 		reg:             r,
 		bytesIn:         r.Counter("nebula_edgenet_server_traffic_bytes_total", "dir", "in"),
@@ -85,6 +92,8 @@ func newServerMetrics() *serverMetrics {
 		wireDelta:       r.Counter("nebula_edgenet_server_wire_total", "encoding", "delta"),
 		wireFallbacks:   r.Counter("nebula_edgenet_server_wire_total", "encoding", "fallback"),
 		wireRatio:       r.Histogram("nebula_edgenet_server_wire_compression_ratio", obs.ExpBuckets(1, 1.5, 12)),
+		refBytes:        r.Gauge("nebula_edgenet_server_wire_ref_bytes"),
+		refsRecycled:    r.Counter("nebula_edgenet_server_wire_refs_recycled_total"),
 		rpcSeconds:      map[MsgKind]*obs.Histogram{},
 		reqBytes:        map[MsgKind]*obs.Histogram{},
 		rspBytes:        map[MsgKind]*obs.Histogram{},

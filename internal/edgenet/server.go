@@ -88,9 +88,61 @@ type deviceRecord struct {
 	// seq is the highest applied PushUpdate Seq (at-most-once application).
 	seq int64
 	// ref is the delta-coding reference: the bit-exact reconstruction of the
-	// last sub-model served to the device. A WireRef is immutable once stored
-	// (replaced wholesale), so handlers may read its Vec outside s.mu.
-	ref *WireRef
+	// last sub-model served to the device.
+	ref *serverRef
+}
+
+// serverRef is a device's delta-coding reference as the server holds it: the
+// vector lives in an array lent by the arena (tensor.Borrow), written once by
+// Exchange and never again. Handlers read the vector outside s.mu — a fetch
+// encodes against it, a push decodes against it — and a retry on a new
+// connection can race the request it repeats, so a reference its record has
+// replaced may still be read. holds counts the record and the handlers reading
+// the vector; the array goes back to the arena when the last of them lets go.
+// holds is s.mu's.
+type serverRef struct {
+	WireRef
+	buf   *tensor.Tensor
+	holds int
+}
+
+// readRef returns the device's reference when a payload for a sub-model of
+// structure mapping may be coded against version ver of it (WireRef.Base),
+// held for the caller until it calls letGo; nil when there is none — code or
+// ask for a full payload. The caller holds s.mu.
+func (s *Server) readRef(device int, ver uint64, mapping [][]int) *serverRef {
+	r := s.devices[device].ref
+	if r == nil || r.Version != ver || r.Base(mapping) == nil {
+		return nil
+	}
+	r.holds++
+	return r
+}
+
+// setRef installs r as the device's reference and lets go of the one it
+// replaces. The caller holds s.mu.
+func (s *Server) setRef(device int, r *serverRef) {
+	rec := s.devices[device]
+	s.letGo(rec.ref)
+	r.holds = 1
+	rec.ref = r
+	s.devices[device] = rec
+	s.metrics.refBytes.Add(float64(4 * cap(r.buf.Data)))
+}
+
+// letGo drops one hold on r (nil is a no-op) and returns its array to the
+// arena when that was the last. The caller holds s.mu.
+func (s *Server) letGo(r *serverRef) {
+	if r == nil {
+		return
+	}
+	if r.holds--; r.holds > 0 {
+		return
+	}
+	s.metrics.refBytes.Add(-float64(4 * cap(r.buf.Data)))
+	s.metrics.refsRecycled.Inc()
+	tensor.Release(r.buf)
+	r.Vec, r.buf = nil, nil
 }
 
 // reqSpan opens a server-side span in the distributed-trace context carried
@@ -244,6 +296,9 @@ func (s *Server) ServeConn(rw interface {
 	// prevIn/prevOut checkpoint the codec's traffic so each request and
 	// response wire size can be observed individually.
 	var prevIn, prevOut int64
+	// The downlink payloads this connection sends are built here, each in the
+	// arrays of the last: one is written out before the next request is read.
+	var enc encoder
 	for {
 		armRead()
 		var req Request
@@ -281,7 +336,7 @@ func (s *Server) ServeConn(rw interface {
 		if req.Attempt > 0 {
 			s.metrics.retries.Inc()
 		}
-		resp, outPay := s.handle(&req, inPay, hs.ID())
+		resp, outPay := s.handle(&req, inPay, &enc, hs.ID())
 		// Echo the trace so the client can confirm context propagation
 		// (interop tests); untraced peers never see the field (gob drops zeros).
 		resp.TraceID = req.TraceID
@@ -322,9 +377,9 @@ func (s *Server) noteConnError(op string, err error) {
 }
 
 // handle dispatches one request. A non-nil second return is the chunk
-// stream ServeConn writes after the response envelope. ps is the handler
-// span phase spans parent under (0 when the request is untraced).
-func (s *Server) handle(req *Request, pay *WirePayload, ps span.SpanID) (*Response, *WirePayload) {
+// stream ServeConn writes after the response envelope, built in enc. ps is
+// the handler span phase spans parent under (0 when the request is untraced).
+func (s *Server) handle(req *Request, pay *WirePayload, enc *encoder, ps span.SpanID) (*Response, *WirePayload) {
 	switch req.Kind {
 	case KindHello:
 		if req.Proto != ProtoVersion {
@@ -337,7 +392,7 @@ func (s *Server) handle(req *Request, pay *WirePayload, ps span.SpanID) (*Respon
 		return &Response{OK: true, Selector: vec, Proto: ProtoVersion}, nil
 
 	case KindGetSubModel:
-		resp, out, err := s.serveSubModel(req, ps)
+		resp, out, err := s.serveSubModel(req, enc, ps)
 		if err != nil {
 			return &Response{Error: err.Error()}, nil
 		}
@@ -361,7 +416,7 @@ func (s *Server) handle(req *Request, pay *WirePayload, ps span.SpanID) (*Respon
 	}
 }
 
-func (s *Server) serveSubModel(req *Request, ps span.SpanID) (resp *Response, out *WirePayload, err error) {
+func (s *Server) serveSubModel(req *Request, enc *encoder, ps span.SpanID) (resp *Response, out *WirePayload, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp, out, err = nil, nil, fmt.Errorf("malformed request: %v", r)
@@ -398,42 +453,43 @@ func (s *Server) serveSubModel(req *Request, ps span.SpanID) (resp *Response, ou
 		s.Logf("device %d sub-model: %d modules, %d B", req.DeviceID, modules, 4*len(vec))
 	}
 	es := s.reqSpan(req, ps, "srv.encode")
-	out = s.encodeServe(req, active, vec)
+	out = s.encodeServe(req, active, vec, enc)
 	es.End()
 	return &Response{OK: true, Active: active, Payload: &out.Header}, out, nil
 }
 
-// encodeServe builds the downlink payload for one sub-model serve: delta
-// against the device's cached reference when the client still holds the same
-// version and the mapping is structurally unchanged, full otherwise. It also
-// advances the cache — the new reference is the *reconstruction* the client
-// will decode, so both ends stay bit-identical.
-func (s *Server) encodeServe(req *Request, active [][]int, vec []float32) *WirePayload {
-	var base []float32
+// encodeServe builds the downlink payload for one sub-model serve in enc:
+// delta against the device's cached reference when the client still holds the
+// same version and the mapping is structurally unchanged, full otherwise. It
+// also advances the cache — the new reference is the *reconstruction* the
+// client will decode, so both ends stay bit-identical.
+func (s *Server) encodeServe(req *Request, active [][]int, vec []float32, enc *encoder) *WirePayload {
 	s.mu.Lock()
-	ref := s.devices[req.DeviceID].ref
-	if ref != nil && req.HaveVer == ref.Version {
-		base = ref.Base(active)
-	}
+	old := s.readRef(req.DeviceID, req.HaveVer, active)
 	s.wireVer++
 	ver := s.wireVer
 	s.mu.Unlock()
+	var base []float32
+	if old != nil {
+		base = old.Vec
+	}
 
 	// Quantization and reconstruction — one walk over the vector — are CPU
-	// work on private data: outside the lock, like the rest of this handler.
-	p, recon := Exchange(vec, base, WireOpts{}) // downlink stays dense: every coordinate is authoritative
+	// work on private data and on a reference counted as read: outside the
+	// lock, like the rest of this handler.
+	buf := tensor.Borrow(len(vec))
+	p := enc.encode(vec, base, WireOpts{}, buf.Data) // downlink stays dense: every coordinate is authoritative
 	p.Header.Version = ver
 	if p.Header.Delta {
-		p.Header.BaseVer = ref.Version
+		p.Header.BaseVer = old.Version
 		s.metrics.wireDelta.Inc()
 	} else {
 		s.metrics.wireFull.Inc()
 	}
 	s.metrics.wireRatio.Observe(float64(int64(len(vec))*4) / float64(p.WireBytes()))
 	s.mu.Lock()
-	rec := s.devices[req.DeviceID]
-	rec.ref = &WireRef{Version: ver, Mapping: active, Vec: recon}
-	s.devices[req.DeviceID] = rec
+	s.letGo(old)
+	s.setRef(req.DeviceID, &serverRef{WireRef: WireRef{Version: ver, Mapping: active, Vec: buf.Data}, buf: buf})
 	s.mu.Unlock()
 	return p
 }
@@ -457,15 +513,13 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 	// happens before the lock: one large quantized update must not stall
 	// every other device behind s.mu (same shape as serveSubModel, which
 	// quantizes the response after releasing the lock).
+	var ref *serverRef
 	var base []float32
 	if pay.Header.Delta {
 		s.mu.Lock()
-		ref := s.devices[req.DeviceID].ref
+		ref = s.readRef(req.DeviceID, pay.Header.BaseVer, req.Active)
 		s.mu.Unlock()
-		if ref != nil && ref.Version == pay.Header.BaseVer {
-			base = ref.Base(req.Active)
-		}
-		if base == nil {
+		if ref == nil {
 			// The reference this delta was coded against is gone (server
 			// restart, mapping drift). Not a failure of the update —
 			// ask the client to resend it whole.
@@ -473,6 +527,7 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 			s.logf("device %d delta push against unknown base %d; requesting full", req.DeviceID, pay.Header.BaseVer)
 			return &Response{Error: "stale wire reference; resend full payload", NeedFull: true}, nil
 		}
+		base = ref.Vec
 		s.metrics.wireDelta.Inc()
 	} else {
 		s.metrics.wireFull.Inc()
@@ -489,9 +544,6 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 	}
 	dq.SetErr(err)
 	dq.End()
-	if err != nil {
-		return nil, err
-	}
 	queued := false
 	defer func() {
 		if !queued {
@@ -504,6 +556,10 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 	s.mu.Lock()
 	lw.End()
 	defer s.mu.Unlock()
+	s.letGo(ref) // the decode was this handler's last read of the reference
+	if err != nil {
+		return nil, err
+	}
 	// At-most-once application: a retried PushUpdate carries the Seq of the
 	// original. If that Seq was already applied, the first attempt succeeded
 	// but its response was lost — acknowledge without re-aggregating.

@@ -141,40 +141,79 @@ func (p *WirePayload) WireBytes() int64 {
 // reconstruction of the previous exchange, not the raw values); DecodeVec on
 // the payload then reproduces one exact vector on both ends.
 func EncodeVec(vec, base []float32, opts WireOpts) *WirePayload {
-	return encode(vec, base, opts, nil)
+	return new(encoder).encode(vec, base, opts, nil)
 }
 
 // Exchange encodes vec for the wire — delta against base when base is
-// non-nil, full otherwise — and returns the payload together with the
+// non-nil, full otherwise — and writes into recon (len(vec) elements) the
 // reconstruction its receiver will decode. That reconstruction, not vec, is
 // the reference both ends of the link hold for the next exchange. It is
 // written chunk by chunk as the chunk is quantized, by the loop DecodeVec runs
 // on the far end (WireChunk.decodeInto), so the two cannot differ by a bit.
-func Exchange(vec, base []float32, opts WireOpts) (*WirePayload, []float32) {
-	recon := make([]float32, len(vec))
-	return encode(vec, base, opts, recon), recon
+// The caller owns recon's array: the server lends it from the arena and
+// returns it when the reference is done with, the simulator allocates it.
+func Exchange(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
+	return new(encoder).encode(vec, base, opts, recon[:len(vec)])
+}
+
+// encoder holds the arrays a sender builds payloads in: the chunk table and
+// its int8 quantization headers, the codes and sparse offsets of all the
+// chunks (one array of each, which the chunks are windows of), the
+// difference window and the top-k boundary. A payload lives until its encoder
+// builds the next one. On the wire a payload is dead once sendMessage has
+// written it, so each sender owns one encoder and reuses its arrays from
+// payload to payload, growing them only for a longer vector: a connection's
+// handler loop on the server, the EdgeClient for its pushes. EncodeVec and
+// Exchange build in a fresh one, sized to the payload, which the caller keeps.
+type encoder struct {
+	pay   WirePayload
+	q8    []nn.Quantized8
+	codes []byte
+	f16   []uint16
+	idx   []uint16
+	diff  []float32
+	cut   topKCut
+	next  int // codes of the payload under construction handed out so far
+}
+
+// fit returns s with length n, reallocated only when its capacity is short.
+// The elements are unspecified.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // encode is EncodeVec, and Exchange when recon (len(vec) elements) is there
 // to take the receiver's reconstruction.
-func encode(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
+func (e *encoder) encode(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
 	delta := base != nil && len(base) == len(vec)
 	chunk := opts.chunkSize()
 	nChunks := (len(vec) + chunk - 1) / chunk
-	p := &WirePayload{
-		Header: WireHeader{Delta: delta, Len: len(vec), Chunks: nChunks},
-		Chunks: make([]WireChunk, 0, nChunks),
-	}
-
 	var cut *topKCut
-	var diff []float32 // one chunk of vec − base at a time; never the whole delta
+	nCodes := len(vec) // the codes the payload carries: one an element unless sparse
 	if delta {
-		diff = make([]float32, min(chunk, len(vec)))
+		e.diff = fit(e.diff, min(chunk, len(vec)))
 		if opts.TopK > 0 && opts.TopK < 1 {
-			cut = selectTopK(vec, base, opts.TopK, len(diff))
+			if k := e.cut.selectTopK(vec, base, opts.TopK); k < len(vec) {
+				cut, nCodes = &e.cut, k
+			}
 		}
 	}
-	for start := 0; start < len(vec); start += chunk {
+	p := &e.pay
+	p.Header = WireHeader{Delta: delta, Len: len(vec), Chunks: nChunks}
+	p.Chunks = fit(p.Chunks, nChunks)
+	if opts.F16 {
+		e.f16 = fit(e.f16, nCodes)
+	} else {
+		e.codes, e.q8 = fit(e.codes, nCodes), fit(e.q8, nChunks)
+	}
+	if cut != nil {
+		e.idx = fit(e.idx, nCodes)
+	}
+	e.next = 0
+	for i, start := 0, 0; start < len(vec); i, start = i+1, start+chunk {
 		end := min(start+chunk, len(vec))
 		var ref, out []float32
 		if delta {
@@ -183,31 +222,72 @@ func encode(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
 		if recon != nil {
 			out = recon[start:end]
 		}
-		p.Chunks = append(p.Chunks, exchangeChunk(vec[start:end], ref, diff, cut, opts.F16, out))
+		e.exchangeChunk(i, vec[start:end], ref, cut, opts.F16, out)
 	}
 	return p
 }
 
-// exchangeChunk is one chunk's whole walk, made while the chunk is in cache:
+// exchangeChunk is chunk i's whole walk, made while the chunk is in cache:
 // take the difference against ref (the same window of the reference; nil for
-// a full payload) into diff, quantize it, and — when recon is there to take
-// it — write what the receiver will reconstruct. A function of its own so the
-// difference loop keeps its index in a register (inside encode's loop the
-// compiler spills it every iteration, a sixth of EncodeVec's time).
-func exchangeChunk(vals, ref, diff []float32, cut *topKCut, f16 bool, recon []float32) WireChunk {
-	if ref != nil {
-		// Re-sliced to one length so the loop carries no bounds check.
-		diff, ref = diff[:len(vals)], ref[:len(vals)]
-		for i, x := range vals {
-			diff[i] = x - ref[i]
+// a full payload) into the difference window, finding its range on the way,
+// quantize it — only the coordinates inside the top-k boundary when cut is
+// set — into the encoder's next codes, and, when recon is there to take it,
+// write what the receiver will reconstruct.
+func (e *encoder) exchangeChunk(i int, vals, ref []float32, cut *topKCut, f16 bool, recon []float32) {
+	c := &e.pay.Chunks[i]
+	*c = WireChunk{N: len(vals)}
+	enc := vals
+	var lo, hi float32
+	switch {
+	case cut != nil:
+		c.Sparse = true
+		k := cut.gather(e.idx[e.next:], e.diff, vals, ref)
+		c.Idx, enc = e.idx[e.next:e.next+k:e.next+k], e.diff[:k]
+		if k > 0 && !f16 {
+			lo, hi = nn.Range(enc)
 		}
-		vals = diff
+	case ref != nil:
+		lo, hi = diffRange(e.diff, vals, ref)
+		enc = e.diff[:len(vals)]
+	case !f16:
+		lo, hi = nn.Range(vals)
 	}
-	c := encodeChunk(vals, cut, f16)
+	end := e.next + len(enc)
+	if f16 {
+		c.F16 = nn.QuantizeF16Into(e.f16[e.next:end:end], enc)
+	} else {
+		q := &e.q8[i]
+		*q = nn.Quantize8Range(e.codes[e.next:end:end], enc, lo, hi)
+		c.Q8 = q
+	}
+	e.next = end
 	if recon != nil {
 		c.decodeInto(recon, ref)
 	}
-	return c
+}
+
+// diffRange writes vals − ref into diff and returns the difference's range,
+// found in the same walk with nn.Range's comparisons in nn.Range's order (the
+// first difference starts both ends; comparing it with itself moves
+// neither). The loop runs in exchangeChunk, a call of its own, so it keeps its
+// index in a register: inside encode's chunk loop the compiler spilled it
+// every iteration, a sixth of EncodeVec's time.
+func diffRange(diff, vals, ref []float32) (lo, hi float32) {
+	// Re-sliced to one length so the loop carries no bounds check.
+	diff, ref = diff[:len(vals)], ref[:len(vals)]
+	lo = vals[0] - ref[0]
+	hi = lo
+	for i, x := range vals {
+		d := x - ref[i]
+		diff[i] = d
+		if d < lo {
+			lo = d
+		}
+		if d > hi {
+			hi = d
+		}
+	}
+	return lo, hi
 }
 
 // magKey is a coordinate's selection key: its IEEE-754 bit pattern with the
@@ -222,33 +302,30 @@ func magKey(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
 // topKCut is the top-k boundary under (magKey descending, index ascending):
 // the selection is every coordinate whose key exceeds thr, plus the first
 // ties coordinates, in index order, whose key equals it. That set is unique,
-// so the kept coordinates are a pure function of the values. encodeChunk
-// spends ties as it walks the chunks in index order.
+// so the kept coordinates are a pure function of the values. gather spends
+// ties as the encoder walks the chunks in index order.
 type topKCut struct {
 	thr  uint32
 	ties int
-
-	// Gather scratch for the sparse chunk encoder, reused across chunks.
-	idx  []uint16
-	vals []float32
 }
 
-// selectTopK finds the boundary that keeps the ⌈frac·n⌉ largest-magnitude
-// coordinates of the delta vec − base, or nil when that is all of them (dense
-// is strictly cheaper). Linear time: a most-significant-byte-first radix
-// select — each of the four passes histograms one key byte under the prefix
-// fixed so far and descends into the bucket that holds the k-th largest key.
-// The delta is recomputed per pass rather than stored: a subtraction is
-// cheaper than a second vector. scratch sizes the cut's gather buffers (the
-// largest chunk it will see).
-func selectTopK(vec, base []float32, frac float64, scratch int) *topKCut {
+// selectTopK sets t to the boundary that keeps the k = ⌈frac·n⌉
+// largest-magnitude coordinates of the delta vec − base and returns k, or n
+// when that is all of them (dense is strictly cheaper; t is then unset).
+// Linear time: a most-significant-byte-first radix select — each of the four
+// passes histograms one key byte under the prefix fixed so far and descends
+// into the bucket that holds the k-th largest key. The delta is recomputed per
+// pass rather than stored: a subtraction is cheaper than a second vector.
+func (t *topKCut) selectTopK(vec, base []float32, frac float64) int {
 	n := len(vec)
-	k := int(frac*float64(n) + 0.999999)
+	// The product is rounded before the add: a platform that fuses the two
+	// (arm64 does) would round once, and could keep another count.
+	k := int(float64(frac*float64(n)) + 0.999999)
 	if k < 1 {
 		k = 1
 	}
 	if k >= n {
-		return nil
+		return n
 	}
 	base = base[:n]
 	var prefix, mask uint32
@@ -268,15 +345,19 @@ func selectTopK(vec, base []float32, frac float64, scratch int) *topKCut {
 		mask |= 0xff << shift
 	}
 	// rank is now the boundary's rank among the coordinates that tie on it.
-	return &topKCut{thr: prefix, ties: rank, idx: make([]uint16, 0, scratch), vals: make([]float32, 0, scratch)}
+	t.thr, t.ties = prefix, rank
+	return k
 }
 
-// gather returns the in-chunk offsets and values of the window's kept
-// coordinates. The values alias the cut's scratch (quantization copies them
-// out); the offsets are the chunk's own.
-func (t *topKCut) gather(window []float32) ([]uint16, []float32) {
-	idx, vals := t.idx[:0], t.vals[:0]
-	for i, v := range window {
+// gather takes the differences vals − ref of one window and writes the kept
+// ones to the front of kept and their in-chunk offsets to the front of idx,
+// in index order, and returns how many it kept. Every key above the boundary
+// is kept and exactly k coordinates are in all, so idx and kept never fill.
+func (t *topKCut) gather(idx []uint16, kept, vals, ref []float32) int {
+	ref = ref[:len(vals)]
+	m := 0
+	for i, x := range vals {
+		v := x - ref[i]
 		key := magKey(v)
 		if key < t.thr {
 			continue
@@ -287,29 +368,10 @@ func (t *topKCut) gather(window []float32) ([]uint16, []float32) {
 			}
 			t.ties--
 		}
-		idx = append(idx, uint16(i))
-		vals = append(vals, v)
+		idx[m], kept[m] = uint16(i), v
+		m++
 	}
-	t.idx, t.vals = idx, vals
-	return append(make([]uint16, 0, len(idx)), idx...), vals
-}
-
-// encodeChunk quantizes one window: dense when cut is nil, else only the
-// coordinates inside the top-k boundary.
-func encodeChunk(vals []float32, cut *topKCut, f16 bool) WireChunk {
-	c := WireChunk{N: len(vals)}
-	enc := vals
-	if cut != nil {
-		c.Sparse = true
-		c.Idx, enc = cut.gather(vals)
-	}
-	if f16 {
-		c.F16 = nn.QuantizeF16(enc)
-	} else {
-		q := nn.Quantize8(enc)
-		c.Q8 = &q
-	}
-	return c
+	return m
 }
 
 // errWire wraps malformed-payload conditions; the transport survives, the
@@ -480,10 +542,10 @@ func MappingEqual(a, b [][]int) bool {
 
 // WireRef is one peer's delta-coding reference for a device: the bit-exact
 // reconstruction of the last v2 exchange, its version, and the sub-model
-// structure it belongs to. The server keeps one per DeviceID, immutable once
-// stored and replaced wholesale — concurrent handlers share it safely. The
-// client keeps its own, is its only reader, and decodes the next delta fetch
-// onto its Vec in place.
+// structure it belongs to. The server keeps one per DeviceID, replaced
+// wholesale, its Vec in an arena array that goes back once the reference is
+// replaced and its last reader is done (serverRef). The client keeps its own,
+// is its only reader, and decodes the next delta fetch onto its Vec in place.
 type WireRef struct {
 	Version uint64
 	Mapping [][]int

@@ -753,11 +753,12 @@ func FuzzDecodeVec(f *testing.F) {
 }
 
 // TestCodecAllocsPerChunk pins the codec's allocation shape: a top-k encode
-// makes six allocations per payload (payload, chunk table, one chunk's worth
-// of delta scratch, the selection boundary and its two gather buffers) plus
-// three per chunk (sparse offsets, codes, quantization header); a decode
-// makes one — the output — however many chunks it expands. Nothing the size
-// of the vector is allocated on the encode side at all.
+// makes six allocations however many chunks it cuts — the payload with its
+// encoder, the chunk table, the quantization headers, the codes, the sparse
+// offsets and one chunk's worth of difference window — and an encoder that
+// has built as long a payload before (a sender's) makes none; a decode makes
+// one — the output — however many chunks it expands. Nothing the size of the
+// vector is allocated on the encode side but its codes.
 func TestCodecAllocsPerChunk(t *testing.T) {
 	rng := tensor.NewRNG(29)
 	for _, chunks := range []int{1, 4, 16} {
@@ -768,8 +769,15 @@ func TestCodecAllocsPerChunk(t *testing.T) {
 			vec[i] = base[i] + float32(rng.NormFloat64()*0.01)
 		}
 		opts := WireOpts{Chunk: 256, TopK: 0.25}
-		if got, want := testing.AllocsPerRun(20, func() { EncodeVec(vec, base, opts) }), float64(6+3*chunks); got != want {
-			t.Errorf("top-k EncodeVec over %d chunks: %v allocations, want 6 + 3 per chunk = %v", chunks, got, want)
+		if got := testing.AllocsPerRun(20, func() { payloadSink = EncodeVec(vec, base, opts) }); got != 6 {
+			t.Errorf("top-k EncodeVec over %d chunks: %v allocations, want 6", chunks, got)
+		}
+		var enc encoder
+		for _, o := range []WireOpts{opts, {Chunk: 256}, {Chunk: 256, F16: true}} {
+			enc.encode(vec, base, o, nil)
+			if got := testing.AllocsPerRun(20, func() { enc.encode(vec, base, o, nil) }); got != 0 {
+				t.Errorf("%+v over %d chunks in a used encoder: %v allocations, want 0", o, chunks, got)
+			}
 		}
 		for _, p := range []*WirePayload{EncodeVec(vec, base, opts), EncodeVec(vec, base, WireOpts{Chunk: 256}), EncodeVec(vec, nil, WireOpts{Chunk: 256, F16: true})} {
 			dbase := base
@@ -786,6 +794,8 @@ func TestCodecAllocsPerChunk(t *testing.T) {
 		}
 	}
 }
+
+var payloadSink *WirePayload
 
 func TestWireBytesMatchesStructure(t *testing.T) {
 	vec := make([]float32, 1000)

@@ -23,7 +23,9 @@ func legacyPull(nb *Nebula, held *modular.SubModel, ref *edgenet.WireRef) (int64
 	cloud := nb.Model.Extract(held.Mapping)
 	bytes, next := cloud.BackboneBytes(), (*edgenet.WireRef)(nil)
 	if nb.cfg.WireCompress {
-		p, recon := edgenet.Exchange(cloud.BackboneVector(), ref.Base(cloud.Mapping), edgenet.WireOpts{F16: nb.cfg.WireF16})
+		vec := cloud.BackboneVector()
+		recon := make([]float32, len(vec))
+		p := edgenet.Exchange(vec, ref.Base(cloud.Mapping), edgenet.WireOpts{F16: nb.cfg.WireF16}, recon)
 		cloud.LoadBackboneVector(recon)
 		bytes, next = p.WireBytes(), &edgenet.WireRef{Mapping: cloud.Mapping, Vec: recon}
 	}

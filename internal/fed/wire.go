@@ -65,8 +65,9 @@ func cross(sub *modular.SubModel, flatten func([]float32) []float32, ref *edgene
 	}
 	buf := tensor.GetScratch(n)
 	defer tensor.PutScratch(buf)
-	p, recon := edgenet.Exchange(flatten(buf.Data[:0]), base, opts)
-	far := &edgenet.WireRef{Vec: recon}
+	vec := flatten(buf.Data[:0])
+	far := &edgenet.WireRef{Vec: make([]float32, len(vec))}
+	p := edgenet.Exchange(vec, base, opts, far.Vec)
 	for _, idx := range sub.Mapping {
 		far.Mapping = append(far.Mapping, append([]int(nil), idx...))
 	}

@@ -82,11 +82,17 @@ func F16ToF32(h uint16) float32 {
 // QuantizeF16 encodes a float32 vector as binary16 codes (2 B/element,
 // relative error ≤ 2⁻¹¹ for normal values).
 func QuantizeF16(vec []float32) []uint16 {
-	out := make([]uint16, len(vec))
+	return QuantizeF16Into(make([]uint16, len(vec)), vec)
+}
+
+// QuantizeF16Into is QuantizeF16 into codes, which must hold len(vec)
+// elements; it returns them.
+func QuantizeF16Into(codes []uint16, vec []float32) []uint16 {
+	codes = codes[:len(vec)]
 	for i, v := range vec {
-		out[i] = F16FromF32(v)
+		codes[i] = F16FromF32(v)
 	}
-	return out
+	return codes
 }
 
 // DequantizeF16 reverses QuantizeF16.

@@ -18,7 +18,18 @@ func Quantize8(vec []float32) Quantized8 {
 	if len(vec) == 0 {
 		return Quantized8{}
 	}
-	lo, hi := vec[0], vec[0]
+	lo, hi := Range(vec)
+	return Quantize8Range(make([]byte, len(vec)), vec, lo, hi)
+}
+
+// Range returns the least and the greatest element of vec (len(vec) > 0) as
+// Quantize8 finds them: starting from vec[0], v < lo and then v > hi for every
+// element in index order. So a NaN first element is the whole range and a later
+// NaN none of it, and of −0 and +0 whichever comes first stands. A caller that
+// finds the range during a walk of its own makes exactly these comparisons in
+// this order, and Quantize8Range then codes what Quantize8 would.
+func Range(vec []float32) (lo, hi float32) {
+	lo, hi = vec[0], vec[0]
 	for _, v := range vec[1:] {
 		if v < lo {
 			lo = v
@@ -27,26 +38,50 @@ func Quantize8(vec []float32) Quantized8 {
 			hi = v
 		}
 	}
+	return lo, hi
+}
+
+// maxScale is the largest step whose 255th multiple is finite: math.MaxFloat32
+// is 255 × 65793 × 2¹⁰⁴, so this quotient is exact and so is 255·maxScale.
+const maxScale float32 = math.MaxFloat32 / 255
+
+// Quantize8Range is Quantize8 for a caller that already holds vec's range (lo
+// and hi as Range finds them) and an array for the codes (len(vec) bytes, every
+// one overwritten, which the result's Codes is): one pass over vec and no
+// allocation.
+func Quantize8Range(codes []byte, vec []float32, lo, hi float32) Quantized8 {
+	codes = codes[:len(vec)]
+	if len(vec) == 0 {
+		return Quantized8{Codes: codes}
+	}
 	scale := (hi - lo) / 255
-	q := Quantized8{Min: lo, Scale: scale, Codes: make([]byte, len(vec))}
+	if scale > math.MaxFloat32 && hi <= math.MaxFloat32 && lo >= -math.MaxFloat32 {
+		// Two finite ends further apart than a float32 reaches. (hi − lo)/255
+		// would be +Inf, and Min + Inf·0 decodes NaN. The widest step that stays
+		// finite spans lo to lo + math.MaxFloat32 (finite: lo is negative); the
+		// elements above that clamp to code 255.
+		scale = maxScale
+	}
+	q := Quantized8{Min: lo, Scale: scale, Codes: codes}
 	if scale <= 0 {
 		// Constant vector: every element equals lo exactly. Scale 0 makes the
 		// reconstruction Min + 0·code = Min — exact — and MaxError 0. (The old
 		// sentinel Scale=1 decoded exactly too, but reported a bogus 0.5
 		// worst-case error, which poisoned error-budget decisions upstream.)
 		q.Scale = 0
+		clear(codes)
 		return q
 	}
 	// No element is below lo and inv is not negative, so x = (v − lo)·inv is a
-	// float32 ≥ 0 or a NaN (a NaN element, a NaN or infinite range). For
-	// x ≥ 0, x + 0.5 is exact in float64 wherever the code is not clamped
-	// anyway, and truncating it is rounding half away from zero — math.Round
-	// without the call. (In float32 the sum is not exact: 0.5 − 2⁻²⁵ would
-	// round up.) The codes that leaves — the clamped top of the range, NaN —
-	// are redone below: a call inside the loop, even a cold one, costs every
-	// element a register spill and halves the loop's speed.
+	// float32 ≥ 0 or a NaN (a NaN element, a NaN or infinite range) or +Inf (an
+	// element more than math.MaxFloat32 above lo). For x ≥ 0, x + 0.5 is exact in
+	// float64 wherever the code is not clamped anyway, and truncating it is
+	// rounding half away from zero — math.Round without the call. (In float32
+	// the sum is not exact: 0.5 − 2⁻²⁵ would round up.) The codes that leaves —
+	// the clamped top of the range, NaN — are redone below: a call inside the
+	// loop, even a cold one, costs every element a register spill and halves the
+	// loop's speed.
 	inv := 1 / scale
-	codes := q.Codes[:len(vec)]
 	left := false
 	for i, v := range vec {
 		f := float64((v-lo)*inv) + 0.5

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -160,7 +161,9 @@ func TestQuantizeChunksRoundTripQuick(t *testing.T) {
 }
 
 // quantize8Reference is Quantize8 as it was before its rounding lost the
-// math.Round call — the loop every code is held to, bit for bit.
+// math.Round call — the loop every code is held to, bit for bit — with the one
+// later change of what it codes: two finite ends whose distance overflows get
+// the widest finite step (TestQuantize8FiniteRangeOverflow).
 func quantize8Reference(vec []float32) Quantized8 {
 	if len(vec) == 0 {
 		return Quantized8{}
@@ -175,6 +178,9 @@ func quantize8Reference(vec []float32) Quantized8 {
 		}
 	}
 	scale := (hi - lo) / 255
+	if math.IsInf(float64(scale), 1) && !math.IsInf(float64(lo), 0) && !math.IsInf(float64(hi), 0) {
+		scale = math.MaxFloat32 / 255
+	}
 	q := Quantized8{Min: lo, Scale: scale, Codes: make([]byte, len(vec))}
 	if scale <= 0 {
 		q.Scale = 0
@@ -282,6 +288,39 @@ func TestQuantize8MatchesRoundReference(t *testing.T) {
 			vec[0], vec[n-1] = 0, 255
 		}
 		checkQuantize8(t, fmt.Sprintf("random trial %d", trial), vec)
+	}
+}
+
+// TestQuantize8FiniteRangeOverflow is the regression test for a finite chunk
+// whose range overflows float32: (hi − lo)/255 was +Inf, so code 0 decoded as
+// Min + Inf·0 = NaN and the top element's code came from rounding a NaN. Finite
+// input decodes finite now, within the chunk's ends, and the least element
+// exactly.
+func TestQuantize8FiniteRangeOverflow(t *testing.T) {
+	for _, vec := range [][]float32{
+		{-3e38, 3e38},
+		{-math.MaxFloat32, math.MaxFloat32, 0, 1e38, -1e38},
+		{1, -2e38, 2e38, 0},
+	} {
+		q := Quantize8(vec)
+		if math.IsInf(float64(q.Scale), 0) || math.IsNaN(float64(q.Scale)) {
+			t.Fatalf("%v: scale %v", vec, q.Scale)
+		}
+		lo, hi := Range(vec)
+		for i, v := range q.Dequantize8() {
+			if math.IsInf(float64(v), 0) || math.IsNaN(float64(v)) || v < lo || v > hi {
+				t.Fatalf("%v: element %d decodes to %v, outside [%v, %v]", vec, i, v, lo, hi)
+			}
+		}
+		if got := q.Dequantize8()[slices.Index(vec, lo)]; got != lo {
+			t.Fatalf("%v: least element decodes to %v", vec, got)
+		}
+	}
+	// Where hi − lo is finite nothing moved: the largest range that still
+	// fits codes its ends exactly as before.
+	q := Quantize8([]float32{-math.MaxFloat32 / 2, math.MaxFloat32 / 2})
+	if q.Scale != math.MaxFloat32/255 || q.Codes[0] != 0 || q.Codes[1] != 255 {
+		t.Fatalf("range of exactly math.MaxFloat32: scale %v codes %v", q.Scale, q.Codes)
 	}
 }
 
