@@ -14,13 +14,14 @@ vet:
 
 # The portable paths: gemm_kernel_generic.go and every loop whose bits rest on
 # an explicit float32(a*b) are otherwise only ever compiled for amd64. No fused
-# multiply-add may appear in the arm64 listings of internal/edgenet and
-# nn/quantize.go (ci.sh has the same stage).
+# multiply-add may appear in the arm64 listings of internal/edgenet,
+# nn/quantize.go and modular/derive.go (ci.sh has the same stage).
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
 	@fused=$$( { GOARCH=arm64 $(GO) build -gcflags=-S ./internal/edgenet 2>&1; \
-		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1 | grep 'nn/quantize\.go:'; } | grep -E 'FN?M(ADD|SUB)' || true); \
+		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1 | grep 'nn/quantize\.go:'; \
+		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/modular 2>&1 | grep 'modular/derive\.go:'; } | grep -E 'FN?M(ADD|SUB)' || true); \
 		[ -z "$$fused" ] || { echo "fused multiply-add in the arm64 build: $$fused" >&2; exit 1; }
 
 # Formatting: gofmt must have nothing to say outside the linter's fixtures.

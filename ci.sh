@@ -75,11 +75,13 @@ GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./...
 
 # arm64 fuses a*b+c into one rounding unless a conversion rounds the product
 # first; amd64 never fuses, so no amd64 run can see the bits move. Checked in
-# the listings of internal/edgenet and of nn's quantizer so far.
-echo "== no fused multiply-add in the arm64 listings of internal/edgenet and nn/quantize.go"
+# the listings of internal/edgenet, nn's quantizer and modular's derivation so
+# far.
+echo "== no fused multiply-add in the arm64 listings of internal/edgenet, nn/quantize.go and modular/derive.go"
 fused=$({
     GOARCH=arm64 go build -gcflags=-S ./internal/edgenet 2>&1
     GOARCH=arm64 go build -gcflags=-S ./internal/nn 2>&1 | grep 'nn/quantize\.go:'
+    GOARCH=arm64 go build -gcflags=-S ./internal/modular 2>&1 | grep 'modular/derive\.go:'
 } | grep -E 'FN?M(ADD|SUB)' || true)
 [ -z "$fused" ] || fail "fused multiply-add in the arm64 build (round the product with an explicit conversion): $fused"
 

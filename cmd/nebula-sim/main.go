@@ -82,7 +82,6 @@ func main() {
 	flag.IntVar(&opt.Stragglers, "stragglers", opt.Stragglers, "devices pinned at maximum contention in the straggler experiment's dynamic fleet")
 	flag.BoolVar(&opt.WireCompress, "wire", false, "run online-stage sub-model exchanges through the wire-format v2 codec (docs/PROTOCOL.md): delta-quantized transfers with exact encoded-size accounting")
 	flag.Float64Var(&opt.WireTopK, "wire-topk", 0, "keep only this fraction of uplink delta coordinates under -wire (0 = dense)")
-	flag.BoolVar(&opt.WireF16, "wire-f16", false, "float16 codes instead of int8 under -wire")
 	flag.BoolVar(&opt.Verbose, "v", false, "print progress lines")
 	flag.BoolVar(&opt.Points, "points", false, "also dump figures' raw data columns")
 	flag.Parse()

@@ -72,8 +72,8 @@ type EdgeClient struct {
 	// Redial reopens the transport after a failure. Dial installs a TCP
 	// redialer; pipe clients may set one (tests do) or live without retries.
 	Redial func() (io.ReadWriteCloser, error)
-	// WireOpts tunes the payload codec (chunk size, float16, top-k
-	// sparsification for delta pushes). Zero value: dense int8, 1024-chunk.
+	// WireOpts tunes the payload codec (top-k sparsification for delta
+	// pushes). Zero value: dense.
 	WireOpts WireOpts
 	// Spans, when set, records distributed-trace spans for every call made
 	// under a trace context (SetTraceContext). Nil or no context = tracing
@@ -211,7 +211,7 @@ func (c *EdgeClient) reqSpan(req *Request, kind string) span.Active {
 }
 
 // call runs one request with the retry policy. Every protocol request is
-// safe to retry: Hello/FetchSubModel/Stats/Shutdown are idempotent reads,
+// safe to retry: Hello/FetchSubModel/Stats are idempotent reads,
 // and PushUpdate is round-tagged so the server dedupes replays.
 func (c *EdgeClient) call(req *Request) (*Response, error) {
 	resp, _, err := c.callChunks(req, nil)
@@ -559,10 +559,4 @@ func (c *EdgeClient) Stats() (Stats, error) {
 		return Stats{}, err
 	}
 	return resp.Stats, nil
-}
-
-// Shutdown asks the server connection to terminate after replying.
-func (c *EdgeClient) Shutdown() error {
-	_, err := c.call(&Request{Kind: KindShutdown, DeviceID: c.DeviceID})
-	return err
 }

@@ -76,7 +76,7 @@ func requireSameModel(t *testing.T, when string, got, want *modular.Model) {
 
 // TestServerPushesMatchExtractLoadReplay is the differential for the server's
 // push path: one scripted sequence of full, dense-delta and top-k-delta
-// pushes at two chunk sizes, aggregating every third, must leave the cloud
+// pushes, aggregating every third, must leave the cloud
 // model — parameters and running statistics — bit for bit where a replay
 // through the path the server used to take leaves its twin: Extract a
 // trainable clone, LoadBackboneVector the decoded upload into it,
@@ -95,8 +95,8 @@ func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 		return cl
 	}
 	plain := dial(1, WireOpts{})
-	dense := dial(2, WireOpts{Chunk: 16})
-	topk := dial(3, WireOpts{Chunk: 16, TopK: 0.25})
+	dense := dial(2, WireOpts{})
+	topk := dial(3, WireOpts{TopK: 0.25})
 
 	rng := tensor.NewRNG(3)
 	var pending []*modular.Update
@@ -140,10 +140,9 @@ func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 		// A push that cannot be a delta: the client's reference moved on to
 		// a narrower sub-model before the wide one is uploaded.
 		wide := fetch(dense, looseBudget())
-		narrow := looseBudget()
-		narrow.MaxModules = 1
-		if sub := fetch(dense, narrow); MappingEqual(sub.Mapping, wide.Mapping) {
-			t.Fatalf("a one-module budget derived the full mapping %v", sub.Mapping)
+		// A budget of nothing affords each layer's forced module alone.
+		if sub := fetch(dense, modular.Budget{}); MappingEqual(sub.Mapping, wide.Mapping) {
+			t.Fatalf("an empty budget derived the full mapping %v", sub.Mapping)
 		}
 		push(dense, wide, 7)
 	}
@@ -180,7 +179,7 @@ func TestConcurrentDevicesMatchSerialReplay(t *testing.T) {
 			for d := range clients {
 				cl := pipePair(t, srv, buildStatefulModel(seed))
 				cl.DeviceID = d + 1
-				cl.WireOpts = []WireOpts{{}, {Chunk: 16}, {Chunk: 16, TopK: 0.25}}[d%3]
+				cl.WireOpts = []WireOpts{{}, {TopK: 0.25}}[d%2]
 				if err := cl.Hello(); err != nil {
 					t.Fatal(err)
 				}

@@ -46,16 +46,16 @@ func overFrames(t testing.TB, p *WirePayload) (*WirePayload, []byte) {
 	return got, raw
 }
 
-// codecTable is the differential tests' input space: every payload kind and
-// code kind, chunk sizes from one element up, and lengths that leave a ragged
-// last chunk.
+// codecTable is the differential tests' input space: every payload kind, and
+// lengths from none to several chunks, exact multiples of a chunk and ones
+// that leave a ragged last chunk.
 func codecTable(visit func(name string, vec, base []float32, opts WireOpts)) {
 	specials := []float32{
 		0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
 		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, math.MaxFloat32, -math.MaxFloat32,
 	}
 	rng := tensor.NewRNG(91)
-	for _, n := range []int{0, 1, 15, 16, 17, 100, 1023, 1024, 1025, 2500} {
+	for _, n := range []int{0, 1, 15, 16, 17, 100, 1023, 1024, 1025, 2500, 3 * chunkLen} {
 		for _, special := range []bool{false, true} {
 			base := randVec(rng, n, 1)
 			vec := make([]float32, n)
@@ -64,7 +64,7 @@ func codecTable(visit func(name string, vec, base []float32, opts WireOpts)) {
 			}
 			if special {
 				// Non-finite and subnormal values scattered through both
-				// vectors, and a stretch wide enough to make whole chunks
+				// vectors, and a stretch wide enough to make a whole chunk
 				// constant — in the values and, where base follows, the delta.
 				for i := 0; i < n; i += 7 {
 					vec[i] = specials[rng.Intn(len(specials))]
@@ -72,25 +72,20 @@ func codecTable(visit func(name string, vec, base []float32, opts WireOpts)) {
 						base[i] = specials[rng.Intn(len(specials))]
 					}
 				}
-				for i := n / 3; i < min(n, n/3+220); i++ {
+				for i := n / 3; i < min(n, n/3+chunkLen+300); i++ {
 					vec[i], base[i] = 0.25, 0.125
 				}
 			}
-			for _, chunk := range []int{1, 16, 100, 1024} {
-				for _, f16 := range []bool{false, true} {
-					for _, k := range []struct {
-						name  string
-						delta bool
-						topK  float64
-					}{{"full", false, 0}, {"delta", true, 0}, {"top-k 0.25", true, 0.25}, {"top-k 0.9", true, 0.9}} {
-						b := base
-						if !k.delta {
-							b = nil
-						}
-						name := fmt.Sprintf("%s n=%d chunk=%d f16=%v special=%v", k.name, n, chunk, f16, special)
-						visit(name, vec, b, WireOpts{Chunk: chunk, F16: f16, TopK: k.topK})
-					}
+			for _, k := range []struct {
+				name  string
+				delta bool
+				topK  float64
+			}{{"full", false, 0}, {"delta", true, 0}, {"top-k 0.25", true, 0.25}, {"top-k 0.9", true, 0.9}} {
+				b := base
+				if !k.delta {
+					b = nil
 				}
+				visit(fmt.Sprintf("%s n=%d special=%v", k.name, n, special), vec, b, WireOpts{TopK: k.topK})
 			}
 		}
 	}
@@ -150,16 +145,16 @@ func TestExchangeMatchesEncodeThenDecode(t *testing.T) {
 // TestTopKOffsetsFitTheirWidth is the regression test for offsets wrapping: a
 // sparse offset is a uint16, and a 70,000-element chunk used to store its
 // one kept coordinate, 69,999, as 4,463 — decoded there without an error on
-// either end. Chunks are cut at 65,536 elements whatever WireOpts.Chunk asks
-// for, and a receiver refuses a sparse chunk its offsets could not address.
+// either end. The codec cuts chunks of chunkLen elements, and a receiver
+// refuses a sparse chunk its offsets could not address.
 func TestTopKOffsetsFitTheirWidth(t *testing.T) {
 	const n = 70000
 	base, vec := make([]float32, n), make([]float32, n)
 	vec[n-1] = 10
-	p := EncodeVec(vec, base, WireOpts{Chunk: n, TopK: 1.0 / n})
+	p := EncodeVec(vec, base, WireOpts{TopK: 1.0 / n})
 	for i := range p.Chunks {
-		if p.Chunks[i].N > maxChunk {
-			t.Fatalf("chunk %d holds %d elements, offsets address %d", i, p.Chunks[i].N, maxChunk)
+		if p.Chunks[i].N > chunkLen {
+			t.Fatalf("chunk %d holds %d elements, the codec cuts %d", i, p.Chunks[i].N, chunkLen)
 		}
 	}
 	got, err := DecodeVec(p, base)
@@ -172,8 +167,12 @@ func TestTopKOffsetsFitTheirWidth(t *testing.T) {
 		}
 	}
 
-	wide := EncodeVec(vec[:maxChunk], base[:maxChunk], WireOpts{Chunk: maxChunk, TopK: 1.0 / maxChunk})
-	wide.Header.Len, wide.Chunks[0].N = n, n
+	// What a peer that cut all 70,000 elements as one chunk would send: the
+	// kept coordinate's offset wrapped.
+	wide := &WirePayload{
+		Header: WireHeader{Delta: true, Len: n, Chunks: 1},
+		Chunks: []WireChunk{{N: n, Sparse: true, Q8: nn.Quantize8([]float32{10}), Idx: []uint16{(n - 1) % maxChunk}}},
+	}
 	if _, err := DecodeVec(wide, base); err == nil {
 		t.Fatal("a sparse chunk of 70,000 elements decoded")
 	}
@@ -193,59 +192,71 @@ func chunkFrames(t testing.TB, p *WirePayload) [][]byte {
 	return frames
 }
 
+// frameHead is the first 8 bytes of a chunk frame: its size and the word of
+// flags and element count.
+func frameHead(size, flags uint32, n int) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, size), flags|uint32(n)<<8)
+}
+
+// refusedOnHead reports whether a frame's first 8 bytes alone condemn it for
+// a receiver still owed remaining elements: a size below the headers or above
+// the most such a chunk can occupy (a sparse chunk that kept everything),
+// a flag this protocol does not define, or more elements than are owed.
+func refusedOnHead(head []byte, remaining int) bool {
+	size, word := binary.LittleEndian.Uint32(head), binary.LittleEndian.Uint32(head[4:])
+	return size < 12 || uint64(size) > 12+3*uint64(remaining) || word&0xff&^frameSparse != 0 || int(word>>8) > remaining
+}
+
 // FuzzChunkFrame: whatever bytes arrive where a chunk frame is due, the frame
 // reader returns — never panics, never takes from the stream or holds more
 // than a chunk of the elements still owed can occupy, takes nothing of a frame
-// whose announced size is beyond that — and a frame it accepts is one the
-// frame writer writes back byte for byte.
+// its first 8 bytes condemn — and a frame it accepts is one the frame writer
+// writes back byte for byte.
 func FuzzChunkFrame(f *testing.F) {
 	rng := tensor.NewRNG(92)
-	vec, base := randVec(rng, 100, 1), make([]float32, 100)
-	vec[3], base[3] = 40, -40 // the one coordinate top-k keeps: chunk 0's
+	const n = 3*chunkLen + 100
+	vec, base := randVec(rng, n, 1), randVec(rng, n, 1)
+	vec[3], base[3] = 40, -40 // the one coordinate top-k surely keeps: chunk 0's
 	for _, p := range []*WirePayload{
-		EncodeVec(vec, nil, WireOpts{Chunk: 32}),
-		EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.01}),
-		EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.01, F16: true}),
-		EncodeVec(vec, nil, WireOpts{Chunk: 32, F16: true}),
+		EncodeVec(vec, nil, WireOpts{}),
+		EncodeVec(vec, base, WireOpts{}),
+		EncodeVec(vec, base, WireOpts{TopK: 0.01}),
+		EncodeVec(vec, base, WireOpts{TopK: 0.5}),
 	} {
 		for _, frame := range chunkFrames(f, p) {
-			f.Add(frame, uint32(100))
-			f.Add(frame[:len(frame)-1], uint32(100))
+			f.Add(frame, uint32(n))
+			f.Add(frame[:len(frame)-1], uint32(n))
 			for _, at := range []int{0, 5} { // the size, the element count
 				for _, d := range []byte{1, 255} {
 					off := bytes.Clone(frame)
 					off[at] += d
-					f.Add(off, uint32(100))
+					f.Add(off, uint32(n))
 				}
 			}
 		}
 	}
+	// A version-3 frame of 2-byte codes (flag bit 1, no quantization header),
+	// and a sparse frame one byte over the bound.
+	f.Add(append(frameHead(4+2*100, 1<<1, 100), make([]byte, 2*100)...), uint32(100))
+	f.Add(append(frameHead(12+3*100+1, frameSparse, 100), make([]byte, 8+3*100+1)...), uint32(100))
 	f.Fuzz(func(t *testing.T, raw []byte, owed uint32) {
 		remaining := int(owed % (1 << 20))
 		stream := bytes.NewReader(raw)
 		r := bufio.NewReaderSize(stream, 16)
 		var ch WireChunk
-		var q nn.Quantized8
-		_, err := readFrame(r, &ch, &q, nil, remaining)
+		_, err := readFrame(r, &ch, nil, remaining)
 		taken := len(raw) - stream.Len() - r.Buffered()
 		if err != nil {
-			// A refused size is refused on the prefix alone.
-			if len(raw) >= 4 {
-				if size := binary.LittleEndian.Uint32(raw); uint64(size) > 12+4*uint64(remaining) && taken != 0 {
-					t.Fatalf("frame reader took %d B of a frame announcing %d B with %d elements owed", taken, size, remaining)
-				}
+			if len(raw) >= 8 && refusedOnHead(raw, remaining) && taken != 0 {
+				t.Fatalf("frame reader took %d B of a frame its first 8 bytes condemn, %d elements owed", taken, remaining)
 			}
 			return
 		}
 		size := 4 + int(binary.LittleEndian.Uint32(raw))
-		if taken != size || size > 16+4*remaining || ch.N > remaining {
+		if taken != size || size > 16+3*remaining || ch.N > remaining {
 			t.Fatalf("frame reader took %d B for a frame of %d B rebuilding %d of %d elements owed", taken, size, ch.N, remaining)
 		}
-		held := len(ch.F16)*2 + len(ch.Idx)*2
-		if ch.Q8 != nil {
-			held += cap(ch.Q8.Codes)
-		}
-		if held > size {
+		if held := cap(ch.Q8.Codes) + 2*len(ch.Idx); held > size {
 			t.Fatalf("chunk holds %d B of codes from a %d B frame", held, size)
 		}
 		var back bytes.Buffer

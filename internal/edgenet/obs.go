@@ -27,8 +27,6 @@ func kindName(k MsgKind) string {
 		return "push_update"
 	case KindStats:
 		return "stats"
-	case KindShutdown:
-		return "shutdown"
 	default:
 		return "unknown"
 	}
@@ -36,7 +34,7 @@ func kindName(k MsgKind) string {
 
 // allKinds enumerates the protocol kinds for eager handle creation (map
 // lookups on the hot path must never allocate or take the registry lock).
-var allKinds = []MsgKind{KindHello, KindGetSubModel, KindPushUpdate, KindStats, KindShutdown, MsgKind(0)}
+var allKinds = []MsgKind{KindHello, KindGetSubModel, KindPushUpdate, KindStats, MsgKind(0)}
 
 // serverMetrics holds one server's handles on its private registry.
 type serverMetrics struct {

@@ -104,9 +104,6 @@ func TestServerRPCMetricsObserved(t *testing.T) {
 	if err := cl.PushUpdate(sub, uniformImportance(cloud), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
 	_ = b.Close()
 	<-done
 	for _, kind := range []MsgKind{KindHello, KindGetSubModel, KindPushUpdate} {

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/modular"
-	"repro/internal/nn"
 	"repro/internal/obs/span"
 )
 
@@ -37,8 +36,6 @@ const (
 	KindPushUpdate
 	// KindStats requests server-side counters.
 	KindStats
-	// KindShutdown asks the server to stop accepting work.
-	KindShutdown
 )
 
 // Request is the client→cloud envelope.
@@ -83,20 +80,19 @@ type Request struct {
 // BudgetMsg mirrors modular.Budget for the wire (kept separate so protocol
 // stability does not depend on internal struct layout).
 type BudgetMsg struct {
-	CommBytes  float64
-	FwdFLOPs   float64
-	MemElems   float64
-	MaxModules int
+	CommBytes float64
+	FwdFLOPs  float64
+	MemElems  float64
 }
 
 // ToBudget converts the wire form.
 func (b BudgetMsg) ToBudget() modular.Budget {
-	return modular.Budget{CommBytes: b.CommBytes, FwdFLOPs: b.FwdFLOPs, MemElems: b.MemElems, MaxModules: b.MaxModules}
+	return modular.Budget{CommBytes: b.CommBytes, FwdFLOPs: b.FwdFLOPs, MemElems: b.MemElems}
 }
 
 // FromBudget converts to the wire form.
 func FromBudget(b modular.Budget) BudgetMsg {
-	return BudgetMsg{CommBytes: b.CommBytes, FwdFLOPs: b.FwdFLOPs, MemElems: b.MemElems, MaxModules: b.MaxModules}
+	return BudgetMsg{CommBytes: b.CommBytes, FwdFLOPs: b.FwdFLOPs, MemElems: b.MemElems}
 }
 
 // Response is the cloud→client envelope.
@@ -185,9 +181,8 @@ type Codec struct {
 	out atomic.Int64
 
 	// What recvPayload returned last and builds the next payload in: the
-	// chunk table, its quantization headers and the frame bytes they view.
+	// chunk table and the frame bytes its codes view.
 	pay    WirePayload
-	q8     []nn.Quantized8
 	frames []byte
 }
 
@@ -260,65 +255,55 @@ func (c *Codec) Traffic() (in, out int64) { return c.in.Load(), c.out.Load() }
 
 // A chunk frame (docs/PROTOCOL.md "Chunk frame") is a u32 size and that many
 // bytes, little-endian: flags and a u24 element count N (the 4 B chunk
-// header), Min and Scale when the codes are int8, K codes of 1 or 2 B, and K
-// 2 B offsets when sparse — a chunk's wireBytes behind 4 B of length.
-const (
-	frameSparse = 1 << 0
-	frameF16    = 1 << 1
-)
+// header), Min and Scale, K int8 codes, and K 2 B offsets when sparse — a
+// chunk's wireBytes behind 4 B of length. Flag bit 0 marks a sparse chunk;
+// every other bit must be 0 (bit 1 was version 3's 2-byte codes).
+const frameSparse = 1 << 0
 
 // writeFrame writes c's frame into w (no flush). A chunk the layout cannot
-// hold — both kinds of codes, codes and offsets that do not pair up — is an
-// error: the receiver would read some other chunk.
+// hold — codes and offsets that do not pair up — is an error: the receiver
+// would read some other chunk.
 func writeFrame(w *bufio.Writer, c *WireChunk) error {
-	codes, err := c.codeCount()
-	if err != nil {
-		return err
-	}
+	codes := len(c.Q8.Codes)
 	if c.N < 0 || c.N >= 1<<24 || (c.Sparse && codes != len(c.Idx)) || (!c.Sparse && len(c.Idx) != 0) {
 		return fmt.Errorf("%w: no frame for a chunk of %d elements, %d codes, %d offsets", errWire, c.N, codes, len(c.Idx))
 	}
 	flags := uint32(0)
 	if c.Sparse {
-		flags |= frameSparse
-	}
-	if c.Q8 == nil {
-		flags |= frameF16
+		flags = frameSparse
 	}
 	// Built in the writer's own free space: a slice handed to Write escapes
 	// through the io.Writer behind it, and would cost an allocation a frame.
 	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(c.wireBytes()))
 	hdr = binary.LittleEndian.AppendUint32(hdr, flags|uint32(c.N)<<8)
-	if c.Q8 != nil {
-		hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(c.Q8.Min))
-		hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(c.Q8.Scale))
-		hdr = append(hdr, c.Q8.Codes...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(c.Q8.Min))
+	hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(c.Q8.Scale))
+	hdr = append(hdr, c.Q8.Codes...)
+	for _, v := range c.Idx {
+		hdr = binary.LittleEndian.AppendUint16(hdr, v)
 	}
-	for _, vals := range [][]uint16{c.F16, c.Idx} {
-		for _, v := range vals {
-			hdr = binary.LittleEndian.AppendUint16(hdr, v)
-		}
-	}
-	_, err = w.Write(hdr)
+	_, err := w.Write(hdr)
 	return err
 }
 
-// readFrame reads one frame from r into ch, whose quantization header is q
-// and whose int8 codes view the frame's bytes: the front of free when the
-// frame fits there, an array of its own when not; the rest of free is
-// returned. The size is the peer's word: it is held against the most a chunk
-// of the remaining elements — what the payload still owes — can occupy (12 B
-// of headers, 4 B an element: a sparse float16 chunk that kept everything)
-// before the body is read or room made for it. Checked here is that the frame
-// parses; whether K codes suit N elements is WirePayload.check's to say.
-func readFrame(r *bufio.Reader, ch *WireChunk, q *nn.Quantized8, free []byte, remaining int) ([]byte, error) {
-	pre, err := r.Peek(4)
+// readFrame reads one frame from r into ch, whose int8 codes view the frame's
+// bytes: the front of free when the frame fits there, an array of its own when
+// not; the rest of free is returned. The size, flags and element count are
+// the peer's word: they are held, on the frame's first 8 bytes alone, against
+// a layout this end reads and the most a chunk of the remaining elements —
+// what the payload still owes — can occupy (12 B of headers, 3 B an element:
+// a sparse chunk that kept everything), before the body is read or room made
+// for it. Checked here is that the frame parses; whether K codes suit N
+// elements is WirePayload.check's to say.
+func readFrame(r *bufio.Reader, ch *WireChunk, free []byte, remaining int) ([]byte, error) {
+	pre, err := r.Peek(8)
 	if err != nil {
 		return free, err
 	}
-	size := binary.LittleEndian.Uint32(pre)
-	if size < 4 || uint64(size) > 12+4*uint64(remaining) {
-		return free, fmt.Errorf("%w: chunk frame of %d bytes with %d elements still to come", errWire, size, remaining)
+	size, word := binary.LittleEndian.Uint32(pre), binary.LittleEndian.Uint32(pre[4:])
+	flags, n := word&0xff, int(word>>8)
+	if size < 12 || uint64(size) > 12+3*uint64(remaining) || flags&^frameSparse != 0 || n > remaining {
+		return free, fmt.Errorf("%w: chunk frame of %d bytes, flags %#x, for %d of the %d elements still to come", errWire, size, flags, n, remaining)
 	}
 	var b []byte
 	if int(size) <= len(free) {
@@ -332,42 +317,25 @@ func readFrame(r *bufio.Reader, ch *WireChunk, q *nn.Quantized8, free []byte, re
 	if _, err := io.ReadFull(r, b); err != nil {
 		return free, err
 	}
-	flags, f16 := b[0], b[0]&frameF16 != 0
-	*ch = WireChunk{N: int(b[1]) | int(b[2])<<8 | int(b[3])<<16, Sparse: flags&frameSparse != 0}
-	b, per := b[4:], 1
-	switch {
-	case f16:
-		per = 2
-	case len(b) >= 8:
-		q.Min = math.Float32frombits(binary.LittleEndian.Uint32(b))
-		q.Scale = math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
-		ch.Q8, b = q, b[8:]
-	}
+	*ch = WireChunk{N: n, Sparse: flags&frameSparse != 0}
+	ch.Q8.Min = math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
+	ch.Q8.Scale = math.Float32frombits(binary.LittleEndian.Uint32(b[8:]))
+	b, per := b[12:], 1
 	if ch.Sparse {
-		per += 2
+		per = 3
 	}
-	if flags&^(frameSparse|frameF16) != 0 || ch.N > remaining || (!f16 && ch.Q8 == nil) || len(b)%per != 0 {
-		return free, fmt.Errorf("%w: chunk frame of %d bytes, flags %#x, for %d of the %d elements still to come", errWire, size, flags, ch.N, remaining)
+	if len(b)%per != 0 {
+		return free, fmt.Errorf("%w: sparse chunk frame of %d bytes splits into no whole (code, offset) pairs", errWire, size)
 	}
 	k := len(b) / per
-	if ch.Q8 != nil {
-		q.Codes, b = b[:k:k], b[k:]
-	} else {
-		ch.F16, b = cutU16s(b, k)
-	}
+	ch.Q8.Codes, b = b[:k:k], b[k:]
 	if ch.Sparse {
-		ch.Idx, _ = cutU16s(b, k)
+		ch.Idx = make([]uint16, k)
+		for j := range ch.Idx {
+			ch.Idx[j] = binary.LittleEndian.Uint16(b[2*j:])
+		}
 	}
 	return free, nil
-}
-
-// cutU16s decodes the k little-endian values at the front of b.
-func cutU16s(b []byte, k int) ([]uint16, []byte) {
-	out := make([]uint16, k)
-	for j := range out {
-		out[j] = binary.LittleEndian.Uint16(b[2*j:])
-	}
-	return out, b[2*k:]
 }
 
 // RecvPayload reads the chunk frames header h announced, as recvPayload does
@@ -396,7 +364,6 @@ func (c *Codec) recvPayload(h *WireHeader, maxLen int, arm func(), chunkSpan fun
 	p := &c.pay
 	p.Header = *h
 	p.Chunks = slices.Grow(p.Chunks[:0], h.Chunks)[:h.Chunks]
-	c.q8 = slices.Grow(c.q8[:0], h.Chunks)[:h.Chunks]
 	// Room for the frames of a dense int8 payload, and never for more than
 	// the vector the header announces; a frame that does not fit gets its own.
 	if room := min(h.Len+12*h.Chunks, 4*h.Len); room > len(c.frames) {
@@ -407,7 +374,7 @@ func (c *Codec) recvPayload(h *WireHeader, maxLen int, arm func(), chunkSpan fun
 		arm()
 		cs := chunkSpan()
 		var err error
-		free, err = readFrame(c.r, &p.Chunks[i], &c.q8[i], free, remaining)
+		free, err = readFrame(c.r, &p.Chunks[i], free, remaining)
 		cs.SetErr(err)
 		cs.End()
 		if err != nil {

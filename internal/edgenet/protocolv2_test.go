@@ -128,11 +128,11 @@ func rawServerConn(t *testing.T, srv *Server) *Codec {
 func TestMixedVersionInterop(t *testing.T) {
 	// A peer of another version (0 is a peer that predates the field) gets an
 	// error reply naming both versions, over a connection that survives: the
-	// same stream then completes a version-3 Hello.
+	// same stream then completes a Hello at this version.
 	t.Run("v1 client, v2 server", func(t *testing.T) {
 		cloud := buildModel(42)
 		codec := rawServerConn(t, NewServer(cloud, 1))
-		for _, proto := range []int{0, 1} {
+		for _, proto := range []int{0, 1, ProtoVersion - 1} {
 			resp := rawExchange(t, codec, &Request{Kind: KindHello, DeviceID: 1, Proto: proto})
 			if resp.OK || len(resp.Selector) != 0 {
 				t.Fatalf("Hello at version %d accepted: OK=%v with %d selector floats", proto, resp.OK, len(resp.Selector))
@@ -151,7 +151,7 @@ func TestMixedVersionInterop(t *testing.T) {
 
 	// A server that answers with another version is refused by the client.
 	t.Run("v2 client, v1 server", func(t *testing.T) {
-		for _, proto := range []int{0, 1, 2, ProtoVersion + 1} {
+		for _, proto := range []int{0, 1, 2, ProtoVersion - 1, ProtoVersion + 1} {
 			skeleton := buildModel(43)
 			cl := stubServerClient(t, skeleton, &Response{OK: true, Selector: skeleton.Selector.Vector(), Proto: proto})
 			if err := cl.Hello(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", proto)) {

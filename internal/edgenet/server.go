@@ -273,8 +273,8 @@ func (s *Server) ServeConn(rw interface {
 }) {
 	codec := NewCodec(rw)
 	// Traffic is part of the paper's communication-cost metric; one defer
-	// covers every exit path (recv error, send error, shutdown) so no
-	// bytes are ever dropped from the count.
+	// covers every exit path (a recv error, clean EOF included, or a send
+	// error) so no bytes are ever dropped from the count.
 	defer func() {
 		in, out := codec.Traffic()
 		s.metrics.bytesIn.Add(float64(in))
@@ -353,9 +353,6 @@ func (s *Server) ServeConn(rw interface {
 		s.metrics.rspBytes[req.Kind].Observe(float64(out - prevOut))
 		prevOut = out
 		s.metrics.rpcSeconds[req.Kind].ObserveSince(sw)
-		if req.Kind == KindShutdown {
-			return
-		}
 	}
 }
 
@@ -407,9 +404,6 @@ func (s *Server) handle(req *Request, pay *WirePayload, enc *encoder, ps span.Sp
 
 	case KindStats:
 		return &Response{OK: true, Stats: s.StatsSnapshot()}, nil
-
-	case KindShutdown:
-		return &Response{OK: true}, nil
 
 	default:
 		return &Response{Error: fmt.Sprintf("unknown message kind %d", req.Kind)}, nil

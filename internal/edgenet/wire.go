@@ -10,9 +10,8 @@ package edgenet
 //
 // Three stacked reductions:
 //
-//   1. Per-chunk quantization: int8 affine codes (1 B/element + 8 B header
-//      per chunk) by default, or float16 (2 B/element) when the caller wants
-//      tighter error.
+//   1. Per-chunk quantization: int8 affine codes, 1 B/element plus an 8 B
+//      range header for each chunk of chunkLen elements.
 //   2. Delta encoding: when both peers hold the same reference version of a
 //      device's sub-model, only the (small-range, hence finely quantized)
 //      difference crosses the wire. Cache miss or version mismatch falls
@@ -32,38 +31,27 @@ import (
 )
 
 // ProtoVersion is the protocol version both peers speak: chunk-streamed,
-// delta-encoded, quantized payloads whose chunk frames are flat bytes (version
-// 2 carried each frame as a gob struct). It travels on Hello only, where each
-// end checks that the other names the same number.
-const ProtoVersion = 3
+// delta-encoded, int8-quantized payloads whose chunk frames are flat bytes
+// (version 2 carried each frame as a gob struct, version 3 had a second,
+// 2-byte code kind). It travels on Hello only, where each end checks that the
+// other names the same number.
+const ProtoVersion = 4
 
-// maxChunk is the most elements a chunk the codec cuts holds, and the most a
-// receiver accepts in a sparse one: a sparse offset is a uint16.
+// chunkLen is the elements-per-chunk granularity: each chunk quantizes over
+// its own range and travels as its own wire frame.
+const chunkLen = 1024
+
+// maxChunk is the most elements a receiver accepts in a sparse chunk: a sparse
+// offset is a uint16.
 const maxChunk = 1 << 16
 
 // WireOpts configures the v2 payload codec.
 type WireOpts struct {
-	// Chunk is the elements-per-chunk granularity (0 = 1024). Each chunk
-	// quantizes over its own range and travels as its own wire frame.
-	Chunk int
-	// F16 selects float16 codes (2 B/element, relative error ≤ 2⁻¹¹) instead
-	// of the default int8 affine codes (1 B/element, error ≤ range/510).
-	F16 bool
 	// TopK in (0,1) keeps only that fraction of delta coordinates (largest
 	// |value| first, index-ascending tie-break) on sparsifiable payloads.
 	// 0 or ≥1 means dense. Only meaningful for delta payloads — a full
 	// payload has no "unchanged" value for the dropped coordinates.
 	TopK float64
-}
-
-func (o WireOpts) chunkSize() int {
-	switch {
-	case o.Chunk <= 0:
-		return 1024
-	case o.Chunk > maxChunk:
-		return maxChunk
-	}
-	return o.Chunk
 }
 
 // WireHeader describes a v2 payload. It rides in the Request/Response
@@ -90,10 +78,8 @@ type WireChunk struct {
 	// decode as "unchanged". An explicit flag rather than Idx != nil: a sparse
 	// chunk that kept zero coordinates must not look dense.
 	Sparse bool
-	// Q8 holds int8 affine codes (dense: N codes; sparse: len(Idx) codes).
-	Q8 *nn.Quantized8
-	// F16 holds float16 codes when the payload was encoded with WireOpts.F16.
-	F16 []uint16
+	// Q8 holds the int8 affine codes (dense: N codes; sparse: len(Idx) codes).
+	Q8 nn.Quantized8
 	// Idx lists the in-chunk offsets the codes apply to, ascending (Sparse
 	// only).
 	Idx []uint16
@@ -101,16 +87,10 @@ type WireChunk struct {
 
 // wireBytes is the chunk's wire size: what the simulation charges, and what
 // its frame occupies on a real stream behind the frame's 4 B length prefix
-// (writeFrame). 4 B chunk header, 8 B quantization header + 1 B/code for int8,
-// 2 B/code for float16, 2 B per sparse offset.
+// (writeFrame). 4 B chunk header, the quantization's 8 B header and 1 B per
+// code, 2 B per sparse offset.
 func (c *WireChunk) wireBytes() int64 {
-	n := int64(4)
-	if c.Q8 != nil {
-		n += 8 + int64(len(c.Q8.Codes))
-	}
-	n += 2 * int64(len(c.F16))
-	n += 2 * int64(len(c.Idx))
-	return n
+	return 4 + c.Q8.WireBytes() + 2*int64(len(c.Idx))
 }
 
 // WirePayload pairs a header with its chunk frames: the in-process form the
@@ -156,20 +136,18 @@ func Exchange(vec, base []float32, opts WireOpts, recon []float32) *WirePayload 
 	return new(encoder).encode(vec, base, opts, recon[:len(vec)])
 }
 
-// encoder holds the arrays a sender builds payloads in: the chunk table and
-// its int8 quantization headers, the codes and sparse offsets of all the
-// chunks (one array of each, which the chunks are windows of), the
-// difference window and the top-k boundary. A payload lives until its encoder
-// builds the next one. On the wire a payload is dead once sendMessage has
-// written it, so each sender owns one encoder and reuses its arrays from
-// payload to payload, growing them only for a longer vector: a connection's
-// handler loop on the server, the EdgeClient for its pushes. EncodeVec and
-// Exchange build in a fresh one, sized to the payload, which the caller keeps.
+// encoder holds the arrays a sender builds payloads in: the chunk table, the
+// codes and sparse offsets of all the chunks (one array of each, which the
+// chunks are windows of), the difference window and the top-k boundary. A
+// payload lives until its encoder builds the next one. On the wire a payload
+// is dead once sendMessage has written it, so each sender owns one encoder and
+// reuses its arrays from payload to payload, growing them only for a longer
+// vector: a connection's handler loop on the server, the EdgeClient for its
+// pushes. EncodeVec and Exchange build in a fresh one, sized to the payload,
+// which the caller keeps.
 type encoder struct {
 	pay   WirePayload
-	q8    []nn.Quantized8
 	codes []byte
-	f16   []uint16
 	idx   []uint16
 	diff  []float32
 	cut   topKCut
@@ -189,12 +167,11 @@ func fit[T any](s []T, n int) []T {
 // to take the receiver's reconstruction.
 func (e *encoder) encode(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
 	delta := base != nil && len(base) == len(vec)
-	chunk := opts.chunkSize()
-	nChunks := (len(vec) + chunk - 1) / chunk
+	nChunks := (len(vec) + chunkLen - 1) / chunkLen
 	var cut *topKCut
 	nCodes := len(vec) // the codes the payload carries: one an element unless sparse
 	if delta {
-		e.diff = fit(e.diff, min(chunk, len(vec)))
+		e.diff = fit(e.diff, min(chunkLen, len(vec)))
 		if opts.TopK > 0 && opts.TopK < 1 {
 			if k := e.cut.selectTopK(vec, base, opts.TopK); k < len(vec) {
 				cut, nCodes = &e.cut, k
@@ -204,17 +181,13 @@ func (e *encoder) encode(vec, base []float32, opts WireOpts, recon []float32) *W
 	p := &e.pay
 	p.Header = WireHeader{Delta: delta, Len: len(vec), Chunks: nChunks}
 	p.Chunks = fit(p.Chunks, nChunks)
-	if opts.F16 {
-		e.f16 = fit(e.f16, nCodes)
-	} else {
-		e.codes, e.q8 = fit(e.codes, nCodes), fit(e.q8, nChunks)
-	}
+	e.codes = fit(e.codes, nCodes)
 	if cut != nil {
 		e.idx = fit(e.idx, nCodes)
 	}
 	e.next = 0
-	for i, start := 0, 0; start < len(vec); i, start = i+1, start+chunk {
-		end := min(start+chunk, len(vec))
+	for i, start := 0, 0; start < len(vec); i, start = i+1, start+chunkLen {
+		end := min(start+chunkLen, len(vec))
 		var ref, out []float32
 		if delta {
 			ref = base[start:end]
@@ -222,7 +195,7 @@ func (e *encoder) encode(vec, base []float32, opts WireOpts, recon []float32) *W
 		if recon != nil {
 			out = recon[start:end]
 		}
-		e.exchangeChunk(i, vec[start:end], ref, cut, opts.F16, out)
+		e.exchangeChunk(i, vec[start:end], ref, cut, out)
 	}
 	return p
 }
@@ -233,7 +206,7 @@ func (e *encoder) encode(vec, base []float32, opts WireOpts, recon []float32) *W
 // quantize it — only the coordinates inside the top-k boundary when cut is
 // set — into the encoder's next codes, and, when recon is there to take it,
 // write what the receiver will reconstruct.
-func (e *encoder) exchangeChunk(i int, vals, ref []float32, cut *topKCut, f16 bool, recon []float32) {
+func (e *encoder) exchangeChunk(i int, vals, ref []float32, cut *topKCut, recon []float32) {
 	c := &e.pay.Chunks[i]
 	*c = WireChunk{N: len(vals)}
 	enc := vals
@@ -243,23 +216,17 @@ func (e *encoder) exchangeChunk(i int, vals, ref []float32, cut *topKCut, f16 bo
 		c.Sparse = true
 		k := cut.gather(e.idx[e.next:], e.diff, vals, ref)
 		c.Idx, enc = e.idx[e.next:e.next+k:e.next+k], e.diff[:k]
-		if k > 0 && !f16 {
+		if k > 0 {
 			lo, hi = nn.Range(enc)
 		}
 	case ref != nil:
 		lo, hi = diffRange(e.diff, vals, ref)
 		enc = e.diff[:len(vals)]
-	case !f16:
+	default:
 		lo, hi = nn.Range(vals)
 	}
 	end := e.next + len(enc)
-	if f16 {
-		c.F16 = nn.QuantizeF16Into(e.f16[e.next:end:end], enc)
-	} else {
-		q := &e.q8[i]
-		*q = nn.Quantize8Range(e.codes[e.next:end:end], enc, lo, hi)
-		c.Q8 = q
-	}
+	c.Q8 = nn.Quantize8Range(e.codes[e.next:end:end], enc, lo, hi)
 	e.next = end
 	if recon != nil {
 		c.decodeInto(recon, ref)
@@ -408,10 +375,7 @@ func (p *WirePayload) check(base []float32) error {
 	total := 0
 	for i := range p.Chunks {
 		c := &p.Chunks[i]
-		codes, err := c.codeCount()
-		if err != nil {
-			return err
-		}
+		codes := len(c.Q8.Codes)
 		if c.N < 0 || c.N > h.Len-total {
 			return fmt.Errorf("%w: chunks overrun header length %d", errWire, h.Len)
 		}
@@ -473,19 +437,12 @@ func (c *WireChunk) decodeInto(win, ref []float32) {
 		// Unchanged coordinates keep the reference value (delta 0).
 		copy(win, ref)
 		for j, off := range c.Idx {
-			win[off] = ref[off] + c.code(j)
+			win[off] = ref[off] + c.Q8.At(j)
 		}
-	case c.Q8 != nil && ref != nil:
-		c.Q8.AddInto(win, ref)
-	case c.Q8 != nil:
-		c.Q8.DequantizeInto(win)
 	case ref != nil:
-		ref = ref[:len(c.F16)]
-		for j, h := range c.F16 {
-			win[j] = ref[j] + nn.F16ToF32(h)
-		}
+		c.Q8.AddInto(win, ref)
 	default:
-		nn.DequantizeF16Into(win, c.F16)
+		c.Q8.DequantizeInto(win)
 	}
 }
 
@@ -499,26 +456,6 @@ func fullBackboneLen(m *modular.Model) int {
 		}
 	}
 	return n
-}
-
-// codeCount checks that the chunk carries one kind of codes and returns how
-// many (none at all is a count of 0).
-func (c *WireChunk) codeCount() (int, error) {
-	if c.Q8 != nil {
-		if c.F16 != nil {
-			return 0, fmt.Errorf("%w: chunk carries both int8 and float16 codes", errWire)
-		}
-		return len(c.Q8.Codes), nil
-	}
-	return len(c.F16), nil
-}
-
-// code expands the chunk's j-th code.
-func (c *WireChunk) code(j int) float32 {
-	if c.Q8 != nil {
-		return c.Q8.At(j)
-	}
-	return nn.F16ToF32(c.F16[j])
 }
 
 // MappingEqual reports whether two per-layer active-module index sets are

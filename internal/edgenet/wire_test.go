@@ -35,16 +35,10 @@ func maxAbsDiff(a, b []float32) float64 {
 
 // q8Bound is the worst per-element error a chunked int8 encoding of vals can
 // introduce: half a step of the widest chunk range.
-func q8Bound(vals []float32, chunk int) float64 {
-	if chunk <= 0 {
-		chunk = 1024
-	}
+func q8Bound(vals []float32) float64 {
 	var worst float64
-	for start := 0; start < len(vals); start += chunk {
-		end := start + chunk
-		if end > len(vals) {
-			end = len(vals)
-		}
+	for start := 0; start < len(vals); start += chunkLen {
+		end := min(start+chunkLen, len(vals))
 		lo, hi := vals[start], vals[start]
 		for _, v := range vals[start:end] {
 			if v < lo {
@@ -76,7 +70,7 @@ func TestEncodeVecFullRoundTripBounded(t *testing.T) {
 		if len(back) != n {
 			t.Fatalf("n=%d: decoded %d elements", n, len(back))
 		}
-		if d, bound := maxAbsDiff(vec, back), q8Bound(vec, 1024)+1e-6; d > bound {
+		if d, bound := maxAbsDiff(vec, back), q8Bound(vec)+1e-6; d > bound {
 			t.Fatalf("n=%d: error %v exceeds q8 bound %v", n, d, bound)
 		}
 		// Fixed framing overhead dominates tiny vectors; compression is only a
@@ -108,7 +102,7 @@ func TestEncodeVecDeltaRoundTripBounded(t *testing.T) {
 	for i := range base {
 		deltas[i] = vec[i] - base[i]
 	}
-	if d, bound := maxAbsDiff(vec, back), q8Bound(deltas, 1024)+1e-6; d > bound {
+	if d, bound := maxAbsDiff(vec, back), q8Bound(deltas)+1e-6; d > bound {
 		t.Fatalf("delta error %v exceeds bound %v", d, bound)
 	}
 	// And strictly better than encoding vec without the reference.
@@ -259,7 +253,7 @@ func TestTopKMaskDeterministicTieBreak(t *testing.T) {
 // TestTopKMaskMatchesSortOracle is the differential that lets the linear-time
 // select replace the sort: over generated vectors the shipped mask equals the
 // sort's, bit for bit — heavy ties, all-equal, k = 1, k = n−1, vectors shorter
-// than a chunk and exact multiples of it, ±0, denormals, both code kinds.
+// than a chunk and exact multiples of it, ±0, denormals.
 func TestTopKMaskMatchesSortOracle(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	denorm := math.Float32frombits(1) // smallest positive denormal
@@ -291,10 +285,8 @@ func TestTopKMaskMatchesSortOracle(t *testing.T) {
 				if keyed := topKMaskKeyed(vals, frac); !reflect.DeepEqual(keyed, want) {
 					t.Fatalf("%s n=%d frac=%v: key order disagrees with the float order on NaN-free input", name, n, frac)
 				}
-				for _, opts := range []WireOpts{{TopK: frac}, {TopK: frac, F16: true}, {TopK: frac, Chunk: 64}, {TopK: frac, Chunk: 100, F16: true}} {
-					if got := topKMask(vals, opts); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s n=%d opts=%+v: mask differs from the sort oracle", name, n, opts)
-					}
+				if got := topKMask(vals, WireOpts{TopK: frac}); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s n=%d frac=%v: mask differs from the sort oracle", name, n, frac)
 				}
 			}
 		}
@@ -311,18 +303,13 @@ func payloadBits(p *WirePayload) []uint32 {
 	}
 	for i := range p.Chunks {
 		c := &p.Chunks[i]
-		out = append(out, uint32(c.N), uint32(len(c.Idx)), uint32(len(c.F16)))
+		out = append(out, uint32(c.N), uint32(len(c.Idx)))
 		if c.Sparse {
 			out = append(out, 1)
 		}
-		if c.Q8 != nil {
-			out = append(out, math.Float32bits(c.Q8.Min), math.Float32bits(c.Q8.Scale), uint32(len(c.Q8.Codes)))
-			for _, b := range c.Q8.Codes {
-				out = append(out, uint32(b))
-			}
-		}
-		for _, v := range c.F16 {
-			out = append(out, uint32(v))
+		out = append(out, math.Float32bits(c.Q8.Min), math.Float32bits(c.Q8.Scale), uint32(len(c.Q8.Codes)))
+		for _, b := range c.Q8.Codes {
+			out = append(out, uint32(b))
 		}
 		for _, v := range c.Idx {
 			out = append(out, uint32(v))
@@ -343,7 +330,7 @@ func TestEncodeVecNonFinite(t *testing.T) {
 	denorm := math.Float32frombits(3)
 	special := []float32{nan, inf, -inf, 0, negZero, denorm, -denorm, 1, -2, -nan}
 	rng := tensor.NewRNG(32)
-	vals := make([]float32, 700)
+	vals := make([]float32, 2*chunkLen+300)
 	for i := range vals {
 		vals[i] = special[rng.Intn(len(special))]
 	}
@@ -356,64 +343,61 @@ func TestEncodeVecNonFinite(t *testing.T) {
 			infs++
 		}
 	}
-	for _, f16 := range []bool{false, true} {
-		// Exactly the non-finite coordinates fit: all of them are kept,
-		// nothing finite is, whatever their positions.
-		frac := float64(nans+infs) / float64(len(vals))
-		opts := WireOpts{TopK: frac, Chunk: 64, F16: f16}
-		keep := topKMask(vals, opts)
-		for i, v := range vals {
-			if nonFinite := v != v || math.IsInf(float64(v), 0); keep[i] != nonFinite {
-				t.Fatalf("f16=%v: coordinate %d (%v) kept=%v under a budget of exactly the non-finite ones", f16, i, v, keep[i])
-			}
+	// Exactly the non-finite coordinates fit: all of them are kept, nothing
+	// finite is, whatever their positions.
+	frac := float64(nans+infs) / float64(len(vals))
+	keep := topKMask(vals, WireOpts{TopK: frac})
+	for i, v := range vals {
+		if nonFinite := v != v || math.IsInf(float64(v), 0); keep[i] != nonFinite {
+			t.Fatalf("coordinate %d (%v) kept=%v under a budget of exactly the non-finite ones", i, v, keep[i])
 		}
-		// One fewer: the budget runs out inside the Inf ties, so the Inf
-		// with the highest index is the one dropped and every NaN stays.
-		opts.TopK = float64(nans+infs-1) / float64(len(vals))
-		keep = topKMask(vals, opts)
-		lastInf := -1
-		for i, v := range vals {
-			if math.IsInf(float64(v), 0) {
-				lastInf = i
-			}
+	}
+	// One fewer: the budget runs out inside the Inf ties, so the Inf with the
+	// highest index is the one dropped and every NaN stays.
+	frac = float64(nans+infs-1) / float64(len(vals))
+	keep = topKMask(vals, WireOpts{TopK: frac})
+	lastInf := -1
+	for i, v := range vals {
+		if math.IsInf(float64(v), 0) {
+			lastInf = i
 		}
-		for i, v := range vals {
-			if want := v != v || (math.IsInf(float64(v), 0) && i != lastInf); keep[i] != want {
-				t.Fatalf("f16=%v: coordinate %d (%v) kept=%v, want %v (NaN above Inf, Inf ties by index)", f16, i, v, keep[i], want)
-			}
+	}
+	for i, v := range vals {
+		if want := v != v || (math.IsInf(float64(v), 0) && i != lastInf); keep[i] != want {
+			t.Fatalf("coordinate %d (%v) kept=%v, want %v (NaN above Inf, Inf ties by index)", i, v, keep[i], want)
 		}
-		if want := topKMaskKeyed(vals, opts.TopK); !reflect.DeepEqual(keep, want) {
-			t.Fatalf("f16=%v: mask differs from the key-order oracle", f16)
-		}
+	}
+	if want := topKMaskKeyed(vals, frac); !reflect.DeepEqual(keep, want) {
+		t.Fatal("mask differs from the key-order oracle")
+	}
 
-		base := randVec(rng, len(vals), 1)
-		vec := make([]float32, len(vals))
-		for i := range vec {
-			vec[i] = base[i] + vals[i]
+	base := randVec(rng, len(vals), 1)
+	vec := make([]float32, len(vals))
+	for i := range vec {
+		vec[i] = base[i] + vals[i]
+	}
+	for _, o := range []WireOpts{{}, {TopK: 0.25}, {TopK: 0.9}} {
+		a, b := EncodeVec(vec, base, o), EncodeVec(vec, base, o)
+		if !reflect.DeepEqual(payloadBits(a), payloadBits(b)) {
+			t.Fatalf("opts %+v: encoding a non-finite vector is not a pure function", o)
 		}
-		for _, o := range []WireOpts{{F16: f16}, {TopK: 0.25, F16: f16}, {TopK: 0.9, Chunk: 50, F16: f16}} {
-			a, b := EncodeVec(vec, base, o), EncodeVec(vec, base, o)
-			if !reflect.DeepEqual(payloadBits(a), payloadBits(b)) {
-				t.Fatalf("opts %+v: encoding a non-finite vector is not a pure function", o)
-			}
-			if out, err := DecodeVec(a, base); err != nil || len(out) != len(vec) {
-				t.Fatalf("opts %+v: decode of a non-finite payload: %d elements, err %v", o, len(out), err)
-			}
-			if _, err := DecodeVec(EncodeVec(vec, nil, o), nil); err != nil {
-				t.Fatalf("opts %+v: decode of a full non-finite payload: %v", o, err)
-			}
+		if out, err := DecodeVec(a, base); err != nil || len(out) != len(vec) {
+			t.Fatalf("opts %+v: decode of a non-finite payload: %d elements, err %v", o, len(out), err)
+		}
+		if _, err := DecodeVec(EncodeVec(vec, nil, o), nil); err != nil {
+			t.Fatalf("opts %+v: decode of a full non-finite payload: %v", o, err)
 		}
 	}
 }
 
-// FuzzTopKMask: any bit patterns, any fraction, any chunk size — the shipped
-// mask equals the sort under the documented key order, and equals the old
-// float-comparator sort wherever that one is defined (no NaN).
+// FuzzTopKMask: any bit patterns, any fraction — the shipped mask equals the
+// sort under the documented key order, and equals the old float-comparator
+// sort wherever that one is defined (no NaN).
 func FuzzTopKMask(f *testing.F) {
-	f.Add([]byte{0, 0, 128, 63, 0, 0, 128, 191, 0, 0, 128, 63, 0, 0, 128, 191}, uint8(128), uint16(0), false)            // ±1 ties
-	f.Add([]byte{0, 0, 192, 127, 0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 0, 128, 1, 0, 0, 0}, uint8(100), uint16(2), true) // NaN, ±Inf, −0, denormal
-	f.Add(make([]byte, 4*300), uint8(7), uint16(64), false)                                                              // all zero
-	f.Fuzz(func(t *testing.T, raw []byte, fracByte uint8, chunk uint16, f16 bool) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 128, 191, 0, 0, 128, 63, 0, 0, 128, 191}, uint8(128))             // ±1 ties
+	f.Add([]byte{0, 0, 192, 127, 0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 0, 128, 1, 0, 0, 0}, uint8(100)) // NaN, ±Inf, −0, denormal
+	f.Add(make([]byte, 4*1300), uint8(7))                                                               // all zero, past a chunk
+	f.Fuzz(func(t *testing.T, raw []byte, fracByte uint8) {
 		vals := make([]float32, len(raw)/4)
 		hasNaN := false
 		for i := range vals {
@@ -427,38 +411,16 @@ func FuzzTopKMask(f *testing.F) {
 			vals[i] -= zero[i]
 		}
 		frac := (float64(fracByte) + 0.5) / 256
-		got := topKMask(vals, WireOpts{TopK: frac, Chunk: int(chunk), F16: f16})
+		got := topKMask(vals, WireOpts{TopK: frac})
 		if want := topKMaskKeyed(vals, frac); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mask differs from the key-order sort (n=%d frac=%v chunk=%d)", len(vals), frac, chunk)
+			t.Fatalf("mask differs from the key-order sort (n=%d frac=%v)", len(vals), frac)
 		}
 		if !hasNaN {
 			if want := topKMaskSorted(vals, frac); !reflect.DeepEqual(got, want) {
-				t.Fatalf("mask differs from the float-order sort (n=%d frac=%v chunk=%d)", len(vals), frac, chunk)
+				t.Fatalf("mask differs from the float-order sort (n=%d frac=%v)", len(vals), frac)
 			}
 		}
 	})
-}
-
-func TestEncodeVecF16RoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(24)
-	vec := randVec(rng, 2000, 5)
-	p := EncodeVec(vec, nil, WireOpts{F16: true})
-	back, err := DecodeVec(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vec {
-		av := math.Abs(float64(vec[i]))
-		if av < 6.2e-5 {
-			continue
-		}
-		if rel := math.Abs(float64(back[i]-vec[i])) / av; rel > 1.0/2048+1e-9 {
-			t.Fatalf("coord %d relative error %v beyond f16 bound", i, rel)
-		}
-	}
-	if got := p.WireBytes(); got >= int64(len(vec))*4 || got <= int64(len(vec))*2 {
-		t.Fatalf("f16 payload %d bytes out of expected (2n, 4n) range", got)
-	}
 }
 
 func TestEncodeVecDeterministic(t *testing.T) {
@@ -468,7 +430,7 @@ func TestEncodeVecDeterministic(t *testing.T) {
 	for i := range base {
 		vec[i] = base[i] + float32(rng.NormFloat64()*0.05)
 	}
-	for _, opts := range []WireOpts{{}, {F16: true}, {TopK: 0.3}, {Chunk: 257, TopK: 0.1}} {
+	for _, opts := range []WireOpts{{}, {TopK: 0.3}, {TopK: 0.1}} {
 		a := EncodeVec(vec, base, opts)
 		b := EncodeVec(vec, base, opts)
 		if !reflect.DeepEqual(a, b) {
@@ -489,17 +451,12 @@ func TestWireRoundTripDifferential(t *testing.T) {
 
 		opts := WireOpts{}
 		var base []float32
-		switch mode % 4 {
+		switch mode % 3 {
 		case 1:
-			opts.F16 = true
+			base = randVec(rng, n, 1)
 		case 2:
 			base = randVec(rng, n, 1)
-		case 3:
-			base = randVec(rng, n, 1)
 			opts.TopK = 0.1 + rng.Float64()*0.8
-		}
-		if rng.Intn(2) == 1 {
-			opts.Chunk = 1 + rng.Intn(1300)
 		}
 
 		p := EncodeVec(vec, base, opts)
@@ -508,13 +465,13 @@ func TestWireRoundTripDifferential(t *testing.T) {
 			return false
 		}
 		// Size must beat raw float32 plus the per-chunk framing overhead
-		// (16 B payload header, ≤12 B per chunk); with a sane chunk size the
+		// (16 B payload header, 12 B per chunk); past a few elements the
 		// overhead vanishes and the payload genuinely compresses.
-		nChunks := int64((n + opts.chunkSize() - 1) / opts.chunkSize())
+		nChunks := int64((n + chunkLen - 1) / chunkLen)
 		if p.WireBytes() > int64(n)*4+16+12*nChunks {
 			return false
 		}
-		if n >= 256 && opts.chunkSize() >= 256 && p.WireBytes() >= int64(n)*4 {
+		if n >= 256 && p.WireBytes() >= int64(n)*4 {
 			return false
 		}
 
@@ -525,19 +482,7 @@ func TestWireRoundTripDifferential(t *testing.T) {
 				work[i] = vec[i] - base[i]
 			}
 		}
-		var bound float64
-		if opts.F16 {
-			// Relative 2⁻¹¹ on the largest magnitude covers every element.
-			var m float64
-			for _, v := range work {
-				if a := math.Abs(float64(v)); a > m {
-					m = a
-				}
-			}
-			bound = m / 2048
-		} else {
-			bound = q8Bound(work, opts.Chunk)
-		}
+		bound := q8Bound(work)
 		if opts.TopK > 0 && opts.TopK < 1 {
 			// Dropped coordinates keep the base value: their error is their
 			// own |delta|, bounded by the smallest kept magnitude ≤ max|work|.
@@ -602,8 +547,9 @@ type malformedPayload struct {
 	header bool
 }
 
-// malformedVecLen is the length of the vector the table's payloads encode.
-const malformedVecLen = 100
+// malformedVecLen is the length of the vector the table's payloads encode:
+// four chunks, the last ragged.
+const malformedVecLen = 3*chunkLen + 100
 
 // malformedPayloads builds the table TestDecodeVecRejectsMalformed checks and
 // FuzzDecodeVec starts from.
@@ -614,34 +560,25 @@ func malformedPayloads() []malformedPayload {
 
 	breakers := []struct {
 		name string
-		opts WireOpts
 		mod  func(p *WirePayload) []float32 // returns decode base
 	}{
-		{"chunk count lies", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Chunks++; return nil }},
-		{"length overrun", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Len -= 10; return nil }},
-		{"length underrun", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Header.Len += 10; return nil }},
-		{"negative chunk length", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Chunks[1].N = -32; return nil }},
-		{"codes truncated", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 {
+		{"chunk count lies", func(p *WirePayload) []float32 { p.Header.Chunks++; return nil }},
+		{"length overrun", func(p *WirePayload) []float32 { p.Header.Len -= 10; return nil }},
+		{"length underrun", func(p *WirePayload) []float32 { p.Header.Len += 10; return nil }},
+		{"negative chunk length", func(p *WirePayload) []float32 { p.Chunks[1].N = -32; return nil }},
+		{"codes truncated", func(p *WirePayload) []float32 {
 			p.Chunks[0].Q8.Codes = p.Chunks[0].Q8.Codes[:10]
 			return nil
 		}},
-		{"f16 codes truncated", WireOpts{Chunk: 32, F16: true}, func(p *WirePayload) []float32 {
-			p.Chunks[0].F16 = p.Chunks[0].F16[:10]
-			return nil
-		}},
-		{"both code kinds", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 {
-			p.Chunks[0].F16 = []uint16{0}
-			return nil
-		}},
-		{"no codes", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 { p.Chunks[0].Q8 = nil; return nil }},
-		{"delta base length mismatch", WireOpts{Chunk: 32}, func(p *WirePayload) []float32 {
+		{"no codes", func(p *WirePayload) []float32 { p.Chunks[0].Q8.Codes = nil; return nil }},
+		{"delta base length mismatch", func(p *WirePayload) []float32 {
 			p.Header.Delta = true
 			return base[:50]
 		}},
 	}
 	var out []malformedPayload
 	for _, b := range breakers {
-		p := EncodeVec(vec, nil, b.opts)
+		p := EncodeVec(vec, nil, WireOpts{})
 		out = append(out, malformedPayload{name: b.name, p: p, base: b.mod(p)})
 	}
 
@@ -655,16 +592,22 @@ func malformedPayloads() []malformedPayload {
 		{"chunks outnumber elements", func(h *WireHeader) { h.Chunks = 1 << 20 }},
 		{"length above the receiver's model", func(h *WireHeader) { h.Len = 1 << 30 }},
 	} {
-		p := EncodeVec(vec, nil, WireOpts{Chunk: 32})
+		p := EncodeVec(vec, nil, WireOpts{})
 		b.mod(&p.Header)
 		out = append(out, malformedPayload{name: b.name, p: p, header: true})
 	}
 
 	// Sparse-specific rows.
-	sparse := func() *WirePayload { return EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.2}) }
+	sparse := func() *WirePayload { return EncodeVec(vec, base, WireOpts{TopK: 0.2}) }
 	sp := sparse()
-	sp.Chunks[0].Idx[0] = 40
+	sp.Chunks[0].Idx[0] = chunkLen
 	out = append(out, malformedPayload{name: "sparse offset outside chunk", p: sp, base: base})
+	sp = sparse()
+	sp.Chunks[1].Idx[1] = sp.Chunks[1].Idx[0]
+	out = append(out, malformedPayload{name: "sparse offset repeated", p: sp, base: base})
+	sp = sparse()
+	sp.Chunks[2].Idx[0], sp.Chunks[2].Idx[1] = sp.Chunks[2].Idx[1], sp.Chunks[2].Idx[0]
+	out = append(out, malformedPayload{name: "sparse offsets out of order", p: sp, base: base})
 	sp = sparse()
 	sp.Header.Delta = false
 	out = append(out, malformedPayload{name: "sparse chunk in full payload", p: sp})
@@ -678,20 +621,43 @@ func malformedPayloads() []malformedPayload {
 	return out
 }
 
-// unreadable is the stream behind a header recvPayload must reject unread.
+// unreadable is the stream behind what recvPayload must reject unread: it
+// holds head (a frame's first 8 bytes; nothing, behind a header), and the test
+// fails if recvPayload asks for more.
 type unreadable struct {
 	t    *testing.T
 	name string
+	head []byte
 }
 
-func (u unreadable) Read([]byte) (int, error) {
-	u.t.Fatalf("%s: recvPayload read a frame on the header's word", u.name)
-	return 0, io.EOF
+func (u *unreadable) Read(p []byte) (int, error) {
+	if len(u.head) == 0 {
+		u.t.Fatalf("%s: recvPayload read past what condemns it", u.name)
+		return 0, io.EOF
+	}
+	n := copy(p, u.head)
+	u.head = u.head[n:]
+	return n, nil
 }
 
-func (u unreadable) Write(p []byte) (int, error) { return len(p), nil }
+func (u *unreadable) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestDecodeVecRejectsMalformed(t *testing.T) {
+	// Frames a receiver owed 100 elements refuses on their first 8 bytes,
+	// before the body is sized or read: a version-3 frame of 2-byte codes
+	// (flag bit 1), and a sparse frame one byte over the bound.
+	for _, f := range []struct {
+		name string
+		head []byte
+	}{
+		{"a version-3 frame", frameHead(4+2*100, 1<<1, 100)},
+		{"a frame one byte over the bound", frameHead(12+3*100+1, frameSparse, 100)},
+	} {
+		codec := NewCodec(&unreadable{t, f.name, f.head})
+		if _, err := codec.RecvPayload(&WireHeader{Len: 100, Chunks: 1}, 100); err == nil {
+			t.Fatalf("%s: received", f.name)
+		}
+	}
 	for _, m := range malformedPayloads() {
 		if _, err := DecodeVec(m.p, m.base); err == nil {
 			t.Fatalf("%s: decode accepted malformed payload", m.name)
@@ -699,7 +665,7 @@ func TestDecodeVecRejectsMalformed(t *testing.T) {
 		if !m.header {
 			continue
 		}
-		codec := NewCodec(unreadable{t, m.name})
+		codec := NewCodec(&unreadable{t: t, name: m.name})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := codec.RecvPayload(&m.p.Header, malformedVecLen)
@@ -738,8 +704,8 @@ func FuzzDecodeVec(f *testing.F) {
 	}
 	rng := tensor.NewRNG(28)
 	vec, base := randVec(rng, 100, 1), randVec(rng, 100, 1)
-	seed(EncodeVec(vec, nil, WireOpts{Chunk: 32}), 0)
-	seed(EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.2, F16: true}), 100)
+	seed(EncodeVec(vec, nil, WireOpts{}), 0)
+	seed(EncodeVec(vec, base, WireOpts{TopK: 0.2}), 100)
 	f.Fuzz(func(t *testing.T, raw []byte, baseLen uint16) {
 		var in fuzzedPayload
 		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&in); err != nil {
@@ -753,33 +719,33 @@ func FuzzDecodeVec(f *testing.F) {
 }
 
 // TestCodecAllocsPerChunk pins the codec's allocation shape: a top-k encode
-// makes six allocations however many chunks it cuts — the payload with its
-// encoder, the chunk table, the quantization headers, the codes, the sparse
-// offsets and one chunk's worth of difference window — and an encoder that
+// makes five allocations however many chunks it cuts — the payload with its
+// encoder, the chunk table, the codes, the sparse offsets and one chunk's
+// worth of difference window — and an encoder that
 // has built as long a payload before (a sender's) makes none; a decode makes
 // one — the output — however many chunks it expands. Nothing the size of the
 // vector is allocated on the encode side but its codes.
 func TestCodecAllocsPerChunk(t *testing.T) {
 	rng := tensor.NewRNG(29)
 	for _, chunks := range []int{1, 4, 16} {
-		n := chunks * 256
+		n := chunks * chunkLen
 		base := randVec(rng, n, 1)
 		vec := make([]float32, n)
 		for i := range vec {
 			vec[i] = base[i] + float32(rng.NormFloat64()*0.01)
 		}
-		opts := WireOpts{Chunk: 256, TopK: 0.25}
-		if got := testing.AllocsPerRun(20, func() { payloadSink = EncodeVec(vec, base, opts) }); got != 6 {
-			t.Errorf("top-k EncodeVec over %d chunks: %v allocations, want 6", chunks, got)
+		opts := WireOpts{TopK: 0.25}
+		if got := testing.AllocsPerRun(20, func() { payloadSink = EncodeVec(vec, base, opts) }); got != 5 {
+			t.Errorf("top-k EncodeVec over %d chunks: %v allocations, want 5", chunks, got)
 		}
 		var enc encoder
-		for _, o := range []WireOpts{opts, {Chunk: 256}, {Chunk: 256, F16: true}} {
+		for _, o := range []WireOpts{opts, {}} {
 			enc.encode(vec, base, o, nil)
 			if got := testing.AllocsPerRun(20, func() { enc.encode(vec, base, o, nil) }); got != 0 {
 				t.Errorf("%+v over %d chunks in a used encoder: %v allocations, want 0", o, chunks, got)
 			}
 		}
-		for _, p := range []*WirePayload{EncodeVec(vec, base, opts), EncodeVec(vec, base, WireOpts{Chunk: 256}), EncodeVec(vec, nil, WireOpts{Chunk: 256, F16: true})} {
+		for _, p := range []*WirePayload{EncodeVec(vec, base, opts), EncodeVec(vec, base, WireOpts{}), EncodeVec(vec, nil, WireOpts{})} {
 			dbase := base
 			if !p.Header.Delta {
 				dbase = nil
@@ -798,23 +764,20 @@ func TestCodecAllocsPerChunk(t *testing.T) {
 var payloadSink *WirePayload
 
 func TestWireBytesMatchesStructure(t *testing.T) {
-	vec := make([]float32, 1000)
+	vec := make([]float32, 4000) // four chunks, the last ragged
 	for i := range vec {
 		vec[i] = float32(i)
 	}
-	p := EncodeVec(vec, nil, WireOpts{Chunk: 250})
-	// 16 header + 4 chunks · (4 + 8 + 250 codes).
-	if want := int64(16 + 4*(4+8+250)); p.WireBytes() != want {
+	p := EncodeVec(vec, nil, WireOpts{})
+	// 16 header + 4 chunks · (4 + 8) + a code an element.
+	if want := int64(16 + 4*(4+8) + len(vec)); p.WireBytes() != want {
 		t.Fatalf("WireBytes %d, want %d", p.WireBytes(), want)
 	}
-	f := EncodeVec(vec, nil, WireOpts{Chunk: 250, F16: true})
-	if want := int64(16 + 4*(4+2*250)); f.WireBytes() != want {
-		t.Fatalf("f16 WireBytes %d, want %d", f.WireBytes(), want)
-	}
-	base := make([]float32, 1000)
-	s := EncodeVec(vec, base, WireOpts{Chunk: 250, TopK: 0.1})
-	// 100 kept total → per chunk 25 codes + 25 offsets.
-	if want := int64(16 + 4*(4+8+25+2*25)); s.WireBytes() != want {
+	base := make([]float32, len(vec))
+	s := EncodeVec(vec, base, WireOpts{TopK: 0.1})
+	// The 400 largest deltas are the last chunk's: 400 codes and offsets
+	// there, none in the other three.
+	if want := int64(16 + 4*(4+8) + 400*(1+2)); s.WireBytes() != want {
 		t.Fatalf("sparse WireBytes %d, want %d", s.WireBytes(), want)
 	}
 }
@@ -839,10 +802,10 @@ func TestMappingEqual(t *testing.T) {
 // Chunks of a sparse payload must still reconstruct when a chunk keeps zero
 // coordinates (all its deltas were below the global threshold).
 func TestSparseChunkWithNoKeptCoords(t *testing.T) {
-	base := make([]float32, 200)
+	base := make([]float32, 2*chunkLen)
 	vec := append([]float32(nil), base...)
 	vec[5] = 10 // the single important delta lives in chunk 0
-	p := EncodeVec(vec, base, WireOpts{Chunk: 100, TopK: 0.01})
+	p := EncodeVec(vec, base, WireOpts{TopK: 1.0 / float64(len(vec))})
 	back, err := DecodeVec(p, base)
 	if err != nil {
 		t.Fatal(err)

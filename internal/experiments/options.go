@@ -64,12 +64,10 @@ type Options struct {
 	// simulated wire-format v2 codec (nebula-sim -wire; docs/PROTOCOL.md
 	// "Wire format v2"): quantized, delta-encoded transfers with exact
 	// encoded-size byte accounting. WireTopK sparsifies uplink deltas to
-	// that coordinate fraction; WireF16 selects float16 codes over int8.
-	// The compress experiment compares clean vs compressed itself,
+	// that coordinate fraction. The compress experiment compares clean vs compressed itself,
 	// regardless of these options.
 	WireCompress bool
 	WireTopK     float64
-	WireF16      bool
 
 	// Trace optionally receives the structured JSONL adaptation log of the
 	// online-stage Nebula runs (nebula-sim -trace). Nil disables tracing.
@@ -123,7 +121,6 @@ func (o Options) fedConfig() fed.Config {
 	cfg.StalenessDecay = o.StalenessDecay
 	cfg.WireCompress = o.WireCompress
 	cfg.WireTopK = o.WireTopK
-	cfg.WireF16 = o.WireF16
 	return cfg
 }
 

@@ -81,8 +81,6 @@ type Config struct {
 	// WireTopK in (0,1) keeps only that fraction of uplink delta
 	// coordinates (deterministic top-k by |value|). 0 = dense uplink.
 	WireTopK float64
-	// WireF16 selects float16 codes over the default int8.
-	WireF16 bool
 }
 
 // DefaultConfig mirrors the paper's parameter settings.

@@ -25,7 +25,7 @@ func legacyPull(nb *Nebula, held *modular.SubModel, ref *edgenet.WireRef) (int64
 	if nb.cfg.WireCompress {
 		vec := cloud.BackboneVector()
 		recon := make([]float32, len(vec))
-		p := edgenet.Exchange(vec, ref.Base(cloud.Mapping), edgenet.WireOpts{F16: nb.cfg.WireF16}, recon)
+		p := edgenet.Exchange(vec, ref.Base(cloud.Mapping), edgenet.WireOpts{}, recon)
 		cloud.LoadBackboneVector(recon)
 		bytes, next = p.WireBytes(), &edgenet.WireRef{Mapping: cloud.Mapping, Vec: recon}
 	}

@@ -374,7 +374,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				sub = s.Model.Extract(active)
 				bytes = sub.BackboneBytes()
 				if s.cfg.WireCompress {
-					bytes, r.wireRef = wireDownlink(sub, p.wireRef[i], edgenet.WireOpts{F16: s.cfg.WireF16})
+					bytes, r.wireRef = wireDownlink(sub, p.wireRef[i], edgenet.WireOpts{})
 				}
 			}
 			if !p.hadGate[i] {
@@ -420,7 +420,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 					if ref == nil {
 						ref = p.wireRef[i]
 					}
-					upBytes, upSub = wireUplink(sub, ref, edgenet.WireOpts{F16: s.cfg.WireF16, TopK: s.cfg.WireTopK})
+					upBytes, upSub = wireUplink(sub, ref, edgenet.WireOpts{TopK: s.cfg.WireTopK})
 				}
 				r.update = &modular.Update{Sub: upSub, Importance: imp, Weight: float64(c.Dev.Train.Len()), ClassWeights: cw}
 				t += prof.TransferTime(upBytes)

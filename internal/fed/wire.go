@@ -42,7 +42,7 @@ func (s *Nebula) pullBlend(held *modular.SubModel, ref *edgenet.WireRef) (int64,
 	}
 	bytes, ref := cross(held, func(dst []float32) []float32 {
 		return s.Model.AppendBackboneVector(dst, held.Mapping)
-	}, ref, edgenet.WireOpts{F16: s.cfg.WireF16})
+	}, ref, edgenet.WireOpts{})
 	pulled, err := s.Model.SubModelOver(held.Mapping, ref.Vec)
 	if err != nil {
 		panic(err) // held was extracted from this model

@@ -133,8 +133,7 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 		lastFirst[l][n-1] = 0.8
 	}
 	loose := modular.Budget{CommBytes: 1e12, FwdFLOPs: 1e12, MemElems: 1e12}
-	narrow := loose
-	narrow.MaxModules = 1
+	narrow := modular.Budget{} // affords each layer's forced module alone
 	steps := []struct {
 		imp      [][]float64
 		budget   modular.Budget

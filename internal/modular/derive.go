@@ -7,10 +7,9 @@ import (
 // Budget is the resource envelope for sub-model derivation: the L_j vector
 // of Eq. 2 (communication, computation, memory).
 type Budget struct {
-	CommBytes  float64 // bytes the device can afford to transfer
-	FwdFLOPs   float64 // per-sample forward FLOPs the device can afford
-	MemElems   float64 // training-memory elements the device can afford
-	MaxModules int     // optional hard cap on module count (0 = none)
+	CommBytes float64 // bytes the device can afford to transfer
+	FwdFLOPs  float64 // per-sample forward FLOPs the device can afford
+	MemElems  float64 // training-memory elements the device can afford
 }
 
 // PoolBudget is the budget that affords stem and head, which every sub-model
@@ -26,10 +25,12 @@ func (m *Model) PoolBudget(frac float64) Budget {
 			poolMem += float64(mc.TrainMemEl)
 		}
 	}
+	// Each product is rounded before the add: a platform that fuses the two
+	// (arm64 does) would round once, and could afford another module.
 	return Budget{
-		CommBytes: float64(stem.Bytes+head.Bytes) + frac*poolBytes,
-		FwdFLOPs:  float64(stem.FwdFLOPs+head.FwdFLOPs) + frac*poolFlops,
-		MemElems:  float64(stem.TrainMemEl+head.TrainMemEl) + frac*poolMem,
+		CommBytes: float64(stem.Bytes+head.Bytes) + float64(frac*poolBytes),
+		FwdFLOPs:  float64(stem.FwdFLOPs+head.FwdFLOPs) + float64(frac*poolFlops),
+		MemElems:  float64(stem.TrainMemEl+head.TrainMemEl) + float64(frac*poolMem),
 	}
 }
 
@@ -92,47 +93,12 @@ func (m *Model) Derive(importance [][]float64, budget Budget, exact bool) [][]in
 		sel = solve.GreedyKnapsack(items, budgets, forced)
 	}
 
-	// Optional cap: keep the highest-importance modules, preserving the one
-	// forced module per layer.
-	if budget.MaxModules > 0 && len(sel) > budget.MaxModules {
-		sel = capSelection(sel, forced, items, budget.MaxModules)
-	}
-
 	active := make([][]int, len(m.Layers))
 	for _, s := range sel {
 		r := refs[s]
 		active[r.l] = append(active[r.l], r.i)
 	}
 	return active
-}
-
-// capSelection trims a selection to maxModules items by dropping the
-// lowest-value non-forced items.
-func capSelection(sel, forced []int, items []solve.Item, maxModules int) []int {
-	isForced := map[int]bool{}
-	for _, f := range forced {
-		isForced[f] = true
-	}
-	kept := append([]int(nil), forced...)
-	// Collect non-forced, sorted descending by value (insertion sort; tiny).
-	var rest []int
-	for _, s := range sel {
-		if !isForced[s] {
-			rest = append(rest, s)
-		}
-	}
-	for i := 1; i < len(rest); i++ {
-		for j := i; j > 0 && items[rest[j]].Value > items[rest[j-1]].Value; j-- {
-			rest[j], rest[j-1] = rest[j-1], rest[j]
-		}
-	}
-	for _, s := range rest {
-		if len(kept) >= maxModules {
-			break
-		}
-		kept = append(kept, s)
-	}
-	return kept
 }
 
 // SelectionCost sums the resource cost of an active-set selection, including

@@ -324,20 +324,6 @@ func maxModuleBytes(m *Model) int64 {
 	return mx
 }
 
-func TestDeriveMaxModulesCap(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	m := NewModularMLP(rng, 20, 32, 6, Config{ModulesPerLayer: 8, TopK: 2, EmbedDim: 16, MinShrink: 0.25, MaxShrink: 0.5})
-	imp := m.Importance(randBatch(rng, 10, 20))
-	sel := m.Derive(imp, Budget{CommBytes: 1e12, FwdFLOPs: 1e12, MemElems: 1e12, MaxModules: 3}, false)
-	total := 0
-	for _, l := range sel {
-		total += len(l)
-	}
-	if total > 3 {
-		t.Fatalf("cap violated: %d modules", total)
-	}
-}
-
 func randBatch(rng *tensor.RNG, b, n int) *tensor.Tensor {
 	x := tensor.New(b, n)
 	rng.FillNormal(x, 0, 1)

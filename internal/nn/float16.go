@@ -2,11 +2,10 @@ package nn
 
 import "math"
 
-// IEEE 754 binary16 ("half") conversion — the 2-byte-per-element leg of the
-// wire codec (docs/PROTOCOL.md "Wire format v2"). Encoding uses
-// round-to-nearest-even, the same deterministic rule on every platform, so
-// both ends of a link reconstruct bit-identical float32 values from the same
-// input — a requirement for delta references staying in sync.
+// IEEE 754 binary16 ("half") conversion. The wire codec carries int8 codes
+// only (docs/PROTOCOL.md "Wire format v2"); the benchmark's quantizer probes
+// time QuantizeF16 beside nn.Quantize8. Encoding uses round-to-nearest-even,
+// the same deterministic rule on every platform.
 
 // F16FromF32 converts a float32 to its binary16 bit pattern with
 // round-to-nearest-even. Overflow saturates to ±Inf; NaN stays NaN;
@@ -82,13 +81,7 @@ func F16ToF32(h uint16) float32 {
 // QuantizeF16 encodes a float32 vector as binary16 codes (2 B/element,
 // relative error ≤ 2⁻¹¹ for normal values).
 func QuantizeF16(vec []float32) []uint16 {
-	return QuantizeF16Into(make([]uint16, len(vec)), vec)
-}
-
-// QuantizeF16Into is QuantizeF16 into codes, which must hold len(vec)
-// elements; it returns them.
-func QuantizeF16Into(codes []uint16, vec []float32) []uint16 {
-	codes = codes[:len(vec)]
+	codes := make([]uint16, len(vec))
 	for i, v := range vec {
 		codes[i] = F16FromF32(v)
 	}
@@ -98,15 +91,8 @@ func QuantizeF16Into(codes []uint16, vec []float32) []uint16 {
 // DequantizeF16 reverses QuantizeF16.
 func DequantizeF16(codes []uint16) []float32 {
 	out := make([]float32, len(codes))
-	DequantizeF16Into(out, codes)
-	return out
-}
-
-// DequantizeF16Into decodes codes into dst, which must hold len(codes)
-// elements.
-func DequantizeF16Into(dst []float32, codes []uint16) {
-	dst = dst[:len(codes)]
 	for i, h := range codes {
-		dst[i] = F16ToF32(h)
+		out[i] = F16ToF32(h)
 	}
+	return out
 }
