@@ -13,16 +13,19 @@ vet:
 	$(GO) vet ./...
 
 # The portable paths: gemm_kernel_generic.go and every loop whose bits rest on
-# an explicit float32(a*b) are otherwise only ever compiled for amd64. No fused
+# an explicit float32(a*b) are otherwise only ever compiled for amd64. arm64
+# fuses a*b+c into one rounding unless a conversion rounds the product first,
+# and amd64 never fuses, so only this listing can see the bits move: no fused
 # multiply-add may appear in the arm64 listings of internal/edgenet,
-# nn/quantize.go and modular/derive.go (ci.sh has the same stage).
+# nn/quantize.go, nn/optim.go, modular/derive.go and fed/faults.go.
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
 	@fused=$$( { GOARCH=arm64 $(GO) build -gcflags=-S ./internal/edgenet 2>&1; \
-		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1 | grep 'nn/quantize\.go:'; \
-		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/modular 2>&1 | grep 'modular/derive\.go:'; } | grep -E 'FN?M(ADD|SUB)' || true); \
-		[ -z "$$fused" ] || { echo "fused multiply-add in the arm64 build: $$fused" >&2; exit 1; }
+		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1 | grep -E 'nn/(quantize|optim)\.go:'; \
+		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/modular 2>&1 | grep 'modular/derive\.go:'; \
+		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/fed 2>&1 | grep 'fed/faults\.go:'; } | grep -E 'FN?M(ADD|SUB)' || true); \
+		[ -z "$$fused" ] || { echo "fused multiply-add in the arm64 build (round the product with an explicit conversion): $$fused" >&2; exit 1; }
 
 # Formatting: gofmt must have nothing to say outside the linter's fixtures.
 fmt-check:
@@ -47,14 +50,16 @@ race:
 # allocation tests (*ZeroAlloc* in ./internal/tensor/ ./internal/nn/
 # ./internal/modular/, *AllocBudget* in ./internal/edgenet/ ./internal/fed/
 # ./internal/data/) skip under -race;
-# `make test` runs them, and ci.sh has a stage for them.
+# `make test` runs them, and ci.sh has a stage for them. ci.sh runs these
+# stages (all but lint, whose report it archives itself), fuzz-smoke and
+# bench-e2e-check through this file.
 check: build vet portable fmt-check lint race
 
 test:
 	$(GO) test ./...
 
 # Every native Fuzz* target in the tree for 5s each beyond its seed corpus
-# (`go test` alone only replays the seeds); ci.sh runs the same loop.
+# (`go test` alone only replays the seeds).
 fuzz-smoke:
 	$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ {n[++k]=$$1} /^ok/ {for (i=1; i<=k; i++) print $$2, n[i]; k=0}' | \
 		while read -r pkg target; do \
@@ -69,7 +74,7 @@ bench:
 # The end-to-end benchmark is a module of its own (bench/, replace repro =>
 # ../) that `go build/vet/test ./...` from the root never compile. This
 # checks it still builds, passes its tests and counts deterministically
-# against the tree as it is now; ci.sh runs the same three commands.
+# against the tree as it is now. Read-only: nothing under bench/ changes.
 bench-e2e-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...

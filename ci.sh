@@ -1,8 +1,10 @@
 #!/bin/sh
-# ci.sh — the repository's verification gate, exactly what `make check`
-# runs, as a standalone script for CI systems without make. Exits nonzero on
-# the first failure: build break, go vet or gofmt finding, nebula-lint
-# finding, or a test/race failure.
+# ci.sh — the repository's full verification gate. The Makefile owns the
+# stages it shares with `make check` (build, vet, the arm64 listing, gofmt,
+# race tests), fuzz-smoke and bench-e2e-check, and this script runs them
+# through make; what it adds is the nebula-lint report archive and fixture
+# self-check, the allocation tests, the nebula-sim end-to-end gates and the
+# seed audit. Exits nonzero on the first failure.
 #
 # Optionally pass a seed to also audit experiment determinism end-to-end:
 #   ./ci.sh 7    # additionally runs `nebula-sim -exp fig1b -seed 7 -seed-audit`
@@ -64,30 +66,8 @@ workers_gate() {
     rm -rf "$tmp"
 }
 
-echo "== go build ./..."
-go build ./...
-
-echo "== go vet ./..."
-go vet ./...
-
-echo "== GOARCH=arm64 go build + vet ./... (the portable kernel and every float32(a*b) loop compile)"
-GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./...
-
-# arm64 fuses a*b+c into one rounding unless a conversion rounds the product
-# first; amd64 never fuses, so no amd64 run can see the bits move. Checked in
-# the listings of internal/edgenet, nn's quantizer and modular's derivation so
-# far.
-echo "== no fused multiply-add in the arm64 listings of internal/edgenet, nn/quantize.go and modular/derive.go"
-fused=$({
-    GOARCH=arm64 go build -gcflags=-S ./internal/edgenet 2>&1
-    GOARCH=arm64 go build -gcflags=-S ./internal/nn 2>&1 | grep 'nn/quantize\.go:'
-    GOARCH=arm64 go build -gcflags=-S ./internal/modular 2>&1 | grep 'modular/derive\.go:'
-} | grep -E 'FN?M(ADD|SUB)' || true)
-[ -z "$fused" ] || fail "fused multiply-add in the arm64 build (round the product with an explicit conversion): $fused"
-
-echo "== gofmt -l (everything outside testdata/ is formatted)"
-unformatted=$(gofmt -l . 2>/dev/null | grep -v '/testdata/' || true)
-[ -z "$unformatted" ] || fail "gofmt -l reports unformatted files: $unformatted"
+echo "== make build vet portable fmt-check (go build + vet natively and for arm64, no fused multiply-add in the arm64 listing, gofmt)"
+make build vet portable fmt-check
 
 echo "== nebula-lint ./... (typed whole-program engine)"
 linttmp=$(mktemp -d)
@@ -116,8 +96,8 @@ for c in $("$linttmp/nebula-lint" -list | awk '$1 != "scope:" {print $1}'); do
 done
 rm -rf "$linttmp"
 
-echo "== go test -race ./..."
-go test -race ./...
+echo "== make race"
+make race
 
 echo "== workers differential gate (artifacts identical for -workers 1 vs 4)"
 # -admin-addr stays on: artifacts must be identical with the telemetry
@@ -243,22 +223,11 @@ rm -rf "$spantmp"
 echo "== allocation gates (AllocsPerRun and allocation-budget tests skip under -race, so run them once without it)"
 go test -run 'ZeroAlloc|AllocBudget' ./internal/tensor/ ./internal/nn/ ./internal/modular/ ./internal/edgenet/ ./internal/fed/ ./internal/data/
 
-echo "== fuzz smoke (every native Fuzz* target in the tree, 5s each beyond its seed corpus)"
-# `go test` alone only replays a fuzzer's seeds; -fuzz takes one target of
-# one package per invocation, so list them all and run each briefly.
-go test -list '^Fuzz' ./... | awk '/^Fuzz/ {n[++k]=$1} /^ok/ {for (i=1; i<=k; i++) print $2, n[i]; k=0}' |
-    while read -r pkg target; do
-        go test -run '^$' -fuzz "^$target\$" -fuzztime 5s "$pkg" || exit 1
-    done
+echo "== make fuzz-smoke (every native Fuzz* target in the tree, 5s each beyond its seed corpus)"
+make fuzz-smoke
 
-echo "== bench module gate (bench/ vets, passes its tests and counts deterministically against this tree)"
-# bench/ is its own module (replace repro => ../), so the root `go build`,
-# `go vet` and `go test ./...` above never compile it: an internal/ signature
-# change could break the benchmark every performance claim is measured with
-# and nothing here would notice. Read-only use — nothing under bench/ changes.
-go -C bench vet ./...
-go -C bench test ./...
-go run -C bench . -check-determinism >/dev/null
+echo "== make bench-e2e-check (bench/ vets, passes its tests and counts deterministically against this tree)"
+make bench-e2e-check >/dev/null
 
 if [ "${1:-}" != "" ]; then
     echo "== seed audit (seed $1)"

@@ -166,3 +166,45 @@ func TestServerExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownKindObserved: a request of a kind the server does not speak is
+// answered with an error and observed under kind="unknown", not dropped from
+// the per-kind histograms.
+func TestUnknownKindObserved(t *testing.T) {
+	srv := NewServer(buildModel(14), 1)
+	a, b := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		srv.ServeConn(a)
+		_ = a.Close()
+		close(done)
+	}()
+	codec := NewCodec(b)
+	if err := codec.Send(&Request{Kind: 42}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := codec.Recv(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || resp.Error == "" {
+		t.Fatalf("kind 42 answered %+v, want an error", resp)
+	}
+	_ = b.Close()
+	<-done
+	counts := map[string]uint64{}
+	for _, f := range srv.Registry().Snapshot() {
+		for _, p := range f.Points {
+			counts[f.Name+"{"+p.Labels+"}"] = p.Count
+		}
+	}
+	for _, series := range []string{
+		`nebula_edgenet_server_rpc_seconds{kind="unknown"}`,
+		`nebula_edgenet_server_payload_bytes{dir="in",kind="unknown"}`,
+		`nebula_edgenet_server_payload_bytes{dir="out",kind="unknown"}`,
+	} {
+		if counts[series] != 1 {
+			t.Errorf("%s counts %d, want 1", series, counts[series])
+		}
+	}
+}

@@ -307,6 +307,12 @@ func (s *Server) ServeConn(rw interface {
 			return
 		}
 		sw := obs.StartTimer()
+		// A kind this server does not speak is answered with an error and
+		// observed under kind="unknown" (MsgKind 0), like any other request.
+		kind := req.Kind
+		if _, known := s.metrics.rpcSeconds[kind]; !known {
+			kind = 0
+		}
 		// The handler span parents under the client's attempt span (wire
 		// context), so one trace shows both sides of the RPC; decode and the
 		// phase spans below it are its children.
@@ -331,7 +337,7 @@ func (s *Server) ServeConn(rw interface {
 			s.noteConnError("recv", err)
 			return
 		}
-		s.metrics.reqBytes[req.Kind].Observe(float64(in - prevIn))
+		s.metrics.reqBytes[kind].Observe(float64(in - prevIn))
 		prevIn = in
 		if req.Attempt > 0 {
 			s.metrics.retries.Inc()
@@ -350,9 +356,9 @@ func (s *Server) ServeConn(rw interface {
 			return
 		}
 		_, out := codec.Traffic()
-		s.metrics.rspBytes[req.Kind].Observe(float64(out - prevOut))
+		s.metrics.rspBytes[kind].Observe(float64(out - prevOut))
 		prevOut = out
-		s.metrics.rpcSeconds[req.Kind].ObserveSince(sw)
+		s.metrics.rpcSeconds[kind].ObserveSince(sw)
 	}
 }
 

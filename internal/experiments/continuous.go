@@ -94,7 +94,7 @@ func runContinuousTask(opt Options, task *fed.Task, salt int64) *ContinuousResul
 	for step := 1; step <= opt.AdaptSteps; step++ {
 		for _, s := range systems {
 			for _, c := range s.cl {
-				c.Dev.Shift(opt.ShiftFrac)
+				c.Dev.Shift(shiftFrac)
 				c.Mon.Step()
 			}
 			s.s.Adapt(tensor.NewRNG(opt.Seed+int64(step)), s.cl)

@@ -67,7 +67,7 @@ func RunFaults(opt Options) *FaultsResult {
 		var accs []float64
 		for step := 1; step <= opt.AdaptSteps; step++ {
 			for _, c := range clients {
-				c.Dev.Shift(opt.ShiftFrac)
+				c.Dev.Shift(shiftFrac)
 				c.Mon.Step()
 			}
 			nb.Adapt(tensor.NewRNG(opt.Seed+int64(step)), clients)

@@ -43,9 +43,9 @@ func RunFig1a(opt Options) *metrics.Figure {
 	// Static cloud model: the full model, frozen after pre-deployment
 	// training. Static edge model: a quarter-width model, likewise frozen.
 	staticCloud := task.BuildFull(rng, 1.0)
-	fed.TrainLayer(rng, staticCloud, proxy, opt.PretrainEpochs, cfg.LR, cfg.BatchSize, nil)
+	fed.TrainLayer(rng, staticCloud, proxy, opt.PretrainEpochs, cfg.LR, fed.BatchSize, nil)
 	staticEdge := task.BuildFull(rng, 0.25)
-	fed.TrainLayer(rng, staticEdge, proxy, opt.PretrainEpochs, cfg.LR, cfg.BatchSize, nil)
+	fed.TrainLayer(rng, staticEdge, proxy, opt.PretrainEpochs, cfg.LR, fed.BatchSize, nil)
 	individual := nn.CloneLayer(staticEdge)
 	collaborative := nn.CloneLayer(staticEdge)
 
@@ -77,8 +77,8 @@ func RunFig1a(opt Options) *metrics.Figure {
 				d.ReplaceData(0.5)
 				pooled.Append(d.Train)
 			}
-			fed.TrainLayer(rng, individual, devices[0].Train, 2, cfg.LR, cfg.BatchSize, nil)
-			fed.TrainLayer(rng, collaborative, pooled, 2, cfg.LR, cfg.BatchSize, nil)
+			fed.TrainLayer(rng, individual, devices[0].Train, 2, cfg.LR, fed.BatchSize, nil)
+			fed.TrainLayer(rng, collaborative, pooled, 2, cfg.LR, fed.BatchSize, nil)
 		}
 		x := float64(slot)
 		sCloud.Add(x, evalAll(staticCloud))
@@ -180,13 +180,13 @@ func RunFig2(opt Options) []*metrics.Table {
 	for _, pr := range profiles {
 		cost := device.CostOf(pr.m, pr.in)
 		inferMem := device.InferenceMemoryBytes(pr.m, pr.in)
-		trainMem := device.TrainMemoryBytes(cost.TrainMemEl, 16)
+		trainMem := device.TrainMemoryBytes(cost.TrainMemEl, fed.BatchSize)
 		tc.AddRow(pr.name,
 			metrics.FmtBytes(cost.Bytes),
 			metrics.FmtBytes(inferMem),
 			metrics.FmtBytes(trainMem),
 			metrics.FmtDur(nano.InferenceLatency(cost.FwdFLOPs)),
-			metrics.FmtDur(nano.TrainBatchLatency(cost.FwdFLOPs, 16)),
+			metrics.FmtDur(nano.TrainBatchLatency(cost.FwdFLOPs, fed.BatchSize)),
 		)
 	}
 	return []*metrics.Table{ta, tb, tc}

@@ -15,6 +15,11 @@ import (
 	"repro/internal/trace"
 )
 
+// shiftFrac is the share of each device's classes and samples one
+// environment shift replaces between two adaptation steps — the paper's
+// "replace 50% of the local data" protocol (Fig 10/11, faults, straggler).
+const shiftFrac = 0.5
+
 // Options scales an experiment run. The defaults keep a full sweep tractable
 // on a laptop; ScalePaper plus larger fleets approaches the paper's setup.
 type Options struct {
@@ -35,7 +40,6 @@ type Options struct {
 
 	// Continuous adaptation (Fig 10/11).
 	AdaptSteps int
-	ShiftFrac  float64
 
 	// Sub-model sweep (Fig 12).
 	RandomSubModels int
@@ -101,7 +105,6 @@ func Default() Options {
 		FinetuneEpochs:  6,
 		PretrainEpochs:  5,
 		AdaptSteps:      10,
-		ShiftFrac:       0.5,
 		RandomSubModels: 14,
 		Stragglers:      2,
 		Verbose:         false,

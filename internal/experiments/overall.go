@@ -175,10 +175,10 @@ func RunFig8(opt Options) *metrics.Table {
 		in := row.Task.InElems()
 		mem := func(m nn.Layer) int64 {
 			_, el := nn.TrainCost(m, in)
-			return device.TrainMemoryBytes(el, 16)
+			return device.TrainMemoryBytes(el, fed.BatchSize)
 		}
 		memSub := func(s *modular.SubModel) int64 {
-			return device.TrainMemoryBytes(subTrainElems(s, in), 16)
+			return device.TrainMemoryBytes(subTrainElems(s, in), fed.BatchSize)
 		}
 		for _, devName := range []string{"jetson-nano", "raspberry-pi-4b"} {
 			fm, hm, m1, m2 := mem(full), mem(hfl), memSub(n1), memSub(n2)
@@ -204,54 +204,17 @@ func RunFig9(opt Options) *metrics.Table {
 		for _, devName := range []string{"jetson-nano", "raspberry-pi-4b"} {
 			cls := device.ClassByName(devName)
 			p := device.Profile{ComputeFLOPS: cls.ComputeFLOPS, MemoryBytes: cls.MemoryBytes, BandwidthBps: cls.BandwidthBps}
-			lat := func(fwd int) float64 { return p.TrainBatchLatency(fwd, 16) }
+			lat := func(fwd int) float64 { return p.TrainBatchLatency(fwd, fed.BatchSize) }
 			fullF, _ := nn.ForwardCost(full, in)
 			hflF, _ := nn.ForwardCost(hfl, in)
-			n1F := subFwdFlops(n1, in)
-			n2F := subFwdFlops(n2, in)
+			n1F := n1.ExecutedFlops(nil)
+			n2F := n2.ExecutedFlops(nil)
 			tb.AddRow(row.Task.Name, devName,
 				metrics.FmtDur(lat(fullF)), metrics.FmtDur(lat(hflF)), metrics.FmtDur(lat(n1F)), metrics.FmtDur(lat(n2F)),
 				fmt.Sprintf("%.2fx", lat(fullF)/lat(n1F)))
 		}
 	}
 	return tb
-}
-
-// subFwdFlops estimates per-sample forward FLOPs of a sub-model: stem +
-// top-k routed modules per layer + head.
-func subFwdFlops(s *modular.SubModel, inElems int) int {
-	total, cur := 0, inElems
-	if c, ok := s.Stem.(nn.Coster); ok {
-		f, out := c.Cost(cur)
-		total += f
-		cur = out
-	}
-	for _, layer := range s.Layers {
-		k := s.TopK
-		if k > layer.N() {
-			k = layer.N()
-		}
-		// Average module cost × k (the executed subset).
-		sum, next := 0, cur
-		for _, m := range layer.Modules {
-			if c, ok := m.(nn.Coster); ok {
-				f, out := c.Cost(cur)
-				sum += f
-				if out > 0 {
-					next = out
-				}
-			}
-		}
-		if layer.N() > 0 {
-			total += sum / layer.N() * k
-		}
-		cur = next
-	}
-	if c, ok := s.Head.(nn.Coster); ok {
-		f, _ := c.Cost(cur)
-		total += f
-	}
-	return total
 }
 
 // subTrainElems estimates the training memory footprint elements of a

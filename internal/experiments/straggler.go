@@ -77,7 +77,7 @@ func RunStraggler(opt Options) *StragglerResult {
 		nb.Pretrain(tensor.NewRNG(opt.Seed+60), proxy)
 		// A bigger pool than the other runners: churn needs headroom, and the
 		// pinned stragglers must stay a minority of the healthy fleet.
-		fleet := NewDynamicFleet(tensor.NewRNG(opt.Seed+50), task, maxInt(opt.Devices/2, 8), opt.ShiftFrac, churn)
+		fleet := NewDynamicFleet(tensor.NewRNG(opt.Seed+50), task, maxInt(opt.Devices/2, 8), shiftFrac, churn)
 		var accs []float64
 		for step := 1; step <= opt.AdaptSteps; step++ {
 			fleet.Step()

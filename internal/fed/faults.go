@@ -13,17 +13,13 @@ import (
 // iteration order and a fault seed replays byte-identically (the property
 // nebula-sim -seed-audit -faults verifies).
 //
-// The loss process mirrors the client's retry policy: each exchange gets
-// MaxAttempts tries; one try is lost with probability Drop+Reset (a dropped
-// message and a mid-transfer reset are equally fatal to one attempt), and
-// every try costs the link delay plus, on retries, exponential backoff.
+// The loss process is the real client's retry budget,
+// edgenet.DefaultRetryPolicy: each exchange gets its MaxAttempts tries; one
+// try is lost with probability Drop+Reset (a dropped message and a
+// mid-transfer reset are equally fatal to one attempt), and every try costs
+// the link delay plus, before retry k, the backoff BaseDelay·2^(k−1).
 type FaultModel struct {
 	Cfg edgenet.FaultConfig
-	// MaxAttempts bounds simulated tries per exchange (client retry budget).
-	MaxAttempts int
-	// RetryDelay is the simulated base backoff in seconds; retry k adds
-	// RetryDelay·2^(k−1).
-	RetryDelay float64
 
 	stats FaultStats
 }
@@ -56,9 +52,9 @@ func (s FaultStats) outcomes() [8]faultOutcome {
 	}
 }
 
-// NewFaultModel wraps a fault config with the default retry budget.
+// NewFaultModel wraps a fault config.
 func NewFaultModel(cfg edgenet.FaultConfig) *FaultModel {
-	return &FaultModel{Cfg: cfg, MaxAttempts: 4, RetryDelay: 0.05}
+	return &FaultModel{Cfg: cfg}
 }
 
 // Operation keys for Roll; distinct constants keep fetch and push fault
@@ -68,30 +64,19 @@ const (
 	opPush  int64 = 2
 )
 
-// lossProb is the per-attempt probability one exchange is lost.
-func (f *FaultModel) lossProb() float64 {
-	p := f.Cfg.Drop + f.Cfg.Reset
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
 // try simulates one exchange: success/failure plus the simulated seconds the
 // link faults cost (delays on every try, backoff before each retry).
 func (f *FaultModel) try(op int64, round, dev int) (ok bool, extra float64, tries int) {
-	p := f.lossProb()
-	attempts := f.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	p := min(f.Cfg.Drop+f.Cfg.Reset, 1) // the per-try loss probability
+	policy := edgenet.DefaultRetryPolicy()
+	attempts, backoff := policy.MaxAttempts, policy.BaseDelay.Seconds()
 	for a := 0; a < attempts; a++ {
 		extra += f.Cfg.Delay.Seconds()
 		if f.Cfg.Roll(op, int64(round), int64(dev), int64(a)) >= p {
 			return true, extra, a + 1
 		}
 		if a < attempts-1 {
-			extra += f.RetryDelay * float64(int64(1)<<a)
+			extra += float64(backoff * float64(int64(1)<<a))
 		}
 	}
 	return false, extra, attempts

@@ -39,7 +39,6 @@ type Config struct {
 	// client drift is small. Personalized local training (LA, AN, Nebula
 	// sub-models) uses the full LR.
 	CollabLRScale   float32
-	BatchSize       int // 16
 	DevicesPerRound int // 25
 	Rounds          int // communication rounds per adaptation step
 	TestPerDevice   int // local test samples per device
@@ -83,6 +82,10 @@ type Config struct {
 	WireTopK float64
 }
 
+// BatchSize is the mini-batch size of every strategy's training loops and of
+// the simulated per-batch training latency (paper Section 6.1).
+const BatchSize = 16
+
 // DefaultConfig mirrors the paper's parameter settings.
 func DefaultConfig() Config {
 	return Config{
@@ -90,7 +93,6 @@ func DefaultConfig() Config {
 		FinetuneEpochs:  10,
 		LR:              0.01,
 		CollabLRScale:   0.3,
-		BatchSize:       16,
 		DevicesPerRound: 25,
 		Rounds:          10,
 		TestPerDevice:   60,
@@ -188,12 +190,12 @@ func EvalLayer(m nn.Layer, ds *data.Dataset) float64 {
 
 // trainTime returns the simulated seconds a client spends on local training:
 // batches × epochs × per-batch latency under the current resource profile.
-func trainTime(p device.Profile, fwdFlopsPerSample int, samples, epochs, batch int) float64 {
+func trainTime(p device.Profile, fwdFlopsPerSample, samples, epochs int) float64 {
 	if samples == 0 {
 		return 0
 	}
-	batches := (samples + batch - 1) / batch
-	return float64(epochs*batches) * p.TrainBatchLatency(fwdFlopsPerSample, batch)
+	batches := (samples + BatchSize - 1) / BatchSize
+	return float64(epochs*batches) * p.TrainBatchLatency(fwdFlopsPerSample, BatchSize)
 }
 
 // meanLocalAccuracyLayer evaluates one shared model on every client's local

@@ -29,7 +29,7 @@ func (s *FedAvg) Name() string { return "FA" }
 // Pretrain fits the global model on proxy data.
 func (s *FedAvg) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.global = s.Task.BuildFull(rng, 1.0)
-	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
+	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, BatchSize, nil)
 }
 
 // Adapt runs cfg.Rounds communication rounds.
@@ -82,11 +82,11 @@ func (s *FedAvg) round(rng *tensor.RNG, clients []*Client) {
 		}
 		c := part[i]
 		local := nn.CloneLayer(s.global)
-		TrainLayer(streams[i], local, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*s.cfg.collabScale(), s.cfg.BatchSize, prox)
+		TrainLayer(streams[i], local, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*s.cfg.collabScale(), BatchSize, prox)
 		res[i].vec = nn.FlattenVector(local.Params(), nn.LayerStates(local))
 		res[i].w = float64(c.Dev.Train.Len())
 		p := c.Mon.Profile()
-		res[i].t = p.TransferTime(bytes)*2 + trainTime(p, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs, s.cfg.BatchSize)
+		res[i].t = p.TransferTime(bytes)*2 + trainTime(p, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs)
 	})
 
 	// Canonical reduce: the weighted sum accumulates in device order, so the

@@ -16,22 +16,15 @@ type HeteroFL struct {
 	global nn.Layer
 	cfg    Config
 	costs  Costs
-	// Rates is the nested width set clients are mapped to by capability.
-	Rates []float64
-	rate  map[int]float64
-	local map[int]nn.Layer // each client's current sliced model (for eval)
+	rate   map[int]float64
+	local  map[int]nn.Layer // each client's current sliced model (for eval)
 }
 
-// NewHeteroFL builds the HFL strategy with the standard rate ladder.
+// NewHeteroFL builds the HFL strategy.
 func NewHeteroFL(task *Task, cfg Config) *HeteroFL {
-	// The rate ladder is clamped at 0.5: the simulation-scale base models
-	// are already tiny, and HeteroFL's thinner tiers (1/8-width) would leave
-	// 1-2 channels per layer — a degenerate regime the paper's full-size
-	// models never enter.
 	return &HeteroFL{
 		Task:  task,
 		cfg:   cfg,
-		Rates: []float64{1.0, 0.75, 0.5},
 		rate:  map[int]float64{},
 		local: map[int]nn.Layer{},
 	}
@@ -42,10 +35,14 @@ func (s *HeteroFL) Name() string { return "HFL" }
 // Pretrain fits the full-width global model.
 func (s *HeteroFL) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.global = s.Task.BuildFull(rng, 1.0)
-	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
+	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, BatchSize, nil)
 }
 
-// clientRate maps a device's compute capability to the nested rate ladder.
+// clientRate maps a device's compute capability to the nested width ladder
+// {1, 0.75, 0.5}. The ladder is clamped at 0.5: the simulation-scale base
+// models are already tiny, and HeteroFL's thinner tiers (1/8-width) would
+// leave 1-2 channels per layer — a degenerate regime the paper's full-size
+// models never enter.
 func (s *HeteroFL) clientRate(c *Client) float64 {
 	if r, ok := s.rate[c.Dev.ID]; ok {
 		return r
@@ -53,12 +50,12 @@ func (s *HeteroFL) clientRate(c *Client) float64 {
 	flops := c.Mon.Class.ComputeFLOPS
 	top := device.ClassByName("flagship-soc").ComputeFLOPS
 	rel := flops / top
-	r := s.Rates[len(s.Rates)-1]
+	r := 0.5
 	switch {
 	case rel >= 0.3:
-		r = s.Rates[0]
-	case rel >= 0.15 && len(s.Rates) > 1:
-		r = s.Rates[1]
+		r = 1.0
+	case rel >= 0.15:
+		r = 0.75
 	}
 	s.rate[c.Dev.ID] = r
 	return r
@@ -134,11 +131,11 @@ func (s *HeteroFL) round(rng *tensor.RNG, clients []*Client) {
 		c := part[i]
 		local := s.sliceDown(streams[i], rates[i])
 		bytes := modelBytes(local)
-		TrainLayer(streams[i], local, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*s.cfg.collabScale(), s.cfg.BatchSize, nil)
+		TrainLayer(streams[i], local, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*s.cfg.collabScale(), BatchSize, nil)
 		p := c.Mon.Profile()
 		fwd, _ := nn.ForwardCost(local, s.Task.InElems())
 		res[i] = result{local: local, bytes: bytes,
-			t: p.TransferTime(bytes)*2 + trainTime(p, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs, s.cfg.BatchSize)}
+			t: p.TransferTime(bytes)*2 + trainTime(p, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs)}
 	})
 
 	// Canonical reduce: overlap accumulation runs in device order, keeping

@@ -161,8 +161,8 @@ func TestPullBlendReadsInPlace(t *testing.T) {
 }
 
 // TestWireRefMappingIsPrivate: a reference is immutable, the mapping of the
-// sub-model it was built for is not (SubModel.DropModule edits it in place);
-// the reference must keep naming the structure its vector has.
+// sub-model it was built for is not (it is an exported slice its holder may
+// edit); the reference must keep naming the structure its vector has.
 func TestWireRefMappingIsPrivate(t *testing.T) {
 	task := HARTask(71, ScaleQuick)
 	cfg := tinyCfg()

@@ -101,7 +101,6 @@ func NewNebula(task *Task, cfg Config) *Nebula {
 	// modularized MoE-style model also needs a longer schedule than a plain
 	// model to train its selector and modules jointly.
 	tc.Epochs = 2 * PretrainEpochs
-	tc.BatchSize = cfg.BatchSize
 	tc.GroupSize = task.GroupSize
 	return &Nebula{
 		Task:               task,
@@ -395,11 +394,11 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		if s.LocalTraining {
 			tspan := s.Spans.Start(p.trace, dspan.ID(), "fed.train")
 			tspan.SetDevice(id)
-			TrainLayer(p.streams[i], sub, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
+			TrainLayer(p.streams[i], sub, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, BatchSize, nil)
 			tspan.End()
 			upBytes := int64(nn.ParamCount(sub.Params())) * 4 // modules+stem+head; selector is not updated on edge
 			_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
-			t += trainTime(prof, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs, s.cfg.BatchSize)
+			t += trainTime(prof, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs)
 			t += p.pushExtra[i]
 			if p.pushOK[i] {
 				pspan := s.Spans.Start(p.trace, dspan.ID(), "fed.push")
@@ -593,11 +592,11 @@ func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 		if sub == nil {
 			sub = s.deriveFresh(s.Model.Selector.Clone(), c)
 		}
-		TrainLayer(streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize, nil)
+		TrainLayer(streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
 		sub.Park()
 		_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
 		res[i].sub = sub
-		res[i].t = trainTime(c.Mon.Profile(), fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs, s.cfg.BatchSize)
+		res[i].t = trainTime(c.Mon.Profile(), fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
 	})
 	var slot float64
 	for i, c := range clients {

@@ -54,8 +54,8 @@ func (s *Nebula) pullBlend(held *modular.SubModel, ref *edgenet.WireRef) (int64,
 // cross carries one backbone vector of sub's structure over the simulated
 // link — delta against ref when ref has that structure — and returns its exact
 // wire size and what the far end then holds: the reconstruction, under its own
-// copy of the mapping (a reference is immutable; SubModel.DropModule edits
-// sub's in place). flatten appends the vector to an array borrowed for as long
+// copy of the mapping (a reference is immutable; sub's mapping is an exported
+// slice its holder may edit). flatten appends the vector to an array borrowed for as long
 // as the codec reads it. Pure; safe from parallel workers.
 func cross(sub *modular.SubModel, flatten func([]float32) []float32, ref *edgenet.WireRef, opts edgenet.WireOpts) (int64, *edgenet.WireRef) {
 	base := ref.Base(sub.Mapping)

@@ -439,28 +439,6 @@ func TestAggregateWeightsByImportance(t *testing.T) {
 	}
 }
 
-func TestDropModuleShrinksSubModel(t *testing.T) {
-	rng := tensor.NewRNG(17)
-	m := NewModularMLP(rng, 10, 16, 4, smallCfg())
-	sub := m.Extract([][]int{{0, 1, 2}})
-	probe := randBatch(rng, 4, 10)
-	if !sub.DropModule(probe) {
-		t.Fatal("DropModule failed with 3 modules")
-	}
-	if sub.NumModules() != 2 {
-		t.Fatalf("NumModules = %d after drop", sub.NumModules())
-	}
-	// Forward still works.
-	y := sub.Forward(probe, false)
-	if y.HasNaN() {
-		t.Fatal("NaN after module drop")
-	}
-	sub.DropModule(probe)
-	if sub.DropModule(probe) {
-		t.Fatal("must not drop the last module of a layer")
-	}
-}
-
 func TestImportanceMatchesSelector(t *testing.T) {
 	rng := tensor.NewRNG(18)
 	m := NewModularMLP(rng, 10, 16, 4, smallCfg())

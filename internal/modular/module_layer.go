@@ -117,8 +117,8 @@ func (ml *ModuleLayer) releaseStep() {
 
 // sizeTables makes the routing tables fit n modules, batch samples and k
 // selections per sample — allocating only on first use, when the module count
-// changed (SubModel.DropModule) or when batch or k outgrew them — and clears
-// the per-module routes.
+// changed (Modules is an exported slice) or when batch or k outgrew them — and
+// clears the per-module routes.
 func (ml *ModuleLayer) sizeTables(n, batch, k int) {
 	if n != len(ml.routes) || batch > ml.capBatch || k > ml.capK {
 		cb, ck := max(batch, ml.capBatch), max(k, ml.capK)

@@ -339,48 +339,6 @@ func TestModuleLayerDoubleBackwardPanics(t *testing.T) {
 	layer.Backward(dy) // and a new training Forward arms it again
 }
 
-// TestDropModuleResizesRoutingTables: SubModel.DropModule between two steps
-// changes a layer's module count under tables sized for the old one; the next
-// step must compute what a freshly built layer over the remaining modules
-// computes.
-func TestDropModuleResizesRoutingTables(t *testing.T) {
-	rng := tensor.NewRNG(43)
-	m := NewModularMLP(rng, 10, 24, 4, smallCfg())
-	sub := m.Extract([][]int{{0, 1, 2, 3}})
-	x := randBatch(rng, 9, 10)
-	dLogits := randBatch(rng, 9, 4)
-	sub.Forward(x, true)
-	sub.Backward(dLogits)
-	if !sub.DropModule(x) {
-		t.Fatal("nothing dropped")
-	}
-	fresh := &SubModel{
-		Stem: nn.CloneLayer(sub.Stem), Head: nn.CloneLayer(sub.Head), Selector: sub.Selector.Clone(),
-		TopK: sub.TopK, InShape: sub.InShape, Mapping: [][]int{append([]int(nil), sub.Mapping[0]...)},
-	}
-	layer := NewModuleLayer()
-	for _, mod := range sub.Layers[0].Modules {
-		layer.Modules = append(layer.Modules, nn.CloneLayer(mod))
-	}
-	fresh.Layers = []*ModuleLayer{layer}
-
-	nn.ZeroGrads(sub.Params())
-	for step := 0; step < 2; step++ {
-		got, want := sub.Forward(x, true), fresh.Forward(x, true)
-		if !sameBits(got.Data, want.Data) {
-			t.Fatalf("step %d after DropModule: output differs from a freshly built sub-model's", step)
-		}
-		if !sameBits(sub.Backward(dLogits).Data, fresh.Backward(dLogits).Data) {
-			t.Fatalf("step %d after DropModule: input gradient differs from a freshly built sub-model's", step)
-		}
-	}
-	for i, p := range sub.Params() {
-		if !sameBits(p.G.Data, fresh.Params()[i].G.Data) {
-			t.Fatalf("after DropModule: gradient of %s differs from a freshly built sub-model's", p.Name)
-		}
-	}
-}
-
 // TestModelParkIsInvisible: an offline stage ends its own bout — the cloud
 // model TrainEndToEnd returns holds no gradient — and the parked model prices
 // its modules as a twin that was never parked does: its layers keep the input

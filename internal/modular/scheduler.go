@@ -3,7 +3,6 @@ package modular
 import (
 	"sort"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -69,51 +68,14 @@ func NewScheduler(sub *SubModel, probe *tensor.Tensor) *Scheduler {
 		}
 	}
 	s.flops = make([]int, len(s.ladder))
-	for r := range s.ladder {
-		s.flops[r] = s.rungFlops(r)
+	keep := make([][]int, len(sub.Layers))
+	for r, rung := range s.ladder {
+		for l, n := range rung {
+			keep[l] = s.ranked[l][:n]
+		}
+		s.flops[r] = sub.ExecutedFlops(keep)
 	}
 	return s
-}
-
-// rungFlops estimates the forward cost of rung r: stem + the kept modules'
-// average cost × effective top-k + head.
-func (s *Scheduler) rungFlops(r int) int {
-	in := 1
-	for _, d := range s.Sub.InShape {
-		in *= d
-	}
-	total, cur := 0, in
-	if c, ok := s.Sub.Stem.(nn.Coster); ok {
-		f, out := c.Cost(cur)
-		total += f
-		cur = out
-	}
-	for l, layer := range s.Sub.Layers {
-		keep := s.ladder[r][l]
-		k := s.Sub.TopK
-		if k > keep {
-			k = keep
-		}
-		sum, next := 0, cur
-		for _, j := range s.ranked[l][:keep] {
-			if c, ok := layer.Modules[j].(nn.Coster); ok {
-				f, out := c.Cost(cur)
-				sum += f
-				if out > 0 {
-					next = out
-				}
-			}
-		}
-		if keep > 0 {
-			total += sum / keep * k
-		}
-		cur = next
-	}
-	if c, ok := s.Sub.Head.(nn.Coster); ok {
-		f, _ := c.Cost(cur)
-		total += f
-	}
-	return total
 }
 
 // Rungs returns the number of available operating points.

@@ -346,35 +346,48 @@ func (s *SubModel) NumModules() int {
 	return n
 }
 
-// DropModule removes the locally least-important module of the widest layer
-// (by current mapping width), the runtime "module scheduling" adjustment the
-// paper describes for resource fluctuations. Importance is taken from a
-// selector pass over probe. Layers with a single module are left intact.
-// Returns false if nothing could be dropped.
-func (s *SubModel) DropModule(probe *tensor.Tensor) bool {
-	probs := s.Selector.Forward(probe, false)
-	batch := probe.Dim(0)
-	bestLayer, bestIdx := -1, -1
-	bestImp := 0.0
+// ExecutedFlops estimates the per-sample forward FLOPs of s when layer l runs
+// only its compact modules keep[l] (keep == nil: every module): stem, plus
+// the kept modules' average cost × min(TopK, kept) per layer, plus head. It
+// is the cost Scheduler ranks its rungs by and Fig. 9 times a sub-model at.
+func (s *SubModel) ExecutedFlops(keep [][]int) int {
+	in := 1
+	for _, d := range s.InShape {
+		in *= d
+	}
+	total, cur := 0, in
+	if c, ok := s.Stem.(nn.Coster); ok {
+		f, out := c.Cost(cur)
+		total += f
+		cur = out
+	}
 	for l, layer := range s.Layers {
-		if layer.N() <= 1 {
-			continue
+		n := layer.N()
+		if keep != nil {
+			n = len(keep[l])
 		}
-		for j, orig := range s.Mapping[l] {
-			var imp float64
-			for b := 0; b < batch; b++ {
-				imp += float64(probs[l][b][orig])
+		sum, next := 0, cur
+		for i := 0; i < n; i++ {
+			j := i
+			if keep != nil {
+				j = keep[l][i]
 			}
-			if bestLayer == -1 || imp < bestImp {
-				bestLayer, bestIdx, bestImp = l, j, imp
+			if c, ok := layer.Modules[j].(nn.Coster); ok {
+				f, out := c.Cost(cur)
+				sum += f
+				if out > 0 {
+					next = out
+				}
 			}
 		}
+		if n > 0 {
+			total += sum / n * min(s.TopK, n)
+		}
+		cur = next
 	}
-	if bestLayer == -1 {
-		return false
+	if c, ok := s.Head.(nn.Coster); ok {
+		f, _ := c.Cost(cur)
+		total += f
 	}
-	layer := s.Layers[bestLayer]
-	layer.Modules = append(layer.Modules[:bestIdx], layer.Modules[bestIdx+1:]...)
-	s.Mapping[bestLayer] = append(s.Mapping[bestLayer][:bestIdx], s.Mapping[bestLayer][bestIdx+1:]...)
-	return true
+	return total
 }

@@ -7,17 +7,20 @@ import (
 	"repro/internal/tensor"
 )
 
+// The offline stages' fixed hyperparameters at simulation scale: Adam's
+// learning rate, the mini-batch size, λ for the load-balancing loss of
+// vanilla end-to-end training, and λ for the KL guidance term of
+// ability-enhancing fine-tuning.
+const (
+	trainLR   float32 = 0.005
+	batchSize         = 16
+	lbWeight  float32 = 0.1
+	klWeight  float32 = 0.5
+)
+
 // TrainConfig controls the offline on-cloud training stages.
 type TrainConfig struct {
-	LR        float32
-	Epochs    int
-	BatchSize int
-	// LBWeight is λ for the load-balancing loss in vanilla end-to-end
-	// training.
-	LBWeight float32
-	// KLWeight is λ for the KL guidance term in ability-enhancing
-	// fine-tuning.
-	KLWeight float32
+	Epochs int
 	// GroupSize defines sub-tasks as contiguous class groups of this size.
 	GroupSize int
 	// LoadCap (κ₁) and MaxModulesPerTask (κ₂) are the Eq. 1 constraints.
@@ -29,11 +32,7 @@ type TrainConfig struct {
 // simulation scale.
 func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{
-		LR:                0.005,
 		Epochs:            3,
-		BatchSize:         16,
-		LBWeight:          0.1,
-		KLWeight:          0.5,
 		GroupSize:         2,
 		LoadCap:           0.5,
 		MaxModulesPerTask: 4,
@@ -46,7 +45,7 @@ func DefaultTrainConfig() TrainConfig {
 // moments and all the model borrowed go back to the arena as it returns
 // (Model.Park), whether or not the caller keeps the model.
 func (m *Model) TrainEndToEnd(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfig) []float64 {
-	opt := nn.NewAdam(cfg.LR)
+	opt := nn.NewAdam(trainLR)
 	defer opt.Release()
 	defer m.Park()
 	params := m.Params()
@@ -55,13 +54,13 @@ func (m *Model) TrainEndToEnd(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfig
 	for e := 0; e < cfg.Epochs; e++ {
 		var sum float64
 		var batches int
-		ds.Batches(rng, cfg.BatchSize, func(x *tensor.Tensor, y []int) {
+		ds.Batches(rng, batchSize, func(x *tensor.Tensor, y []int) {
 			logits := m.Forward(x, nil, true)
 			loss, grad := nn.SoftmaxCrossEntropy(logits, y)
-			lb := m.Backward(grad, cfg.LBWeight)
+			lb := m.Backward(grad, lbWeight)
 			nn.ClipGradNorm(params, 5)
 			opt.Step(params)
-			sum += loss + float64(cfg.LBWeight)*lb
+			sum += loss + float64(lbWeight)*lb
 			batches++
 		})
 		if batches > 0 {
@@ -155,13 +154,13 @@ func (m *Model) AbilityEnhance(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfi
 	}
 
 	// Fine-tune: CE through the full model plus KL guidance on the selector.
-	opt := nn.NewAdam(cfg.LR)
+	opt := nn.NewAdam(trainLR)
 	defer opt.Release()
 	defer m.Park()
 	params := m.Params()
 	nn.EnsureGrads(params)
 	for e := 0; e < cfg.Epochs; e++ {
-		ds.Batches(rng, cfg.BatchSize, func(x *tensor.Tensor, y []int) {
+		ds.Batches(rng, batchSize, func(x *tensor.Tensor, y []int) {
 			logits := m.Forward(x, nil, true)
 			_, grad := nn.SoftmaxCrossEntropy(logits, y)
 			m.Backward(grad, 0)
@@ -177,7 +176,7 @@ func (m *Model) AbilityEnhance(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfi
 					prow := p.Row(b)
 					dzrow := dz.Row(b)
 					for n := range prow {
-						dzrow[n] = cfg.KLWeight * (prow[n] - tgt[n]) / float32(batch)
+						dzrow[n] = klWeight * (prow[n] - tgt[n]) / float32(batch)
 					}
 				}
 				dLogits[l] = dz

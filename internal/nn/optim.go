@@ -72,29 +72,32 @@ func (s *SGD) Release() {
 
 // Adam is the Adam optimizer with bias correction.
 type Adam struct {
-	LR, Beta1, Beta2, Eps float32
-	WeightDecay           float32
-	t                     int
-	m, v                  map[*Param]*tensor.Tensor
+	LR   float32
+	t    int
+	m, v map[*Param]*tensor.Tensor
 }
 
-// NewAdam returns an Adam optimizer with standard defaults for the moment
-// coefficients.
+// Adam's standard moment coefficients and denominator epsilon.
+const (
+	adamBeta1 float32 = 0.9
+	adamBeta2 float32 = 0.999
+	adamEps   float32 = 1e-8
+)
+
+// NewAdam returns an Adam optimizer.
 func NewAdam(lr float32) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: map[*Param]*tensor.Tensor{}, v: map[*Param]*tensor.Tensor{}}
+	return &Adam{LR: lr, m: map[*Param]*tensor.Tensor{}, v: map[*Param]*tensor.Tensor{}}
 }
 
-// Step applies one Adam update and zeroes gradients.
+// Step applies one Adam update and zeroes gradients. Each moment product is
+// rounded to float32 before it is added, as in SGD.Step, so no platform fuses
+// it.
 func (a *Adam) Step(params []*Param) {
 	a.t++
-	bc1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
-	bc2 := 1 - float32(math.Pow(float64(a.Beta2), float64(a.t)))
+	bc1 := 1 - float32(math.Pow(float64(adamBeta1), float64(a.t)))
+	bc2 := 1 - float32(math.Pow(float64(adamBeta2), float64(a.t)))
 	for _, p := range params {
 		g := p.G
-		if a.WeightDecay != 0 {
-			g.AddScaled(a.WeightDecay, p.W)
-		}
 		m := a.m[p]
 		v := a.v[p]
 		if m == nil {
@@ -103,11 +106,11 @@ func (a *Adam) Step(params []*Param) {
 			a.v[p] = v
 		}
 		for i, gv := range g.Data {
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*gv
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*gv*gv
+			m.Data[i] = float32(adamBeta1*m.Data[i]) + float32((1-adamBeta1)*gv)
+			v.Data[i] = float32(adamBeta2*v.Data[i]) + float32(float32((1-adamBeta2)*gv)*gv)
 			mhat := m.Data[i] / bc1
 			vhat := v.Data[i] / bc2
-			p.W.Data[i] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + a.Eps)
+			p.W.Data[i] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + adamEps)
 		}
 		p.ZeroGrad()
 	}
@@ -130,7 +133,7 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	var total float64
 	for _, p := range params {
 		n := p.G.Norm()
-		total += n * n
+		total += float64(n * n)
 	}
 	total = math.Sqrt(total)
 	if total > maxNorm && total > 0 {

@@ -17,7 +17,6 @@ import (
 //
 //	/healthz                 liveness ("ok")
 //	/metrics                 Prometheus text exposition (canonical, no timestamps)
-//	/metrics.json            the same snapshot as JSON
 //	/statusz                 human-readable snapshot (state, key counters, sections)
 //	/debug/pprof/...         net/http/pprof (profile, heap, goroutine, trace, ...)
 //
@@ -183,11 +182,6 @@ func (a *Admin) handler() http.Handler {
 			return WritePrometheus(out, a.snapshot())
 		})
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		a.serveText(w, "application/json; charset=utf-8", func(out io.Writer) error {
-			return WriteJSON(out, a.snapshot())
-		})
-	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
 		a.serveText(w, "text/plain; charset=utf-8", func(out io.Writer) error {
 			a.writeStatus(out)
@@ -216,7 +210,7 @@ func (a *Admin) handler() http.Handler {
 			return
 		}
 		a.serveText(w, "text/plain; charset=utf-8", func(out io.Writer) error {
-			_, err := fmt.Fprintln(out, "nebula admin endpoints: /healthz /metrics /metrics.json /statusz /debug/pprof/")
+			_, err := fmt.Fprintln(out, "nebula admin endpoints: /healthz /metrics /statusz /debug/pprof/")
 			return err
 		})
 	})

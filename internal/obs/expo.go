@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -10,9 +9,9 @@ import (
 )
 
 // This file is the exposition side of the registry: an immutable Snapshot
-// of every family, rendered as Prometheus text or JSON. Both renderings are
-// canonical — families sorted by name, children sorted by label string, no
-// timestamps, shortest-roundtrip float formatting — so two scrapes of a
+// of every family, rendered as Prometheus text. The rendering is canonical —
+// families sorted by name, children sorted by label string, no timestamps,
+// shortest-roundtrip float formatting — so two scrapes of a
 // quiescent registry are byte-identical (the ci.sh admin gate holds the
 // repo to that), and a replayed trace renders the same bytes as the live
 // endpoint it mirrors.
@@ -20,36 +19,27 @@ import (
 // Bucket is one cumulative histogram bucket: the count of observations
 // less than or equal to UpperBound.
 type Bucket struct {
-	UpperBound float64 `json:"-"`
-	Count      uint64  `json:"count"`
-}
-
-// MarshalJSON renders the bound as the same string the text exposition
-// uses for the le label — +Inf is not representable as a JSON number.
-func (b Bucket) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Le    string `json:"le"`
-		Count uint64 `json:"count"`
-	}{Le: fmtLe(b.UpperBound), Count: b.Count})
+	UpperBound float64
+	Count      uint64
 }
 
 // Point is one child of a family: a label set plus its value(s).
 type Point struct {
-	Labels string `json:"labels,omitempty"` // canonical `k="v",...` form
+	Labels string // canonical `k="v",...` form
 	// Counter/gauge value.
-	Value float64 `json:"value"`
+	Value float64
 	// Histogram-only fields.
-	Buckets []Bucket `json:"buckets,omitempty"`
-	Sum     float64  `json:"sum,omitempty"`
-	Count   uint64   `json:"count,omitempty"`
+	Buckets []Bucket
+	Sum     float64
+	Count   uint64
 }
 
 // Family is one metric with all its children.
 type Family struct {
-	Name   string     `json:"name"`
-	Type   MetricType `json:"type"`
-	Help   string     `json:"help,omitempty"`
-	Points []Point    `json:"points"`
+	Name   string
+	Type   MetricType
+	Help   string
+	Points []Point
 }
 
 // Snapshot captures every family in canonical order. Values are read with
@@ -209,15 +199,4 @@ func writeSample(w io.Writer, name, labels, val string) error {
 		_, err = fmt.Fprintf(w, "%s{%s} %s\n", name, labels, val)
 	}
 	return err
-}
-
-// WriteJSON renders families as one indented JSON document (an array of
-// Family objects, in the same canonical order as the text form).
-func WriteJSON(w io.Writer, fams []Family) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if fams == nil {
-		fams = []Family{}
-	}
-	return enc.Encode(fams)
 }

@@ -243,26 +243,6 @@ nebula_req_total{kind="fetch"} 3
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("nebula_req_total").Add(2)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.Contains(s, `"name": "nebula_req_total"`) || !strings.Contains(s, `"value": 2`) {
-		t.Fatalf("json missing fields: %s", s)
-	}
-	buf.Reset()
-	if err := WriteJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("nil snapshot json = %q, want []", buf.String())
-	}
-}
-
 func TestMergeSnapshots(t *testing.T) {
 	a := NewRegistry()
 	a.Counter("nebula_shared_total", "src", "a").Add(1)

@@ -161,20 +161,6 @@ func MatVec(a *Tensor, x, y []float32) {
 	Gemm(false, false, m, 1, n, 1, a.Data, x, 0, y)
 }
 
-// Transpose returns a new tensor with the two dimensions of a rank-2 tensor
-// swapped.
-func Transpose(a *Tensor) *Tensor {
-	m, n := a.Dim(0), a.Dim(1)
-	t := New(n, m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : i*n+n]
-		for j, v := range row {
-			t.Data[j*m+i] = v
-		}
-	}
-	return t
-}
-
 // OuterAccum computes C += x·yᵀ for vectors x (len m) and y (len n) into the
 // flat [m,n] slice c. Used for weight-gradient accumulation.
 func OuterAccum(c, x, y []float32) {

@@ -151,25 +151,6 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	g := NewRNG(3)
-	a := New(5, 7)
-	g.FillNormal(a, 0, 1)
-	tt := Transpose(Transpose(a))
-	for i := range a.Data {
-		if a.Data[i] != tt.Data[i] {
-			t.Fatal("transpose twice must be identity")
-		}
-	}
-	tr := Transpose(a)
-	if tr.Dim(0) != 7 || tr.Dim(1) != 5 {
-		t.Fatalf("transpose shape %v", tr.Shape())
-	}
-	if tr.At(2, 3) != a.At(3, 2) {
-		t.Fatal("transpose element mismatch")
-	}
-}
-
 func TestOuterAccum(t *testing.T) {
 	c := make([]float32, 6)
 	OuterAccum(c, []float32{1, 2}, []float32{3, 4, 5})
