@@ -93,7 +93,7 @@ type EdgeClient struct {
 	stats       RetryStats
 	ref         *WireRef // reconstruction of the last sub-model fetch (delta base)
 	// enc builds the pushes: each is written out before the next is encoded.
-	enc encoder
+	enc Encoder
 	// maxVecLen is Skeleton's full backbone length (see maxVec); computed at
 	// the first payload.
 	maxVecLen int
@@ -534,7 +534,7 @@ func (c *EdgeClient) PushUpdate(sub *modular.SubModel, importance [][]float64, w
 	sc := tensor.GetScratch(c.maxVec())
 	defer tensor.PutScratch(sc)
 	vec := sub.AppendBackboneVector(sc.Data[:0])
-	p := c.enc.encode(vec, c.ref.Base(sub.Mapping), c.WireOpts, nil)
+	p := c.enc.Exchange(vec, c.ref.Base(sub.Mapping), c.WireOpts, nil)
 	if p.Header.Delta {
 		p.Header.BaseVer = c.ref.Version
 	}
@@ -545,7 +545,7 @@ func (c *EdgeClient) PushUpdate(sub *modular.SubModel, importance [][]float64, w
 		// update itself is fine — re-send it whole under the same Seq.
 		c.ref = nil
 		clientMetrics.wireFallbacks.Inc()
-		full := c.enc.encode(vec, nil, c.WireOpts, nil)
+		full := c.enc.Exchange(vec, nil, c.WireOpts, nil)
 		req.Payload = &full.Header
 		_, _, err = c.callChunks(req, full.Chunks)
 	}

@@ -96,10 +96,10 @@ func codecTable(visit func(name string, vec, base []float32, opts WireOpts)) {
 // Exchange builds is EncodeVec's, field for field, and the reconstruction it
 // writes while quantizing is what DecodeVec makes of that payload — beside the
 // reference or on top of it — before and after the payload crosses a stream
-// as flat frames. A sender's encoder, reused across the whole table as a
+// as flat frames. A sender's Encoder, reused across the whole table as a
 // connection reuses it, builds that payload too.
 func TestExchangeMatchesEncodeThenDecode(t *testing.T) {
-	var reused encoder
+	var reused Encoder
 	codecTable(func(name string, vec, base []float32, opts WireOpts) {
 		want := EncodeVec(vec, base, opts)
 		wantVec, err := DecodeVec(want, base)
@@ -107,14 +107,14 @@ func TestExchangeMatchesEncodeThenDecode(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		gotVec := make([]float32, len(vec))
-		got := Exchange(vec, base, opts, gotVec)
+		got := new(Encoder).Exchange(vec, base, opts, gotVec)
 		if !slices.Equal(payloadBits(got), payloadBits(want)) || got.WireBytes() != want.WireBytes() {
 			t.Fatalf("%s: Exchange built another payload than EncodeVec", name)
 		}
 		if !sameBits(gotVec, wantVec) {
 			t.Fatalf("%s: Exchange reconstructed other bits than DecodeVec", name)
 		}
-		if !slices.Equal(payloadBits(reused.encode(vec, base, opts, nil)), payloadBits(want)) {
+		if !slices.Equal(payloadBits(reused.Exchange(vec, base, opts, nil)), payloadBits(want)) {
 			t.Fatalf("%s: a reused encoder built another payload than EncodeVec", name)
 		}
 

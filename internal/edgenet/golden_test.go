@@ -82,13 +82,13 @@ func hashFrames(h hash.Hash, p *WirePayload) {
 	}
 }
 
-// TestChunkFramesGolden holds EncodeVec, Exchange and a sender's reused
-// encoder to the golden frame and reconstruction hashes: full, delta and
-// top-k payloads over five chunks.
+// TestChunkFramesGolden holds EncodeVec, a fresh Encoder's Exchange and a
+// sender's reused Encoder to the golden frame and reconstruction hashes: full,
+// delta and top-k payloads over five chunks.
 func TestChunkFramesGolden(t *testing.T) {
 	vec, base := goldenInputs()
-	var reused encoder
-	paths := []string{"EncodeVec", "Exchange", "a reused encoder", "a reused encoder's Exchange"}
+	var reused Encoder
+	paths := []string{"EncodeVec", "a fresh Encoder's Exchange", "a reused Encoder", "a reused Encoder's Exchange"}
 	for _, kind := range []string{"full", "delta", "top-k"} {
 		frames, recons := map[string]hash.Hash{}, map[string]hash.Hash{}
 		for _, path := range paths {
@@ -104,10 +104,10 @@ func TestChunkFramesGolden(t *testing.T) {
 		}
 		recon := make([]float32, len(vec))
 		hashFrames(frames[paths[0]], EncodeVec(vec, b, opts))
-		hashFrames(frames[paths[1]], Exchange(vec, b, opts, recon))
+		hashFrames(frames[paths[1]], new(Encoder).Exchange(vec, b, opts, recon))
 		hashVec(recons[paths[1]], recon)
-		hashFrames(frames[paths[2]], reused.encode(vec, b, opts, nil))
-		hashFrames(frames[paths[3]], reused.encode(vec, b, opts, recon))
+		hashFrames(frames[paths[2]], reused.Exchange(vec, b, opts, nil))
+		hashFrames(frames[paths[3]], reused.Exchange(vec, b, opts, recon))
 		hashVec(recons[paths[3]], recon)
 		want := goldenFrames[kind]
 		for i, path := range paths {

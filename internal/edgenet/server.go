@@ -298,7 +298,7 @@ func (s *Server) ServeConn(rw interface {
 	var prevIn, prevOut int64
 	// The downlink payloads this connection sends are built here, each in the
 	// arrays of the last: one is written out before the next request is read.
-	var enc encoder
+	var enc Encoder
 	for {
 		armRead()
 		var req Request
@@ -382,7 +382,7 @@ func (s *Server) noteConnError(op string, err error) {
 // handle dispatches one request. A non-nil second return is the chunk
 // stream ServeConn writes after the response envelope, built in enc. ps is
 // the handler span phase spans parent under (0 when the request is untraced).
-func (s *Server) handle(req *Request, pay *WirePayload, enc *encoder, ps span.SpanID) (*Response, *WirePayload) {
+func (s *Server) handle(req *Request, pay *WirePayload, enc *Encoder, ps span.SpanID) (*Response, *WirePayload) {
 	switch req.Kind {
 	case KindHello:
 		if req.Proto != ProtoVersion {
@@ -416,7 +416,7 @@ func (s *Server) handle(req *Request, pay *WirePayload, enc *encoder, ps span.Sp
 	}
 }
 
-func (s *Server) serveSubModel(req *Request, enc *encoder, ps span.SpanID) (resp *Response, out *WirePayload, err error) {
+func (s *Server) serveSubModel(req *Request, enc *Encoder, ps span.SpanID) (resp *Response, out *WirePayload, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp, out, err = nil, nil, fmt.Errorf("malformed request: %v", r)
@@ -463,7 +463,7 @@ func (s *Server) serveSubModel(req *Request, enc *encoder, ps span.SpanID) (resp
 // same version and the mapping is structurally unchanged, full otherwise. It
 // also advances the cache — the new reference is the *reconstruction* the
 // client will decode, so both ends stay bit-identical.
-func (s *Server) encodeServe(req *Request, active [][]int, vec []float32, enc *encoder) *WirePayload {
+func (s *Server) encodeServe(req *Request, active [][]int, vec []float32, enc *Encoder) *WirePayload {
 	s.mu.Lock()
 	old := s.readRef(req.DeviceID, req.HaveVer, active)
 	s.wireVer++
@@ -478,7 +478,7 @@ func (s *Server) encodeServe(req *Request, active [][]int, vec []float32, enc *e
 	// work on private data and on a reference counted as read: outside the
 	// lock, like the rest of this handler.
 	buf := tensor.Borrow(len(vec))
-	p := enc.encode(vec, base, WireOpts{}, buf.Data) // downlink stays dense: every coordinate is authoritative
+	p := enc.Exchange(vec, base, WireOpts{}, buf.Data) // downlink stays dense: every coordinate is authoritative
 	p.Header.Version = ver
 	if p.Header.Delta {
 		p.Header.BaseVer = old.Version

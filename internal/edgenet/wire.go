@@ -119,33 +119,22 @@ func (p *WirePayload) WireBytes() int64 {
 //
 // The caller must hold base bit-identically on both peers (it is the
 // reconstruction of the previous exchange, not the raw values); DecodeVec on
-// the payload then reproduces one exact vector on both ends.
+// the payload then reproduces one exact vector on both ends. The payload is
+// built in a fresh Encoder, sized to it, which the caller keeps.
 func EncodeVec(vec, base []float32, opts WireOpts) *WirePayload {
-	return new(encoder).encode(vec, base, opts, nil)
+	return new(Encoder).Exchange(vec, base, opts, nil)
 }
 
-// Exchange encodes vec for the wire — delta against base when base is
-// non-nil, full otherwise — and writes into recon (len(vec) elements) the
-// reconstruction its receiver will decode. That reconstruction, not vec, is
-// the reference both ends of the link hold for the next exchange. It is
-// written chunk by chunk as the chunk is quantized, by the loop DecodeVec runs
-// on the far end (WireChunk.decodeInto), so the two cannot differ by a bit.
-// The caller owns recon's array: the server lends it from the arena and
-// returns it when the reference is done with, the simulator allocates it.
-func Exchange(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
-	return new(encoder).encode(vec, base, opts, recon[:len(vec)])
-}
-
-// encoder holds the arrays a sender builds payloads in: the chunk table, the
+// Encoder holds the arrays a sender builds payloads in: the chunk table, the
 // codes and sparse offsets of all the chunks (one array of each, which the
 // chunks are windows of), the difference window and the top-k boundary. A
 // payload lives until its encoder builds the next one. On the wire a payload
-// is dead once sendMessage has written it, so each sender owns one encoder and
-// reuses its arrays from payload to payload, growing them only for a longer
-// vector: a connection's handler loop on the server, the EdgeClient for its
-// pushes. EncodeVec and Exchange build in a fresh one, sized to the payload,
-// which the caller keeps.
-type encoder struct {
+// is dead once sendMessage has written it, and in the simulator once its size
+// is charged, so each sender owns one Encoder and reuses its arrays from
+// payload to payload, growing them only for a longer vector: a connection's
+// handler loop on the server, the EdgeClient for its pushes, each of the
+// simulator's workers. The zero value is ready to use.
+type Encoder struct {
 	pay   WirePayload
 	codes []byte
 	idx   []uint16
@@ -163,9 +152,16 @@ func fit[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// encode is EncodeVec, and Exchange when recon (len(vec) elements) is there
-// to take the receiver's reconstruction.
-func (e *encoder) encode(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
+// Exchange encodes vec for the wire — delta against base when base is
+// non-nil, full otherwise — and, when recon is non-nil, writes into its first
+// len(vec) elements, every one, the reconstruction its receiver will decode.
+// That reconstruction, not vec, is the reference both ends of the link hold
+// for the next exchange. It is written chunk by chunk as the chunk is
+// quantized, by the loop DecodeVec runs on the far end
+// (WireChunk.decodeInto), so the two cannot differ by a bit. The caller owns
+// recon's array: the server and the simulator lend it from the arena and
+// return it when the reference is done with (PROTOCOL.md § Vectors).
+func (e *Encoder) Exchange(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
 	delta := base != nil && len(base) == len(vec)
 	nChunks := (len(vec) + chunkLen - 1) / chunkLen
 	var cut *topKCut
@@ -206,7 +202,7 @@ func (e *encoder) encode(vec, base []float32, opts WireOpts, recon []float32) *W
 // quantize it — only the coordinates inside the top-k boundary when cut is
 // set — into the encoder's next codes, and, when recon is there to take it,
 // write what the receiver will reconstruct.
-func (e *encoder) exchangeChunk(i int, vals, ref []float32, cut *topKCut, recon []float32) {
+func (e *Encoder) exchangeChunk(i int, vals, ref []float32, cut *topKCut, recon []float32) {
 	c := &e.pay.Chunks[i]
 	*c = WireChunk{N: len(vals)}
 	enc := vals

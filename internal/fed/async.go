@@ -191,6 +191,10 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			// sub-model download it performed did cross the link.
 			s.Trace.Flush(&pw.res.span)
 			s.record(trace.Churn(round, id, "drop_pending", pw.res.down))
+			// Nothing will read the dropped work's reconstructions: its
+			// worker is done and it never lands.
+			pw.res.wireRef.release()
+			tensor.Release(pw.res.upBuf)
 			ce := s.Spans.Start(tid, parent, "fed.churn")
 			ce.SetDevice(id)
 			ce.SetRound(round)

@@ -84,7 +84,7 @@ func (s *LocalAdapt) Adapt(rng *tensor.RNG, clients []*Client) {
 	for i, c := range clients {
 		held[i] = s.local[c.Dev.ID]
 	}
-	streams := splitStreams(rng, n)
+	streams := splitStreams(rng, nil, n)
 	type result struct {
 		m    nn.Layer
 		down int64
@@ -192,7 +192,7 @@ func (s *AdaptiveNet) Adapt(rng *tensor.RNG, clients []*Client) {
 	for i, c := range clients {
 		held[i] = s.local[c.Dev.ID]
 	}
-	streams := splitStreams(rng, n)
+	streams := splitStreams(rng, nil, n)
 	type result struct {
 		m    *MultiBranch
 		b    int

@@ -209,7 +209,7 @@ func meanLocalAccuracyLayer(m nn.Layer, clients []*Client, testN, workers int) f
 	}
 	accs := make([]float64, len(clients))
 	forEachDeviceState(workers, len(clients),
-		func() any { return nn.CloneLayer(m) },
+		func(int) any { return nn.CloneLayer(m) },
 		func(state any, i int) {
 			accs[i] = EvalLayer(state.(nn.Layer), clients[i].Dev.TestSet(testN))
 		})

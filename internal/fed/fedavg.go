@@ -66,7 +66,7 @@ func (s *FedAvg) round(rng *tensor.RNG, clients []*Client) {
 			drop[i] = rng.Float64() < s.cfg.DropoutProb
 		}
 	}
-	streams := splitStreams(rng, n)
+	streams := splitStreams(rng, nil, n)
 
 	// Parallel phase: each device trains a private clone of the global model
 	// (read-only during the round) against its own stream.
@@ -101,7 +101,7 @@ func (s *FedAvg) round(rng *tensor.RNG, clients []*Client) {
 		s.costs.BytesUp += bytes
 		totalW += r.w
 		for j, v := range r.vec {
-			sumVec[j] += float32(r.w) * v
+			sumVec[j] += float32(float32(r.w) * v)
 		}
 		if r.t > slot {
 			slot = r.t
@@ -134,7 +134,7 @@ func proxStep(anchor []float32, mu float32) func([]*nn.Param) {
 		off := 0
 		for _, p := range params {
 			for i := range p.W.Data {
-				p.G.Data[i] += mu * (p.W.Data[i] - anchor[off+i])
+				p.G.Data[i] += float32(mu * (p.W.Data[i] - anchor[off+i]))
 			}
 			off += p.W.Len()
 		}

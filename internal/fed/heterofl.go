@@ -114,7 +114,7 @@ func (s *HeteroFL) round(rng *tensor.RNG, clients []*Client) {
 			rates[i] = s.clientRate(c)
 		}
 	}
-	streams := splitStreams(rng, n)
+	streams := splitStreams(rng, nil, n)
 
 	// Parallel phase: slice, train, and cost each surviving device against
 	// its own stream; the global model is only read.

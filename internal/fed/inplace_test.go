@@ -19,15 +19,15 @@ import (
 // the weights-only clone — the same weights and states, bit for bit), flatten
 // the clone, exchange, copy the reconstruction back into the clone, blend
 // from the clone.
-func legacyPull(nb *Nebula, held *modular.SubModel, ref *edgenet.WireRef) (int64, *edgenet.WireRef) {
+func legacyPull(nb *Nebula, held *modular.SubModel, ref *wireRef) (int64, *wireRef) {
 	cloud := nb.Model.Extract(held.Mapping)
-	bytes, next := cloud.BackboneBytes(), (*edgenet.WireRef)(nil)
+	bytes, next := cloud.BackboneBytes(), (*wireRef)(nil)
 	if nb.cfg.WireCompress {
 		vec := cloud.BackboneVector()
 		recon := make([]float32, len(vec))
-		p := edgenet.Exchange(vec, ref.Base(cloud.Mapping), edgenet.WireOpts{}, recon)
+		p := new(edgenet.Encoder).Exchange(vec, ref.base(cloud.Mapping), edgenet.WireOpts{}, recon)
 		cloud.LoadBackboneVector(recon)
-		bytes, next = p.WireBytes(), &edgenet.WireRef{Mapping: cloud.Mapping, Vec: recon}
+		bytes, next = p.WireBytes(), &wireRef{WireRef: edgenet.WireRef{Mapping: cloud.Mapping, Vec: recon}}
 	}
 	b := nb.PullBlend
 	lp, cp := held.Params(), cloud.Params()
@@ -107,7 +107,7 @@ func TestPullBlendReadsInPlace(t *testing.T) {
 			nb.Model = tc.build()
 			active := firstTwoModules(nb.Model)
 			got, want := nb.Model.Extract(active), nb.Model.Extract(active)
-			var gotRef, wantRef *edgenet.WireRef
+			var gotRef, wantRef *wireRef
 			rng := tensor.NewRNG(66)
 			for pull, what := range []string{"first pull (full)", "second pull (delta)"} {
 				when := fmt.Sprintf("%s, WireCompress %v, %s", tc.name, compress, what)
@@ -124,11 +124,11 @@ func TestPullBlendReadsInPlace(t *testing.T) {
 					}
 				}
 				before := cloudVector(nb.Model)
-				if delta := gotRef.Base(got.Mapping) != nil; delta != (compress && pull == 1) {
+				if delta := gotRef.base(got.Mapping) != nil; delta != (compress && pull == 1) {
 					t.Fatalf("%s: script wants a delta pull only second on the compressed link, reference says %v", when, delta)
 				}
 
-				gotBytes, gotNext := nb.pullBlend(got, gotRef)
+				gotBytes, gotNext := nb.pullBlend(new(edgenet.Encoder), got, gotRef)
 				wantBytes, wantNext := legacyPull(nb, want, wantRef)
 				if gotBytes != wantBytes {
 					t.Fatalf("%s: charged %d B, the copying path %d B", when, gotBytes, wantBytes)
@@ -172,12 +172,14 @@ func TestWireRefMappingIsPrivate(t *testing.T) {
 	active := firstTwoModules(nb.Model)
 	for _, link := range []struct {
 		what string
-		down func(*modular.SubModel) (int64, *edgenet.WireRef)
+		down func(*modular.SubModel) (int64, *wireRef)
 	}{
-		{"new structure", func(sub *modular.SubModel) (int64, *edgenet.WireRef) {
-			return wireDownlink(sub, nil, edgenet.WireOpts{})
+		{"new structure", func(sub *modular.SubModel) (int64, *wireRef) {
+			return wireDownlink(new(edgenet.Encoder), sub, nil, edgenet.WireOpts{})
 		}},
-		{"kept structure", func(sub *modular.SubModel) (int64, *edgenet.WireRef) { return nb.pullBlend(sub, nil) }},
+		{"kept structure", func(sub *modular.SubModel) (int64, *wireRef) {
+			return nb.pullBlend(new(edgenet.Encoder), sub, nil)
+		}},
 	} {
 		sub := nb.Model.Extract(active)
 		_, ref := link.down(sub)
@@ -193,20 +195,20 @@ func TestWireRefMappingIsPrivate(t *testing.T) {
 }
 
 // deviceRoundAllocBudget is TestDeviceRoundAllocBudget's bound, in bytes
-// allocated per backbone byte: 2.7 measured, 6.8 while the link and the blend
-// still copied what they read.
-const deviceRoundAllocBudget = 3.1
+// allocated per backbone byte: 0.24 measured, 2.7 while each crossing
+// allocated its reconstruction and its encoder, 6.8 while the link and the
+// blend still copied what they read.
+const deviceRoundAllocBudget = 0.5
 
 // TestDeviceRoundAllocBudget bounds what one steady-state round of a device
 // that keeps its sub-model allocates on the compressed link, top-k push
-// included, as a multiple of its backbone bytes. Two backbone-sized arrays
-// outlive each crossing's codec call and are the budget: the downlink's
-// reconstruction (the device's next reference) and the uplink's (what
-// aggregation reads); int8 codes add a quarter down and a sixteenth up, and
-// training, derivation and headers the rest. A copy of the weights for a
-// single reader — a clone to flatten, a vector to encode, a clone to load the
-// reconstruction into — costs one more each, which is what this budget is
-// here to catch.
+// included, as a multiple of its backbone bytes. Both reconstructions — the
+// downlink's (the device's next reference) and the uplink's (what aggregation
+// reads) — are arrays the arena lends and gets back, and the worker's Encoder
+// keeps the int8 codes, so training, derivation and headers are the budget. A
+// vector-sized array allocated per round — a reconstruction or codes made
+// afresh, a copy of the weights for a single reader — costs a quarter or more
+// on its own, which is what this budget is here to catch.
 func TestDeviceRoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are the race detector's under -race")

@@ -85,7 +85,13 @@ type Nebula struct {
 	// v2 link (cfg.WireCompress; internal/fed/wire.go): the reconstruction of
 	// the device's last downlink, shared by both ends of the in-process
 	// "wire". Snapshotted in prepRound, written back in commitDevice.
-	wireRefs map[int]*edgenet.WireRef
+	wireRefs map[int]*wireRef
+	// encoders are the simulated link's senders, one per worker of the
+	// parallel phase, kept from round to round so their arrays stop growing.
+	encoders []*edgenet.Encoder
+	// streams are the last round's per-device RNG streams, re-seeded in place
+	// by the next round's split (splitStreams).
+	streams []*tensor.RNG
 
 	// async holds the semi-async coordinator state (cfg.Async; docs/ASYNC.md),
 	// lazily created on the first deadline-paced round and persisted across
@@ -115,7 +121,7 @@ func NewNebula(task *Task, cfg Config) *Nebula {
 		RederiveOverlap:    0.55,
 		subs:               map[int]*modular.SubModel{},
 		hasGatePkg:         map[int]bool{},
-		wireRefs:           map[int]*edgenet.WireRef{},
+		wireRefs:           map[int]*wireRef{},
 	}
 }
 
@@ -249,8 +255,10 @@ type nebulaResult struct {
 	gate   bool    // selector package transferred this round
 	// wireRef is the device's new delta-coding reference when the round's
 	// downlink ran through the compressed wire (nil otherwise).
-	wireRef *edgenet.WireRef
-	span    trace.Span
+	wireRef *wireRef
+	// upBuf is the arena array under update's weights on the compressed wire.
+	upBuf *tensor.Tensor
+	span  trace.Span
 }
 
 // roundPrep is the serial coordinator-prep output for one round's launch set:
@@ -266,7 +274,7 @@ type roundPrep struct {
 	fetchExtra []float64
 	pushOK     []bool
 	pushExtra  []float64
-	wireRef    []*edgenet.WireRef
+	wireRef    []*wireRef
 	streams    []*tensor.RNG
 	// Distributed-trace context for this round's launch set: the sampled
 	// trace (0 = round unsampled) and the round root span workers parent
@@ -290,7 +298,7 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 		fetchExtra: make([]float64, n),
 		pushOK:     make([]bool, n),
 		pushExtra:  make([]float64, n),
-		wireRef:    make([]*edgenet.WireRef, n),
+		wireRef:    make([]*wireRef, n),
 	}
 	faultsBefore := s.Faults.Stats()
 	for i, c := range part {
@@ -317,7 +325,8 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 		}
 	}
 	s.metrics().mirrorFaults(faultsBefore, s.Faults.Stats())
-	p.streams = splitStreams(rng, n)
+	s.streams = splitStreams(rng, s.streams, n)
+	p.streams = s.streams
 	return p
 }
 
@@ -329,11 +338,19 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 // the async path (commit in the landing round).
 func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 	res := make([]nebulaResult, len(p.part))
-	newSelector := func() any { return s.Model.Selector.Clone() }
-	forEachDeviceState(s.cfg.Workers, len(p.part), newSelector, func(sel any, i int) {
+	for len(s.encoders) < poolSize(s.cfg.Workers, len(p.part)) {
+		s.encoders = append(s.encoders, new(edgenet.Encoder))
+	}
+	type worker struct {
+		sel *modular.Selector
+		enc *edgenet.Encoder
+	}
+	newWorker := func(w int) any { return worker{s.Model.Selector.Clone(), s.encoders[w]} }
+	forEachDeviceState(s.cfg.Workers, len(p.part), newWorker, func(st any, i int) {
 		if p.drop[i] {
 			return
 		}
+		wk := st.(worker)
 		c := p.part[i]
 		id := c.Dev.ID
 		r := &res[i]
@@ -356,7 +373,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		var bytes int64
 		fspan := s.Spans.Start(p.trace, dspan.ID(), "fed.fetch")
 		fspan.SetDevice(id)
-		imp := s.importanceWith(sel.(*modular.Selector), c)
+		imp := s.importanceWith(wk.sel, c)
 		if p.fetchOK[i] {
 			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
 			if p.held[i] != nil && overlapRatio(p.held[i].Mapping, active) >= s.RederiveOverlap {
@@ -365,7 +382,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				// WireCompress the pull crosses the simulated v2 link first,
 				// so the device blends in the lossy reconstruction.
 				sub = p.held[i]
-				bytes, r.wireRef = s.pullBlend(sub, p.wireRef[i])
+				bytes, r.wireRef = s.pullBlend(wk.enc, sub, p.wireRef[i])
 			} else {
 				// First contact or the local task moved: new structure,
 				// exact at 4 B/element or over the simulated v2 link — dense:
@@ -373,7 +390,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				sub = s.Model.Extract(active)
 				bytes = sub.BackboneBytes()
 				if s.cfg.WireCompress {
-					bytes, r.wireRef = wireDownlink(sub, p.wireRef[i], edgenet.WireOpts{})
+					bytes, r.wireRef = wireDownlink(wk.enc, sub, p.wireRef[i], edgenet.WireOpts{})
 				}
 			}
 			if !p.hadGate[i] {
@@ -419,7 +436,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 					if ref == nil {
 						ref = p.wireRef[i]
 					}
-					upBytes, upSub = wireUplink(sub, ref, edgenet.WireOpts{TopK: s.cfg.WireTopK})
+					upBytes, upSub, r.upBuf = wireUplink(wk.enc, sub, ref, edgenet.WireOpts{TopK: s.cfg.WireTopK})
 				}
 				r.update = &modular.Update{Sub: upSub, Importance: imp, Weight: float64(c.Dev.Train.Len()), ClassWeights: cw}
 				t += prof.TransferTime(upBytes)
@@ -459,6 +476,9 @@ func (s *Nebula) commitDevice(landing int, c *Client, r *nebulaResult, stale int
 		s.hasGatePkg[id] = true
 	}
 	if r.wireRef != nil {
+		// The replaced reference goes back: its one reader, this device's
+		// worker, is done, and a device is not relaunched while its work pends.
+		s.wireRefs[id].release()
 		s.wireRefs[id] = r.wireRef
 		s.metrics().wirePayloads.Inc()
 	}
@@ -548,6 +568,10 @@ func (s *Nebula) land(round int, p *roundPrep, landings []landing, slot float64)
 		}
 	}
 	s.aggregate(round, updates, slot)
+	// Aggregation has read the updates; their wire reconstructions go back.
+	for _, ld := range landings {
+		tensor.Release(ld.res.upBuf)
+	}
 }
 
 // landAll is the bulk-synchronous landing: every launched device lands this
@@ -580,7 +604,7 @@ func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 	round := s.costs.Rounds + 1
 	s.record(trace.RoundStart(round, 0))
 	held := s.heldBy(clients)
-	streams := splitStreams(rng, n)
+	s.streams = splitStreams(rng, s.streams, n)
 	type result struct {
 		sub *modular.SubModel
 		t   float64
@@ -592,7 +616,7 @@ func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 		if sub == nil {
 			sub = s.deriveFresh(s.Model.Selector.Clone(), c)
 		}
-		TrainLayer(streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
+		TrainLayer(s.streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
 		sub.Park()
 		_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
 		res[i].sub = sub

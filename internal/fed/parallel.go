@@ -44,20 +44,16 @@ func forEachDevice(workers, n int, body func(i int)) {
 }
 
 // forEachDeviceState is forEachDevice with per-worker state: newState runs
-// once in each worker goroutine and its value is passed to every body call
-// that worker executes. Use it to give each worker a private clone of a
-// shared model whose Forward mutates activation caches. A nil newState
-// passes a nil state.
-func forEachDeviceState(workers, n int, newState func() any, body func(state any, i int)) {
+// once in each worker goroutine, with the worker's index in
+// [0, poolSize(workers, n)), and its value is passed to every body call that
+// worker executes. Use it to give each worker a private clone of a shared
+// model whose Forward mutates activation caches. A nil newState passes a nil
+// state.
+func forEachDeviceState(workers, n int, newState func(w int) any, body func(state any, i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = poolSize(workers, n)
 	// Pool telemetry (docs/OBSERVABILITY.md): dispatch counters and a live
 	// occupancy gauge. Write-only — bodies never read these — so the fan-out
 	// stays artifact-neutral; the gauge returns to 0 at quiescence.
@@ -66,7 +62,7 @@ func forEachDeviceState(workers, n int, newState func() any, body func(state any
 		fedMetrics.poolInline.Inc()
 		var st any
 		if newState != nil {
-			st = newState()
+			st = newState(0)
 		}
 		for i := 0; i < n; i++ {
 			fedMetrics.poolTasks.Inc()
@@ -84,7 +80,7 @@ func forEachDeviceState(workers, n int, newState func() any, body func(state any
 			tensor.WithSerialKernels(func() {
 				var st any
 				if newState != nil {
-					st = newState()
+					st = newState(w)
 				}
 				for {
 					i := int(next.Add(1)) - 1
@@ -102,14 +98,25 @@ func forEachDeviceState(workers, n int, newState func() any, body func(state any
 	wg.Wait()
 }
 
+// poolSize is the number of workers forEachDevice runs n bodies on.
+func poolSize(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	return min(workers, n)
+}
+
 // splitStreams derives one RNG stream per device from the master stream, in
 // canonical device order. Every device gets a stream whether or not it will
 // participate, so the master stream advances by a fixed amount per round
-// regardless of dropout and fault outcomes.
-func splitStreams(rng *tensor.RNG, n int) []*tensor.RNG {
-	out := make([]*tensor.RNG, n)
-	for i := range out {
-		out[i] = rng.Split()
+// regardless of dropout and fault outcomes. keep is the caller's last round
+// of streams, which nothing draws from any more, or nil for a caller that
+// keeps none: its generators are re-seeded in place (tensor.RNG.SplitInto),
+// so a round allocates only the streams it has more of.
+func splitStreams(rng *tensor.RNG, keep []*tensor.RNG, n int) []*tensor.RNG {
+	keep = append(keep[:cap(keep)], make([]*tensor.RNG, max(0, n-cap(keep)))...)[:n]
+	for i := range keep {
+		keep[i] = rng.SplitInto(keep[i])
 	}
-	return out
+	return keep
 }

@@ -224,14 +224,20 @@ func TestForEachDeviceExecutor(t *testing.T) {
 	forEachDevice(4, 0, func(i int) { t.Fatal("body must not run for n=0") })
 
 	// Per-worker state: every body call sees the state its own worker built.
-	type wstate struct{ id int }
-	var mk atomic.Int32
+	// Each worker's index is its own.
+	type wstate struct{ w int }
+	var built [4]atomic.Int32
 	seen := make([]*wstate, 16)
-	forEachDeviceState(4, 16, func() any { return &wstate{id: int(mk.Add(1))} },
+	forEachDeviceState(4, 16, func(w int) any { built[w].Add(1); return &wstate{w: w} },
 		func(st any, i int) { seen[i] = st.(*wstate) })
 	for i, st := range seen {
-		if st == nil || st.id < 1 || st.id > 4 {
+		if st == nil || st.w < 0 || st.w > 3 {
 			t.Fatalf("index %d got state %+v", i, st)
+		}
+	}
+	for w := range built {
+		if n := built[w].Load(); n != 1 {
+			t.Fatalf("worker %d's state was built %d times", w, n)
 		}
 	}
 }

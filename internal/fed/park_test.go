@@ -185,11 +185,12 @@ func TestWireUplinkCarrierIsWhatAggregationReads(t *testing.T) {
 		active[l] = []int{0, 1}
 	}
 	sub := cloud.Extract(active)
-	_, ref := wireDownlink(sub, nil, edgenet.WireOpts{})
+	enc := new(edgenet.Encoder)
+	_, ref := wireDownlink(enc, sub, nil, edgenet.WireOpts{})
 	TrainLayer(rng, sub, c.Dev.Train, 1, 0.02, 16, nil)
 	sub.Park()
 
-	up, carrier := wireUplink(sub, ref, edgenet.WireOpts{TopK: 0.25})
+	up, carrier, _ := wireUplink(enc, sub, ref, edgenet.WireOpts{TopK: 0.25})
 	if carrier == sub || carrier.Selector != nil {
 		t.Fatal("carrier must be a separate, selector-free sub-model")
 	}

@@ -147,7 +147,8 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 	}
 
 	rng := tensor.NewRNG(7)
-	var ref *edgenet.WireRef
+	var enc edgenet.Encoder // the simulator's worker keeps its sender, as the client keeps its own
+	var ref *wireRef
 	var prev [][]int
 	var prevLen int
 	var full, delta int64
@@ -164,9 +165,11 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 		// Downlink.
 		active := twin.Derive(imp, step.budget, false)
 		simSub := twin.Extract(active)
-		simFull := ref.Base(active) == nil
+		simFull := ref.base(active) == nil
 		var simDown int64
-		simDown, ref = wireDownlink(simSub, ref, edgenet.WireOpts{})
+		old := ref
+		simDown, ref = wireDownlink(&enc, simSub, ref, edgenet.WireOpts{})
+		old.release() // replaced, as commitDevice hands it back
 		sub, err := cl.FetchSubModel(imp, step.budget)
 		if err != nil {
 			t.Fatal(err)
@@ -206,9 +209,10 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 
 		// Uplink and aggregation.
 		weight := float64(10 + i)
-		simDelta := ref.Base(simSub.Mapping) != nil
-		simUp, carrier := wireUplink(simSub, ref, upOpts)
+		simDelta := ref.base(simSub.Mapping) != nil
+		simUp, carrier, upBuf := wireUplink(&enc, simSub, ref, upOpts)
 		twin.AggregateModuleWise([]*modular.Update{{Sub: carrier, Importance: imp, Weight: weight}})
+		tensor.Release(upBuf) // read, as land hands it back
 		if err := cl.PushUpdate(sub, imp, weight); err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,19 @@ func NewRNG(seed int64) *RNG {
 
 // Split derives a new independent generator from this one; useful for giving
 // each device or worker its own stream.
-func (g *RNG) Split() *RNG {
-	return NewRNG(g.r.Int63())
+func (g *RNG) Split() *RNG { return g.SplitInto(nil) }
+
+// SplitInto is Split for a caller that holds a generator it no longer draws
+// from: dst is re-seeded in place and returned, and yields exactly the stream
+// Split would have returned — seeding a source resets all of its state. Only
+// a nil dst allocates.
+func (g *RNG) SplitInto(dst *RNG) *RNG {
+	seed := g.r.Int63()
+	if dst == nil {
+		return NewRNG(seed)
+	}
+	dst.r.Seed(seed)
+	return dst
 }
 
 // Float64 returns a uniform value in [0,1).
@@ -44,7 +55,7 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 // FillNormal fills t with Gaussian samples of the given mean and stddev.
 func (g *RNG) FillNormal(t *Tensor, mean, std float32) {
 	for i := range t.Data {
-		t.Data[i] = mean + std*float32(g.r.NormFloat64())
+		t.Data[i] = mean + float32(std*float32(g.r.NormFloat64()))
 	}
 }
 

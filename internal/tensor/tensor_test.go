@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -272,6 +273,64 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical streams")
+	}
+}
+
+// TestSplitIntoMatchesSplit: a generator re-seeded by SplitInto yields, for
+// 1,000 draws of every RNG method, exactly what the generator a Split in its
+// place returns — after the generator has been drawn from, and round after
+// round, as the round engine re-seeds its per-device streams.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	bits := func(fs ...float32) []uint64 {
+		out := make([]uint64, len(fs))
+		for i, f := range fs {
+			out[i] = uint64(math.Float32bits(f))
+		}
+		return out
+	}
+	ints := func(xs ...int) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = uint64(x)
+		}
+		return out
+	}
+	methods := []struct {
+		name string
+		draw func(g *RNG) []uint64
+	}{
+		{"Float64", func(g *RNG) []uint64 { return []uint64{math.Float64bits(g.Float64())} }},
+		{"Intn", func(g *RNG) []uint64 { return ints(g.Intn(1000)) }},
+		{"Int63", func(g *RNG) []uint64 { return ints(int(g.Int63())) }},
+		{"NormFloat64", func(g *RNG) []uint64 { return []uint64{math.Float64bits(g.NormFloat64())} }},
+		{"Perm", func(g *RNG) []uint64 { return ints(g.Perm(7)...) }},
+		{"Shuffle", func(g *RNG) []uint64 {
+			xs := []int{0, 1, 2, 3, 4, 5}
+			g.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+			return ints(xs...)
+		}},
+		{"FillNormal", func(g *RNG) []uint64 { x := New(3); g.FillNormal(x, 0.5, 2); return bits(x.Data...) }},
+		{"FillHe", func(g *RNG) []uint64 { x := New(3); g.FillHe(x, 9); return bits(x.Data...) }},
+		{"Sample", func(g *RNG) []uint64 { return ints(g.Sample(9, 4)...) }},
+		{"Categorical", func(g *RNG) []uint64 { return ints(g.Categorical([]float64{1, 0, 2, 5})) }},
+		{"Split", func(g *RNG) []uint64 { return ints(int(g.Split().Int63())) }},
+	}
+	a, b := NewRNG(5), NewRNG(5)
+	kept := NewRNG(99)
+	kept.NormFloat64() // a generator in use, not a fresh one
+	for _, m := range methods {
+		fresh, reused := a.Split(), b.SplitInto(kept)
+		if reused != kept {
+			t.Fatal("SplitInto returned another generator than the one it was given")
+		}
+		for i := 0; i < 1000; i++ {
+			if want, got := m.draw(fresh), m.draw(reused); !slices.Equal(got, want) {
+				t.Fatalf("%s, draw %d: a re-seeded generator gives %v, a split one %v", m.name, i, got, want)
+			}
+		}
+	}
+	if a.Int63() != b.Int63() {
+		t.Fatal("SplitInto advanced its parent by another amount than Split")
 	}
 }
 
