@@ -54,10 +54,10 @@ type Conv2D struct {
 	dwParts []*tensor.Scratch // per-chunk weight-gradient partials
 	dbParts []*tensor.Scratch // per-chunk bias-gradient partials
 
-	// wpack holds the weight panels for the duration of one Forward or
-	// Backward call (packed once per batch, shared read-only by the
-	// per-sample GEMMs, released before returning — never retained between
-	// steps).
+	// wpack reads the weights for the duration of one Forward or Backward
+	// call: in place, but for their partial last tile, packed once per batch,
+	// shared read-only by the per-sample GEMMs and released before returning
+	// — never retained between steps.
 	wpack tensor.ConvWeights
 }
 

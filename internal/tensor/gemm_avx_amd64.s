@@ -2,13 +2,16 @@
 
 #include "textflag.h"
 
-// func gemmKernel6x8AVX(a, b, c *float32, k, ldc, mode int)
+// func gemmKernel6x8AVX(a, b, c *float32, k, ldc, mode, lda, ksa, ldb int)
 //
-// 6×8 GEMM micro-kernel over packed panels (see pack.go for the layouts):
+// 6×8 GEMM micro-kernel over strided operands (see pack.go for the
+// contract):
 //
-//   a: A panel, k steps of 6 contiguous floats (one per C row)
-//   b: B panel, k steps of 8 contiguous floats (one per C column)
+//   a: A tile, element (p, r) at a[p*ksa + r*lda] (r = C row)
+//   b: B panel, row p at b[p*ldb:], 8 contiguous floats (one per C column)
 //   c: top-left of the C tile, row stride ldc floats
+//
+// A packed panel is the case (lda, ksa, ldb) = (1, 6, 8).
 //
 // modes: 0 = C = acc (acc starts zero), 1 = C += acc (acc starts zero),
 //        2 = C = acc (acc preloaded from C).
@@ -23,17 +26,26 @@
 //
 // Register plan: Y10..Y15 hold the 6×8 accumulator (one row each), Y0 holds
 // the current B row, Y1 the broadcast A element and Y2 the product. SI walks
-// the A panel (+24 bytes per k step), DX the B panel (+32), R8 walks C rows
-// by BX = ldc*4 bytes. VZEROUPPER before every RET avoids the AVX-SSE
-// transition penalty for the SSE code that follows.
-TEXT ·gemmKernel6x8AVX(SB), NOSPLIT, $0-48
+// A by R12 = ksa*4 bytes per k step, reading row r at SI + r*lda*4 through R9
+// = lda*4, R10 = 3*lda*4 and R11 = 5*lda*4; DX walks B by R13 = ldb*4; R8
+// walks C rows by BX = ldc*4 bytes. VZEROUPPER before every RET avoids the
+// AVX-SSE transition penalty for the SSE code that follows.
+TEXT ·gemmKernel6x8AVX(SB), NOSPLIT, $0-72
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DX
 	MOVQ c+16(FP), DI
 	MOVQ k+24(FP), CX
 	MOVQ ldc+32(FP), BX
 	MOVQ mode+40(FP), AX
+	MOVQ lda+48(FP), R9
+	MOVQ ksa+56(FP), R12
+	MOVQ ldb+64(FP), R13
 	SHLQ $2, BX            // row stride in bytes
+	SHLQ $2, R9            // A row stride in bytes
+	SHLQ $2, R12           // A k step in bytes
+	SHLQ $2, R13           // B k step in bytes
+	LEAQ (R9)(R9*2), R10   // 3 A rows
+	LEAQ (R9)(R9*4), R11   // 5 A rows
 
 	CMPQ AX, $2
 	JEQ  preload
@@ -67,28 +79,28 @@ kcheck:
 	JZ    store
 
 kloop:
-	VMOVUPS      (DX), Y0   // b[p][0:8]
-	VBROADCASTSS (SI), Y1   // a[p][0]
+	VMOVUPS      (DX), Y0        // b[p][0:8]
+	VBROADCASTSS (SI), Y1        // a[p][0]
 	VMULPS       Y0, Y1, Y2
 	VADDPS       Y2, Y10, Y10
-	VBROADCASTSS 4(SI), Y1  // a[p][1]
+	VBROADCASTSS (SI)(R9*1), Y1  // a[p][1]
 	VMULPS       Y0, Y1, Y2
 	VADDPS       Y2, Y11, Y11
-	VBROADCASTSS 8(SI), Y1  // a[p][2]
+	VBROADCASTSS (SI)(R9*2), Y1  // a[p][2]
 	VMULPS       Y0, Y1, Y2
 	VADDPS       Y2, Y12, Y12
-	VBROADCASTSS 12(SI), Y1 // a[p][3]
+	VBROADCASTSS (SI)(R10*1), Y1 // a[p][3]
 	VMULPS       Y0, Y1, Y2
 	VADDPS       Y2, Y13, Y13
-	VBROADCASTSS 16(SI), Y1 // a[p][4]
+	VBROADCASTSS (SI)(R9*4), Y1  // a[p][4]
 	VMULPS       Y0, Y1, Y2
 	VADDPS       Y2, Y14, Y14
-	VBROADCASTSS 20(SI), Y1 // a[p][5]
+	VBROADCASTSS (SI)(R11*1), Y1 // a[p][5]
 	VMULPS       Y0, Y1, Y2
 	VADDPS       Y2, Y15, Y15
 
-	ADDQ $24, SI
-	ADDQ $32, DX
+	ADDQ R12, SI
+	ADDQ R13, DX
 	DECQ CX
 	JNZ  kloop
 

@@ -3,8 +3,9 @@
 package tensor
 
 // kernel6x8 is the portable micro-kernel on non-amd64 targets.
-// goGemmKernel6x8 is written so its multiply/add sequence cannot be fused
-// into FMAs, keeping results bitwise identical to the amd64 AVX kernel.
-func kernel6x8(a, b, c []float32, k, ldc, mode int) {
-	goGemmKernel6x8(a, b, c, k, ldc, mode)
+// goGemmKernel6x8 rounds every product with an explicit conversion, so no
+// multiply/add pair can be fused into an FMA and results stay bitwise
+// identical to the amd64 AVX kernel.
+func kernel6x8(a, b, c []float32, k, ldc, mode, lda, ksa, ldb int) {
+	goGemmKernel6x8(a, b, c, k, ldc, mode, lda, ksa, ldb)
 }

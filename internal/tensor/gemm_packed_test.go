@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -19,34 +20,47 @@ func fillRand(rng *rand.Rand, s []float32) {
 // Gemm against GemmNaive, and — when the combination is packed-eligible —
 // of gemmPacked directly against the naive kernel (covering sizes the
 // dispatcher would route to the naive path, so edge tiles get exercised at
-// n < nr too). All comparisons are bitwise: the packed kernel's summation
-// chains replicate the reference ordering exactly.
+// n < nr too). Every operand is exactly as long as its shape, so a read past
+// one panics under the portable kernel. All comparisons are bitwise: the
+// packed kernel's summation chains replicate the reference ordering exactly.
 func gemmCase(t *testing.T, rng *rand.Rand, transA, transB bool, m, n, k int, alpha, beta float32) {
 	t.Helper()
 	a := make([]float32, m*k)
 	b := make([]float32, k*n)
-	cRef := make([]float32, m*n)
+	c := make([]float32, m*n)
 	fillRand(rng, a)
 	fillRand(rng, b)
-	fillRand(rng, cRef)
+	fillRand(rng, c)
+	gemmCompare(t, transA, transB, m, n, k, alpha, a, b, beta, c)
+}
 
-	cGot := append([]float32(nil), cRef...)
-	want := append([]float32(nil), cRef...)
+// sameBits reports whether x and y have the same bit pattern, or are both
+// NaN: a NaN's sign and payload are not part of the contract.
+func sameBits(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || x != x && y != y
+}
+
+// gemmCompare is gemmCase's comparison on given operands; c is left as it
+// was.
+func gemmCompare(t *testing.T, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+	t.Helper()
+	want := append([]float32(nil), c...)
 	GemmNaive(transA, transB, m, n, k, alpha, a, b, beta, want)
 
+	cGot := append([]float32(nil), c...)
 	Gemm(transA, transB, m, n, k, alpha, a, b, beta, cGot)
 	for i := range want {
-		if want[i] != cGot[i] {
+		if !sameBits(want[i], cGot[i]) {
 			t.Fatalf("Gemm transA=%v transB=%v m=%d n=%d k=%d alpha=%v beta=%v: c[%d]=%v, naive %v",
 				transA, transB, m, n, k, alpha, beta, i, cGot[i], want[i])
 		}
 	}
 
 	if alpha == 1 && (beta == 0 || beta == 1) && k > 0 && m > 0 && n > 0 {
-		cPacked := append([]float32(nil), cRef...)
+		cPacked := append([]float32(nil), c...)
 		gemmPacked(transA, transB, m, n, k, a, b, beta, cPacked)
 		for i := range want {
-			if want[i] != cPacked[i] {
+			if !sameBits(want[i], cPacked[i]) {
 				t.Fatalf("gemmPacked transA=%v transB=%v m=%d n=%d k=%d beta=%v: c[%d]=%v, naive %v",
 					transA, transB, m, n, k, beta, i, cPacked[i], want[i])
 			}
@@ -63,12 +77,17 @@ var (
 		{23, 29, 31}, {31, 37, 7}, {37, 31, 41}, {43, 47, 3}, {48, 64, 32},
 		{53, 59, 61}, {61, 67, 2}, {67, 61, 53}, {64, 48, 67}, {1, 67, 67},
 		{67, 1, 67}, {67, 67, 1}, {6, 16, 67}, {18, 24, 66},
+		// The HAR MLP's heaviest calls (batch 16: 6 + 6 + 4 rows).
+		{16, 48, 64}, {16, 64, 48}, {48, 64, 16}, {16, 24, 64}, {16, 18, 48}, {16, 48, 18},
 	}
 	gemmDiffScalars = []float32{0, 1, 0.5}
 )
 
 // TestGemmPackedDifferential pins the packed kernel against the retained
-// naive reference across all four transpose variants of the table above.
+// naive reference across all four transpose variants of the table above,
+// then on non-finite operands: an Inf or NaN on either side meeting a zero
+// on the other must give the same NaN (or Inf) on both paths, in full and
+// edge tiles alike.
 func TestGemmPackedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, sz := range gemmDiffSizes {
@@ -77,6 +96,43 @@ func TestGemmPackedDifferential(t *testing.T) {
 				for _, alpha := range gemmDiffScalars {
 					for _, beta := range gemmDiffScalars {
 						gemmCase(t, rng, ta, tb, sz[0], sz[1], sz[2], alpha, beta)
+					}
+				}
+			}
+		}
+	}
+
+	inf := float32(math.Inf(1))
+	for _, sz := range [][3]int{{8, 16, 32}, {16, 18, 48}, {16, 6, 48}} {
+		m, n, k := sz[0], sz[1], sz[2]
+		// (i, p, j): op(A)[i][p] meets op(B)[p][j] in the chain of C[i][j].
+		for _, at := range [][3]int{{0, 0, 0}, {m - 1, k / 2, n - 1}} {
+			i, p, j := at[0], at[1], at[2]
+			for _, v := range []float32{inf, -inf, float32(math.NaN())} {
+				for _, onA := range []bool{false, true} {
+					for _, ta := range []bool{false, true} {
+						for _, tb := range []bool{false, true} {
+							a := make([]float32, m*k)
+							b := make([]float32, k*n)
+							c := make([]float32, m*n)
+							fillRand(rng, a)
+							fillRand(rng, b)
+							fillRand(rng, c)
+							ai, bi := i*k+p, p*n+j
+							if ta {
+								ai = p*m + i
+							}
+							if tb {
+								bi = j*k + p
+							}
+							a[ai], b[bi] = 0, v
+							if onA {
+								a[ai], b[bi] = v, 0
+							}
+							for _, beta := range []float32{0, 1} {
+								gemmCompare(t, ta, tb, m, n, k, 1, a, b, beta, c)
+							}
+						}
 					}
 				}
 			}
@@ -146,30 +202,44 @@ func TestGemmValidation(t *testing.T) {
 }
 
 // TestKernel6x8AsmMatchesGo pins the AVX assembly kernel against the
-// portable reference, bitwise, across all three modes and several k values
-// and ldc layouts. Where kernel6x8 is the portable kernel itself (non-amd64,
-// or amd64 without AVX) the two are the same function and the test
-// degenerates to a smoke test.
+// portable reference, bitwise, across all three modes, several k values and
+// ldc layouts, and every operand layout the GEMM hands it: a packed A tile
+// (lda, ksa) = (1, mr), a tile of a row-major A (k, 1) and of a transposed A
+// (1, m), a packed B panel (ldb = nr) and a panel of a row-major B (ldb = n).
+// Each operand is exactly as long as the kernel's reach, so the portable
+// kernel panics on a read past it. Where kernel6x8 is the portable kernel
+// itself (non-amd64, or amd64 without AVX) the two are the same function and
+// the test degenerates to a smoke test.
 func TestKernel6x8AsmMatchesGo(t *testing.T) {
 	if !strictAVX {
 		t.Logf("kernel mode %s: smoke-testing the portable kernel against itself", KernelMode())
 	}
+	const m, n = 16, 24 // the extents a transposed A and a row-major B are tiles of
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 2, 7, 16, 64, 129} {
-		for _, ldc := range []int{nr, nr + 3, 40} {
-			for mode := 0; mode <= 2; mode++ {
-				a := make([]float32, mr*k)
-				b := make([]float32, nr*k)
-				cAsm := make([]float32, (mr-1)*ldc+nr)
-				fillRand(rng, a)
-				fillRand(rng, b)
-				fillRand(rng, cAsm)
-				cGo := append([]float32(nil), cAsm...)
-				kernel6x8(a, b, cAsm, k, ldc, mode)
-				goGemmKernel6x8(a, b, cGo, k, ldc, mode)
-				for i := range cGo {
-					if cAsm[i] != cGo[i] {
-						t.Fatalf("k=%d ldc=%d mode=%d: c[%d] asm=%v go=%v", k, ldc, mode, i, cAsm[i], cGo[i])
+		aLayouts := []struct {
+			name     string
+			lda, ksa int
+		}{{"packed", 1, mr}, {"rowmajor", k, 1}, {"transposed", 1, m}}
+		for _, al := range aLayouts {
+			for _, ldb := range []int{nr, n} {
+				for _, ldc := range []int{nr, nr + 3, 40} {
+					for mode := 0; mode <= 2; mode++ {
+						a := make([]float32, (k-1)*al.ksa+(mr-1)*al.lda+1)
+						b := make([]float32, (k-1)*ldb+nr)
+						cAsm := make([]float32, (mr-1)*ldc+nr)
+						fillRand(rng, a)
+						fillRand(rng, b)
+						fillRand(rng, cAsm)
+						cGo := append([]float32(nil), cAsm...)
+						kernel6x8(a, b, cAsm, k, ldc, mode, al.lda, al.ksa, ldb)
+						goGemmKernel6x8(a, b, cGo, k, ldc, mode, al.lda, al.ksa, ldb)
+						for i := range cGo {
+							if cAsm[i] != cGo[i] {
+								t.Fatalf("k=%d A %s ldb=%d ldc=%d mode=%d: c[%d] asm=%v go=%v",
+									k, al.name, ldb, ldc, mode, i, cAsm[i], cGo[i])
+							}
+						}
 					}
 				}
 			}
@@ -363,4 +433,45 @@ func TestArenaConcurrentStress(t *testing.T) {
 		}(float32(w + 1))
 	}
 	wg.Wait()
+}
+
+// BenchmarkGemmDenseShapes times the three GEMMs of one nn.Dense training
+// step at batch 16 for the layer widths the HAR MLP's sub-models run, its
+// 6-class head last: the forward x·Wᵀ (transB), the weight gradient dyᵀ·x
+// (transA, beta = 1) and the input gradient dy·W. Every row count, 16 or a
+// layer width, leaves a partial row tile. The calls run serially, as they do under the federated
+// round's device workers.
+func BenchmarkGemmDenseShapes(b *testing.B) {
+	const batch = 16
+	for _, l := range [][2]int{{64, 48}, {64, 24}, {48, 18}, {48, 6}} {
+		in, out := l[0], l[1]
+		rng := rand.New(rand.NewSource(3))
+		x := make([]float32, batch*in)
+		w := make([]float32, out*in)
+		dy := make([]float32, batch*out)
+		y := make([]float32, batch*out)
+		dw := make([]float32, out*in)
+		dx := make([]float32, batch*in)
+		fillRand(rng, x)
+		fillRand(rng, w)
+		fillRand(rng, dy)
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{fmt.Sprintf("fwd_%dx%dx%d_NT", batch, out, in), func() { Gemm(false, true, batch, out, in, 1, x, w, 0, y) }},
+			{fmt.Sprintf("dw_%dx%dx%d_TN", out, in, batch), func() { Gemm(true, false, out, in, batch, 1, dy, x, 1, dw) }},
+			{fmt.Sprintf("dx_%dx%dx%d_NN", batch, in, out), func() { Gemm(false, false, batch, in, out, 1, dy, w, 0, dx) }},
+		} {
+			b.Run(c.name, func(b *testing.B) {
+				WithSerialKernels(func() {
+					c.run()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.run()
+					}
+				})
+			})
+		}
+	}
 }

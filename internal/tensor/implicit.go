@@ -5,11 +5,11 @@ import "fmt"
 // Implicit-GEMM convolution. The im2col lowering (conv.go) turns Conv2D into
 // C[oc, (oy,ox)] = W[oc, :] · col[:, (oy,ox)] — but the column matrix `col`
 // is pure data movement: every element is a pixel of the input image (or a
-// padding zero) addressed by (channel, ky, kx, oy, ox). The packed GEMM
-// (pack.go) never reads its B operand directly either — it reads the packed
-// B panels. So the column matrix exists only to be repacked, and ConvGemm /
-// ConvGemmBack delete it: their pack routines walk the (channel, ky, kx,
-// oy, ox) coordinate space and gather pixels straight into the panel layout.
+// padding zero) addressed by (channel, ky, kx, oy, ox). The GEMM kernel
+// (pack.go) reads B as nr-wide rows of panels, which an image holds only
+// where a window does. So ConvGemm / ConvGemmBack delete the column matrix:
+// their pack routines walk the (channel, ky, kx, oy, ox) coordinate space
+// and gather pixels straight into the packed panel layout.
 //
 // The gathers read a once-padded copy of the image: padImage frames the
 // sample with its zero border ([C, H+2p, W+2p], in the arena block the call
@@ -22,10 +22,11 @@ import "fmt"
 // accumulates into the padded region without clamping and copies the
 // interior out. The border is zeros and is the only source of zeros.
 //
-// Bitwise contract: the panels packBConv/packBConvT produce are element-for-
-// element identical to packB(im2col(src)) — same layout, same zero padding —
-// and the panels then flow through the same runPacked band grid and the same
-// full-k ascending-p summation chains; foldCols adds each column-gradient
+// Bitwise contract: the panels packBConv/packBConvT produce hold, element
+// for element, the values the kernel reads from a materialized im2col(src)
+// (or its transpose), in the pack.go panel layout with the same zero
+// padding; they flow through the same runGemm band grid and the same full-k
+// ascending-p summation chains; foldCols adds each column-gradient
 // element onto the pixel Col2Im adds it onto, and every pixel takes its
 // addends in the order Col2Im gives them (ascending (ky, kx)). The implicit
 // path is therefore bitwise identical to the retained Im2Col + Gemm + Col2Im
@@ -162,12 +163,12 @@ func stride4(d *[nr / 2]float32, s []float32, stride int) {
 }
 
 // packBConv packs the virtual column matrix (kdim × cols, never built) into
-// nr-column B panels: element (p, j) of the panel layout — exactly where
-// packB(transB=false) would have put col[p][j] — is the pixel the im2col row
-// p = (channel, ky, kx) and column j = (oy, ox) address. img is the padded
-// image (padImage), so a padding tap reads a border zero like any other
-// pixel and every copy is unconditional. dst must hold ceil(cols/nr)·nr·kdim
-// elements.
+// nr-column B panels: element (p, j) of the panel layout — the value the
+// kernel reads as col[p][j] of a materialized column matrix — is the pixel
+// the im2col row p = (channel, ky, kx) and column j = (oy, ox) address. img
+// is the padded image (padImage), so a padding tap reads a border zero like
+// any other pixel and every copy is unconditional. dst must hold
+// ceil(cols/nr)·nr·kdim elements.
 func packBConv(img []float32, g ConvGeom, dst []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW
@@ -266,7 +267,7 @@ func packBConv(img []float32, g ConvGeom, dst []float32) {
 
 // packBConvT packs the transpose view of the virtual column matrix — op(B) =
 // colᵀ (cols × kdim), the B operand of the backward weight-gradient GEMM —
-// into nr-column panels, identical to packB(col, transB=true). Panels run
+// into nr-column panels, identical to packB(col, k, n, true, …). Panels run
 // over the kdim dimension: a panel's nr columns are nr consecutive im2col
 // rows (channel, ky, kx), i.e. nr fixed offsets into the padded image img,
 // and its k steps are the output pixels in ascending (oy, ox). The walk is
@@ -395,61 +396,64 @@ func foldCols(dcol []float32, g ConvGeom, img []float32) {
 	}
 }
 
-// ConvWeights holds the weight matrix prepacked into GEMM panels, so a batch
-// loop packs W once instead of once per sample — the panels are read-only
-// during the sweep and safe to share across parallel per-sample GEMMs. The
-// forward and backward directions need different pack layouts (op(A) = W for
-// the forward product, op(A) = Wᵀ for the input-gradient product), so each is
-// packed on demand by PackFwd/PackBwd and released with Release; the zero
+// ConvWeights holds the weight matrix as the two conv products read it, so
+// a batch loop prepares W once instead of once per sample: op(A) = W for the
+// forward product, op(A) = Wᵀ for the input-gradient product. The kernel
+// reads both in place from W; only the partial last tile (outC % mr rows of W,
+// or kdim % mr rows of Wᵀ) is packed, by PackFwd/PackBwd, and released with
+// Release. The tile is read-only during the sweep and safe to share across
+// parallel per-sample GEMMs; W must stay unchanged until Release. The zero
 // value is ready to use and holds no scratch.
 type ConvWeights struct {
-	g    ConvGeom
-	outC int
-	fwd  *Scratch // packA(w, outC, kdim, false) panels
-	bwd  *Scratch // packA(w, kdim, outC, true) panels
+	g        ConvGeom
+	outC     int
+	fwd, bwd operand  // W and Wᵀ as A operands; src is nil until packed
+	edge     *Scratch // the packed partial tile of fwd or bwd
 }
 
-// PackFwd packs W (outC × kdim, row-major) for forward convolutions over
-// geometry g. Any previously packed panels are released first.
+// PackFwd prepares W (outC × kdim, row-major) for forward convolutions over
+// geometry g. Anything previously packed is released first.
 func (cw *ConvWeights) PackFwd(w []float32, outC int, g ConvGeom) {
-	cw.Release()
-	kdim := g.Kdim()
 	checkConvOperands("PackFwd", g, outC, w, nil, nil, 0, "")
-	cw.g, cw.outC = g, outC
-	mTiles := (outC + mr - 1) / mr
-	cw.fwd = GetScratch(mTiles * mr * kdim)
-	packA(w, outC, kdim, false, cw.fwd.Data)
+	cw.fwd = cw.readW(w, outC, g, outC, g.Kdim(), false)
 }
 
-// PackBwd packs Wᵀ for backward convolutions over geometry g.
+// PackBwd prepares Wᵀ for backward convolutions over geometry g.
 func (cw *ConvWeights) PackBwd(w []float32, outC int, g ConvGeom) {
-	cw.Release()
-	kdim := g.Kdim()
 	checkConvOperands("PackBwd", g, outC, w, nil, nil, 0, "")
-	cw.g, cw.outC = g, outC
-	mTiles := (kdim + mr - 1) / mr
-	cw.bwd = GetScratch(mTiles * mr * outC)
-	packA(w, kdim, outC, true, cw.bwd.Data)
+	cw.bwd = cw.readW(w, outC, g, g.Kdim(), outC, true)
 }
 
-// Release returns the packed panels to the arena. Safe on the zero value and
+// readW releases what cw held and returns op(W) (m×k) as an A operand, its
+// partial last tile packed into cw.edge.
+func (cw *ConvWeights) readW(w []float32, outC int, g ConvGeom, m, k int, transA bool) operand {
+	cw.Release()
+	cw.g, cw.outC = g, outC
+	var edge []float32
+	if n := edgeLen(m, mr, k); n > 0 {
+		cw.edge = GetScratch(n)
+		edge = cw.edge.Data
+	}
+	return readA(w, m, k, transA, edge)
+}
+
+// Release returns the packed tile to the arena. Safe on the zero value and
 // after a previous Release.
 func (cw *ConvWeights) Release() {
-	PutScratch(cw.fwd)
-	PutScratch(cw.bwd)
-	cw.fwd, cw.bwd = nil, nil
+	PutScratch(cw.edge)
+	cw.fwd, cw.bwd, cw.edge = operand{}, operand{}, nil
 }
 
 // Conv computes the forward GEMM out = W · im2col(src) without materializing
 // the column matrix: the B panels are gathered from the padded image by
-// packBConv and swept with the prepacked W panels exactly as a packed
+// packBConv and swept with W exactly as a packed
 // Gemm(false, false, outC, cols, kdim, 1, w, col, 0, out) would. out is fully
 // overwritten (beta = 0); the caller adds bias. Bitwise identical to
 // ConvGemmRef for every geometry, worker count, and nesting depth.
 func (cw *ConvWeights) Conv(src, out []float32) {
 	g, outC := cw.g, cw.outC
 	kdim, cols := g.Kdim(), g.Cols()
-	if cw.fwd == nil {
+	if cw.fwd.src == nil {
 		panic("tensor: ConvWeights.Conv without PackFwd")
 	}
 	checkConvOperands("Conv", g, outC, nil, src, out, outC*cols, "output")
@@ -458,9 +462,9 @@ func (cw *ConvWeights) Conv(src, out []float32) {
 	// from.
 	bLen := (cols + nr - 1) / nr * nr * kdim
 	s := GetScratch(bLen + g.paddedLen())
-	sb := s.Data[:bLen]
-	packBConv(padImage(src, g, s.Data[bLen:]), g, sb)
-	runPacked(cw.fwd.Data, sb, out, outC, cols, kdim, 0)
+	pb := packed(s.Data[:bLen], nr, kdim)
+	packBConv(padImage(src, g, s.Data[bLen:]), g, pb.src)
+	runGemm(&cw.fwd, &pb, out, outC, cols, kdim, 0)
 	PutScratch(s)
 }
 
@@ -472,16 +476,17 @@ func (cw *ConvWeights) Conv(src, out []float32) {
 // The weight-gradient GEMM is implicit: its B panels (the transposed column
 // matrix) are gathered from the padded image by packBConvT, and beta = 1 with a
 // transposed B is kernel mode 1 — the same dot-order summation the reference
-// Gemm(false, true, …, 1, dw) used, so dw stays bitwise identical. The
-// input-gradient GEMM reuses the prepacked Wᵀ panels with grad packed as B —
-// panel-for-panel what the reference Gemm(true, false, …) packs — and its
-// column gradient still materializes, in arena scratch scoped to this call,
-// and foldCols folds it (its accumulation order into dx is the bits of dx;
-// fusing the fold into the tile sweep would reorder it — see docs/PERF.md).
+// Gemm(false, true, …, 1, dw) used, so dw stays bitwise identical. grad is
+// read in place, as that product's A and as the input-gradient product's B,
+// which reads Wᵀ as its A — what the reference Gemm(true, false, …) reads.
+// The column gradient still materializes, in arena scratch scoped to this
+// call, and foldCols folds it (its accumulation order into dx is the bits of
+// dx; fusing the fold into the tile sweep would reorder it — see
+// docs/PERF.md).
 func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	g, outC := cw.g, cw.outC
 	kdim, cols := g.Kdim(), g.Cols()
-	if cw.bwd == nil {
+	if cw.bwd.src == nil {
 		panic("tensor: ConvWeights.ConvBack without PackBwd")
 	}
 	checkConvOperands("ConvBack", g, outC, nil, src, dw, outC*kdim, "dw")
@@ -495,35 +500,28 @@ func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	}
 	convImplicitCount.Inc()
 
-	// One arena block serves both GEMMs — an A region, a B region and the
+	// One arena block serves both GEMMs — an edge region, a B region and the
 	// padded image — so a sample's backward is a single pool round-trip. The
-	// A region is sized for whichever is larger: the packed grad A panels of
-	// the dW product or the packed grad B panels of the dcol product (the two
-	// layouts differ, so the pack runs twice); the B region holds the
-	// packBConvT panels and is then recycled as the column gradient
-	// (nTiles·nr ≥ kdim, and runPacked fully overwrites it with beta = 0
-	// before the fold reads it). The image region is padded once, read by
-	// the transposed gather, and then recycled as the padded dx the fold
-	// accumulates into.
-	mTiles := (outC + mr - 1) / mr
-	nTiles := (kdim + nr - 1) / nr
-	gTiles := (cols + nr - 1) / nr
-	aLen := mTiles * mr * cols
-	if gLen := gTiles * nr * outC; gLen > aLen {
-		aLen = gLen
-	}
-	bLen := nTiles * nr * cols
-	s := GetScratch(aLen + bLen + g.paddedLen())
-	sa := s.Data[:aLen]
-	sb := s.Data[aLen : aLen+bLen]
-	pimg := s.Data[aLen+bLen:]
-	packA(grad, outC, cols, false, sa)
-	packBConvT(padImage(src, g, pimg), g, sb)
-	runPacked(sa, sb, dw, outC, kdim, cols, 1)
+	// edge region holds grad's partial tile in turn: the last A tile of the
+	// dW product, then the last B panel of the dcol product. The B region
+	// holds the packBConvT panels and is then recycled as the column
+	// gradient (nTiles·nr ≥ kdim, and the sweep fully overwrites it with
+	// beta = 0 before the fold reads it). The image region is padded once,
+	// read by the transposed gather, and then recycled as the padded dx the
+	// fold accumulates into.
+	eLen := max(edgeLen(outC, mr, cols), edgeLen(cols, nr, outC))
+	bLen := (kdim + nr - 1) / nr * nr * cols
+	s := GetScratch(eLen + bLen + g.paddedLen())
+	edge := s.Data[:eLen]
+	pb := packed(s.Data[eLen:eLen+bLen], nr, cols)
+	pimg := s.Data[eLen+bLen:]
+	packBConvT(padImage(src, g, pimg), g, pb.src)
+	ga := readA(grad, outC, cols, false, edge)
+	runGemm(&ga, &pb, dw, outC, kdim, cols, 1)
 
-	packB(grad, outC, cols, false, sa)
-	dcol := sb[:kdim*cols]
-	runPacked(cw.bwd.Data, sa, dcol, kdim, cols, outC, 0)
+	gb := readB(grad, outC, cols, false, edge)
+	dcol := pb.src[:kdim*cols]
+	runGemm(&cw.bwd, &gb, dcol, kdim, cols, outC, 0)
 	// Fold into zeros: the padded region when there is a border to absorb
 	// the padding taps (the interior is then copied out, overwriting dx),
 	// dx itself when there is none.

@@ -272,10 +272,13 @@ func TestConvGemmImplicitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestConvGemmScratchAccounting pins the two arena claims the implicit path
-// makes: it returns every byte it acquires, and its peak working set is
-// strictly below the im2col reference's (which holds the column matrix live
-// across its inner GEMM's own panel scratch).
+// TestConvGemmScratchAccounting pins the implicit path's arena use: forward
+// and backward return every byte they acquire, and each peaks at exactly the
+// blocks its geometry calls for — the arena class of W's packed partial tile
+// (forward) plus the class of the one block holding the B panels, grad's
+// partial tiles (backward) and the padded image. A column matrix, or any
+// other block, would show up here. The im2col reference must not leak
+// either.
 func TestConvGemmScratchAccounting(t *testing.T) {
 	g := ConvGeom{Channels: 16, Height: 16, Width: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	outC := 32
@@ -283,26 +286,44 @@ func TestConvGemmScratchAccounting(t *testing.T) {
 	w := make([]float32, outC*g.Kdim())
 	src := make([]float32, g.Channels*g.Height*g.Width)
 	out := make([]float32, outC*g.Cols())
+	dw := make([]float32, len(w))
+	dx := make([]float32, len(src))
 	fillRand(rng, w)
 	fillRand(rng, src)
+	fillRand(rng, out)
+
+	class := func(n int) int64 { return 4 * int64(kernelScratch.classCap(kernelScratch.classOf(n))) }
+	kdim, cols := g.Kdim(), g.Cols() // 144 (= 24·mr = 18·nr), 256 (= 32·nr)
+	padded := g.Channels * (g.Height + 2) * (g.Width + 2)
+	// Forward: W's last tile holds outC % mr = 2 rows; the B panels cover
+	// cols. Backward: Wᵀ has kdim rows, whole tiles; grad's last A tile
+	// (outC % mr rows of cols) is the larger of its two partial tiles
+	// (cols % nr = 0); the B panels cover kdim.
+	fwdWant := class(mr*kdim) + class(cols*kdim+padded)
+	bwdWant := class(mr*cols + kdim*cols + padded)
 
 	live := ScratchLiveBytes()
 	ResetScratchPeak()
 	ConvGemm(w, outC, src, g, out)
-	implicitPeak := ScratchPeakBytes() - live
+	if got := ScratchPeakBytes() - live; got != fwdWant {
+		t.Errorf("ConvGemm peak scratch %d B, want %d B", got, fwdWant)
+	}
 	if got := ScratchLiveBytes(); got != live {
 		t.Errorf("ConvGemm leaked %d live scratch bytes", got-live)
 	}
 
 	ResetScratchPeak()
-	ConvGemmRef(w, outC, src, g, out)
-	refPeak := ScratchPeakBytes() - live
+	ConvGemmBack(w, outC, src, g, out, dw, dx)
+	if got := ScratchPeakBytes() - live; got != bwdWant {
+		t.Errorf("ConvGemmBack peak scratch %d B, want %d B", got, bwdWant)
+	}
 	if got := ScratchLiveBytes(); got != live {
-		t.Errorf("ConvGemmRef leaked %d live scratch bytes", got-live)
+		t.Errorf("ConvGemmBack leaked %d live scratch bytes", got-live)
 	}
 
-	if implicitPeak >= refPeak {
-		t.Errorf("implicit peak scratch %d B not below im2col ref %d B", implicitPeak, refPeak)
+	ConvGemmRef(w, outC, src, g, out)
+	if got := ScratchLiveBytes(); got != live {
+		t.Errorf("ConvGemmRef leaked %d live scratch bytes", got-live)
 	}
 }
 

@@ -46,7 +46,9 @@ func checkGemmOperands(transA, transB bool, m, n, k int, a, b, c []float32) {
 }
 
 // packedMinWork gates the packed path: below this m·n·k the packing traffic
-// rivals the compute it saves and the naive kernel is already in-cache.
+// and the fixed cost of a call rival the compute they save and the naive
+// kernel is already in-cache. Above it the packed kernel wins at every
+// width, n < nr included (BenchmarkGemmDenseShapes' 6-class head).
 const packedMinWork = 1 << 11
 
 // Gemm computes C = alpha·op(A)·op(B) + beta·C where op is optional
@@ -61,7 +63,7 @@ const packedMinWork = 1 << 11
 // parallel kernel.
 func Gemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	checkGemmOperands(transA, transB, m, n, k, a, b, c)
-	if alpha == 1 && (beta == 0 || beta == 1) && k > 0 && n >= nr && m*n*k >= packedMinWork {
+	if alpha == 1 && (beta == 0 || beta == 1) && k > 0 && m*n*k >= packedMinWork {
 		gemmPackedCount.Inc()
 		gemmPacked(transA, transB, m, n, k, a, b, beta, c)
 		return
@@ -108,13 +110,10 @@ func gemmNaiveRows(transA, transB bool, m, n, k int, alpha float32, a, b []float
 		case !transA && !transB:
 			arow := a[i*k : i*k+k]
 			for p, av := range arow {
-				if av == 0 {
-					continue
-				}
 				av *= alpha
 				brow := b[p*n : p*n+n]
 				for j, bv := range brow {
-					crow[j] += av * bv
+					crow[j] += float32(av * bv)
 				}
 			}
 		case !transA && transB:
@@ -123,30 +122,26 @@ func gemmNaiveRows(transA, transB bool, m, n, k int, alpha float32, a, b []float
 				brow := b[j*k : j*k+k]
 				var s float32
 				for p, av := range arow {
-					s += av * brow[p]
+					s += float32(av * brow[p])
 				}
-				crow[j] += alpha * s
+				crow[j] += float32(alpha * s)
 			}
 		case transA && !transB:
 			// A is stored [k,m]; walk column i of A.
 			for p := 0; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				av *= alpha
+				av := a[p*m+i] * alpha
 				brow := b[p*n : p*n+n]
 				for j, bv := range brow {
-					crow[j] += av * bv
+					crow[j] += float32(av * bv)
 				}
 			}
 		default: // transA && transB
 			for j := 0; j < n; j++ {
 				var s float32
 				for p := 0; p < k; p++ {
-					s += a[p*m+i] * b[j*k+p]
+					s += float32(a[p*m+i] * b[j*k+p])
 				}
-				crow[j] += alpha * s
+				crow[j] += float32(alpha * s)
 			}
 		}
 	}
@@ -174,7 +169,7 @@ func OuterAccum(c, x, y []float32) {
 		}
 		crow := c[i*n : i*n+n]
 		for j, yv := range y {
-			crow[j] += xv * yv
+			crow[j] += float32(xv * yv)
 		}
 	}
 }
