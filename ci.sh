@@ -40,16 +40,18 @@ same() { cmp "$1" "$2" || fail "$3"; }
 
 # workers_gate <what the outputs are> <what the traces are> <gate> <gate
 # failure> <audit flags> <nebula-sim args...>: run nebula-sim at -workers 1
-# and 4 and require byte-identical stdout. Optional, "" to skip: a trace per
-# run, byte-identical too and readable by nebula-trace; a `<gate>: PASS`
-# verdict line in the output; a -seed-audit pass (same seed twice,
-# byte-identical) with the audit flags appended to the args.
+# under GOMAXPROCS=1 and at -workers 4 under GOMAXPROCS=4 and require
+# byte-identical stdout: neither the device fan-out nor the core count may
+# move a bit. Optional, "" to skip: a trace per run, byte-identical too and
+# readable by nebula-trace; a `<gate>: PASS` verdict line in the output; a
+# -seed-audit pass (same seed twice, byte-identical) with the audit flags
+# appended to the args.
 workers_gate() {
     outs=$1 traces=$2 gate=$3 gatefail=$4 audit=$5
     shift 5
     tmp=$(mktemp -d)
     for w in 1 4; do
-        go run ./cmd/nebula-sim "$@" -workers "$w" \
+        GOMAXPROCS=$w go run ./cmd/nebula-sim "$@" -workers "$w" \
             ${traces:+-trace "$tmp/w$w.jsonl"} >"$tmp/w$w.out" 2>/dev/null
     done
     if [ -n "$gate" ] && ! grep -q "$gate: PASS" "$tmp/w1.out"; then
@@ -106,6 +108,13 @@ workers_gate "experiment output" "trace JSONL" "" "" "" \
     -exp faults -devices 6 -proxy 8 -steps 2 \
     -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5 \
     -admin-addr 127.0.0.1:0
+
+echo "== conv gate (fig7 on the CNN tasks: output identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4)"
+# Every other gate here runs the HAR MLP; this one trains convolutions, whose
+# weight-gradient reduction is the one cross-sample sum in the kernels.
+workers_gate "fig7 output" "" "" "" "" \
+    -exp fig7 -devices 6 -proxy 6 -rounds 2 -per-round 3 \
+    -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
 
 echo "== semi-async gate (straggler experiment: latency win at equal accuracy; async artifacts identical for -workers 1 vs 4)"
 # The straggler experiment runs bulk-sync and semi-async on one seeded

@@ -9,9 +9,9 @@ import (
 
 // RunAblations isolates the design choices DESIGN.md calls out, beyond the
 // paper's own figures: module ability-enhancing training on/off, the
-// aggregation retention factor, the pull-blend strength, and greedy vs exact
-// derivation. All variants run the same HAR adaptation protocol so the
-// accuracy deltas are attributable to the toggled mechanism.
+// pull-blend strength, greedy vs exact derivation, and local training or
+// cloud collaboration switched off. All variants run the same HAR adaptation
+// protocol so the accuracy deltas are attributable to the toggled mechanism.
 func RunAblations(opt Options) *metrics.Table {
 	task := fed.HARTask(opt.Seed+95, opt.Scale)
 	cfg := opt.fedConfig()

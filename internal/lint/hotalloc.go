@@ -5,10 +5,9 @@ import (
 	"go/ast"
 )
 
-// HotAlloc flags `make(` inside function literals passed to the
-// tensor parallel kernels (ParallelFor, ParallelForChunks,
-// ParallelForAtomic). These closures are the training hot path: an
-// allocation there repeats per step (and per chunk, per worker), which is
+// HotAlloc flags `make(` inside function literals passed to the tensor
+// fan-out, ParallelFor. These closures are the training hot path: an
+// allocation there repeats per step (and per work item), which is
 // exactly the steady-state garbage the scratch arena exists to eliminate.
 // The canonical fix is tensor.GetScratch/PutScratch, or a buffer owned by
 // the enclosing layer; a deliberate exception needs `//nolint:hotalloc`
@@ -20,7 +19,7 @@ func (HotAlloc) Name() string { return "hotalloc" }
 
 // Doc implements Analyzer.
 func (HotAlloc) Doc() string {
-	return "make() inside a ParallelFor/ParallelForChunks/ParallelForAtomic body; use the tensor scratch arena"
+	return "make() inside a ParallelFor body; use the tensor scratch arena"
 }
 
 // DefaultPaths implements Analyzer: everywhere — hot-path allocation is a
@@ -30,9 +29,7 @@ func (HotAlloc) DefaultPaths() []string { return nil }
 // parallelKernels are the tensor-package entry points whose closure
 // arguments run once per work item on the training hot path.
 var parallelKernels = map[string]bool{
-	"ParallelFor":       true,
-	"ParallelForChunks": true,
-	"ParallelForAtomic": true,
+	"ParallelFor": true,
 }
 
 // Check implements Analyzer.

@@ -1,17 +1,18 @@
 // Package testdata holds fixtures; each file triggers exactly one check.
 package testdata
 
-// Minimal stand-in for the tensor parallel kernels so the fixture exercises
-// the callee-name match without importing the real package.
-func ParallelForChunks(n int, fn func(chunk, start, end int)) int {
-	fn(0, 0, n)
-	return 1
+// Minimal stand-in for the tensor fan-out so the fixture exercises the
+// callee-name match without importing the real package.
+func ParallelFor(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
 }
 
 func hotAllocScratch() []float32 {
 	var out []float32
-	ParallelForChunks(8, func(chunk, start, end int) {
-		buf := make([]float32, 64) // want: per-chunk allocation on the hot path
+	ParallelFor(8, func(i int) {
+		buf := make([]float32, 64) // want: per-item allocation on the hot path
 		out = buf
 	})
 	return out

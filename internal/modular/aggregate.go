@@ -43,7 +43,7 @@ func (m *Model) AggregateModuleWise(updates []*Update) {
 }
 
 // DefaultRetain is the cloud-side retention used by AggregateModuleWise.
-var DefaultRetain = 0.5
+const DefaultRetain = 0.5
 
 // AggregateModuleWiseRetain is AggregateModuleWise with an explicit
 // retention factor.
@@ -173,9 +173,9 @@ func aggregateClassifier(head nn.Layer, updates []*Update, retain float64) {
 			w := float32((1 - retain) * u.ClassWeights[c] / total)
 			srow := src.Weight.W.Data[c*in : (c+1)*in]
 			for i := range row {
-				row[i] += w * srow[i]
+				row[i] += float32(w * srow[i])
 			}
-			target.Bias.W.Data[c] += w * src.Bias.W.Data[c]
+			target.Bias.W.Data[c] += float32(w * src.Bias.W.Data[c])
 		}
 	}
 }

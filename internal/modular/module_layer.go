@@ -239,7 +239,7 @@ func (ml *ModuleLayer) Forward(x *tensor.Tensor, probs [][]float32, topK int, ac
 		}
 	}
 	ml.x, ml.train = x, train
-	tensor.ParallelForAtomic(n, ml.fwdBody)
+	tensor.ParallelFor(n, ml.fwdBody)
 	ml.x = nil
 
 	// Combine in ascending module order: y_b = Σ g_i(b) · f_i(x_b).
@@ -332,7 +332,7 @@ func (ml *ModuleLayer) backward(dy *tensor.Tensor, wantGates bool) (*tensor.Tens
 		}
 	}
 	ml.dy, ml.wantGates = dy, wantGates
-	tensor.ParallelForAtomic(n, ml.bwdBody)
+	tensor.ParallelFor(n, ml.bwdBody)
 	ml.dy = nil
 	for i, dsub := range ml.dsubs {
 		if dsub == nil {

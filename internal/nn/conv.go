@@ -44,15 +44,16 @@ type Conv2D struct {
 	dx *tensor.Tensor // reused input gradient
 
 	// Per-call state threaded through struct fields so the parallel bodies
-	// can be allocated once: closures handed to the ParallelFor kernels
+	// can be allocated once: closures handed to tensor.ParallelFor
 	// escape, so a fresh literal per call would be a steady-state heap
 	// allocation.
 	fwdX    *tensor.Tensor
 	bwdGrad *tensor.Tensor
+	bwdMid  int // first sample of the second half
 	fwdBody func(b int)
-	bwdBody func(chunk, s, e int)
-	dwParts []*tensor.Scratch // per-chunk weight-gradient partials
-	dbParts []*tensor.Scratch // per-chunk bias-gradient partials
+	bwdBody func(half int)
+	dwParts [2]*tensor.Scratch // per-half weight-gradient partials
+	dbParts [2]*tensor.Scratch // per-half bias-gradient partials
 
 	// wpack reads the weights for the duration of one Forward or Backward
 	// call: in place, but for their partial last tile, packed once per batch,
@@ -126,7 +127,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !c.pointwise() {
 		c.wpack.PackFwd(c.Weight.W.Data, c.OutC, c.geom())
 	}
-	tensor.ParallelForAtomic(batch, c.fwdBody)
+	tensor.ParallelFor(batch, c.fwdBody)
 	c.wpack.Release()
 	return c.y
 }
@@ -143,23 +144,22 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	batch := c.batch
 	c.dx = reuse4(c.dx, batch, c.InC, c.inH, c.inW)
 
-	// Weight gradients accumulate across samples; each parallel chunk fills
-	// a private arena-backed accumulator, and the partials are reduced in
-	// chunk order so the floating-point sum is deterministic for a fixed
-	// worker count.
-	maxChunks := tensor.Parallelism
-	if maxChunks < 1 {
-		maxChunks = 1
+	// Weight gradients accumulate across samples. From four samples up the
+	// batch splits into two halves, [0, ⌈n/2⌉) and [⌈n/2⌉, n), each summed
+	// into a private arena-backed accumulator and reduced in half order. The
+	// grouping depends on the batch alone, never on Parallelism, so the
+	// gradient bits are the same on every core count.
+	halves, mid := 1, batch
+	if batch >= 4 {
+		halves, mid = 2, (batch+1)/2
 	}
-	if cap(c.dwParts) < maxChunks {
-		c.dwParts = make([]*tensor.Scratch, maxChunks)
-		c.dbParts = make([]*tensor.Scratch, maxChunks)
-	}
-	c.dwParts = c.dwParts[:maxChunks]
-	c.dbParts = c.dbParts[:maxChunks]
-	c.bwdGrad = grad
+	c.bwdGrad, c.bwdMid = grad, mid
 	if c.bwdBody == nil {
-		c.bwdBody = func(chunk, s, e int) {
+		c.bwdBody = func(half int) {
+			s, e := 0, c.bwdMid
+			if half == 1 {
+				s, e = c.bwdMid, c.batch
+			}
 			kdim := c.InC * c.KH * c.KW
 			cols := c.outH * c.outW
 			outStride := c.OutC * cols
@@ -189,22 +189,22 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 					db.Data[oc] += sum
 				}
 			}
-			c.dwParts[chunk] = dw
-			c.dbParts[chunk] = db
+			c.dwParts[half] = dw
+			c.dbParts[half] = db
 		}
 	}
 	if !c.pointwise() {
 		c.wpack.PackBwd(c.Weight.W.Data, c.OutC, c.geom())
 	}
-	used := tensor.ParallelForChunks(batch, c.bwdBody)
+	tensor.ParallelFor(halves, c.bwdBody)
 	c.wpack.Release()
-	for chunk := 0; chunk < used; chunk++ {
-		tensor.Axpy(1, c.dwParts[chunk].Data, c.Weight.G.Data)
-		tensor.Axpy(1, c.dbParts[chunk].Data, c.Bias.G.Data)
-		tensor.PutScratch(c.dwParts[chunk])
-		tensor.PutScratch(c.dbParts[chunk])
-		c.dwParts[chunk] = nil
-		c.dbParts[chunk] = nil
+	for half := 0; half < halves; half++ {
+		tensor.Axpy(1, c.dwParts[half].Data, c.Weight.G.Data)
+		tensor.Axpy(1, c.dbParts[half].Data, c.Bias.G.Data)
+		tensor.PutScratch(c.dwParts[half])
+		tensor.PutScratch(c.dbParts[half])
+		c.dwParts[half] = nil
+		c.dbParts[half] = nil
 	}
 	return c.dx
 }

@@ -14,10 +14,6 @@ import (
 // to the column-matrix path (im2col is the identity layout there, and col2im
 // scatters exactly one contribution per pixel).
 func TestConv1x1FastPathBitwise(t *testing.T) {
-	saved := tensor.Parallelism
-	tensor.Parallelism = 1 // one backward chunk: oracle accumulation order matches
-	defer func() { tensor.Parallelism = saved }()
-
 	rng := tensor.NewRNG(17)
 	c := NewConv2D(rng, 16, 32, 1, 1, 0)
 	if !c.pointwise() {
@@ -36,9 +32,16 @@ func TestConv1x1FastPathBitwise(t *testing.T) {
 	cols := h * w
 	inStride, outStride := 16*cols, 32*cols
 
-	wantDW := make([]float32, len(c.Weight.G.Data))
-	wantDB := make([]float32, len(c.Bias.G.Data))
+	// The layer sums each half of the batch into its own partial and adds
+	// the halves into the zeroed gradient in order; the oracle does the same.
+	var partDW, partDB [2][]float32
+	for h := range partDW {
+		partDW[h] = make([]float32, len(c.Weight.G.Data))
+		partDB[h] = make([]float32, len(c.Bias.G.Data))
+	}
 	for b := 0; b < batch; b++ {
+		h := 2 * b / batch
+		wantDW, wantDB := partDW[h], partDB[h]
 		xb := x.Data[b*inStride : (b+1)*inStride]
 		gb := g.Data[b*outStride : (b+1)*outStride]
 
@@ -70,6 +73,14 @@ func TestConv1x1FastPathBitwise(t *testing.T) {
 			}
 			wantDB[oc] += sum
 		}
+	}
+	wantDW := make([]float32, len(c.Weight.G.Data))
+	wantDB := make([]float32, len(c.Bias.G.Data))
+	for i := range wantDW {
+		wantDW[i] = partDW[0][i] + partDW[1][i]
+	}
+	for i := range wantDB {
+		wantDB[i] = partDB[0][i] + partDB[1][i]
 	}
 	for i := range wantDW {
 		if c.Weight.G.Data[i] != wantDW[i] {

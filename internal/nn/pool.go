@@ -74,7 +74,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	tensor.ParallelForAtomic(batch*c, p.fwdBody)
+	tensor.ParallelFor(batch*c, p.fwdBody)
 	return y
 }
 

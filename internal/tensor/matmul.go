@@ -88,8 +88,8 @@ func gemmNaive(transA, transB bool, m, n, k int, alpha float32, a, b []float32, 
 		gemmNaiveRows(transA, transB, m, n, k, alpha, a, b, beta, c, 0, m)
 		return
 	}
-	ParallelFor(m, func(i0, i1 int) {
-		gemmNaiveRows(transA, transB, m, n, k, alpha, a, b, beta, c, i0, i1)
+	ParallelFor(m, func(i int) {
+		gemmNaiveRows(transA, transB, m, n, k, alpha, a, b, beta, c, i, i+1)
 	})
 }
 

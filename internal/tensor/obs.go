@@ -23,12 +23,8 @@ var (
 	bufferMiss     = obs.Default().Counter("nebula_tensor_buffer_total", "outcome", "miss")
 	bufferOversize = obs.Default().Counter("nebula_tensor_buffer_total", "outcome", "oversize")
 
-	parForSerial    = obs.Default().Counter("nebula_tensor_parallel_total", "kernel", "for", "mode", "serial")
-	parForFanout    = obs.Default().Counter("nebula_tensor_parallel_total", "kernel", "for", "mode", "fanout")
-	parChunksSerial = obs.Default().Counter("nebula_tensor_parallel_total", "kernel", "chunks", "mode", "serial")
-	parChunksFanout = obs.Default().Counter("nebula_tensor_parallel_total", "kernel", "chunks", "mode", "fanout")
-	parAtomSerial   = obs.Default().Counter("nebula_tensor_parallel_total", "kernel", "atomic", "mode", "serial")
-	parAtomFanout   = obs.Default().Counter("nebula_tensor_parallel_total", "kernel", "atomic", "mode", "fanout")
+	parSerial = obs.Default().Counter("nebula_tensor_parallel_total", "mode", "serial")
+	parFanout = obs.Default().Counter("nebula_tensor_parallel_total", "mode", "fanout")
 )
 
 func init() {
@@ -37,5 +33,5 @@ func init() {
 	r.Help("nebula_tensor_conv_total", "Convolution GEMM dispatches: implicit = fused-gather path, ref = im2col oracle.")
 	r.Help("nebula_tensor_scratch_total", "Scratch-arena requests: hit = pooled buffer reused, miss = fresh allocation, oversize = above the largest size class.")
 	r.Help("nebula_tensor_buffer_total", "Layer-buffer arena requests (Borrow): hit = a released array reused, miss = fresh allocation, oversize = above the largest size class.")
-	r.Help("nebula_tensor_parallel_total", "Parallel kernel dispatches, by kernel and serial-vs-fanout mode.")
+	r.Help("nebula_tensor_parallel_total", "ParallelFor dispatches: serial = ran on the caller, fanout = shared with the worker pool.")
 }

@@ -40,9 +40,9 @@ func TestDispatchCountersMove(t *testing.T) {
 		t.Error("oversize scratch get not counted")
 	}
 
-	serialBefore := parForSerial.Value()
-	ParallelFor(1, func(start, end int) {})
-	if parForSerial.Value() != serialBefore+1 {
+	serialBefore := parSerial.Value()
+	ParallelFor(1, func(int) {})
+	if parSerial.Value() != serialBefore+1 {
 		t.Error("serial ParallelFor dispatch not counted")
 	}
 }

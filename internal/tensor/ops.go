@@ -48,7 +48,7 @@ func (t *Tensor) AddScaled(a float32, o *Tensor) {
 		panic(fmt.Sprintf("tensor: AddScaled size mismatch %v vs %v", t.shape, o.shape))
 	}
 	for i, v := range o.Data {
-		t.Data[i] += a * v
+		t.Data[i] += float32(a * v)
 	}
 }
 
@@ -58,7 +58,7 @@ func Axpy(a float32, x, y []float32) {
 		panic("tensor: Axpy length mismatch")
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float32(a * v)
 	}
 }
 
@@ -69,7 +69,7 @@ func Dot(x, y []float32) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		s += float64(v) * float64(y[i])
+		s += float64(float64(v) * float64(y[i]))
 	}
 	return s
 }

@@ -241,9 +241,14 @@ type gemmDesc struct {
 	// grid and of scheduling.
 	gm, gn         int
 	mTiles, nTiles int
+	band           func(idx int) // runBand, bound once so ParallelFor gets no fresh closure
 }
 
-var gemmDescPool = sync.Pool{New: func() any { return new(gemmDesc) }}
+var gemmDescPool = sync.Pool{New: func() any {
+	d := new(gemmDesc)
+	d.band = d.runBand
+	return d
+}}
 
 func (d *gemmDesc) runBand(idx int) {
 	bi, bj := idx/d.gn, idx%d.gn
@@ -351,37 +356,17 @@ func runGemm(a, b *operand, c []float32, m, n, k, mode int) {
 	d.m, d.n, d.k, d.mode = m, n, k, mode
 	d.mTiles, d.nTiles = mTiles, nTiles
 
-	workers := Parallelism
-	if workers < 1 {
-		workers = 1
+	// Nested or small calls sweep the whole grid as one band: column panels
+	// outermost, so each B panel is read once.
+	d.gm, d.gn = 1, 1
+	if workers := Parallelism; workers > 1 && m*n*k >= minParallelWork && parallelDepth.Load() == 0 {
+		d.gm = min(workers, mTiles)
+		d.gn = max(min(workers/d.gm, nTiles), 1)
 	}
-	if workers == 1 || m*n*k < minParallelWork || parallelDepth.Load() > 0 {
-		d.gm, d.gn = 1, 1
-		d.runTiles(0, mTiles, 0, nTiles)
+	if bands := d.gm * d.gn; bands > 1 {
+		ParallelFor(bands, d.band)
 	} else {
-		gm := workers
-		if gm > mTiles {
-			gm = mTiles
-		}
-		gn := workers / gm
-		if gn > nTiles {
-			gn = nTiles
-		}
-		if gn < 1 {
-			gn = 1
-		}
-		d.gm, d.gn = gm, gn
-		if bands := gm * gn; bands == 1 {
-			d.runTiles(0, mTiles, 0, nTiles)
-		} else {
-			wg := enterParallel()
-			for band := 1; band < bands; band++ {
-				submit(parTask{gemm: d, chunk: band, wg: wg})
-			}
-			d.runBand(0)
-			wg.Wait()
-			exitParallel(wg)
-		}
+		d.runTiles(0, mTiles, 0, nTiles)
 	}
 
 	d.a, d.b, d.c = operand{}, operand{}, nil

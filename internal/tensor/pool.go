@@ -7,8 +7,9 @@ import (
 )
 
 // Parallelism controls how many worker goroutines the parallel kernels use.
-// It defaults to GOMAXPROCS and can be lowered (e.g. to 1) for deterministic
-// profiling. Values < 1 are treated as 1.
+// It defaults to GOMAXPROCS and can be lowered (e.g. to 1) for profiling.
+// Values < 1 are treated as 1. No result depends on it: it sets only how
+// many goroutines share the work, never how a sum is grouped.
 var Parallelism = runtime.GOMAXPROCS(0)
 
 // minParallelWork is the smallest per-call element count for which spawning
@@ -19,84 +20,37 @@ const minParallelWork = 1 << 12
 // instead of spawning per call: a `go func` per chunk costs a closure, a
 // goroutine stack, and a WaitGroup allocation on every kernel invocation,
 // which is exactly the steady-state garbage the arena exists to eliminate.
-// Workers live for the process and drain taskCh; tasks carry either a caller
-// closure or a pooled descriptor (GEMM bands, work-stealing loops) so the
-// hot paths stay allocation-free.
+// Workers live for the process and drain taskCh; each task is a pooled loop
+// descriptor carrying its own WaitGroup, so the hot paths stay
+// allocation-free.
 //
 // parallelDepth counts active parallel regions. A kernel invoked from inside
 // a worker (e.g. a per-sample GEMM under Conv2D's batch fan-out) sees
 // depth > 0 and runs serially instead of fanning out again, which would
-// oversubscribe GOMAXPROCS. Results never depend on this: every kernel's
-// floating-point evaluation order is fixed per element regardless of how the
-// work is scheduled, and ParallelForChunks keeps its chunk boundaries a pure
-// function of (n, Parallelism) even when it executes serially.
+// oversubscribe GOMAXPROCS. Results never depend on this: every index's work
+// is the same whichever goroutine runs it, and no caller groups a reduction
+// by worker.
 var (
 	workerOnce    sync.Once
-	taskCh        chan parTask
+	taskCh        chan *loopDesc
 	parallelDepth atomic.Int32
 )
-
-// parTask is one unit of work for the persistent workers. Exactly one of
-// fn/chunkFn/steal/gemm is set.
-type parTask struct {
-	fn         func(start, end int)
-	chunkFn    func(chunk, start, end int)
-	steal      *stealDesc
-	gemm       *gemmDesc
-	chunk      int
-	start, end int
-	wg         *sync.WaitGroup
-}
-
-func (t parTask) run() {
-	switch {
-	case t.fn != nil:
-		t.fn(t.start, t.end)
-	case t.chunkFn != nil:
-		t.chunkFn(t.chunk, t.start, t.end)
-	case t.steal != nil:
-		t.steal.drain()
-	case t.gemm != nil:
-		t.gemm.runBand(t.chunk)
-	}
-}
 
 func startWorkers() {
 	n := runtime.GOMAXPROCS(0)
 	if n < 1 {
 		n = 1
 	}
-	taskCh = make(chan parTask, 4*n)
+	taskCh = make(chan *loopDesc, 4*n)
 	for i := 0; i < n; i++ {
 		go func() {
 			// Process-lifetime worker: drains the task channel forever.
-			for t := range taskCh {
-				t.run()
-				t.wg.Done()
+			for d := range taskCh {
+				d.drain()
+				d.wg.Done()
 			}
 		}()
 	}
-}
-
-// submit hands one task to the pool, starting the workers on first use.
-func submit(t parTask) {
-	workerOnce.Do(startWorkers)
-	t.wg.Add(1)
-	taskCh <- t
-}
-
-var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
-
-// enterParallel marks a parallel region active and returns a pooled
-// WaitGroup for it; exitParallel releases both.
-func enterParallel() *sync.WaitGroup {
-	parallelDepth.Add(1)
-	return wgPool.Get().(*sync.WaitGroup)
-}
-
-func exitParallel(wg *sync.WaitGroup) {
-	wgPool.Put(wg)
-	parallelDepth.Add(-1)
 }
 
 // WithSerialKernels runs fn with the nested-parallelism depth guard raised:
@@ -105,113 +59,25 @@ func exitParallel(wg *sync.WaitGroup) {
 // pool. Coarse-grained fan-outs above the tensor layer — e.g. the federated
 // round executor running one training session per device — wrap each outer
 // worker's body in this so device-level and kernel-level parallelism never
-// multiply into GOMAXPROCS oversubscription. Numerics are unaffected: every
-// kernel's floating-point evaluation order is fixed per element regardless of
-// how the work is scheduled (see the depth-guard contract above), so results
-// are bitwise identical with the guard raised or not.
+// multiply into GOMAXPROCS oversubscription. Numerics are unaffected (see the
+// depth-guard contract above): results are bitwise identical with the guard
+// raised or not.
 func WithSerialKernels(fn func()) {
 	parallelDepth.Add(1)
 	defer parallelDepth.Add(-1)
 	fn()
 }
 
-// ParallelFor splits [0, n) into contiguous chunks and runs fn(start, end) on
-// each chunk concurrently. fn must be safe to call from multiple goroutines on
-// disjoint ranges and must not synchronize between chunks. It runs serially
-// when n is small, Parallelism is 1, or the caller is already inside a
-// parallel kernel.
-func ParallelFor(n int, fn func(start, end int)) {
-	workers := Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if n <= 0 {
-		return
-	}
-	if workers == 1 || n < workers*2 || parallelDepth.Load() > 0 {
-		parForSerial.Inc()
-		fn(0, n)
-		return
-	}
-	parForFanout.Inc()
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	wg := enterParallel()
-	for start := chunk; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		submit(parTask{fn: fn, start: start, end: end, wg: wg})
-	}
-	fn(0, chunk) // the caller is the first worker
-	wg.Wait()
-	exitParallel(wg)
-}
-
-// ParallelForChunks is ParallelFor with a stable chunk index passed to fn:
-// chunks are contiguous, ordered, and their count/boundaries depend only on
-// (n, Parallelism). Callers that reduce per-chunk partial results in chunk
-// order get deterministic floating-point sums for a fixed Parallelism.
-// Returns the number of chunks used. When invoked from inside another
-// parallel kernel the same chunks execute serially, so the reduction
-// structure (and therefore the numerics) is unchanged.
-func ParallelForChunks(n int, fn func(chunk, start, end int)) int {
-	workers := Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if n <= 0 {
-		return 0
-	}
-	if workers == 1 || n < workers*2 {
-		parChunksSerial.Inc()
-		fn(0, 0, n)
-		return 1
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	numChunks := (n + chunk - 1) / chunk
-	if parallelDepth.Load() > 0 {
-		parChunksSerial.Inc()
-		for ci := 0; ci < numChunks; ci++ {
-			start := ci * chunk
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			fn(ci, start, end)
-		}
-		return numChunks
-	}
-	parChunksFanout.Inc()
-	wg := enterParallel()
-	for ci := 1; ci < numChunks; ci++ {
-		start := ci * chunk
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		submit(parTask{chunkFn: fn, chunk: ci, start: start, end: end, wg: wg})
-	}
-	fn(0, 0, chunk)
-	wg.Wait()
-	exitParallel(wg)
-	return numChunks
-}
-
-// stealDesc is the pooled descriptor behind ParallelForAtomic.
-type stealDesc struct {
+// loopDesc is the pooled descriptor behind ParallelFor: the workers share it,
+// claim indices from one atomic counter and report to its WaitGroup.
+type loopDesc struct {
 	fn   func(i int)
 	n    int
 	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
-func (d *stealDesc) drain() {
+func (d *loopDesc) drain() {
 	for {
 		i := int(d.next.Add(1)) - 1
 		if i >= d.n {
@@ -221,42 +87,40 @@ func (d *stealDesc) drain() {
 	}
 }
 
-var stealPool = sync.Pool{New: func() any { return new(stealDesc) }}
+var loopPool = sync.Pool{New: func() any { return new(loopDesc) }}
 
-// ParallelForAtomic runs fn(i) for each i in [0, n) with dynamic
-// work-stealing via an atomic counter. Use when per-item cost is highly
-// non-uniform; for uniform work ParallelFor has less overhead. Like the
-// other kernels it degrades to a serial loop when nested inside an active
-// parallel region.
-func ParallelForAtomic(n int, fn func(i int)) {
-	workers := Parallelism
-	if workers < 1 {
-		workers = 1
-	}
+// ParallelFor runs fn(i) once for each i in [0, n), sharing the indices out
+// to up to Parallelism goroutines by work stealing from an atomic counter,
+// so uneven per-index costs balance themselves. fn must be safe to call
+// concurrently for distinct i, and each index must write only its own
+// outputs: which goroutine runs an index, and in what order, is scheduling.
+// It runs serially on the caller when Parallelism is 1, n is 1, or the
+// caller is already inside a parallel kernel.
+func ParallelFor(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers == 1 || n == 1 || parallelDepth.Load() > 0 {
-		parAtomSerial.Inc()
+	workers := min(Parallelism, n)
+	if workers <= 1 || parallelDepth.Load() > 0 {
+		parSerial.Inc()
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	parAtomFanout.Inc()
-	if workers > n {
-		workers = n
-	}
-	d := stealPool.Get().(*stealDesc)
+	parFanout.Inc()
+	d := loopPool.Get().(*loopDesc)
 	d.fn, d.n = fn, n
 	d.next.Store(0)
-	wg := enterParallel()
+	parallelDepth.Add(1)
+	workerOnce.Do(startWorkers)
+	d.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		submit(parTask{steal: d, wg: wg})
+		taskCh <- d
 	}
-	d.drain()
-	wg.Wait()
-	exitParallel(wg)
+	d.drain() // the caller is the first worker
+	d.wg.Wait()
+	parallelDepth.Add(-1)
 	d.fn = nil
-	stealPool.Put(d)
+	loopPool.Put(d)
 }
