@@ -17,15 +17,15 @@ vet:
 # fuses a*b+c into one rounding unless a conversion rounds the product first,
 # and amd64 never fuses, so only this listing can see the bits move: no fused
 # multiply-add may appear in the arm64 listings of internal/edgenet,
-# nn/quantize.go, nn/optim.go, modular/derive.go, modular/aggregate.go,
-# tensor/rand.go, tensor/pack.go, tensor/matmul.go, tensor/ops.go,
-# fed/faults.go and fed/fedavg.go.
+# nn/quantize.go, nn/optim.go, nn/norm.go, modular/derive.go,
+# modular/aggregate.go, modular/selector.go, tensor/rand.go, tensor/pack.go,
+# tensor/matmul.go, tensor/ops.go, fed/faults.go and fed/fedavg.go.
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
 	@fused=$$( { GOARCH=arm64 $(GO) build -gcflags=-S ./internal/edgenet 2>&1; \
-		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1 | grep -E 'nn/(quantize|optim)\.go:'; \
-		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/modular 2>&1 | grep -E 'modular/(derive|aggregate)\.go:'; \
+		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1 | grep -E 'nn/(quantize|optim|norm)\.go:'; \
+		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/modular 2>&1 | grep -E 'modular/(derive|aggregate|selector)\.go:'; \
 		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1 | grep -E 'tensor/(rand|pack|matmul|ops)\.go:'; \
 		GOARCH=arm64 $(GO) build -gcflags=-S ./internal/fed 2>&1 | grep -E 'fed/(faults|fedavg)\.go:'; } | grep -E 'FN?M(ADD|SUB)' || true); \
 		[ -z "$$fused" ] || { echo "fused multiply-add in the arm64 build (round the product with an explicit conversion): $$fused" >&2; exit 1; }

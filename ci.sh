@@ -96,6 +96,10 @@ for c in $("$linttmp/nebula-lint" -list | awk '$1 != "scope:" {print $1}'); do
     grep -q "\"check\": \"$c\"" "$linttmp/fixtures.json" ||
         fail "no fixture trips check '$c' — every registered check needs a tripping fixture"
 done
+# serve reaches the device pool only through a parameter, so rngescape
+# matches it by name; its fixture must trip too.
+grep -q 'escapes into a serve worker body' "$linttmp/fixtures.json" ||
+    fail "rngescape did not trip on its serve fixture"
 rm -rf "$linttmp"
 
 echo "== make race"
@@ -114,6 +118,14 @@ echo "== conv gate (fig7 on the CNN tasks: output identical for -workers 1 vs 4 
 # weight-gradient reduction is the one cross-sample sum in the kernels.
 workers_gate "fig7 output" "" "" "" "" \
     -exp fig7 -devices 6 -proxy 6 -rounds 2 -per-round 3 \
+    -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
+
+echo "== local-adaptation gate (fig10: NA, LA and Nebula w/o cloud on all four tasks; output and trace identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4)"
+# fig10 is the one experiment that runs NA, LA and Nebula's w/o-cloud step
+# and their evaluation on all four tasks: the per-device models that are
+# either held or built on a worker (fed's serve).
+workers_gate "fig10 output" "fig10 trace JSONL" "" "" "" \
+    -exp fig10 -devices 6 -proxy 6 -rounds 2 -per-round 3 -steps 2 \
     -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
 
 echo "== semi-async gate (straggler experiment: latency win at equal accuracy; async artifacts identical for -workers 1 vs 4)"

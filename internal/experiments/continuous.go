@@ -47,7 +47,7 @@ func runContinuousTask(opt Options, task *fed.Task, salt int64) *ContinuousResul
 	newFleetClients := func(seed int64) []*fed.Client {
 		r := tensor.NewRNG(seed)
 		fleet := data.NewFleet(r, task.Gen, data.PartitionConfig{
-			NumDevices: maxInt(opt.Devices/3, 4), ClassesPerDevice: m,
+			NumDevices: max(opt.Devices/3, 4), ClassesPerDevice: m,
 			MinVolume: 50, MaxVolume: 120,
 		})
 		return fed.NewClients(r, fleet)
@@ -68,8 +68,6 @@ func runContinuousTask(opt Options, task *fed.Task, salt int64) *ContinuousResul
 	}
 	na := fed.NewNoAdapt(task, cfg)
 	la := fed.NewLocalAdapt(task, cfg)
-	laCfg := cfg
-	laCfg.FinetuneEpochs = opt.FinetuneEpochs
 	fullNebula := mkNebula(true, true)
 	// Only the full system logs, so one -trace file holds one coherent run.
 	fullNebula.Trace = opt.Trace
@@ -130,13 +128,6 @@ func Fig11Table(results []*ContinuousResult) *metrics.Table {
 			metrics.FmtDur(r.AdaptTime["nebula-wo-local"]), metrics.FmtDur(r.AdaptTime["nebula-wo-cloud"]), metrics.FmtDur(r.AdaptTime["nebula"]))
 	}
 	return tb
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- dynamic environment generator ---------------------------------------

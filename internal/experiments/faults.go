@@ -60,7 +60,7 @@ func RunFaults(opt Options) *FaultsResult {
 		nb.Pretrain(tensor.NewRNG(opt.Seed+60), proxy)
 		fleetRNG := tensor.NewRNG(opt.Seed + 50)
 		fleet := data.NewFleet(fleetRNG, task.Gen, data.PartitionConfig{
-			NumDevices: maxInt(opt.Devices/3, 4), ClassesPerDevice: m,
+			NumDevices: max(opt.Devices/3, 4), ClassesPerDevice: m,
 			MinVolume: 50, MaxVolume: 120,
 		})
 		clients := fed.NewClients(fleetRNG, fleet)

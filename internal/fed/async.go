@@ -1,15 +1,15 @@
 package fed
 
-// Staleness-aware semi-async rounds (docs/ASYNC.md). The coordinator paces
-// rounds by a sim-time deadline instead of waiting for the slowest device:
-// updates that complete within the deadline aggregate immediately, stragglers
-// carry their work across round boundaries and land later with a
-// staleness-decayed weight, and the fleet may gain or lose devices between
-// rounds. Everything is driven by the seeded sim clock — a device's
-// completion time is its deterministic link+train+fault time from
-// device.Profile and the fault pre-draws — never by wall time, so async runs
-// replay bitwise and are independent of the worker count exactly like the
-// bulk-synchronous path (docs/PARALLEL.md).
+// Nebula's round engine (docs/ASYNC.md). The coordinator paces rounds by a
+// sim-time deadline instead of waiting for the slowest device: updates that
+// complete within the deadline aggregate immediately, stragglers carry their
+// work across round boundaries and land later with a staleness-decayed
+// weight, and the fleet may gain or lose devices between rounds. A deadline
+// of 0 is the bulk-synchronous round, the default (cfg.Async off).
+// Everything is driven by the seeded sim clock — a device's completion time
+// is its deterministic link+train+fault time from device.Profile and the
+// fault pre-draws — never by wall time, so runs replay bitwise and are
+// independent of the worker count (docs/PARALLEL.md).
 
 import (
 	"sort"
@@ -21,37 +21,32 @@ import (
 	"repro/internal/trace"
 )
 
-// asyncPending is one straggler's carried work: launched in round launch,
-// completing at absolute sim time done, with the worker's finished result
-// (sub-model, update, traffic, span) waiting to be committed in the round
-// whose deadline first covers done.
-type asyncPending struct {
-	c      *Client
-	launch int
-	done   float64
-	res    nebulaResult
-}
-
-// asyncState is the semi-async coordinator state, persisted across rounds
-// and across Adapt calls.
+// asyncState is the round engine's coordinator state, persisted across
+// rounds and across Adapt calls.
 type asyncState struct {
 	clock    float64         // absolute sim time at the current round boundary
-	deadline float64         // per-round budget D (0 = not yet calibrated)
+	deadline float64         // per-round budget D (0 = bulk-sync)
 	busy     map[int]float64 // device ID -> absolute sim time it becomes free
-	pending  []*asyncPending // carried work, (launch round, canonical index) order
+	pending  []landing       // carried work, (launch round, canonical index) order
 	prev     []int           // sorted device IDs present last round
 	seeded   bool            // baseline fleet captured (first round is never churn)
 }
 
-// asyncRound runs one deadline-paced round: apply fleet churn, sample idle
-// devices, launch their work, land everything (carried and fresh) whose
-// completion time falls inside the deadline in sim-clock arrival order, and
-// advance the clock by exactly the deadline. The first round (when no
-// explicit RoundDeadline is configured) runs bulk-synchronously to observe
-// the device-time distribution and auto-calibrates the deadline from it.
-func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
+// round runs one online round paced by a sim-time deadline: apply fleet
+// churn, sample idle devices, launch their work, land everything (carried and
+// fresh) whose completion time falls inside the deadline in sim-clock arrival
+// order, and advance the clock by exactly the deadline. A deadline of 0 is
+// bulk-sync: every launched device lands, in device order, and the slot is
+// the slowest participant. With cfg.Async off that is every round — churn is
+// not applied and the deadline never calibrates; with it on and no explicit
+// RoundDeadline, the first round is bulk-sync and calibrates the deadline
+// from the device times it observed.
+func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 	if s.async == nil {
-		s.async = &asyncState{busy: map[int]float64{}, deadline: s.cfg.RoundDeadline}
+		s.async = &asyncState{busy: map[int]float64{}}
+		if s.cfg.Async {
+			s.async.deadline = s.cfg.RoundDeadline
+		}
 	}
 	a := s.async
 	round := s.costs.Rounds + 1
@@ -59,14 +54,17 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 	s.record(trace.RoundStart(round, a.deadline))
 	wall := obs.StartTimer()
 	defer func() { m.noteRoundWall(wall.Seconds()) }()
-	// Root span for the deadline-paced round; churn, pend, and land events
+	// Root span for the round, keyed on the round number so every worker
+	// count and replay traces the same rounds; churn, pend, and land events
 	// record as marker children so a trace shows the async control flow.
 	tid, _ := s.Spans.Trace(int64(round))
 	rs := s.Spans.Start(tid, 0, "fed.round")
 	rs.SetRound(round)
 	defer rs.End()
 
-	s.applyChurn(round, clients, tid, rs.ID())
+	if s.cfg.Async {
+		s.applyChurn(round, clients, tid, rs.ID())
+	}
 
 	// Sample only idle devices: a straggler still working on carried rounds
 	// cannot be asked for new work. Eligibility is a pure function of the
@@ -91,12 +89,24 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 
 	start := a.clock
 	if a.deadline == 0 {
-		// Calibration round: bulk-sync semantics (everything lands, the slot
-		// is the slowest participant), then derive the deadline from the
-		// observed per-device times.
-		slot, times := s.landAll(round, p, res)
+		// Bulk-sync: everything lands, in device order, and the slot is the
+		// slowest participant; an async run calibrates from these times.
+		var landings []landing
+		var slot float64
+		var times []float64
+		for i := range res {
+			if p.drop[i] {
+				continue
+			}
+			slot = max(slot, res[i].t)
+			times = append(times, res[i].t)
+			landings = append(landings, landing{c: part[i], launch: round, res: &res[i]})
+		}
+		s.land(round, p, landings, slot)
 		a.clock = start + slot
-		a.deadline = calibrateDeadline(times)
+		if s.cfg.Async {
+			a.deadline = calibrateDeadline(times)
+		}
 		return
 	}
 	roundEnd := start + a.deadline
@@ -109,7 +119,7 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 	kept := a.pending[:0]
 	for _, pw := range a.pending {
 		if pw.done <= roundEnd {
-			landings = append(landings, landing{pw.c, pw.launch, pw.done, &pw.res})
+			landings = append(landings, pw)
 			delete(a.busy, pw.c.Dev.ID)
 		} else {
 			kept = append(kept, pw)
@@ -120,19 +130,20 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 		if p.drop[i] {
 			continue
 		}
-		r := &res[i]
-		done := start + r.t
-		if done <= roundEnd {
-			landings = append(landings, landing{part[i], round, done, r})
+		ld := landing{part[i], round, start + res[i].t, &res[i]}
+		if ld.done <= roundEnd {
+			landings = append(landings, ld)
 			continue
 		}
-		a.busy[part[i].Dev.ID] = done
-		pw := &asyncPending{c: part[i], launch: round, done: done}
-		pw.res = *r
-		a.pending = append(a.pending, pw)
+		a.busy[ld.c.Dev.ID] = ld.done
+		// The straggler keeps a copy of its own result, not a pointer into
+		// this round's array, which would hold every device's update alive.
+		r := res[i]
+		ld.res = &r
+		a.pending = append(a.pending, ld)
 		// Marker span: this device's work overran the deadline and pends.
 		pe := s.Spans.Start(tid, rs.ID(), "fed.pend")
-		pe.SetDevice(part[i].Dev.ID)
+		pe.SetDevice(ld.c.Dev.ID)
 		pe.SetRound(round)
 		pe.End()
 	}
@@ -259,8 +270,9 @@ func calibrateDeadline(times []float64) float64 {
 	return 2 * ts[(len(ts)-1)/2]
 }
 
-// AsyncDeadline exposes the current per-round deadline (0 before
-// calibration); experiments report it alongside latency comparisons.
+// AsyncDeadline exposes the current per-round deadline (0 = bulk-sync:
+// before calibration, and always with cfg.Async off); experiments report it
+// alongside latency comparisons.
 func (s *Nebula) AsyncDeadline() float64 {
 	if s.async == nil {
 		return 0

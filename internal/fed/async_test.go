@@ -10,6 +10,7 @@ import (
 	"repro/internal/modular"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -254,6 +255,74 @@ func TestAsyncChurnReplaysBitwise(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vec1, vec4) {
 		t.Fatal("cloud model differs across worker counts under churn")
+	}
+}
+
+// TestBulkSyncIgnoresChurn pins the one branch bulk-sync takes through the
+// round engine: with cfg.Async off, a fleet whose membership changes between
+// rounds — a pinned straggler leaves, a brand-new device joins — records no
+// churn event and no churn or pend span, never calibrates a deadline, and
+// carries nothing. The same fleet with cfg.Async on records the leave and
+// the join.
+func TestBulkSyncIgnoresChurn(t *testing.T) {
+	run := func(async bool) ([]trace.Event, []span.Span, *Nebula) {
+		rng := tensor.NewRNG(77)
+		task := HARTask(78, ScaleQuick)
+		cfg := tinyCfg()
+		cfg.DevicesPerRound = 8
+		cfg.Workers = 2
+		cfg.Async = async
+		nb := NewNebula(task, cfg)
+		nb.TrainCfg.Epochs = 1
+		rec := span.NewRecorder(1 << 12)
+		rec.SetSampler(77, 1)
+		nb.Spans = rec
+		var buf bytes.Buffer
+		nb.Trace = trace.NewWithClock(&buf, nil)
+		nb.Pretrain(rng, proxyFor(rng, task, 10))
+		all := harFleet(rng, task, 9, 2)
+		pinSlowDevice(all[0], 1e6)
+		churned := append(append([]*Client(nil), all[1:8]...), all[8])
+		for _, fleet := range [][]*Client{all[:8], all[:8], churned, churned} {
+			nb.Round(rng, fleet)
+		}
+		events, err := trace.Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.CheckSeq(events); err != nil {
+			t.Fatal(err)
+		}
+		return events, rec.Snapshot(), nb
+	}
+
+	events, spans, nb := run(false)
+	for _, e := range events {
+		if e.Kind == trace.KindChurn || e.Stale > 0 || (e.Kind == trace.KindRoundStart && e.Deadline != 0) {
+			t.Fatalf("bulk-sync recorded an async event: %+v", e)
+		}
+	}
+	for _, sp := range spans {
+		if sp.Kind == "fed.churn" || sp.Kind == "fed.pend" || sp.Kind == "fed.land" {
+			t.Fatalf("bulk-sync recorded a %s span: %+v", sp.Kind, sp)
+		}
+	}
+	if d := nb.AsyncDeadline(); d != 0 {
+		t.Fatalf("bulk-sync calibrated a deadline: %v", d)
+	}
+	if n := nb.PendingStragglers(); n != 0 {
+		t.Fatalf("bulk-sync carries %d pending stragglers", n)
+	}
+
+	events, _, _ = run(true)
+	notes := map[string]bool{}
+	for _, e := range events {
+		if e.Kind == trace.KindChurn {
+			notes[e.Note] = true
+		}
+	}
+	if !notes["leave"] || !notes["join"] {
+		t.Fatalf("async run over the same fleet recorded churn %v, want leave and join", notes)
 	}
 }
 

@@ -79,41 +79,21 @@ func (s *LocalAdapt) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 // Devices run concurrently on derived streams; map writes and cost charges
 // commit in canonical device order.
 func (s *LocalAdapt) Adapt(rng *tensor.RNG, clients []*Client) {
-	n := len(clients)
-	held := make([]nn.Layer, n)
-	for i, c := range clients {
-		held[i] = s.local[c.Dev.ID]
-	}
-	streams := splitStreams(rng, nil, n)
-	type result struct {
-		m    nn.Layer
-		down int64
-		t    float64
-	}
-	res := make([]result, n)
-	forEachDevice(s.cfg.Workers, n, func(i int) {
+	streams := splitStreams(rng, nil, len(clients))
+	ts := make([]float64, len(clients))
+	ms, fresh := serve(s.cfg.Workers, clients, s.local, s.cloneCloud, func(i int, m nn.Layer) {
 		c := clients[i]
-		m := held[i]
-		if m == nil {
-			m = nn.CloneLayer(s.cloud)
-			res[i].down = modelBytes(m) // one-time model download
-		}
 		TrainLayer(streams[i], m, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
-		p := c.Mon.Profile()
 		fwd, _ := nn.ForwardCost(m, s.Task.InElems())
-		res[i].m = m
-		res[i].t = trainTime(p, fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
+		ts[i] = trainTime(c.Mon.Profile(), fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
 	})
 	var slot float64
 	for i, c := range clients {
-		r := &res[i]
-		if held[i] == nil {
-			s.local[c.Dev.ID] = r.m
-			s.costs.BytesDown += r.down
+		if fresh[i] {
+			s.local[c.Dev.ID] = ms[i]
+			s.costs.BytesDown += modelBytes(ms[i]) // one-time model download
 		}
-		if r.t > slot {
-			slot = r.t
-		}
+		slot = max(slot, ts[i])
 	}
 	s.costs.SimTime += slot // devices adapt in parallel
 	s.costs.Rounds++
@@ -123,28 +103,15 @@ func (s *LocalAdapt) Adapt(rng *tensor.RNG, clients []*Client) {
 // Devices without a private copy evaluate a clone of the shared cloud model
 // (Forward mutates activation caches, so workers must not share it).
 func (s *LocalAdapt) LocalAccuracy(clients []*Client) float64 {
-	if len(clients) == 0 {
-		return 0
-	}
-	n := len(clients)
-	models := make([]nn.Layer, n)
-	for i, c := range clients {
-		models[i] = s.local[c.Dev.ID]
-	}
-	accs := make([]float64, n)
-	forEachDevice(s.cfg.Workers, n, func(i int) {
-		m := models[i]
-		if m == nil {
-			m = nn.CloneLayer(s.cloud)
-		}
+	accs := make([]float64, len(clients))
+	serve(s.cfg.Workers, clients, s.local, s.cloneCloud, func(i int, m nn.Layer) {
 		accs[i] = EvalLayer(m, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
 	})
-	var sum float64
-	for _, a := range accs {
-		sum += a
-	}
-	return sum / float64(len(clients))
+	return mean(accs)
 }
+
+// cloneCloud is a device's private copy of the shared cloud model.
+func (s *LocalAdapt) cloneCloud(*Client) nn.Layer { return nn.CloneLayer(s.cloud) }
 
 // Costs returns accumulated accounting.
 func (s *LocalAdapt) Costs() Costs { return s.costs }
@@ -187,84 +154,50 @@ func (s *AdaptiveNet) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 // fine-tunes it locally. Devices run concurrently on derived streams; map
 // writes and cost charges commit in canonical device order.
 func (s *AdaptiveNet) Adapt(rng *tensor.RNG, clients []*Client) {
-	n := len(clients)
-	held := make([]*MultiBranch, n)
-	for i, c := range clients {
-		held[i] = s.local[c.Dev.ID]
-	}
-	streams := splitStreams(rng, nil, n)
-	type result struct {
-		m    *MultiBranch
-		b    int
-		down int64
-		t    float64
-	}
-	res := make([]result, n)
-	forEachDevice(s.cfg.Workers, n, func(i int) {
+	streams := splitStreams(rng, nil, len(clients))
+	ts := make([]float64, len(clients))
+	bs := make([]int, len(clients))
+	ms, fresh := serve(s.cfg.Workers, clients, s.local, s.cloneCloud, func(i int, m *MultiBranch) {
 		c := clients[i]
 		p := c.Mon.Profile()
-		b := s.cloud.PickBranch(p, s.Task.InElems(), s.latencyBudget)
-		m := held[i]
-		if m == nil {
-			m = s.cloud.Clone()
-			res[i].down = s.cloud.BranchBytes(s.cloud.NumBranches() - 1)
-		}
-		TrainLayer(streams[i], branchModel{m, b}, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
-		res[i].m, res[i].b = m, b
-		res[i].t = trainTime(p, m.BranchCost(s.Task.InElems(), b), c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
+		bs[i] = s.cloud.PickBranch(p, s.Task.InElems(), s.latencyBudget)
+		TrainLayer(streams[i], branchModel{m, bs[i]}, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
+		ts[i] = trainTime(p, m.BranchCost(s.Task.InElems(), bs[i]), c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
 	})
 	var slot float64
 	for i, c := range clients {
-		r := &res[i]
-		if held[i] == nil {
-			s.local[c.Dev.ID] = r.m
-			s.costs.BytesDown += r.down
+		if fresh[i] {
+			s.local[c.Dev.ID] = ms[i]
+			s.costs.BytesDown += s.cloud.BranchBytes(s.cloud.NumBranches() - 1)
 		}
-		s.branch[c.Dev.ID] = r.b
-		if r.t > slot {
-			slot = r.t
-		}
+		s.branch[c.Dev.ID] = bs[i]
+		slot = max(slot, ts[i])
 	}
 	s.costs.SimTime += slot
 	s.costs.Rounds++
 }
 
 // LocalAccuracy evaluates each device's chosen branch on its local task.
-// Devices without a private copy evaluate a clone of the shared cloud model
-// (Forward mutates activation caches, so workers must not share it).
+// Devices without a private copy evaluate the deepest branch of a clone of
+// the shared cloud model (Forward mutates activation caches, so workers must
+// not share it).
 func (s *AdaptiveNet) LocalAccuracy(clients []*Client) float64 {
-	if len(clients) == 0 {
-		return 0
-	}
-	n := len(clients)
-	accs := make([]float64, n)
-	type pick struct {
-		m *MultiBranch
-		b int
-	}
-	picks := make([]pick, n)
+	bs := make([]int, len(clients))
 	for i, c := range clients {
-		m := s.local[c.Dev.ID]
-		b, ok := s.branch[c.Dev.ID]
-		if m == nil || !ok {
-			b = s.cloud.NumBranches() - 1
-			m = nil // worker clones the shared cloud model
+		bs[i] = s.cloud.NumBranches() - 1
+		if b, ok := s.branch[c.Dev.ID]; ok {
+			bs[i] = b
 		}
-		picks[i] = pick{m, b}
 	}
-	forEachDevice(s.cfg.Workers, n, func(i int) {
-		m := picks[i].m
-		if m == nil {
-			m = s.cloud.Clone()
-		}
-		accs[i] = EvalLayer(branchModel{m, picks[i].b}, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
+	accs := make([]float64, len(clients))
+	serve(s.cfg.Workers, clients, s.local, s.cloneCloud, func(i int, m *MultiBranch) {
+		accs[i] = EvalLayer(branchModel{m, bs[i]}, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
 	})
-	var sum float64
-	for _, a := range accs {
-		sum += a
-	}
-	return sum / float64(len(clients))
+	return mean(accs)
 }
+
+// cloneCloud is a device's private copy of the shared cloud model.
+func (s *AdaptiveNet) cloneCloud(*Client) *MultiBranch { return s.cloud.Clone() }
 
 // Costs returns accumulated accounting.
 func (s *AdaptiveNet) Costs() Costs { return s.costs }

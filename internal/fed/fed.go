@@ -201,23 +201,28 @@ func trainTime(p device.Profile, fwdFlopsPerSample, samples, epochs int) float64
 // meanLocalAccuracyLayer evaluates one shared model on every client's local
 // test distribution. Devices evaluate concurrently; each worker gets its own
 // clone of the model (Forward mutates activation caches), and the accuracy
-// sum is reduced in canonical device order so the float64 result is
+// mean is reduced in canonical device order so the float64 result is
 // identical for any worker count.
 func meanLocalAccuracyLayer(m nn.Layer, clients []*Client, testN, workers int) float64 {
-	if len(clients) == 0 {
-		return 0
-	}
 	accs := make([]float64, len(clients))
 	forEachDeviceState(workers, len(clients),
 		func(int) any { return nn.CloneLayer(m) },
 		func(state any, i int) {
 			accs[i] = EvalLayer(state.(nn.Layer), clients[i].Dev.TestSet(testN))
 		})
-	var sum float64
-	for _, a := range accs {
-		sum += a
+	return mean(accs)
+}
+
+// mean is the average of xs, summed in slice (device) order; 0 when empty.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
 	}
-	return sum / float64(len(clients))
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // sampleClients picks k distinct clients. The result is always a fresh slice,

@@ -93,10 +93,9 @@ type Nebula struct {
 	// by the next round's split (splitStreams).
 	streams []*tensor.RNG
 
-	// async holds the semi-async coordinator state (cfg.Async; docs/ASYNC.md),
-	// lazily created on the first deadline-paced round and persisted across
-	// Adapt calls so carried stragglers and the sim clock survive step
-	// boundaries.
+	// async holds the round engine's coordinator state (docs/ASYNC.md),
+	// lazily created on the first round and persisted across Adapt calls so
+	// carried stragglers and the sim clock survive step boundaries.
 	async *asyncState
 }
 
@@ -198,6 +197,12 @@ func (s *Nebula) deriveFresh(sel *modular.Selector, c *Client) *modular.SubModel
 	return s.Model.Extract(s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive))
 }
 
+// deriveOwn is deriveFresh with a selector copy of its own, for a worker
+// serving one device.
+func (s *Nebula) deriveOwn(c *Client) *modular.SubModel {
+	return s.deriveFresh(s.Model.Selector.Clone(), c)
+}
+
 // record is the strategy's one accounting path: every fact that moves the
 // ledgers — a round opening or closing, a device's traffic and time, an
 // aggregation, a membership change, a transfer outside a round — is built as
@@ -231,18 +236,12 @@ func (s *Nebula) Adapt(rng *tensor.RNG, clients []*Client) {
 		return
 	}
 	for r := 0; r < s.cfg.Rounds; r++ {
-		s.Round(rng, clients)
+		s.round(rng, clients)
 	}
 }
 
 // Round runs one online round.
-func (s *Nebula) Round(rng *tensor.RNG, clients []*Client) {
-	if s.cfg.Async {
-		s.asyncRound(rng, clients)
-		return
-	}
-	s.round(rng, clients)
-}
+func (s *Nebula) Round(rng *tensor.RNG, clients []*Client) { s.round(rng, clients) }
 
 // nebulaResult is one device's round outcome, filled by a worker and folded
 // into strategy state by the coordinator in canonical device order.
@@ -334,8 +333,8 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 // derived stream, sub-model, selector copy, and result slot. round is the
 // launch round (used only for span annotations). Workers never emit the
 // client_update record themselves — the coordinator does, at commit time, so
-// the same body serves both the sync path (commit in the launch round) and
-// the async path (commit in the landing round).
+// the same body serves work that lands in its launch round and a straggler's
+// that lands later.
 func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 	res := make([]nebulaResult, len(p.part))
 	for len(s.encoders) < poolSize(s.cfg.Workers, len(p.part)) {
@@ -508,35 +507,10 @@ func (s *Nebula) aggregate(round int, updates []*modular.Update, slot float64) {
 	s.record(trace.RoundEnd(round, slot))
 }
 
-func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
-	part := sampleClients(rng, clients, s.cfg.DevicesPerRound)
-	round := s.costs.Rounds + 1
-	s.record(trace.RoundStart(round, 0))
-	m := s.metrics()
-	wall := obs.StartTimer()
-	defer func() { m.noteRoundWall(wall.Seconds()) }()
-	// Root span for the round; the sampling decision is keyed on the round
-	// number, so every worker count and replay traces the same rounds.
-	tid, _ := s.Spans.Trace(int64(round))
-	rs := s.Spans.Start(tid, 0, "fed.round")
-	rs.SetRound(round)
-	defer rs.End()
-
-	swPrep := obs.StartTimer()
-	p := s.prepRound(rng, part, round)
-	p.trace, p.root = tid, rs.ID()
-	m.phasePrep.ObserveSince(swPrep)
-
-	swParallel := obs.StartTimer()
-	res := s.runDevices(p, round)
-	m.phaseParallel.ObserveSince(swParallel)
-
-	s.landAll(round, p, res)
-}
-
 // landing is one finished device result on its way into strategy state:
 // launched in round launch (the landing round itself for on-time and
-// bulk-sync work), complete at absolute sim time done.
+// bulk-sync work), complete at absolute sim time done. A straggler's landing
+// waits in asyncState.pending with res pointing at a copy of its result.
 type landing struct {
 	c      *Client
 	launch int
@@ -574,76 +548,32 @@ func (s *Nebula) land(round int, p *roundPrep, landings []landing, slot float64)
 	}
 }
 
-// landAll is the bulk-synchronous landing: every launched device lands this
-// round, in device order, and the slot is the slowest participant's time.
-// Returns that slot and the per-device times it was taken over.
-func (s *Nebula) landAll(round int, p *roundPrep, res []nebulaResult) (slot float64, times []float64) {
-	var landings []landing
-	for i := range res {
-		if p.drop[i] {
-			continue
-		}
-		r := &res[i]
-		if r.t > slot {
-			slot = r.t
-		}
-		times = append(times, r.t)
-		landings = append(landings, landing{c: p.part[i], launch: round, res: r})
-	}
-	s.land(round, p, landings, slot)
-	return slot, times
-}
-
 // adaptLocalOnly implements the w/o-cloud ablation: derive once, then only
 // local training. Devices run concurrently with the same coordinator-prep /
 // parallel / canonical-reduce structure as the full round, and the step is
 // recorded as one: a round whose devices move no bytes beyond a first-time
 // bootstrap.
 func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
-	n := len(clients)
 	round := s.costs.Rounds + 1
 	s.record(trace.RoundStart(round, 0))
-	held := s.heldBy(clients)
-	s.streams = splitStreams(rng, s.streams, n)
-	type result struct {
-		sub *modular.SubModel
-		t   float64
-	}
-	res := make([]result, n)
-	forEachDevice(s.cfg.Workers, n, func(i int) {
+	s.streams = splitStreams(rng, s.streams, len(clients))
+	ts := make([]float64, len(clients))
+	subs, fresh := serve(s.cfg.Workers, clients, s.subs, s.deriveOwn, func(i int, sub *modular.SubModel) {
 		c := clients[i]
-		sub := held[i]
-		if sub == nil {
-			sub = s.deriveFresh(s.Model.Selector.Clone(), c)
-		}
 		TrainLayer(s.streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
 		sub.Park()
 		_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
-		res[i].sub = sub
-		res[i].t = trainTime(c.Mon.Profile(), fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
+		ts[i] = trainTime(c.Mon.Profile(), fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
 	})
 	var slot float64
 	for i, c := range clients {
-		r := &res[i]
-		if held[i] == nil {
-			s.record(trace.Churn(round, c.Dev.ID, "bootstrap", s.adoptFresh(c.Dev.ID, r.sub)))
+		if fresh[i] {
+			s.record(trace.Churn(round, c.Dev.ID, "bootstrap", s.adoptFresh(c.Dev.ID, subs[i])))
 		}
-		if r.t > slot {
-			slot = r.t
-		}
-		s.record(trace.ClientUpdate(round, c.Dev.ID, r.sub.NumModules(), 0, 0, r.t, 0))
+		slot = max(slot, ts[i])
+		s.record(trace.ClientUpdate(round, c.Dev.ID, subs[i].NumModules(), 0, 0, ts[i], 0))
 	}
 	s.record(trace.RoundEnd(round, slot))
-}
-
-// heldBy snapshots each client's stored sub-model (nil = never served), in
-// canonical order, for workers to read.
-func (s *Nebula) heldBy(clients []*Client) []*modular.SubModel {
-	held := make([]*modular.SubModel, len(clients))
-	for i, c := range clients {
-		held[i] = s.subs[c.Dev.ID]
-	}
-	return held
 }
 
 // overlapRatio computes the Jaccard overlap between a held sub-model's
@@ -698,31 +628,17 @@ func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 	if len(clients) == 0 {
 		return 0
 	}
-	n := len(clients)
-	held := s.heldBy(clients)
-	type result struct {
-		sub *modular.SubModel
-		acc float64
-	}
-	res := make([]result, n)
-	forEachDevice(s.cfg.Workers, n, func(i int) {
-		c := clients[i]
-		sub := held[i]
-		if sub == nil {
-			sub = s.deriveFresh(s.Model.Selector.Clone(), c)
-		}
-		res[i].sub = sub
-		res[i].acc = EvalLayer(sub, c.Dev.TestSet(s.cfg.TestPerDevice))
+	accs := make([]float64, len(clients))
+	subs, fresh := serve(s.cfg.Workers, clients, s.subs, s.deriveOwn, func(i int, sub *modular.SubModel) {
+		accs[i] = EvalLayer(sub, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
 		sub.Park() // the evaluation batch's activations go; the model stays
 	})
-	var sum float64
 	for i, c := range clients {
-		if held[i] == nil {
-			s.record(trace.Churn(s.costs.Rounds, c.Dev.ID, "bootstrap", s.adoptFresh(c.Dev.ID, res[i].sub)))
+		if fresh[i] {
+			s.record(trace.Churn(s.costs.Rounds, c.Dev.ID, "bootstrap", s.adoptFresh(c.Dev.ID, subs[i])))
 		}
-		sum += res[i].acc
 	}
-	acc := sum / float64(len(clients))
+	acc := mean(accs)
 	s.metrics().lastAccuracy.Set(acc)
 	return acc
 }

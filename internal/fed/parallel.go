@@ -98,6 +98,28 @@ func forEachDeviceState(workers, n int, newState func(w int) any, body func(stat
 	wg.Wait()
 }
 
+// serve is the fan-out of a strategy that keeps one model per device: it runs
+// work(i, m) for every client on the forEachDevice pool, where m is the
+// client's model in held or, for a client held has none for, one that fresh
+// builds on the worker. held is read here, on the coordinator; isFresh tells
+// the caller which models to adopt, which it does in device order.
+func serve[M comparable](workers int, clients []*Client, held map[int]M, fresh func(*Client) M, work func(i int, m M)) (ms []M, isFresh []bool) {
+	var none M
+	ms = make([]M, len(clients))
+	isFresh = make([]bool, len(clients))
+	for i, c := range clients {
+		ms[i] = held[c.Dev.ID]
+		isFresh[i] = ms[i] == none
+	}
+	forEachDevice(workers, len(clients), func(i int) {
+		if isFresh[i] {
+			ms[i] = fresh(clients[i])
+		}
+		work(i, ms[i])
+	})
+	return ms, isFresh
+}
+
 // poolSize is the number of workers forEachDevice runs n bodies on.
 func poolSize(workers, n int) int {
 	if workers <= 0 {

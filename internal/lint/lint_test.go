@@ -43,7 +43,7 @@ func TestFixtures(t *testing.T) {
 		"errdrop.go":    {"errdrop"},
 		"seedrand.go":   {"seedrand"},
 		"hotalloc.go":   {"hotalloc"},
-		"rngescape.go":  {"rngescape"},
+		"rngescape.go":  {"rngescape", "rngescape"},
 		"lockedcall.go": {"lockedcall"},
 		"mapsink.go":    {"maporder"},
 		"rawclock.go":   {"rawclock", "rawclock"},

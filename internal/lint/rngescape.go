@@ -9,7 +9,7 @@ import (
 // RNGEscape flags a master-RNG stream escaping into concurrent code: any
 // value whose type is the coordinator stream (*tensor.RNG, or *rand.Rand)
 // captured by a function literal passed to a parallel executor
-// (forEachDevice / forEachDeviceState / ParallelFor), whether
+// (forEachDevice / forEachDeviceState / serve / ParallelFor), whether
 // the capture is a bare identifier (`rng`) or a field read through a
 // captured struct (`cfg.rng`). Worker bodies run concurrently: touching the
 // shared stream there is a data race AND makes the draw sequence depend on
@@ -43,6 +43,7 @@ func (RNGEscape) DefaultPaths() []string { return nil }
 var parallelExecutors = map[string]bool{
 	"forEachDevice":      true,
 	"forEachDeviceState": true,
+	"serve":              true,
 	"ParallelFor":        true,
 }
 

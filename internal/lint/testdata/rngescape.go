@@ -1,8 +1,9 @@
 package fixtures
 
 // rngescape: a master RNG stream captured by a parallel worker body makes
-// the draw sequence scheduling-dependent — exactly one finding, on the
-// captured stream below. The local RNG type stands in for tensor.RNG (the
+// the draw sequence scheduling-dependent — one finding per executor, on the
+// captured streams below. serve reaches forEachDevice only through a
+// parameter, so it is matched by name like the others. The local RNG type stands in for tensor.RNG (the
 // check matches the resolved type name, not the package).
 
 type RNG struct{ state uint64 }
@@ -21,5 +22,15 @@ func forEachDevice(n int, fn func(i int)) {
 func perturbAll(devices []float64, rng *RNG) {
 	forEachDevice(len(devices), func(i int) {
 		devices[i] += rng.Float64() // want: shared stream in a worker body
+	})
+}
+
+func serve(n int, work func(i int, m float64)) {
+	forEachDevice(n, func(i int) { work(i, 0) })
+}
+
+func jitterAll(devices []float64, rng *RNG) {
+	serve(len(devices), func(i int, m float64) {
+		devices[i] = m + rng.Float64() // want: shared stream in a serve body
 	})
 }

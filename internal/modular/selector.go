@@ -78,7 +78,7 @@ func (s *Selector) Forward(x *tensor.Tensor, train bool) [][]([]float32) {
 		z := head.Forward(s.h, train)
 		if train && s.NoiseStd > 0 {
 			for i := range z.Data {
-				z.Data[i] += s.NoiseStd * float32(s.rng.NormFloat64())
+				z.Data[i] += float32(s.NoiseStd * float32(s.rng.NormFloat64()))
 			}
 		}
 		s.logits[l] = z
@@ -112,7 +112,7 @@ func (s *Selector) Backward(dProbs []*tensor.Tensor) {
 			dprow := dp.Row(b)
 			var dot float64
 			for i := 0; i < n; i++ {
-				dot += float64(prow[i]) * float64(dprow[i])
+				dot += float64(float64(prow[i]) * float64(dprow[i]))
 			}
 			dzrow := dz.Row(b)
 			for i := 0; i < n; i++ {
@@ -169,7 +169,7 @@ func GateGradToProbGrad(gateGrads [][]float32, selIdx [][]int, selGate [][]float
 		}
 		var mix float64
 		for j, i := range idx {
-			mix += float64(gateGrads[b][i]) * float64(gates[j])
+			mix += float64(float64(gateGrads[b][i]) * float64(gates[j]))
 		}
 		dprow := dp.Row(b)
 		for _, i := range idx {
@@ -202,7 +202,7 @@ func LoadBalanceLoss(probs *tensor.Tensor, dp *tensor.Tensor, weight float32) fl
 	var s1, s2 float64
 	for _, v := range imp {
 		s1 += v
-		s2 += v * v
+		s2 += float64(v * v)
 	}
 	if s1 <= 0 {
 		return 0
@@ -211,7 +211,7 @@ func LoadBalanceLoss(probs *tensor.Tensor, dp *tensor.Tensor, weight float32) fl
 	loss := nf*s2/(s1*s1) - 1
 	// dLoss/dimp_i = 2n(imp_i·s1 − s2)/s1³; dimp_i/dp[b,i] = 1.
 	for i := 0; i < n; i++ {
-		g := float32(weight * float32(2*nf*(imp[i]*s1-s2)/(s1*s1*s1)))
+		g := float32(weight * float32(2*nf*(float64(imp[i]*s1)-s2)/(s1*s1*s1)))
 		for b := 0; b < batch; b++ {
 			dp.Row(b)[i] += g
 		}

@@ -109,7 +109,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				m, sum := mean[f], variance[f]
 				for _, v := range x.Data[(b*feat+f)*spatial : (b*feat+f+1)*spatial] {
 					d := float64(v) - m
-					sum += d * d
+					sum += float64(d * d)
 				}
 				variance[f] = sum
 			}
@@ -118,8 +118,8 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			variance[f] /= float64(n)
 		}
 		for f := 0; f < bn.Feat; f++ {
-			bn.RunMean.Data[f] = (1-bn.Momentum)*bn.RunMean.Data[f] + bn.Momentum*float32(mean[f])
-			bn.RunVar.Data[f] = (1-bn.Momentum)*bn.RunVar.Data[f] + bn.Momentum*float32(variance[f])
+			bn.RunMean.Data[f] = float32((1-bn.Momentum)*bn.RunMean.Data[f]) + float32(bn.Momentum*float32(mean[f]))
+			bn.RunVar.Data[f] = float32((1-bn.Momentum)*bn.RunVar.Data[f]) + float32(bn.Momentum*float32(variance[f]))
 		}
 	} else {
 		for f := 0; f < bn.Feat; f++ {
@@ -141,7 +141,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			for i, v := range x.Data[lo:hi] {
 				h := (v - m) * inv
 				xh[i] = h
-				y[i] = gamma*h + beta
+				y[i] = float32(gamma*h) + beta
 			}
 		}
 	}
@@ -160,7 +160,7 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			xh := bn.xhat.Data[lo:hi]
 			dg, db := dgamma[f], dbeta[f]
 			for i, g := range grad.Data[lo:hi] {
-				dg += float64(g) * float64(xh[i])
+				dg += float64(float64(g) * float64(xh[i]))
 				db += float64(g)
 			}
 			dgamma[f], dbeta[f] = dg, db
@@ -179,7 +179,7 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			lo, hi := (b*feat+f)*spatial, (b*feat+f+1)*spatial
 			xh, dx := bn.xhat.Data[lo:hi], bn.dx.Data[lo:hi]
 			for i, g := range grad.Data[lo:hi] {
-				dx[i] = scale * (n*g - db - xh[i]*dg)
+				dx[i] = scale * (float32(n*g) - db - float32(xh[i]*dg))
 			}
 		}
 	}
