@@ -96,10 +96,12 @@ for c in $("$linttmp/nebula-lint" -list | awk '$1 != "scope:" {print $1}'); do
     grep -q "\"check\": \"$c\"" "$linttmp/fixtures.json" ||
         fail "no fixture trips check '$c' — every registered check needs a tripping fixture"
 done
-# serve reaches the device pool only through a parameter, so rngescape
-# matches it by name; its fixture must trip too.
-grep -q 'escapes into a serve worker body' "$linttmp/fixtures.json" ||
-    fail "rngescape did not trip on its serve fixture"
+# serve and globalRound reach the device pool only through a parameter, so
+# rngescape matches them by name; their fixtures must trip too.
+for executor in serve globalRound; do
+    grep -q "escapes into a $executor worker body" "$linttmp/fixtures.json" ||
+        fail "rngescape did not trip on its $executor fixture"
+done
 rm -rf "$linttmp"
 
 echo "== make race"

@@ -42,7 +42,7 @@ func (d *DeviceData) Regenerate() {
 // data" adaptation-step protocol.
 func (d *DeviceData) Shift(replaceFrac float64) {
 	nClasses := d.Gen.NumClasses()
-	nReplace := int(float64(len(d.Classes))*replaceFrac + 0.5)
+	nReplace := int(float64(float64(len(d.Classes))*replaceFrac) + 0.5)
 	for r := 0; r < nReplace; r++ {
 		// Pick a class not currently held.
 		for tries := 0; tries < 50; tries++ {
@@ -58,7 +58,7 @@ func (d *DeviceData) Shift(replaceFrac float64) {
 	d.Env.Contrast *= 1 + float32(d.rng.NormFloat64()*0.03)
 	// Replace a fraction of stored samples with fresh draws.
 	n := d.Train.Len()
-	nNew := int(float64(n)*replaceFrac + 0.5)
+	nNew := int(float64(float64(n)*replaceFrac) + 0.5)
 	perm := d.rng.Perm(n)
 	for i := 0; i < nNew && i < n; i++ {
 		c := d.Classes[d.rng.Intn(len(d.Classes))]
@@ -72,7 +72,7 @@ func (d *DeviceData) Shift(replaceFrac float64) {
 // without task change.
 func (d *DeviceData) ReplaceData(replaceFrac float64) {
 	n := d.Train.Len()
-	nNew := int(float64(n)*replaceFrac + 0.5)
+	nNew := int(float64(float64(n)*replaceFrac) + 0.5)
 	perm := d.rng.Perm(n)
 	for i := 0; i < nNew && i < n; i++ {
 		c := d.Classes[d.rng.Intn(len(d.Classes))]
@@ -177,16 +177,16 @@ func sampleGamma(rng *tensor.RNG, alpha float64) float64 {
 	c := 1.0 / (3.0 * math.Sqrt(d))
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

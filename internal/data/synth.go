@@ -85,7 +85,7 @@ func newPrototypes(seed int64, name string, shape []int, classes, subjects int, 
 		for v := 0; v < views; v++ {
 			pv := make([]float32, n)
 			for i := range pv {
-				pv[i] = core[i] + 0.8*protoScale*float32(rng.NormFloat64())
+				pv[i] = core[i] + float32(0.8*protoScale*float32(rng.NormFloat64()))
 			}
 			p.protos[c*views+v] = pv
 		}
@@ -93,7 +93,7 @@ func newPrototypes(seed int64, name string, shape []int, classes, subjects int, 
 	p.subjectA = make([]float32, subjects*n)
 	p.subjectB = make([]float32, subjects*n)
 	for i := range p.subjectA {
-		p.subjectA[i] = 1 + 0.25*float32(rng.NormFloat64())
+		p.subjectA[i] = 1 + float32(0.25*float32(rng.NormFloat64()))
 		p.subjectB[i] = 0.3 * float32(rng.NormFloat64())
 	}
 	return p
@@ -111,9 +111,9 @@ func (p *prototypes) Sample(rng *tensor.RNG, class int, env Env) []float32 {
 	b := p.subjectB[subj*n : (subj+1)*n]
 	out := make([]float32, n)
 	for i := range out {
-		v := proto[i]*a[i] + b[i]
-		v = v*env.Contrast + env.Brightness
-		out[i] = v + env.Noise*float32(rng.NormFloat64())
+		v := float32(proto[i]*a[i]) + b[i]
+		v = float32(v*env.Contrast) + env.Brightness
+		out[i] = v + float32(env.Noise*float32(rng.NormFloat64()))
 	}
 	return out
 }
@@ -167,7 +167,7 @@ func (g *imageGen) Sample(rng *tensor.RNG, class int, env Env) []float32 {
 				}
 				v := out[base+sy*side+sx]
 				if sx+1 < side {
-					v = 0.7*v + 0.3*out[base+sy*side+sx+1]
+					v = float32(0.7*v) + float32(0.3*out[base+sy*side+sx+1])
 				}
 				smoothed[base+y*side+x] = v
 			}
@@ -194,10 +194,10 @@ func (g *speechGen) Sample(rng *tensor.RNG, class int, env Env) []float32 {
 	base := g.prototypes.Sample(rng, class, env)
 	// Time warp: resample columns with a random rate in [0.85, 1.15].
 	const freq, time = 16, 16
-	rate := 0.85 + 0.3*rng.Float64()
+	rate := 0.85 + float64(0.3*rng.Float64())
 	out := make([]float32, len(base))
 	for t := 0; t < time; t++ {
-		src := float64(t) * rate
+		src := float64(float64(t) * rate)
 		t0 := int(src)
 		frac := float32(src - float64(t0))
 		t1 := t0 + 1
@@ -210,7 +210,7 @@ func (g *speechGen) Sample(rng *tensor.RNG, class int, env Env) []float32 {
 		for f := 0; f < freq; f++ {
 			v0 := base[f*time+t0]
 			v1 := base[f*time+t1]
-			out[f*time+t] = v0*(1-frac) + v1*frac
+			out[f*time+t] = float32(v0*(1-frac)) + float32(v1*frac)
 		}
 	}
 	return out
@@ -266,7 +266,7 @@ func ClassDistance(gen Generator, a, b int) float64 {
 	var s float64
 	for i := range pa {
 		d := float64(pa[i] - pb[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(pa)))
 }

@@ -59,7 +59,7 @@ func (m *Monitor) Profile() Profile {
 		mem = 0
 	}
 	// Bandwidth jitters ±30% around nominal.
-	bw := m.Class.BandwidthBps * (0.7 + 0.6*m.rng.Float64())
+	bw := m.Class.BandwidthBps * (0.7 + float64(0.6*m.rng.Float64()))
 	return Profile{
 		ComputeFLOPS: m.Class.ComputeFLOPS / contention,
 		MemoryBytes:  mem,

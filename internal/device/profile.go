@@ -21,7 +21,7 @@ func ContentionFactor(backgroundProcs int) float64 {
 	if backgroundProcs <= 0 {
 		return 1
 	}
-	return 1 + 1.3533*float64(backgroundProcs)
+	return 1 + float64(1.3533*float64(backgroundProcs))
 }
 
 // InferenceLatency returns seconds to run one forward pass of a model with

@@ -11,43 +11,97 @@ import (
 // offline stage.
 const PretrainEpochs = 5
 
+// --- The shared cloud model ----------------------------------------------
+
+// cloudModel is the full-width cloud model that NA, LA, FA and HFL all start
+// from: one pre-training on proxy data, one evaluation of the global model,
+// one cost ledger and one federated round over the global model.
+type cloudModel struct {
+	Task   *Task
+	cfg    Config
+	costs  Costs
+	global nn.Layer
+}
+
+// Pretrain fits the full-width cloud model on proxy data.
+func (s *cloudModel) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
+	s.global = s.Task.BuildFull(rng, 1.0)
+	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, BatchSize, nil)
+}
+
+// LocalAccuracy evaluates the global model on every client's local task.
+func (s *cloudModel) LocalAccuracy(clients []*Client) float64 {
+	return meanLocalAccuracyLayer(s.global, clients, s.cfg.TestPerDevice, s.cfg.Workers)
+}
+
+// Costs returns accumulated accounting.
+func (s *cloudModel) Costs() Costs { return s.costs }
+
+// Global exposes the cloud model.
+func (s *cloudModel) Global() nn.Layer { return s.global }
+
+// globalRound runs the device half of one federated round over the global
+// model. On the coordinator it samples the round's clients, rolls their
+// dropouts and splits one stream per device, in that order. On the device
+// pool each surviving device builds its local model with local (which may
+// draw from the device's stream and only reads the global model), trains it
+// at the collaborative LR with prox as the after-backward hook, and is
+// charged the model both ways plus link and training time. trained[i] is
+// part[i]'s trained model, nil for a device that dropped out; the caller
+// folds them into the global model in device order.
+func (s *cloudModel) globalRound(rng *tensor.RNG, clients []*Client, prox func([]*nn.Param), local func(*tensor.RNG, *Client) nn.Layer) (part []*Client, trained []nn.Layer) {
+	part = sampleClients(rng, clients, s.cfg.DevicesPerRound)
+	n := len(part)
+	drop := make([]bool, n)
+	for i := range part {
+		if s.cfg.DropoutProb > 0 {
+			drop[i] = rng.Float64() < s.cfg.DropoutProb
+		}
+	}
+	streams := splitStreams(rng, nil, n)
+	trained = make([]nn.Layer, n)
+	ts := make([]float64, n)
+	forEachDevice(s.cfg.Workers, n, func(i int) {
+		if drop[i] {
+			return
+		}
+		c := part[i]
+		m := local(streams[i], c)
+		TrainLayer(streams[i], m, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*s.cfg.collabScale(), BatchSize, prox)
+		p := c.Mon.Profile()
+		fwd, _ := nn.ForwardCost(m, s.Task.InElems())
+		ts[i] = p.TransferTime(modelBytes(m))*2 + trainTime(p, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs)
+		trained[i] = m
+	})
+	var slot float64
+	for i, m := range trained {
+		if m != nil {
+			s.costs.BytesDown += modelBytes(m)
+			s.costs.BytesUp += modelBytes(m)
+			slot = max(slot, ts[i])
+		}
+	}
+	s.costs.SimTime += slot
+	s.costs.Rounds++
+	return part, trained
+}
+
 // --- No Adaptation --------------------------------------------------------
 
 // NoAdapt serves the pre-trained cloud model unchanged: the paper's NA
 // baseline and the "static cloud model" line of Figure 1(a).
-type NoAdapt struct {
-	Task  *Task
-	model nn.Layer
-	cfg   Config
-	costs Costs
-}
+type NoAdapt struct{ cloudModel }
 
 // NewNoAdapt builds the NA strategy.
 func NewNoAdapt(task *Task, cfg Config) *NoAdapt {
-	return &NoAdapt{Task: task, cfg: cfg}
+	return &NoAdapt{cloudModel{Task: task, cfg: cfg}}
 }
 
 func (s *NoAdapt) Name() string { return "NA" }
 
-// Pretrain fits the full cloud model on proxy data.
-func (s *NoAdapt) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
-	s.model = s.Task.BuildFull(rng, 1.0)
-	TrainLayer(rng, s.model, proxy, PretrainEpochs, s.cfg.LR, BatchSize, nil)
-}
-
-// Adapt does nothing: the model is static.
+// Adapt does nothing: the model is static, and nothing is communicated after
+// deployment.
 func (s *NoAdapt) Adapt(rng *tensor.RNG, clients []*Client) {}
-
-// LocalAccuracy evaluates the static model on every client's local task.
-func (s *NoAdapt) LocalAccuracy(clients []*Client) float64 {
-	return meanLocalAccuracyLayer(s.model, clients, s.cfg.TestPerDevice, s.cfg.Workers)
-}
-
-// Costs returns zero: nothing is communicated after deployment.
-func (s *NoAdapt) Costs() Costs { return s.costs }
-
-// Model exposes the underlying cloud model.
-func (s *NoAdapt) Model() nn.Layer { return s.model }
 
 // --- Local Adaptation -----------------------------------------------------
 
@@ -55,25 +109,16 @@ func (s *NoAdapt) Model() nn.Layer { return s.model }
 // with no collaboration: the paper's LA baseline and the "updated edge model
 // (individual device)" line of Figure 1(a).
 type LocalAdapt struct {
-	Task  *Task
-	cloud nn.Layer
+	cloudModel
 	local map[int]nn.Layer
-	cfg   Config
-	costs Costs
 }
 
 // NewLocalAdapt builds the LA strategy.
 func NewLocalAdapt(task *Task, cfg Config) *LocalAdapt {
-	return &LocalAdapt{Task: task, cfg: cfg, local: map[int]nn.Layer{}}
+	return &LocalAdapt{cloudModel: cloudModel{Task: task, cfg: cfg}, local: map[int]nn.Layer{}}
 }
 
 func (s *LocalAdapt) Name() string { return "LA" }
-
-// Pretrain fits the shared cloud model that devices start from.
-func (s *LocalAdapt) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
-	s.cloud = s.Task.BuildFull(rng, 1.0)
-	TrainLayer(rng, s.cloud, proxy, PretrainEpochs, s.cfg.LR, BatchSize, nil)
-}
 
 // Adapt fine-tunes every client's private copy on its current local data.
 // Devices run concurrently on derived streams; map writes and cost charges
@@ -111,10 +156,7 @@ func (s *LocalAdapt) LocalAccuracy(clients []*Client) float64 {
 }
 
 // cloneCloud is a device's private copy of the shared cloud model.
-func (s *LocalAdapt) cloneCloud(*Client) nn.Layer { return nn.CloneLayer(s.cloud) }
-
-// Costs returns accumulated accounting.
-func (s *LocalAdapt) Costs() Costs { return s.costs }
+func (s *LocalAdapt) cloneCloud(*Client) nn.Layer { return nn.CloneLayer(s.global) }
 
 // --- AdaptiveNet-style ----------------------------------------------------
 

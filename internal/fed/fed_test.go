@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -100,6 +101,36 @@ func TestLocalAdaptImprovesOnSkewedClients(t *testing.T) {
 	}
 	if c.SimTime <= 0 {
 		t.Fatal("LA must accumulate simulated time")
+	}
+}
+
+// TestBaselinesShareOneCloudModel pins the fairness Table 1's comparison
+// rests on: NA, LA, FA and HFL pre-train one cloud model, so from the same
+// seed and proxy set they hold bit-identical parameters and states.
+func TestBaselinesShareOneCloudModel(t *testing.T) {
+	task := Image10Task(6, ScaleQuick) // BatchNorm, so states are compared too
+	cfg := tinyCfg()
+	proxy := proxyFor(tensor.NewRNG(5), task, 2)
+	var want []float32
+	for _, s := range []interface {
+		System
+		Global() nn.Layer
+	}{NewNoAdapt(task, cfg), NewLocalAdapt(task, cfg), NewFedAvg(task, cfg), NewHeteroFL(task, cfg)} {
+		s.Pretrain(tensor.NewRNG(11), proxy)
+		g := s.Global()
+		if len(nn.LayerStates(g)) == 0 {
+			t.Fatalf("%s: the cloud model has no states to compare", s.Name())
+		}
+		got := nn.FlattenVector(g.Params(), nn.LayerStates(g))
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: cloud model element %d = %v, NA has %v", s.Name(), i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -44,6 +44,7 @@ var parallelExecutors = map[string]bool{
 	"forEachDevice":      true,
 	"forEachDeviceState": true,
 	"serve":              true,
+	"globalRound":        true,
 	"ParallelFor":        true,
 }
 

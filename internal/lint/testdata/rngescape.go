@@ -2,9 +2,10 @@ package fixtures
 
 // rngescape: a master RNG stream captured by a parallel worker body makes
 // the draw sequence scheduling-dependent — one finding per executor, on the
-// captured streams below. serve reaches forEachDevice only through a
-// parameter, so it is matched by name like the others. The local RNG type stands in for tensor.RNG (the
-// check matches the resolved type name, not the package).
+// captured streams below. serve and globalRound reach forEachDevice only
+// through a parameter, so they are matched by name like the others. The
+// local RNG type stands in for tensor.RNG (the check matches the resolved
+// type name, not the package).
 
 type RNG struct{ state uint64 }
 
@@ -32,5 +33,15 @@ func serve(n int, work func(i int, m float64)) {
 func jitterAll(devices []float64, rng *RNG) {
 	serve(len(devices), func(i int, m float64) {
 		devices[i] = m + rng.Float64() // want: shared stream in a serve body
+	})
+}
+
+func globalRound(n int, local func(i int) float64) {
+	forEachDevice(n, func(i int) { local(i) })
+}
+
+func trainAll(devices []float64, rng *RNG) {
+	globalRound(len(devices), func(i int) float64 {
+		return devices[i] + rng.Float64() // want: shared stream in a globalRound body
 	})
 }

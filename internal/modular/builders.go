@@ -40,7 +40,7 @@ func (c Config) shrinkFrac(i, n int) float64 {
 		return c.MaxShrink
 	}
 	t := float64(i) / float64(n-1)
-	return c.MinShrink + t*(c.MaxShrink-c.MinShrink)
+	return c.MinShrink + float64(t*(c.MaxShrink-c.MinShrink))
 }
 
 // NewModularMLP modularizes an MLP (the paper's HAR setup: 1 module layer

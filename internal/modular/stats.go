@@ -35,7 +35,7 @@ func (m *Model) Routing(x *tensor.Tensor) []RoutingStats {
 			for i, p := range row {
 				imp[i] += float64(p)
 				if p > 0 {
-					entropy -= float64(p) * math.Log(float64(p))
+					entropy -= float64(float64(p) * math.Log(float64(p)))
 				}
 			}
 			k := m.TopK
@@ -53,11 +53,11 @@ func (m *Model) Routing(x *tensor.Tensor) []RoutingStats {
 		var s1, s2 float64
 		for _, v := range imp {
 			s1 += v
-			s2 += v * v
+			s2 += float64(v * v)
 		}
 		if s1 > 0 {
 			mean := s1 / float64(n)
-			variance := s2/float64(n) - mean*mean
+			variance := s2/float64(n) - float64(mean*mean)
 			if variance < 0 {
 				variance = 0
 			}

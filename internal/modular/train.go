@@ -60,7 +60,7 @@ func (m *Model) TrainEndToEnd(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfig
 			lb := m.Backward(grad, lbWeight)
 			nn.ClipGradNorm(params, 5)
 			opt.Step(params)
-			sum += loss + float64(lbWeight)*lb
+			sum += loss + float64(float64(lbWeight)*lb)
 			batches++
 		})
 		if batches > 0 {

@@ -182,22 +182,3 @@ func cloneLayer(l Layer, m cloneMode) Layer {
 		panic(fmt.Sprintf("nn: CloneLayer does not support %T", l))
 	}
 }
-
-// CopyParams copies parameter values (and states) from src to dst layers of
-// identical architecture.
-func CopyParams(dst, src Layer) {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		panic(fmt.Sprintf("nn: CopyParams param count mismatch %d vs %d", len(dp), len(sp)))
-	}
-	for i := range dp {
-		dp[i].W.CopyFrom(sp[i].W)
-	}
-	ds, ss := LayerStates(dst), LayerStates(src)
-	if len(ds) != len(ss) {
-		panic("nn: CopyParams state count mismatch")
-	}
-	for i := range ds {
-		ds[i].CopyFrom(ss[i])
-	}
-}

@@ -77,31 +77,3 @@ type unsupportedLayer struct{}
 func (unsupportedLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor { return x }
 func (unsupportedLayer) Backward(g *tensor.Tensor) *tensor.Tensor            { return g }
 func (unsupportedLayer) Params() []*Param                                    { return nil }
-
-func TestCopyParamsTransfersStates(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	a := NewSequential(NewDense(rng, 3, 4), NewBatchNorm(4))
-	b := NewSequential(NewDense(tensor.NewRNG(9), 3, 4), NewBatchNorm(4))
-	// Advance a's BN running stats.
-	x := tensor.New(16, 3)
-	rng.FillNormal(x, 2, 1)
-	a.Forward(x, true)
-	CopyParams(b, a)
-	av := FlattenVector(a.Params(), LayerStates(a))
-	bv := FlattenVector(b.Params(), LayerStates(b))
-	for i := range av {
-		if av[i] != bv[i] {
-			t.Fatal("CopyParams missed a value")
-		}
-	}
-}
-
-func TestCopyParamsMismatchPanics(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	CopyParams(NewDense(rng, 2, 2), NewSequential(NewDense(rng, 2, 2), NewDense(rng, 2, 2)))
-}

@@ -8,7 +8,7 @@ import (
 // It is the nesting rule HeteroFL uses: a rate-p client owns the first
 // ⌈p·n⌉ units of every hidden dimension.
 func WidthScale(n int, rate float64) int {
-	m := int(float64(n)*rate + 0.9999)
+	m := int(float64(float64(n)*rate) + 0.9999)
 	if m < 1 {
 		m = 1
 	}

@@ -121,7 +121,7 @@ func AccumOverlap(sum, cnt, src *tensor.Tensor, weight float32) {
 		panic("nn: AccumOverlap sum/cnt shape mismatch")
 	}
 	visitOverlap(sum, src, func(dstIdx, srcIdx int) {
-		sum.Data[dstIdx] += weight * src.Data[srcIdx]
+		sum.Data[dstIdx] += float32(weight * src.Data[srcIdx])
 		cnt.Data[dstIdx] += weight
 	})
 }

@@ -409,15 +409,3 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	}
 	return out
 }
-
-// LinearBuckets returns n bounds: start, start+width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 || width <= 0 {
-		panic("obs: LinearBuckets needs n>0, width>0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}

@@ -267,10 +267,6 @@ func TestBucketHelpers(t *testing.T) {
 	if exp[0] != 256 || exp[1] != 1024 || exp[2] != 4096 {
 		t.Fatalf("ExpBuckets = %v", exp)
 	}
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
 }
 
 // TestHotPathAllocs pins the acceptance criterion: counter, gauge, and

@@ -2,29 +2,6 @@ package tensor
 
 import "fmt"
 
-// MatMul computes C = A·B for rank-2 tensors A [m,k] and B [k,n], returning a
-// new [m,n] tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	m, k := a.Dim(0), a.Dim(1)
-	if b.Dim(0) != k {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	n := b.Dim(1)
-	c := New(m, n)
-	Gemm(false, false, m, n, k, 1, a.Data, b.Data, 0, c.Data)
-	return c
-}
-
-// MatMulInto computes C = A·B into an existing tensor C of shape [m,n].
-func MatMulInto(c, a, b *Tensor) {
-	m, k := a.Dim(0), a.Dim(1)
-	n := b.Dim(1)
-	if b.Dim(0) != k || c.Dim(0) != m || c.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch c=%v a=%v b=%v", c.shape, a.shape, b.shape))
-	}
-	Gemm(false, false, m, n, k, 1, a.Data, b.Data, 0, c.Data)
-}
-
 // checkGemmOperands validates all three operand lengths up front with
 // shape-carrying messages; without this an undersized A or B dies mid-kernel
 // with a bare index-out-of-range. Both storage orders of A need m·k elements
@@ -143,33 +120,6 @@ func gemmNaiveRows(transA, transB bool, m, n, k int, alpha float32, a, b []float
 				}
 				crow[j] += float32(alpha * s)
 			}
-		}
-	}
-}
-
-// MatVec computes y = A·x for A [m,n] and x length n, writing into y length m.
-func MatVec(a *Tensor, x, y []float32) {
-	m, n := a.Dim(0), a.Dim(1)
-	if len(x) != n || len(y) != m {
-		panic("tensor: MatVec size mismatch")
-	}
-	Gemm(false, false, m, 1, n, 1, a.Data, x, 0, y)
-}
-
-// OuterAccum computes C += x·yᵀ for vectors x (len m) and y (len n) into the
-// flat [m,n] slice c. Used for weight-gradient accumulation.
-func OuterAccum(c, x, y []float32) {
-	m, n := len(x), len(y)
-	if len(c) < m*n {
-		panic("tensor: OuterAccum output too small")
-	}
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		crow := c[i*n : i*n+n]
-		for j, yv := range y {
-			crow[j] += float32(xv * yv)
 		}
 	}
 }

@@ -204,7 +204,7 @@ func (t *Tensor) String() string {
 func (t *Tensor) Norm() float64 {
 	var s float64
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
