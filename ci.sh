@@ -122,6 +122,14 @@ workers_gate "fig7 output" "" "" "" "" \
     -exp fig7 -devices 6 -proxy 6 -rounds 2 -per-round 3 \
     -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
 
+echo "== AdaptiveNet gate (table1: output identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4)"
+# table1 is the only experiment that runs the AdaptiveNet baseline: its
+# branches are views over one multi-branch model, trained, evaluated and
+# timed through nn.Sequential on a held or fresh per-device copy.
+workers_gate "table1 output" "" "" "" "" \
+    -exp table1 -devices 6 -proxy 6 -rounds 2 -per-round 3 \
+    -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
+
 echo "== local-adaptation gate (fig10: NA, LA and Nebula w/o cloud on all four tasks; output and trace identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4)"
 # fig10 is the one experiment that runs NA, LA and Nebula's w/o-cloud step
 # and their evaluation on all four tasks: the per-device models that are

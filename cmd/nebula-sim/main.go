@@ -77,7 +77,7 @@ func main() {
 	flag.IntVar(&opt.AdaptSteps, "steps", opt.AdaptSteps, "adaptation steps for fig10/fig11")
 	flag.IntVar(&opt.RandomSubModels, "submodels", opt.RandomSubModels, "random sub-models sampled for fig12")
 	flag.BoolVar(&opt.Async, "async", false, "deadline-paced semi-async rounds for online-stage experiments (docs/ASYNC.md)")
-	flag.Float64Var(&opt.AsyncDeadline, "async-deadline", 0, "per-round sim-time deadline in seconds for -async (0 = auto-calibrate to 2x the first round's median device time)")
+	flag.Float64Var(&opt.RoundDeadline, "async-deadline", 0, "per-round sim-time deadline in seconds for -async (0 = auto-calibrate to 2x the first round's median device time)")
 	flag.Float64Var(&opt.StalenessDecay, "staleness-decay", 0, "weight multiplier per round of staleness for late updates in -async (0 = default 0.5)")
 	flag.IntVar(&opt.Stragglers, "stragglers", opt.Stragglers, "devices pinned at maximum contention in the straggler experiment's dynamic fleet")
 	flag.BoolVar(&opt.WireCompress, "wire", false, "run online-stage sub-model exchanges through the wire-format v2 codec (docs/PROTOCOL.md): delta-quantized transfers with exact encoded-size accounting")
@@ -128,8 +128,7 @@ func main() {
 			os.Exit(1)
 		}
 		traceFile = f
-		// nil clock: no wall timestamps, so equal-seed runs byte-compare.
-		opt.Trace = trace.NewWithClock(f, nil)
+		opt.Trace = trace.New(f)
 	}
 
 	// Span tracing is the same kind of pure observer as the admin plane:

@@ -7,9 +7,7 @@ import "repro/internal/obs"
 // The server side binds to a per-server registry created in NewServer: the
 // registry is the single source of truth for the protocol counters, and the
 // legacy Stats/StatsSnapshot API is a thin view over it, so KindStats
-// responses and /metrics can never disagree. A server registry is always
-// enabled — Stats is part of the protocol, not optional telemetry — and is
-// never affected by obs.Default()'s on/off switch.
+// responses and /metrics can never disagree.
 //
 // The client side binds to obs.Default(): devices are many and short-lived,
 // so their RPC latency/size histograms aggregate process-wide. The client's

@@ -14,7 +14,7 @@ import (
 // protocol so the accuracy deltas are attributable to the toggled mechanism.
 func RunAblations(opt Options) *metrics.Table {
 	task := fed.HARTask(opt.Seed+95, opt.Scale)
-	cfg := opt.fedConfig()
+	cfg := opt.Config
 	rng := tensor.NewRNG(opt.Seed + 96)
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
 	fleet := data.NewFleet(rng, task.Gen, data.PartitionConfig{

@@ -64,7 +64,7 @@ func RunCompress(opt Options) *CompressResult {
 	task := fed.HARTask(opt.Seed+70, opt.Scale)
 
 	run := func(compress bool, label string) (acc float64, costs fed.Costs, exact bool) {
-		fcfg := opt.fedConfig()
+		fcfg := opt.Config
 		fcfg.WireCompress = compress
 		if compress && fcfg.WireTopK == 0 {
 			fcfg.WireTopK = 0.25
@@ -77,7 +77,7 @@ func RunCompress(opt Options) *CompressResult {
 		// Each run logs to its own buffer so the gate can cross-check the
 		// Costs ledger against trace.Summarize — the counters-exact clause.
 		var log bytes.Buffer
-		nb.Trace = trace.NewWithClock(&log, nil)
+		nb.Trace = trace.New(&log)
 		nb.Pretrain(tensor.NewRNG(opt.Seed+90), proxy)
 		fleet := data.NewFleet(tensor.NewRNG(opt.Seed+110), task.Gen, data.PartitionConfig{
 			NumDevices: opt.Devices, ClassesPerDevice: 2,

@@ -34,30 +34,10 @@ func RunContinuous(opt Options) []*ContinuousResult {
 }
 
 func runContinuousTask(opt Options, task *fed.Task, salt int64) *ContinuousResult {
-	cfg := opt.fedConfig()
-	cfg.Rounds = 1 // one communication round per adaptation step
-	cfg.DevicesPerRound = opt.Devices
+	cfg := continualConfig(opt)
 	rng := tensor.NewRNG(opt.Seed + 40 + salt)
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
 
-	m := task.Classes / 3
-	if m < 2 {
-		m = 2
-	}
-	newFleetClients := func(seed int64) []*fed.Client {
-		r := tensor.NewRNG(seed)
-		fleet := data.NewFleet(r, task.Gen, data.PartitionConfig{
-			NumDevices: max(opt.Devices/3, 4), ClassesPerDevice: m,
-			MinVolume: 50, MaxVolume: 120,
-		})
-		return fed.NewClients(r, fleet)
-	}
-
-	type sys struct {
-		name string
-		s    fed.System
-		cl   []*fed.Client
-	}
 	mkNebula := func(local, cloud bool) *fed.Nebula {
 		nb := fed.NewNebula(task, cfg)
 		nb.LocalTraining = local
@@ -66,45 +46,31 @@ func runContinuousTask(opt Options, task *fed.Task, salt int64) *ContinuousResul
 		nb.Faults = opt.faultModel()
 		return nb
 	}
-	na := fed.NewNoAdapt(task, cfg)
-	la := fed.NewLocalAdapt(task, cfg)
 	fullNebula := mkNebula(true, true)
 	// Only the full system logs, so one -trace file holds one coherent run.
 	fullNebula.Trace = opt.Trace
-	systems := []sys{
-		{"no-adapt", na, newFleetClients(opt.Seed + 50 + salt)},
-		{"local-adapt", la, newFleetClients(opt.Seed + 50 + salt)},
-		{"nebula-wo-local", mkNebula(false, true), newFleetClients(opt.Seed + 50 + salt)},
-		{"nebula-wo-cloud", mkNebula(true, false), newFleetClients(opt.Seed + 50 + salt)},
-		{"nebula", fullNebula, newFleetClients(opt.Seed + 50 + salt)},
-	}
-	for _, s := range systems {
-		s.s.Pretrain(tensor.NewRNG(opt.Seed+60+salt), proxy)
+	systems := []struct {
+		name string
+		s    fed.System
+	}{
+		{"no-adapt", fed.NewNoAdapt(task, cfg)},
+		{"local-adapt", fed.NewLocalAdapt(task, cfg)},
+		{"nebula-wo-local", mkNebula(false, true)},
+		{"nebula-wo-cloud", mkNebula(true, false)},
+		{"nebula", fullNebula},
 	}
 
 	fig := metrics.NewFigure("Fig 10: accuracy over adaptation steps — "+task.Name, "adaptation step", "mean local accuracy")
-	series := map[string]*metrics.Series{}
-	for _, s := range systems {
-		series[s.name] = fig.AddSeries(s.name)
-	}
-
 	res := &ContinuousResult{Task: task.Name, Fig: fig, MeanAcc: map[string]float64{}, AdaptTime: map[string]float64{}}
-	for step := 1; step <= opt.AdaptSteps; step++ {
-		for _, s := range systems {
-			for _, c := range s.cl {
-				c.Dev.Shift(shiftFrac)
-				c.Mon.Step()
-			}
-			s.s.Adapt(tensor.NewRNG(opt.Seed+int64(step)), s.cl)
-			acc := s.s.LocalAccuracy(s.cl)
-			series[s.name].Add(float64(step), acc)
-		}
-		opt.logf("fig10 %s step %d/%d", task.Name, step, opt.AdaptSteps)
-	}
+	// The systems share no state — each has its own fleet, streams and
+	// seeds — so each runs its steps back to back.
 	for _, s := range systems {
-		res.MeanAcc[s.name] = series[s.name].Mean()
-		c := s.s.Costs()
-		if c.Rounds > 0 {
+		s.s.Pretrain(tensor.NewRNG(opt.Seed+60+salt), proxy)
+		acc := fig.AddSeries(s.name)
+		clients := continualFleet(tensor.NewRNG(opt.Seed+50+salt), task, max(opt.Devices/3, 4))
+		adaptSteps(opt, s.s, acc, "fig10 "+task.Name+" "+s.name, shifting(clients))
+		res.MeanAcc[s.name] = acc.Mean()
+		if c := s.s.Costs(); c.Rounds > 0 {
 			res.AdaptTime[s.name] = c.SimTime / float64(c.Rounds)
 		}
 	}
@@ -112,6 +78,55 @@ func runContinuousTask(opt Options, task *fed.Task, salt int64) *ContinuousResul
 		res.Faults = fullNebula.Faults.Stats().Counters("link faults — nebula, " + task.Name)
 	}
 	return res
+}
+
+// continualConfig is the round config of every continual-adaptation run:
+// one communication round per adaptation step, over the whole fleet.
+func continualConfig(opt Options) fed.Config {
+	cfg := opt.Config
+	cfg.Rounds = 1
+	cfg.DevicesPerRound = opt.Devices
+	return cfg
+}
+
+// The per-device sample range of continual-adaptation fleets.
+const minVolume, maxVolume = 50, 120
+
+// continualClasses is a continual-adaptation device's class count (label
+// skew): a third of the task's classes, at least 2.
+func continualClasses(task *fed.Task) int { return max(task.Classes/3, 2) }
+
+// continualFleet builds n devices of the continual-adaptation shape.
+func continualFleet(rng *tensor.RNG, task *fed.Task, n int) []*fed.Client {
+	return fed.NewClients(rng, data.NewFleet(rng, task.Gen, data.PartitionConfig{
+		NumDevices: n, ClassesPerDevice: continualClasses(task),
+		MinVolume: minVolume, MaxVolume: maxVolume,
+	}))
+}
+
+// shifting is the environment of a fixed fleet: every step replaces
+// shiftFrac of each device's local data and advances its runtime dynamics.
+func shifting(clients []*fed.Client) func() []*fed.Client {
+	return func() []*fed.Client {
+		for _, c := range clients {
+			c.Dev.Shift(shiftFrac)
+			c.Mon.Step()
+		}
+		return clients
+	}
+}
+
+// adaptSteps runs the continual-adaptation protocol (Fig 10/11, faults,
+// straggler): at every step env evolves the environment and returns the
+// devices present, sys adapts them on the step's stream, and acc records
+// their mean local accuracy.
+func adaptSteps(opt Options, sys fed.System, acc *metrics.Series, label string, env func() []*fed.Client) {
+	for step := 1; step <= opt.AdaptSteps; step++ {
+		clients := env()
+		sys.Adapt(tensor.NewRNG(opt.Seed+int64(step)), clients)
+		acc.Add(float64(step), sys.LocalAccuracy(clients))
+		opt.logf("%s step %d/%d (%d devices)", label, step, opt.AdaptSteps, len(clients))
+	}
 }
 
 // Fig11Table summarizes continuous-adaptation results: mean accuracy over
@@ -174,8 +189,6 @@ type DynamicFleet struct {
 	rng       *tensor.RNG
 	gen       data.Generator
 	classesM  int
-	minVol    int
-	maxVol    int
 	shiftFrac float64
 	nextID    int
 }
@@ -184,23 +197,13 @@ type DynamicFleet struct {
 // generator. classesM is the per-device class count (label skew); shiftFrac
 // is the per-step concept drift.
 func NewDynamicFleet(rng *tensor.RNG, task *fed.Task, n int, shiftFrac float64, churn ChurnConfig) *DynamicFleet {
-	m := task.Classes / 3
-	if m < 2 {
-		m = 2
-	}
-	fleet := data.NewFleet(rng, task.Gen, data.PartitionConfig{
-		NumDevices: n, ClassesPerDevice: m,
-		MinVolume: 50, MaxVolume: 120,
-	})
 	f := &DynamicFleet{
-		pool:      fed.NewClients(rng, fleet),
+		pool:      continualFleet(rng, task, n),
 		active:    make([]bool, n),
 		churn:     churn,
 		rng:       rng,
 		gen:       task.Gen,
-		classesM:  m,
-		minVol:    50,
-		maxVol:    120,
+		classesM:  continualClasses(task),
 		shiftFrac: shiftFrac,
 		nextID:    n,
 	}
@@ -286,7 +289,7 @@ func (f *DynamicFleet) enroll() {
 	for j := range classes {
 		classes[j] = (start + j) % nClasses
 	}
-	vol := f.minVol + f.rng.Intn(f.maxVol-f.minVol+1)
+	vol := minVolume + f.rng.Intn(maxVolume-minVolume+1)
 	dev := data.NewDeviceData(f.rng, f.gen, f.nextID, classes, data.RandomEnv(f.rng), vol)
 	f.nextID++
 	f.pool = append(f.pool, &fed.Client{Dev: dev, Mon: device.NewMonitor(f.rng, device.SampleClass(f.rng))})

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/fed"
+	"repro/internal/metrics"
+	"repro/internal/tensor"
 )
 
 // micro returns the smallest options that still exercise every code path.
@@ -208,4 +212,82 @@ func TestRunFaultsCleanVsLossy(t *testing.T) {
 	if res.Spec == "" {
 		t.Fatal("spec not recorded")
 	}
+}
+
+// TestRunRejectsOutOfRangeAsyncSettings: a negative or NaN round deadline
+// would run the sim clock backwards, and a staleness decay outside [0, 1]
+// would weigh late updates above on-time ones; Run refuses both before any
+// work, and accepts the range's edges.
+func TestRunRejectsOutOfRangeAsyncSettings(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		deadline float64
+		decay    float64
+		ok       bool
+	}{
+		{"negative deadline", -1, 0, false},
+		{"NaN deadline", math.NaN(), 0, false},
+		{"negative decay", 0, -0.5, false},
+		{"NaN decay", 0, math.NaN(), false},
+		{"decay above 1", 0, 2, false},
+		{"auto deadline, default decay", 0, 0, true},
+		{"explicit deadline, decay 1", 3, 1, true},
+	} {
+		var buf bytes.Buffer
+		o := micro()
+		o.Out = &buf
+		o.RoundDeadline, o.StalenessDecay = c.deadline, c.decay
+		err := Run("fig1b", o)
+		if c.ok != (err == nil) {
+			t.Fatalf("%s: Run returned %v", c.name, err)
+		}
+		if !c.ok && buf.Len() != 0 {
+			t.Fatalf("%s: wrote %d bytes before refusing", c.name, buf.Len())
+		}
+	}
+}
+
+// TestContinualSystemsIndependent pins what lets fig10 run each system's
+// steps back to back: one system's series is the same whether it runs in a
+// fresh process or after other systems ran theirs.
+func TestContinualSystemsIndependent(t *testing.T) {
+	o := micro()
+	task := fed.HARTask(o.Seed+30, o.Scale)
+	proxy := data.MakeBalancedDataset(tensor.NewRNG(o.Seed+40), task.Gen, data.DefaultEnv(), o.ProxyPerClass)
+	alone := func(sys fed.System) []float64 {
+		sys.Pretrain(tensor.NewRNG(o.Seed+60), proxy)
+		acc := &metrics.Series{}
+		adaptSteps(o, sys, acc, "alone", shifting(continualFleet(tensor.NewRNG(o.Seed+50), task, max(o.Devices/3, 4))))
+		return acc.Y
+	}
+	same := func(name string, want []float64, got *metrics.Series) {
+		t.Helper()
+		if len(got.Y) != len(want) {
+			t.Fatalf("%s: %d steps, want %d", name, len(got.Y), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got.Y[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s step %d: %v after the other systems, %v alone", name, i+1, got.Y[i], want[i])
+			}
+		}
+	}
+	series := func(res *ContinuousResult, name string) *metrics.Series {
+		for _, s := range res.Fig.Series {
+			if s.Name == name {
+				return s
+			}
+		}
+		t.Fatalf("no %s series", name)
+		return nil
+	}
+
+	// Local adaptation alone first, then inside fig10 after no-adapt.
+	la := alone(fed.NewLocalAdapt(task, continualConfig(o)))
+	res := runContinuousTask(o, task, 0)
+	same("local-adapt", la, series(res, "local-adapt"))
+
+	// Nebula, which fig10 runs last, alone after all of fig10 ran.
+	nb := fed.NewNebula(task, continualConfig(o))
+	nb.TrainCfg.Epochs = o.PretrainEpochs
+	same("nebula", alone(nb), series(res, "nebula"))
 }

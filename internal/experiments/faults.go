@@ -41,58 +41,30 @@ func RunFaults(opt Options) *FaultsResult {
 	}
 
 	task := fed.HARTask(opt.Seed+30, opt.Scale)
-	fcfg := opt.fedConfig()
-	fcfg.Rounds = 1
-	fcfg.DevicesPerRound = opt.Devices
-
-	m := task.Classes / 3
-	if m < 2 {
-		m = 2
-	}
-	run := func(fm *fed.FaultModel, label string) (mean, final float64, costs fed.Costs) {
+	run := func(fm *fed.FaultModel, label string) (*metrics.Series, fed.Costs) {
 		rng := tensor.NewRNG(opt.Seed + 40)
 		proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
-		nb := fed.NewNebula(task, fcfg)
+		nb := fed.NewNebula(task, continualConfig(opt))
 		nb.TrainCfg.Epochs = opt.PretrainEpochs
 		nb.Trace = opt.Trace
 		nb.Spans = opt.Spans
 		nb.Faults = fm
 		nb.Pretrain(tensor.NewRNG(opt.Seed+60), proxy)
-		fleetRNG := tensor.NewRNG(opt.Seed + 50)
-		fleet := data.NewFleet(fleetRNG, task.Gen, data.PartitionConfig{
-			NumDevices: max(opt.Devices/3, 4), ClassesPerDevice: m,
-			MinVolume: 50, MaxVolume: 120,
-		})
-		clients := fed.NewClients(fleetRNG, fleet)
-		var accs []float64
-		for step := 1; step <= opt.AdaptSteps; step++ {
-			for _, c := range clients {
-				c.Dev.Shift(shiftFrac)
-				c.Mon.Step()
-			}
-			nb.Adapt(tensor.NewRNG(opt.Seed+int64(step)), clients)
-			accs = append(accs, nb.LocalAccuracy(clients))
-			opt.logf("faults %s step %d/%d", label, step, opt.AdaptSteps)
-		}
-		var sum float64
-		for _, a := range accs {
-			sum += a
-		}
-		if n := len(accs); n > 0 {
-			mean, final = sum/float64(n), accs[n-1]
-		}
-		return mean, final, nb.Costs()
+		clients := continualFleet(tensor.NewRNG(opt.Seed+50), task, max(opt.Devices/3, 4))
+		acc := &metrics.Series{}
+		adaptSteps(opt, nb, acc, "faults "+label, shifting(clients))
+		return acc, nb.Costs()
 	}
 
-	cleanMean, cleanFinal, cleanCosts := run(nil, "clean")
+	clean, cleanCosts := run(nil, "clean")
 	lossy := fed.NewFaultModel(cfg)
-	faultMean, faultFinal, faultCosts := run(lossy, "lossy")
+	faulty, faultCosts := run(lossy, "lossy")
 
 	tb := metrics.NewTable("Robustness — online adaptation over a lossy link ("+task.Name+", faults "+cfg.String()+")",
 		"network", "mean acc", "final acc", "bytes down", "bytes up", "sim time")
-	tb.AddRow("clean", f2(100*cleanMean), f2(100*cleanFinal),
+	tb.AddRow("clean", f2(100*clean.Mean()), f2(100*clean.Last()),
 		metrics.FmtBytes(cleanCosts.BytesDown), metrics.FmtBytes(cleanCosts.BytesUp), metrics.FmtDur(cleanCosts.SimTime))
-	tb.AddRow("lossy", f2(100*faultMean), f2(100*faultFinal),
+	tb.AddRow("lossy", f2(100*faulty.Mean()), f2(100*faulty.Last()),
 		metrics.FmtBytes(faultCosts.BytesDown), metrics.FmtBytes(faultCosts.BytesUp), metrics.FmtDur(faultCosts.SimTime))
 	return &FaultsResult{
 		Spec:     cfg.String(),

@@ -21,7 +21,7 @@ func RunFig1a(opt Options) *metrics.Figure {
 	rng := tensor.NewRNG(opt.Seed)
 	task := fed.Image100Task(opt.Seed+10, opt.Scale)
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
-	cfg := opt.fedConfig()
+	cfg := opt.Config
 
 	// The paper's motivating setup: several devices share the same changing
 	// application context (e.g. cameras watching related scenes). "Updated

@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/edgenet"
@@ -23,6 +24,16 @@ const shiftFrac = 0.5
 // Options scales an experiment run. The defaults keep a full sweep tractable
 // on a laptop; ScalePaper plus larger fleets approaches the paper's setup.
 type Options struct {
+	// Config is the online-stage config every experiment starts from:
+	// rounds, sampled devices, epochs, Workers (nebula-sim -workers; every
+	// value, including 1, produces bitwise-identical artifacts — see
+	// docs/PARALLEL.md), the semi-async engine (-async, -async-deadline,
+	// -staleness-decay; docs/ASYNC.md) and the simulated wire codec (-wire,
+	// -wire-topk; docs/PROTOCOL.md "Wire format v2"). The compress
+	// experiment compares clean vs compressed itself, regardless of the
+	// wire fields.
+	fed.Config
+
 	Out   io.Writer
 	Seed  int64
 	Scale fed.Scale
@@ -31,12 +42,7 @@ type Options struct {
 	Devices       int
 	ProxyPerClass int
 
-	// Online stage shape.
-	Rounds          int
-	DevicesPerRound int
-	LocalEpochs     int
-	FinetuneEpochs  int
-	PretrainEpochs  int
+	PretrainEpochs int
 
 	// Continuous adaptation (Fig 10/11).
 	AdaptSteps int
@@ -48,30 +54,9 @@ type Options struct {
 	// experiments (nebula-sim -faults). Zero value = clean network.
 	Faults edgenet.FaultConfig
 
-	// Workers bounds per-round device parallelism inside every strategy
-	// (nebula-sim -workers). 0 means runtime.NumCPU; every value, including
-	// 1, produces bitwise-identical artifacts — see docs/PARALLEL.md.
-	Workers int
-
-	// Async switches every online-stage run to deadline-paced semi-async
-	// rounds (nebula-sim -async; docs/ASYNC.md). AsyncDeadline is the
-	// per-round sim-time budget in seconds (0 = auto-calibrate);
-	// StalenessDecay weights late updates by decay^staleness (0 = default).
-	Async          bool
-	AsyncDeadline  float64
-	StalenessDecay float64
 	// Stragglers pins this many devices at maximum contention in the
 	// straggler experiment's dynamic fleet (nebula-sim -stragglers).
 	Stragglers int
-
-	// WireCompress runs every online-stage sub-model exchange through the
-	// simulated wire-format v2 codec (nebula-sim -wire; docs/PROTOCOL.md
-	// "Wire format v2"): quantized, delta-encoded transfers with exact
-	// encoded-size byte accounting. WireTopK sparsifies uplink deltas to
-	// that coordinate fraction. The compress experiment compares clean vs compressed itself,
-	// regardless of these options.
-	WireCompress bool
-	WireTopK     float64
 
 	// Trace optionally receives the structured JSONL adaptation log of the
 	// online-stage Nebula runs (nebula-sim -trace). Nil disables tracing.
@@ -93,38 +78,37 @@ type Options struct {
 // Default returns quick-profile options (minutes, not hours, for the full
 // sweep).
 func Default() Options {
+	cfg := fed.DefaultConfig()
+	cfg.Rounds = 5
+	cfg.DevicesPerRound = 8
+	cfg.LocalEpochs = 3
+	cfg.FinetuneEpochs = 6
 	return Options{
+		Config:          cfg,
 		Out:             os.Stdout,
 		Seed:            1,
 		Scale:           fed.ScaleQuick,
 		Devices:         24,
 		ProxyPerClass:   40,
-		Rounds:          5,
-		DevicesPerRound: 8,
-		LocalEpochs:     3,
-		FinetuneEpochs:  6,
 		PretrainEpochs:  5,
 		AdaptSteps:      10,
 		RandomSubModels: 14,
 		Stragglers:      2,
-		Verbose:         false,
 	}
 }
 
-// fedConfig converts options to the online-stage config.
-func (o Options) fedConfig() fed.Config {
-	cfg := fed.DefaultConfig()
-	cfg.Rounds = o.Rounds
-	cfg.DevicesPerRound = o.DevicesPerRound
-	cfg.LocalEpochs = o.LocalEpochs
-	cfg.FinetuneEpochs = o.FinetuneEpochs
-	cfg.Workers = o.Workers
-	cfg.Async = o.Async
-	cfg.RoundDeadline = o.AsyncDeadline
-	cfg.StalenessDecay = o.StalenessDecay
-	cfg.WireCompress = o.WireCompress
-	cfg.WireTopK = o.WireTopK
-	return cfg
+// validate rejects round-engine settings outside their documented range
+// before any work: a negative or NaN deadline would run the sim clock
+// backwards, and a decay outside [0, 1] (0 = default) would weigh late
+// updates above on-time ones.
+func (o Options) validate() error {
+	if d := o.RoundDeadline; d < 0 || math.IsNaN(d) {
+		return fmt.Errorf("round deadline (-async-deadline) %v: want a non-negative number of seconds (0 = auto-calibrate)", d)
+	}
+	if d := o.StalenessDecay; !(d >= 0 && d <= 1) {
+		return fmt.Errorf("staleness decay (-staleness-decay) %v: want a value in (0, 1] (0 = default)", d)
+	}
+	return nil
 }
 
 // faultModel resolves the fault spec into a simulated link (nil = clean). A

@@ -57,7 +57,7 @@ func systemsFor(task *fed.Task, cfg fed.Config) []fed.System {
 // runRow pretrains all systems on 30% proxy data, runs one adaptation step
 // on a fresh non-IID fleet, and returns per-system accuracy and costs.
 func runRow(opt Options, row Row) (accs map[string]float64, costs map[string]fed.Costs) {
-	cfg := opt.fedConfig()
+	cfg := opt.Config
 	accs = map[string]float64{}
 	costs = map[string]fed.Costs{}
 	rng := tensor.NewRNG(opt.Seed + int64(len(row.Label)))
@@ -111,7 +111,7 @@ func RunFig7(opt Options) *metrics.Table {
 	rows := Table1Rows(opt)
 	for _, i := range []int{0, 1, 3, 5} { // one partition per task
 		row := rows[i]
-		cfg := opt.fedConfig()
+		cfg := opt.Config
 		rng := tensor.NewRNG(opt.Seed + 5)
 		proxy := data.MakeBalancedDataset(rng, row.Task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
 		fleet := data.NewFleet(rng, row.Task.Gen, data.PartitionConfig{
@@ -144,7 +144,7 @@ func deployedModels(opt Options, task *fed.Task, m1, m2 int) (full, hfl nn.Layer
 	hfl = task.BuildFull(rng, 0.5)
 
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass/2+1)
-	nb := fed.NewNebula(task, opt.fedConfig())
+	nb := fed.NewNebula(task, opt.Config)
 	nb.TrainCfg.Epochs = 2
 	nb.Pretrain(rng, proxy)
 

@@ -125,6 +125,9 @@ func IDs() []string {
 
 // Run executes one experiment by id, or all of them for id == "all".
 func Run(id string, opt Options) error {
+	if err := opt.validate(); err != nil {
+		return err
+	}
 	if id == "all" {
 		for _, r := range Registry() {
 			fmt.Fprintf(opt.Out, "### %s: %s\n", r.ID, r.Paper)

@@ -30,7 +30,7 @@ func RunFig13a(opt Options) *metrics.Table {
 }
 
 func nebulaAccuracyAtRatio(opt Options, row Row, ratio float64) float64 {
-	cfg := opt.fedConfig()
+	cfg := opt.Config
 	rng := tensor.NewRNG(opt.Seed + 81)
 	proxy := data.MakeBalancedDataset(rng, row.Task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
 	fleet := data.NewFleet(rng, row.Task.Gen, data.PartitionConfig{
@@ -72,7 +72,7 @@ func RunFig13b(opt Options) *metrics.Table {
 }
 
 func nebulaAccuracyAtGranularity(opt Options, task *fed.Task, modulesPerLayer int) float64 {
-	cfg := opt.fedConfig()
+	cfg := opt.Config
 	rng := tensor.NewRNG(opt.Seed + 86)
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
 	fleet := data.NewFleet(rng, task.Gen, data.PartitionConfig{
@@ -138,7 +138,7 @@ func RunFig13c(opt Options) *metrics.Table {
 	cohorts := []int{opt.DevicesPerRound, opt.DevicesPerRound * 2, opt.DevicesPerRound * 3}
 	target := 0.0
 	for ci, k := range cohorts {
-		cfg := opt.fedConfig()
+		cfg := opt.Config
 		cfg.DevicesPerRound = k
 		maxRounds := opt.Rounds * 4
 

@@ -57,14 +57,12 @@ func RunStraggler(opt Options) *StragglerResult {
 	churn := DefaultChurn()
 	churn.Stragglers = opt.Stragglers
 
-	run := func(async bool, label string) (mean, final float64, costs fed.Costs, nb *fed.Nebula) {
-		fcfg := opt.fedConfig()
-		fcfg.Rounds = 1
-		fcfg.DevicesPerRound = opt.Devices
-		fcfg.Async = async
+	run := func(async bool, label string) (*metrics.Series, fed.Costs, *fed.Nebula) {
+		cfg := continualConfig(opt)
+		cfg.Async = async
 		rng := tensor.NewRNG(opt.Seed + 40)
 		proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
-		nb = fed.NewNebula(task, fcfg)
+		nb := fed.NewNebula(task, cfg)
 		nb.TrainCfg.Epochs = opt.PretrainEpochs
 		nb.Faults = opt.faultModel()
 		if async {
@@ -78,31 +76,20 @@ func RunStraggler(opt Options) *StragglerResult {
 		// A bigger pool than the other runners: churn needs headroom, and the
 		// pinned stragglers must stay a minority of the healthy fleet.
 		fleet := NewDynamicFleet(tensor.NewRNG(opt.Seed+50), task, max(opt.Devices/2, 8), shiftFrac, churn)
-		var accs []float64
-		for step := 1; step <= opt.AdaptSteps; step++ {
+		acc := &metrics.Series{}
+		adaptSteps(opt, nb, acc, "straggler "+label, func() []*fed.Client {
 			fleet.Step()
-			clients := fleet.Active()
-			nb.Adapt(tensor.NewRNG(opt.Seed+int64(step)), clients)
-			accs = append(accs, nb.LocalAccuracy(clients))
-			opt.logf("straggler %s step %d/%d (fleet %d, pending %d)",
-				label, step, opt.AdaptSteps, len(clients), nb.PendingStragglers())
-		}
-		var sum float64
-		for _, a := range accs {
-			sum += a
-		}
-		if n := len(accs); n > 0 {
-			mean, final = sum/float64(n), accs[n-1]
-		}
-		return mean, final, nb.Costs(), nb
+			return fleet.Active()
+		})
+		return acc, nb.Costs(), nb
 	}
 
-	syncMean, syncFinal, syncCosts, _ := run(false, "sync")
-	asyncMean, asyncFinal, asyncCosts, asyncNb := run(true, "async")
+	syncAcc, syncCosts, _ := run(false, "sync")
+	asyncAcc, asyncCosts, asyncNb := run(true, "async")
 
 	res := &StragglerResult{
-		SyncMean: syncMean, AsyncMean: asyncMean,
-		SyncFinal: syncFinal, AsyncFinal: asyncFinal,
+		SyncMean: syncAcc.Mean(), AsyncMean: asyncAcc.Mean(),
+		SyncFinal: syncAcc.Last(), AsyncFinal: asyncAcc.Last(),
 		SyncCosts: syncCosts, AsyncCosts: asyncCosts,
 		Deadline:   asyncNb.AsyncDeadline(),
 		Pending:    asyncNb.PendingStragglers(),
@@ -117,10 +104,10 @@ func RunStraggler(opt Options) *StragglerResult {
 
 	tb := metrics.NewTable("Straggler stall — bulk-sync vs staleness-aware semi-async rounds ("+task.Name+", dynamic fleet)",
 		"mode", "mean acc", "final acc", "round latency", "sim time", "bytes down", "bytes up")
-	tb.AddRow("bulk-sync", f2(100*syncMean), f2(100*syncFinal),
+	tb.AddRow("bulk-sync", f2(100*res.SyncMean), f2(100*res.SyncFinal),
 		metrics.FmtDur(res.SyncLatency), metrics.FmtDur(syncCosts.SimTime),
 		metrics.FmtBytes(syncCosts.BytesDown), metrics.FmtBytes(syncCosts.BytesUp))
-	tb.AddRow("semi-async", f2(100*asyncMean), f2(100*asyncFinal),
+	tb.AddRow("semi-async", f2(100*res.AsyncMean), f2(100*res.AsyncFinal),
 		metrics.FmtDur(res.AsyncLatency), metrics.FmtDur(asyncCosts.SimTime),
 		metrics.FmtBytes(asyncCosts.BytesDown), metrics.FmtBytes(asyncCosts.BytesUp))
 	res.Table = tb

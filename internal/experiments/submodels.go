@@ -23,7 +23,7 @@ func RunFig12(opt Options) []*metrics.Table {
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
 
 	train := func(enhance bool) *fed.Nebula {
-		nb := fed.NewNebula(task, opt.fedConfig())
+		nb := fed.NewNebula(task, opt.Config)
 		nb.AbilityEnhancing = enhance
 		nb.TrainCfg.Epochs = opt.PretrainEpochs
 		nb.Pretrain(tensor.NewRNG(opt.Seed+72), proxy)

@@ -49,30 +49,11 @@ func NewMultiBranchCNN(rng *tensor.RNG, inC, side int, channels []int, classes i
 // NumBranches returns the branch count.
 func (m *MultiBranch) NumBranches() int { return len(m.Stages) }
 
-// ForwardBranch runs the trunk up to branch b (inclusive) and its exit.
-func (m *MultiBranch) ForwardBranch(x *tensor.Tensor, b int, train bool) *tensor.Tensor {
-	h := x
-	for s := 0; s <= b; s++ {
-		h = m.Stages[s].Forward(h, train)
-	}
-	return m.Exits[b].Forward(h, train)
-}
-
-// BackwardBranch propagates through exit b and the trunk prefix.
-func (m *MultiBranch) BackwardBranch(grad *tensor.Tensor, b int) {
-	g := m.Exits[b].Backward(grad)
-	for s := b; s >= 0; s-- {
-		g = m.Stages[s].Backward(g)
-	}
-}
-
-// BranchParams returns the parameters of branch b: trunk prefix plus exit.
-func (m *MultiBranch) BranchParams(b int) []*nn.Param {
-	var ps []*nn.Param
-	for s := 0; s <= b; s++ {
-		ps = append(ps, m.Stages[s].Params()...)
-	}
-	return append(ps, m.Exits[b].Params()...)
+// Branch returns branch b as a view over the model's own layers: stages
+// 0..b then exit b. The capped slice makes append copy, so Stages is never
+// written; training the view trains those layers in place.
+func (m *MultiBranch) Branch(b int) nn.Layer {
+	return nn.NewSequential(append(m.Stages[:b+1:b+1], m.Exits[b])...)
 }
 
 // Params returns all parameters (every stage and exit).
@@ -85,40 +66,6 @@ func (m *MultiBranch) Params() []*nn.Param {
 		ps = append(ps, e.Params()...)
 	}
 	return ps
-}
-
-// BranchCost returns per-sample forward FLOPs of branch b.
-func (m *MultiBranch) BranchCost(inElems, b int) int {
-	total := 0
-	cur := inElems
-	for s := 0; s <= b; s++ {
-		if c, ok := m.Stages[s].(nn.Coster); ok {
-			f, out := c.Cost(cur)
-			total += f
-			if out > 0 {
-				cur = out
-			}
-		}
-	}
-	if c, ok := m.Exits[b].(nn.Coster); ok {
-		f, _ := c.Cost(cur)
-		total += f
-	}
-	return total
-}
-
-// BranchBytes returns the wire size of branch b's parameters and states.
-func (m *MultiBranch) BranchBytes(b int) int64 {
-	n := nn.ParamCount(m.BranchParams(b))
-	for s := 0; s <= b; s++ {
-		for _, st := range nn.LayerStates(m.Stages[s]) {
-			n += st.Len()
-		}
-	}
-	for _, st := range nn.LayerStates(m.Exits[b]) {
-		n += st.Len()
-	}
-	return int64(n) * 4
 }
 
 // Clone deep-copies the multi-branch model.
@@ -172,25 +119,9 @@ func (m *MultiBranch) TrainAllExits(rng *tensor.RNG, ds *data.Dataset, epochs in
 func (m *MultiBranch) PickBranch(p device.Profile, inElems int, latencyBudget float64) int {
 	best := 0
 	for b := 0; b < m.NumBranches(); b++ {
-		if p.InferenceLatency(m.BranchCost(inElems, b)) <= latencyBudget {
+		if f, _ := nn.ForwardCost(m.Branch(b), inElems); p.InferenceLatency(f) <= latencyBudget {
 			best = b
 		}
 	}
 	return best
 }
-
-// branchModel adapts one branch to the nn.Layer interface for the shared
-// train/eval helpers.
-type branchModel struct {
-	mb *MultiBranch
-	b  int
-}
-
-func (bm branchModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return bm.mb.ForwardBranch(x, bm.b, train)
-}
-func (bm branchModel) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	bm.mb.BackwardBranch(grad, bm.b)
-	return nil
-}
-func (bm branchModel) Params() []*nn.Param { return bm.mb.BranchParams(bm.b) }

@@ -53,7 +53,7 @@ func runNebulaAsync(t *testing.T, workers int, dropout float64, faults bool) ([]
 		nb.Faults = NewFaultModel(fc)
 	}
 	var buf bytes.Buffer
-	nb.Trace = trace.NewWithClock(&buf, nil) // nil clock: byte-stable log
+	nb.Trace = trace.New(&buf)
 	nb.Pretrain(rng, proxyFor(rng, task, 10))
 	clients := harFleet(rng, task, 8, 2)
 	pinSlowDevice(clients[0], 8e6)
@@ -102,7 +102,7 @@ func asyncChurnScenarioOver(t *testing.T, workers int, reg *obs.Registry, lossy 
 		nb.Metrics = NewRoundMetrics(reg)
 	}
 	var buf bytes.Buffer
-	nb.Trace = trace.NewWithClock(&buf, nil)
+	nb.Trace = trace.New(&buf)
 	nb.Pretrain(rng, proxyFor(rng, task, 10))
 	all := harFleet(rng, task, 9, 2)
 	straggler := all[0]
@@ -278,7 +278,7 @@ func TestBulkSyncIgnoresChurn(t *testing.T) {
 		rec.SetSampler(77, 1)
 		nb.Spans = rec
 		var buf bytes.Buffer
-		nb.Trace = trace.NewWithClock(&buf, nil)
+		nb.Trace = trace.New(&buf)
 		nb.Pretrain(rng, proxyFor(rng, task, 10))
 		all := harFleet(rng, task, 9, 2)
 		pinSlowDevice(all[0], 1e6)
@@ -397,7 +397,7 @@ func TestCommitDeviceStalenessDecay(t *testing.T) {
 		nb := NewNebula(task, cfg)
 		nb.Model = task.BuildModular(tensor.NewRNG(23))
 		var buf bytes.Buffer
-		nb.Trace = trace.NewWithClock(&buf, nil)
+		nb.Trace = trace.New(&buf)
 		c := harFleet(rng, task, 1, 2)[0]
 		u := nb.commitDevice(3, c, mkResult(nb, c), stale)
 		if u == nil {

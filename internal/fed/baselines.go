@@ -188,7 +188,7 @@ func (s *AdaptiveNet) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.cloud = s.Task.BuildBranchy(rng)
 	s.cloud.TrainAllExits(rng, proxy, PretrainEpochs, s.cfg.LR, BatchSize)
 	mid := device.ClassByName("mid-soc")
-	deepest := s.cloud.BranchCost(s.Task.InElems(), s.cloud.NumBranches()-1)
+	deepest, _ := nn.ForwardCost(s.cloud.Branch(s.cloud.NumBranches()-1), s.Task.InElems())
 	s.latencyBudget = 1.5 * float64(deepest) / mid.ComputeFLOPS
 }
 
@@ -203,14 +203,16 @@ func (s *AdaptiveNet) Adapt(rng *tensor.RNG, clients []*Client) {
 		c := clients[i]
 		p := c.Mon.Profile()
 		bs[i] = s.cloud.PickBranch(p, s.Task.InElems(), s.latencyBudget)
-		TrainLayer(streams[i], branchModel{m, bs[i]}, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
-		ts[i] = trainTime(p, m.BranchCost(s.Task.InElems(), bs[i]), c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
+		branch := m.Branch(bs[i])
+		TrainLayer(streams[i], branch, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
+		f, _ := nn.ForwardCost(branch, s.Task.InElems())
+		ts[i] = trainTime(p, f, c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
 	})
 	var slot float64
 	for i, c := range clients {
 		if fresh[i] {
 			s.local[c.Dev.ID] = ms[i]
-			s.costs.BytesDown += s.cloud.BranchBytes(s.cloud.NumBranches() - 1)
+			s.costs.BytesDown += modelBytes(s.cloud.Branch(s.cloud.NumBranches() - 1))
 		}
 		s.branch[c.Dev.ID] = bs[i]
 		slot = max(slot, ts[i])
@@ -233,7 +235,7 @@ func (s *AdaptiveNet) LocalAccuracy(clients []*Client) float64 {
 	}
 	accs := make([]float64, len(clients))
 	serve(s.cfg.Workers, clients, s.local, s.cloneCloud, func(i int, m *MultiBranch) {
-		accs[i] = EvalLayer(branchModel{m, bs[i]}, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
+		accs[i] = EvalLayer(m.Branch(bs[i]), clients[i].Dev.TestSet(s.cfg.TestPerDevice))
 	})
 	return mean(accs)
 }

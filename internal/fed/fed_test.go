@@ -48,7 +48,7 @@ func TestAllTasksBuild(t *testing.T) {
 		}
 		mb := task.BuildBranchy(rng)
 		for b := 0; b < mb.NumBranches(); b++ {
-			yb := mb.ForwardBranch(x, b, false)
+			yb := mb.Branch(b).Forward(x, false)
 			if yb.Dim(1) != task.Classes {
 				t.Fatalf("%s branch %d outputs %d classes", task.Name, b, yb.Dim(1))
 			}
@@ -140,11 +140,71 @@ func TestMultiBranchCostsMonotone(t *testing.T) {
 	mb := task.BuildBranchy(rng)
 	in := task.InElems()
 	for b := 1; b < mb.NumBranches(); b++ {
-		if mb.BranchCost(in, b) <= mb.BranchCost(in, b-1) {
+		f, _ := nn.ForwardCost(mb.Branch(b), in)
+		prev, _ := nn.ForwardCost(mb.Branch(b-1), in)
+		if f <= prev {
 			t.Fatal("deeper branch must cost more FLOPs")
 		}
-		if mb.BranchBytes(b) <= mb.BranchBytes(b-1) {
+		if modelBytes(mb.Branch(b)) <= modelBytes(mb.Branch(b-1)) {
 			t.Fatal("deeper branch must cost more bytes")
+		}
+	}
+}
+
+// TestMultiBranchBranchIsItsPrefix pins that a branch is a view, not a copy:
+// its parameters are the model's own pointers (stages 0..b, then exit b), so
+// training the view trains the shared trunk and that one exit only.
+func TestMultiBranchBranchIsItsPrefix(t *testing.T) {
+	rng := tensor.NewRNG(8)
+	task := HARTask(9, ScaleQuick)
+	mb := task.BuildBranchy(rng)
+	if mb.NumBranches() < 3 {
+		t.Fatalf("need at least 3 branches, have %d", mb.NumBranches())
+	}
+	for b := 0; b < mb.NumBranches(); b++ {
+		var want []*nn.Param
+		for s := 0; s <= b; s++ {
+			want = append(want, mb.Stages[s].Params()...)
+		}
+		want = append(want, mb.Exits[b].Params()...)
+		got := mb.Branch(b).Params()
+		if len(got) != len(want) {
+			t.Fatalf("branch %d has %d params, want %d", b, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("branch %d param %d is not the model's own", b, i)
+			}
+		}
+	}
+
+	snapshot := func(l nn.Layer) []float32 { return nn.FlattenVector(l.Params(), nil) }
+	before := make([][]float32, 0, len(mb.Stages)+len(mb.Exits))
+	for _, l := range append(append([]nn.Layer{}, mb.Stages...), mb.Exits...) {
+		before = append(before, snapshot(l))
+	}
+	clients := harFleet(rng, task, 1, 2)
+	TrainLayer(tensor.NewRNG(10), mb.Branch(1), clients[0].Dev.Train, 1, 0.05, BatchSize, nil)
+	moved := func(l nn.Layer, was []float32) bool {
+		for i, v := range snapshot(l) {
+			if math.Float32bits(v) != math.Float32bits(was[i]) {
+				return true
+			}
+		}
+		return false
+	}
+	ns := len(mb.Stages)
+	if !moved(mb.Stages[0], before[0]) || !moved(mb.Exits[1], before[ns+1]) {
+		t.Fatal("training branch 1 must move stage 0 and exit 1")
+	}
+	for e, l := range mb.Exits {
+		if e != 1 && moved(l, before[ns+e]) {
+			t.Fatalf("training branch 1 moved exit %d", e)
+		}
+	}
+	for s := 2; s < ns; s++ {
+		if moved(mb.Stages[s], before[s]) {
+			t.Fatalf("training branch 1 moved stage %d", s)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestLedgersAgreeAfterEveryCall(t *testing.T) {
 			reg := obs.NewRegistry()
 			nb.Metrics = NewRoundMetrics(reg)
 			var log bytes.Buffer
-			nb.Trace = trace.NewWithClock(&log, nil)
+			nb.Trace = trace.New(&log)
 			nb.Pretrain(rng, proxyFor(rng, task, 10))
 			all := harFleet(rng, task, 9, 2)
 			pinSlowDevice(all[0], 1e6)

@@ -11,30 +11,28 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRegistryOnOffArtifactsIdentical is the tentpole's artifact-neutrality
-// proof: the same experiment, run with the metrics registry collecting and
-// with it disabled, must produce byte-identical traces and equal costs,
-// accuracy, and final model parameters.
-func TestRegistryOnOffArtifactsIdentical(t *testing.T) {
-	run := func(enabled bool) ([]byte, Costs, float64, []float32) {
-		prev := obs.Default().Enabled()
-		obs.Default().SetEnabled(enabled)
-		defer obs.Default().SetEnabled(prev)
-		return runNebula(t, 4, 0.25, true)
+// TestRegistryTwoPassArtifactsIdentical is the artifact-neutrality proof:
+// metric values never feed back into a run. The same seeded run twice in one
+// process — the second pass starting from every counter the first left in
+// the process-wide registry — must produce byte-identical traces and equal
+// costs, accuracy, and final model parameters.
+func TestRegistryTwoPassArtifactsIdentical(t *testing.T) {
+	logA, costsA, accA, vecA := runNebula(t, 4, 0.25, true)
+	if obs.Default().Counter("nebula_fed_rounds_total").Value() == 0 {
+		t.Fatal("the first pass left no counters behind")
 	}
-	logOn, costsOn, accOn, vecOn := run(true)
-	logOff, costsOff, accOff, vecOff := run(false)
-	if !bytes.Equal(logOn, logOff) {
-		t.Fatalf("trace differs with registry on (%d bytes) vs off (%d bytes)", len(logOn), len(logOff))
+	logB, costsB, accB, vecB := runNebula(t, 4, 0.25, true)
+	if !bytes.Equal(logA, logB) {
+		t.Fatalf("trace differs between passes (%d vs %d bytes)", len(logA), len(logB))
 	}
-	if costsOn != costsOff {
-		t.Fatalf("costs differ with registry on/off: %+v vs %+v", costsOn, costsOff)
+	if costsA != costsB {
+		t.Fatalf("costs differ between passes: %+v vs %+v", costsA, costsB)
 	}
-	if accOn != accOff {
-		t.Fatalf("accuracy differs with registry on/off: %v vs %v", accOn, accOff)
+	if accA != accB {
+		t.Fatalf("accuracy differs between passes: %v vs %v", accA, accB)
 	}
-	if !reflect.DeepEqual(vecOn, vecOff) {
-		t.Fatal("final model differs with registry on/off")
+	if !reflect.DeepEqual(vecA, vecB) {
+		t.Fatal("final model differs between passes")
 	}
 }
 
@@ -71,7 +69,7 @@ func crossCheckRun(t *testing.T, workers int) (*obs.Registry, []byte) {
 	reg := obs.NewRegistry()
 	nb.Metrics = NewRoundMetrics(reg)
 	var buf bytes.Buffer
-	nb.Trace = trace.NewWithClock(&buf, nil)
+	nb.Trace = trace.New(&buf)
 	nb.Pretrain(rng, proxyFor(rng, task, 10))
 	nb.Adapt(rng, harFleet(rng, task, 8, 2))
 	return reg, buf.Bytes()

@@ -36,7 +36,7 @@ func runNebula(t *testing.T, workers int, dropout float64, faults bool) ([]byte,
 		nb.Faults = NewFaultModel(fc)
 	}
 	var buf bytes.Buffer
-	nb.Trace = trace.NewWithClock(&buf, nil) // nil clock: byte-stable log
+	nb.Trace = trace.New(&buf)
 	nb.Pretrain(rng, proxyFor(rng, task, 10))
 	clients := harFleet(rng, task, 8, 2)
 	nb.Adapt(rng, clients)

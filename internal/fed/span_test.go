@@ -15,7 +15,7 @@ import (
 // "Tracing"): spans are write-only wall-clock telemetry, so attaching a
 // recorder — at full sampling — must leave every artifact byte-identical,
 // across sync and async engines and across worker counts. Same shape as the
-// registry on/off differential in obs_test.go.
+// registry two-pass differential in obs_test.go.
 
 // runNebulaSpans runs one small seeded adaptation with an optional span
 // recorder attached and returns the trace log, costs, and final parameters.
@@ -32,7 +32,7 @@ func runNebulaSpans(t *testing.T, rec *span.Recorder, async bool, workers int) (
 	nb.TrainCfg.Epochs = 1
 	nb.Spans = rec
 	var buf bytes.Buffer
-	nb.Trace = trace.NewWithClock(&buf, nil) // nil clock: byte-stable log
+	nb.Trace = trace.New(&buf)
 	nb.Pretrain(rng, proxyFor(rng, task, 10))
 	clients := harFleet(rng, task, 6, 2)
 	nb.Adapt(rng, clients)

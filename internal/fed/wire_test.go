@@ -27,7 +27,7 @@ func runNebulaWire(t *testing.T, workers int, compress bool) ([]byte, Costs, flo
 	nb := NewNebula(task, cfg)
 	nb.TrainCfg.Epochs = 1
 	var buf bytes.Buffer
-	nb.Trace = trace.NewWithClock(&buf, nil)
+	nb.Trace = trace.New(&buf)
 	nb.Pretrain(rng, proxyFor(rng, task, 10))
 	clients := harFleet(rng, task, 8, 2)
 	nb.Adapt(rng, clients)

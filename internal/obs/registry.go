@@ -14,16 +14,17 @@
 //   - Observability is artifact-neutral. Metrics never feed back into
 //     simulation logic, exposition carries no timestamps, and iteration
 //     order is canonical (families sorted by name, children by label set),
-//     so a scrape is a pure function of the counters' values. The
-//     registry-on-vs-off differential test in internal/fed proves the
-//     experiment artifacts are byte-identical either way.
+//     so a scrape is a pure function of the counters' values. A
+//     differential test in internal/fed runs one seeded experiment twice in
+//     a process — the second pass on top of every counter the first left —
+//     and requires byte-identical artifacts. There is no off switch: a
+//     handle's hot path is its atomics and nothing else.
 //
 // obs is a leaf package: it imports only the standard library, so every
 // layer (tensor, edgenet, fed, cmd/*) can instrument against it without
-// import cycles. It is also, together with internal/trace, the only place
-// allowed to read the wall clock — nebula-lint's rawclock check keeps
-// time.Now out of simulation code; callers that need wall-time measurement
-// use Stopwatch.
+// import cycles. It is also the only place allowed to read the wall clock —
+// nebula-lint's rawclock check keeps time.Now out of simulation code;
+// callers that need wall-time measurement use Stopwatch.
 package obs
 
 import (
@@ -50,11 +51,7 @@ const (
 // constructor returns a nil handle whose operations no-op, so optional
 // instrumentation never needs nil checks at call sites.
 type Registry struct {
-	mu sync.Mutex
-	// enabled gates every handle created from this registry. Handles keep a
-	// pointer to it, so SetEnabled(false) silences the hot paths process-wide
-	// without touching the instrumented code.
-	enabled  atomic.Bool
+	mu       sync.Mutex
 	families map[string]*family
 }
 
@@ -70,11 +67,9 @@ type family struct {
 	children map[string]any
 }
 
-// NewRegistry returns an empty, enabled registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{families: map[string]*family{}}
-	r.enabled.Store(true)
-	return r
+	return &Registry{families: map[string]*family{}}
 }
 
 // defaultRegistry is the process-wide registry package-level
@@ -83,18 +78,6 @@ var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
-
-// SetEnabled turns every handle of this registry on or off. Disabled
-// handles no-op at the cost of one atomic load, so instrumentation can stay
-// wired permanently.
-func (r *Registry) SetEnabled(v bool) {
-	if r != nil {
-		r.enabled.Store(v)
-	}
-}
-
-// Enabled reports whether the registry is collecting.
-func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
 
 // Help attaches (or replaces) the help text of a family, creating nothing:
 // unknown names are remembered and applied when the family appears.
@@ -124,7 +107,7 @@ func (r *Registry) Counter(name string, labelPairs ...string) *Counter {
 	if h, ok := f.children[key]; ok {
 		return h.(*Counter)
 	}
-	c := &Counter{on: &r.enabled}
+	c := &Counter{}
 	f.children[key] = c
 	return c
 }
@@ -139,7 +122,7 @@ func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
 	if h, ok := f.children[key]; ok {
 		return h.(*Gauge)
 	}
-	g := &Gauge{on: &r.enabled}
+	g := &Gauge{}
 	f.children[key] = g
 	return g
 }
@@ -162,7 +145,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labelPairs ...string
 	if h, ok := f.children[key]; ok {
 		return h.(*Histogram)
 	}
-	h := &Histogram{on: &r.enabled, bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
+	h := &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
 	f.children[key] = h
 	return h
 }
@@ -272,15 +255,14 @@ func escapeLabel(v string) string {
 // --- handles --------------------------------------------------------------
 
 // Counter is a monotonically increasing float64. The nil handle (from a nil
-// registry) and a disabled registry both make Add a no-op.
+// registry) makes Add a no-op.
 type Counter struct {
 	bits atomic.Uint64 // float64 bits
-	on   *atomic.Bool
 }
 
 // Add increments the counter. Exact for integer-valued deltas below 2^53.
 func (c *Counter) Add(v float64) {
-	if c == nil || !c.on.Load() {
+	if c == nil {
 		return
 	}
 	for {
@@ -305,12 +287,11 @@ func (c *Counter) Value() float64 {
 // Gauge is an arbitrary float64 that can go up and down.
 type Gauge struct {
 	bits atomic.Uint64
-	on   *atomic.Bool
 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !g.on.Load() {
+	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
@@ -318,7 +299,7 @@ func (g *Gauge) Set(v float64) {
 
 // Add increments the gauge by v (negative to decrement).
 func (g *Gauge) Add(v float64) {
-	if g == nil || !g.on.Load() {
+	if g == nil {
 		return
 	}
 	for {
@@ -341,7 +322,6 @@ func (g *Gauge) Value() float64 {
 // upper bounds plus an implicit +Inf; Observe is a binary search and two
 // atomic updates — no locks, no allocations.
 type Histogram struct {
-	on     *atomic.Bool
 	bounds []float64
 	counts []atomic.Uint64 // one per bound, plus the +Inf overflow
 	sum    atomic.Uint64   // float64 bits
@@ -349,7 +329,7 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !h.on.Load() {
+	if h == nil {
 		return
 	}
 	// First bucket whose upper bound is >= v (le semantics).

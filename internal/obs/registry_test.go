@@ -116,10 +116,6 @@ func TestInvalidUsagePanics(t *testing.T) {
 
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
-	r.SetEnabled(true)
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	r.Help("x", "y")
 	c := r.Counter("nebula_test_total")
 	c.Inc()
@@ -141,25 +137,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	}
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v", snap)
-	}
-}
-
-func TestSetEnabledSilencesHandles(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("nebula_test_total")
-	h := r.Histogram("nebula_test_hist", []float64{1})
-	g := r.Gauge("nebula_test_gauge")
-	r.SetEnabled(false)
-	c.Inc()
-	g.Set(5)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatal("disabled registry still accumulated")
-	}
-	r.SetEnabled(true)
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatal("re-enabled counter did not accumulate")
 	}
 }
 

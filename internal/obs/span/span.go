@@ -17,7 +17,7 @@
 //   - Artifact neutrality: spans are write-only. Nothing in the round or
 //     protocol logic reads recorder state back, so figures, traces, and cost
 //     ledgers are byte-identical with tracing on or off (the differential
-//     test in internal/fed pins this, like the PR 5 registry on/off gate).
+//     test in internal/fed pins this, like the registry's two-pass test).
 //
 // Wall-clock time enters only through the sanctioned obs.Stopwatch gateway;
 // span timestamps are offsets from the recorder's epoch, so they never touch

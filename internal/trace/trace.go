@@ -2,7 +2,9 @@
 // adaptation pipeline: one event per round boundary, client update,
 // aggregation and membership change. The events are the run's accounting
 // facts — the live ledgers are folds of them — so a consumer replays a run's
-// communication and timing from the log alone.
+// communication and timing from the log alone. A log carries sequence
+// numbers and simulated time only, never the wall clock, so a seeded run
+// writes the same bytes every time and at any worker count.
 package trace
 
 import (
@@ -10,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // Kind enumerates event types.
@@ -32,7 +33,6 @@ const (
 // unused ones are omitted from the JSON.
 type Event struct {
 	Seq     int64   `json:"seq"`
-	Wall    string  `json:"wall,omitempty"` // RFC3339 wall-clock timestamp
 	Kind    Kind    `json:"kind"`
 	Round   int     `json:"round,omitempty"`
 	Client  int     `json:"client,omitempty"`
@@ -52,26 +52,19 @@ type Event struct {
 // Logger writes events as JSON lines. The zero value and a nil *Logger both
 // discard events, so call sites never need nil checks.
 type Logger struct {
-	mu    sync.Mutex
-	w     io.Writer
-	seq   int64
-	clock func() time.Time
-	err   error // first write/marshal failure, sticky
+	mu  sync.Mutex
+	w   io.Writer
+	seq int64
+	err error // first write/marshal failure, sticky
 }
 
-// New creates a logger writing to w. A nil w discards events.
+// New creates a logger writing to w. A nil w discards events. Events carry
+// no wall-clock time, so a seeded run's log is byte-identical run to run.
 func New(w io.Writer) *Logger {
-	return &Logger{w: w, clock: time.Now}
+	return &Logger{w: w}
 }
 
-// NewWithClock creates a logger with a custom clock. A nil clock omits the
-// wall timestamp entirely — use this when the log must be byte-identical
-// across runs (deterministic tests, the workers differential gate).
-func NewWithClock(w io.Writer, clock func() time.Time) *Logger {
-	return &Logger{w: w, clock: clock}
-}
-
-// Emit writes one event, stamping sequence number and wall time.
+// Emit writes one event, stamping its sequence number.
 func (l *Logger) Emit(e Event) {
 	if l == nil || l.w == nil {
 		return
@@ -88,9 +81,6 @@ func (l *Logger) Emit(e Event) {
 func (l *Logger) emitLocked(e Event) {
 	l.seq++
 	e.Seq = l.seq
-	if l.clock != nil {
-		e.Wall = l.clock().UTC().Format(time.RFC3339Nano)
-	}
 	data, err := json.Marshal(e)
 	if err != nil {
 		l.setErr(fmt.Errorf("trace: marshal event %d: %w", e.Seq, err))
@@ -194,7 +184,7 @@ func (s *Span) Len() int {
 }
 
 // Flush emits a span's buffered events in order, stamping sequence numbers
-// and wall time under one lock acquisition. The span is emptied and can be
+// under one lock acquisition. The span is emptied and can be
 // reused. Nil logger or nil/empty span are no-ops.
 func (l *Logger) Flush(s *Span) {
 	if s == nil || len(s.events) == 0 {

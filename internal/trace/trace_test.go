@@ -5,16 +5,11 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
-
-func fixedClock() time.Time {
-	return time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-}
 
 func TestEmitAndRead(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewWithClock(&buf, fixedClock)
+	l := New(&buf)
 	l.Emit(RoundStart(1, 0))
 	l.Emit(ClientUpdate(1, 7, 4, 1000, 800, 0.25, 0))
 	l.Emit(Aggregate(1, 6))
@@ -42,9 +37,6 @@ func TestEmitAndRead(t *testing.T) {
 	}
 	if events[4].Note != "hello 42" {
 		t.Fatalf("note: %+v", events[4])
-	}
-	if !strings.Contains(events[0].Wall, "2026-07-05") {
-		t.Fatalf("wall time: %q", events[0].Wall)
 	}
 }
 
@@ -234,7 +226,7 @@ func TestCheckSeqDetectsGaps(t *testing.T) {
 
 func TestSpanFlushIsOrderedAndStamped(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewWithClock(&buf, nil) // nil clock: no wall field, byte-stable
+	l := New(&buf)
 	l.Emit(RoundStart(1, 0))
 	var a, b Span
 	b.Notef("device 9 first note")
@@ -263,9 +255,6 @@ func TestSpanFlushIsOrderedAndStamped(t *testing.T) {
 	for i, w := range want {
 		if events[i].Kind != w.kind || events[i].Note != w.note {
 			t.Fatalf("event %d: %+v, want kind %s note %q", i, events[i], w.kind, w.note)
-		}
-		if events[i].Wall != "" {
-			t.Fatalf("nil clock must omit wall: %+v", events[i])
 		}
 	}
 	// A nil span and flushing into a nil logger are both no-ops.
