@@ -201,11 +201,12 @@ func TestPushWithoutPayloadRefused(t *testing.T) {
 	}
 }
 
-// TestMalformedUpdateRejectedAtTheDoor: importance and weight are outside
-// input aggregation indexes and divides by. A push it cannot use is an error
-// reply that moves no counter and queues nothing — queued, it would fail
-// every later aggregation for every device — and the next good push, from
-// another device, aggregates into a finite model.
+// TestMalformedUpdateRejectedAtTheDoor: selection, importance and weight are
+// outside input aggregation indexes, divides by and folds in. A push it
+// cannot use is an error reply that moves no counter and queues nothing —
+// queued, it would fail every later aggregation for every device, or fold one
+// device's module in three times — and the next good push, from another
+// device, aggregates into a finite model.
 func TestMalformedUpdateRejectedAtTheDoor(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	good := uniformImportance(buildModel(50))
@@ -220,21 +221,45 @@ func TestMalformedUpdateRejectedAtTheDoor(t *testing.T) {
 		row[len(row)-1] = v
 		return withRow(row)
 	}
+	// A selection the pushed payload still matches in length: the fetched
+	// sub-model under another mapping, or one extracted with a repeat.
+	remapped := func(edit func([][]int) [][]int) func(*modular.SubModel) *modular.SubModel {
+		return func(sub *modular.SubModel) *modular.SubModel {
+			var mapping [][]int
+			for _, idx := range sub.Mapping {
+				mapping = append(mapping, append([]int(nil), idx...))
+			}
+			c := *sub
+			c.Mapping = edit(mapping)
+			return &c
+		}
+	}
+	repeated := func(sub *modular.SubModel) *modular.SubModel {
+		active := append([][]int(nil), sub.Mapping...)
+		active[0] = []int{1, 1, 1}
+		return buildModel(50).Extract(active)
+	}
 	cases := []struct {
 		name   string
 		imp    [][]float64
 		weight float64
+		sub    func(*modular.SubModel) *modular.SubModel // nil: push the fetched one
 	}{
-		{"empty importance rows", make([][]float64, len(good)), 1},
-		{"short importance row", withRow(good[last][:len(good[last])-1]), 1},
-		{"long importance row", withRow(append(append([]float64(nil), good[last]...), 0.25)), 1},
-		{"NaN importance", withValue(nan), 1},
-		{"+Inf importance", withValue(inf), 1},
-		{"-Inf importance", withValue(-inf), 1},
-		{"NaN weight", good, nan},
-		{"+Inf weight", good, inf},
-		{"-Inf weight", good, -inf},
-		{"negative weight", good, -1},
+		{"selection short a layer", good, 1, remapped(func(m [][]int) [][]int { return m[:len(m)-1] })},
+		{"selection with an extra layer", good, 1, remapped(func(m [][]int) [][]int { return append(m, []int{0}) })},
+		{"module out of range", good, 1, remapped(func(m [][]int) [][]int { m[0][0] = len(good[0]); return m })},
+		{"negative module", good, 1, remapped(func(m [][]int) [][]int { m[0][0] = -1; return m })},
+		{"module named twice", good, 1, repeated},
+		{"empty importance rows", make([][]float64, len(good)), 1, nil},
+		{"short importance row", withRow(good[last][:len(good[last])-1]), 1, nil},
+		{"long importance row", withRow(append(append([]float64(nil), good[last]...), 0.25)), 1, nil},
+		{"NaN importance", withValue(nan), 1, nil},
+		{"+Inf importance", withValue(inf), 1, nil},
+		{"-Inf importance", withValue(-inf), 1, nil},
+		{"NaN weight", good, nan, nil},
+		{"+Inf weight", good, inf, nil},
+		{"-Inf weight", good, -inf, nil},
+		{"negative weight", good, -1, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -247,6 +272,9 @@ func TestMalformedUpdateRejectedAtTheDoor(t *testing.T) {
 			sub, err := bad.FetchSubModel(good, looseBudget())
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.sub != nil {
+				sub = tc.sub(sub)
 			}
 			before := srv.StatsSnapshot()
 			if err := bad.PushUpdate(sub, tc.imp, tc.weight); err == nil {

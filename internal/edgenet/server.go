@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -604,12 +605,31 @@ func (s *Server) aggregatePending() {
 	s.metrics.aggregations.Inc()
 }
 
-// checkUpdate rejects a push whose importance or weight aggregation cannot
-// use: AggregateModuleWise indexes Importance[l][i] for every module of every
-// layer and divides by the summed weights, so a short row panics it and a
-// non-finite value turns cloud parameters NaN. It reads architecture only
-// (layer and module counts never change), so it needs no lock.
+// checkUpdate rejects a push whose selection, importance or weight
+// aggregation cannot use: AggregateModuleWise indexes Importance[l][i] for
+// every module of every layer and divides by the summed weights, so a short
+// row panics it and a non-finite value turns cloud parameters NaN; a module
+// named twice in a layer would be folded in twice, and one the layer does not
+// have matches nothing. It reads architecture only (layer and module counts
+// never change), so it needs no lock.
 func (s *Server) checkUpdate(req *Request) error {
+	if len(req.Active) != len(s.Model.Layers) {
+		return fmt.Errorf("selection spans %d layers, the model has %d", len(req.Active), len(s.Model.Layers))
+	}
+	for l, idx := range req.Active {
+		n := s.Model.Layers[l].N()
+		if len(idx) > n {
+			return fmt.Errorf("selection names %d modules of layer %d, which has %d", len(idx), l, n)
+		}
+		for j, i := range idx {
+			if i < 0 || i >= n {
+				return fmt.Errorf("selection names module %d of layer %d, which has %d", i, l, n)
+			}
+			if slices.Contains(idx[:j], i) {
+				return fmt.Errorf("selection names module %d of layer %d twice", i, l)
+			}
+		}
+	}
 	if len(req.Importance) != len(s.Model.Layers) {
 		return errors.New("importance layer count mismatch")
 	}

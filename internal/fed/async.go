@@ -218,7 +218,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 	for _, id := range a.prev {
 		prevSet[id] = true
 	}
-	var sel *modular.Selector // importance-probe copy, made for the first newcomer
+	var sel *modular.Selector // importance-probe copy, refreshed for the first newcomer
 	for _, c := range clients {
 		id := c.Dev.ID
 		if prevSet[id] {
@@ -229,7 +229,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			// A brand-new device bootstraps before its first round with a
 			// budget-fitting sub-model, shipped whole (selector included).
 			if sel == nil {
-				sel = s.Model.Selector.Clone()
+				sel = s.roundWorkers(1)[0].sel
 			}
 			sub := s.deriveFresh(sel, c)
 			sub.Park()

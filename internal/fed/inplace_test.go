@@ -195,10 +195,13 @@ func TestWireRefMappingIsPrivate(t *testing.T) {
 }
 
 // deviceRoundAllocBudget is TestDeviceRoundAllocBudget's bound, in bytes
-// allocated per backbone byte: 0.24 measured, 2.7 while each crossing
-// allocated its reconstruction and its encoder, 6.8 while the link and the
-// blend still copied what they read.
-const deviceRoundAllocBudget = 0.5
+// allocated per backbone byte: 0.04–0.07 measured, 0.19 the worst of 70 runs;
+// 0.12–0.24 while every round cloned the workers' selectors and walked the
+// module costs three times a device, 2.7 while each crossing allocated its
+// reconstruction and its encoder, 6.8 while the link and the blend still
+// copied what they read. A vector-sized array allocated per round, a quarter
+// on its own, crosses it.
+const deviceRoundAllocBudget = 0.25
 
 // TestDeviceRoundAllocBudget bounds what one steady-state round of a device
 // that keeps its sub-model allocates on the compressed link, top-k push
@@ -246,6 +249,6 @@ func TestDeviceRoundAllocBudget(t *testing.T) {
 	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(n*backbone)
 	t.Logf("%.2f bytes allocated per backbone byte (%d KiB backbone)", perByte, backbone/1024)
 	if perByte > deviceRoundAllocBudget {
-		t.Fatalf("one device-round allocates %.2f × its backbone bytes, budget %.1f", perByte, deviceRoundAllocBudget)
+		t.Fatalf("one device-round allocates %.2f × its backbone bytes, budget %.2f", perByte, deviceRoundAllocBudget)
 	}
 }

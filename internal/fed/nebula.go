@@ -86,9 +86,11 @@ type Nebula struct {
 	// the device's last downlink, shared by both ends of the in-process
 	// "wire". Snapshotted in prepRound, written back in commitDevice.
 	wireRefs map[int]*wireRef
-	// encoders are the simulated link's senders, one per worker of the
-	// parallel phase, kept from round to round so their arrays stop growing.
-	encoders []*edgenet.Encoder
+	// workers are what each worker of the parallel phase keeps from round to
+	// round: the simulated link's sender, whose arrays stop growing, and a
+	// selector copy for importance probes, which takes the cloud selector's
+	// weights in place at the start of each round (roundWorkers).
+	workers []roundWorker
 	// streams are the last round's per-device RNG streams, re-seeded in place
 	// by the next round's split (splitStreams).
 	streams []*tensor.RNG
@@ -170,7 +172,7 @@ func (s *Nebula) capabilityFraction(effectiveFLOPS float64) float64 {
 
 // importanceWith computes a device's module importance from (a sample of)
 // its local data using only the lightweight selector. Callers pass their own
-// selector copy (Selector.Clone; the round loop makes one per worker) because
+// selector copy (Selector.Clone; the round loop keeps one per worker) because
 // Forward mutates activation caches and importance probes run concurrently
 // across devices.
 func (s *Nebula) importanceWith(sel *modular.Selector, c *Client) [][]float64 {
@@ -337,19 +339,13 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 // that lands later.
 func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 	res := make([]nebulaResult, len(p.part))
-	for len(s.encoders) < poolSize(s.cfg.Workers, len(p.part)) {
-		s.encoders = append(s.encoders, new(edgenet.Encoder))
-	}
-	type worker struct {
-		sel *modular.Selector
-		enc *edgenet.Encoder
-	}
-	newWorker := func(w int) any { return worker{s.Model.Selector.Clone(), s.encoders[w]} }
+	workers := s.roundWorkers(poolSize(s.cfg.Workers, len(p.part)))
+	newWorker := func(w int) any { return workers[w] }
 	forEachDeviceState(s.cfg.Workers, len(p.part), newWorker, func(st any, i int) {
 		if p.drop[i] {
 			return
 		}
-		wk := st.(worker)
+		wk := st.(roundWorker)
 		c := p.part[i]
 		id := c.Dev.ID
 		r := &res[i]
@@ -455,6 +451,24 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		r.sub, r.down, r.t = sub, bytes, t
 	})
 	return res
+}
+
+// roundWorker is what one worker of the parallel phase keeps across rounds.
+type roundWorker struct {
+	sel *modular.Selector
+	enc *edgenet.Encoder
+}
+
+// roundWorkers returns n workers' kept state, the selector copies refreshed
+// to the cloud selector's current weights. Serial coordinator only.
+func (s *Nebula) roundWorkers(n int) []roundWorker {
+	for len(s.workers) < n {
+		s.workers = append(s.workers, roundWorker{enc: new(edgenet.Encoder)})
+	}
+	for w := range s.workers[:n] {
+		s.workers[w].sel = s.Model.Selector.CloneInto(s.workers[w].sel)
+	}
+	return s.workers[:n]
 }
 
 // commitDevice folds one device's finished result into strategy state: trace
@@ -602,21 +616,46 @@ func overlapRatio(held [][]int, active [][]int) float64 {
 	return float64(inter) / float64(union)
 }
 
-// blendSubModels blends cloud parameters into a local sub-model:
-// local = (1−b)·local + b·cloud, for parameters and ALL layer states —
-// stem, the selected modules, and head. Module states matter: they carry
-// BatchNorm running statistics, and a refresh that pulls module weights but
-// not their normalization stats would serve cloud weights under stale local
-// normalization. The cloud's side comes as tensors in local.Params() and
-// local.AllStates() order, and is only read.
-func blendSubModels(local *modular.SubModel, params []*nn.Param, states []*tensor.Tensor, b float32) {
-	for i, p := range local.Params() {
-		p.W.Scale(1 - b)
-		p.W.AddScaled(b, params[i].W)
+// blendSubModels blends the cloud's side into a local sub-model:
+// local = (1−b)·local + b·cloud, for parameters and ALL layer states — stem,
+// the selected modules, and head. Module states matter: they carry BatchNorm
+// running statistics, and a refresh that pulls module weights but not their
+// normalization stats would serve cloud weights under stale local
+// normalization. cloud(k, n) is the cloud's side of local's k-th tensor, n
+// elements long, counting local.Params() and then local.AllStates(); it is
+// asked once per tensor, in that order, and only read.
+func blendSubModels(local *modular.SubModel, cloud func(k, n int) []float32, b float32) {
+	k := 0
+	for _, p := range local.Params() {
+		blendInto(p.W.Data, cloud(k, p.W.Len()), b)
+		k++
 	}
-	for i, st := range local.AllStates() {
-		st.Scale(1 - b)
-		st.AddScaled(b, states[i])
+	for _, st := range local.AllStates() {
+		blendInto(st.Data, cloud(k, st.Len()), b)
+		k++
+	}
+}
+
+// inTensors is the cloud's side of blendSubModels read from tensors in place:
+// params in local.Params() order, then states in local.AllStates() order.
+func inTensors(params []*nn.Param, states []*tensor.Tensor) func(k, n int) []float32 {
+	return func(k, _ int) []float32 {
+		if k < len(params) {
+			return params[k].W.Data
+		}
+		return states[k-len(params)].Data
+	}
+}
+
+// blendInto sets dst = (1−b)·dst + b·src elementwise, each product rounded
+// before the add (a platform that fuses them would round once).
+func blendInto(dst, src []float32, b float32) {
+	if len(dst) != len(src) {
+		panic("fed: blend of tensors of different sizes")
+	}
+	keep := 1 - b
+	for i, v := range src {
+		dst[i] = float32(keep*dst[i]) + float32(b*v)
 	}
 }
 

@@ -3,6 +3,7 @@ package fed
 import (
 	"repro/internal/edgenet"
 	"repro/internal/modular"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -58,23 +59,33 @@ func (r *wireRef) release() {
 // parameters and states for the modules held holds are charged as one dense
 // cloud→device transfer and blended into held; the device's new delta-coding
 // reference is returned (nil on the exact link). The blend reads in place —
-// the cloud model's own tensors on the exact link, windows of the new
-// reference on the compressed one, so the device blends in what the wire
-// delivered. Worker-safe: no one writes the cloud model in the parallel phase.
+// the cloud model's own tensors on the exact link, the new reference on the
+// compressed one, so the device blends in what the wire delivered. Worker-safe:
+// no one writes the cloud model in the parallel phase.
 func (s *Nebula) pullBlend(enc *edgenet.Encoder, held *modular.SubModel, ref *wireRef) (int64, *wireRef) {
+	params, states := s.Model.Selection(held.Mapping)
 	if !s.cfg.WireCompress {
-		params, states := s.Model.Selection(held.Mapping)
-		blendSubModels(held, params, states, s.PullBlend)
+		blendSubModels(held, inTensors(params, states), s.PullBlend)
 		return held.BackboneBytes(), nil
 	}
 	bytes, far := cross(enc, held, func(dst []float32) []float32 {
 		return s.Model.AppendBackboneVector(dst, held.Mapping)
 	}, ref, edgenet.WireOpts{})
-	pulled, err := s.Model.SubModelOver(held.Mapping, far.Data)
-	if err != nil {
-		panic(err) // held was extracted from this model
+	// The vector holds the parameters in order, then the stem's and the head's
+	// states; module states, which it does not carry, are the cloud model's.
+	vec := far.Data
+	stem, head := len(nn.LayerStates(held.Stem)), len(nn.LayerStates(held.Head))
+	blendSubModels(held, func(k, n int) []float32 {
+		if j := k - len(params); j >= stem && j < len(states)-head {
+			return states[j].Data
+		}
+		w := vec[:n]
+		vec = vec[n:]
+		return w
+	}, s.PullBlend)
+	if len(vec) != 0 {
+		panic("fed: pulled vector is longer than the held sub-model") // held was extracted from this model
 	}
-	blendSubModels(held, pulled.Params(), pulled.AllStates(), s.PullBlend)
 	return bytes, newWireRef(held.Mapping, far)
 }
 

@@ -98,16 +98,21 @@ func (m *Model) AggregateModuleWiseRetain(updates []*Update, retain float64) {
 		}
 	}
 	// Stem and head: FedAvg by sample weight (parameters and running
-	// statistics).
+	// statistics), uniform when no update carries any weight.
 	var totalW float64
 	for _, u := range updates {
 		totalW += u.Weight
 	}
-	if totalW <= 0 {
-		totalW = float64(len(updates))
+	ws := make([]float32, len(updates))
+	for k, u := range updates {
+		if totalW > 0 {
+			ws[k] = float32((1 - retain) * u.Weight / totalW)
+		} else {
+			ws[k] = float32((1 - retain) / float64(len(updates)))
+		}
 	}
-	averageLayer(m.Stem, updates, totalW, retain, func(u *Update) nn.Layer { return u.Sub.Stem })
-	averageLayer(m.Head, updates, totalW, retain, func(u *Update) nn.Layer { return u.Sub.Head })
+	averageLayer(m.Stem, updates, ws, retain, func(u *Update) nn.Layer { return u.Sub.Stem })
+	averageLayer(m.Head, updates, ws, retain, func(u *Update) nn.Layer { return u.Sub.Head })
 	// Re-aggregate the final classifier row-wise when class weights are
 	// available (averageLayer already filled it sample-weighted; this
 	// overwrites the classifier with the conflict-free version).
@@ -180,17 +185,18 @@ func aggregateClassifier(head nn.Layer, updates []*Update, retain float64) {
 	}
 }
 
-// averageLayer blends target's parameters and states toward the
-// weight-normalized average of the updates' corresponding layers.
-func averageLayer(target nn.Layer, updates []*Update, totalW, retain float64, pick func(*Update) nn.Layer) {
+// averageLayer blends target's parameters and states toward the average of
+// the updates' corresponding layers: ws[k] is update k's share, (1−retain)
+// times its normalized weight.
+func averageLayer(target nn.Layer, updates []*Update, ws []float32, retain float64, pick func(*Update) nn.Layer) {
 	tp := target.Params()
 	ts := nn.LayerStates(target)
 	scaleParams(tp, float32(retain))
 	for _, s := range ts {
 		s.Scale(float32(retain))
 	}
-	for _, u := range updates {
-		w := float32((1 - retain) * u.Weight / totalW)
+	for k, u := range updates {
+		w := ws[k]
 		src := pick(u)
 		sp := src.Params()
 		for i := range tp {

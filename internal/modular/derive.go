@@ -40,7 +40,8 @@ func (m *Model) PoolBudget(frac float64) Budget {
 // is empty. Stem and head costs are charged against the budget first. exact
 // switches from greedy to branch-and-bound.
 func (m *Model) Derive(importance [][]float64, budget Budget, exact bool) [][]int {
-	stem, head, modCosts := m.ModuleCosts()
+	costs := m.heldCosts()
+	stem, head := costs.stem, costs.head
 
 	// Charge the always-present stem and head.
 	remComm := budget.CommBytes - float64(stem.Bytes+head.Bytes)
@@ -56,18 +57,15 @@ func (m *Model) Derive(importance [][]float64, budget Budget, exact bool) [][]in
 		remMem = 0
 	}
 
-	// Flatten (layer, module) into knapsack items.
+	// Flatten (layer, module) into knapsack items; the solvers only read the
+	// held cost vectors.
 	type ref struct{ l, i int }
-	var refs []ref
-	var items []solve.Item
+	refs := make([]ref, 0, len(costs.items))
+	items := make([]solve.Item, 0, len(costs.items))
 	for l := range m.Layers {
 		for i := range m.Layers[l].Modules {
-			c := modCosts[l][i]
 			refs = append(refs, ref{l, i})
-			items = append(items, solve.Item{
-				Value: importance[l][i],
-				Costs: []float64{float64(c.Bytes), float64(c.FwdFLOPs), float64(c.TrainMemEl)},
-			})
+			items = append(items, solve.Item{Value: importance[l][i], Costs: costs.items[len(items)]})
 		}
 	}
 	budgets := []float64{remComm, remFlops, remMem}

@@ -2,6 +2,7 @@ package modular
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/device"
 	"repro/internal/nn"
@@ -21,6 +22,19 @@ type Model struct {
 
 	// caches
 	lastProbs [][]([]float32)
+	// costs is the table ModuleCosts walked for the input geometry the
+	// layers hold now: built on first use, read by concurrent Derive calls,
+	// dropped by Forward, the one path that records a new geometry.
+	costs atomic.Pointer[moduleCosts]
+}
+
+// moduleCosts is what ModuleCosts walks: the static costs of stem, head and
+// each module, and each module's knapsack cost vector for Derive (bytes,
+// forward FLOPs, training memory), flat in layer order.
+type moduleCosts struct {
+	stem, head device.ModelCost
+	modules    [][]device.ModelCost
+	items      [][]float64
 }
 
 // InFlat returns the flattened per-sample input size.
@@ -64,6 +78,7 @@ func (m *Model) BackboneParams() []*nn.Param {
 // Forward runs the full modularized model. active optionally restricts each
 // layer's usable modules (nil = all; sub-models pass their selection).
 func (m *Model) Forward(x *tensor.Tensor, active [][]int, train bool) *tensor.Tensor {
+	m.costs.Store(nil) // the layers record this input's geometry
 	probs := m.Selector.Forward(x, train)
 	m.lastProbs = probs
 	h := m.Stem.Forward(x, train)
@@ -133,26 +148,48 @@ func (m *Model) ImportanceWith(sel *Selector, x *tensor.Tensor) [][]float64 {
 // element count per sample is threaded through stem and layers using the
 // cost interfaces. Module layers report the cost of each module in
 // isolation; a sub-model's cost is the sum over its chosen modules (plus
-// stem and head, which every sub-model carries).
+// stem and head, which every sub-model carries). The costs depend only on
+// the architecture and the input geometry the layers recorded, so they are
+// walked once per geometry and held: modules is shared by every caller, who
+// only reads it.
 func (m *Model) ModuleCosts() (stem, head device.ModelCost, modules [][]device.ModelCost) {
+	c := m.heldCosts()
+	return c.stem, c.head, c.modules
+}
+
+// heldCosts returns the held cost table, walking it first if Forward dropped
+// it or nothing built it yet. Concurrent first calls each walk the same
+// geometry and store equal tables.
+func (m *Model) heldCosts() *moduleCosts {
+	if c := m.costs.Load(); c != nil {
+		return c
+	}
+	c := m.walkCosts()
+	m.costs.Store(c)
+	return c
+}
+
+// walkCosts computes the cost table from the layers.
+func (m *Model) walkCosts() *moduleCosts {
 	inElems := m.InFlat()
-	stem = device.CostOf(m.Stem, inElems)
+	c := &moduleCosts{stem: device.CostOf(m.Stem, inElems)}
 	_, cur := nn.ForwardCost(m.Stem, inElems)
-	modules = make([][]device.ModelCost, len(m.Layers))
+	c.modules = make([][]device.ModelCost, len(m.Layers))
 	for l, layer := range m.Layers {
-		modules[l] = make([]device.ModelCost, layer.N())
+		c.modules[l] = make([]device.ModelCost, layer.N())
 		next := cur
 		for i, mod := range layer.Modules {
-			c := device.CostOf(mod, cur)
-			modules[l][i] = c
+			mc := device.CostOf(mod, cur)
+			c.modules[l][i] = mc
+			c.items = append(c.items, []float64{float64(mc.Bytes), float64(mc.FwdFLOPs), float64(mc.TrainMemEl)})
 			if _, out := nn.ForwardCost(mod, cur); out > 0 {
 				next = out
 			}
 		}
 		cur = next
 	}
-	head = device.CostOf(m.Head, cur)
-	return stem, head, modules
+	c.head = device.CostOf(m.Head, cur)
+	return c
 }
 
 // Validate panics if the model is structurally inconsistent (selector head

@@ -168,8 +168,9 @@ func (s *SubModel) Park() {
 // Park is SubModel.Park for the cloud model, which sits idle between the
 // offline stage and whatever trains it next: TrainEndToEnd and AbilityEnhance
 // re-arm its gradients as they start and park it as they return. Its layers
-// stay the objects they were: the cost model behind Derive reads the input
-// geometry they recorded while training.
+// stay the objects they were, with the input geometry they recorded while
+// training, so the module costs the model holds for that geometry
+// (ModuleCosts, which Derive reads) hold after a Park too.
 func (m *Model) Park() {
 	nn.ReleaseBuffers(m.Stem)
 	nn.ReleaseBuffers(m.Head)
@@ -194,6 +195,30 @@ func (m *Model) Park() {
 func (s *Selector) Clone() *Selector {
 	// "selector": constant, parent stream untouched
 	return s.remade(nn.CloneWeights, tensor.NewRNG(0x5e1ec708))
+}
+
+// CloneInto is Clone for a caller that keeps its copy: dst, a copy of a
+// selector of s's structure, takes s's weights in place and is returned, with
+// its activation buffers and its noise stream, which a forward-only copy never
+// draws from. A nil dst, or one of another structure, gets a fresh Clone.
+func (s *Selector) CloneInto(dst *Selector) *Selector {
+	if dst == nil {
+		return s.Clone()
+	}
+	from, to := s.Params(), dst.Params()
+	if len(from) != len(to) {
+		return s.Clone()
+	}
+	for i, p := range from {
+		if !p.W.SameShape(to[i].W) {
+			return s.Clone()
+		}
+	}
+	for i, p := range from {
+		copy(to[i].W.Data, p.W.Data)
+	}
+	dst.NoiseStd = s.NoiseStd
+	return dst
 }
 
 // bare is the selector over the same weights and noise stream with its
