@@ -156,7 +156,7 @@ func (s *LocalAdapt) LocalAccuracy(clients []*Client) float64 {
 }
 
 // cloneCloud is a device's private copy of the shared cloud model.
-func (s *LocalAdapt) cloneCloud(*Client) nn.Layer { return nn.CloneLayer(s.global) }
+func (s *LocalAdapt) cloneCloud(int, *Client) nn.Layer { return nn.CloneLayer(s.global) }
 
 // --- AdaptiveNet-style ----------------------------------------------------
 
@@ -241,7 +241,7 @@ func (s *AdaptiveNet) LocalAccuracy(clients []*Client) float64 {
 }
 
 // cloneCloud is a device's private copy of the shared cloud model.
-func (s *AdaptiveNet) cloneCloud(*Client) *MultiBranch { return s.cloud.Clone() }
+func (s *AdaptiveNet) cloneCloud(int, *Client) *MultiBranch { return s.cloud.Clone() }
 
 // Costs returns accumulated accounting.
 func (s *AdaptiveNet) Costs() Costs { return s.costs }

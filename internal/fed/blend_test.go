@@ -46,7 +46,7 @@ func TestBlendSubModelsBlendsModuleStates(t *testing.T) {
 	plant(local, 1)
 	plant(cloud, 3)
 
-	blendSubModels(local, inTensors(cloud.Params(), cloud.AllStates()), 0.5)
+	blendSubModels(local, local.Params(), inTensors(cloud.Params(), cloud.AllStates()), 0.5)
 
 	for _, l := range local.Layers {
 		for _, mod := range l.Modules {

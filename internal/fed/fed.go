@@ -140,12 +140,17 @@ type System interface {
 // afterBackward, when non-nil, sees the parameters after each backward pass
 // and before clipping; FedProx's proximal step is its one user.
 func TrainLayer(rng *tensor.RNG, m nn.Layer, ds *data.Dataset, epochs int, lr float32, batch int, afterBackward func(params []*nn.Param)) {
+	trainParams(rng, m, m.Params(), ds, epochs, lr, batch, afterBackward)
+}
+
+// trainParams is TrainLayer on m's parameter list params, for a caller that
+// already holds it.
+func trainParams(rng *tensor.RNG, m nn.Layer, params []*nn.Param, ds *data.Dataset, epochs int, lr float32, batch int, afterBackward func(params []*nn.Param)) {
 	if ds.Len() == 0 {
 		return
 	}
 	opt := nn.NewSGD(lr, 0.9, 1e-4)
 	defer opt.Release()
-	params := m.Params()
 	nn.EnsureGrads(params)
 	for e := 0; e < epochs; e++ {
 		ds.Batches(rng, batch, func(x *tensor.Tensor, y []int) {

@@ -128,7 +128,7 @@ func TestPullBlendReadsInPlace(t *testing.T) {
 					t.Fatalf("%s: script wants a delta pull only second on the compressed link, reference says %v", when, delta)
 				}
 
-				gotBytes, gotNext := nb.pullBlend(new(edgenet.Encoder), got, gotRef)
+				gotBytes, gotNext := nb.pullBlend(new(edgenet.Encoder), got, got.Backbone(), gotRef)
 				wantBytes, wantNext := legacyPull(nb, want, wantRef)
 				if gotBytes != wantBytes {
 					t.Fatalf("%s: charged %d B, the copying path %d B", when, gotBytes, wantBytes)
@@ -175,10 +175,10 @@ func TestWireRefMappingIsPrivate(t *testing.T) {
 		down func(*modular.SubModel) (int64, *wireRef)
 	}{
 		{"new structure", func(sub *modular.SubModel) (int64, *wireRef) {
-			return wireDownlink(new(edgenet.Encoder), sub, nil, edgenet.WireOpts{})
+			return wireDownlink(new(edgenet.Encoder), sub, sub.Backbone(), nil, edgenet.WireOpts{})
 		}},
 		{"kept structure", func(sub *modular.SubModel) (int64, *wireRef) {
-			return nb.pullBlend(new(edgenet.Encoder), sub, nil)
+			return nb.pullBlend(new(edgenet.Encoder), sub, sub.Backbone(), nil)
 		}},
 	} {
 		sub := nb.Model.Extract(active)

@@ -199,10 +199,12 @@ func (s *Nebula) deriveFresh(sel *modular.Selector, c *Client) *modular.SubModel
 	return s.Model.Extract(s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive))
 }
 
-// deriveOwn is deriveFresh with a selector copy of its own, for a worker
-// serving one device.
-func (s *Nebula) deriveOwn(c *Client) *modular.SubModel {
-	return s.deriveFresh(s.Model.Selector.Clone(), c)
+// deriveOwn is serve's fresh callback for a fan-out over clients:
+// deriveFresh on worker w's kept selector copy (roundWorkers), as the round's
+// fan-out derives. Coordinator only; the callback is worker-safe.
+func (s *Nebula) deriveOwn(clients []*Client) func(w int, c *Client) *modular.SubModel {
+	workers := s.roundWorkers(poolSize(s.cfg.Workers, len(clients)))
+	return func(w int, c *Client) *modular.SubModel { return s.deriveFresh(workers[w].sel, c) }
 }
 
 // record is the strategy's one accounting path: every fact that moves the
@@ -364,7 +366,10 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 			r.t = p.fetchExtra[i]
 			return
 		}
+		// sub's backbone lists are built once, bb, and handed to every walk
+		// of the round: refresh, training, push.
 		var sub *modular.SubModel
+		var bb modular.Backbone
 		var bytes int64
 		fspan := s.Spans.Start(p.trace, dspan.ID(), "fed.fetch")
 		fspan.SetDevice(id)
@@ -377,15 +382,17 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				// WireCompress the pull crosses the simulated v2 link first,
 				// so the device blends in the lossy reconstruction.
 				sub = p.held[i]
-				bytes, r.wireRef = s.pullBlend(wk.enc, sub, p.wireRef[i])
+				bb = sub.Backbone()
+				bytes, r.wireRef = s.pullBlend(wk.enc, sub, bb, p.wireRef[i])
 			} else {
 				// First contact or the local task moved: new structure,
 				// exact at 4 B/element or over the simulated v2 link — dense:
 				// a fresh structure has no base to be sparse against.
 				sub = s.Model.Extract(active)
-				bytes = sub.BackboneBytes()
+				bb = sub.Backbone()
+				bytes = bb.Bytes()
 				if s.cfg.WireCompress {
-					bytes, r.wireRef = wireDownlink(wk.enc, sub, p.wireRef[i], edgenet.WireOpts{})
+					bytes, r.wireRef = wireDownlink(wk.enc, sub, bb, p.wireRef[i], edgenet.WireOpts{})
 				}
 			}
 			if !p.hadGate[i] {
@@ -398,6 +405,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 			r.span.Notef("round %d device %d: fetch lost, serving cached sub-model", round, id)
 			fspan.SetNote("fetch_lost_cached")
 			sub = p.held[i]
+			bb = sub.Backbone()
 		}
 		fspan.SetBytes(bytes)
 		fspan.End()
@@ -406,9 +414,9 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		if s.LocalTraining {
 			tspan := s.Spans.Start(p.trace, dspan.ID(), "fed.train")
 			tspan.SetDevice(id)
-			TrainLayer(p.streams[i], sub, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, BatchSize, nil)
+			trainParams(p.streams[i], sub, bb.Params, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, BatchSize, nil)
 			tspan.End()
-			upBytes := int64(nn.ParamCount(sub.Params())) * 4 // modules+stem+head; selector is not updated on edge
+			upBytes := int64(nn.ParamCount(bb.Params)) * 4 // modules+stem+head; selector is not updated on edge
 			_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
 			t += trainTime(prof, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs)
 			t += p.pushExtra[i]
@@ -431,7 +439,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 					if ref == nil {
 						ref = p.wireRef[i]
 					}
-					upBytes, upSub, r.upBuf = wireUplink(wk.enc, sub, ref, edgenet.WireOpts{TopK: s.cfg.WireTopK})
+					upBytes, upSub, r.upBuf = wireUplink(wk.enc, sub, bb, ref, edgenet.WireOpts{TopK: s.cfg.WireTopK})
 				}
 				r.update = &modular.Update{Sub: upSub, Importance: imp, Weight: float64(c.Dev.Train.Len()), ClassWeights: cw}
 				t += prof.TransferTime(upBytes)
@@ -572,7 +580,7 @@ func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 	s.record(trace.RoundStart(round, 0))
 	s.streams = splitStreams(rng, s.streams, len(clients))
 	ts := make([]float64, len(clients))
-	subs, fresh := serve(s.cfg.Workers, clients, s.subs, s.deriveOwn, func(i int, sub *modular.SubModel) {
+	subs, fresh := serve(s.cfg.Workers, clients, s.subs, s.deriveOwn(clients), func(i int, sub *modular.SubModel) {
 		c := clients[i]
 		TrainLayer(s.streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
 		sub.Park()
@@ -621,12 +629,13 @@ func overlapRatio(held [][]int, active [][]int) float64 {
 // the selected modules, and head. Module states matter: they carry BatchNorm
 // running statistics, and a refresh that pulls module weights but not their
 // normalization stats would serve cloud weights under stale local
-// normalization. cloud(k, n) is the cloud's side of local's k-th tensor, n
-// elements long, counting local.Params() and then local.AllStates(); it is
-// asked once per tensor, in that order, and only read.
-func blendSubModels(local *modular.SubModel, cloud func(k, n int) []float32, b float32) {
+// normalization. params is local.Params(); cloud(k, n) is the cloud's side
+// of local's k-th tensor, n elements long, counting params and then
+// local.AllStates(); it is asked once per tensor, in that order, and only
+// read.
+func blendSubModels(local *modular.SubModel, params []*nn.Param, cloud func(k, n int) []float32, b float32) {
 	k := 0
-	for _, p := range local.Params() {
+	for _, p := range params {
 		blendInto(p.W.Data, cloud(k, p.W.Len()), b)
 		k++
 	}
@@ -668,7 +677,7 @@ func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 		return 0
 	}
 	accs := make([]float64, len(clients))
-	subs, fresh := serve(s.cfg.Workers, clients, s.subs, s.deriveOwn, func(i int, sub *modular.SubModel) {
+	subs, fresh := serve(s.cfg.Workers, clients, s.subs, s.deriveOwn(clients), func(i int, sub *modular.SubModel) {
 		accs[i] = EvalLayer(sub, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
 		sub.Park() // the evaluation batch's activations go; the model stays
 	})

@@ -40,7 +40,7 @@ func TestBlendSubModels(t *testing.T) {
 	for _, p := range cloud.Params() {
 		p.W.Fill(2)
 	}
-	blendSubModels(local, inTensors(cloud.Params(), cloud.AllStates()), 0.25)
+	blendSubModels(local, local.Params(), inTensors(cloud.Params(), cloud.AllStates()), 0.25)
 	for _, p := range local.Params() {
 		for _, v := range p.W.Data {
 			if math.Abs(float64(v)-0.5) > 1e-6 {
@@ -49,7 +49,7 @@ func TestBlendSubModels(t *testing.T) {
 		}
 	}
 	// b=0 keeps local untouched.
-	blendSubModels(local, inTensors(cloud.Params(), cloud.AllStates()), 0)
+	blendSubModels(local, local.Params(), inTensors(cloud.Params(), cloud.AllStates()), 0)
 	for _, p := range local.Params() {
 		for _, v := range p.W.Data {
 			if math.Abs(float64(v)-0.5) > 1e-6 {

@@ -100,10 +100,12 @@ func forEachDeviceState(workers, n int, newState func(w int) any, body func(stat
 
 // serve is the fan-out of a strategy that keeps one model per device: it runs
 // work(i, m) for every client on the forEachDevice pool, where m is the
-// client's model in held or, for a client held has none for, one that fresh
-// builds on the worker. held is read here, on the coordinator; isFresh tells
-// the caller which models to adopt, which it does in device order.
-func serve[M comparable](workers int, clients []*Client, held map[int]M, fresh func(*Client) M, work func(i int, m M)) (ms []M, isFresh []bool) {
+// client's model in held or, for a client held has none for, one that
+// fresh(w, c) builds on worker w, in [0, poolSize(workers, len(clients))) —
+// so fresh may use what the caller keeps per worker. held is read here, on
+// the coordinator; isFresh tells the caller which models to adopt, which it
+// does in device order.
+func serve[M comparable](workers int, clients []*Client, held map[int]M, fresh func(w int, c *Client) M, work func(i int, m M)) (ms []M, isFresh []bool) {
 	var none M
 	ms = make([]M, len(clients))
 	isFresh = make([]bool, len(clients))
@@ -111,9 +113,10 @@ func serve[M comparable](workers int, clients []*Client, held map[int]M, fresh f
 		ms[i] = held[c.Dev.ID]
 		isFresh[i] = ms[i] == none
 	}
-	forEachDevice(workers, len(clients), func(i int) {
+	worker := func(w int) any { return w }
+	forEachDeviceState(workers, len(clients), worker, func(w any, i int) {
 		if isFresh[i] {
-			ms[i] = fresh(clients[i])
+			ms[i] = fresh(w.(int), clients[i])
 		}
 		work(i, ms[i])
 	})

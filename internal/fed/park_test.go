@@ -186,11 +186,11 @@ func TestWireUplinkCarrierIsWhatAggregationReads(t *testing.T) {
 	}
 	sub := cloud.Extract(active)
 	enc := new(edgenet.Encoder)
-	_, ref := wireDownlink(enc, sub, nil, edgenet.WireOpts{})
+	_, ref := wireDownlink(enc, sub, sub.Backbone(), nil, edgenet.WireOpts{})
 	TrainLayer(rng, sub, c.Dev.Train, 1, 0.02, 16, nil)
 	sub.Park()
 
-	up, carrier, _ := wireUplink(enc, sub, ref, edgenet.WireOpts{TopK: 0.25})
+	up, carrier, _ := wireUplink(enc, sub, sub.Backbone(), ref, edgenet.WireOpts{TopK: 0.25})
 	if carrier == sub || carrier.Selector != nil {
 		t.Fatal("carrier must be a separate, selector-free sub-model")
 	}

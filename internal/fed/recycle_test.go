@@ -74,7 +74,7 @@ func TestCrossAllocBudget(t *testing.T) {
 	m := modular.NewModularMLP(tensor.NewRNG(91), 64, 256, 6, mcfg)
 	sub := m.Extract(firstTwoModules(m))
 	var enc edgenet.Encoder
-	_, ref := wireDownlink(&enc, sub, nil, edgenet.WireOpts{})
+	_, ref := wireDownlink(&enc, sub, sub.Backbone(), nil, edgenet.WireOpts{})
 	n := len(ref.Vec)
 	for _, tc := range []struct {
 		what string
@@ -86,7 +86,7 @@ func TestCrossAllocBudget(t *testing.T) {
 		{"top-k", ref, edgenet.WireOpts{TopK: 0.25}},
 	} {
 		crossing := func() {
-			_, far := cross(&enc, sub, sub.AppendBackboneVector, tc.ref, tc.opts)
+			_, far := cross(&enc, sub, sub.Backbone(), sub.AppendBackboneVector, tc.ref, tc.opts)
 			tensor.Release(far)
 		}
 		for i := 0; i < 3; i++ {

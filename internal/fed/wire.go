@@ -57,25 +57,26 @@ func (r *wireRef) release() {
 
 // pullBlend refreshes a device that keeps its sub-model: the cloud's current
 // parameters and states for the modules held holds are charged as one dense
-// cloud→device transfer and blended into held; the device's new delta-coding
-// reference is returned (nil on the exact link). The blend reads in place —
-// the cloud model's own tensors on the exact link, the new reference on the
-// compressed one, so the device blends in what the wire delivered. Worker-safe:
-// no one writes the cloud model in the parallel phase.
-func (s *Nebula) pullBlend(enc *edgenet.Encoder, held *modular.SubModel, ref *wireRef) (int64, *wireRef) {
+// cloud→device transfer and blended into held, whose backbone bb lists; the
+// device's new delta-coding reference is returned (nil on the exact link).
+// The blend reads in place — the cloud model's own tensors on the exact link,
+// the new reference on the compressed one, so the device blends in what the
+// wire delivered. Worker-safe: no one writes the cloud model in the parallel
+// phase.
+func (s *Nebula) pullBlend(enc *edgenet.Encoder, held *modular.SubModel, bb modular.Backbone, ref *wireRef) (int64, *wireRef) {
 	params, states := s.Model.Selection(held.Mapping)
 	if !s.cfg.WireCompress {
-		blendSubModels(held, inTensors(params, states), s.PullBlend)
-		return held.BackboneBytes(), nil
+		blendSubModels(held, bb.Params, inTensors(params, states), s.PullBlend)
+		return bb.Bytes(), nil
 	}
-	bytes, far := cross(enc, held, func(dst []float32) []float32 {
+	bytes, far := cross(enc, held, bb, func(dst []float32) []float32 {
 		return s.Model.AppendBackboneVector(dst, held.Mapping)
 	}, ref, edgenet.WireOpts{})
 	// The vector holds the parameters in order, then the stem's and the head's
 	// states; module states, which it does not carry, are the cloud model's.
 	vec := far.Data
 	stem, head := len(nn.LayerStates(held.Stem)), len(nn.LayerStates(held.Head))
-	blendSubModels(held, func(k, n int) []float32 {
+	blendSubModels(held, bb.Params, func(k, n int) []float32 {
 		if j := k - len(params); j >= stem && j < len(states)-head {
 			return states[j].Data
 		}
@@ -89,17 +90,18 @@ func (s *Nebula) pullBlend(enc *edgenet.Encoder, held *modular.SubModel, ref *wi
 	return bytes, newWireRef(held.Mapping, far)
 }
 
-// cross carries one backbone vector of sub's structure over the simulated
-// link in enc — delta against ref when ref has that structure — and returns
-// its exact wire size and what the far end then holds: the reconstruction, in
-// an array lent by the arena that the caller owns (Exchange writes every
-// element). flatten appends the vector to an array borrowed for as long as the
-// codec reads it. Safe from parallel workers, each with its own enc.
-func cross(enc *edgenet.Encoder, sub *modular.SubModel, flatten func([]float32) []float32, ref *wireRef, opts edgenet.WireOpts) (int64, *tensor.Tensor) {
+// cross carries one backbone vector of sub's structure (backbone bb) over the
+// simulated link in enc — delta against ref when ref has that structure — and
+// returns its exact wire size and what the far end then holds: the
+// reconstruction, in an array lent by the arena that the caller owns
+// (Exchange writes every element). flatten appends the vector to an array
+// borrowed for as long as the codec reads it. Safe from parallel workers,
+// each with its own enc.
+func cross(enc *edgenet.Encoder, sub *modular.SubModel, bb modular.Backbone, flatten func([]float32) []float32, ref *wireRef, opts edgenet.WireOpts) (int64, *tensor.Tensor) {
 	base := ref.base(sub.Mapping)
 	n := len(base) // as long as the vector; without one, count
 	if base == nil {
-		n = int(sub.BackboneBytes() / 4)
+		n = int(bb.Bytes() / 4)
 	}
 	buf := tensor.GetScratch(n)
 	defer tensor.PutScratch(buf)
@@ -119,26 +121,26 @@ func newWireRef(mapping [][]int, far *tensor.Tensor) *wireRef {
 	return r
 }
 
-// wireDownlink simulates sending sub, just extracted for a new structure,
-// from cloud to device: encode (delta against ref when the structure
-// matches), charge the exact wire size, and copy the lossy reconstruction into
-// sub — the device receives, and goes on to train, what the wire delivered,
-// not the cloud's float32 originals. Returns the byte charge and the new
-// shared reference.
-func wireDownlink(enc *edgenet.Encoder, sub *modular.SubModel, ref *wireRef, opts edgenet.WireOpts) (int64, *wireRef) {
-	bytes, far := cross(enc, sub, sub.AppendBackboneVector, ref, opts)
-	sub.LoadBackboneVector(far.Data)
+// wireDownlink simulates sending sub (backbone bb), just extracted for a new
+// structure, from cloud to device: encode (delta against ref when the
+// structure matches), charge the exact wire size, and copy the lossy
+// reconstruction into sub — the device receives, and goes on to train, what
+// the wire delivered, not the cloud's float32 originals. Returns the byte
+// charge and the new shared reference.
+func wireDownlink(enc *edgenet.Encoder, sub *modular.SubModel, bb modular.Backbone, ref *wireRef, opts edgenet.WireOpts) (int64, *wireRef) {
+	bytes, far := cross(enc, sub, bb, bb.AppendVector, ref, opts)
+	bb.LoadVector(far.Data)
 	return bytes, newWireRef(sub.Mapping, far)
 }
 
-// wireUplink simulates pushing a trained sub-model from device to cloud:
-// encode the trained backbone (delta + top-k against the downlink
+// wireUplink simulates pushing a trained sub-model (backbone bb) from device
+// to cloud: encode the trained backbone (delta + top-k against the downlink
 // reference), charge the exact wire size, and return what the cloud holds
 // afterwards — a weights-only view of the reconstruction, which is all
-// aggregation reads — and the arena array under it, which the caller releases
-// once aggregation has read the view. The device keeps its full-precision
-// local weights. Reads sub only, so this stays worker-safe.
-func wireUplink(enc *edgenet.Encoder, sub *modular.SubModel, ref *wireRef, opts edgenet.WireOpts) (int64, *modular.SubModel, *tensor.Tensor) {
-	bytes, far := cross(enc, sub, sub.AppendBackboneVector, ref, opts)
+// aggregation reads — and the arena array under it, which the caller
+// releases once aggregation has read the view. The device keeps its
+// full-precision local weights. Reads sub only, so this stays worker-safe.
+func wireUplink(enc *edgenet.Encoder, sub *modular.SubModel, bb modular.Backbone, ref *wireRef, opts edgenet.WireOpts) (int64, *modular.SubModel, *tensor.Tensor) {
+	bytes, far := cross(enc, sub, bb, bb.AppendVector, ref, opts)
 	return bytes, sub.WithBackbone(far.Data), far
 }

@@ -168,7 +168,7 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 		simFull := ref.base(active) == nil
 		var simDown int64
 		old := ref
-		simDown, ref = wireDownlink(&enc, simSub, ref, edgenet.WireOpts{})
+		simDown, ref = wireDownlink(&enc, simSub, simSub.Backbone(), ref, edgenet.WireOpts{})
 		old.release() // replaced, as commitDevice hands it back
 		sub, err := cl.FetchSubModel(imp, step.budget)
 		if err != nil {
@@ -210,7 +210,7 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 		// Uplink and aggregation.
 		weight := float64(10 + i)
 		simDelta := ref.base(simSub.Mapping) != nil
-		simUp, carrier, upBuf := wireUplink(&enc, simSub, ref, upOpts)
+		simUp, carrier, upBuf := wireUplink(&enc, simSub, simSub.Backbone(), ref, upOpts)
 		twin.AggregateModuleWise([]*modular.Update{{Sub: carrier, Importance: imp, Weight: weight}})
 		tensor.Release(upBuf) // read, as land hands it back
 		if err := cl.PushUpdate(sub, imp, weight); err != nil {

@@ -298,11 +298,38 @@ func (s *SubModel) Params() []*nn.Param {
 	return append(ps, s.Head.Params()...)
 }
 
+// Backbone is a sub-model's backbone as the lists its wire vector walks:
+// Params (stem, selected modules, head: SubModel.Params) and States (the
+// stem's and the head's). A caller that walks one sub-model several times —
+// a device round: refresh, train, push — takes it once and hands it to each
+// walk. It lists the layers the sub-model had when it was taken, so it is
+// not kept across a Park or anything else that replaces them.
+type Backbone struct {
+	Params []*nn.Param
+	States []*tensor.Tensor
+}
+
+// Backbone lists s's backbone tensors.
+func (s *SubModel) Backbone() Backbone {
+	return Backbone{Params: s.Params(), States: s.backboneStates()}
+}
+
+// Bytes returns the backbone's wire size (SubModel.BackboneBytes).
+func (b Backbone) Bytes() int64 { return nn.BytesOf(b.Params, b.States) }
+
+// AppendVector appends the backbone vector to dst
+// (SubModel.AppendBackboneVector).
+func (b Backbone) AppendVector(dst []float32) []float32 {
+	return nn.AppendVector(dst, b.Params, b.States)
+}
+
+// LoadVector restores the backbone from a backbone vector
+// (SubModel.LoadBackboneVector).
+func (b Backbone) LoadVector(v []float32) { nn.LoadVector(v, b.Params, b.States) }
+
 // BackboneBytes returns the wire size of the stem + selected modules + head
 // (parameters and states) — what a sub-model refresh transfers.
-func (s *SubModel) BackboneBytes() int64 {
-	return nn.BytesOf(s.Params(), s.backboneStates())
-}
+func (s *SubModel) BackboneBytes() int64 { return s.Backbone().Bytes() }
 
 // SelectorBytes returns the wire size of the unified selector, transferred
 // once per device (the selector is frozen during the online stage).
@@ -343,14 +370,12 @@ func (s *SubModel) BackboneVector() []float32 {
 
 // AppendBackboneVector is BackboneVector appending to dst.
 func (s *SubModel) AppendBackboneVector(dst []float32) []float32 {
-	return nn.AppendVector(dst, s.Params(), s.backboneStates())
+	return s.Backbone().AppendVector(dst)
 }
 
 // LoadBackboneVector restores a vector produced by BackboneVector on a
 // sub-model with the identical active-module architecture.
-func (s *SubModel) LoadBackboneVector(v []float32) {
-	nn.LoadVector(v, s.Params(), s.backboneStates())
-}
+func (s *SubModel) LoadBackboneVector(v []float32) { s.Backbone().LoadVector(v) }
 
 // Vector flattens the selector parameters for the wire.
 func (s *Selector) Vector() []float32 {

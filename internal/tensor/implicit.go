@@ -35,6 +35,15 @@ import "fmt"
 // implicit_test.go suite pins this for every stride/pad/kernel shape the
 // experiments use plus fuzzed shapes (TestConvGemmFuzzShapes, FuzzConvGemm).
 //
+// On amd64 each of these transforms — padImage, unpadImage, the two gathers
+// and the fold's three-tap passes — has an AVX twin (implicit_amd64.s) that
+// moves the data eight floats at a time where the geometry has rows of
+// whole four-pixel groups at stride 1 or 2. strictAVX selects the twins, as
+// it selects the GEMM kernel; the Go loops stay the portable path and the
+// oracle each twin is pinned against bit for bit (TestConvMovesMatchPortable):
+// the gathers and copies only move elements, and the fold twins add each
+// pixel's addends in the Go loop's order.
+//
 // What this buys (docs/PERF.md § Implicit GEMM): the forward column matrix
 // (batch·kdim·cols floats — the largest scratch-arena consumer) is never
 // materialized, written, or re-read; the backward weight-gradient GEMM
@@ -118,11 +127,20 @@ func padImage(src []float32, g ConvGeom, dst []float32) []float32 {
 	if pad == 0 {
 		return src[:g.Channels*h*w]
 	}
-	wp := w + 2*pad
 	dst = dst[:g.paddedLen()]
-	for i := range dst {
-		dst[i] = 0
-	}
+	padRows(src, g, dst)
+	return dst
+}
+
+// goPadRows is padRows' portable path: zero the padded image, then copy the
+// interior rows in. Zeroing only the border, as the AVX twin does, measured
+// slower in Go at the model zoo's sizes (pad 1, rows of 4 to 16 floats): a
+// one-call vectorised clear of the whole image costs less than the per-row
+// stores of two border cells.
+func goPadRows(src []float32, g ConvGeom, dst []float32) {
+	h, w, pad := g.Height, g.Width, g.Pad
+	wp := w + 2*pad
+	clear(dst)
 	o := pad*wp + pad
 	for c := 0; c < g.Channels; c++ {
 		for y := 0; y < h; y++ {
@@ -131,12 +149,12 @@ func padImage(src []float32, g ConvGeom, dst []float32) []float32 {
 		}
 		o += 2 * pad * wp
 	}
-	return dst
 }
 
-// unpadImage copies the interior of a padded image back out: the inverse of
-// padImage's row copies, dropping the border.
-func unpadImage(img []float32, g ConvGeom, dst []float32) {
+// goUnpadImage is unpadImage's portable path: it copies the interior of a
+// padded image back out, the inverse of padImage's row copies, dropping the
+// border.
+func goUnpadImage(img []float32, g ConvGeom, dst []float32) {
 	h, w, pad := g.Height, g.Width, g.Pad
 	wp := w + 2*pad
 	o := pad*wp + pad
@@ -190,25 +208,7 @@ func packBConv(img []float32, g ConvGeom, dst []float32) {
 			oy0, oy1 := j0/outW, (j0+half)/outW
 			off0 := oy0*stride*wp + (j0-oy0*outW)*stride
 			off1 := oy1*stride*wp + (j0+half-oy1*outW)*stride
-			panel := dst[j0*kdim : j0*kdim+kdim*nr]
-			ri := 0
-			for c := 0; c < g.Channels; c++ {
-				for ky := 0; ky < g.KH; ky++ {
-					row := img[c*plane+ky*wp:]
-					for kx := 0; kx < g.KW; kx++ {
-						d := (*[nr]float32)(panel[ri:])
-						d0, d1 := (*[half]float32)(d[:half]), (*[half]float32)(d[half:])
-						if stride == 1 {
-							copy4(d0, (*[half]float32)(row[off0+kx:]))
-							copy4(d1, (*[half]float32)(row[off1+kx:]))
-						} else {
-							stride4(d0, row[off0+kx:], stride)
-							stride4(d1, row[off1+kx:], stride)
-						}
-						ri += nr
-					}
-				}
-			}
+			packPanel(img, g, off0, off1, dst[j0*kdim:j0*kdim+kdim*nr])
 		}
 	}
 
@@ -265,6 +265,34 @@ func packBConv(img []float32, g ConvGeom, dst []float32) {
 	}
 }
 
+// goPackPanel is packPanel's portable path: one fixed-width panel of
+// packBConv, whose two halves are the nr/2-pixel windows at off0 and off1 of
+// each tap's channel plane.
+func goPackPanel(img []float32, g ConvGeom, off0, off1 int, panel []float32) {
+	const half = nr / 2
+	stride := g.Stride
+	wp := g.Width + 2*g.Pad
+	plane := (g.Height + 2*g.Pad) * wp
+	ri := 0
+	for c := 0; c < g.Channels; c++ {
+		for ky := 0; ky < g.KH; ky++ {
+			row := img[c*plane+ky*wp:]
+			for kx := 0; kx < g.KW; kx++ {
+				d := (*[nr]float32)(panel[ri:])
+				d0, d1 := (*[half]float32)(d[:half]), (*[half]float32)(d[half:])
+				if stride == 1 {
+					copy4(d0, (*[half]float32)(row[off0+kx:]))
+					copy4(d1, (*[half]float32)(row[off1+kx:]))
+				} else {
+					stride4(d0, row[off0+kx:], stride)
+					stride4(d1, row[off1+kx:], stride)
+				}
+				ri += nr
+			}
+		}
+	}
+}
+
 // packBConvT packs the transpose view of the virtual column matrix — op(B) =
 // colᵀ (cols × kdim), the B operand of the backward weight-gradient GEMM —
 // into nr-column panels, identical to packB(col, k, n, true, …). Panels run
@@ -274,18 +302,12 @@ func packBConv(img []float32, g ConvGeom, dst []float32) {
 // pixel-major, so each k-step is one contiguous nr-float store of the nr taps
 // of that pixel. dst must hold ceil(kdim/nr)·nr·cols elements.
 func packBConvT(img []float32, g ConvGeom, dst []float32) {
-	outH, outW := g.OutH(), g.OutW()
-	cols := outH * outW
-	kdim := g.Kdim()
-	stride := g.Stride
+	cols, kdim := g.Cols(), g.Kdim()
 	wp := g.Width + 2*g.Pad
 	plane := (g.Height + 2*g.Pad) * wp
 	ch, ky, kx := 0, 0, 0 // (channel, ky, kx) of im2col row j0+c
 	for j0 := 0; j0 < kdim; j0 += nr {
-		w8 := kdim - j0
-		if w8 > nr {
-			w8 = nr
-		}
+		w8 := min(kdim-j0, nr)
 		var off [nr]int
 		for c := 0; c < w8; c++ {
 			off[c] = ch*plane + ky*wp + kx
@@ -297,43 +319,50 @@ func packBConvT(img []float32, g ConvGeom, dst []float32) {
 				}
 			}
 		}
-		panel := dst[j0*cols : j0*cols+cols*nr]
-		i := 0
-		if w8 == nr {
-			o0, o1, o2, o3, o4, o5, o6, o7 := off[0], off[1], off[2], off[3], off[4], off[5], off[6], off[7]
-			for oy := 0; oy < outH; oy++ {
-				row := img[oy*stride*wp:]
-				for ox := 0; ox < outW; ox++ {
-					px := row[ox*stride:]
-					d := (*[nr]float32)(panel[i:])
-					d[0] = px[o0]
-					d[1] = px[o1]
-					d[2] = px[o2]
-					d[3] = px[o3]
-					d[4] = px[o4]
-					d[5] = px[o5]
-					d[6] = px[o6]
-					d[7] = px[o7]
-					i += nr
-				}
-			}
-			continue
-		}
-		// Last panel of a kdim that is not a multiple of nr: the columns past
-		// kdim are the panel layout's zero fill.
+		packTPanel(img, g, &off, w8, dst[j0*cols:j0*cols+cols*nr])
+	}
+}
+
+// goPackTPanel is packTPanel's portable path: one panel of packBConvT, the
+// w8 taps at off for every output pixel in ascending (oy, ox). The columns
+// past w8 (a last panel of a kdim that is not a multiple of nr) are the panel
+// layout's zero fill.
+func goPackTPanel(img []float32, g ConvGeom, off *[nr]int, w8 int, panel []float32) {
+	outH, outW, stride := g.OutH(), g.OutW(), g.Stride
+	wp := g.Width + 2*g.Pad
+	i := 0
+	if w8 == nr {
+		o0, o1, o2, o3, o4, o5, o6, o7 := off[0], off[1], off[2], off[3], off[4], off[5], off[6], off[7]
 		for oy := 0; oy < outH; oy++ {
 			row := img[oy*stride*wp:]
 			for ox := 0; ox < outW; ox++ {
 				px := row[ox*stride:]
 				d := (*[nr]float32)(panel[i:])
-				for c := 0; c < w8; c++ {
-					d[c] = px[off[c]]
-				}
-				for c := w8; c < nr; c++ {
-					d[c] = 0
-				}
+				d[0] = px[o0]
+				d[1] = px[o1]
+				d[2] = px[o2]
+				d[3] = px[o3]
+				d[4] = px[o4]
+				d[5] = px[o5]
+				d[6] = px[o6]
+				d[7] = px[o7]
 				i += nr
 			}
+		}
+		return
+	}
+	for oy := 0; oy < outH; oy++ {
+		row := img[oy*stride*wp:]
+		for ox := 0; ox < outW; ox++ {
+			px := row[ox*stride:]
+			d := (*[nr]float32)(panel[i:])
+			for c := 0; c < w8; c++ {
+				d[c] = px[off[c]]
+			}
+			for c := w8; c < nr; c++ {
+				d[c] = 0
+			}
+			i += nr
 		}
 	}
 }
@@ -343,39 +372,24 @@ func packBConvT(img []float32, g ConvGeom, dst []float32) {
 // pixel of channel c its tap addresses. What fixes the bits of dx is the
 // order in which one pixel takes its addends, and Col2Im's visiting order
 // gives each pixel its addends in ascending (ky, kx) — for a given pixel and
-// tap there is at most one (oy, ox). Both loops below keep that order, so
+// tap there is at most one (oy, ox). Every pass below keeps that order, so
 // every interior element, starting from the same zero, ends with the same
 // bits. Contributions of padding taps land in the border, which the caller
 // drops. img must be zeroed by the caller.
+//
+// A 3-wide kernel at stride 1 or 2 — every 3×3 conv of the model zoo — runs a
+// three-tap pass: the three taps of a kernel row address one padded row, so
+// one pass over that row adds all three and each pixel is loaded and stored
+// once per kernel row instead of once per tap. Kernel rows run in ascending
+// (c, ky) outside, so a pixel still takes its taps ky-major.
 func foldCols(dcol []float32, g ConvGeom, img []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	nc := outH * outW
 	stride := g.Stride
 	wp := g.Width + 2*g.Pad
 	plane := (g.Height + 2*g.Pad) * wp
-	if stride == 1 && g.KW == 3 && outW >= 2 {
-		// The three taps of a kernel row address the same padded row shifted
-		// by 0, 1 and 2 pixels, so one pass over that row adds all three:
-		// each pixel is loaded and stored once instead of three times, and
-		// the left-to-right sum adds kx = 0, 1, 2 in that order. Kernel rows
-		// run in ascending (c, ky) outside.
-		for ck := 0; ck < g.Channels*g.KH; ck++ {
-			c, ky := ck/g.KH, ck%g.KH
-			taps := dcol[3*ck*nc : 3*(ck+1)*nc]
-			for oy := 0; oy < outH; oy++ {
-				t := img[c*plane+(oy+ky)*wp:][:outW+2]
-				k0 := taps[oy*outW:][:outW]
-				k1 := taps[nc+oy*outW:][:outW]
-				k2 := taps[2*nc+oy*outW:][:outW]
-				t[0] += k0[0]
-				t[1] = t[1] + k0[1] + k1[0]
-				for j := 2; j < len(k0); j++ {
-					t[j] = t[j] + k0[j] + k1[j-1] + k2[j-2]
-				}
-				t[outW] = t[outW] + k1[outW-1] + k2[outW-2]
-				t[outW+1] += k2[outW-1]
-			}
-		}
+	if g.KW == 3 && (stride == 1 && outW >= 2 || stride == 2) {
+		fold3(dcol, g, img)
 		return
 	}
 	row := 0
@@ -392,6 +406,47 @@ func foldCols(dcol []float32, g ConvGeom, img []float32) {
 				}
 				row++
 			}
+		}
+	}
+}
+
+// goFold3 is fold3's portable path, foldCols' three-tap pass. At stride 1,
+// row (c, oy+ky) takes kx = 0, 1, 2 of output column j at pixels j, j+1 and
+// j+2, so pixel j adds k0[j], then k1[j−1], then k2[j−2], left to right
+// (needs outW ≥ 2). At stride 2, row (c, 2·oy+ky) takes them at pixels 2j,
+// 2j+1 and 2j+2: even pixel 2m adds k0[m], then k2[m−1]; odd pixel 2m+1
+// adds k1[m].
+func goFold3(dcol []float32, g ConvGeom, img []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	nc := outH * outW
+	wp := g.Width + 2*g.Pad
+	plane := (g.Height + 2*g.Pad) * wp
+	for ck := 0; ck < g.Channels*g.KH; ck++ {
+		c, ky := ck/g.KH, ck%g.KH
+		taps := dcol[3*ck*nc : 3*(ck+1)*nc]
+		for oy := 0; oy < outH; oy++ {
+			k0 := taps[oy*outW:][:outW]
+			k1 := taps[nc+oy*outW:][:outW]
+			k2 := taps[2*nc+oy*outW:][:outW]
+			if g.Stride == 2 {
+				t := img[c*plane+(2*oy+ky)*wp:][:2*outW+1]
+				t[0] += k0[0]
+				t[1] += k1[0]
+				for m := 1; m < len(k0); m++ {
+					t[2*m] = t[2*m] + k0[m] + k2[m-1]
+					t[2*m+1] += k1[m]
+				}
+				t[2*outW] += k2[outW-1]
+				continue
+			}
+			t := img[c*plane+(oy+ky)*wp:][:outW+2]
+			t[0] += k0[0]
+			t[1] = t[1] + k0[1] + k1[0]
+			for j := 2; j < len(k0); j++ {
+				t[j] = t[j] + k0[j] + k1[j-1] + k2[j-2]
+			}
+			t[outW] = t[outW] + k1[outW-1] + k2[outW-2]
+			t[outW+1] += k2[outW-1]
 		}
 	}
 }

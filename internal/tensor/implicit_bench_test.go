@@ -11,9 +11,12 @@ import (
 // 64-channel 16×16 trunk conv (a 64×256×576 GEMM). The rest are the
 // quick-scale image10-resnet shapes sim_cnn_sync and offline_cloud spend
 // their time in (stem, the two convs of a stage-1 module, the strided and
-// the 4×4 conv of a stage-2 module) and one width that is not a multiple of
-// 4 (9×9: the general gather loop) — the rows of docs/PERF.md's per-shape
-// table.
+// the 4×4 conv of a stage-2 module), one width that is not a multiple of 4
+// (9×9: the general gather loop) and the census of one sim_cnn_sync run —
+// stride-1 8×8 convs into and out of the narrow module widths, the 4×4 conv
+// of a stage-2 module, its strided conv and the 1×1 stride-2 bypass, which
+// together carry most of that workload's conv time. These are the rows of
+// docs/PERF.md's per-shape tables.
 
 func convBenchOperands(g ConvGeom, outC int) (w, src, out, grad, dw, dx []float32) {
 	rng := rand.New(rand.NewSource(1))
@@ -42,6 +45,11 @@ var convBenchGeoms = []struct {
 	{"c24x16_8x8_s2", ConvGeom{Channels: 24, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 16},
 	{"c16x32_9x9", ConvGeom{Channels: 16, Height: 9, Width: 9, KH: 3, KW: 3, Stride: 1, Pad: 1}, 32},
 	{"c16x32_4x4", ConvGeom{Channels: 16, Height: 4, Width: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 32},
+	{"c16x9_8x8", ConvGeom{Channels: 16, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 9},
+	{"c9x24_8x8", ConvGeom{Channels: 9, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 24},
+	{"c14x32_4x4", ConvGeom{Channels: 14, Height: 4, Width: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 32},
+	{"c24x14_8x8_s2", ConvGeom{Channels: 24, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 14},
+	{"c24x32_8x8_k1_s2", ConvGeom{Channels: 24, Height: 8, Width: 8, KH: 1, KW: 1, Stride: 2, Pad: 0}, 32},
 }
 
 func BenchmarkConvGemmImplicit(b *testing.B) {

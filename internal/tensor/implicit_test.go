@@ -169,9 +169,11 @@ func TestConvGemmFuzzShapes(t *testing.T) {
 
 // FuzzConvGemm lets the fuzzer pick the geometry, the output channel count
 // and the data seed, and holds forward, dw and dx to the im2col oracles
-// bitwise. Seeded from convExperimentCases; geometries whose kernel does not
-// fit the padded image are the entry points' to reject (TestConvGemmOperandChecks)
-// and are skipped here by the same predicate.
+// bitwise, once with the AVX kernel and data-movement twins and once with the
+// portable paths (the portable paths alone on a host without AVX). Seeded
+// from convExperimentCases; geometries whose kernel does not fit the padded
+// image are the entry points' to reject (TestConvGemmOperandChecks) and are
+// skipped here by the same predicate.
 func FuzzConvGemm(f *testing.F) {
 	for i, c := range convExperimentCases {
 		f.Add(uint8(c.inC), uint8(c.outC), uint8(c.h), uint8(c.w), uint8(c.kh), uint8(c.kw), uint8(c.stride), uint8(c.pad), int64(i))
@@ -187,7 +189,15 @@ func FuzzConvGemm(f *testing.F) {
 		if !g.fits() {
 			t.Skip("kernel does not fit the padded image")
 		}
-		convCase(t, rand.New(rand.NewSource(seed)), in(outC, 64), g)
+		modes := []bool{strictAVX}
+		if strictAVX {
+			modes = append(modes, false)
+			defer func() { strictAVX = true }()
+		}
+		for _, avx := range modes {
+			strictAVX = avx
+			convCase(t, rand.New(rand.NewSource(seed)), in(outC, 64), g)
+		}
 	})
 }
 
