@@ -71,10 +71,7 @@ func main() {
 		tc := modular.DefaultTrainConfig()
 		tc.Epochs = *epochs
 		tc.GroupSize = task.GroupSize
-		model.TrainEndToEnd(rng, proxyDS, tc)
-		ae := tc
-		ae.Epochs = (tc.Epochs + 1) / 2
-		model.AbilityEnhance(rng, proxyDS, ae)
+		model.Offline(rng, proxyDS, tc, true)
 		log.Printf("offline stage complete; %d module layers", len(model.Layers))
 		saveCheckpoint(*savePath, model)
 	}

@@ -104,16 +104,7 @@ func main() {
 			mon.Step()
 		}
 		// Importance from local data via the (downloaded) selector.
-		probeN := dev.Train.Len()
-		if probeN > 64 {
-			probeN = 64
-		}
-		idx := make([]int, probeN)
-		for i := range idx {
-			idx[i] = i
-		}
-		x, _ := dev.Train.Batch(idx)
-		imp := skeleton.Importance(x)
+		imp := skeleton.Probe(skeleton.Selector, dev.Train)
 
 		p := mon.Profile()
 		budget := skeleton.PoolBudget(poolFraction(p))

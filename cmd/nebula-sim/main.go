@@ -73,7 +73,7 @@ func main() {
 	flag.IntVar(&opt.DevicesPerRound, "per-round", opt.DevicesPerRound, "devices sampled per round")
 	flag.IntVar(&opt.LocalEpochs, "local-epochs", opt.LocalEpochs, "local epochs per round")
 	flag.IntVar(&opt.FinetuneEpochs, "finetune-epochs", opt.FinetuneEpochs, "on-device fine-tuning epochs")
-	flag.IntVar(&opt.PretrainEpochs, "pretrain-epochs", opt.PretrainEpochs, "cloud pre-training epochs")
+	flag.IntVar(&opt.PretrainEpochs, "pretrain-epochs", opt.PretrainEpochs, "cloud pre-training epochs of fig1a's static models and of Nebula in fig10-fig13, ablations, faults, straggler and compress; table1, fig7, fig8, fig9 and every baseline keep a fixed schedule (fed.PretrainEpochs) and ignore it")
 	flag.IntVar(&opt.AdaptSteps, "steps", opt.AdaptSteps, "adaptation steps for fig10/fig11")
 	flag.IntVar(&opt.RandomSubModels, "submodels", opt.RandomSubModels, "random sub-models sampled for fig12")
 	flag.BoolVar(&opt.Async, "async", false, "deadline-paced semi-async rounds for online-stage experiments (docs/ASYNC.md)")

@@ -109,3 +109,42 @@ func TestBatchesAllocBudget(t *testing.T) {
 		t.Fatalf("one pass allocates %.2f × the input bytes it hands out, budget %.1f", perByte, budget)
 	}
 }
+
+// TestInOrderCoversEverySampleOnce: InOrder hands out every sample once, in
+// dataset order, in chunks of the asked size with a short last one, through
+// one lent tensor it takes back when it returns.
+func TestInOrderCoversEverySampleOnce(t *testing.T) {
+	const n, size = 23, 5
+	d := NewDataset([]int{2}, 4)
+	for i := 0; i < n; i++ {
+		d.Add([]float32{float32(i), -float32(i)}, i%4)
+	}
+	var lent *tensor.Tensor
+	var rows []int
+	var sizes []int
+	d.InOrder(size, func(x *tensor.Tensor, y []int) {
+		if lent != nil && x != lent {
+			t.Fatal("InOrder lent a second tensor")
+		}
+		lent = x
+		sizes = append(sizes, len(y))
+		for b := range y {
+			i := len(rows)
+			if x.Data[2*b] != float32(i) || x.Data[2*b+1] != -float32(i) || y[b] != i%4 {
+				t.Fatalf("row %d of chunk %d holds sample (%v, %v) label %d, want sample %d", b, len(sizes)-1, x.Data[2*b], x.Data[2*b+1], y[b], i)
+			}
+			rows = append(rows, i)
+		}
+	})
+	if len(rows) != n || !reflect.DeepEqual(sizes, []int{5, 5, 5, 5, 3}) {
+		t.Fatalf("%d samples in chunks %v, want %d in 5, 5, 5, 5, 3", len(rows), sizes, n)
+	}
+	if lent.Data != nil {
+		t.Fatal("the lent tensor still has its array after InOrder returned")
+	}
+	calls := 0
+	NewDataset([]int{2}, 4).InOrder(size, func(*tensor.Tensor, []int) { calls++ })
+	if calls != 0 {
+		t.Fatalf("an empty dataset made %d calls", calls)
+	}
+}

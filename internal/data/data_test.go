@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -223,7 +224,7 @@ func TestFleetLabelSkew(t *testing.T) {
 			t.Fatalf("device %d volume %d out of [50,150]", d.ID, d.Train.Len())
 		}
 		for _, y := range d.Train.Y {
-			if !containsInt(d.Classes, y) {
+			if !slices.Contains(d.Classes, y) {
 				t.Fatalf("device %d holds sample of class %d outside %v", d.ID, y, d.Classes)
 			}
 		}

@@ -106,27 +106,38 @@ func (d *Dataset) Batches(rng *tensor.RNG, batchSize int, fn func(x *tensor.Tens
 	if d.Len() == 0 {
 		return
 	}
-	perm := rng.Perm(d.Len())
+	d.lend(rng.Perm(d.Len()), batchSize, fn)
+}
+
+// InOrder is Batches without the shuffle: the samples in dataset order, in
+// chunks of size (the last one short when size does not divide the length),
+// each lent as Batches lends it.
+func (d *Dataset) InOrder(size int, fn func(x *tensor.Tensor, y []int)) {
+	d.lend(d.order(), size, fn)
+}
+
+// lend calls fn on the samples at idx, size at a time, through one borrowed
+// tensor and label array.
+func (d *Dataset) lend(idx []int, size int, fn func(x *tensor.Tensor, y []int)) {
 	var x *tensor.Tensor
 	var y []int
 	defer func() { tensor.Release(x) }()
-	for start := 0; start < len(perm); start += batchSize {
-		end := start + batchSize
-		if end > len(perm) {
-			end = len(perm)
-		}
-		x, y = d.BatchInto(x, y, perm[start:end])
+	for start := 0; start < len(idx); start += size {
+		x, y = d.BatchInto(x, y, idx[start:min(start+size, len(idx))])
 		fn(x, y)
 	}
 }
 
-// All returns the whole dataset as one batch.
-func (d *Dataset) All() (*tensor.Tensor, []int) {
+// All returns the whole dataset as one batch the caller owns.
+func (d *Dataset) All() (*tensor.Tensor, []int) { return d.Batch(d.order()) }
+
+// order returns the indices 0..Len()-1.
+func (d *Dataset) order() []int {
 	idx := make([]int, d.Len())
 	for i := range idx {
 		idx[i] = i
 	}
-	return d.Batch(idx)
+	return idx
 }
 
 // ClassHistogram returns per-class sample counts.

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -47,7 +48,7 @@ func (d *DeviceData) Shift(replaceFrac float64) {
 		// Pick a class not currently held.
 		for tries := 0; tries < 50; tries++ {
 			c := d.rng.Intn(nClasses)
-			if !containsInt(d.Classes, c) {
+			if !slices.Contains(d.Classes, c) {
 				d.Classes[d.rng.Intn(len(d.Classes))] = c
 				break
 			}
@@ -85,15 +86,6 @@ func (d *DeviceData) ReplaceData(replaceFrac float64) {
 // distribution; local-task accuracy is measured on this.
 func (d *DeviceData) TestSet(n int) *Dataset {
 	return MakeDataset(d.rng, d.Gen, d.Env, d.Classes, n)
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // PartitionConfig controls fleet construction.

@@ -47,6 +47,20 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, CallTimeout: 15 * time.Second, Deadline: 30 * time.Second, Seed: 1}
 }
 
+// Backoff is the pre-jitter sleep after failed try attempt (counted from 1)
+// and before the next: BaseDelay·2^(attempt−1), capped at MaxDelay (0 = no
+// cap). The client sleeps it plus jitter; fed.FaultModel charges it as is.
+func (p RetryPolicy) Backoff(attempt int) time.Duration {
+	d := p.BaseDelay
+	for i := 1; i < attempt && d > 0; i++ {
+		d *= 2
+		if p.MaxDelay > 0 && d >= p.MaxDelay {
+			return p.MaxDelay
+		}
+	}
+	return d
+}
+
 // ErrCallDeadline is returned when RetryPolicy.Deadline expires before an
 // attempt succeeds; it wraps the last transport error for context.
 var ErrCallDeadline = errors.New("edgenet: call deadline exceeded")
@@ -365,22 +379,15 @@ func (c *EdgeClient) exchange(req *Request, out []WireChunk, to time.Duration) (
 	return &resp, pay, nil
 }
 
-// backoff sleeps base·2^(attempt−1) capped at MaxDelay, plus seeded jitter.
-// The sleep never exceeds remaining (the call's unspent deadline budget;
-// 0 = unbounded), so a tight deadline fails promptly instead of blocking a
-// full MaxDelay first. The jitter draw happens before the cap, keeping the
-// seeded jitter sequence identical whether or not a deadline is set.
+// backoff sleeps the policy's Backoff plus seeded jitter. The sleep never
+// exceeds remaining (the call's unspent deadline budget; 0 = unbounded), so
+// a tight deadline fails promptly instead of blocking a full MaxDelay first.
+// The jitter draw happens before the cap, keeping the seeded jitter sequence
+// identical whether or not a deadline is set.
 func (c *EdgeClient) backoff(attempt int, remaining time.Duration) {
-	d := c.Policy.BaseDelay
+	d := c.Policy.Backoff(attempt)
 	if d <= 0 {
 		return
-	}
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if c.Policy.MaxDelay > 0 && d >= c.Policy.MaxDelay {
-			d = c.Policy.MaxDelay
-			break
-		}
 	}
 	if c.rng == nil {
 		c.rng = rand.New(rand.NewSource(c.Policy.Seed + int64(c.DeviceID)*7919))

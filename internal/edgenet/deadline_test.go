@@ -20,6 +20,25 @@ func (brokenConn) Read(p []byte) (int, error)  { return 0, io.ErrClosedPipe }
 func (brokenConn) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 func (brokenConn) Close() error                { return nil }
 
+// TestRetryPolicyBackoff: the pre-jitter schedule doubles from BaseDelay and
+// stops at MaxDelay; without a MaxDelay it keeps doubling.
+func TestRetryPolicyBackoff(t *testing.T) {
+	ms := time.Millisecond
+	p := RetryPolicy{BaseDelay: 50 * ms, MaxDelay: 300 * ms}
+	for i, want := range []time.Duration{50 * ms, 100 * ms, 200 * ms, 300 * ms, 300 * ms} {
+		if got := p.Backoff(i + 1); got != want {
+			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, want)
+		}
+	}
+	p.MaxDelay = 0
+	if got := p.Backoff(6); got != 1600*ms {
+		t.Errorf("uncapped Backoff(6) = %v, want 1.6s", got)
+	}
+	if got := (RetryPolicy{}).Backoff(3); got != 0 {
+		t.Errorf("zero policy Backoff(3) = %v, want 0", got)
+	}
+}
+
 // TestCallDeadlineCapsBackoff is the regression test for the straggler-stall
 // retry bug: with a tight whole-call Deadline, a failing call must return
 // ErrCallDeadline promptly instead of sleeping the full exponential backoff

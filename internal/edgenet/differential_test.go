@@ -3,6 +3,7 @@ package edgenet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -141,7 +142,7 @@ func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 		// a narrower sub-model before the wide one is uploaded.
 		wide := fetch(dense, looseBudget())
 		// A budget of nothing affords each layer's forced module alone.
-		if sub := fetch(dense, modular.Budget{}); MappingEqual(sub.Mapping, wide.Mapping) {
+		if sub := fetch(dense, modular.Budget{}); slices.EqualFunc(sub.Mapping, wide.Mapping, slices.Equal[[]int]) {
 			t.Fatalf("an empty budget derived the full mapping %v", sub.Mapping)
 		}
 		push(dense, wide, 7)

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/modular"
 	"repro/internal/nn"
@@ -454,25 +455,6 @@ func fullBackboneLen(m *modular.Model) int {
 	return n
 }
 
-// MappingEqual reports whether two per-layer active-module index sets are
-// identical — the structural precondition for delta coding.
-func MappingEqual(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for l := range a {
-		if len(a[l]) != len(b[l]) {
-			return false
-		}
-		for i := range a[l] {
-			if a[l][i] != b[l][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // WireRef is one peer's delta-coding reference for a device: the bit-exact
 // reconstruction of the last v2 exchange, its version, and the sub-model
 // structure it belongs to. The server keeps one per DeviceID, replaced
@@ -491,7 +473,7 @@ type WireRef struct {
 // full payload — otherwise, including on a nil receiver (no reference yet).
 // Whether the peer still holds this version is for the caller to settle.
 func (r *WireRef) Base(mapping [][]int) []float32 {
-	if r == nil || !MappingEqual(r.Mapping, mapping) {
+	if r == nil || !slices.EqualFunc(r.Mapping, mapping, slices.Equal[[]int]) {
 		return nil
 	}
 	return r.Vec

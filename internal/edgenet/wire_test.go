@@ -826,23 +826,6 @@ func TestWireBytesMatchesStructure(t *testing.T) {
 	}
 }
 
-func TestMappingEqual(t *testing.T) {
-	a := [][]int{{0, 1}, {2}}
-	if !MappingEqual(a, [][]int{{0, 1}, {2}}) {
-		t.Fatal("equal mappings reported unequal")
-	}
-	for _, b := range [][][]int{
-		{{0, 1}},
-		{{0, 1}, {3}},
-		{{0}, {2}},
-		{{0, 1}, {2, 3}},
-	} {
-		if MappingEqual(a, b) {
-			t.Fatalf("unequal mapping %v reported equal", b)
-		}
-	}
-}
-
 // Chunks of a sparse payload must still reconstruct when a chunk keeps zero
 // coordinates (all its deltas were below the global threshold).
 func TestSparseChunkWithNoKeptCoords(t *testing.T) {

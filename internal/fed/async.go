@@ -142,10 +142,7 @@ func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 		ld.res = &r
 		a.pending = append(a.pending, ld)
 		// Marker span: this device's work overran the deadline and pends.
-		pe := s.Spans.Start(tid, rs.ID(), "fed.pend")
-		pe.SetDevice(ld.c.Dev.ID)
-		pe.SetRound(round)
-		pe.End()
+		s.mark(tid, rs.ID(), "fed.pend", ld.c.Dev.ID, round, "", 0)
 	}
 	// Arrival order is the seeded sim clock: stable-sort by completion time,
 	// with the (launch round, canonical index) insertion order breaking ties.
@@ -183,11 +180,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 		left[id] = true
 		delete(a.busy, id)
 		s.record(trace.Churn(round, id, "leave", 0))
-		ce := s.Spans.Start(tid, parent, "fed.churn")
-		ce.SetDevice(id)
-		ce.SetRound(round)
-		ce.SetNote("leave")
-		ce.End()
+		s.mark(tid, parent, "fed.churn", id, round, "leave", 0)
 	}
 	if len(left) > 0 {
 		kept := a.pending[:0]
@@ -206,11 +199,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			// worker is done and it never lands.
 			pw.res.wireRef.release()
 			tensor.Release(pw.res.upBuf)
-			ce := s.Spans.Start(tid, parent, "fed.churn")
-			ce.SetDevice(id)
-			ce.SetRound(round)
-			ce.SetNote("drop_pending")
-			ce.End()
+			s.mark(tid, parent, "fed.churn", id, round, "drop_pending", 0)
 		}
 		a.pending = kept
 	}
@@ -236,11 +225,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			down = s.adoptFresh(id, sub)
 		}
 		s.record(trace.Churn(round, id, "join", down))
-		ce := s.Spans.Start(tid, parent, "fed.churn")
-		ce.SetDevice(id)
-		ce.SetRound(round)
-		ce.SetNote("join")
-		ce.End()
+		s.mark(tid, parent, "fed.churn", id, round, "join", 0)
 	}
 	a.prev = presentIDs(clients)
 }

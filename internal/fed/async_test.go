@@ -387,7 +387,7 @@ func TestCommitDeviceStalenessDecay(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	task := HARTask(22, ScaleQuick)
 	mkResult := func(nb *Nebula, c *Client) *nebulaResult {
-		imp := nb.importanceWith(nb.Model.Selector.Clone(), c)
+		imp := nb.Model.Probe(nb.Model.Selector.Clone(), c.Dev.Train)
 		active := nb.Model.Derive(imp, nb.deviceBudget(c), false)
 		sub := nb.Model.Extract(active)
 		return &nebulaResult{sub: sub, down: 10, up: 20, t: 1.5,

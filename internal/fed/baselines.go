@@ -67,7 +67,7 @@ func (s *cloudModel) globalRound(rng *tensor.RNG, clients []*Client, prox func([
 		}
 		c := part[i]
 		m := local(streams[i], c)
-		TrainLayer(streams[i], m, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*s.cfg.collabScale(), BatchSize, prox)
+		TrainLayer(streams[i], m, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR*collabLRScale, BatchSize, prox)
 		p := c.Mon.Profile()
 		fwd, _ := nn.ForwardCost(m, s.Task.InElems())
 		ts[i] = p.TransferTime(modelBytes(m))*2 + trainTime(p, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs)

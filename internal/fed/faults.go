@@ -69,17 +69,16 @@ const (
 func (f *FaultModel) try(op int64, round, dev int) (ok bool, extra float64, tries int) {
 	p := min(f.Cfg.Drop+f.Cfg.Reset, 1) // the per-try loss probability
 	policy := edgenet.DefaultRetryPolicy()
-	attempts, backoff := policy.MaxAttempts, policy.BaseDelay.Seconds()
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < policy.MaxAttempts; a++ {
 		extra += f.Cfg.Delay.Seconds()
 		if f.Cfg.Roll(op, int64(round), int64(dev), int64(a)) >= p {
 			return true, extra, a + 1
 		}
-		if a < attempts-1 {
-			extra += float64(backoff * float64(int64(1)<<a))
+		if a < policy.MaxAttempts-1 {
+			extra += policy.Backoff(a + 1).Seconds()
 		}
 	}
-	return false, extra, attempts
+	return false, extra, policy.MaxAttempts
 }
 
 // Fetch simulates a sub-model download for device dev in the given round.

@@ -142,3 +142,34 @@ func TestNebulaCleanRunUnchangedByNilFaults(t *testing.T) {
 			accA, accB, costA, costB)
 	}
 }
+
+// TestFaultModelLostExchangeCharge: an exchange lost on every try costs each
+// try's delay plus RetryPolicy's backoff before every retry — 0.05, 0.1 and
+// 0.2 s for the default policy, bit for bit.
+func TestFaultModelLostExchangeCharge(t *testing.T) {
+	cfg := edgenet.FaultConfig{Seed: 5, Drop: 1, Delay: 30 * time.Millisecond}
+	policy := edgenet.DefaultRetryPolicy()
+	want := 0.0
+	for a := 0; a < policy.MaxAttempts; a++ {
+		want += cfg.Delay.Seconds()
+		if a < policy.MaxAttempts-1 {
+			want += policy.Backoff(a + 1).Seconds()
+		}
+	}
+	for a, s := range []float64{0.05, 0.1, 0.2} {
+		if got := policy.Backoff(a + 1).Seconds(); got != s {
+			t.Fatalf("backoff before retry %d is %v s, want %v", a+1, got, s)
+		}
+	}
+	fm := NewFaultModel(cfg)
+	for _, op := range []func(round, dev int) (bool, float64){fm.Fetch, fm.Push} {
+		ok, extra := op(3, 1)
+		if ok || extra != want {
+			t.Fatalf("lost exchange: ok=%v extra=%v s, want false and %v s", ok, extra, want)
+		}
+	}
+	st := fm.Stats()
+	if retries := int64(policy.MaxAttempts - 1); st.FetchRetries != retries || st.PushRetries != retries {
+		t.Fatalf("stats %+v, want %d retries on each side", st, retries)
+	}
+}

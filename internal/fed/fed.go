@@ -31,17 +31,12 @@ func NewClients(rng *tensor.RNG, fleet []*data.DeviceData) []*Client {
 
 // Config holds the online-stage hyperparameters (paper Section 6.1).
 type Config struct {
-	LocalEpochs    int     // local epochs per communication round (3)
-	FinetuneEpochs int     // on-device adaptation epochs (10)
-	LR             float32 // 0.001 in the paper; higher here (smaller models)
-	// CollabLRScale shrinks the local LR of global-model federated training
-	// (FedAvg, HeteroFL): averaging stays coherent only when per-round
-	// client drift is small. Personalized local training (LA, AN, Nebula
-	// sub-models) uses the full LR.
-	CollabLRScale   float32
-	DevicesPerRound int // 25
-	Rounds          int // communication rounds per adaptation step
-	TestPerDevice   int // local test samples per device
+	LocalEpochs     int     // local epochs per communication round (3)
+	FinetuneEpochs  int     // on-device adaptation epochs (10)
+	LR              float32 // 0.001 in the paper; higher here (smaller models)
+	DevicesPerRound int     // 25
+	Rounds          int     // communication rounds per adaptation step
+	TestPerDevice   int     // local test samples per device
 	// DropoutProb is the probability that a sampled device becomes
 	// unreachable during a round (straggler/failure injection); the round
 	// proceeds with the survivors.
@@ -92,21 +87,17 @@ func DefaultConfig() Config {
 		LocalEpochs:     3,
 		FinetuneEpochs:  10,
 		LR:              0.01,
-		CollabLRScale:   0.3,
 		DevicesPerRound: 25,
 		Rounds:          10,
 		TestPerDevice:   60,
 	}
 }
 
-// collabScale is the local-LR factor of global-model federated training
-// (an unset CollabLRScale means the full LR).
-func (c Config) collabScale() float32 {
-	if c.CollabLRScale > 0 {
-		return c.CollabLRScale
-	}
-	return 1
-}
+// collabLRScale shrinks the local LR of global-model federated training
+// (FedAvg, HeteroFL): averaging stays coherent only when per-round client
+// drift is small. Personalized local training (LA, AN, Nebula sub-models)
+// uses the full LR.
+const collabLRScale = 0.3
 
 // Costs accumulates a strategy's resource usage across an adaptation run. It
 // is the type a trace log folds to: for a traced strategy (Nebula) the live
@@ -172,24 +163,14 @@ func EvalLayer(m nn.Layer, ds *data.Dataset) float64 {
 		return 0
 	}
 	correct := 0
-	const chunk = 128
-	for start := 0; start < ds.Len(); start += chunk {
-		end := start + chunk
-		if end > ds.Len() {
-			end = ds.Len()
-		}
-		idx := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
-			idx = append(idx, i)
-		}
-		x, y := ds.Batch(idx)
+	ds.InOrder(128, func(x *tensor.Tensor, y []int) {
 		logits := m.Forward(x, false)
 		for b := range y {
 			if logits.ArgMaxRow(b) == y[b] {
 				correct++
 			}
 		}
-	}
+	})
 	return float64(correct) / float64(ds.Len())
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -152,7 +153,7 @@ func TestPullBlendReadsInPlace(t *testing.T) {
 				if !reflect.DeepEqual(subModelBits(got), subModelBits(want)) {
 					t.Fatalf("%s: training after the pull diverges from the copying path", when)
 				}
-				if compress && (!edgenet.MappingEqual(gotRef.Mapping, active) || !sameBits(gotRef.Vec, wantRef.Vec)) {
+				if compress && (!slices.EqualFunc(gotRef.Mapping, active, slices.Equal[[]int]) || !sameBits(gotRef.Vec, wantRef.Vec)) {
 					t.Fatalf("%s: the reference is not the copying path's reconstruction after blend and training", when)
 				}
 			}
@@ -195,13 +196,41 @@ func TestWireRefMappingIsPrivate(t *testing.T) {
 }
 
 // deviceRoundAllocBudget is TestDeviceRoundAllocBudget's bound, in bytes
-// allocated per backbone byte: 0.04–0.07 measured, 0.19 the worst of 70 runs;
-// 0.12–0.24 while every round cloned the workers' selectors and walked the
-// module costs three times a device, 2.7 while each crossing allocated its
-// reconstruction and its encoder, 6.8 while the link and the blend still
-// copied what they read. A vector-sized array allocated per round, a quarter
-// on its own, crosses it.
+// allocated per backbone byte: 0.03–0.08 over 100 runs from a warm arena
+// (0.19 the worst of 100 before warmArena); 0.12–0.24 while every round
+// cloned the workers' selectors and walked the module costs three times a
+// device, 2.7 while each crossing allocated its reconstruction and its
+// encoder, 6.8 while the link and the blend still copied what they read. A
+// vector-sized array allocated per round, a quarter on its own, crosses it.
 const deviceRoundAllocBudget = 0.25
+
+// warmArena puts into the arenas arrays of n floats — the flatten scratch and
+// the reconstructions of a device round — enough that a borrow on any P finds
+// one. An arena is a sync.Pool, which keeps one array per P where no other P
+// can take it: a round that borrows on a P whose slot is empty while the
+// array it released sits in another P's slot allocates a whole size class,
+// up to twice the backbone. Without this, the round's goroutine moving to a
+// new P inside the measured window read 0.11–0.19 instead of 0.03–0.07 in 16
+// of 100 runs.
+func warmArena(n int) {
+	procs := runtime.GOMAXPROCS(0)
+	scratch := make([]*tensor.Scratch, procs)
+	for i := range scratch {
+		scratch[i] = tensor.GetScratch(n)
+	}
+	// A round holds a reconstruction or two across its end (the device's
+	// reference, the uplink's until aggregation) besides those in the slots.
+	lent := make([]*tensor.Tensor, 2*procs)
+	for i := range lent {
+		lent[i] = tensor.Borrow(n)
+	}
+	for _, s := range scratch {
+		tensor.PutScratch(s)
+	}
+	for _, t := range lent {
+		tensor.Release(t)
+	}
+}
 
 // TestDeviceRoundAllocBudget bounds what one steady-state round of a device
 // that keeps its sub-model allocates on the compressed link, top-k push
@@ -235,6 +264,7 @@ func TestDeviceRoundAllocBudget(t *testing.T) {
 	// of the flatten buffer — up to twice the backbone, whenever the collector
 	// happens to run. Steady state is the warm arena.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	warmArena(int(held.BackboneBytes() / 4))
 	const n = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

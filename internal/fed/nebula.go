@@ -132,12 +132,7 @@ func (s *Nebula) Name() string { return "Nebula" }
 // builder), end-to-end train with load balancing, then ability-enhance.
 func (s *Nebula) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.Model = s.Task.BuildModular(rng)
-	s.Model.TrainEndToEnd(rng, proxy, s.TrainCfg)
-	if s.AbilityEnhancing {
-		ae := s.TrainCfg
-		ae.Epochs = (ae.Epochs + 1) / 2
-		s.Model.AbilityEnhance(rng, proxy, ae)
-	}
+	s.Model.Offline(rng, proxy, s.TrainCfg, s.AbilityEnhancing)
 }
 
 // deviceBudget turns a resource profile into the Eq. 2 budget vector: the
@@ -170,32 +165,13 @@ func (s *Nebula) capabilityFraction(effectiveFLOPS float64) float64 {
 	return frac
 }
 
-// importanceWith computes a device's module importance from (a sample of)
-// its local data using only the lightweight selector. Callers pass their own
-// selector copy (Selector.Clone; the round loop keeps one per worker) because
-// Forward mutates activation caches and importance probes run concurrently
-// across devices.
-func (s *Nebula) importanceWith(sel *modular.Selector, c *Client) [][]float64 {
-	ds := c.Dev.Train
-	n := ds.Len()
-	if n > 64 {
-		n = 64
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	x, _ := ds.BatchInto(nil, nil, idx)
-	defer tensor.Release(x)
-	return s.Model.ImportanceWith(sel, x)
-}
-
 // deriveFresh builds the sub-model of a device the cloud has not served yet:
 // probe importance on its local data, solve Eq. 2 under its current budget,
 // extract. It only reads the cloud model, so workers may call it; sel is the
-// caller's own selector copy (see importanceWith).
+// caller's own selector copy (Selector.Clone; the round loop keeps one per
+// worker), because the probe's Selector.Forward writes activation caches.
 func (s *Nebula) deriveFresh(sel *modular.Selector, c *Client) *modular.SubModel {
-	imp := s.importanceWith(sel, c)
+	imp := s.Model.Probe(sel, c.Dev.Train)
 	return s.Model.Extract(s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive))
 }
 
@@ -218,6 +194,18 @@ func (s *Nebula) record(e trace.Event) {
 	s.Trace.Emit(e)
 	s.costs.Apply(e)
 	s.metrics().apply(e)
+}
+
+// mark records a marker span of kind under parent for device id in round:
+// a churn event, a pending straggler, a late landing. A zero note or attempt
+// (a landing's staleness) leaves that field unset.
+func (s *Nebula) mark(t span.TraceID, parent span.SpanID, kind string, id, round int, note string, attempt int) {
+	m := s.Spans.Start(t, parent, kind)
+	m.SetDevice(id)
+	m.SetRound(round)
+	m.SetNote(note)
+	m.SetAttempt(attempt)
+	m.End()
 }
 
 // adoptFresh makes a deriveFresh sub-model the device's own and returns the
@@ -373,7 +361,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		var bytes int64
 		fspan := s.Spans.Start(p.trace, dspan.ID(), "fed.fetch")
 		fspan.SetDevice(id)
-		imp := s.importanceWith(wk.sel, c)
+		imp := s.Model.Probe(wk.sel, c.Dev.Train)
 		if p.fetchOK[i] {
 			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
 			if p.held[i] != nil && overlapRatio(p.held[i].Mapping, active) >= s.RederiveOverlap {
@@ -553,11 +541,7 @@ func (s *Nebula) land(round int, p *roundPrep, landings []landing, slot float64)
 		stale := round - ld.launch
 		if stale > 0 {
 			// Marker span: a carried straggler update lands this round.
-			le := s.Spans.Start(p.trace, p.root, "fed.land")
-			le.SetDevice(ld.c.Dev.ID)
-			le.SetRound(round)
-			le.SetAttempt(stale)
-			le.End()
+			s.mark(p.trace, p.root, "fed.land", ld.c.Dev.ID, round, "", stale)
 		}
 		if u := s.commitDevice(round, ld.c, ld.res, stale); u != nil {
 			updates = append(updates, u)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"testing"
 
 	"repro/internal/edgenet"
@@ -184,11 +185,11 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 		if simFull != step.wantFull || down.Header.Delta == simFull {
 			t.Fatalf("%s: downlink full: script %v, simulator %v, transport %v", when, step.wantFull, simFull, !down.Header.Delta)
 		}
-		if i == len(steps)-1 && (edgenet.MappingEqual(active, prev) || len(ref.Vec) != prevLen) {
+		if i == len(steps)-1 && (slices.EqualFunc(active, prev, slices.Equal[[]int]) || len(ref.Vec) != prevLen) {
 			t.Fatalf("%s: script wants a moved structure of unchanged length, has %v after %v, %d elements after %d", when, active, prev, len(ref.Vec), prevLen)
 		}
 		prev, prevLen = active, len(ref.Vec)
-		if !edgenet.MappingEqual(sub.Mapping, active) {
+		if !slices.EqualFunc(sub.Mapping, active, slices.Equal[[]int]) {
 			t.Fatalf("%s: transport derived %v, simulator %v", when, sub.Mapping, active)
 		}
 		if !sameBits(sub.BackboneVector(), ref.Vec) || !sameBits(simSub.BackboneVector(), ref.Vec) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,47 @@ func TestFixtures(t *testing.T) {
 	for file := range byFile {
 		if _, ok := want[file]; !ok {
 			t.Errorf("unexpected diagnostics in %s: %v", file, byFile[file])
+		}
+	}
+}
+
+// TestEveryCheckTripsAFixture: one unscoped run over the whole fixture tree
+// (the flat files and the cross-package mini-modules under xmod/) reports a
+// finding of every check -list names, the loaderror and nolint pseudo-checks
+// included, so no registered check can go dead without a test failing. serve
+// and globalRound reach the device pool only through a parameter, so
+// rngescape matches them by name; their fixtures must trip too.
+func TestEveryCheckTripsAFixture(t *testing.T) {
+	pkgs, err := Load([]string{"testdata/..."})
+	if err != nil {
+		t.Fatalf("Load(testdata/...): %v", err)
+	}
+	diags := (&Runner{Analyzers: All(), Unscoped: true}).Run(pkgs)
+	seen := map[string]bool{}
+	var escapes []string
+	for _, d := range diags {
+		seen[d.Check] = true
+		if d.Check == "rngescape" {
+			escapes = append(escapes, d.Message)
+		}
+	}
+	var names []string
+	for _, a := range All() {
+		names = append(names, a.Name())
+	}
+	for _, p := range PseudoChecks() {
+		names = append(names, p.Name)
+	}
+	for _, name := range names {
+		if !seen[name] {
+			t.Errorf("no fixture trips check %q: every registered check needs a tripping fixture", name)
+		}
+	}
+	for _, executor := range []string{"serve", "globalRound"} {
+		if !slices.ContainsFunc(escapes, func(m string) bool {
+			return strings.Contains(m, "escapes into a "+executor+" worker body")
+		}) {
+			t.Errorf("rngescape did not trip on its %s fixture: %q", executor, escapes)
 		}
 	}
 }

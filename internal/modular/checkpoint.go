@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/nn"
 )
@@ -37,7 +38,7 @@ type checkpointBody struct {
 // reject mismatched skeletons loudly.
 func SaveCheckpoint(w io.Writer, m *Model) error {
 	backbone := nn.FlattenVector(m.BackboneParams(), nil)
-	states := flattenStates(m)
+	states := nn.FlattenVector(nil, m.States())
 	sel := m.Selector.Vector()
 	hdr := checkpointHeader{
 		Magic:      checkpointMagic,
@@ -69,7 +70,7 @@ func LoadCheckpoint(r io.Reader, m *Model) error {
 	if hdr.Magic != checkpointMagic {
 		return fmt.Errorf("modular: not a nebula checkpoint")
 	}
-	if !intsEqual(hdr.LayerSizes, m.LayerSizes()) || !intsEqual(hdr.InShape, m.InShape) {
+	if !slices.Equal(hdr.LayerSizes, m.LayerSizes()) || !slices.Equal(hdr.InShape, m.InShape) {
 		return fmt.Errorf("modular: checkpoint architecture %v/%v does not match skeleton %v/%v",
 			hdr.LayerSizes, hdr.InShape, m.LayerSizes(), m.InShape)
 	}
@@ -80,74 +81,13 @@ func LoadCheckpoint(r io.Reader, m *Model) error {
 	if len(body.Backbone) != hdr.ParamCount || len(body.Selector) != hdr.SelCount {
 		return fmt.Errorf("modular: checkpoint body sizes disagree with header")
 	}
-	bp := m.BackboneParams()
-	if nn.VectorLen(bp, nil) != len(body.Backbone) {
-		return fmt.Errorf("modular: backbone size mismatch: checkpoint %d, skeleton %d",
-			len(body.Backbone), nn.VectorLen(bp, nil))
+	bp, st := m.BackboneParams(), m.States()
+	if nn.VectorLen(bp, nil) != len(body.Backbone) || nn.VectorLen(nil, st) != len(body.States) {
+		return fmt.Errorf("modular: checkpoint holds %d weights and %d state values, skeleton %d and %d",
+			len(body.Backbone), len(body.States), nn.VectorLen(bp, nil), nn.VectorLen(nil, st))
 	}
 	nn.LoadVector(body.Backbone, bp, nil)
-	if err := loadStates(m, body.States); err != nil {
-		return err
-	}
+	nn.LoadVector(body.States, nil, st)
 	m.Selector.LoadVector(body.Selector)
 	return nil
-}
-
-// flattenStates concatenates every running-state tensor.
-func flattenStates(m *Model) []float32 {
-	var out []float32
-	walkStates(m, func(data []float32) { out = append(out, data...) })
-	return out
-}
-
-// loadStates restores the concatenated state vector.
-func loadStates(m *Model, vec []float32) error {
-	off := 0
-	var err error
-	walkStates(m, func(data []float32) {
-		if err != nil {
-			return
-		}
-		if off+len(data) > len(vec) {
-			err = fmt.Errorf("modular: checkpoint state vector too short")
-			return
-		}
-		copy(data, vec[off:off+len(data)])
-		off += len(data)
-	})
-	if err != nil {
-		return err
-	}
-	if off != len(vec) {
-		return fmt.Errorf("modular: checkpoint state vector has %d leftover values", len(vec)-off)
-	}
-	return nil
-}
-
-// walkStates visits every state tensor's backing slice in fixed order.
-func walkStates(m *Model, fn func([]float32)) {
-	visit := func(l nn.Layer) {
-		for _, st := range nn.LayerStates(l) {
-			fn(st.Data)
-		}
-	}
-	visit(m.Stem)
-	for _, layer := range m.Layers {
-		for _, mod := range layer.Modules {
-			visit(mod)
-		}
-	}
-	visit(m.Head)
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,9 @@ package modular
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"fmt"
 	"math"
 	"testing"
 
@@ -204,5 +207,48 @@ func TestRoutingLoadCVDropsWithBalancedTraining(t *testing.T) {
 	}
 	if active < 2 {
 		t.Fatalf("only %d modules ever used", active)
+	}
+}
+
+// TestCheckpointBytesGolden pins a fixed-seed checkpoint's bytes: the gob
+// header and body, their fields and their order are the file format, so a
+// change to how the tensors are gathered must not move a byte. The running
+// statistics are set, not trained, so the bytes do not depend on the kernels.
+func TestCheckpointBytesGolden(t *testing.T) {
+	m := NewModularCNN(tensor.NewRNG(7), 1, 8, 4, []ConvStage{{OutC: 6, Stride: 2}}, 3, smallCfg())
+	for k, s := range m.States() {
+		for i := range s.Data {
+			s.Data[i] = float32(k) + float32(i%5)*0.25
+		}
+	}
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	const want = "a6ab40b3d833eebd999f048f15017ec526139b8d183e1d0055a5e0260feb034e"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("checkpoint SHA-256 %s (%d bytes), want %s", got, buf.Len(), want)
+	}
+}
+
+// TestCheckpointRejectsShortStates: a body whose state vector does not fit the
+// skeleton is an error, not a panic or a partial load.
+func TestCheckpointRejectsShortStates(t *testing.T) {
+	m := NewModularCNN(tensor.NewRNG(8), 1, 8, 4, []ConvStage{{OutC: 6, Stride: 2}}, 3, smallCfg())
+	backbone := nn.FlattenVector(m.BackboneParams(), nil)
+	states := nn.FlattenVector(nil, m.States())
+	sel := m.Selector.Vector()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	hdr := checkpointHeader{Magic: checkpointMagic, LayerSizes: m.LayerSizes(), TopK: m.TopK, InShape: m.InShape,
+		ParamCount: len(backbone), StateCount: len(states) - 1, SelCount: len(sel)}
+	if err := enc.Encode(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(checkpointBody{Backbone: backbone, States: states[1:], Selector: sel}); err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadCheckpoint(&buf, m); err == nil {
+		t.Fatal("a checkpoint one state value short loaded")
 	}
 }

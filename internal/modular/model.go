@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/data"
 	"repro/internal/device"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -75,6 +76,18 @@ func (m *Model) BackboneParams() []*nn.Param {
 	return append(ps, m.Head.Params()...)
 }
 
+// States returns every running-state tensor — the stem's, each module's in
+// layer order, the head's — in the order a checkpoint stores them.
+func (m *Model) States() []*tensor.Tensor {
+	st := nn.LayerStates(m.Stem)
+	for _, l := range m.Layers {
+		for _, mod := range l.Modules {
+			st = append(st, nn.LayerStates(mod)...)
+		}
+	}
+	return append(st, nn.LayerStates(m.Head)...)
+}
+
 // Forward runs the full modularized model. active optionally restricts each
 // layer's usable modules (nil = all; sub-models pass their selection).
 func (m *Model) Forward(x *tensor.Tensor, active [][]int, train bool) *tensor.Tensor {
@@ -142,6 +155,21 @@ func (m *Model) ImportanceWith(sel *Selector, x *tensor.Tensor) [][]float64 {
 		out[l] = imp
 	}
 	return out
+}
+
+// probeSamples caps the local samples an importance probe reads.
+const probeSamples = 64
+
+// Probe is ImportanceWith over the first (at most 64) samples of a device's
+// local data: the probe a device runs before each sub-model fetch.
+func (m *Model) Probe(sel *Selector, local *data.Dataset) [][]float64 {
+	idx := make([]int, min(local.Len(), probeSamples))
+	for i := range idx {
+		idx[i] = i
+	}
+	x, _ := local.BatchInto(nil, nil, idx)
+	defer tensor.Release(x)
+	return m.ImportanceWith(sel, x)
 }
 
 // ModuleCosts returns per-layer, per-module static resource costs. The input

@@ -70,6 +70,17 @@ func (m *Model) TrainEndToEnd(rng *tensor.RNG, ds *data.Dataset, cfg TrainConfig
 	return losses
 }
 
+// Offline runs the offline on-cloud stage on proxy: end-to-end training for
+// cfg.Epochs, then, when enhance is set, ability-enhancing for
+// ⌈cfg.Epochs/2⌉ epochs.
+func (m *Model) Offline(rng *tensor.RNG, proxy *data.Dataset, cfg TrainConfig, enhance bool) {
+	m.TrainEndToEnd(rng, proxy, cfg)
+	if enhance {
+		cfg.Epochs = (cfg.Epochs + 1) / 2
+		m.AbilityEnhance(rng, proxy, cfg)
+	}
+}
+
 // SubTaskMatrix builds the sub-task mapping matrix H per layer: h[t][n] is
 // the mean selector probability of module n over sub-task t's samples (its
 // "load"). Sub-tasks are contiguous class groups of cfg.GroupSize.
@@ -84,17 +95,7 @@ func (m *Model) SubTaskMatrix(ds *data.Dataset, groupSize int) [][][]float64 {
 		}
 	}
 	// One selector pass over the dataset, grouped by sub-task.
-	const chunk = 64
-	for start := 0; start < ds.Len(); start += chunk {
-		end := start + chunk
-		if end > ds.Len() {
-			end = ds.Len()
-		}
-		idx := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
-			idx = append(idx, i)
-		}
-		x, y := ds.Batch(idx)
+	ds.InOrder(64, func(x *tensor.Tensor, y []int) {
 		probs := m.Selector.Forward(x, false)
 		for b, label := range y {
 			ti := data.SubTaskOf(label, groupSize)
@@ -105,7 +106,7 @@ func (m *Model) SubTaskMatrix(ds *data.Dataset, groupSize int) [][][]float64 {
 				}
 			}
 		}
-	}
+	})
 	for ti, c := range counts {
 		if c == 0 {
 			continue
