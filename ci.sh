@@ -40,30 +40,32 @@ fail() { echo "ci: $*" >&2; exit 1; }
 same() { cmp "$1" "$2" || fail "$3"; }
 
 # workers_gate <what the outputs are> <what the traces are> <gate> <gate
-# failure> <audit flags> <nebula-sim args...>: run nebula-sim at -workers 1
-# under GOMAXPROCS=1 and at -workers 4 under GOMAXPROCS=4 and require
-# byte-identical stdout: neither the device fan-out nor the core count may
-# move a bit. Optional, "" to skip: a trace per run, byte-identical too and
-# readable by nebula-trace; a `<gate>: PASS` verdict line in the output; a
-# -seed-audit pass (same seed twice, byte-identical) with the audit flags
-# appended to the args.
+# failure> <audit flags> <extra runs> <nebula-sim args...>: run nebula-sim at
+# -workers 1 under GOMAXPROCS=1, at -workers 4 under GOMAXPROCS=4 and at each
+# extra workers/GOMAXPROCS pair, and require byte-identical stdout: neither
+# the device fan-out nor the core count may move a bit. Optional, "" to skip:
+# a trace per run, byte-identical too and readable by nebula-trace; a
+# `<gate>: PASS` verdict line in the output; a -seed-audit pass (same seed
+# twice, byte-identical) with the audit flags appended to the args.
 workers_gate() {
-    outs=$1 traces=$2 gate=$3 gatefail=$4 audit=$5
-    shift 5
+    outs=$1 traces=$2 gate=$3 gatefail=$4 audit=$5 extra=$6
+    shift 6
     tmp=$(mktemp -d)
-    for w in 1 4; do
-        GOMAXPROCS=$w go run ./cmd/nebula-sim "$@" -workers "$w" \
-            ${traces:+-trace "$tmp/w$w.jsonl"} >"$tmp/w$w.out" 2>/dev/null
+    for run in 1/1 4/4 $extra; do
+        r="w${run%/*}p${run#*/}"
+        GOMAXPROCS=${run#*/} go run ./cmd/nebula-sim "$@" -workers "${run%/*}" \
+            ${traces:+-trace "$tmp/$r.jsonl"} >"$tmp/$r.out" 2>/dev/null
     done
-    if [ -n "$gate" ] && ! grep -q "$gate: PASS" "$tmp/w1.out"; then
-        grep "$gate:" "$tmp/w1.out" >&2 || true
+    if [ -n "$gate" ] && ! grep -q "$gate: PASS" "$tmp/w1p1.out"; then
+        grep "$gate:" "$tmp/w1p1.out" >&2 || true
         fail "$gatefail"
     fi
-    same "$tmp/w1.out" "$tmp/w4.out" "$outs differs between -workers 1 and -workers 4"
-    if [ -n "$traces" ]; then
-        same "$tmp/w1.jsonl" "$tmp/w4.jsonl" "$traces differs between -workers 1 and -workers 4"
-        go run ./cmd/nebula-trace "$tmp/w1.jsonl" >/dev/null
-    fi
+    for run in 4/4 $extra; do
+        r="w${run%/*}p${run#*/}" at="-workers ${run%/*} at GOMAXPROCS=${run#*/}"
+        same "$tmp/w1p1.out" "$tmp/$r.out" "$outs differs between -workers 1 and $at"
+        [ -z "$traces" ] || same "$tmp/w1p1.jsonl" "$tmp/$r.jsonl" "$traces differs between -workers 1 and $at"
+    done
+    [ -z "$traces" ] || go run ./cmd/nebula-trace "$tmp/w1p1.jsonl" >/dev/null
     # shellcheck disable=SC2086 # audit is a list of flags
     [ -z "$audit" ] || go run ./cmd/nebula-sim "$@" $audit >/dev/null
     rm -rf "$tmp"
@@ -89,10 +91,12 @@ rm -rf "$linttmp"
 echo "== make race"
 make race
 
-echo "== workers differential gate (artifacts identical for -workers 1 vs 4)"
+echo "== workers differential gate (artifacts identical for -workers 1 vs 4, and for -workers 4 at GOMAXPROCS=1)"
 # -admin-addr stays on: artifacts must be identical with the telemetry
-# plane live (the registry is write-only; docs/OBSERVABILITY.md).
-workers_gate "experiment output" "trace JSONL" "" "" "" \
+# plane live (the registry is write-only; docs/OBSERVABILITY.md). The third
+# run asks tensor's pool, which has GOMAXPROCS goroutines, for more workers
+# than it has, on any host.
+workers_gate "experiment output" "trace JSONL" "" "" "" 4/1 \
     -exp faults -devices 6 -proxy 8 -steps 2 \
     -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5 \
     -admin-addr 127.0.0.1:0
@@ -100,7 +104,7 @@ workers_gate "experiment output" "trace JSONL" "" "" "" \
 echo "== conv gate (fig7 on the CNN tasks: output identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4)"
 # Every other gate here runs the HAR MLP; this one trains convolutions, whose
 # weight-gradient reduction is the one cross-sample sum in the kernels.
-workers_gate "fig7 output" "" "" "" "" \
+workers_gate "fig7 output" "" "" "" "" "" \
     -exp fig7 -devices 6 -proxy 6 -rounds 2 -per-round 3 \
     -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
 
@@ -108,7 +112,7 @@ echo "== AdaptiveNet gate (table1: output identical for -workers 1 vs 4 and GOMA
 # table1 is the only experiment that runs the AdaptiveNet baseline: its
 # branches are views over one multi-branch model, trained, evaluated and
 # timed through nn.Sequential on a held or fresh per-device copy.
-workers_gate "table1 output" "" "" "" "" \
+workers_gate "table1 output" "" "" "" "" "" \
     -exp table1 -devices 6 -proxy 6 -rounds 2 -per-round 3 \
     -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
 
@@ -116,7 +120,7 @@ echo "== local-adaptation gate (fig10: NA, LA and Nebula w/o cloud on all four t
 # fig10 is the one experiment that runs NA, LA and Nebula's w/o-cloud step
 # and their evaluation on all four tasks: the per-device models that are
 # either held or built on a worker (fed's serve).
-workers_gate "fig10 output" "fig10 trace JSONL" "" "" "" \
+workers_gate "fig10 output" "fig10 trace JSONL" "" "" "" "" \
     -exp fig10 -devices 6 -proxy 6 -rounds 2 -per-round 3 -steps 2 \
     -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
 
@@ -128,7 +132,7 @@ echo "== semi-async gate (straggler experiment: latency win at equal accuracy; a
 # audit is async determinism end to end, at two steps.
 workers_gate "straggler experiment output" "semi-async trace JSONL" straggler-gate \
     "semi-async rounds did not beat bulk-sync latency at equal accuracy" \
-    "-steps 2 -seed-audit" \
+    "-steps 2 -seed-audit" "" \
     -exp straggler -devices 6 -proxy 8 -steps 3 \
     -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5
 
@@ -139,7 +143,7 @@ echo "== wire-compression gate (compress experiment: >=2x traffic cut at bounded
 # and the Costs ledger exactly equal to trace.Summarize in both runs.
 workers_gate "compress experiment output" "" compress-gate \
     "wire-format v2 did not cut traffic >=2x at bounded accuracy delta with exact counters" \
-    -seed-audit \
+    -seed-audit "" \
     -exp compress -devices 8 -proxy 8 -rounds 3 \
     -per-round 6 -pretrain-epochs 1 -local-epochs 1 -seed 5
 

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"time"
 
@@ -106,9 +105,8 @@ func main() {
 		// Importance from local data via the (downloaded) selector.
 		imp := skeleton.Probe(skeleton.Selector, dev.Train)
 
-		p := mon.Profile()
-		budget := skeleton.PoolBudget(poolFraction(p))
-		sub, err := cl.FetchSubModel(imp, budget)
+		frac := fed.PoolFraction(mon.Profile().ComputeFLOPS, fed.DefaultMinFraction, fed.DefaultMaxFraction)
+		sub, err := cl.FetchSubModel(imp, skeleton.PoolBudget(frac))
 		if err != nil {
 			// Dynamic-edge survival: a lost fetch degrades to the cached
 			// sub-model instead of killing the device loop.
@@ -133,10 +131,4 @@ func main() {
 	if rs := cl.RetryStats(); rs.Retries+rs.Reconnects+rs.Timeouts > 0 {
 		log.Printf("resilience: %d retries, %d reconnects, %d call timeouts", rs.Retries, rs.Reconnects, rs.Timeouts)
 	}
-}
-
-// poolFraction is this binary's budget policy: the share of the module pool
-// a device may hold grows with its effective compute, between 0.2 and 0.8.
-func poolFraction(p device.Profile) float64 {
-	return math.Min(math.Max(0.4*p.ComputeFLOPS/device.JetsonNano().ComputeFLOPS, 0.2), 0.8)
 }

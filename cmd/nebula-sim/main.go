@@ -201,8 +201,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "done in %s\n", start.Elapsed().Round(time.Millisecond))
 	}
 	if admin != nil {
-		// All experiment work is finished: counters are final, pool gauges
-		// are back to zero, and /metrics is byte-stable scrape to scrape.
+		// All experiment work is finished: every counter and gauge is
+		// final, and /metrics is byte-stable scrape to scrape.
 		admin.SetState("quiescent")
 		if *adminLinger > 0 {
 			time.Sleep(*adminLinger)

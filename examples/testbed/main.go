@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 	"sync"
 
 	"repro/internal/data"
@@ -35,8 +34,7 @@ func main() {
 	tc := modular.DefaultTrainConfig()
 	tc.Epochs = 2
 	tc.GroupSize = task.GroupSize
-	cloudModel.TrainEndToEnd(rng, proxy, tc)
-	cloudModel.AbilityEnhance(rng, proxy, tc)
+	cloudModel.Offline(rng, proxy, tc, true)
 
 	const devices = 4
 	srv := edgenet.NewServer(cloudModel, devices)
@@ -73,9 +71,9 @@ func main() {
 			mon := device.NewMonitor(drng, classByIdx[id%len(classByIdx)])
 
 			// Importance from local data through the downloaded selector.
-			x, _ := dev.Train.Batch(indices(min(dev.Train.Len(), 48)))
-			imp := skeleton.Importance(x)
-			sub, err := cl.FetchSubModel(imp, skeleton.PoolBudget(poolFraction(mon.Profile())))
+			imp := skeleton.Probe(skeleton.Selector, dev.Train)
+			frac := fed.PoolFraction(mon.Profile().ComputeFLOPS, fed.DefaultMinFraction, fed.DefaultMaxFraction)
+			sub, err := cl.FetchSubModel(imp, skeleton.PoolBudget(frac))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -99,18 +97,4 @@ func main() {
 	st := srv.StatsSnapshot()
 	fmt.Printf("\ncloud stats: %d sub-models served, %d updates, %d module-wise aggregations\n",
 		st.SubModelsServed, st.UpdatesReceived, st.Aggregations)
-}
-
-func indices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-// poolFraction scales the share of the module pool a device may hold with
-// its effective compute, between 0.15 and 0.7.
-func poolFraction(p device.Profile) float64 {
-	return math.Min(math.Max(0.3*p.ComputeFLOPS/device.JetsonNano().ComputeFLOPS, 0.15), 0.7)
 }

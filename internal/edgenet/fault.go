@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // FaultConfig describes a lossy edge-cloud link. One seed replays the same
@@ -141,19 +143,11 @@ func parseBytesPerSec(s string) (int64, error) {
 // -seed-audit checks). fed.FaultModel keys rolls by (op, round, device,
 // attempt).
 func (c FaultConfig) Roll(key ...int64) float64 {
-	h := splitmix64(uint64(c.Seed) ^ 0x6e6562756c61) // "nebula"
+	h := obs.SplitMix64(uint64(c.Seed) ^ 0x6e6562756c61) // "nebula"
 	for _, k := range key {
-		h = splitmix64(h ^ uint64(k))
+		h = obs.SplitMix64(h ^ uint64(k))
 	}
 	return float64(h>>11) / (1 << 53)
-}
-
-// splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // FaultEvents counts what an injector actually did.

@@ -61,7 +61,7 @@ func (s *cloudModel) globalRound(rng *tensor.RNG, clients []*Client, prox func([
 	streams := splitStreams(rng, nil, n)
 	trained = make([]nn.Layer, n)
 	ts := make([]float64, n)
-	forEachDevice(s.cfg.Workers, n, func(i int) {
+	tensor.ParallelForWorkers(s.cfg.Workers, n, func(_, i int) {
 		if drop[i] {
 			return
 		}

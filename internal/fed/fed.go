@@ -185,17 +185,19 @@ func trainTime(p device.Profile, fwdFlopsPerSample, samples, epochs int) float64
 }
 
 // meanLocalAccuracyLayer evaluates one shared model on every client's local
-// test distribution. Devices evaluate concurrently; each worker gets its own
-// clone of the model (Forward mutates activation caches), and the accuracy
-// mean is reduced in canonical device order so the float64 result is
-// identical for any worker count.
+// test distribution. Devices evaluate concurrently; each worker clones the
+// model the first time it is used (Forward mutates activation caches), and
+// the accuracy mean is reduced in canonical device order so the float64
+// result is identical for any worker count.
 func meanLocalAccuracyLayer(m nn.Layer, clients []*Client, testN, workers int) float64 {
 	accs := make([]float64, len(clients))
-	forEachDeviceState(workers, len(clients),
-		func(int) any { return nn.CloneLayer(m) },
-		func(state any, i int) {
-			accs[i] = EvalLayer(state.(nn.Layer), clients[i].Dev.TestSet(testN))
-		})
+	clones := make([]nn.Layer, tensor.WorkerCount(workers, len(clients)))
+	tensor.ParallelForWorkers(workers, len(clients), func(w, i int) {
+		if clones[w] == nil {
+			clones[w] = nn.CloneLayer(m)
+		}
+		accs[i] = EvalLayer(clones[w], clients[i].Dev.TestSet(testN))
+	})
 	return mean(accs)
 }
 

@@ -37,10 +37,10 @@ type Nebula struct {
 
 	// Budget shaping. A device's Eq. 2 budget is the always-present
 	// stem+head cost plus a capability-dependent fraction of the total
-	// module pool cost: frac = clamp((effectiveFLOPS/flagshipFLOPS)^0.3,
-	// MinFraction, MaxFraction). Runtime contention lowers effective FLOPS
-	// and therefore shrinks the derived sub-model — the paper's
-	// accuracy-latency tradeoff under inner runtime dynamics.
+	// module pool cost: frac = PoolFraction(effectiveFLOPS, MinFraction,
+	// MaxFraction). Runtime contention lowers effective FLOPS and therefore
+	// shrinks the derived sub-model — the paper's accuracy-latency tradeoff
+	// under inner runtime dynamics.
 	MinFraction float64
 	MaxFraction float64
 	// ExactDerive switches the Eq. 2 solver to branch-and-bound.
@@ -116,8 +116,8 @@ func NewNebula(task *Task, cfg Config) *Nebula {
 		AbilityEnhancing:   true,
 		LocalTraining:      true,
 		CloudCollaboration: true,
-		MinFraction:        0.2,
-		MaxFraction:        0.45,
+		MinFraction:        DefaultMinFraction,
+		MaxFraction:        DefaultMaxFraction,
 		PullBlend:          0.1,
 		RederiveOverlap:    0.55,
 		subs:               map[int]*modular.SubModel{},
@@ -138,31 +138,30 @@ func (s *Nebula) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 // deviceBudget turns a resource profile into the Eq. 2 budget vector: the
 // fixed stem+head cost plus a capability fraction of the full module pool.
 func (s *Nebula) deviceBudget(c *Client) modular.Budget {
-	return s.Model.PoolBudget(s.capabilityFraction(c.Mon.Profile().ComputeFLOPS))
+	return s.Model.PoolBudget(PoolFraction(c.Mon.Profile().ComputeFLOPS, s.MinFraction, s.MaxFraction))
 }
 
-// capabilityFraction maps effective device compute (contention included) to
-// the fraction of the module pool the device may hold.
-func (s *Nebula) capabilityFraction(effectiveFLOPS float64) float64 {
+// DefaultMinFraction and DefaultMaxFraction are Nebula's bounds on the share
+// of the module pool one device may hold (Nebula.MinFraction, MaxFraction).
+const (
+	DefaultMinFraction = 0.2
+	DefaultMaxFraction = 0.45
+)
+
+// PoolFraction is the device-budget policy: the fraction of the module pool
+// a device may hold, from its effective compute (contention included),
+// clamped to [lo, hi]. The simulator, nebula-edge and the testbed example all
+// derive through it, so one device gets one sub-model size everywhere.
+func PoolFraction(effectiveFLOPS, lo, hi float64) float64 {
 	const (
 		flagship = 1.2e12 // device.Catalogue top tier
 		capExp   = 0.3    // sub-linear: a 10× slower device holds half the pool share
 	)
 	r := effectiveFLOPS / flagship
 	if r <= 0 {
-		return s.MinFraction
+		return lo
 	}
-	frac := 1.0
-	if r < 1 {
-		frac = math.Pow(r, capExp)
-	}
-	if frac < s.MinFraction {
-		frac = s.MinFraction
-	}
-	if frac > s.MaxFraction {
-		frac = s.MaxFraction
-	}
-	return frac
+	return min(max(math.Pow(min(r, 1), capExp), lo), hi)
 }
 
 // deriveFresh builds the sub-model of a device the cloud has not served yet:
@@ -179,7 +178,7 @@ func (s *Nebula) deriveFresh(sel *modular.Selector, c *Client) *modular.SubModel
 // deriveFresh on worker w's kept selector copy (roundWorkers), as the round's
 // fan-out derives. Coordinator only; the callback is worker-safe.
 func (s *Nebula) deriveOwn(clients []*Client) func(w int, c *Client) *modular.SubModel {
-	workers := s.roundWorkers(poolSize(s.cfg.Workers, len(clients)))
+	workers := s.roundWorkers(tensor.WorkerCount(s.cfg.Workers, len(clients)))
 	return func(w int, c *Client) *modular.SubModel { return s.deriveFresh(workers[w].sel, c) }
 }
 
@@ -329,13 +328,12 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 // that lands later.
 func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 	res := make([]nebulaResult, len(p.part))
-	workers := s.roundWorkers(poolSize(s.cfg.Workers, len(p.part)))
-	newWorker := func(w int) any { return workers[w] }
-	forEachDeviceState(s.cfg.Workers, len(p.part), newWorker, func(st any, i int) {
+	workers := s.roundWorkers(tensor.WorkerCount(s.cfg.Workers, len(p.part)))
+	tensor.ParallelForWorkers(s.cfg.Workers, len(p.part), func(w, i int) {
 		if p.drop[i] {
 			return
 		}
-		wk := st.(roundWorker)
+		wk := workers[w]
 		c := p.part[i]
 		id := c.Dev.ID
 		r := &res[i]

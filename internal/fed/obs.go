@@ -25,7 +25,7 @@ import (
 //     because Replay and trace.Summarize run the same steps over the same
 //     events. The fault outcomes mirror FaultStats, once per round.
 //
-//   - Wall-clock operational metrics (phase timings, worker-pool gauges).
+//   - Wall-clock operational metrics (phase timings, round latencies).
 //     These vary run to run by nature. They are fed exclusively through
 //     obs.Stopwatch, never written into Costs or the trace, and nothing in
 //     the round logic reads them back — the artifact-neutrality contract.
@@ -63,13 +63,6 @@ type RoundMetrics struct {
 	phasePrep      *obs.Histogram
 	phaseParallel  *obs.Histogram
 	phaseAggregate *obs.Histogram
-
-	// Worker-pool occupancy, fed by forEachDeviceState.
-	poolWorkers *obs.Gauge
-	poolBusy    *obs.Gauge
-	poolTasks   *obs.Counter
-	poolInline  *obs.Counter
-	poolFanout  *obs.Counter
 
 	// Fault-model outcome mirrors (FaultStats stays authoritative), moved by
 	// mirrorFaults after each round's fault rolls.
@@ -158,10 +151,6 @@ func NewRoundMetrics(r *obs.Registry) *RoundMetrics {
 	r.Help("nebula_fed_round_slot_seconds", "Simulated duration of each round (slowest participant).")
 	r.Help("nebula_fed_device_sim_seconds", "Simulated per-device round time (link + train + faults).")
 	r.Help("nebula_fed_phase_wall_seconds", "Wall-clock time per round phase (operational, nondeterministic).")
-	r.Help("nebula_fed_pool_workers", "Worker count of the most recent device fan-out.")
-	r.Help("nebula_fed_pool_busy", "Device tasks currently executing in the worker pool.")
-	r.Help("nebula_fed_pool_tasks_total", "Device tasks executed by the worker pool.")
-	r.Help("nebula_fed_pool_dispatch_total", "Fan-out invocations, by dispatch mode.")
 	r.Help("nebula_fed_fault_events_total", "Simulated link fault outcomes, mirroring FaultStats.")
 	r.Help("nebula_fed_late_updates_total", "Straggler updates that landed after their launch round (async mode).")
 	r.Help("nebula_fed_stale_rounds_total", "Total staleness (landing minus launch rounds) across late updates.")
@@ -183,11 +172,6 @@ func NewRoundMetrics(r *obs.Registry) *RoundMetrics {
 		phasePrep:        r.Histogram("nebula_fed_phase_wall_seconds", obs.DefBuckets, "phase", "prep"),
 		phaseParallel:    r.Histogram("nebula_fed_phase_wall_seconds", obs.DefBuckets, "phase", "parallel"),
 		phaseAggregate:   r.Histogram("nebula_fed_phase_wall_seconds", obs.DefBuckets, "phase", "aggregate"),
-		poolWorkers:      r.Gauge("nebula_fed_pool_workers"),
-		poolBusy:         r.Gauge("nebula_fed_pool_busy"),
-		poolTasks:        r.Counter("nebula_fed_pool_tasks_total"),
-		poolInline:       r.Counter("nebula_fed_pool_dispatch_total", "mode", "inline"),
-		poolFanout:       r.Counter("nebula_fed_pool_dispatch_total", "mode", "fanout"),
 		lateUpdates:      r.Counter("nebula_fed_late_updates_total"),
 		staleRounds:      r.Counter("nebula_fed_stale_rounds_total"),
 		roundDeadline:    r.Gauge("nebula_fed_round_deadline_seconds"),

@@ -3,7 +3,6 @@ package fed
 import (
 	"bytes"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/edgenet"
@@ -207,37 +206,5 @@ func TestNebulaLocalOnlyWorkersDifferential(t *testing.T) {
 	costs4, acc4 := run(4)
 	if costs1 != costs4 || acc1 != acc4 {
 		t.Fatalf("w/o-cloud variant differs: %+v/%v vs %+v/%v", costs1, acc1, costs4, acc4)
-	}
-}
-
-func TestForEachDeviceExecutor(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 8, 100} {
-		n := 37
-		var visits [37]atomic.Int32
-		forEachDevice(workers, n, func(i int) { visits[i].Add(1) })
-		for i := range visits {
-			if got := visits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
-			}
-		}
-	}
-	forEachDevice(4, 0, func(i int) { t.Fatal("body must not run for n=0") })
-
-	// Per-worker state: every body call sees the state its own worker built.
-	// Each worker's index is its own.
-	type wstate struct{ w int }
-	var built [4]atomic.Int32
-	seen := make([]*wstate, 16)
-	forEachDeviceState(4, 16, func(w int) any { built[w].Add(1); return &wstate{w: w} },
-		func(st any, i int) { seen[i] = st.(*wstate) })
-	for i, st := range seen {
-		if st == nil || st.w < 0 || st.w > 3 {
-			t.Fatalf("index %d got state %+v", i, st)
-		}
-	}
-	for w := range built {
-		if n := built[w].Load(); n != 1 {
-			t.Fatalf("worker %d's state was built %d times", w, n)
-		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // RNGEscape flags a master-RNG stream escaping into concurrent code: any
 // value whose type is the coordinator stream (*tensor.RNG, or *rand.Rand)
 // captured by a function literal passed to a parallel executor
-// (forEachDevice / forEachDeviceState / serve / ParallelFor), whether
+// (ParallelFor / ParallelForWorkers / serve / globalRound), whether
 // the capture is a bare identifier (`rng`) or a field read through a
 // captured struct (`cfg.rng`). Worker bodies run concurrently: touching the
 // shared stream there is a data race AND makes the draw sequence depend on
@@ -41,11 +41,10 @@ func (RNGEscape) DefaultPaths() []string { return nil }
 // arguments (worker bodies and per-worker state constructors) run
 // concurrently.
 var parallelExecutors = map[string]bool{
-	"forEachDevice":      true,
-	"forEachDeviceState": true,
+	"ParallelFor":        true,
+	"ParallelForWorkers": true,
 	"serve":              true,
 	"globalRound":        true,
-	"ParallelFor":        true,
 }
 
 // Check implements Analyzer.

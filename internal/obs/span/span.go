@@ -125,8 +125,8 @@ func (r *Recorder) Trace(key int64) (TraceID, bool) {
 	if r == nil || r.rate <= 0 {
 		return 0, false
 	}
-	h := splitmix64(r.seed ^ 0x7370616e) // "span"
-	h = splitmix64(h ^ uint64(key))
+	h := obs.SplitMix64(r.seed ^ 0x7370616e) // "span"
+	h = obs.SplitMix64(h ^ uint64(key))
 	if r.rate < 1 && float64(h>>11)/(1<<53) >= r.rate {
 		return 0, false
 	}
@@ -134,14 +134,6 @@ func (r *Recorder) Trace(key int64) (TraceID, bool) {
 		h = 1 // TraceID 0 means "unsampled" on the wire
 	}
 	return TraceID(h), true
-}
-
-// splitmix64 is the SplitMix64 finalizer (same mix as edgenet's fault rolls).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Active is an in-flight span. The zero value is the rejected/disabled span:

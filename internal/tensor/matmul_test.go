@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -239,5 +240,61 @@ func TestParallelForEmptyAndSmall(t *testing.T) {
 	})
 	if !called {
 		t.Fatal("fn not called for n=1")
+	}
+}
+
+// TestParallelForWorkers runs the device fan-out's checks against the pool:
+// every index once at any bound (bounds above the pool's goroutine count
+// included), no body for n=0, every worker index below the bound, and no two
+// bodies with the same worker index at once.
+func TestParallelForWorkers(t *testing.T) {
+	const n = 37
+	for _, workers := range []int{0, 1, 3, 8, 100} {
+		bound := WorkerCount(workers, n)
+		var visits [n]atomic.Int32
+		busy := make([]atomic.Bool, bound)
+		var bad atomic.Int32
+		ParallelForWorkers(workers, n, func(w, i int) {
+			if w < 0 || w >= bound || !busy[w].CompareAndSwap(false, true) {
+				bad.Add(1)
+				return
+			}
+			visits[i].Add(1)
+			runtime.Gosched()
+			busy[w].Store(false)
+		})
+		if bad.Load() != 0 {
+			t.Fatalf("workers=%d: %d bodies ran outside [0, %d) or beside another body of their worker", workers, bad.Load(), bound)
+		}
+		for i := range visits {
+			if got := visits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
+			}
+		}
+	}
+	ParallelForWorkers(4, 0, func(int, int) { t.Fatal("body must not run for n=0") })
+}
+
+// TestParallelForWorkersNesting pins the depth guard across the two entry
+// points: inside a fan-out with a bound above 1 a nested ParallelFor is a
+// serial dispatch, while a bound of 1 runs the loop outside any parallel
+// region, so a nested ParallelFor still fans out when Parallelism > 1.
+func TestParallelForWorkersNesting(t *testing.T) {
+	saved := Parallelism
+	defer func() { Parallelism = saved }()
+	Parallelism = 2
+	const n = 4
+	nested := func(int, int) { ParallelFor(2, func(int) {}) }
+
+	serial, fanout := parSerial.Value(), parFanout.Value()
+	ParallelForWorkers(2, n, nested)
+	if ds, df := parSerial.Value()-serial, parFanout.Value()-fanout; ds != n || df != 1 {
+		t.Errorf("bound 2: serial +%v fanout +%v, want +%d and +1", ds, df, n)
+	}
+
+	serial, fanout = parSerial.Value(), parFanout.Value()
+	ParallelForWorkers(1, n, nested)
+	if ds, df := parSerial.Value()-serial, parFanout.Value()-fanout; ds != 1 || df != n {
+		t.Errorf("bound 1: serial +%v fanout +%v, want +1 and +%d", ds, df, n)
 	}
 }
