@@ -9,3 +9,11 @@ package tensor
 func kernel6x8(a, b, c []float32, k, ldc, mode, lda, ksa, ldb int) {
 	goGemmKernel6x8(a, b, c, k, ldc, mode, lda, ksa, ldb)
 }
+
+// kernel6x16 is the pair of portable kernel calls the amd64 6×16 kernel
+// replaces. runTiles never reaches it here: strictAVX512 is set on amd64
+// only.
+func kernel6x16(a, b, c []float32, k, ldc, mode, lda, ksa, ldb, bstep int) {
+	goGemmKernel6x8(a, b, c, k, ldc, mode, lda, ksa, ldb)
+	goGemmKernel6x8(a, b[bstep:], c[nr:], k, ldc, mode, lda, ksa, ldb)
+}

@@ -247,32 +247,123 @@ func TestKernel6x8AsmMatchesGo(t *testing.T) {
 	}
 }
 
-// TestGemmPortableMatchesAVX runs whole GEMMs and convolutions under each of
-// the two kernels kernel6x8 can select and requires bitwise-equal outputs, so
-// the fallback an amd64 CPU without AVX gets is exercised on AVX hosts: the
-// Gemm table of TestGemmPackedDifferential (Gemm, plus gemmPacked directly
-// where the dispatcher would go naive, so edge tiles count at n < nr too) and
-// ConvGemm/ConvGemmBack over TestConvGemmExperimentShapes' table.
+// TestKernel6x16MatchesGo pins the 512-bit kernel against two portable
+// 6×8 kernel calls, bitwise, in all three modes and at every k the census
+// of kernel calls turns up (k ≤ 16 for most), for each A layout the GEMM
+// hands it (packed, row-major, transposed) and both B layouts: panels of a
+// row-major B read in place (the second panel 8 floats on, ldb = n) and
+// packed panels (the second 8k floats on, ldb = nr). Operands and C carry
+// ±0, ±Inf, subnormals and NaNs among their random values, so a swapped
+// operand or a fused multiply-add shows up. B is exactly as long as the two
+// panels' reach at k ≥ 1, so the portable calls panic on a read past it.
+func TestKernel6x16MatchesGo(t *testing.T) {
+	if !strictAVX512 {
+		t.Skipf("no AVX-512F/DQ with OS ZMM state on this host (features %s): the 6×16 kernel is never selected", CPUFeatures())
+	}
+	const m, n = 16, 24 // the extents a transposed A and a row-major B are tiles of
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), math.Float32frombits(0x807fffff), float32(math.NaN()),
+		math.Float32frombits(0xffc00001)}
+	rng := rand.New(rand.NewSource(13))
+	fill := func(s []float32) {
+		fillRand(rng, s)
+		for i := range s {
+			if rng.Intn(10) == 0 {
+				s[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	for _, k := range []int{0, 1, 2, 3, 7, 16, 67, 144} {
+		kk := max(k, 1) // k = 0 reads no operand, but the kernels take &x[0]
+		aLayouts := []struct {
+			name     string
+			lda, ksa int
+		}{{"packed", 1, mr}, {"rowmajor", k, 1}, {"transposed", 1, m}}
+		bLayouts := []struct {
+			name       string
+			ldb, bstep int
+		}{{"inplace", n, nr}, {"packed", nr, nr * k}}
+		for _, al := range aLayouts {
+			for _, bl := range bLayouts {
+				for _, ldc := range []int{2 * nr, 2*nr + 3, 40} {
+					for mode := 0; mode <= 2; mode++ {
+						a := make([]float32, (kk-1)*al.ksa+(mr-1)*al.lda+1)
+						b := make([]float32, bl.bstep+(kk-1)*bl.ldb+nr)
+						cAsm := make([]float32, (mr-1)*ldc+2*nr)
+						fill(a)
+						fill(b)
+						fill(cAsm)
+						cGo := append([]float32(nil), cAsm...)
+						kernel6x16(a, b, cAsm, k, ldc, mode, al.lda, al.ksa, bl.ldb, bl.bstep)
+						goGemmKernel6x8(a, b, cGo, k, ldc, mode, al.lda, al.ksa, bl.ldb)
+						goGemmKernel6x8(a, b[bl.bstep:], cGo[nr:], k, ldc, mode, al.lda, al.ksa, bl.ldb)
+						for i := range cGo {
+							if !sameBits(cAsm[i], cGo[i]) {
+								t.Fatalf("k=%d A %s B %s ldc=%d mode=%d: c[%d] asm=%v (%#08x) go=%v (%#08x)",
+									k, al.name, bl.name, ldc, mode, i, cAsm[i], math.Float32bits(cAsm[i]),
+									cGo[i], math.Float32bits(cGo[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// kernelLevels are the kernel selections a host can run: the portable
+// kernel, the 256-bit AVX kernel, and the 512-bit pair kernel beside it.
+var kernelLevels = []struct {
+	name        string
+	avx, avx512 bool
+}{{"portable", false, false}, {"avx256", true, false}, {"avx512", true, true}}
+
+// forEachKernel runs fn under each kernel level this CPU has, logging the
+// ones it lacks, and restores the selection package init made.
+func forEachKernel(t testing.TB, fn func(level string)) {
+	avx, avx512 := strictAVX, strictAVX512
+	defer func() { strictAVX, strictAVX512 = avx, avx512 }()
+	for _, l := range kernelLevels {
+		if l.avx && !avx || l.avx512 && !avx512 {
+			t.Logf("kernel level %s skipped: the CPU or OS lacks it (features %s)", l.name, CPUFeatures())
+			continue
+		}
+		strictAVX, strictAVX512 = l.avx, l.avx512
+		fn(l.name)
+	}
+}
+
+// TestGemmPortableMatchesAVX runs whole GEMMs and convolutions under each
+// kernel level the host has — portable, 256-bit and 512-bit — and requires
+// every level's outputs bitwise equal to the portable ones, so the fallback
+// an amd64 CPU without AVX (or without AVX-512) gets is exercised on hosts
+// that have it: the Gemm table of TestGemmPackedDifferential (Gemm, plus
+// gemmPacked directly where the dispatcher would go naive, so edge tiles
+// count at n < nr too) and ConvGemm/ConvGemmBack over
+// TestConvGemmExperimentShapes' table.
 func TestGemmPortableMatchesAVX(t *testing.T) {
 	if !strictAVX {
 		t.Skipf("kernel mode %s: no AVX on this host, kernel6x8 already is the portable kernel", KernelMode())
 	}
-	defer func() { strictAVX = true }()
-	// diff runs fn under each kernel; fn returns every buffer it wrote.
+	// diff runs fn under each kernel level; fn returns every buffer it wrote.
 	diff := func(fn func() [][]float32, format string, args ...any) {
 		t.Helper()
-		strictAVX = true
-		avx := fn()
-		strictAVX = false
-		portable := fn()
-		for o := range avx {
-			for i := range avx[o] {
-				if avx[o][i] != portable[o][i] {
-					t.Fatalf(format+": output %d [%d] avx=%v portable=%v",
-						append(args, o, i, avx[o][i], portable[o][i])...)
+		var portable [][]float32
+		forEachKernel(t, func(level string) {
+			got := fn()
+			if portable == nil {
+				portable = got
+				return
+			}
+			for o := range got {
+				for i := range got[o] {
+					if got[o][i] != portable[o][i] {
+						t.Fatalf(format+": output %d [%d] %s=%v portable=%v",
+							append(args, o, i, level, got[o][i], portable[o][i])...)
+					}
 				}
 			}
-		}
+		})
 	}
 
 	rng := rand.New(rand.NewSource(17))
@@ -473,5 +564,37 @@ func BenchmarkGemmDenseShapes(b *testing.B) {
 				})
 			})
 		}
+	}
+}
+
+// BenchmarkKernelTiles times one 6×16 kernel call against the two 6×8 calls
+// it replaces, over packed operands (A tile (1, mr), two B panels 8k floats
+// apart, C row stride 16) at the k the conv GEMMs run: 3 to 16 for the
+// narrow module convs, 144 for a 16-channel 3×3. docs/PERF.md finding #13
+// cites its table:
+//
+//	go test -run '^$' -bench KernelTiles -count 5 ./internal/tensor
+func BenchmarkKernelTiles(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, k := range []int{3, 8, 16, 32, 64, 144} {
+		a := make([]float32, mr*k)
+		bp := make([]float32, 2*nr*k)
+		c := make([]float32, mr*2*nr)
+		fillRand(rng, a)
+		fillRand(rng, bp)
+		b.Run(fmt.Sprintf("k=%d/2x6x8", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernel6x8(a, bp, c, k, 2*nr, 0, 1, mr, nr)
+				kernel6x8(a, bp[nr*k:], c[nr:], k, 2*nr, 0, 1, mr, nr)
+			}
+		})
+		b.Run(fmt.Sprintf("k=%d/6x16", k), func(b *testing.B) {
+			if !strictAVX512 {
+				b.Skipf("no AVX-512F/DQ with OS ZMM state (features %s)", CPUFeatures())
+			}
+			for i := 0; i < b.N; i++ {
+				kernel6x16(a, bp, c, k, 2*nr, 0, 1, mr, nr, nr*k)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Implicit-GEMM convolution. The im2col lowering (conv.go) turns Conv2D into
 // C[oc, (oy,ox)] = W[oc, :] · col[:, (oy,ox)] — but the column matrix `col`
@@ -18,9 +21,9 @@ import "fmt"
 // ox·stride+kx) of its channel plane. No tap is ever out of range, so the
 // forward gather (packBConv) is unconditional window copies, the transposed
 // gather of the weight-gradient product (packBConvT) is nr fixed offsets
-// walked pixel-major, and the col2im fold of the input gradient (foldCols)
-// accumulates into the padded region without clamping and copies the
-// interior out. The border is zeros and is the only source of zeros.
+// (tabled once per geometry, convTaps) walked pixel-major, and the col2im
+// fold of the input gradient (foldCols) accumulates into the padded region
+// without clamping and copies the interior out. The border is zeros and is the only source of zeros.
 //
 // Bitwise contract: the panels packBConv/packBConvT produce hold, element
 // for element, the values the kernel reads from a materialized im2col(src)
@@ -293,38 +296,49 @@ func goPackPanel(img []float32, g ConvGeom, off0, off1 int, panel []float32) {
 	}
 }
 
-// packBConvT packs the transpose view of the virtual column matrix — op(B) =
-// colᵀ (cols × kdim), the B operand of the backward weight-gradient GEMM —
-// into nr-column panels, identical to packB(col, k, n, true, …). Panels run
-// over the kdim dimension: a panel's nr columns are nr consecutive im2col
-// rows (channel, ky, kx), i.e. nr fixed offsets into the padded image img,
-// and its k steps are the output pixels in ascending (oy, ox). The walk is
-// pixel-major, so each k-step is one contiguous nr-float store of the nr taps
-// of that pixel. dst must hold ceil(kdim/nr)·nr·cols elements.
-func packBConvT(img []float32, g ConvGeom, dst []float32) {
-	cols, kdim := g.Cols(), g.Kdim()
+// convTaps returns the offset into the padded image of every im2col row
+// (channel, ky, kx) of g — channel·plane + ky·wp + kx — in row order, padded
+// to whole nr-wide panels: panel t of packBConvT takes its nr taps from
+// taps[t·nr:]. The lanes past kdim repeat the last real tap, so the AVX
+// gather reads a real element there (and clears the lane). The table is a
+// function of the geometry alone; PackBwd builds it once for all the
+// samples ConvBack then gathers, into dst's backing array when it has room.
+func convTaps(g ConvGeom, dst []int) []int {
 	wp := g.Width + 2*g.Pad
 	plane := (g.Height + 2*g.Pad) * wp
-	ch, ky, kx := 0, 0, 0 // (channel, ky, kx) of im2col row j0+c
-	for j0 := 0; j0 < kdim; j0 += nr {
-		w8 := min(kdim-j0, nr)
-		var off [nr]int
-		for c := 0; c < w8; c++ {
-			off[c] = ch*plane + ky*wp + kx
-			if kx++; kx == g.KW {
-				kx = 0
-				if ky++; ky == g.KH {
-					ky = 0
-					ch++
-				}
+	dst = dst[:0]
+	for c := 0; c < g.Channels; c++ {
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
+				dst = append(dst, c*plane+ky*wp+kx)
 			}
 		}
-		packTPanel(img, g, &off, w8, dst[j0*cols:j0*cols+cols*nr])
+	}
+	for last := dst[len(dst)-1]; len(dst)%nr != 0; {
+		dst = append(dst, last)
+	}
+	return dst
+}
+
+// goPackBConvT is packBConvT's portable path. packBConvT packs the
+// transpose view of the virtual column matrix — op(B) = colᵀ (cols × kdim),
+// the B operand of the backward weight-gradient GEMM — into nr-column
+// panels, identical to packB(col, k, n, true, …). Panels run over the kdim
+// dimension: a panel's nr columns are nr consecutive im2col rows
+// (channel, ky, kx), i.e. nr fixed offsets into the padded image img (taps,
+// from convTaps), and its k steps are the output pixels in ascending
+// (oy, ox). The walk is pixel-major, so each k-step is one contiguous
+// nr-float store of the nr taps of that pixel. dst must hold
+// ceil(kdim/nr)·nr·cols elements.
+func goPackBConvT(img []float32, g ConvGeom, taps []int, dst []float32) {
+	cols, kdim := g.Cols(), g.Kdim()
+	for j0 := 0; j0 < kdim; j0 += nr {
+		goPackTPanel(img, g, (*[nr]int)(taps[j0:]), min(kdim-j0, nr), dst[j0*cols:j0*cols+cols*nr])
 	}
 }
 
-// goPackTPanel is packTPanel's portable path: one panel of packBConvT, the
-// w8 taps at off for every output pixel in ascending (oy, ox). The columns
+// goPackTPanel is one panel of goPackBConvT: the w8 taps at off for every
+// output pixel in ascending (oy, ox). The columns
 // past w8 (a last panel of a kdim that is not a multiple of nr) are the panel
 // layout's zero fill.
 func goPackTPanel(img []float32, g ConvGeom, off *[nr]int, w8 int, panel []float32) {
@@ -462,9 +476,18 @@ func goFold3(dcol []float32, g ConvGeom, img []float32) {
 type ConvWeights struct {
 	g        ConvGeom
 	outC     int
-	fwd, bwd operand  // W and Wᵀ as A operands; src is nil until packed
-	edge     *Scratch // the packed partial tile of fwd or bwd
+	fwd, bwd operand   // W and Wᵀ as A operands; src is nil until packed
+	edge     *Scratch  // the packed partial tile of fwd or bwd
+	taps     *tapTable // g's convTaps for the dW gather, set by PackBwd
 }
+
+// tapTable holds one convTaps table. Tables are pooled: nn builds a model's
+// conv layers afresh for every sub-model, so a table owned by a layer would
+// be a new allocation every device round; from the pool, PackBwd builds it
+// in a backing array an earlier Release returned.
+type tapTable struct{ off []int }
+
+var tapTables = sync.Pool{New: func() any { return new(tapTable) }}
 
 // PackFwd prepares W (outC × kdim, row-major) for forward convolutions over
 // geometry g. Anything previously packed is released first.
@@ -477,6 +500,8 @@ func (cw *ConvWeights) PackFwd(w []float32, outC int, g ConvGeom) {
 func (cw *ConvWeights) PackBwd(w []float32, outC int, g ConvGeom) {
 	checkConvOperands("PackBwd", g, outC, w, nil, nil, 0, "")
 	cw.bwd = cw.readW(w, outC, g, g.Kdim(), outC, true)
+	cw.taps = tapTables.Get().(*tapTable)
+	cw.taps.off = convTaps(g, cw.taps.off)
 }
 
 // readW releases what cw held and returns op(W) (m×k) as an A operand, its
@@ -492,11 +517,14 @@ func (cw *ConvWeights) readW(w []float32, outC int, g ConvGeom, m, k int, transA
 	return readA(w, m, k, transA, edge)
 }
 
-// Release returns the packed tile to the arena. Safe on the zero value and
-// after a previous Release.
+// Release returns the packed tile to the arena and the tap table to its
+// pool. Safe on the zero value and after a previous Release.
 func (cw *ConvWeights) Release() {
 	PutScratch(cw.edge)
-	cw.fwd, cw.bwd, cw.edge = operand{}, operand{}, nil
+	if cw.taps != nil {
+		tapTables.Put(cw.taps)
+	}
+	cw.fwd, cw.bwd, cw.edge, cw.taps = operand{}, operand{}, nil, nil
 }
 
 // Conv computes the forward GEMM out = W · im2col(src) without materializing
@@ -570,7 +598,7 @@ func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	edge := s.Data[:eLen]
 	pb := packed(s.Data[eLen:eLen+bLen], nr, cols)
 	pimg := s.Data[eLen+bLen:]
-	packBConvT(padImage(src, g, pimg), g, pb.src)
+	packBConvT(padImage(src, g, pimg), g, cw.taps.off, pb.src)
 	ga := readA(grad, outC, cols, false, edge)
 	runGemm(&ga, &pb, dw, outC, kdim, cols, 1)
 

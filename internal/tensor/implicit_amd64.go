@@ -16,21 +16,22 @@ func twinFits(g ConvGeom) bool {
 	return strictAVX && g.OutW()%4 == 0 && g.Stride <= 2
 }
 
-// packTPanel packs one panel of packBConvT: the w8 taps at off, for every
-// output pixel.
-func packTPanel(img []float32, g ConvGeom, off *[nr]int, w8 int, panel []float32) {
+// packBConvT packs the panels of the transposed column matrix (see
+// goPackBConvT). The geometry's twin parameters are worked out once for all
+// panels; the reach check reads the last tap, the table's highest.
+func packBConvT(img []float32, g ConvGeom, taps []int, dst []float32) {
 	if !twinFits(g) {
-		goPackTPanel(img, g, off, w8, panel)
+		goPackBConvT(img, g, taps, dst)
 		return
 	}
 	outH, outW, s := g.OutH(), g.OutW(), g.Stride
+	cols, kdim := outH*outW, g.Kdim()
 	wp := g.Width + 2*g.Pad
-	taps := *off
-	for c := w8; c < nr; c++ {
-		taps[c] = taps[w8-1] // read a real tap; the twin clears the lane
+	checkTwinReach("packBConvT", g, taps[len(taps)-1]+(outH-1)*s*wp+(outW-1)*s, len(img),
+		(kdim+nr-1)/nr*nr*cols, len(dst))
+	for j0 := 0; j0 < kdim; j0 += nr {
+		packConvTAVX(&img[0], &dst[j0*cols], (*[nr]int)(taps[j0:]), min(kdim-j0, nr), outH, outW/4, s*(wp-outW), s)
 	}
-	checkTwinReach("packBConvT", g, taps[nr-1]+(outH-1)*s*wp+(outW-1)*s, len(img), outH*outW*nr, len(panel))
-	packConvTAVX(&img[0], &panel[0], &taps, w8, outH, outW/4, s*(wp-outW), s)
 }
 
 // packPanel packs one fixed-width panel of packBConv: the two half-panel

@@ -5,8 +5,8 @@ package tensor
 // The conv data-movement transforms are the portable loops of implicit.go
 // off amd64, where there is no AVX twin to select.
 
-func packTPanel(img []float32, g ConvGeom, off *[nr]int, w8 int, panel []float32) {
-	goPackTPanel(img, g, off, w8, panel)
+func packBConvT(img []float32, g ConvGeom, taps []int, dst []float32) {
+	goPackBConvT(img, g, taps, dst)
 }
 
 func packPanel(img []float32, g ConvGeom, off0, off1 int, panel []float32) {

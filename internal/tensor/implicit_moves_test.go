@@ -74,7 +74,7 @@ func movesCase(t *testing.T, rng *rand.Rand, g ConvGeom) {
 			unpadImage(img, g, outs[1])
 		}
 		packBConv(img, g, outs[2])
-		packBConvT(img, g, outs[3])
+		packBConvT(img, g, convTaps(g, nil), outs[3])
 		outs[4] = append([]float32(nil), img...)
 		foldCols(dcol, g, outs[4])
 		return
@@ -189,7 +189,7 @@ func TestConvMovesTwinReach(t *testing.T) {
 			{"padImage", func() { padRows(shortSrc, g, make([]float32, g.paddedLen())) }},
 			{"unpadImage", func() { unpadImage(short, g, make([]float32, g.Channels*g.Height*g.Width)) }},
 			{"packBConv", func() { packBConv(short, g, make([]float32, (cols+nr-1)/nr*nr*kdim)) }},
-			{"packBConvT", func() { packBConvT(short, g, make([]float32, (kdim+nr-1)/nr*nr*cols)) }},
+			{"packBConvT", func() { packBConvT(short, g, convTaps(g, nil), make([]float32, (kdim+nr-1)/nr*nr*cols)) }},
 			{"foldCols", func() { foldCols(make([]float32, kdim*cols), g, short) }},
 		} {
 			if g.Width%4 != 0 && strings.Contains(fn.name, "pad") {

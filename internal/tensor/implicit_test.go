@@ -169,8 +169,9 @@ func TestConvGemmFuzzShapes(t *testing.T) {
 
 // FuzzConvGemm lets the fuzzer pick the geometry, the output channel count
 // and the data seed, and holds forward, dw and dx to the im2col oracles
-// bitwise, once with the AVX kernel and data-movement twins and once with the
-// portable paths (the portable paths alone on a host without AVX). Seeded
+// bitwise under each kernel level the host has (forEachKernel): the portable
+// paths, the 256-bit AVX kernel and data-movement twins, and the 512-bit
+// kernel beside them. Seeded
 // from convExperimentCases; geometries whose kernel does not fit the padded
 // image are the entry points' to reject (TestConvGemmOperandChecks) and are
 // skipped here by the same predicate.
@@ -189,15 +190,9 @@ func FuzzConvGemm(f *testing.F) {
 		if !g.fits() {
 			t.Skip("kernel does not fit the padded image")
 		}
-		modes := []bool{strictAVX}
-		if strictAVX {
-			modes = append(modes, false)
-			defer func() { strictAVX = true }()
-		}
-		for _, avx := range modes {
-			strictAVX = avx
+		forEachKernel(t, func(string) {
 			convCase(t, rand.New(rand.NewSource(seed)), in(outC, 64), g)
-		}
+		})
 	})
 }
 

@@ -22,17 +22,30 @@ func TestDispatchCountersMove(t *testing.T) {
 		t.Error("naive GEMM dispatch not counted")
 	}
 
-	missBefore, hitBefore := scratchMiss.Value(), scratchHit.Value()
-	s := GetScratch(1 << scratchMinBits)
-	PutScratch(s)
-	s2 := GetScratch(1 << scratchMinBits)
-	if scratchMiss.Value() <= missBefore && scratchHit.Value() <= hitBefore {
-		t.Error("scratch get counted neither hit nor miss")
+	// The race runtime drops about one sync.Pool Put in four, so a warm get
+	// can miss there; it retries the put/get pair, and a get that never hits
+	// still fails.
+	tries := 1
+	if raceEnabled {
+		tries = 8
 	}
-	if scratchHit.Value() < hitBefore+1 {
-		t.Error("warm scratch get not counted as hit")
+	for try := 1; ; try++ {
+		missBefore, hitBefore := scratchMiss.Value(), scratchHit.Value()
+		s := GetScratch(1 << scratchMinBits)
+		PutScratch(s)
+		s2 := GetScratch(1 << scratchMinBits)
+		PutScratch(s2)
+		if scratchMiss.Value() <= missBefore && scratchHit.Value() <= hitBefore {
+			t.Error("scratch get counted neither hit nor miss")
+		}
+		if scratchHit.Value() >= hitBefore+1 {
+			break
+		}
+		if try == tries {
+			t.Errorf("warm scratch get not counted as hit (%d tries)", tries)
+			break
+		}
 	}
-	PutScratch(s2)
 
 	overBefore := scratchOversize.Value()
 	PutScratch(GetScratch((1 << scratchMaxBits) + 1))

@@ -258,55 +258,73 @@ func (d *gemmDesc) runBand(idx int) {
 
 // runTiles sweeps the [it0,it1)×[jt0,jt1) micro-tile region. Column panels
 // are the outer loop so the current B panel stays cache-resident across all
-// row panels.
+// row panels. Where strictAVX512 is set, each pair of full panels is swept
+// as one: kernel6x16 computes both panels' full row tiles in one call. A B
+// operand packs only its partial last panel apart (readB), so two full
+// panels lie in src with one ldb, the second at the operand's step from the
+// first. Row-edge tiles and an unpaired last panel take the 6×8 path either
+// way.
 func (d *gemmDesc) runTiles(it0, it1, jt0, jt1 int) {
 	var tile [mr * nr]float32
 	for jt := jt0; jt < jt1; jt++ {
 		j0 := jt * nr
-		cols := d.n - j0
-		if cols > nr {
-			cols = nr
-		}
 		bp, _, ldb := d.b.tile(jt, nr)
+		if strictAVX512 && jt+1 < jt1 && j0+2*nr <= d.n {
+			for it := it0; it < it1; it++ {
+				i0 := it * mr
+				ap, lda, ksa := d.a.tile(it, mr)
+				if d.m-i0 >= mr {
+					kernel6x16(ap, bp, d.c[i0*d.n+j0:], d.k, d.n, d.mode, lda, ksa, ldb, d.b.step)
+					continue
+				}
+				d.edgeTile(&tile, ap, lda, ksa, bp, ldb, i0, j0, nr)
+				d.edgeTile(&tile, ap, lda, ksa, bp[d.b.step:], ldb, i0, j0+nr, nr)
+			}
+			jt++
+			continue
+		}
+		cols := min(d.n-j0, nr)
 		for it := it0; it < it1; it++ {
 			i0 := it * mr
-			rows := d.m - i0
-			if rows > mr {
-				rows = mr
-			}
 			ap, lda, ksa := d.a.tile(it, mr)
-			if rows == mr && cols == nr {
+			if d.m-i0 >= mr && cols == nr {
 				kernel6x8(ap, bp, d.c[i0*d.n+j0:], d.k, d.n, d.mode, lda, ksa, ldb)
 				continue
 			}
-			// Edge tile: stage through the stack tile with ldc=nr, then
-			// move only the valid region. Mode 1 runs the kernel in mode 0
-			// and performs the single C+acc add here — identical numerics,
-			// no C preload needed.
-			switch d.mode {
-			case 2:
-				for r := 0; r < rows; r++ {
-					copy(tile[r*nr:r*nr+cols], d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols])
-				}
-				kernel6x8(ap, bp, tile[:], d.k, nr, 2, lda, ksa, ldb)
-				for r := 0; r < rows; r++ {
-					copy(d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols], tile[r*nr:r*nr+cols])
-				}
-			case 1:
-				kernel6x8(ap, bp, tile[:], d.k, nr, 0, lda, ksa, ldb)
-				for r := 0; r < rows; r++ {
-					crow := d.c[(i0+r)*d.n+j0 : (i0+r)*d.n+j0+cols]
-					trow := tile[r*nr : r*nr+cols]
-					for j := range crow {
-						crow[j] += trow[j]
-					}
-				}
-			default:
-				kernel6x8(ap, bp, tile[:], d.k, nr, 0, lda, ksa, ldb)
-				for r := 0; r < rows; r++ {
-					copy(d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols], tile[r*nr:r*nr+cols])
-				}
+			d.edgeTile(&tile, ap, lda, ksa, bp, ldb, i0, j0, cols)
+		}
+	}
+}
+
+// edgeTile computes the C tile at (i0, j0) that C holds only in part — its
+// rows past m or its columns past j0+cols are missing. The kernel runs into
+// a stack-allocated staging tile with ldc=nr, and only the valid region
+// moves. Mode 1 runs the kernel in mode 0 and performs the single C+acc add
+// here — identical numerics, no C preload needed.
+func (d *gemmDesc) edgeTile(tile *[mr * nr]float32, ap []float32, lda, ksa int, bp []float32, ldb, i0, j0, cols int) {
+	rows := min(d.m-i0, mr)
+	switch d.mode {
+	case 2:
+		for r := 0; r < rows; r++ {
+			copy(tile[r*nr:r*nr+cols], d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols])
+		}
+		kernel6x8(ap, bp, tile[:], d.k, nr, 2, lda, ksa, ldb)
+		for r := 0; r < rows; r++ {
+			copy(d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols], tile[r*nr:r*nr+cols])
+		}
+	case 1:
+		kernel6x8(ap, bp, tile[:], d.k, nr, 0, lda, ksa, ldb)
+		for r := 0; r < rows; r++ {
+			crow := d.c[(i0+r)*d.n+j0 : (i0+r)*d.n+j0+cols]
+			trow := tile[r*nr : r*nr+cols]
+			for j := range crow {
+				crow[j] += trow[j]
 			}
+		}
+	default:
+		kernel6x8(ap, bp, tile[:], d.k, nr, 0, lda, ksa, ldb)
+		for r := 0; r < rows; r++ {
+			copy(d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols], tile[r*nr:r*nr+cols])
 		}
 	}
 }
