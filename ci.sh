@@ -187,7 +187,6 @@ rm -rf "$admtmp"
 echo "== span tracing gate (faulty straggler run: /spans scrape byte-matches capture, parents validate, round roots == trace rounds, artifacts identical to tracing off)"
 spantmp=$(mktemp -d)
 go build -o "$spantmp/nebula-sim" ./cmd/nebula-sim
-go build -o "$spantmp/nebula-spans" ./cmd/nebula-spans
 go build -o "$spantmp/nebula-trace" ./cmd/nebula-trace
 # Traced pass: the straggler experiment over a lossy wire-v2 link with full
 # span sampling, flight recorder mounted at /spans, capture written on exit.
@@ -209,9 +208,9 @@ curl -sf "http://$addr/statusz" | grep -q 'round health' ||
     fail "/statusz is missing the round health section"
 kill "$spanpid" 2>/dev/null || true
 wait "$spanpid" 2>/dev/null || true
-# Structural validation: nebula-spans -check exits nonzero on any orphaned
+# Structural validation: nebula-trace -check exits nonzero on any orphaned
 # parent, and prints traces/spans/roots/round_roots counts.
-"$spantmp/nebula-spans" -check "$spantmp/spans.jsonl" >"$spantmp/check.out" || {
+"$spantmp/nebula-trace" -check "$spantmp/spans.jsonl" >"$spantmp/check.out" || {
     cat "$spantmp/check.out" >&2
     fail "span capture failed structural validation (orphaned parents)"
 }

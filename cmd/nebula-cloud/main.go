@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -43,9 +44,10 @@ func main() {
 	)
 	flag.Parse()
 
-	sc := fed.ScaleQuick
-	if *scale == "paper" {
-		sc = fed.ScalePaper
+	sc, err := fed.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nebula-cloud:", err)
+		os.Exit(2)
 	}
 	task := fed.TaskByName(*taskName, *seed, sc)
 	if task == nil {
@@ -121,8 +123,8 @@ func saveCheckpoint(path string, model *modular.Model) {
 		log.Printf("save checkpoint: %v", err)
 		return
 	}
-	defer f.Close()
-	if err := modular.SaveCheckpoint(f, model); err != nil {
+	// A failed close can lose the tail of the file: it fails the save too.
+	if err := errors.Join(modular.SaveCheckpoint(f, model), f.Close()); err != nil {
 		log.Printf("save checkpoint: %v", err)
 		return
 	}

@@ -44,9 +44,10 @@ func main() {
 	)
 	flag.Parse()
 
-	sc := fed.ScaleQuick
-	if *scale == "paper" {
-		sc = fed.ScalePaper
+	sc, err := fed.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nebula-edge:", err)
+		os.Exit(2)
 	}
 	task := fed.TaskByName(*taskName, *seed, sc)
 	if task == nil {
@@ -58,7 +59,6 @@ func main() {
 	// weights are replaced by downloads.
 	skeleton := task.BuildModular(tensor.NewRNG(*seed))
 	var cl *edgenet.EdgeClient
-	var err error
 	if *faults != "" {
 		cfg, specErr := edgenet.ParseFaultSpec(*faults)
 		if specErr != nil {

@@ -59,7 +59,7 @@ func main() {
 		faults    = flag.String("faults", "", "inject a seeded lossy link into online-stage experiments, e.g. 'drop=0.25,delay=20ms,reset=0.05' (seed=N to replay a specific fault stream; defaults to -seed)")
 		tracePath = flag.String("trace", "", "write the online-stage adaptation log (JSON lines) to this file")
 
-		spansPath  = flag.String("spans", "", "write the distributed span capture (JSON lines, cmd/nebula-spans format) to this file; implies -span-sample 1 unless set")
+		spansPath  = flag.String("spans", "", "write the distributed span capture (JSON lines, read by cmd/nebula-trace) to this file; implies -span-sample 1 unless set")
 		spanSample = flag.Float64("span-sample", 0, "sample this fraction of round traces into the span flight recorder (0 = tracing off, 1 = all); the decision is a pure function of (-seed, round), so artifacts stay byte-identical at any rate")
 
 		adminAddr   = flag.String("admin-addr", "", "serve /metrics, /statusz, /healthz and /debug/pprof/ on this address (use 127.0.0.1:0 for an ephemeral port; the bound address is printed to stderr)")
@@ -73,7 +73,7 @@ func main() {
 	flag.IntVar(&opt.DevicesPerRound, "per-round", opt.DevicesPerRound, "devices sampled per round")
 	flag.IntVar(&opt.LocalEpochs, "local-epochs", opt.LocalEpochs, "local epochs per round")
 	flag.IntVar(&opt.FinetuneEpochs, "finetune-epochs", opt.FinetuneEpochs, "on-device fine-tuning epochs")
-	flag.IntVar(&opt.PretrainEpochs, "pretrain-epochs", opt.PretrainEpochs, "cloud pre-training epochs of fig1a's static models and of Nebula in fig10-fig13, ablations, faults, straggler and compress; table1, fig7, fig8, fig9 and every baseline keep a fixed schedule (fed.PretrainEpochs) and ignore it")
+	flag.IntVar(&opt.PretrainEpochs, "pretrain-epochs", opt.PretrainEpochs, "cloud pre-training epochs on proxy data")
 	flag.IntVar(&opt.AdaptSteps, "steps", opt.AdaptSteps, "adaptation steps for fig10/fig11")
 	flag.IntVar(&opt.RandomSubModels, "submodels", opt.RandomSubModels, "random sub-models sampled for fig12")
 	flag.BoolVar(&opt.Async, "async", false, "deadline-paced semi-async rounds for online-stage experiments (docs/ASYNC.md)")
@@ -95,15 +95,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	switch *scale {
-	case "quick":
-		opt.Scale = fed.ScaleQuick
-	case "paper":
-		opt.Scale = fed.ScalePaper
-	default:
-		fmt.Fprintf(os.Stderr, "nebula-sim: unknown scale %q\n", *scale)
+	sc, err := fed.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nebula-sim:", err)
 		os.Exit(2)
 	}
+	opt.Scale = sc
 	if *faults != "" {
 		cfg, err := edgenet.ParseFaultSpec(*faults)
 		if err != nil {
@@ -191,7 +188,7 @@ func main() {
 	}
 	if *spansPath != "" {
 		// Like the trace log: a torn span capture silently understates the
-		// run to nebula-spans, so any write failure is a hard error.
+		// run to nebula-trace, so any write failure is a hard error.
 		if err := writeSpans(*spansPath, spans); err != nil {
 			fmt.Fprintln(os.Stderr, "nebula-sim: span capture:", err)
 			os.Exit(1)

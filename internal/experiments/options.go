@@ -24,14 +24,14 @@ const shiftFrac = 0.5
 // Options scales an experiment run. The defaults keep a full sweep tractable
 // on a laptop; ScalePaper plus larger fleets approaches the paper's setup.
 type Options struct {
-	// Config is the online-stage config every experiment starts from:
-	// rounds, sampled devices, epochs, Workers (nebula-sim -workers; every
-	// value, including 1, produces bitwise-identical artifacts — see
-	// docs/PARALLEL.md), the semi-async engine (-async, -async-deadline,
-	// -staleness-decay; docs/ASYNC.md) and the simulated wire codec (-wire,
-	// -wire-topk; docs/PROTOCOL.md "Wire format v2"). The compress
-	// experiment compares clean vs compressed itself, regardless of the
-	// wire fields.
+	// Config is the config every experiment starts from: rounds, sampled
+	// devices, epochs (cloud pre-training, local, fine-tuning), Workers
+	// (nebula-sim -workers; every value, including 1, produces
+	// bitwise-identical artifacts — see docs/PARALLEL.md), the semi-async
+	// engine (-async, -async-deadline, -staleness-decay; docs/ASYNC.md) and
+	// the simulated wire codec (-wire, -wire-topk; docs/PROTOCOL.md "Wire
+	// format v2"). The compress experiment compares clean vs compressed
+	// itself, regardless of the wire fields.
 	fed.Config
 
 	Out   io.Writer
@@ -41,8 +41,6 @@ type Options struct {
 	// Fleet shape.
 	Devices       int
 	ProxyPerClass int
-
-	PretrainEpochs int
 
 	// Continuous adaptation (Fig 10/11).
 	AdaptSteps int
@@ -90,7 +88,6 @@ func Default() Options {
 		Scale:           fed.ScaleQuick,
 		Devices:         24,
 		ProxyPerClass:   40,
-		PretrainEpochs:  5,
 		AdaptSteps:      10,
 		RandomSubModels: 14,
 		Stragglers:      2,

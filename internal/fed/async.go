@@ -193,7 +193,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			// The straggler left before its update could land: the work is
 			// dropped mid-round without ever blocking aggregation, but the
 			// sub-model download it performed did cross the link.
-			s.Trace.Flush(&pw.res.span)
+			s.noteFaults(pw.launch, id, pw.res)
 			s.record(trace.Churn(round, id, "drop_pending", pw.res.down))
 			// Nothing will read the dropped work's reconstructions: its
 			// worker is done and it never lands.

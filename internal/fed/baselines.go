@@ -7,10 +7,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// PretrainEpochs is the number of proxy-data epochs used by every strategy's
-// offline stage.
-const PretrainEpochs = 5
-
 // --- The shared cloud model ----------------------------------------------
 
 // cloudModel is the full-width cloud model that NA, LA, FA and HFL all start
@@ -26,7 +22,7 @@ type cloudModel struct {
 // Pretrain fits the full-width cloud model on proxy data.
 func (s *cloudModel) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.global = s.Task.BuildFull(rng, 1.0)
-	TrainLayer(rng, s.global, proxy, PretrainEpochs, s.cfg.LR, BatchSize, nil)
+	TrainLayer(rng, s.global, proxy, s.cfg.PretrainEpochs, s.cfg.LR, BatchSize, nil)
 }
 
 // LocalAccuracy evaluates the global model on every client's local task.
@@ -186,7 +182,7 @@ func (s *AdaptiveNet) Name() string { return "AN" }
 // so weaker or contended devices fall back to shallower branches.
 func (s *AdaptiveNet) Pretrain(rng *tensor.RNG, proxy *data.Dataset) {
 	s.cloud = s.Task.BuildBranchy(rng)
-	s.cloud.TrainAllExits(rng, proxy, PretrainEpochs, s.cfg.LR, BatchSize)
+	s.cloud.TrainAllExits(rng, proxy, s.cfg.PretrainEpochs, s.cfg.LR, BatchSize)
 	mid := device.ClassByName("mid-soc")
 	deepest, _ := nn.ForwardCost(s.cloud.Branch(s.cloud.NumBranches()-1), s.Task.InElems())
 	s.latencyBudget = 1.5 * float64(deepest) / mid.ComputeFLOPS

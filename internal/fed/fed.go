@@ -31,6 +31,7 @@ func NewClients(rng *tensor.RNG, fleet []*data.DeviceData) []*Client {
 
 // Config holds the online-stage hyperparameters (paper Section 6.1).
 type Config struct {
+	PretrainEpochs  int     // proxy-data epochs of every strategy's offline stage (5)
 	LocalEpochs     int     // local epochs per communication round (3)
 	FinetuneEpochs  int     // on-device adaptation epochs (10)
 	LR              float32 // 0.001 in the paper; higher here (smaller models)
@@ -84,6 +85,7 @@ const BatchSize = 16
 // DefaultConfig mirrors the paper's parameter settings.
 func DefaultConfig() Config {
 	return Config{
+		PretrainEpochs:  5,
 		LocalEpochs:     3,
 		FinetuneEpochs:  10,
 		LR:              0.01,

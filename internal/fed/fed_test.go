@@ -11,6 +11,7 @@ import (
 
 func tinyCfg() Config {
 	return Config{
+		PretrainEpochs:  5,
 		LocalEpochs:     2,
 		FinetuneEpochs:  3,
 		LR:              0.02,
@@ -483,6 +484,19 @@ func TestTaskByName(t *testing.T) {
 	}
 	if TaskByName("nope", 1, ScaleQuick) != nil {
 		t.Fatal("unknown task should be nil")
+	}
+}
+
+func TestScaleByName(t *testing.T) {
+	for name, want := range map[string]Scale{"quick": ScaleQuick, "paper": ScalePaper} {
+		if got, err := ScaleByName(name); err != nil || got != want {
+			t.Fatalf("ScaleByName(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "Paper", "papr", "full"} {
+		if _, err := ScaleByName(name); err == nil {
+			t.Fatalf("ScaleByName(%q): want an error", name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/data"
@@ -107,7 +108,7 @@ func NewNebula(task *Task, cfg Config) *Nebula {
 	// The offline stage runs on the cloud where compute is plentiful; the
 	// modularized MoE-style model also needs a longer schedule than a plain
 	// model to train its selector and modules jointly.
-	tc.Epochs = 2 * PretrainEpochs
+	tc.Epochs = 2 * cfg.PretrainEpochs
 	tc.GroupSize = task.GroupSize
 	return &Nebula{
 		Task:               task,
@@ -248,7 +249,9 @@ type nebulaResult struct {
 	wireRef *wireRef
 	// upBuf is the arena array under update's weights on the compressed wire.
 	upBuf *tensor.Tensor
-	span  trace.Span
+	// fetchLost and pushLost record the link faults the device met, for the
+	// coordinator's trace notes (noteFaults).
+	fetchLost, pushLost bool
 }
 
 // roundPrep is the serial coordinator-prep output for one round's launch set:
@@ -347,9 +350,8 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		if !p.fetchOK[i] && p.held[i] == nil {
 			// No cache to fall back on: sit the round out. The wasted link
 			// time still bounds the slot (the device was trying).
-			r.span.Notef("round %d device %d: fetch lost, no cached sub-model, skipping round", round, id)
 			dspan.SetNote("fetch_lost_skip")
-			r.t = p.fetchExtra[i]
+			r.fetchLost, r.t = true, p.fetchExtra[i]
 			return
 		}
 		// sub's backbone lists are built once, bb, and handed to every walk
@@ -388,8 +390,8 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		} else {
 			// Download lost after retries: degrade to the cached sub-model —
 			// train it on fresh local data without this round's cloud pull.
-			r.span.Notef("round %d device %d: fetch lost, serving cached sub-model", round, id)
 			fspan.SetNote("fetch_lost_cached")
+			r.fetchLost = true
 			sub = p.held[i]
 			bb = sub.Backbone()
 		}
@@ -436,7 +438,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				// Upload lost after retries: the local training still
 				// happened (and improved the cached sub-model), but this
 				// round aggregates without the device.
-				r.span.Notef("round %d device %d: push lost, round aggregates without it", round, id)
+				r.pushLost = true
 			}
 		}
 		// The device goes back to the pool (or pends) as the model alone; its
@@ -465,18 +467,18 @@ func (s *Nebula) roundWorkers(n int) []roundWorker {
 	return s.workers[:n]
 }
 
-// commitDevice folds one device's finished result into strategy state: trace
-// span flush, the client_update record, and strategy-map writes. It runs only
+// commitDevice folds one device's finished result into strategy state: fault
+// notes, the client_update record, and strategy-map writes. It runs only
 // on the serial coordinator, in the round the result lands in. stale is
 // landing−launch in rounds (0 for on-time / bulk-sync); a stale update's
 // aggregation weight decays by StalenessDecay^stale. Returns the device's update for the aggregation list
 // (nil if the device sat out or its push was lost).
 func (s *Nebula) commitDevice(landing int, c *Client, r *nebulaResult, stale int) *modular.Update {
-	s.Trace.Flush(&r.span)
-	if r.sub == nil {
-		return nil // sat the round out; the span note above is its only record
-	}
 	id := c.Dev.ID
+	s.noteFaults(landing-stale, id, r)
+	if r.sub == nil {
+		return nil // sat the round out; the fault note above is its only record
+	}
 	s.record(trace.ClientUpdate(landing, id, r.sub.NumModules(), r.down, r.up, r.t, stale))
 	s.subs[id] = r.sub
 	if r.gate {
@@ -493,6 +495,27 @@ func (s *Nebula) commitDevice(landing int, c *Client, r *nebulaResult, stale int
 		r.update.Weight *= math.Pow(s.stalenessDecay(), float64(stale))
 	}
 	return r.update
+}
+
+// noteFaults writes the trace notes of the link faults one device met in its
+// work launched in round launch: a lost fetch (with or without a cached
+// sub-model to train instead) and a lost push. Serial coordinator only.
+func (s *Nebula) noteFaults(launch, id int, r *nebulaResult) {
+	if s.Trace == nil {
+		return
+	}
+	note := func(what string) {
+		s.Trace.Emit(trace.Event{Kind: trace.KindNote, Note: fmt.Sprintf("round %d device %d: %s", launch, id, what)})
+	}
+	switch {
+	case r.fetchLost && r.sub == nil:
+		note("fetch lost, no cached sub-model, skipping round")
+	case r.fetchLost:
+		note("fetch lost, serving cached sub-model")
+	}
+	if r.pushLost {
+		note("push lost, round aggregates without it")
+	}
 }
 
 // stalenessDecay returns the configured decay with its default applied.

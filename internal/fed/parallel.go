@@ -17,15 +17,15 @@ import "repro/internal/tensor"
 //     time (tensor.ParallelForWorkers, bounded by Config.Workers). A worker
 //     body may touch: its device's derived RNG stream, its device's Client
 //     (Monitor/DeviceData own per-device streams), read-only shared models,
-//     and its own slot in a per-device result array — nothing else.
-//     Outputs (updates, cost deltas, trace events) go into the device's slot;
-//     trace events buffer in a per-device trace.Span.
+//     and its own slot in a per-device result array — nothing else, apart
+//     from write-only obs spans. Outputs (updates, cost deltas, the link
+//     faults met) go into the device's slot; workers write no trace events.
 //
 //  3. Canonical reduce (serial). The coordinator folds the result array in
 //     device index order: cost accumulation, map writes, aggregation input
-//     order, slot maxima, and span flushes all happen in the same order a
-//     serial loop would have produced, so artifacts are identical for any
-//     worker count, including 1. See docs/PARALLEL.md.
+//     order, slot maxima, and every trace event (fault notes included) happen
+//     in the same order a serial loop would have produced, so artifacts are
+//     identical for any worker count, including 1. See docs/PARALLEL.md.
 
 // serve is the fan-out of a strategy that keeps one model per device: it runs
 // work(i, m) for every client on tensor's pool, where m is the client's model

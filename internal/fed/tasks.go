@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"fmt"
+
 	"repro/internal/data"
 	"repro/internal/modular"
 	"repro/internal/nn"
@@ -183,6 +185,19 @@ func SpeechTask(seed int64, scale Scale) *Task {
 // AllTasks returns the four evaluation tasks.
 func AllTasks(seed int64, scale Scale) []*Task {
 	return []*Task{HARTask(seed, scale), Image10Task(seed+1, scale), Image100Task(seed+2, scale), SpeechTask(seed+3, scale)}
+}
+
+// ScaleByName resolves a scale by its flag name ("quick" or "paper"), the one
+// parser the binaries share, so peers given the same name build the same
+// architecture and an unknown name is an error everywhere.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return ScaleQuick, nil
+	case "paper":
+		return ScalePaper, nil
+	}
+	return ScaleQuick, fmt.Errorf("unknown scale %q", name)
 }
 
 // TaskByName resolves a task by its Name field ("har-mlp", "image10-resnet",

@@ -19,9 +19,9 @@ import (
 //     container, sending on a channel, accumulating floats;
 //   - emission into an artifact sink, decided by the callee's resolved type
 //     rather than its name: a recording method on a trace/metrics/exposition
-//     type (an Event on a *trace.Span is a finding from any package; a method
-//     called Write on a plain struct is not), a gob/json Encode, a write to
-//     anything io.Writer-shaped, an fmt.Fprint*.
+//     type (an Emit on a *trace.Logger is a finding from any package; a
+//     method called Write on a plain struct is not), a gob/json Encode, a
+//     write to anything io.Writer-shaped, an fmt.Fprint*.
 //
 // The canonical fix is to collect the keys, sort them, and range over the
 // sorted slice.

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Admin is the opt-in telemetry HTTP server. It mounts:
@@ -260,43 +262,18 @@ func (a *Admin) writeStatus(w io.Writer) {
 
 // humanize applies unit formatting keyed off the metric name suffixing
 // convention (docs/OBSERVABILITY.md): *_bytes* gets binary units,
-// *_seconds* gets duration units, everything else plain numbers.
+// *_seconds* gets duration units (an idle 0 reads "0 s"), everything else
+// plain numbers.
 func humanize(name string, v float64) string {
 	switch {
 	case strings.Contains(name, "bytes"):
-		return fmtBytesHuman(v)
+		return metrics.FmtBytes(int64(v))
+	case strings.Contains(name, "seconds") && v == 0:
+		return "0 s"
 	case strings.Contains(name, "seconds"):
-		return fmtSecondsHuman(v)
+		return metrics.FmtDur(v)
 	default:
 		return fmtVal(v)
-	}
-}
-
-func fmtBytesHuman(v float64) string {
-	const unit = 1024.0
-	if v < unit {
-		return fmt.Sprintf("%s B", fmtVal(v))
-	}
-	exp := 0
-	for v >= unit && exp < 6 {
-		v /= unit
-		exp++
-	}
-	return fmt.Sprintf("%.2f %ciB", v, "KMGTPE"[exp-1])
-}
-
-func fmtSecondsHuman(v float64) string {
-	switch {
-	case v == 0:
-		return "0 s"
-	case v < 1e-3:
-		return fmt.Sprintf("%.1f µs", v*1e6)
-	case v < 1:
-		return fmt.Sprintf("%.1f ms", v*1e3)
-	case v < 120:
-		return fmt.Sprintf("%.2f s", v)
-	default:
-		return fmt.Sprintf("%.1f min", v/60)
 	}
 }
 

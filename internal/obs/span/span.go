@@ -263,7 +263,7 @@ func (r *Recorder) Snapshot() []Span {
 }
 
 // WriteJSON writes the held spans as JSON lines (one span per line), the
-// format cmd/nebula-spans reads.
+// span capture cmd/nebula-trace reads.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	return WriteJSON(w, r.Snapshot())
 }

@@ -64,21 +64,16 @@ func New(w io.Writer) *Logger {
 	return &Logger{w: w}
 }
 
-// Emit writes one event, stamping its sequence number.
+// Emit writes one event, stamping its sequence number. The first failure —
+// marshal or write — is recorded and every later Emit keeps writing (a
+// transient failure should not silence the rest of the log), but Err() stays
+// set so the run can fail loudly at the end.
 func (l *Logger) Emit(e Event) {
 	if l == nil || l.w == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.emitLocked(e)
-}
-
-// emitLocked stamps and writes one event; the caller holds l.mu. The first
-// failure — marshal or write — is recorded and every later Emit keeps
-// writing (a transient failure should not silence the rest of the log), but
-// Err() stays set so the run can fail loudly at the end.
-func (l *Logger) emitLocked(e Event) {
 	l.seq++
 	e.Seq = l.seq
 	data, err := json.Marshal(e)
@@ -155,51 +150,6 @@ func Aggregate(round, updates int) Event {
 // devices that ended up skipping, which no client update carries).
 func RoundEnd(round int, simTime float64) Event {
 	return Event{Kind: KindRoundEnd, Round: round, SimTime: simTime}
-}
-
-// Span is a per-producer event buffer for concurrent pipelines: each worker
-// records its events into its own Span (no locking, no sequence numbers),
-// and the coordinator flushes the spans in canonical order once the fan-out
-// has joined. The resulting log is bitwise independent of how the workers
-// interleaved. A nil *Span is usable and discards nothing — events buffer
-// only through non-nil spans, so allocate one per device.
-type Span struct {
-	events []Event
-}
-
-// Notef buffers a freeform annotation.
-func (s *Span) Notef(format string, args ...any) {
-	if s == nil {
-		return
-	}
-	s.events = append(s.events, Event{Kind: KindNote, Note: fmt.Sprintf(format, args...)})
-}
-
-// Len returns the number of buffered events.
-func (s *Span) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.events)
-}
-
-// Flush emits a span's buffered events in order, stamping sequence numbers
-// under one lock acquisition. The span is emptied and can be
-// reused. Nil logger or nil/empty span are no-ops.
-func (l *Logger) Flush(s *Span) {
-	if s == nil || len(s.events) == 0 {
-		return
-	}
-	if l == nil || l.w == nil {
-		s.events = s.events[:0]
-		return
-	}
-	l.mu.Lock()
-	for _, e := range s.events {
-		l.emitLocked(e)
-	}
-	l.mu.Unlock()
-	s.events = s.events[:0]
 }
 
 // Read parses a JSONL stream back into events (the replay side).

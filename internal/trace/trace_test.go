@@ -14,9 +14,7 @@ func TestEmitAndRead(t *testing.T) {
 	l.Emit(ClientUpdate(1, 7, 4, 1000, 800, 0.25, 0))
 	l.Emit(Aggregate(1, 6))
 	l.Emit(RoundEnd(1, 0.25))
-	var sp Span
-	sp.Notef("hello %d", 42)
-	l.Flush(&sp)
+	l.Emit(Event{Kind: KindNote, Note: "hello 42"})
 
 	events, err := Read(&buf)
 	if err != nil {
@@ -222,50 +220,6 @@ func TestCheckSeqDetectsGaps(t *testing.T) {
 	if err := CheckSeq(gapped); err == nil {
 		t.Fatal("dropped event must be detected")
 	}
-}
-
-func TestSpanFlushIsOrderedAndStamped(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(&buf)
-	l.Emit(RoundStart(1, 0))
-	var a, b Span
-	b.Notef("device 9 first note")
-	b.Notef("device 9 second note")
-	a.Notef("device 4 note")
-	// Flush in canonical order regardless of fill order.
-	l.Flush(&a)
-	l.Flush(&b)
-	if a.Len() != 0 || b.Len() != 0 {
-		t.Fatal("flush must drain spans")
-	}
-	events, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSeq(events); err != nil {
-		t.Fatal(err)
-	}
-	want := []struct {
-		kind Kind
-		note string
-	}{{KindRoundStart, ""}, {KindNote, "device 4 note"}, {KindNote, "device 9 first note"}, {KindNote, "device 9 second note"}}
-	if len(events) != len(want) {
-		t.Fatalf("got %d events", len(events))
-	}
-	for i, w := range want {
-		if events[i].Kind != w.kind || events[i].Note != w.note {
-			t.Fatalf("event %d: %+v, want kind %s note %q", i, events[i], w.kind, w.note)
-		}
-	}
-	// A nil span and flushing into a nil logger are both no-ops.
-	var nilLogger *Logger
-	var sp Span
-	sp.Notef("discarded")
-	nilLogger.Flush(&sp)
-	if sp.Len() != 0 {
-		t.Fatal("nil-logger flush must still drain the span")
-	}
-	l.Flush(nil)
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
