@@ -44,9 +44,10 @@ same() { cmp "$1" "$2" || fail "$3"; }
 # -workers 1 under GOMAXPROCS=1, at -workers 4 under GOMAXPROCS=4 and at each
 # extra workers/GOMAXPROCS pair, and require byte-identical stdout: neither
 # the device fan-out nor the core count may move a bit. Optional, "" to skip:
-# a trace per run, byte-identical too and readable by nebula-trace; a
-# `<gate>: PASS` verdict line in the output; a -seed-audit pass (same seed
-# twice, byte-identical) with the audit flags appended to the args.
+# a trace per run, byte-identical too and readable by nebula-trace (over a
+# lossy link, -faults, it must hold a fault note, or the diff never sees where
+# notes go); a `<gate>: PASS` verdict line in the output; a -seed-audit pass
+# (same seed twice, byte-identical) with the audit flags appended to the args.
 workers_gate() {
     outs=$1 traces=$2 gate=$3 gatefail=$4 audit=$5 extra=$6
     shift 6
@@ -66,6 +67,10 @@ workers_gate() {
         [ -z "$traces" ] || same "$tmp/w1p1.jsonl" "$tmp/$r.jsonl" "$traces differs between -workers 1 and $at"
     done
     [ -z "$traces" ] || go run ./cmd/nebula-trace "$tmp/w1p1.jsonl" >/dev/null
+    case " $* " in *" -faults "*)
+        [ -z "$traces" ] || grep -q '"kind":"note"' "$tmp/w1p1.jsonl" ||
+            fail "$traces holds no fault note: the link lost no exchange" ;;
+    esac
     # shellcheck disable=SC2086 # audit is a list of flags
     [ -z "$audit" ] || go run ./cmd/nebula-sim "$@" $audit >/dev/null
     rm -rf "$tmp"
@@ -95,9 +100,11 @@ echo "== workers differential gate (artifacts identical for -workers 1 vs 4, and
 # -admin-addr stays on: artifacts must be identical with the telemetry
 # plane live (the registry is write-only; docs/OBSERVABILITY.md). The third
 # run asks tensor's pool, which has GOMAXPROCS goroutines, for more workers
-# than it has, on any host.
+# than it has, on any host. The link is lossier than the experiment's default,
+# which loses an exchange after four tries 0.3⁴ ≈ 0.8 % of the time: at 0.7 a
+# try, about a quarter are lost, so the trace carries fault notes.
 workers_gate "experiment output" "trace JSONL" "" "" "" 4/1 \
-    -exp faults -devices 6 -proxy 8 -steps 2 \
+    -exp faults -devices 6 -proxy 8 -steps 3 -faults drop=0.6,reset=0.1 \
     -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5 \
     -admin-addr 127.0.0.1:0
 

@@ -491,7 +491,8 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 	// checks only that the version it names is the one held here. A delta is
 	// decoded onto the reference's own array — nothing else reads it, and the
 	// whole payload has validated before the first element is written; a full
-	// payload (or a moved structure, which is always full) gets a new one.
+	// payload (or a moved structure, which is always full) gets a new
+	// reference, and the one it replaces goes back.
 	var base []float32
 	if pay.Header.Delta {
 		if c.ref == nil || c.ref.Version != pay.Header.BaseVer {
@@ -502,15 +503,15 @@ func (c *EdgeClient) FetchSubModel(importance [][]float64, budget modular.Budget
 	if err := pay.check(base); err != nil {
 		return nil, fmt.Errorf("edgenet: fetch: %w", err)
 	}
-	ref := base
 	if !pay.Header.Delta {
-		ref = make([]float32, pay.Header.Len)
+		c.ref.Release()
+		c.ref = borrowRef(0, resp.Active, pay.Header.Len)
 	}
-	pay.decodeInto(ref, base)
-	c.ref = &WireRef{Version: pay.Header.Version, Mapping: resp.Active, Vec: ref}
+	pay.decodeInto(c.ref.Vec, base)
+	c.ref.Version = pay.Header.Version
 	// The reference stays what the server holds and the sub-model is about to
 	// be trained: it gets its own copy of the vector to live in.
-	sub, err := c.Skeleton.SubModelOver(resp.Active, append([]float32(nil), ref...))
+	sub, err := c.Skeleton.SubModelOver(resp.Active, append([]float32(nil), c.ref.Vec...))
 	if err != nil {
 		return nil, fmt.Errorf("edgenet: fetch: %w", err)
 	}
@@ -550,6 +551,7 @@ func (c *EdgeClient) PushUpdate(sub *modular.SubModel, importance [][]float64, w
 	if resp != nil && resp.NeedFull {
 		// The server lost our reference (restart, cache eviction). The
 		// update itself is fine — re-send it whole under the same Seq.
+		c.ref.Release()
 		c.ref = nil
 		clientMetrics.wireFallbacks.Inc()
 		full := c.enc.Exchange(vec, nil, c.WireOpts, nil)

@@ -51,6 +51,6 @@ func TestConcurrentQuantizedPushes(t *testing.T) {
 		t.Fatalf("updates received = %d, want %d", st.UpdatesReceived, devices)
 	}
 	if st.Aggregations != 1 {
-		t.Fatalf("aggregations = %d, want 1 (AggregateEvery = %d)", st.Aggregations, devices)
+		t.Fatalf("aggregations = %d, want 1 (aggregateEvery = %d)", st.Aggregations, devices)
 	}
 }

@@ -293,7 +293,7 @@ func TestMalformedUpdateRejectedAtTheDoor(t *testing.T) {
 			}
 
 			// The server is not wedged: two good pushes from a second device
-			// reach AggregateEvery and aggregate.
+			// reach aggregateEvery and aggregate.
 			ok := pipePair(t, srv, buildModel(50))
 			ok.DeviceID = 2
 			if err := ok.Hello(); err != nil {

@@ -118,7 +118,7 @@ func TestConcurrentClientsStatefulModelRace(t *testing.T) {
 	}
 	st := srv.StatsSnapshot()
 	if st.UpdatesReceived != devices*rounds || st.Aggregations != devices*rounds/2 {
-		t.Fatalf("%d updates and %d aggregations for %d pushes at AggregateEvery = 2", st.UpdatesReceived, st.Aggregations, devices*rounds)
+		t.Fatalf("%d updates and %d aggregations for %d pushes at aggregateEvery = 2", st.UpdatesReceived, st.Aggregations, devices*rounds)
 	}
 	for _, ts := range modelTensors(cloud) {
 		if ts.HasNaN() {

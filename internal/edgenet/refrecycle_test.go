@@ -92,6 +92,84 @@ func TestSharedDeviceIDRecyclesReferencesAfterLastReader(t *testing.T) {
 	}
 }
 
+// TestClientRecyclesReplacedReference is the client's twin of
+// TestSharedDeviceIDRecyclesReferencesAfterLastReader. One client's sub-model
+// structure moves between fetches — every module, then the one forced module
+// a layer, then every module again — so a full fetch replaces its reference
+// each time, and in between a delta fetch lands on the live reference in
+// place. TestMain NaN-fills every array on its way back to the arena. The
+// replaced reference must hand its array back, and every fetch and push after
+// it must reconstruct, bit for bit, what the server holds for that version: a
+// reference released while still read, or a fetch decoded onto a recycled
+// array, would show as NaN or other bits.
+func TestClientRecyclesReplacedReference(t *testing.T) {
+	build := func() *modular.Model {
+		cfg := modular.Config{ModulesPerLayer: 8, TopK: 2, EmbedDim: 16, ResidualModules: true, MinShrink: 0.25, MaxShrink: 0.5}
+		return modular.NewModularMLP(tensor.NewRNG(17), 32, 128, 10, cfg)
+	}
+	cloud := build()
+	// Updates stay pending until the test has read the server's decode.
+	srv := NewServer(cloud, 1<<20)
+	cl := pipePair(t, srv, build())
+	if err := cl.Hello(); err != nil {
+		t.Fatal(err)
+	}
+	imp := uniformImportance(cloud)
+	rng := tensor.NewRNG(19)
+	steps := []struct {
+		budget modular.Budget
+		delta  bool
+	}{
+		{looseBudget(), false},
+		{looseBudget(), true},
+		{modular.Budget{}, false}, // the structure moves
+		{modular.Budget{}, true},
+		{looseBudget(), false}, // and moves back
+		{looseBudget(), true},
+	}
+	for i, step := range steps {
+		before := cl.ref
+		sub, err := cl.FetchSubModel(imp, step.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inPlace := before != nil && cl.ref == before; inPlace != step.delta {
+			t.Fatalf("step %d: fetch landed on the live reference %v, script wants a delta %v", i, inPlace, step.delta)
+		}
+		if before != nil && !step.delta && (before.Vec != nil || before.buf != nil) {
+			t.Fatalf("step %d: the reference a full fetch replaced still holds its array", i)
+		}
+		srv.mu.Lock()
+		held := srv.devices[cl.DeviceID].ref
+		same := held.Version == cl.ref.Version && sameBits(held.Vec, cl.ref.Vec)
+		srv.mu.Unlock()
+		if !same {
+			t.Fatalf("step %d: client reference (version %d) is not the server's (version %d) bit for bit", i, cl.ref.Version, held.Version)
+		}
+
+		perturb(rng, sub)
+		vec := sub.BackboneVector()
+		want, err := DecodeVec(EncodeVec(vec, cl.ref.Vec, WireOpts{}), cl.ref.Vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas := srv.metrics.wireDelta.Value()
+		if err := cl.PushUpdate(sub, imp, 1); err != nil {
+			t.Fatal(err)
+		}
+		if srv.metrics.wireDelta.Value() != deltas+1 {
+			t.Fatalf("step %d: push was not a delta against the reference just fetched", i)
+		}
+		srv.mu.Lock()
+		got := srv.pending[len(srv.pending)-1].Sub.BackboneVector()
+		srv.mu.Unlock()
+		if !allFinite(got) || !sameBits(got, want) {
+			t.Fatalf("step %d: the server decoded the push to other bits than the client's reference codes", i)
+		}
+		srv.FlushAggregation() // the cloud moves before the next fetch
+	}
+}
+
 func allFinite(v []float32) bool {
 	for _, x := range v {
 		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {

@@ -18,12 +18,9 @@ import (
 
 // Server is the cloud side of the testbed: it owns the modularized model,
 // serves personalized sub-models, buffers uploaded updates, and aggregates
-// them module-wise every AggregateEvery updates.
+// them module-wise every aggregateEvery updates.
 type Server struct {
 	Model *modular.Model
-	// AggregateEvery triggers module-wise aggregation after this many
-	// uploads (the testbed's communication-round granularity).
-	AggregateEvery int
 	// Logf, when set, receives one line per protocol event.
 	Logf func(format string, args ...any)
 	// ReadTimeout bounds how long a connection may sit idle between
@@ -40,6 +37,11 @@ type Server struct {
 	// lock wait, aggregate, encode) into the trace context carried by each
 	// request. Nil = tracing off; requests with TraceID 0 record nothing.
 	Spans *span.Recorder
+
+	// aggregateEvery triggers module-wise aggregation after this many
+	// uploads (the testbed's communication-round granularity); NewServer
+	// sets it.
+	aggregateEvery int
 
 	mu      sync.Mutex
 	pending []*modular.Update
@@ -73,7 +75,7 @@ func NewServer(model *modular.Model, aggregateEvery int) *Server {
 	}
 	return &Server{
 		Model:          model,
-		AggregateEvery: aggregateEvery,
+		aggregateEvery: aggregateEvery,
 		ReadTimeout:    5 * time.Minute,
 		WriteTimeout:   time.Minute,
 		closed:         make(chan struct{}),
@@ -90,28 +92,16 @@ type deviceRecord struct {
 	seq int64
 	// ref is the delta-coding reference: the bit-exact reconstruction of the
 	// last sub-model served to the device.
-	ref *serverRef
-}
-
-// serverRef is a device's delta-coding reference as the server holds it: the
-// vector lives in an array lent by the arena (tensor.Borrow), written once by
-// Exchange and never again. Handlers read the vector outside s.mu — a fetch
-// encodes against it, a push decodes against it — and a retry on a new
-// connection can race the request it repeats, so a reference its record has
-// replaced may still be read. holds counts the record and the handlers reading
-// the vector; the array goes back to the arena when the last of them lets go.
-// holds is s.mu's.
-type serverRef struct {
-	WireRef
-	buf   *tensor.Tensor
-	holds int
+	ref *WireRef
 }
 
 // readRef returns the device's reference when a payload for a sub-model of
 // structure mapping may be coded against version ver of it (WireRef.Base),
-// held for the caller until it calls letGo; nil when there is none — code or
-// ask for a full payload. The caller holds s.mu.
-func (s *Server) readRef(device int, ver uint64, mapping [][]int) *serverRef {
+// with a hold for the caller, who releases it through dropRef; nil when there
+// is none — code or ask for a full payload. Handlers read a reference outside
+// s.mu, and a retry on a new connection can race the request it repeats, so a
+// reference its record has replaced may still be read. The caller holds s.mu.
+func (s *Server) readRef(device int, ver uint64, mapping [][]int) *WireRef {
 	r := s.devices[device].ref
 	if r == nil || r.Version != ver || r.Base(mapping) == nil {
 		return nil
@@ -120,30 +110,13 @@ func (s *Server) readRef(device int, ver uint64, mapping [][]int) *serverRef {
 	return r
 }
 
-// setRef installs r as the device's reference and lets go of the one it
-// replaces. The caller holds s.mu.
-func (s *Server) setRef(device int, r *serverRef) {
-	rec := s.devices[device]
-	s.letGo(rec.ref)
-	r.holds = 1
-	rec.ref = r
-	s.devices[device] = rec
-	s.metrics.refBytes.Add(float64(4 * cap(r.buf.Data)))
-}
-
-// letGo drops one hold on r (nil is a no-op) and returns its array to the
-// arena when that was the last. The caller holds s.mu.
-func (s *Server) letGo(r *serverRef) {
-	if r == nil {
-		return
+// dropRef releases one hold on r and meters its array if that sent it back
+// to the arena. The caller holds s.mu.
+func (s *Server) dropRef(r *WireRef) {
+	if n := r.Release(); n > 0 {
+		s.metrics.refBytes.Add(-float64(n))
+		s.metrics.refsRecycled.Inc()
 	}
-	if r.holds--; r.holds > 0 {
-		return
-	}
-	s.metrics.refBytes.Add(-float64(4 * cap(r.buf.Data)))
-	s.metrics.refsRecycled.Inc()
-	tensor.Release(r.buf)
-	r.Vec, r.buf = nil, nil
 }
 
 // reqSpan opens a server-side span in the distributed-trace context carried
@@ -470,28 +443,26 @@ func (s *Server) encodeServe(req *Request, active [][]int, vec []float32, enc *E
 	s.wireVer++
 	ver := s.wireVer
 	s.mu.Unlock()
-	var base []float32
-	if old != nil {
-		base = old.Vec
-	}
 
 	// Quantization and reconstruction — one walk over the vector — are CPU
-	// work on private data and on a reference counted as read: outside the
+	// work on private data and on a reference held for reading: outside the
 	// lock, like the rest of this handler.
-	buf := tensor.Borrow(len(vec))
-	p := enc.Exchange(vec, base, WireOpts{}, buf.Data) // downlink stays dense: every coordinate is authoritative
-	p.Header.Version = ver
+	p, next := old.Send(enc, vec, active, ver)
 	if p.Header.Delta {
-		p.Header.BaseVer = old.Version
 		s.metrics.wireDelta.Inc()
 	} else {
 		s.metrics.wireFull.Inc()
 	}
 	s.metrics.wireRatio.Observe(float64(int64(len(vec))*4) / float64(p.WireBytes()))
 	s.mu.Lock()
-	s.letGo(old)
-	s.setRef(req.DeviceID, &serverRef{WireRef: WireRef{Version: ver, Mapping: active, Vec: buf.Data}, buf: buf})
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	s.dropRef(old)
+	// The new reference replaces the record's, which drops its hold.
+	rec := s.devices[req.DeviceID]
+	s.dropRef(rec.ref)
+	rec.ref = next
+	s.devices[req.DeviceID] = rec
+	s.metrics.refBytes.Add(float64(4 * cap(next.buf.Data)))
 	return p
 }
 
@@ -514,7 +485,7 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 	// happens before the lock: one large quantized update must not stall
 	// every other device behind s.mu (same shape as serveSubModel, which
 	// quantizes the response after releasing the lock).
-	var ref *serverRef
+	var ref *WireRef
 	var base []float32
 	if pay.Header.Delta {
 		s.mu.Lock()
@@ -557,7 +528,7 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 	s.mu.Lock()
 	lw.End()
 	defer s.mu.Unlock()
-	s.letGo(ref) // the decode was this handler's last read of the reference
+	s.dropRef(ref) // the decode was this handler's last read of the reference
 	if err != nil {
 		return nil, err
 	}
@@ -585,7 +556,7 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 	s.pendingVecs = append(s.pendingVecs, sc)
 	queued = true
 	s.metrics.updatesReceived.Inc()
-	if len(s.pending) >= s.AggregateEvery {
+	if len(s.pending) >= s.aggregateEvery {
 		ag := s.reqSpan(req, ps, "srv.aggregate")
 		s.aggregatePending()
 		ag.End()

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/modular"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // ProtoVersion is the protocol version both peers speak: chunk-streamed,
@@ -160,8 +161,7 @@ func fit[T any](s []T, n int) []T {
 // for the next exchange. It is written chunk by chunk as the chunk is
 // quantized, by the loop DecodeVec runs on the far end
 // (WireChunk.decodeInto), so the two cannot differ by a bit. The caller owns
-// recon's array: the server and the simulator lend it from the arena and
-// return it when the reference is done with (PROTOCOL.md § Vectors).
+// recon's array: on the downlink it is the next WireRef's (Send).
 func (e *Encoder) Exchange(vec, base []float32, opts WireOpts, recon []float32) *WirePayload {
 	delta := base != nil && len(base) == len(vec)
 	nChunks := (len(vec) + chunkLen - 1) / chunkLen
@@ -455,16 +455,33 @@ func fullBackboneLen(m *modular.Model) int {
 	return n
 }
 
-// WireRef is one peer's delta-coding reference for a device: the bit-exact
-// reconstruction of the last v2 exchange, its version, and the sub-model
-// structure it belongs to. The server keeps one per DeviceID, replaced
-// wholesale, its Vec in an arena array that goes back once the reference is
-// replaced and its last reader is done (serverRef). The client keeps its own,
-// is its only reader, and decodes the next delta fetch onto its Vec in place.
+// WireRef is a delta-coding reference for one device, the same type on the
+// server, on the client and on the simulated link: the bit-exact
+// reconstruction of the last exchange, its version and the sub-model structure
+// it belongs to. It owns its copy of the mapping, which nothing edits, and
+// keeps its vector in an array lent by the arena (tensor.Borrow). It starts
+// with one hold, and Release hands the array back when the last hold goes
+// (PROTOCOL.md § Vectors). Only the server takes more holds, one for each
+// handler that reads a reference outside its mutex, and counts them under
+// that mutex; the client and the simulated link hold each reference once.
 type WireRef struct {
 	Version uint64
 	Mapping [][]int
 	Vec     []float32
+	buf     *tensor.Tensor
+	holds   int
+}
+
+// borrowRef returns a reference of version ver for the structure mapping,
+// held once, under its own copy of mapping, with an n-element vector lent by
+// the arena for the caller to fill.
+func borrowRef(ver uint64, mapping [][]int, n int) *WireRef {
+	r := &WireRef{Version: ver, Mapping: make([][]int, len(mapping)), buf: tensor.Borrow(n), holds: 1}
+	for l, idx := range mapping {
+		r.Mapping[l] = slices.Clone(idx)
+	}
+	r.Vec = r.buf.Data
+	return r
 }
 
 // Base is the delta-reference rule: a payload for a sub-model of structure
@@ -477,4 +494,37 @@ func (r *WireRef) Base(mapping [][]int) []float32 {
 		return nil
 	}
 	return r.Vec
+}
+
+// Send codes vec, the backbone vector of a sub-model of structure mapping,
+// for the downlink in enc — dense, and a delta against r when r.Base(mapping)
+// allows — and returns the payload, stamped with version ver (and with r's
+// version as its base when it is a delta), and the reference both ends hold
+// next: the reconstruction its receiver decodes, as version ver. A nil r
+// codes a full payload.
+func (r *WireRef) Send(enc *Encoder, vec []float32, mapping [][]int, ver uint64) (*WirePayload, *WireRef) {
+	base := r.Base(mapping)
+	next := borrowRef(ver, mapping, len(vec))
+	p := enc.Exchange(vec, base, WireOpts{}, next.Vec)
+	p.Header.Version = ver
+	if base != nil {
+		p.Header.BaseVer = r.Version
+	}
+	return p, next
+}
+
+// Release drops one hold on r (nil is a no-op). When that was the last, it
+// hands the array back to the arena, after which nobody may read Vec, and
+// returns the bytes it handed back; it returns 0 otherwise.
+func (r *WireRef) Release() int {
+	if r == nil {
+		return 0
+	}
+	if r.holds--; r.holds > 0 {
+		return 0
+	}
+	n := 4 * cap(r.buf.Data)
+	tensor.Release(r.buf)
+	r.Vec, r.buf = nil, nil
+	return n
 }

@@ -197,7 +197,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			s.record(trace.Churn(round, id, "drop_pending", pw.res.down))
 			// Nothing will read the dropped work's reconstructions: its
 			// worker is done and it never lands.
-			pw.res.wireRef.release()
+			pw.res.next.Release()
 			tensor.Release(pw.res.upBuf)
 			s.mark(tid, parent, "fed.churn", id, round, "drop_pending", 0)
 		}

@@ -37,18 +37,24 @@ type FaultStats struct {
 }
 
 // faultOutcome is one FaultStats tally under its
-// nebula_fed_fault_events_total label.
+// nebula_fed_fault_events_total label and its name in the experiment output.
 type faultOutcome struct {
-	event string
-	n     int64
+	event, name string
+	n           int64
 }
 
-// outcomes lists the tallies the metrics mirror exports.
+// outcomes lists the tallies, in the order both the metrics mirror and
+// Counters show them.
 func (s FaultStats) outcomes() [8]faultOutcome {
 	return [8]faultOutcome{
-		{"fetch", s.Fetches}, {"fetch_retry", s.FetchRetries}, {"fetch_failure", s.FetchFailures},
-		{"fallback", s.Fallbacks}, {"skip", s.SkippedRounds},
-		{"push", s.Pushes}, {"push_retry", s.PushRetries}, {"push_failure", s.PushFailures},
+		{"fetch", "fetches", s.Fetches},
+		{"fetch_retry", "fetch retries", s.FetchRetries},
+		{"fetch_failure", "fetch failures", s.FetchFailures},
+		{"fallback", "cached-sub fallbacks", s.Fallbacks},
+		{"skip", "rounds skipped (no cache)", s.SkippedRounds},
+		{"push", "pushes", s.Pushes},
+		{"push_retry", "push retries", s.PushRetries},
+		{"push_failure", "push failures", s.PushFailures},
 	}
 }
 
@@ -136,13 +142,8 @@ func (f *FaultModel) Stats() FaultStats {
 // Counters renders the tallies for the experiment output.
 func (s FaultStats) Counters(title string) *metrics.Counters {
 	c := metrics.NewCounters(title)
-	c.Set("fetches", s.Fetches)
-	c.Set("fetch retries", s.FetchRetries)
-	c.Set("fetch failures", s.FetchFailures)
-	c.Set("cached-sub fallbacks", s.Fallbacks)
-	c.Set("rounds skipped (no cache)", s.SkippedRounds)
-	c.Set("pushes", s.Pushes)
-	c.Set("push retries", s.PushRetries)
-	c.Set("push failures", s.PushFailures)
+	for _, o := range s.outcomes() {
+		c.Set(o.name, o.n)
+	}
 	return c
 }

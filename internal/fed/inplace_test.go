@@ -20,15 +20,15 @@ import (
 // the weights-only clone — the same weights and states, bit for bit), flatten
 // the clone, exchange, copy the reconstruction back into the clone, blend
 // from the clone.
-func legacyPull(nb *Nebula, held *modular.SubModel, ref *wireRef) (int64, *wireRef) {
+func legacyPull(nb *Nebula, held *modular.SubModel, ref *edgenet.WireRef) (int64, *edgenet.WireRef) {
 	cloud := nb.Model.Extract(held.Mapping)
-	bytes, next := cloud.BackboneBytes(), (*wireRef)(nil)
+	bytes, next := cloud.BackboneBytes(), (*edgenet.WireRef)(nil)
 	if nb.cfg.WireCompress {
 		vec := cloud.BackboneVector()
 		recon := make([]float32, len(vec))
-		p := new(edgenet.Encoder).Exchange(vec, ref.base(cloud.Mapping), edgenet.WireOpts{}, recon)
+		p := new(edgenet.Encoder).Exchange(vec, ref.Base(cloud.Mapping), edgenet.WireOpts{}, recon)
 		cloud.LoadBackboneVector(recon)
-		bytes, next = p.WireBytes(), &wireRef{WireRef: edgenet.WireRef{Mapping: cloud.Mapping, Vec: recon}}
+		bytes, next = p.WireBytes(), &edgenet.WireRef{Mapping: cloud.Mapping, Vec: recon}
 	}
 	b := nb.PullBlend
 	lp, cp := held.Params(), cloud.Params()
@@ -108,7 +108,7 @@ func TestPullBlendReadsInPlace(t *testing.T) {
 			nb.Model = tc.build()
 			active := firstTwoModules(nb.Model)
 			got, want := nb.Model.Extract(active), nb.Model.Extract(active)
-			var gotRef, wantRef *wireRef
+			var gotRef, wantRef *edgenet.WireRef
 			rng := tensor.NewRNG(66)
 			for pull, what := range []string{"first pull (full)", "second pull (delta)"} {
 				when := fmt.Sprintf("%s, WireCompress %v, %s", tc.name, compress, what)
@@ -125,7 +125,7 @@ func TestPullBlendReadsInPlace(t *testing.T) {
 					}
 				}
 				before := cloudVector(nb.Model)
-				if delta := gotRef.base(got.Mapping) != nil; delta != (compress && pull == 1) {
+				if delta := gotRef.Base(got.Mapping) != nil; delta != (compress && pull == 1) {
 					t.Fatalf("%s: script wants a delta pull only second on the compressed link, reference says %v", when, delta)
 				}
 
@@ -173,12 +173,12 @@ func TestWireRefMappingIsPrivate(t *testing.T) {
 	active := firstTwoModules(nb.Model)
 	for _, link := range []struct {
 		what string
-		down func(*modular.SubModel) (int64, *wireRef)
+		down func(*modular.SubModel) (int64, *edgenet.WireRef)
 	}{
-		{"new structure", func(sub *modular.SubModel) (int64, *wireRef) {
-			return wireDownlink(new(edgenet.Encoder), sub, sub.Backbone(), nil, edgenet.WireOpts{})
+		{"new structure", func(sub *modular.SubModel) (int64, *edgenet.WireRef) {
+			return wireDownlink(new(edgenet.Encoder), sub, sub.Backbone(), nil)
 		}},
-		{"kept structure", func(sub *modular.SubModel) (int64, *wireRef) {
+		{"kept structure", func(sub *modular.SubModel) (int64, *edgenet.WireRef) {
 			return nb.pullBlend(new(edgenet.Encoder), sub, sub.Backbone(), nil)
 		}},
 	} {

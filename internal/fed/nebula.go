@@ -86,7 +86,7 @@ type Nebula struct {
 	// v2 link (cfg.WireCompress; internal/fed/wire.go): the reconstruction of
 	// the device's last downlink, shared by both ends of the in-process
 	// "wire". Snapshotted in prepRound, written back in commitDevice.
-	wireRefs map[int]*wireRef
+	wireRefs map[int]*edgenet.WireRef
 	// workers are what each worker of the parallel phase keeps from round to
 	// round: the simulated link's sender, whose arrays stop growing, and a
 	// selector copy for importance probes, which takes the cloud selector's
@@ -123,7 +123,7 @@ func NewNebula(task *Task, cfg Config) *Nebula {
 		RederiveOverlap:    0.55,
 		subs:               map[int]*modular.SubModel{},
 		hasGatePkg:         map[int]bool{},
-		wireRefs:           map[int]*wireRef{},
+		wireRefs:           map[int]*edgenet.WireRef{},
 	}
 }
 
@@ -244,9 +244,9 @@ type nebulaResult struct {
 	up     int64
 	t      float64 // slot candidate (link + train + fault time)
 	gate   bool    // selector package transferred this round
-	// wireRef is the device's new delta-coding reference when the round's
+	// next is the device's new delta-coding reference when the round's
 	// downlink ran through the compressed wire (nil otherwise).
-	wireRef *wireRef
+	next *edgenet.WireRef
 	// upBuf is the arena array under update's weights on the compressed wire.
 	upBuf *tensor.Tensor
 	// fetchLost and pushLost record the link faults the device met, for the
@@ -267,7 +267,7 @@ type roundPrep struct {
 	fetchExtra []float64
 	pushOK     []bool
 	pushExtra  []float64
-	wireRef    []*wireRef
+	refs       []*edgenet.WireRef
 	streams    []*tensor.RNG
 	// Distributed-trace context for this round's launch set: the sampled
 	// trace (0 = round unsampled) and the round root span workers parent
@@ -291,7 +291,7 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 		fetchExtra: make([]float64, n),
 		pushOK:     make([]bool, n),
 		pushExtra:  make([]float64, n),
-		wireRef:    make([]*wireRef, n),
+		refs:       make([]*edgenet.WireRef, n),
 	}
 	faultsBefore := s.Faults.Stats()
 	for i, c := range part {
@@ -304,7 +304,7 @@ func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPre
 		id := c.Dev.ID
 		p.held[i] = s.subs[id]
 		p.hadGate[i] = s.hasGatePkg[id]
-		p.wireRef[i] = s.wireRefs[id] // refs are immutable; workers read freely
+		p.refs[i] = s.wireRefs[id] // refs are immutable; workers read freely
 		p.fetchOK[i], p.fetchExtra[i] = s.Faults.Fetch(round, id)
 		switch {
 		case p.fetchOK[i]:
@@ -371,7 +371,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				// so the device blends in the lossy reconstruction.
 				sub = p.held[i]
 				bb = sub.Backbone()
-				bytes, r.wireRef = s.pullBlend(wk.enc, sub, bb, p.wireRef[i])
+				bytes, r.next = s.pullBlend(wk.enc, sub, bb, p.refs[i])
 			} else {
 				// First contact or the local task moved: new structure,
 				// exact at 4 B/element or over the simulated v2 link — dense:
@@ -380,7 +380,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				bb = sub.Backbone()
 				bytes = bb.Bytes()
 				if s.cfg.WireCompress {
-					bytes, r.wireRef = wireDownlink(wk.enc, sub, bb, p.wireRef[i], edgenet.WireOpts{})
+					bytes, r.next = wireDownlink(wk.enc, sub, bb, p.refs[i])
 				}
 			}
 			if !p.hadGate[i] {
@@ -423,9 +423,9 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 					// last one, when the fetch was lost). The cloud
 					// aggregates the wire's reconstruction; the device keeps
 					// its full-precision local weights.
-					ref := r.wireRef
+					ref := r.next
 					if ref == nil {
-						ref = p.wireRef[i]
+						ref = p.refs[i]
 					}
 					upBytes, upSub, r.upBuf = wireUplink(wk.enc, sub, bb, ref, edgenet.WireOpts{TopK: s.cfg.WireTopK})
 				}
@@ -484,11 +484,11 @@ func (s *Nebula) commitDevice(landing int, c *Client, r *nebulaResult, stale int
 	if r.gate {
 		s.hasGatePkg[id] = true
 	}
-	if r.wireRef != nil {
+	if r.next != nil {
 		// The replaced reference goes back: its one reader, this device's
 		// worker, is done, and a device is not relaunched while its work pends.
-		s.wireRefs[id].release()
-		s.wireRefs[id] = r.wireRef
+		s.wireRefs[id].Release()
+		s.wireRefs[id] = r.next
 		s.metrics().wirePayloads.Inc()
 	}
 	if r.update != nil && stale > 0 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/edgenet"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/trace"
@@ -124,8 +125,10 @@ func RoundHealthSection(rec *span.Recorder) func(io.Writer) {
 		if len(walls) == 0 {
 			fmt.Fprintf(w, " (no rounds yet)")
 		}
+		sep := " "
 		for _, s := range walls {
-			fmt.Fprintf(w, " %.3fs", s)
+			fmt.Fprintf(w, "%s%s", sep, metrics.FmtDur(s))
+			sep = ", "
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "late updates: %d (total staleness %d rounds)\n",

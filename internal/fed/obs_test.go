@@ -3,6 +3,7 @@ package fed
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/edgenet"
@@ -317,5 +318,32 @@ func TestFaultCountersMirrorStats(t *testing.T) {
 		if got := counterValue(t, reg, "nebula_fed_fault_events_total", `event="`+ev+`"`); got != float64(w) {
 			t.Errorf("fault counter %q = %v, FaultStats says %d", ev, got, w)
 		}
+	}
+}
+
+// TestRoundHealthSectionPinned pins the /statusz round-health digest: the
+// round wall latencies print through metrics.FmtDur, oldest first, like every
+// other duration on the page.
+func TestRoundHealthSectionPinned(t *testing.T) {
+	defer func(m *RoundMetrics) { fedMetrics = m }(fedMetrics)
+	fedMetrics = NewRoundMetrics(obs.NewRegistry())
+	var empty bytes.Buffer
+	RoundHealthSection(nil)(&empty)
+	for _, sec := range []float64{0.0004, 0.25, 3.5, 150} {
+		fedMetrics.noteRoundWall(sec)
+	}
+	fedMetrics.lateUpdates.Add(2)
+	fedMetrics.staleRounds.Add(3)
+	var got bytes.Buffer
+	RoundHealthSection(nil)(&got)
+	lines := strings.SplitN(got.String(), "\n", 3)
+	if want := "last 0 round wall latencies: (no rounds yet)\n"; !strings.HasPrefix(empty.String(), want) {
+		t.Errorf("before any round: %q, want prefix %q", empty.String(), want)
+	}
+	if want := "last 4 round wall latencies: 400.0 µs, 250.0 ms, 3.50 s, 2.5 min"; lines[0] != want {
+		t.Errorf("latency line %q\n          want %q", lines[0], want)
+	}
+	if want := "late updates: 2 (total staleness 3 rounds)"; lines[1] != want {
+		t.Errorf("late-update line %q, want %q", lines[1], want)
 	}
 }

@@ -186,7 +186,7 @@ func TestWireUplinkCarrierIsWhatAggregationReads(t *testing.T) {
 	}
 	sub := cloud.Extract(active)
 	enc := new(edgenet.Encoder)
-	_, ref := wireDownlink(enc, sub, sub.Backbone(), nil, edgenet.WireOpts{})
+	_, ref := wireDownlink(enc, sub, sub.Backbone(), nil)
 	TrainLayer(rng, sub, c.Dev.Train, 1, 0.02, 16, nil)
 	sub.Park()
 

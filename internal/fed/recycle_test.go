@@ -64,8 +64,8 @@ func TestSimulatedLinkRecyclesVectors(t *testing.T) {
 // the vector it moves: the flatten buffer is kernel scratch, the codes live in
 // the Encoder and the reconstruction in an array the last crossing's owner
 // handed back. What is left is headers, bounded here below an eighth of the
-// vector's bytes (len·4/8) per call, for a full, a dense delta and a top-k
-// delta payload.
+// vector's bytes (len·4/8) per call, for a full and a dense delta downlink
+// (cross) and a top-k delta uplink (wireUplink).
 func TestCrossAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are the race detector's under -race")
@@ -74,11 +74,11 @@ func TestCrossAllocBudget(t *testing.T) {
 	m := modular.NewModularMLP(tensor.NewRNG(91), 64, 256, 6, mcfg)
 	sub := m.Extract(firstTwoModules(m))
 	var enc edgenet.Encoder
-	_, ref := wireDownlink(&enc, sub, sub.Backbone(), nil, edgenet.WireOpts{})
+	_, ref := wireDownlink(&enc, sub, sub.Backbone(), nil)
 	n := len(ref.Vec)
 	for _, tc := range []struct {
 		what string
-		ref  *wireRef
+		ref  *edgenet.WireRef
 		opts edgenet.WireOpts
 	}{
 		{"full", nil, edgenet.WireOpts{}},
@@ -86,8 +86,13 @@ func TestCrossAllocBudget(t *testing.T) {
 		{"top-k", ref, edgenet.WireOpts{TopK: 0.25}},
 	} {
 		crossing := func() {
-			_, far := cross(&enc, sub, sub.Backbone(), sub.AppendBackboneVector, tc.ref, tc.opts)
-			tensor.Release(far)
+			if tc.opts.TopK > 0 {
+				_, _, far := wireUplink(&enc, sub, sub.Backbone(), tc.ref, tc.opts)
+				tensor.Release(far)
+				return
+			}
+			_, next := cross(&enc, sub, sub.Backbone(), sub.AppendBackboneVector, tc.ref)
+			next.Release()
 		}
 		for i := 0; i < 3; i++ {
 			crossing()

@@ -149,7 +149,7 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 
 	rng := tensor.NewRNG(7)
 	var enc edgenet.Encoder // the simulator's worker keeps its sender, as the client keeps its own
-	var ref *wireRef
+	var ref *edgenet.WireRef
 	var prev [][]int
 	var prevLen int
 	var full, delta int64
@@ -166,11 +166,11 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 		// Downlink.
 		active := twin.Derive(imp, step.budget, false)
 		simSub := twin.Extract(active)
-		simFull := ref.base(active) == nil
+		simFull := ref.Base(active) == nil
 		var simDown int64
 		old := ref
-		simDown, ref = wireDownlink(&enc, simSub, simSub.Backbone(), ref, edgenet.WireOpts{})
-		old.release() // replaced, as commitDevice hands it back
+		simDown, ref = wireDownlink(&enc, simSub, simSub.Backbone(), ref)
+		old.Release() // replaced, as commitDevice hands it back
 		sub, err := cl.FetchSubModel(imp, step.budget)
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestSimulatedLinkIsTheTransportsOracle(t *testing.T) {
 
 		// Uplink and aggregation.
 		weight := float64(10 + i)
-		simDelta := ref.base(simSub.Mapping) != nil
+		simDelta := ref.Base(simSub.Mapping) != nil
 		simUp, carrier, upBuf := wireUplink(&enc, simSub, simSub.Backbone(), ref, upOpts)
 		twin.AggregateModuleWise([]*modular.Update{{Sub: carrier, Importance: imp, Weight: weight}})
 		tensor.Release(upBuf) // read, as land hands it back
