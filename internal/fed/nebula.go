@@ -412,6 +412,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				pspan := s.Spans.Start(p.trace, dspan.ID(), "fed.push")
 				pspan.SetDevice(id)
 				hist := c.Dev.Train.ClassHistogram()
+				//nolint:hotalloc -- the update keeps its class weights until it lands, rounds later when it pends
 				cw := make([]float64, len(hist))
 				for ci, cnt := range hist {
 					cw[ci] = float64(cnt)

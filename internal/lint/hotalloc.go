@@ -5,13 +5,14 @@ import (
 	"go/ast"
 )
 
-// HotAlloc flags `make(` inside function literals passed to the tensor
-// fan-out, ParallelFor. These closures are the training hot path: an
-// allocation there repeats per step (and per work item), which is
-// exactly the steady-state garbage the scratch arena exists to eliminate.
-// The canonical fix is tensor.GetScratch/PutScratch, or a buffer owned by
-// the enclosing layer; a deliberate exception needs `//nolint:hotalloc`
-// with a justification.
+// HotAlloc flags `make(` inside function literals passed to a parallel
+// executor (parallelExecutors: ParallelFor, ParallelForWorkers, serve,
+// globalRound, the list rngescape reads). These closures are the training
+// hot path: an allocation there repeats per step (and per work item), which
+// is exactly the steady-state garbage the scratch arena exists to
+// eliminate. The canonical fix is tensor.GetScratch/PutScratch, or a buffer
+// owned by the enclosing layer or worker; a deliberate exception needs
+// `//nolint:hotalloc` with a justification.
 type HotAlloc struct{}
 
 // Name implements Analyzer.
@@ -19,18 +20,12 @@ func (HotAlloc) Name() string { return "hotalloc" }
 
 // Doc implements Analyzer.
 func (HotAlloc) Doc() string {
-	return "make() inside a ParallelFor body; use the tensor scratch arena"
+	return "make() inside a parallel executor body; use the tensor scratch arena"
 }
 
 // DefaultPaths implements Analyzer: everywhere — hot-path allocation is a
 // whole-tree concern, the kernels are called from nn, modular and fed alike.
 func (HotAlloc) DefaultPaths() []string { return nil }
-
-// parallelKernels are the tensor-package entry points whose closure
-// arguments run once per work item on the training hot path.
-var parallelKernels = map[string]bool{
-	"ParallelFor": true,
-}
 
 // Check implements Analyzer.
 func (HotAlloc) Check(f *File) []Diagnostic {
@@ -41,14 +36,10 @@ func (HotAlloc) Check(f *File) []Diagnostic {
 			return true
 		}
 		name := calleeName(call)
-		if !parallelKernels[name] {
+		if !parallelExecutors[name] {
 			return true
 		}
-		for _, arg := range call.Args {
-			fn, ok := arg.(*ast.FuncLit)
-			if !ok {
-				continue
-			}
+		for _, fn := range funcLitArgs(call) {
 			ast.Inspect(fn.Body, func(inner ast.Node) bool {
 				mk, ok := inner.(*ast.CallExpr)
 				if !ok {

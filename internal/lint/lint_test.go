@@ -43,7 +43,7 @@ func TestFixtures(t *testing.T) {
 		"goleak.go":     {"goleak"},
 		"errdrop.go":    {"errdrop"},
 		"seedrand.go":   {"seedrand"},
-		"hotalloc.go":   {"hotalloc"},
+		"hotalloc.go":   {"hotalloc", "hotalloc"},
 		"rngescape.go":  {"rngescape", "rngescape", "rngescape"},
 		"lockedcall.go": {"lockedcall"},
 		"mapsink.go":    {"maporder"},

@@ -39,7 +39,8 @@ func (RNGEscape) DefaultPaths() []string { return nil }
 
 // parallelExecutors are the fan-out entry points whose function-literal
 // arguments (worker bodies and per-worker state constructors) run
-// concurrently.
+// concurrently, once per work item: the one list rngescape and hotalloc
+// read.
 var parallelExecutors = map[string]bool{
 	"ParallelFor":        true,
 	"ParallelForWorkers": true,

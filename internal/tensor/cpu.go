@@ -15,17 +15,18 @@ var cpuHasAVX512 bool
 
 // strictAVX selects the strict AVX kernels over the portable
 // goGemmKernel6x8: they run at 256 bits (gemm_avx_amd64.s), or at 512 bits
-// for pairs of full B panels (gemm_avx512_amd64.s) where strictAVX512 is also
-// set. All of them keep every multiply and add a separately rounded IEEE
+// (gemm_avx512_amd64.s) where strictAVX512 is also set. All of them keep every multiply and add a separately rounded IEEE
 // float32 operation in the same single chain per C element, so the choice is
 // invisible to every bitwise gate (TestGemmPortableMatchesAVX). Set once at
 // package init (cpu_amd64.go) when the CPU and OS support AVX; only tests
 // toggle it afterwards.
 var strictAVX bool
 
-// strictAVX512 selects the 6×16 kernel (kernel6x16) for each pair of full B
-// panels runTiles sweeps. Set at package init with strictAVX where the CPU
-// reports AVX-512F/DQ and the OS saves ZMM state; never set without strictAVX.
+// strictAVX512 selects the 6×16 kernel (kernel6x16) for every tile runTiles
+// sweeps: a pair of B panels, a single or partial last panel, and the row
+// edges of each, one call apiece. Set at package init with strictAVX where
+// the CPU reports AVX-512F/DQ and the OS saves opmask and ZMM state; never
+// set without strictAVX.
 var strictAVX512 bool
 
 // CPUFeatures returns the detected SIMD feature set as a provenance string
@@ -56,8 +57,8 @@ func CPUFeatures() string {
 
 // KernelMode names the micro-kernel GEMM runs, for bench provenance:
 // "strict-avx" or "strict-portable-<arch>". "strict-avx" covers both widths
-// of the AVX kernels: 256 bits, or 512 bits where AVX-512F/DQ and OS ZMM
-// state are present (CPUFeatures tells them apart).
+// of the AVX kernels: 256 bits, or 512 bits for every tile where AVX-512F/DQ
+// and OS ZMM state are present (CPUFeatures tells them apart).
 func KernelMode() string {
 	if strictAVX {
 		return "strict-avx"

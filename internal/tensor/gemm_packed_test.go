@@ -202,7 +202,8 @@ func TestGemmValidation(t *testing.T) {
 }
 
 // TestKernel6x8AsmMatchesGo pins the AVX assembly kernel against the
-// portable reference, bitwise, across all three modes, several k values and
+// portable reference, bitwise, on full 6×8 tiles (TestKernelExtent covers
+// every smaller extent), across all three modes, several k values and
 // ldc layouts, and every operand layout the GEMM hands it: a packed A tile
 // (lda, ksa) = (1, mr), a tile of a row-major A (k, 1) and of a transposed A
 // (1, m), a packed B panel (ldb = nr) and a panel of a row-major B (ldb = n).
@@ -232,8 +233,8 @@ func TestKernel6x8AsmMatchesGo(t *testing.T) {
 						fillRand(rng, b)
 						fillRand(rng, cAsm)
 						cGo := append([]float32(nil), cAsm...)
-						kernel6x8(a, b, cAsm, k, ldc, mode, al.lda, al.ksa, ldb)
-						goGemmKernel6x8(a, b, cGo, k, ldc, mode, al.lda, al.ksa, ldb)
+						kernel6x8(a, b, cAsm, k, ldc, mode, al.lda, al.ksa, ldb, mr, nr, 0)
+						goGemmKernel6x8(a, b, cGo, k, ldc, mode, al.lda, al.ksa, ldb, mr, nr)
 						for i := range cGo {
 							if cAsm[i] != cGo[i] {
 								t.Fatalf("k=%d A %s ldb=%d ldc=%d mode=%d: c[%d] asm=%v go=%v",
@@ -247,12 +248,13 @@ func TestKernel6x8AsmMatchesGo(t *testing.T) {
 	}
 }
 
-// TestKernel6x16MatchesGo pins the 512-bit kernel against two portable
-// 6×8 kernel calls, bitwise, in all three modes and at every k the census
-// of kernel calls turns up (k ≤ 16 for most), for each A layout the GEMM
-// hands it (packed, row-major, transposed) and both B layouts: panels of a
-// row-major B read in place (the second panel 8 floats on, ldb = n) and
-// packed panels (the second 8k floats on, ldb = nr). Operands and C carry
+// TestKernel6x16MatchesGo pins the 512-bit kernel on a full 6×16 region
+// against two portable 6×8 kernel calls, bitwise, in all three modes and
+// at every k the census of kernel calls turns up (k ≤ 16 for most), for
+// each A layout the GEMM hands it (packed, row-major, transposed) and both
+// B layouts: panels of a row-major B read in place (the second panel 8
+// floats on, ldb = n) and packed panels (the second 8k floats on,
+// ldb = nr). Operands and C carry
 // ±0, ±Inf, subnormals and NaNs among their random values, so a swapped
 // operand or a fused multiply-add shows up. B is exactly as long as the two
 // panels' reach at k ≥ 1, so the portable calls panic on a read past it.
@@ -294,9 +296,9 @@ func TestKernel6x16MatchesGo(t *testing.T) {
 						fill(b)
 						fill(cAsm)
 						cGo := append([]float32(nil), cAsm...)
-						kernel6x16(a, b, cAsm, k, ldc, mode, al.lda, al.ksa, bl.ldb, bl.bstep)
-						goGemmKernel6x8(a, b, cGo, k, ldc, mode, al.lda, al.ksa, bl.ldb)
-						goGemmKernel6x8(a, b[bl.bstep:], cGo[nr:], k, ldc, mode, al.lda, al.ksa, bl.ldb)
+						kernel6x16(a, b, cAsm, k, ldc, mode, al.lda, al.ksa, bl.ldb, bl.bstep, mr, 2*nr, 0)
+						goGemmKernel6x8(a, b, cGo, k, ldc, mode, al.lda, al.ksa, bl.ldb, mr, nr)
+						goGemmKernel6x8(a, b[bl.bstep:], cGo[nr:], k, ldc, mode, al.lda, al.ksa, bl.ldb, mr, nr)
 						for i := range cGo {
 							if !sameBits(cAsm[i], cGo[i]) {
 								t.Fatalf("k=%d A %s B %s ldc=%d mode=%d: c[%d] asm=%v (%#08x) go=%v (%#08x)",
@@ -571,7 +573,10 @@ func BenchmarkGemmDenseShapes(b *testing.B) {
 // it replaces, over packed operands (A tile (1, mr), two B panels 8k floats
 // apart, C row stride 16) at the k the conv GEMMs run: 3 to 16 for the
 // narrow module convs, 144 for a 16-channel 3×3. docs/PERF.md finding #13
-// cites its table:
+// cites its table. The edge rows time the tiles a sub-model's odd row
+// counts leave (1–5 rows) at a full panel (8 columns), a panel pair (16)
+// and a partial panel (3), one call at 512 bits and one or two 6×8 calls
+// at 256 bits (finding #14):
 //
 //	go test -run '^$' -bench KernelTiles -count 5 ./internal/tensor
 func BenchmarkKernelTiles(b *testing.B) {
@@ -584,8 +589,8 @@ func BenchmarkKernelTiles(b *testing.B) {
 		fillRand(rng, bp)
 		b.Run(fmt.Sprintf("k=%d/2x6x8", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				kernel6x8(a, bp, c, k, 2*nr, 0, 1, mr, nr)
-				kernel6x8(a, bp[nr*k:], c[nr:], k, 2*nr, 0, 1, mr, nr)
+				kernel6x8(a, bp, c, k, 2*nr, 0, 1, mr, nr, mr, nr, 0)
+				kernel6x8(a, bp[nr*k:], c[nr:], k, 2*nr, 0, 1, mr, nr, mr, nr, 0)
 			}
 		})
 		b.Run(fmt.Sprintf("k=%d/6x16", k), func(b *testing.B) {
@@ -593,8 +598,39 @@ func BenchmarkKernelTiles(b *testing.B) {
 				b.Skipf("no AVX-512F/DQ with OS ZMM state (features %s)", CPUFeatures())
 			}
 			for i := 0; i < b.N; i++ {
-				kernel6x16(a, bp, c, k, 2*nr, 0, 1, mr, nr, nr*k)
+				kernel6x16(a, bp, c, k, 2*nr, 0, 1, mr, nr, nr*k, mr, 2*nr, 0)
 			}
 		})
+		if k != 3 && k != 16 && k != 144 {
+			continue
+		}
+		for rows := 1; rows < mr; rows++ {
+			for _, cols := range []int{nr, 2 * nr, 3} {
+				forEachKernel(b, func(level string) {
+					if level == "portable" {
+						return
+					}
+					b.Run(fmt.Sprintf("k=%d/edge%dx%d/%s", k, rows, cols, level), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							kernelStrip(a, bp, c, k, 2*nr, 0, 1, mr, nr, nr*k, rows, cols, 0)
+						}
+					})
+				})
+			}
+		}
+	}
+}
+
+// kernelStrip computes the rows×cols block of C (cols ≤ 2·nr) down two
+// adjacent B panels as runTiles does at the selected level: one kernel6x16
+// call where strictAVX512 is set, else one kernel6x8 call per panel.
+func kernelStrip(a, b, c []float32, k, ldc, mode, lda, ksa, ldb, bstep, rows, cols, astep int) {
+	if strictAVX512 {
+		kernel6x16(a, b, c, k, ldc, mode, lda, ksa, ldb, bstep, rows, cols, astep)
+		return
+	}
+	kernel6x8(a, b, c, k, ldc, mode, lda, ksa, ldb, rows, min(cols, nr), astep)
+	if cols > nr {
+		kernel6x8(a, b[bstep:], c[nr:], k, ldc, mode, lda, ksa, ldb, rows, cols-nr, astep)
 	}
 }

@@ -468,16 +468,14 @@ func goFold3(dcol []float32, g ConvGeom, img []float32) {
 // ConvWeights holds the weight matrix as the two conv products read it, so
 // a batch loop prepares W once instead of once per sample: op(A) = W for the
 // forward product, op(A) = Wᵀ for the input-gradient product. The kernel
-// reads both in place from W; only the partial last tile (outC % mr rows of W,
-// or kdim % mr rows of Wᵀ) is packed, by PackFwd/PackBwd, and released with
-// Release. The tile is read-only during the sweep and safe to share across
-// parallel per-sample GEMMs; W must stay unchanged until Release. The zero
-// value is ready to use and holds no scratch.
+// reads both in place from W, partial last tile included, so W must stay
+// unchanged until Release; PackBwd also builds the dW gather's tap table.
+// The operands are read-only during the sweep and safe to share across
+// parallel per-sample GEMMs. The zero value is ready to use.
 type ConvWeights struct {
 	g        ConvGeom
 	outC     int
 	fwd, bwd operand   // W and Wᵀ as A operands; src is nil until packed
-	edge     *Scratch  // the packed partial tile of fwd or bwd
 	taps     *tapTable // g's convTaps for the dW gather, set by PackBwd
 }
 
@@ -504,27 +502,20 @@ func (cw *ConvWeights) PackBwd(w []float32, outC int, g ConvGeom) {
 	cw.taps.off = convTaps(g, cw.taps.off)
 }
 
-// readW releases what cw held and returns op(W) (m×k) as an A operand, its
-// partial last tile packed into cw.edge.
+// readW releases what cw held and returns op(W) (m×k) as an A operand.
 func (cw *ConvWeights) readW(w []float32, outC int, g ConvGeom, m, k int, transA bool) operand {
 	cw.Release()
 	cw.g, cw.outC = g, outC
-	var edge []float32
-	if n := edgeLen(m, mr, k); n > 0 {
-		cw.edge = GetScratch(n)
-		edge = cw.edge.Data
-	}
-	return readA(w, m, k, transA, edge)
+	return readA(w, m, k, transA)
 }
 
-// Release returns the packed tile to the arena and the tap table to its
-// pool. Safe on the zero value and after a previous Release.
+// Release returns the tap table to its pool. Safe on the zero value and
+// after a previous Release.
 func (cw *ConvWeights) Release() {
-	PutScratch(cw.edge)
 	if cw.taps != nil {
 		tapTables.Put(cw.taps)
 	}
-	cw.fwd, cw.bwd, cw.edge, cw.taps = operand{}, operand{}, nil, nil
+	cw.fwd, cw.bwd, cw.taps = operand{}, operand{}, nil
 }
 
 // Conv computes the forward GEMM out = W · im2col(src) without materializing
@@ -583,26 +574,22 @@ func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	}
 	convImplicitCount.Inc()
 
-	// One arena block serves both GEMMs — an edge region, a B region and the
-	// padded image — so a sample's backward is a single pool round-trip. The
-	// edge region holds grad's partial tile in turn: the last A tile of the
-	// dW product, then the last B panel of the dcol product. The B region
-	// holds the packBConvT panels and is then recycled as the column
-	// gradient (nTiles·nr ≥ kdim, and the sweep fully overwrites it with
-	// beta = 0 before the fold reads it). The image region is padded once,
-	// read by the transposed gather, and then recycled as the padded dx the
-	// fold accumulates into.
-	eLen := max(edgeLen(outC, mr, cols), edgeLen(cols, nr, outC))
+	// One arena block serves both GEMMs — a B region and the padded image —
+	// so a sample's backward is a single pool round-trip. grad is read in
+	// place by both products. The B region holds the packBConvT panels and
+	// is then recycled as the column gradient (nTiles·nr ≥ kdim, and the
+	// sweep fully overwrites it with beta = 0 before the fold reads it). The
+	// image region is padded once, read by the transposed gather, and then
+	// recycled as the padded dx the fold accumulates into.
 	bLen := (kdim + nr - 1) / nr * nr * cols
-	s := GetScratch(eLen + bLen + g.paddedLen())
-	edge := s.Data[:eLen]
-	pb := packed(s.Data[eLen:eLen+bLen], nr, cols)
-	pimg := s.Data[eLen+bLen:]
+	s := GetScratch(bLen + g.paddedLen())
+	pb := packed(s.Data[:bLen], nr, cols)
+	pimg := s.Data[bLen:]
 	packBConvT(padImage(src, g, pimg), g, cw.taps.off, pb.src)
-	ga := readA(grad, outC, cols, false, edge)
+	ga := readA(grad, outC, cols, false)
 	runGemm(&ga, &pb, dw, outC, kdim, cols, 1)
 
-	gb := readB(grad, outC, cols, false, edge)
+	gb := readB(grad, cols)
 	dcol := pb.src[:kdim*cols]
 	runGemm(&cw.bwd, &gb, dcol, kdim, cols, outC, 0)
 	// Fold into zeros: the padded region when there is a border to absorb

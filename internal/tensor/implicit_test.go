@@ -279,10 +279,10 @@ func TestConvGemmImplicitZeroAlloc(t *testing.T) {
 
 // TestConvGemmScratchAccounting pins the implicit path's arena use: forward
 // and backward return every byte they acquire, and each peaks at exactly the
-// blocks its geometry calls for — the arena class of W's packed partial tile
-// (forward) plus the class of the one block holding the B panels, grad's
-// partial tiles (backward) and the padded image. A column matrix, or any
-// other block, would show up here. The im2col reference must not leak
+// one block its geometry calls for — the arena class of the block holding
+// the B panels and the padded image. W and grad are read in place, partial
+// tiles included, so neither packs a tile of its own. A column matrix, or
+// any other block, would show up here. The im2col reference must not leak
 // either.
 func TestConvGemmScratchAccounting(t *testing.T) {
 	g := ConvGeom{Channels: 16, Height: 16, Width: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -300,12 +300,11 @@ func TestConvGemmScratchAccounting(t *testing.T) {
 	class := func(n int) int64 { return 4 * int64(kernelScratch.classCap(kernelScratch.classOf(n))) }
 	kdim, cols := g.Kdim(), g.Cols() // 144 (= 24·mr = 18·nr), 256 (= 32·nr)
 	padded := g.Channels * (g.Height + 2) * (g.Width + 2)
-	// Forward: W's last tile holds outC % mr = 2 rows; the B panels cover
-	// cols. Backward: Wᵀ has kdim rows, whole tiles; grad's last A tile
-	// (outC % mr rows of cols) is the larger of its two partial tiles
-	// (cols % nr = 0); the B panels cover kdim.
-	fwdWant := class(mr*kdim) + class(cols*kdim+padded)
-	bwdWant := class(mr*cols + kdim*cols + padded)
+	// Forward: the B panels cover cols; backward: they cover kdim. outC %
+	// mr = 2 leaves W, Wᵀ's neighbour grad and the dw product with partial
+	// row tiles, all read in place.
+	fwdWant := class(cols*kdim + padded)
+	bwdWant := class(kdim*cols + padded)
 
 	live := ScratchLiveBytes()
 	ResetScratchPeak()

@@ -52,13 +52,17 @@ func (t *Tensor) AddScaled(a float32, o *Tensor) {
 	}
 }
 
-// Axpy computes y += a*x on raw slices; the hot loop shared by optimizers.
+// Axpy computes y += a*x on raw slices, each y[i] + float32(a*x[i]): the
+// hot loop of module combines and scatters and of Conv2D's half merge.
+// Whole blocks of eight run through a strict AVX twin where one is selected
+// (axpyBlocks), bit for bit this loop but for a NaN's payload
+// (docs/PERF.md invariant 8).
 func Axpy(a float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
 	}
-	for i, v := range x {
-		y[i] += float32(a * v)
+	for i := axpyBlocks(a, x, y); i < len(x); i++ {
+		y[i] += float32(a * x[i])
 	}
 }
 

@@ -2,21 +2,20 @@ package tensor
 
 import "sync"
 
-// Packed GEMM, GotoBLAS-style. One micro-kernel computes every 6×8 tile of C
-// for all four transA/transB variants; it takes operand strides, so an
-// operand is read where it lies whenever its layout allows:
+// Packed GEMM, GotoBLAS-style. One micro-kernel computes every tile of C for
+// all four transA/transB variants; it takes operand strides and the valid
+// extent, so an operand is read where it lies whenever its layout allows:
 //
 //   - Element (p, r) of an A tile (k step p, C row r) is at a[p*ksa + r*lda].
-//     A full tile of op(A) is read in place: (lda, ksa) = (k, 1) when A is
-//     row-major, (1, m) when it is stored transposed.
+//     Every tile of op(A), the partial last one included, is read in place:
+//     (lda, ksa) = (k, 1) when A is row-major, (1, m) when it is stored
+//     transposed.
 //   - Row p of a B panel (k step p, nr contiguous C columns) is at b[p*ldb:].
-//     A full panel of a row-major B is read in place with ldb = n.
-//   - What the kernel cannot read in place is packed: the partial last tile
-//     of A (m % mr rows, packA), the partial last panel of B (n % nr
-//     columns) and every panel of a transposed B (packB). A packed A tile
-//     holds element (p, r) at p*mr + r, a packed B panel element (p, c) at
-//     p*nr + c — the strides (lda, ksa, ldb) = (1, mr, nr) — and lanes past
-//     m or n are +0, so the kernel never branches on the edge.
+//     Every panel of a row-major B is read in place with ldb = n.
+//   - The one operand the kernel cannot read in place is a transposed B,
+//     whose columns are not contiguous: packB packs every panel, element
+//     (p, c) at p*nr + c — the stride ldb = nr — with lanes past n +0. The
+//     implicit-conv gathers leave their panels in the same layout.
 //
 // Tiles cover the full k extent (no k-blocking): each C element is produced
 // by a single uninterrupted summation chain in ascending-p order, which is
@@ -27,51 +26,23 @@ import "sync"
 // outermost, so one B panel (k·nr·4 bytes, L1-resident for every shape this
 // repo hits) is reused across the entire sweep of A tiles.
 //
-// Edge tiles of C (m % mr, n % nr remainders) run the same kernel into a
-// stack-allocated 6×8 staging tile; a Go epilogue moves the valid region.
-// There are no scalar edge kernels to keep numerically consistent.
+// The extent contract: a kernel call computes the rows×cols block of C down
+// one column strip — cols ≤ nr at 256 bits, ≤ 2·nr at 512 bits, and any
+// rows, swept one mr-row tile at a time — and reads no A row at or past
+// rows and no B or C column at or past cols. An edge tile, m % mr rows or
+// n % nr columns, is therefore computed and written in place like a full
+// one, inside the same call. There is no staging tile and no scalar edge
+// kernel to keep numerically consistent: every element, full tile or edge,
+// takes the same chain.
 const (
-	mr = 6 // micro-kernel rows: one 8-lane AVX accumulator register each
-	nr = 8 // micro-kernel cols: one 8-lane vector per row
+	mr = 6 // micro-kernel rows: one accumulator register each
+	nr = 8 // B panel width: one 8-lane vector per row
 )
 
-// packA copies the partial last row tile of op(A) (m×k) — rows m−m%mr to m,
-// which the kernel cannot read in place — into the mr-row tile dst (mr·k
-// elements), zero-padding the rows past m.
-func packA(a []float32, m, k int, transA bool, dst []float32) {
-	i0 := m - m%mr
-	rows := m - i0
-	if transA {
-		for p := 0; p < k; p++ {
-			dp := dst[p*mr : p*mr+mr]
-			clear(dp[copy(dp, a[p*m+i0:p*m+m]):])
-		}
-		return
-	}
-	// Row-major source: clear the tile, then scatter one source row at a
-	// time (a sequential read, one index add each).
-	tile := dst[:mr*k]
-	clear(tile)
-	for r := 0; r < rows; r++ {
-		for p, v := range a[(i0+r)*k : (i0+r)*k+k] {
-			tile[p*mr+r] = v
-		}
-	}
-}
-
-// packB copies the panels of op(B) (k×n) the kernel cannot read in place
-// into dst, zero-padding columns past n: every nr-column panel when B is
-// stored transposed (panel t at dst[t*nr*k:]), else only the partial last
-// panel — columns n−n%nr to n, at dst[:nr*k].
-func packB(b []float32, k, n int, transB bool, dst []float32) {
-	if !transB {
-		j0 := n - n%nr
-		for p := 0; p < k; p++ {
-			dp := dst[p*nr : p*nr+nr]
-			clear(dp[copy(dp, b[p*n+j0:p*n+n]):])
-		}
-		return
-	}
+// packB packs the panels of a transposed B (op(B) is k×n, b holds its n
+// columns as rows of k) into dst, panel t at dst[t*nr*k:], zero-padding
+// columns past n: ceil(n/nr)·nr·k elements.
+func packB(b []float32, k, n int, dst []float32) {
 	for j0 := 0; j0 < n; j0 += nr {
 		base := j0 * k // == (j0/nr) * nr * k
 		cols := n - j0
@@ -116,115 +87,89 @@ func packB(b []float32, k, n int, transB bool, dst []float32) {
 	}
 }
 
-// goGemmKernel6x8 is the portable micro-kernel: C tile (mr×nr, row stride
-// ldc) from one A tile and one B panel over the full k extent, with element
-// (p, r) of A at a[p*ksa + r*lda] and row p of B at b[p*ldb:] (pack.go's
-// header). Modes:
+// goGemmKernel6x8 is the portable micro-kernel: the rows×cols region
+// (rows ≤ mr, cols ≤ nr) of a C tile (row stride ldc) from one A tile and
+// one B panel over the full k extent, with element (p, r) of A at
+// a[p*ksa + r*lda] and row p of B at b[p*ldb:] (pack.go's header). It reads
+// nothing past the extent. Modes:
 //
 //	0: C = acc       (accumulator starts at zero, raw store)
 //	1: C = C + acc   (accumulator starts at zero, one add per element)
 //	2: C = acc       (accumulator preloaded from C, raw store)
 //
-// It is the bitwise reference for the assembly kernel. The explicit
+// It is the bitwise reference for the assembly kernels. The explicit
 // float32 conversion rounds each product before it is added: the Go spec
 // lets a compiler that can fuse (arm64) turn x*y + z into one FMA unless a
 // conversion rounds x*y, and a temporary variable does not count.
-func goGemmKernel6x8(a, b, c []float32, k, ldc, mode, lda, ksa, ldb int) {
+func goGemmKernel6x8(a, b, c []float32, k, ldc, mode, lda, ksa, ldb, rows, cols int) {
 	var acc [mr][nr]float32
 	if mode == 2 {
-		for r := 0; r < mr; r++ {
-			copy(acc[r][:], c[r*ldc:r*ldc+nr])
+		for r := 0; r < rows; r++ {
+			copy(acc[r][:cols], c[r*ldc:r*ldc+cols])
 		}
 	}
 	for p := 0; p < k; p++ {
-		bp := b[p*ldb : p*ldb+nr]
-		for r := 0; r < mr; r++ {
+		bp := b[p*ldb : p*ldb+cols]
+		for r := 0; r < rows; r++ {
 			ar := a[p*ksa+r*lda]
-			row := &acc[r]
-			for j := 0; j < nr; j++ {
-				row[j] += float32(ar * bp[j])
+			row := acc[r][:len(bp)]
+			for j, bv := range bp {
+				row[j] += float32(ar * bv)
 			}
 		}
 	}
-	if mode == 1 {
-		for r := 0; r < mr; r++ {
-			crow := c[r*ldc : r*ldc+nr]
-			for j := 0; j < nr; j++ {
+	for r := 0; r < rows; r++ {
+		crow := c[r*ldc : r*ldc+cols]
+		if mode == 1 {
+			for j := range crow {
 				crow[j] += acc[r][j]
 			}
+			continue
 		}
-		return
+		copy(crow, acc[r][:])
 	}
-	for r := 0; r < mr; r++ {
-		copy(c[r*ldc:r*ldc+nr], acc[r][:])
+}
+
+// goGemmStrip is the portable strip kernel: the rows×cols block of C (any
+// rows, cols ≤ nr) down one B panel, one goGemmKernel6x8 call per mr-row
+// tile, A tile t at a[t*astep:] and its C rows at c[t*mr*ldc:].
+func goGemmStrip(a, b, c []float32, k, ldc, mode, lda, ksa, ldb, rows, cols, astep int) {
+	for i := 0; i < rows; i += mr {
+		goGemmKernel6x8(a[i/mr*astep:], b, c[i*ldc:], k, ldc, mode, lda, ksa, ldb, min(rows-i, mr), cols)
 	}
 }
 
 // operand is one GEMM operand as the micro-kernel reads it. Tile t — mr rows
 // of op(A) or nr columns of op(B) — starts at src[t*step], its element
-// (p, lane) at p*ks + lane*ld from there (ld is 1 for B). edge, when set, is
-// the last tile packed: the partial tile the kernel cannot read in place.
+// (p, lane) at p*ks + lane*ld from there (ld is 1 for B).
 type operand struct {
-	src      []float32
-	step     int
-	ld, ks   int
-	edge     []float32
-	edgeTile int // the tile edge replaces
+	src    []float32
+	step   int
+	ld, ks int
 }
 
-// tile returns tile t of o and its lane and k strides; w is the tile width,
-// the k stride of a packed tile.
-func (o *operand) tile(t, w int) ([]float32, int, int) {
-	if o.edge != nil && t == o.edgeTile {
-		return o.edge, 1, w
-	}
+// tile returns tile t of o and its lane and k strides.
+func (o *operand) tile(t int) ([]float32, int, int) {
 	return o.src[t*o.step:], o.ld, o.ks
 }
 
-// readA returns op(A) (m×k) as the kernel reads it: full tiles in place,
-// the partial last tile, if any, packed into edge (mr·k elements; see
-// edgeLen).
-func readA(a []float32, m, k int, transA bool, edge []float32) operand {
-	o := operand{src: a, step: mr * k, ld: k, ks: 1}
+// readA returns op(A) (m×k) as the kernel reads it: in place.
+func readA(a []float32, m, k int, transA bool) operand {
 	if transA {
-		o = operand{src: a, step: mr, ld: 1, ks: m}
+		return operand{src: a, step: mr, ld: 1, ks: m}
 	}
-	if m%mr != 0 {
-		o.edge, o.edgeTile = edge[:mr*k], m/mr
-		packA(a, m, k, transA, o.edge)
-	}
-	return o
+	return operand{src: a, step: mr * k, ld: k, ks: 1}
 }
 
-// readB returns op(B) (k×n) as the kernel reads it. A row-major B is read in
-// place but for its partial last panel, packed into dst (nr·k elements); a
-// transposed B is packed whole into dst (ceil(n/nr)·nr·k elements).
-func readB(b []float32, k, n int, transB bool, dst []float32) operand {
-	if transB {
-		packB(b, k, n, true, dst)
-		return packed(dst, nr, k)
-	}
-	o := operand{src: b, step: nr, ld: 1, ks: n}
-	if n%nr != 0 {
-		o.edge, o.edgeTile = dst[:nr*k], n/nr
-		packB(b, k, n, false, o.edge)
-	}
-	return o
+// readB returns a row-major op(B) (k×n) as the kernel reads it: in place.
+func readB(b []float32, n int) operand {
+	return operand{src: b, step: nr, ld: 1, ks: n}
 }
 
-// packed returns tiles of width w that are already packed in p, as the
-// implicit-conv gathers leave them.
+// packed returns tiles of width w that are already packed in p, as packB
+// and the implicit-conv gathers leave them.
 func packed(p []float32, w, k int) operand {
 	return operand{src: p, step: w * k, ld: 1, ks: w}
-}
-
-// edgeLen returns the elements readA (w = mr, lanes = m) or a row-major
-// readB (w = nr, lanes = n) packs: one tile when w does not divide lanes.
-func edgeLen(lanes, w, k int) int {
-	if lanes%w == 0 {
-		return 0
-	}
-	return w * k
 }
 
 // gemmDesc carries one packed-GEMM invocation across the worker pool; pooled
@@ -258,90 +203,45 @@ func (d *gemmDesc) runBand(idx int) {
 
 // runTiles sweeps the [it0,it1)×[jt0,jt1) micro-tile region. Column panels
 // are the outer loop so the current B panel stays cache-resident across all
-// row panels. Where strictAVX512 is set, each pair of full panels is swept
-// as one: kernel6x16 computes both panels' full row tiles in one call. A B
-// operand packs only its partial last panel apart (readB), so two full
-// panels lie in src with one ldb, the second at the operand's step from the
-// first. Row-edge tiles and an unpaired last panel take the 6×8 path either
-// way.
+// row tiles: one kernel call sweeps the region's rows down a column strip
+// and writes C in place, its edge tile included. Where strictAVX512 is set
+// a strip is two panels wide (kernel6x16): a B operand's panels lie in src
+// with one ldb, the second at the operand's step from the first, and a
+// region with an odd panel count ends on a single one.
 func (d *gemmDesc) runTiles(it0, it1, jt0, jt1 int) {
-	var tile [mr * nr]float32
-	for jt := jt0; jt < jt1; jt++ {
-		j0 := jt * nr
-		bp, _, ldb := d.b.tile(jt, nr)
-		if strictAVX512 && jt+1 < jt1 && j0+2*nr <= d.n {
-			for it := it0; it < it1; it++ {
-				i0 := it * mr
-				ap, lda, ksa := d.a.tile(it, mr)
-				if d.m-i0 >= mr {
-					kernel6x16(ap, bp, d.c[i0*d.n+j0:], d.k, d.n, d.mode, lda, ksa, ldb, d.b.step)
-					continue
-				}
-				d.edgeTile(&tile, ap, lda, ksa, bp, ldb, i0, j0, nr)
-				d.edgeTile(&tile, ap, lda, ksa, bp[d.b.step:], ldb, i0, j0+nr, nr)
-			}
-			jt++
-			continue
-		}
-		cols := min(d.n-j0, nr)
-		for it := it0; it < it1; it++ {
-			i0 := it * mr
-			ap, lda, ksa := d.a.tile(it, mr)
-			if d.m-i0 >= mr && cols == nr {
-				kernel6x8(ap, bp, d.c[i0*d.n+j0:], d.k, d.n, d.mode, lda, ksa, ldb)
-				continue
-			}
-			d.edgeTile(&tile, ap, lda, ksa, bp, ldb, i0, j0, cols)
-		}
+	span := 1
+	if strictAVX512 {
+		span = 2
 	}
-}
-
-// edgeTile computes the C tile at (i0, j0) that C holds only in part — its
-// rows past m or its columns past j0+cols are missing. The kernel runs into
-// a stack-allocated staging tile with ldc=nr, and only the valid region
-// moves. Mode 1 runs the kernel in mode 0 and performs the single C+acc add
-// here — identical numerics, no C preload needed.
-func (d *gemmDesc) edgeTile(tile *[mr * nr]float32, ap []float32, lda, ksa int, bp []float32, ldb, i0, j0, cols int) {
-	rows := min(d.m-i0, mr)
-	switch d.mode {
-	case 2:
-		for r := 0; r < rows; r++ {
-			copy(tile[r*nr:r*nr+cols], d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols])
-		}
-		kernel6x8(ap, bp, tile[:], d.k, nr, 2, lda, ksa, ldb)
-		for r := 0; r < rows; r++ {
-			copy(d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols], tile[r*nr:r*nr+cols])
-		}
-	case 1:
-		kernel6x8(ap, bp, tile[:], d.k, nr, 0, lda, ksa, ldb)
-		for r := 0; r < rows; r++ {
-			crow := d.c[(i0+r)*d.n+j0 : (i0+r)*d.n+j0+cols]
-			trow := tile[r*nr : r*nr+cols]
-			for j := range crow {
-				crow[j] += trow[j]
-			}
-		}
-	default:
-		kernel6x8(ap, bp, tile[:], d.k, nr, 0, lda, ksa, ldb)
-		for r := 0; r < rows; r++ {
-			copy(d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols], tile[r*nr:r*nr+cols])
+	i0 := it0 * mr
+	rows := min(d.m, it1*mr) - i0
+	ap, lda, ksa := d.a.tile(it0)
+	for jt := jt0; jt < jt1; jt += span {
+		j0 := jt * nr
+		cols := min(d.n-j0, min(span, jt1-jt)*nr)
+		bp, _, ldb := d.b.tile(jt)
+		c := d.c[i0*d.n+j0:]
+		if span == 2 {
+			kernel6x16(ap, bp, c, d.k, d.n, d.mode, lda, ksa, ldb, d.b.step, rows, cols, d.a.step)
+		} else {
+			kernel6x8(ap, bp, c, d.k, d.n, d.mode, lda, ksa, ldb, rows, cols, d.a.step)
 		}
 	}
 }
 
 // gemmPacked runs C = op(A)·op(B) + beta·C (beta ∈ {0,1}, alpha folded to 1
-// by the dispatcher) through the packed kernel. The tiles it packs share one
-// scratch block from the arena; the descriptor and wait group are pooled —
-// zero steady-state allocations.
+// by the dispatcher) through the packed kernel. A and a row-major B are read
+// in place; a transposed B is packed into scratch from the arena. The
+// descriptor and wait group are pooled — zero steady-state allocations.
 func gemmPacked(transA, transB bool, m, n, k int, a, b []float32, beta float32, c []float32) {
-	aLen := edgeLen(m, mr, k)
-	bLen := edgeLen(n, nr, k)
+	pa := readA(a, m, k, transA)
+	pb := readB(b, n)
+	var s *Scratch
 	if transB {
-		bLen = (n + nr - 1) / nr * nr * k
+		s = GetScratch((n + nr - 1) / nr * nr * k)
+		packB(b, k, n, s.Data)
+		pb = packed(s.Data, nr, k)
 	}
-	s := GetScratch(aLen + bLen)
-	pa := readA(a, m, k, transA, s.Data[:aLen])
-	pb := readB(b, k, n, transB, s.Data[aLen:])
 
 	// Kernel mode from the reference ordering: transB=false variants are
 	// axpy-order (the chain begins at beta·C), transB=true variants are

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -239,6 +240,49 @@ func TestDotAndAxpy(t *testing.T) {
 	if y[0] != 6 || y[2] != 12 {
 		t.Fatalf("Axpy = %v", y)
 	}
+}
+
+// TestAxpyMatchesGoLoop holds Axpy, at each kernel level the host has, to
+// the plain Go loop bit for bit (a NaN's payload aside, invariant 8): every
+// length 0–67, so the AVX twin's blocks and the Go tail meet at each
+// remainder, at unaligned offsets into the backing arrays, with ±0, ±Inf,
+// NaN and subnormals on both sides and as the scale.
+func TestAxpyMatchesGoLoop(t *testing.T) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(1), math.Float32frombits(0x807fffff), math.MaxFloat32}
+	rng := rand.New(rand.NewSource(31))
+	fill := func(s []float32) {
+		for i := range s {
+			s[i] = rng.Float32()*8 - 4
+			if rng.Intn(6) == 0 {
+				s[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	forEachKernel(t, func(level string) {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 4; off++ {
+				for _, a := range append([]float32{1, -0.375, 3e-39}, specials...) {
+					xs := make([]float32, n+off)
+					ys := make([]float32, n+off+1)
+					fill(xs)
+					fill(ys)
+					x, y := xs[off:], ys[off+1:] // x and y misaligned to each other too
+					want := append([]float32(nil), y...)
+					for i, v := range x {
+						want[i] = want[i] + float32(a*v)
+					}
+					Axpy(a, x, y)
+					for i := range want {
+						if !sameBits(y[i], want[i]) {
+							t.Fatalf("%s: n=%d off=%d a=%v: y[%d] = %v (%#08x), Go loop %v (%#08x)",
+								level, n, off, a, i, y[i], math.Float32bits(y[i]), want[i], math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestHasNaN(t *testing.T) {
