@@ -18,7 +18,8 @@ set -eu
 await_quiescent() {
     addr=""
     for _ in $(seq 1 100); do
-        addr=$(sed -n 's|^admin: serving on http://||p' "$3")
+        # The run may not have opened its stderr file yet.
+        [ -f "$3" ] && addr=$(sed -n 's|^admin: serving on http://||p' "$3")
         [ -n "$addr" ] && break
         sleep 0.2
     done

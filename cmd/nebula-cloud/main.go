@@ -102,11 +102,13 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
+	// Close waits for every handler, so the flush folds every update one
+	// accepted, and the stats and the checkpoint both include it.
+	srv.Close()
 	srv.FlushAggregation()
 	st := srv.StatsSnapshot()
 	log.Printf("shutting down: served %d sub-models, received %d updates, %d aggregations",
 		st.SubModelsServed, st.UpdatesReceived, st.Aggregations)
-	srv.Close()
 	if admin != nil {
 		_ = admin.Close()
 	}

@@ -1,6 +1,7 @@
 package edgenet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -100,7 +101,7 @@ func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 	topk := dial(3, WireOpts{TopK: 0.25})
 
 	rng := tensor.NewRNG(3)
-	var pending []*modular.Update
+	var pending []queuedUpdate
 	pushes := 0
 	push := func(cl *EdgeClient, sub *modular.SubModel, weight float64) {
 		t.Helper()
@@ -117,9 +118,9 @@ func TestServerPushesMatchExtractLoadReplay(t *testing.T) {
 		pushes++
 		osub := oracle.Extract(sub.Mapping)
 		osub.LoadBackboneVector(landed)
-		pending = append(pending, &modular.Update{Sub: osub, Importance: imp, Weight: weight})
+		pending = append(pending, queuedUpdate{cl.DeviceID, cl.seq, &modular.Update{Sub: osub, Importance: imp, Weight: weight}, nil})
 		if len(pending) == every {
-			oracle.AggregateModuleWise(pending)
+			foldReplay(oracle, pending)
 			pending = nil
 		}
 		requireSameModel(t, fmt.Sprintf("after push %d (device %d)", pushes, cl.DeviceID), cloud, oracle)
@@ -192,13 +193,13 @@ func TestConcurrentDevicesMatchSerialReplay(t *testing.T) {
 			// server does not report: pushes take turns. Fetches, and every
 			// push against the other devices' fetches, run concurrently.
 			turn := make(chan struct{}, 1)
-			var pending []*modular.Update
-			land := func(mapping [][]int, vec []float32, weight float64) {
+			var pending []queuedUpdate
+			land := func(cl *EdgeClient, mapping [][]int, vec []float32, weight float64) {
 				osub := oracle.Extract(mapping)
 				osub.LoadBackboneVector(vec)
-				pending = append(pending, &modular.Update{Sub: osub, Importance: imp, Weight: weight})
+				pending = append(pending, queuedUpdate{cl.DeviceID, cl.seq, &modular.Update{Sub: osub, Importance: imp, Weight: weight}, nil})
 				if len(pending) == every {
-					oracle.AggregateModuleWise(pending)
+					foldReplay(oracle, pending)
 					pending = nil
 				}
 			}
@@ -251,7 +252,7 @@ func TestConcurrentDevicesMatchSerialReplay(t *testing.T) {
 							err = cl.PushUpdate(sub, imp, weight)
 						}
 						if err == nil {
-							land(sub.Mapping, want, weight)
+							land(cl, sub.Mapping, want, weight)
 							// Held now, not at the end: a NaN the cloud serves
 							// is one the devices push back to both models.
 							if diff := modelDiff(cloud, oracle); diff != "" {
@@ -286,7 +287,7 @@ func TestConcurrentDevicesMatchSerialReplay(t *testing.T) {
 			}
 			srv.FlushAggregation()
 			if len(pending) > 0 {
-				oracle.AggregateModuleWise(pending)
+				foldReplay(oracle, pending)
 			}
 			requireSameModel(t, "after the flush", cloud, oracle)
 			st := srv.StatsSnapshot()
@@ -298,5 +299,110 @@ func TestConcurrentDevicesMatchSerialReplay(t *testing.T) {
 				t.Fatalf("%d borrowed bytes not returned", got-live)
 			}
 		})
+	}
+}
+
+// foldReplay aggregates a replayed batch into m as the server folds one: by
+// (DeviceID, Seq), whatever order the pushes were accepted in.
+func foldReplay(m *modular.Model, batch []queuedUpdate) {
+	batch = slices.Clone(batch)
+	slices.SortFunc(batch, func(a, b queuedUpdate) int {
+		return cmp.Or(cmp.Compare(a.device, b.device), cmp.Compare(a.seq, b.seq))
+	})
+	updates := make([]*modular.Update, len(batch))
+	for i, q := range batch {
+		updates[i] = q.update
+	}
+	m.AggregateModuleWise(updates)
+}
+
+// fetchPerturbed connects device id to srv, fetches its sub-model and moves
+// it as local training would, returning the client, the sub-model and the
+// vector the server will decode from its push.
+func fetchPerturbed(t *testing.T, srv *Server, seed int64, id int, imp [][]float64) (*EdgeClient, *modular.SubModel, []float32) {
+	t.Helper()
+	cl := pipePair(t, srv, buildStatefulModel(seed))
+	cl.DeviceID = id
+	if err := cl.Hello(); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := cl.FetchSubModel(imp, looseBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perturb(tensor.NewRNG(int64(100+id)), sub)
+	base := cl.ref.Base(sub.Mapping)
+	want, err := DecodeVec(EncodeVec(sub.BackboneVector(), base, cl.WireOpts), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl, sub, want
+}
+
+// TestFoldIgnoresArrivalOrder: two servers accept the same pushes, one batch
+// of them, in opposite arrival orders. The fold goes by (DeviceID, Seq), so
+// both clouds end with the same bits.
+func TestFoldIgnoresArrivalOrder(t *testing.T) {
+	const seed, devices = 71, 3
+	run := func(order ...int) *modular.Model {
+		cloud := buildStatefulModel(seed)
+		srv := NewServer(cloud, devices)
+		defer srv.Close()
+		imp := uniformImportance(cloud)
+		clients := make([]*EdgeClient, devices)
+		subs := make([]*modular.SubModel, devices)
+		for d := range clients {
+			clients[d], subs[d], _ = fetchPerturbed(t, srv, seed, d+1, imp)
+		}
+		for _, d := range order {
+			if err := clients[d].PushUpdate(subs[d], imp, float64(5+d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := srv.StatsSnapshot(); st.UpdatesReceived != devices || st.Aggregations != 1 {
+			t.Fatalf("server counted %+v for one batch of %d pushes", st, devices)
+		}
+		return cloud
+	}
+	requireSameModel(t, "pushes accepted in reversed order", run(2, 1, 0), run(0, 1, 2))
+}
+
+// TestFlushAfterCloseFoldsEveryAcceptedUpdate: Close waits for every handler,
+// so a FlushAggregation after it folds every update the server accepted —
+// nebula-cloud's shutdown order, which its checkpoint relies on — and every
+// borrowed array goes back.
+func TestFlushAfterCloseFoldsEveryAcceptedUpdate(t *testing.T) {
+	const seed, devices = 73, 3
+	live := tensor.ScratchLiveBytes()
+	cloud, oracle := buildStatefulModel(seed), buildStatefulModel(seed)
+	srv := NewServer(cloud, 100)
+	imp := uniformImportance(cloud)
+	batch := make([]queuedUpdate, devices)
+	func() {
+		defer srv.Close()
+		var wg sync.WaitGroup
+		for d := range devices {
+			cl, sub, want := fetchPerturbed(t, srv, seed, d+1, imp)
+			osub := oracle.Extract(sub.Mapping)
+			osub.LoadBackboneVector(want)
+			batch[d] = queuedUpdate{cl.DeviceID, 1, &modular.Update{Sub: osub, Importance: imp, Weight: float64(5 + d)}, nil}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := cl.PushUpdate(sub, imp, float64(5+d)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}()
+	srv.FlushAggregation()
+	if st := srv.StatsSnapshot(); st.UpdatesReceived != devices || st.Aggregations != 1 {
+		t.Fatalf("server counted %+v for %d pushes and one flush", st, devices)
+	}
+	foldReplay(oracle, batch)
+	requireSameModel(t, "after close and flush", cloud, oracle)
+	if got := tensor.ScratchLiveBytes(); got != live {
+		t.Fatalf("%d borrowed bytes not returned", got-live)
 	}
 }

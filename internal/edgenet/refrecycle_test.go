@@ -161,7 +161,7 @@ func TestClientRecyclesReplacedReference(t *testing.T) {
 			t.Fatalf("step %d: push was not a delta against the reference just fetched", i)
 		}
 		srv.mu.Lock()
-		got := srv.pending[len(srv.pending)-1].Sub.BackboneVector()
+		got := srv.pending[len(srv.pending)-1].update.Sub.BackboneVector()
 		srv.mu.Unlock()
 		if !allFinite(got) || !sameBits(got, want) {
 			t.Fatalf("step %d: the server decoded the push to other bits than the client's reference codes", i)

@@ -1,6 +1,7 @@
 package edgenet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -43,12 +44,10 @@ type Server struct {
 	// sets it.
 	aggregateEvery int
 
-	mu      sync.Mutex
-	pending []*modular.Update
-	// pendingVecs[i] is the borrowed array pending[i]'s sub-model is a view
-	// of; it goes back to the arena when aggregation has consumed the batch.
-	pendingVecs []*tensor.Scratch
-	conns       map[net.Conn]struct{}
+	mu sync.Mutex
+	// pending is the batch of accepted updates aggregation has not folded in.
+	pending []queuedUpdate
+	conns   map[net.Conn]struct{}
 	// devices is everything the server remembers about a device, by
 	// DeviceID; wireVer numbers the references in it.
 	devices map[int]deviceRecord
@@ -84,6 +83,17 @@ func NewServer(model *modular.Model, aggregateEvery int) *Server {
 		maxVecLen:      fullBackboneLen(model),
 		metrics:        newServerMetrics(),
 	}
+}
+
+// queuedUpdate is one accepted push waiting in the batch: its device and
+// Seq, which order the fold, and the update, whose sub-model is a view of vec,
+// a borrowed array that goes back to the arena once aggregation has consumed
+// the batch.
+type queuedUpdate struct {
+	device int
+	seq    int64
+	update *modular.Update
+	vec    *tensor.Scratch
 }
 
 // deviceRecord is the server's per-device state.
@@ -552,8 +562,7 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 		rec.seq = req.Seq
 		s.devices[req.DeviceID] = rec
 	}
-	s.pending = append(s.pending, &modular.Update{Sub: sub, Importance: req.Importance, Weight: req.Weight})
-	s.pendingVecs = append(s.pendingVecs, sc)
+	s.pending = append(s.pending, queuedUpdate{req.DeviceID, req.Seq, &modular.Update{Sub: sub, Importance: req.Importance, Weight: req.Weight}, sc})
 	queued = true
 	s.metrics.updatesReceived.Inc()
 	if len(s.pending) >= s.aggregateEvery {
@@ -566,13 +575,22 @@ func (s *Server) acceptUpdate(req *Request, pay *WirePayload, ps span.SpanID) (r
 }
 
 // aggregatePending folds the queued updates into the model and returns the
-// arrays they were views of. The caller holds s.mu.
+// arrays they were views of. The fold goes by (DeviceID, Seq), not by
+// arrival, so the cloud's bits depend on which updates the batch holds and
+// not on how their handlers raced for s.mu. The caller holds s.mu.
 func (s *Server) aggregatePending() {
-	s.Model.AggregateModuleWise(s.pending)
-	for _, sc := range s.pendingVecs {
-		tensor.PutScratch(sc)
+	slices.SortStableFunc(s.pending, func(a, b queuedUpdate) int {
+		return cmp.Or(cmp.Compare(a.device, b.device), cmp.Compare(a.seq, b.seq))
+	})
+	updates := make([]*modular.Update, len(s.pending))
+	for i, q := range s.pending {
+		updates[i] = q.update
 	}
-	s.pending, s.pendingVecs = nil, nil
+	s.Model.AggregateModuleWise(updates)
+	for _, q := range s.pending {
+		tensor.PutScratch(q.vec)
+	}
+	s.pending = nil
 	s.metrics.aggregations.Inc()
 }
 

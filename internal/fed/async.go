@@ -24,12 +24,22 @@ import (
 // asyncState is the round engine's coordinator state, persisted across
 // rounds and across Adapt calls.
 type asyncState struct {
-	clock    float64         // absolute sim time at the current round boundary
-	deadline float64         // per-round budget D (0 = bulk-sync)
-	busy     map[int]float64 // device ID -> absolute sim time it becomes free
-	pending  []landing       // carried work, (launch round, canonical index) order
-	prev     []int           // sorted device IDs present last round
-	seeded   bool            // baseline fleet captured (first round is never churn)
+	clock    float64        // absolute sim time at the current round boundary
+	deadline float64        // per-round budget D (0 = bulk-sync)
+	pending  []*deviceRound // carried work, (launch round, canonical index) order
+	prev     []int          // sorted device IDs present last round (nil before the first)
+}
+
+// pends reports whether device id has carried work in flight. At a round
+// boundary every pending item completes after the clock, so this is the
+// device's "still working" state.
+func (a *asyncState) pends(id int) bool {
+	for i := range a.pending {
+		if a.pending[i].c.Dev.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // round runs one online round paced by a sim-time deadline: apply fleet
@@ -43,7 +53,7 @@ type asyncState struct {
 // from the device times it observed.
 func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 	if s.async == nil {
-		s.async = &asyncState{busy: map[int]float64{}}
+		s.async = &asyncState{}
 		if s.cfg.Async {
 			s.async.deadline = s.cfg.RoundDeadline
 		}
@@ -68,13 +78,12 @@ func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 
 	// Sample only idle devices: a straggler still working on carried rounds
 	// cannot be asked for new work. Eligibility is a pure function of the
-	// seeded clock, so the draw sequence replays exactly.
+	// seeded pending set, so the draw sequence replays exactly.
 	eligible := make([]*Client, 0, len(clients))
 	for _, c := range clients {
-		if a.busy[c.Dev.ID] > a.clock {
-			continue
+		if !a.pends(c.Dev.ID) {
+			eligible = append(eligible, c)
 		}
-		eligible = append(eligible, c)
 	}
 	part := sampleClients(rng, eligible, s.cfg.DevicesPerRound)
 
@@ -84,23 +93,20 @@ func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 	m.phasePrep.ObserveSince(swPrep)
 
 	swParallel := obs.StartTimer()
-	res := s.runDevices(p, round)
+	s.runDevices(p, round)
 	m.phaseParallel.ObserveSince(swParallel)
 
 	start := a.clock
 	if a.deadline == 0 {
 		// Bulk-sync: everything lands, in device order, and the slot is the
 		// slowest participant; an async run calibrates from these times.
-		var landings []landing
 		var slot float64
-		var times []float64
-		for i := range res {
-			if p.drop[i] {
-				continue
-			}
-			slot = max(slot, res[i].t)
-			times = append(times, res[i].t)
-			landings = append(landings, landing{c: part[i], launch: round, res: &res[i]})
+		landings := make([]*deviceRound, len(p.devs))
+		times := make([]float64, len(p.devs))
+		for i := range p.devs {
+			landings[i] = &p.devs[i]
+			slot = max(slot, p.devs[i].t)
+			times[i] = p.devs[i].t
 		}
 		s.land(round, p, landings, slot)
 		a.clock = start + slot
@@ -113,36 +119,32 @@ func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 
 	// Landing set: carried stragglers whose work completes by this round's
 	// deadline, then this round's fresh completions. Fresh work that overruns
-	// the deadline pends instead, and its device stays busy (unsampleable)
-	// until its seeded completion time.
-	var landings []landing
+	// the deadline pends instead, and its device stays unsampleable until it
+	// lands.
+	var landings []*deviceRound
 	kept := a.pending[:0]
-	for _, pw := range a.pending {
-		if pw.done <= roundEnd {
-			landings = append(landings, pw)
-			delete(a.busy, pw.c.Dev.ID)
+	for _, d := range a.pending {
+		if d.done <= roundEnd {
+			landings = append(landings, d)
 		} else {
-			kept = append(kept, pw)
+			kept = append(kept, d)
 		}
 	}
+	clear(a.pending[len(kept):]) // the array's tail must hold no landed record alive
 	a.pending = kept
-	for i := range res {
-		if p.drop[i] {
+	for i := range p.devs {
+		d := &p.devs[i]
+		d.done = start + d.t
+		if d.done <= roundEnd {
+			landings = append(landings, d)
 			continue
 		}
-		ld := landing{part[i], round, start + res[i].t, &res[i]}
-		if ld.done <= roundEnd {
-			landings = append(landings, ld)
-			continue
-		}
-		a.busy[ld.c.Dev.ID] = ld.done
-		// The straggler keeps a copy of its own result, not a pointer into
+		// The straggler pends as a copy of its own record, not a pointer into
 		// this round's array, which would hold every device's update alive.
-		r := res[i]
-		ld.res = &r
-		a.pending = append(a.pending, ld)
+		pend := *d
+		a.pending = append(a.pending, &pend)
 		// Marker span: this device's work overran the deadline and pends.
-		s.mark(tid, rs.ID(), "fed.pend", ld.c.Dev.ID, round, "", 0)
+		s.mark(tid, rs.ID(), "fed.pend", d.c.Dev.ID, round, "", 0)
 	}
 	// Arrival order is the seeded sim clock: stable-sort by completion time,
 	// with the (launch round, canonical index) insertion order breaking ties.
@@ -153,10 +155,9 @@ func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 }
 
 // applyChurn diffs the incoming fleet against last round's membership and
-// commits the changes: departed devices free their busy slot and their
-// carried work is discarded (the download traffic it already consumed is
-// charged, so accounting still balances); joining devices get a freshly
-// derived sub-model — a pure download — before their first round. The first
+// commits the changes: departed devices' carried work is discarded (the
+// download traffic it already consumed is charged, so accounting still
+// balances); joining devices get a freshly derived sub-model — a pure download — before their first round. The first
 // async round only captures the baseline. All iteration is over slices in
 // deterministic order (sorted previous IDs, canonical clients order); maps
 // are membership tests only. tid/parent are the round's trace context; each
@@ -167,8 +168,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 	for _, c := range clients {
 		cur[c.Dev.ID] = true
 	}
-	if !a.seeded {
-		a.seeded = true
+	if a.prev == nil {
 		a.prev = presentIDs(clients)
 		return
 	}
@@ -178,29 +178,29 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			continue
 		}
 		left[id] = true
-		delete(a.busy, id)
 		s.record(trace.Churn(round, id, "leave", 0))
 		s.mark(tid, parent, "fed.churn", id, round, "leave", 0)
 	}
 	if len(left) > 0 {
 		kept := a.pending[:0]
-		for _, pw := range a.pending {
-			id := pw.c.Dev.ID
+		for _, d := range a.pending {
+			id := d.c.Dev.ID
 			if !left[id] {
-				kept = append(kept, pw)
+				kept = append(kept, d)
 				continue
 			}
 			// The straggler left before its update could land: the work is
 			// dropped mid-round without ever blocking aggregation, but the
 			// sub-model download it performed did cross the link.
-			s.noteFaults(pw.launch, id, pw.res)
-			s.record(trace.Churn(round, id, "drop_pending", pw.res.down))
+			s.noteFaults(d)
+			s.record(trace.Churn(round, id, "drop_pending", d.down))
 			// Nothing will read the dropped work's reconstructions: its
 			// worker is done and it never lands.
-			pw.res.next.Release()
-			tensor.Release(pw.res.upBuf)
+			d.next.Release()
+			tensor.Release(d.upBuf)
 			s.mark(tid, parent, "fed.churn", id, round, "drop_pending", 0)
 		}
+		clear(a.pending[len(kept):])
 		a.pending = kept
 	}
 	prevSet := make(map[int]bool, len(a.prev))

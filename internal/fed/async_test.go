@@ -144,6 +144,94 @@ func TestAsyncWorkersDifferential(t *testing.T) {
 	}
 }
 
+// asyncDropoutChurn runs deadline-paced rounds with every source of a
+// missing record at once: dropout, a lossy link, two pinned stragglers, and a
+// fleet whose first member leaves with its work in flight while two newcomers
+// join. Before each round it notes the devices with work pending; a device
+// with pending work must not be launched, and none may pend twice. It
+// returns what a workers differential compares, and how many device-rounds
+// the rule held back.
+func asyncDropoutChurn(t *testing.T, workers int) (log []byte, costs Costs, vec []float32, heldBack int) {
+	t.Helper()
+	rng := tensor.NewRNG(79)
+	task := HARTask(80, ScaleQuick)
+	cfg := tinyCfg()
+	cfg.DevicesPerRound = 6
+	cfg.Workers = workers
+	cfg.DropoutProb = 0.2
+	cfg.Async = true
+	nb := NewNebula(task, cfg)
+	nb.TrainCfg.Epochs = 1
+	fc, err := edgenet.ParseFaultSpec("drop=0.4,seed=9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb.Faults = NewFaultModel(fc)
+	var buf bytes.Buffer
+	nb.Trace = trace.New(&buf)
+	nb.Pretrain(rng, proxyFor(rng, task, 10))
+	all := harFleet(rng, task, 10, 2)
+	pinSlowDevice(all[0], 1e6)
+	pinSlowDevice(all[1], 3e6)
+	fleets := [][]*Client{all[:8], all[:8], all[:8], all[1:9], all[1:10], all[1:10]}
+	pendingAt := map[int]map[int]bool{} // round -> devices with work pending at its start
+	for _, fleet := range fleets {
+		round := nb.costs.Rounds + 1
+		pendingAt[round] = map[int]bool{}
+		if nb.async != nil {
+			for _, d := range nb.async.pending {
+				pendingAt[round][d.c.Dev.ID] = true
+			}
+		}
+		nb.Round(rng, fleet)
+		seen := map[int]bool{}
+		for _, d := range nb.async.pending {
+			id := d.c.Dev.ID
+			if seen[id] {
+				t.Fatalf("round %d: device %d has two items pending", round, id)
+			}
+			seen[id] = true
+			if d.launch == round && pendingAt[round][id] {
+				t.Fatalf("round %d: device %d was launched while its work pended", round, id)
+			}
+		}
+		heldBack += len(pendingAt[round])
+	}
+	events, err := trace.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if e.Kind == trace.KindClientUpdate && e.Stale == 0 && pendingAt[e.Round][e.Client] {
+			t.Fatalf("round %d: device %d landed on-time work while its carried work pended", e.Round, e.Client)
+		}
+	}
+	return buf.Bytes(), nb.Costs(), nn.FlattenVector(nb.Model.Params(), nil), heldBack
+}
+
+// TestAsyncDropoutChurnWorkersDifferential: dropped devices get no record,
+// and with stragglers pending, churn and a lossy link around them the run
+// replays bit for bit at workers 1 and 4.
+func TestAsyncDropoutChurnWorkersDifferential(t *testing.T) {
+	log1, costs1, vec1, held := asyncDropoutChurn(t, 1)
+	log4, costs4, vec4, _ := asyncDropoutChurn(t, 4)
+	if held == 0 {
+		t.Fatal("no device had work pending at a round start — the eligibility rule is untested")
+	}
+	if !bytes.Equal(log1, log4) {
+		t.Fatalf("trace differs between workers=1 (%d bytes) and workers=4 (%d bytes)", len(log1), len(log4))
+	}
+	if costs1 != costs4 {
+		t.Fatalf("costs differ: %+v vs %+v", costs1, costs4)
+	}
+	if !reflect.DeepEqual(vec1, vec4) {
+		t.Fatal("aggregated cloud model differs between worker counts")
+	}
+	if !bytes.Contains(log1, []byte(`"drop_pending"`)) || !bytes.Contains(log1, []byte(`"kind":"note"`)) {
+		t.Fatal("the run lost no pending work to churn or no exchange to the link")
+	}
+}
+
 func TestAsyncLateUpdatesLand(t *testing.T) {
 	log, _, _, _ := runNebulaAsync(t, 2, 0, false)
 	events, err := trace.Read(bytes.NewReader(log))
@@ -386,11 +474,11 @@ func TestCalibrateDeadline(t *testing.T) {
 func TestCommitDeviceStalenessDecay(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	task := HARTask(22, ScaleQuick)
-	mkResult := func(nb *Nebula, c *Client) *nebulaResult {
+	mkRecord := func(nb *Nebula, c *Client, launch int) *deviceRound {
 		imp := nb.Model.Probe(nb.Model.Selector.Clone(), c.Dev.Train)
 		active := nb.Model.Derive(imp, nb.deviceBudget(c), false)
 		sub := nb.Model.Extract(active)
-		return &nebulaResult{sub: sub, down: 10, up: 20, t: 1.5,
+		return &deviceRound{c: c, launch: launch, sub: sub, down: 10, up: 20, t: 1.5,
 			update: &modular.Update{Sub: sub, Importance: imp, Weight: 8}}
 	}
 	run := func(cfg Config, stale int) (float64, trace.Event) {
@@ -399,7 +487,7 @@ func TestCommitDeviceStalenessDecay(t *testing.T) {
 		var buf bytes.Buffer
 		nb.Trace = trace.New(&buf)
 		c := harFleet(rng, task, 1, 2)[0]
-		u := nb.commitDevice(3, c, mkResult(nb, c), stale)
+		u := nb.commitDevice(3, mkRecord(nb, c, 3-stale))
 		if u == nil {
 			t.Fatal("commit dropped a live update")
 		}

@@ -80,8 +80,9 @@ type Nebula struct {
 	// whose push is lost trains in vain but never stalls aggregation.
 	Faults *FaultModel
 
-	subs       map[int]*modular.SubModel
-	hasGatePkg map[int]bool // devices that already hold the selector
+	// subs holds each served device's sub-model; a device holds the
+	// selector package exactly when it holds a sub-model here.
+	subs map[int]*modular.SubModel
 	// wireRefs holds the per-device delta-coding reference for the simulated
 	// v2 link (cfg.WireCompress; internal/fed/wire.go): the reconstruction of
 	// the device's last downlink, shared by both ends of the in-process
@@ -122,7 +123,6 @@ func NewNebula(task *Task, cfg Config) *Nebula {
 		PullBlend:          0.1,
 		RederiveOverlap:    0.55,
 		subs:               map[int]*modular.SubModel{},
-		hasGatePkg:         map[int]bool{},
 		wireRefs:           map[int]*edgenet.WireRef{},
 	}
 }
@@ -214,7 +214,6 @@ func (s *Nebula) mark(t span.TraceID, parent span.SpanID, kind string, id, round
 // "bootstrap" of a device served outside a round of its own. Serial
 // coordinator only.
 func (s *Nebula) adoptFresh(id int, sub *modular.SubModel) int64 {
-	s.hasGatePkg[id] = true
 	s.subs[id] = sub
 	return sub.ParamBytes()
 }
@@ -235,40 +234,45 @@ func (s *Nebula) Adapt(rng *tensor.RNG, clients []*Client) {
 // Round runs one online round.
 func (s *Nebula) Round(rng *tensor.RNG, clients []*Client) { s.round(rng, clients) }
 
-// nebulaResult is one device's round outcome, filled by a worker and folded
-// into strategy state by the coordinator in canonical device order.
-type nebulaResult struct {
+// deviceRound is one launched device's round, from launch to landing.
+// prepRound creates it on the serial coordinator with every master-stream
+// draw and shared-state read the device's work needs; the worker in
+// runDevices fills in its outcome; land commits it in the round it lands in.
+// A straggler's record pends in asyncState.pending as a copy, which holds no
+// other device's update alive. A device that drops out of the round gets no
+// record.
+type deviceRound struct {
+	c      *Client
+	launch int     // round the work was launched in
+	done   float64 // absolute sim time the work completes (deadline-paced rounds)
+
+	// Set by prepRound. held is the device's stored sub-model and ref its
+	// delta-coding reference, nil when it has none; the fault flags and extra
+	// link times are the pre-drawn fate of its fetch and push.
+	held                  *modular.SubModel
+	ref                   *edgenet.WireRef
+	stream                *tensor.RNG
+	fetchLost, pushLost   bool
+	fetchExtra, pushExtra float64
+
+	// Set by the worker. sub is nil when the device sat the round out.
 	sub    *modular.SubModel
 	update *modular.Update
 	down   int64
 	up     int64
 	t      float64 // slot candidate (link + train + fault time)
-	gate   bool    // selector package transferred this round
 	// next is the device's new delta-coding reference when the round's
 	// downlink ran through the compressed wire (nil otherwise).
 	next *edgenet.WireRef
 	// upBuf is the arena array under update's weights on the compressed wire.
 	upBuf *tensor.Tensor
-	// fetchLost and pushLost record the link faults the device met, for the
-	// coordinator's trace notes (noteFaults).
-	fetchLost, pushLost bool
 }
 
-// roundPrep is the serial coordinator-prep output for one round's launch set:
-// every master-stream draw (dropout rolls, fault pre-draws, stream splits)
-// and every shared-state read (held sub-models, selector ownership), all in
-// canonical device order, captured before any worker starts.
+// roundPrep is the serial coordinator-prep output for one round: the record
+// of every launched device, in canonical device order, captured before any
+// worker starts.
 type roundPrep struct {
-	part       []*Client
-	drop       []bool
-	held       []*modular.SubModel
-	hadGate    []bool
-	fetchOK    []bool
-	fetchExtra []float64
-	pushOK     []bool
-	pushExtra  []float64
-	refs       []*edgenet.WireRef
-	streams    []*tensor.RNG
+	devs []deviceRound
 	// Distributed-trace context for this round's launch set: the sampled
 	// trace (0 = round unsampled) and the round root span workers parent
 	// their device spans under. Decided serially in the coordinator, read
@@ -277,69 +281,62 @@ type roundPrep struct {
 	root  span.SpanID
 }
 
-// prepRound runs the serial coordinator-prep phase over the sampled devices.
-// Fault rolls are keyed hashes, but their stat counters mutate, so they are
-// pre-drawn here too.
+// prepRound runs the serial coordinator-prep phase over the sampled devices:
+// dropout rolls in canonical order, then one stream split per sampled device,
+// dropped or not. Fault rolls are keyed hashes, but their stat counters
+// mutate, so they are pre-drawn here too.
 func (s *Nebula) prepRound(rng *tensor.RNG, part []*Client, round int) *roundPrep {
-	n := len(part)
-	p := &roundPrep{
-		part:       part,
-		drop:       make([]bool, n),
-		held:       make([]*modular.SubModel, n),
-		hadGate:    make([]bool, n),
-		fetchOK:    make([]bool, n),
-		fetchExtra: make([]float64, n),
-		pushOK:     make([]bool, n),
-		pushExtra:  make([]float64, n),
-		refs:       make([]*edgenet.WireRef, n),
-	}
+	p := &roundPrep{devs: make([]deviceRound, 0, len(part))}
 	faultsBefore := s.Faults.Stats()
-	for i, c := range part {
-		if s.cfg.DropoutProb > 0 {
-			p.drop[i] = rng.Float64() < s.cfg.DropoutProb
-		}
-		if p.drop[i] {
+	for _, c := range part {
+		if s.cfg.DropoutProb > 0 && rng.Float64() < s.cfg.DropoutProb {
 			continue // device dropped out of this round
 		}
 		id := c.Dev.ID
-		p.held[i] = s.subs[id]
-		p.hadGate[i] = s.hasGatePkg[id]
-		p.refs[i] = s.wireRefs[id] // refs are immutable; workers read freely
-		p.fetchOK[i], p.fetchExtra[i] = s.Faults.Fetch(round, id)
+		d := deviceRound{c: c, launch: round, held: s.subs[id], ref: s.wireRefs[id]} // refs are immutable; workers read freely
+		var fetchOK bool
+		fetchOK, d.fetchExtra = s.Faults.Fetch(round, id)
+		d.fetchLost = !fetchOK
 		switch {
-		case p.fetchOK[i]:
-		case p.held[i] != nil:
+		case fetchOK:
+		case d.held != nil:
 			s.Faults.NoteFallback()
 		default:
 			s.Faults.NoteSkip()
 		}
-		if s.LocalTraining && (p.fetchOK[i] || p.held[i] != nil) {
-			p.pushOK[i], p.pushExtra[i] = s.Faults.Push(round, id)
+		if s.LocalTraining && (fetchOK || d.held != nil) {
+			var pushOK bool
+			pushOK, d.pushExtra = s.Faults.Push(round, id)
+			d.pushLost = !pushOK
 		}
+		p.devs = append(p.devs, d)
 	}
 	s.metrics().mirrorFaults(faultsBefore, s.Faults.Stats())
-	s.streams = splitStreams(rng, s.streams, n)
-	p.streams = s.streams
+	s.streams = splitStreams(rng, s.streams, len(part))
+	// Streams go by canonical index; p.devs is part without the dropped.
+	k := 0
+	for i, c := range part {
+		if k < len(p.devs) && p.devs[k].c == c {
+			p.devs[k].stream = s.streams[i]
+			k++
+		}
+	}
 	return p
 }
 
 // runDevices is the parallel phase: each device works against its own
-// derived stream, sub-model, selector copy, and result slot. round is the
-// launch round (used only for span annotations). Workers never emit the
+// derived stream, sub-model, selector copy, and record. round is the launch
+// round (used only for span annotations). Workers never emit the
 // client_update record themselves — the coordinator does, at commit time, so
 // the same body serves work that lands in its launch round and a straggler's
 // that lands later.
-func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
-	res := make([]nebulaResult, len(p.part))
-	workers := s.roundWorkers(tensor.WorkerCount(s.cfg.Workers, len(p.part)))
-	tensor.ParallelForWorkers(s.cfg.Workers, len(p.part), func(w, i int) {
-		if p.drop[i] {
-			return
-		}
+func (s *Nebula) runDevices(p *roundPrep, round int) {
+	workers := s.roundWorkers(tensor.WorkerCount(s.cfg.Workers, len(p.devs)))
+	tensor.ParallelForWorkers(s.cfg.Workers, len(p.devs), func(w, i int) {
 		wk := workers[w]
-		c := p.part[i]
+		d := &p.devs[i]
+		c := d.c
 		id := c.Dev.ID
-		r := &res[i]
 		// Per-device wall-clock span under the round root. Recording is
 		// write-only and the trace/parent came from the serial prep, so the
 		// parallel fan-out stays artifact-deterministic.
@@ -347,11 +344,11 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		dspan.SetDevice(id)
 		dspan.SetRound(round)
 		defer dspan.End()
-		if !p.fetchOK[i] && p.held[i] == nil {
+		if d.fetchLost && d.held == nil {
 			// No cache to fall back on: sit the round out. The wasted link
 			// time still bounds the slot (the device was trying).
 			dspan.SetNote("fetch_lost_skip")
-			r.fetchLost, r.t = true, p.fetchExtra[i]
+			d.t = d.fetchExtra
 			return
 		}
 		// sub's backbone lists are built once, bb, and handed to every walk
@@ -362,16 +359,16 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		fspan := s.Spans.Start(p.trace, dspan.ID(), "fed.fetch")
 		fspan.SetDevice(id)
 		imp := s.Model.Probe(wk.sel, c.Dev.Train)
-		if p.fetchOK[i] {
+		if !d.fetchLost {
 			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
-			if p.held[i] != nil && overlapRatio(p.held[i].Mapping, active) >= s.RederiveOverlap {
+			if d.held != nil && overlapRatio(d.held.Mapping, active) >= s.RederiveOverlap {
 				// Keep the personalized sub-model; pull the cloud's current
 				// parameters for the held modules and blend them in. Under
 				// WireCompress the pull crosses the simulated v2 link first,
 				// so the device blends in the lossy reconstruction.
-				sub = p.held[i]
+				sub = d.held
 				bb = sub.Backbone()
-				bytes, r.next = s.pullBlend(wk.enc, sub, bb, p.refs[i])
+				bytes, d.next = s.pullBlend(wk.enc, sub, bb, d.ref)
 			} else {
 				// First contact or the local task moved: new structure,
 				// exact at 4 B/element or over the simulated v2 link — dense:
@@ -380,43 +377,38 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				bb = sub.Backbone()
 				bytes = bb.Bytes()
 				if s.cfg.WireCompress {
-					bytes, r.next = wireDownlink(wk.enc, sub, bb, p.refs[i])
+					bytes, d.next = wireDownlink(wk.enc, sub, bb, d.ref)
 				}
 			}
-			if !p.hadGate[i] {
+			if d.held == nil {
+				// First contact ships the selector package too.
 				bytes += sub.SelectorBytes()
-				r.gate = true
 			}
 		} else {
 			// Download lost after retries: degrade to the cached sub-model —
 			// train it on fresh local data without this round's cloud pull.
 			fspan.SetNote("fetch_lost_cached")
-			r.fetchLost = true
-			sub = p.held[i]
+			sub = d.held
 			bb = sub.Backbone()
 		}
 		fspan.SetBytes(bytes)
 		fspan.End()
 		prof := c.Mon.Profile()
-		t := prof.TransferTime(bytes) + p.fetchExtra[i]
+		t := prof.TransferTime(bytes) + d.fetchExtra
 		if s.LocalTraining {
 			tspan := s.Spans.Start(p.trace, dspan.ID(), "fed.train")
 			tspan.SetDevice(id)
-			trainParams(p.streams[i], sub, bb.Params, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, BatchSize, nil)
+			trainParams(d.stream, sub, bb.Params, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, BatchSize, nil)
 			tspan.End()
 			upBytes := int64(nn.ParamCount(bb.Params)) * 4 // modules+stem+head; selector is not updated on edge
 			_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
 			t += trainTime(prof, fwd, c.Dev.Train.Len(), s.cfg.LocalEpochs)
-			t += p.pushExtra[i]
-			if p.pushOK[i] {
+			t += d.pushExtra
+			// A lost upload still trained (and improved the cached
+			// sub-model), but this round aggregates without the device.
+			if !d.pushLost {
 				pspan := s.Spans.Start(p.trace, dspan.ID(), "fed.push")
 				pspan.SetDevice(id)
-				hist := c.Dev.Train.ClassHistogram()
-				//nolint:hotalloc -- the update keeps its class weights until it lands, rounds later when it pends
-				cw := make([]float64, len(hist))
-				for ci, cnt := range hist {
-					cw[ci] = float64(cnt)
-				}
 				upSub := sub
 				if s.cfg.WireCompress {
 					// Push crosses the simulated v2 link: delta + top-k
@@ -424,30 +416,24 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 					// last one, when the fetch was lost). The cloud
 					// aggregates the wire's reconstruction; the device keeps
 					// its full-precision local weights.
-					ref := r.next
+					ref := d.next
 					if ref == nil {
-						ref = p.refs[i]
+						ref = d.ref
 					}
-					upBytes, upSub, r.upBuf = wireUplink(wk.enc, sub, bb, ref, edgenet.WireOpts{TopK: s.cfg.WireTopK})
+					upBytes, upSub, d.upBuf = wireUplink(wk.enc, sub, bb, ref, edgenet.WireOpts{TopK: s.cfg.WireTopK})
 				}
-				r.update = &modular.Update{Sub: upSub, Importance: imp, Weight: float64(c.Dev.Train.Len()), ClassWeights: cw}
+				d.update = &modular.Update{Sub: upSub, Importance: imp, Weight: float64(c.Dev.Train.Len()), ClassWeights: c.Dev.Train.ClassHistogram()}
 				t += prof.TransferTime(upBytes)
-				r.up = upBytes
+				d.up = upBytes
 				pspan.SetBytes(upBytes)
 				pspan.End()
-			} else {
-				// Upload lost after retries: the local training still
-				// happened (and improved the cached sub-model), but this
-				// round aggregates without the device.
-				r.pushLost = true
 			}
 		}
 		// The device goes back to the pool (or pends) as the model alone; its
 		// training scratch is dead weight until it is sampled again.
 		sub.Park()
-		r.sub, r.down, r.t = sub, bytes, t
+		d.sub, d.down, d.t = sub, bytes, t
 	})
-	return res
 }
 
 // roundWorker is what one worker of the parallel phase keeps across rounds.
@@ -468,53 +454,51 @@ func (s *Nebula) roundWorkers(n int) []roundWorker {
 	return s.workers[:n]
 }
 
-// commitDevice folds one device's finished result into strategy state: fault
-// notes, the client_update record, and strategy-map writes. It runs only
-// on the serial coordinator, in the round the result lands in. stale is
-// landing−launch in rounds (0 for on-time / bulk-sync); a stale update's
-// aggregation weight decays by StalenessDecay^stale. Returns the device's update for the aggregation list
-// (nil if the device sat out or its push was lost).
-func (s *Nebula) commitDevice(landing int, c *Client, r *nebulaResult, stale int) *modular.Update {
-	id := c.Dev.ID
-	s.noteFaults(landing-stale, id, r)
-	if r.sub == nil {
+// commitDevice folds one device's finished work into strategy state: fault
+// notes, the client_update record, and strategy-map writes. It runs only on
+// the serial coordinator, in the round the work lands in. A late update's
+// aggregation weight decays by StalenessDecay^stale, stale being
+// landing−launch in rounds (0 for on-time / bulk-sync). Returns the device's
+// update for the aggregation list (nil if the device sat out or its push was
+// lost).
+func (s *Nebula) commitDevice(landing int, d *deviceRound) *modular.Update {
+	id, stale := d.c.Dev.ID, landing-d.launch
+	s.noteFaults(d)
+	if d.sub == nil {
 		return nil // sat the round out; the fault note above is its only record
 	}
-	s.record(trace.ClientUpdate(landing, id, r.sub.NumModules(), r.down, r.up, r.t, stale))
-	s.subs[id] = r.sub
-	if r.gate {
-		s.hasGatePkg[id] = true
-	}
-	if r.next != nil {
+	s.record(trace.ClientUpdate(landing, id, d.sub.NumModules(), d.down, d.up, d.t, stale))
+	s.subs[id] = d.sub
+	if d.next != nil {
 		// The replaced reference goes back: its one reader, this device's
 		// worker, is done, and a device is not relaunched while its work pends.
 		s.wireRefs[id].Release()
-		s.wireRefs[id] = r.next
+		s.wireRefs[id] = d.next
 		s.metrics().wirePayloads.Inc()
 	}
-	if r.update != nil && stale > 0 {
-		r.update.Weight *= math.Pow(s.stalenessDecay(), float64(stale))
+	if d.update != nil && stale > 0 {
+		d.update.Weight *= math.Pow(s.stalenessDecay(), float64(stale))
 	}
-	return r.update
+	return d.update
 }
 
 // noteFaults writes the trace notes of the link faults one device met in its
-// work launched in round launch: a lost fetch (with or without a cached
-// sub-model to train instead) and a lost push. Serial coordinator only.
-func (s *Nebula) noteFaults(launch, id int, r *nebulaResult) {
+// work: a lost fetch (with or without a cached sub-model to train instead)
+// and a lost push. Serial coordinator only.
+func (s *Nebula) noteFaults(d *deviceRound) {
 	if s.Trace == nil {
 		return
 	}
 	note := func(what string) {
-		s.Trace.Emit(trace.Event{Kind: trace.KindNote, Note: fmt.Sprintf("round %d device %d: %s", launch, id, what)})
+		s.Trace.Emit(trace.Event{Kind: trace.KindNote, Note: fmt.Sprintf("round %d device %d: %s", d.launch, d.c.Dev.ID, what)})
 	}
 	switch {
-	case r.fetchLost && r.sub == nil:
+	case d.fetchLost && d.sub == nil:
 		note("fetch lost, no cached sub-model, skipping round")
-	case r.fetchLost:
+	case d.fetchLost:
 		note("fetch lost, serving cached sub-model")
 	}
-	if r.pushLost {
+	if d.pushLost {
 		note("push lost, round aggregates without it")
 	}
 }
@@ -539,40 +523,28 @@ func (s *Nebula) aggregate(round int, updates []*modular.Update, slot float64) {
 	s.record(trace.RoundEnd(round, slot))
 }
 
-// landing is one finished device result on its way into strategy state:
-// launched in round launch (the landing round itself for on-time and
-// bulk-sync work), complete at absolute sim time done. A straggler's landing
-// waits in asyncState.pending with res pointing at a copy of its result.
-type landing struct {
-	c      *Client
-	launch int
-	done   float64
-	res    *nebulaResult
-}
-
 // land is the one place a round's device work enters strategy state — the
-// canonical reduce of docs/PARALLEL.md: commit each landing in the order
+// canonical reduce of docs/PARALLEL.md: commit each record in the order
 // given (device order for bulk-sync rounds, seeded arrival order for
 // deadline-paced ones), then aggregate the updates that made it and close the
 // round with slot. Everything recorded here is part of the serial phase, so
 // the ledgers (and their float accumulation order) are a pure function of
 // the seeds.
-func (s *Nebula) land(round int, p *roundPrep, landings []landing, slot float64) {
+func (s *Nebula) land(round int, p *roundPrep, landings []*deviceRound, slot float64) {
 	var updates []*modular.Update
-	for _, ld := range landings {
-		stale := round - ld.launch
-		if stale > 0 {
+	for _, d := range landings {
+		if stale := round - d.launch; stale > 0 {
 			// Marker span: a carried straggler update lands this round.
-			s.mark(p.trace, p.root, "fed.land", ld.c.Dev.ID, round, "", stale)
+			s.mark(p.trace, p.root, "fed.land", d.c.Dev.ID, round, "", stale)
 		}
-		if u := s.commitDevice(round, ld.c, ld.res, stale); u != nil {
+		if u := s.commitDevice(round, d); u != nil {
 			updates = append(updates, u)
 		}
 	}
 	s.aggregate(round, updates, slot)
 	// Aggregation has read the updates; their wire reconstructions go back.
-	for _, ld := range landings {
-		tensor.Release(ld.res.upBuf)
+	for _, d := range landings {
+		tensor.Release(d.upBuf)
 	}
 }
 

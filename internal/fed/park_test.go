@@ -205,9 +205,9 @@ func TestWireUplinkCarrierIsWhatAggregationReads(t *testing.T) {
 	old := oracle.Extract(active)
 	old.LoadBackboneVector(carrier.BackboneVector())
 
-	cw := make([]float64, task.Classes)
+	cw := make([]int, task.Classes)
 	for i := range cw {
-		cw[i] = float64(i % 3) // some classes unseen
+		cw[i] = i % 3 // some classes unseen
 	}
 	imp := cloud.ImportanceWith(cloud.Selector.Clone(), tensor.New(append([]int{4}, task.InShape...)...))
 	cloud.AggregateModuleWise([]*modular.Update{{Sub: carrier, Importance: imp, Weight: 3, ClassWeights: cw}})

@@ -18,7 +18,7 @@ type Update struct {
 	// actually observed — the classifier-level analogue of module-wise
 	// aggregation (label-skewed devices otherwise drag unseen-class rows
 	// toward stale values).
-	ClassWeights []float64
+	ClassWeights []int
 }
 
 // AggregateModuleWise integrates updated sub-models into the cloud model
@@ -159,7 +159,7 @@ func aggregateClassifier(head nn.Layer, updates []*Update, retain float64) {
 		var total float64
 		for _, u := range updates {
 			if c < len(u.ClassWeights) {
-				total += u.ClassWeights[c]
+				total += float64(u.ClassWeights[c])
 			}
 		}
 		if total <= 0 {
@@ -175,7 +175,7 @@ func aggregateClassifier(head nn.Layer, updates []*Update, retain float64) {
 				continue
 			}
 			src := finalDense(u.Sub.Head)
-			w := float32((1 - retain) * u.ClassWeights[c] / total)
+			w := float32((1 - retain) * float64(u.ClassWeights[c]) / total)
 			srow := src.Weight.W.Data[c*in : (c+1)*in]
 			for i := range row {
 				row[i] += float32(w * srow[i])
