@@ -55,7 +55,7 @@ workers_gate() {
     tmp=$(mktemp -d)
     for run in 1/1 4/4 $extra; do
         r="w${run%/*}p${run#*/}"
-        GOMAXPROCS=${run#*/} go run ./cmd/nebula-sim "$@" -workers "${run%/*}" \
+        GOMAXPROCS=${run#*/} "$sim" "$@" -workers "${run%/*}" \
             ${traces:+-trace "$tmp/$r.jsonl"} >"$tmp/$r.out" 2>/dev/null
     done
     if [ -n "$gate" ] && ! grep -q "$gate: PASS" "$tmp/w1p1.out"; then
@@ -67,15 +67,24 @@ workers_gate() {
         same "$tmp/w1p1.out" "$tmp/$r.out" "$outs differs between -workers 1 and $at"
         [ -z "$traces" ] || same "$tmp/w1p1.jsonl" "$tmp/$r.jsonl" "$traces differs between -workers 1 and $at"
     done
-    [ -z "$traces" ] || go run ./cmd/nebula-trace "$tmp/w1p1.jsonl" >/dev/null
+    [ -z "$traces" ] || "$tracer" "$tmp/w1p1.jsonl" >/dev/null
     case " $* " in *" -faults "*)
         [ -z "$traces" ] || grep -q '"kind":"note"' "$tmp/w1p1.jsonl" ||
             fail "$traces holds no fault note: the link lost no exchange" ;;
     esac
     # shellcheck disable=SC2086 # audit is a list of flags
-    [ -z "$audit" ] || go run ./cmd/nebula-sim "$@" $audit >/dev/null
+    [ -z "$audit" ] || "$sim" "$@" $audit >/dev/null
     rm -rf "$tmp"
 }
+
+echo "== build nebula-sim and nebula-trace (every gate below runs these two binaries)"
+# Not `go run`: it rebuilds per call, and its parent process would keep a
+# backgrounded sim from being reliably killed or reaped here.
+bintmp=$(mktemp -d)
+trap 'rm -rf "$bintmp"' EXIT
+sim=$bintmp/nebula-sim tracer=$bintmp/nebula-trace
+go build -o "$sim" ./cmd/nebula-sim
+go build -o "$tracer" ./cmd/nebula-trace
 
 echo "== make build vet portable fmt-check (go build + vet natively and for arm64, no fused multiply-add in the arm64 listing, gofmt)"
 make build vet portable fmt-check
@@ -157,11 +166,9 @@ workers_gate "compress experiment output" "" compress-gate \
 
 echo "== admin plane gate (live /healthz, /metrics, pprof; scrapes byte-stable at quiescence)"
 admtmp=$(mktemp -d)
-# Build a real binary: `go run` interposes a parent process, so the sim could
-# not be reliably killed or reaped from here. The run doubles as a seed
-# audit with the admin plane live: determinism must hold while scraped.
-go build -o "$admtmp/nebula-sim" ./cmd/nebula-sim
-"$admtmp/nebula-sim" -exp fig1b -seed 7 -seed-audit \
+# The run doubles as a seed audit with the admin plane live: determinism must
+# hold while scraped.
+"$sim" -exp fig1b -seed 7 -seed-audit \
     -admin-addr 127.0.0.1:0 -admin-linger 60s \
     >"$admtmp/run.out" 2>"$admtmp/run.err" &
 simpid=$!
@@ -194,11 +201,9 @@ rm -rf "$admtmp"
 
 echo "== span tracing gate (faulty straggler run: /spans scrape byte-matches capture, parents validate, round roots == trace rounds, artifacts identical to tracing off)"
 spantmp=$(mktemp -d)
-go build -o "$spantmp/nebula-sim" ./cmd/nebula-sim
-go build -o "$spantmp/nebula-trace" ./cmd/nebula-trace
 # Traced pass: the straggler experiment over a lossy wire-v2 link with full
 # span sampling, flight recorder mounted at /spans, capture written on exit.
-"$spantmp/nebula-sim" -exp straggler -devices 6 -proxy 8 -steps 2 \
+"$sim" -exp straggler -devices 6 -proxy 8 -steps 2 \
     -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 7 \
     -faults drop=0.2 -wire -span-sample 1 \
     -spans "$spantmp/spans.jsonl" -trace "$spantmp/traced.jsonl" \
@@ -218,7 +223,7 @@ kill "$spanpid" 2>/dev/null || true
 wait "$spanpid" 2>/dev/null || true
 # Structural validation: nebula-trace -check exits nonzero on any orphaned
 # parent, and prints traces/spans/roots/round_roots counts.
-"$spantmp/nebula-trace" -check "$spantmp/spans.jsonl" >"$spantmp/check.out" || {
+"$tracer" -check "$spantmp/spans.jsonl" >"$spantmp/check.out" || {
     cat "$spantmp/check.out" >&2
     fail "span capture failed structural validation (orphaned parents)"
 }
@@ -226,7 +231,7 @@ wait "$spanpid" 2>/dev/null || true
 # one fed.round root span, so root count equals the adaptation trace's
 # round count — same run, two independent observers.
 roots=$(sed -n 's/.*round_roots=\([0-9][0-9]*\).*/\1/p' "$spantmp/check.out")
-rounds=$("$spantmp/nebula-trace" "$spantmp/traced.jsonl" | sed -n 's/^rounds:[[:space:]]*\([0-9][0-9]*\)$/\1/p')
+rounds=$("$tracer" "$spantmp/traced.jsonl" | sed -n 's/^rounds:[[:space:]]*\([0-9][0-9]*\)$/\1/p')
 [ -n "$roots" ] && [ -n "$rounds" ] && [ "$roots" = "$rounds" ] || {
     cat "$spantmp/check.out" >&2
     fail "span round roots ($roots) != trace rounds ($rounds)"
@@ -234,7 +239,7 @@ rounds=$("$spantmp/nebula-trace" "$spantmp/traced.jsonl" | sed -n 's/^rounds:[[:
 # Artifact neutrality at the CLI boundary: the identical run with tracing
 # (and the admin plane) off must produce byte-identical stdout and trace
 # JSONL — the recorder is a pure observer (docs/OBSERVABILITY.md "Tracing").
-"$spantmp/nebula-sim" -exp straggler -devices 6 -proxy 8 -steps 2 \
+"$sim" -exp straggler -devices 6 -proxy 8 -steps 2 \
     -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 7 \
     -faults drop=0.2 -wire \
     -trace "$spantmp/base.jsonl" >"$spantmp/base.out" 2>/dev/null
@@ -255,7 +260,7 @@ make bench-e2e-check >/dev/null
 
 if [ "${1:-}" != "" ]; then
     echo "== seed audit (seed $1)"
-    go run ./cmd/nebula-sim -exp fig1b -seed "$1" -seed-audit >/dev/null
+    "$sim" -exp fig1b -seed "$1" -seed-audit >/dev/null
 fi
 
 echo "ci: all gates passed"

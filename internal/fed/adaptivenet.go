@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"slices"
+
 	"repro/internal/data"
 	"repro/internal/device"
 	"repro/internal/nn"
@@ -68,24 +70,28 @@ func (m *MultiBranch) Params() []*nn.Param {
 	return ps
 }
 
-// Clone deep-copies the multi-branch model.
+// Clone copies the multi-branch model's weights and states; TrainLayer arms
+// the gradients of the one branch a device trains.
 func (m *MultiBranch) Clone() *MultiBranch {
 	c := &MultiBranch{}
 	for _, s := range m.Stages {
-		c.Stages = append(c.Stages, nn.CloneLayer(s))
+		c.Stages = append(c.Stages, nn.CloneWeights(s))
 	}
 	for _, e := range m.Exits {
-		c.Exits = append(c.Exits, nn.CloneLayer(e))
+		c.Exits = append(c.Exits, nn.CloneWeights(e))
 	}
 	return c
 }
 
 // TrainAllExits pre-trains the trunk with the summed CE of every exit
-// (deep-supervision), so every branch is a usable classifier.
+// (deep-supervision), so every branch is a usable classifier. Like
+// TrainLayer it ends its bout as it returns (nn.ReleaseBuffers).
 func (m *MultiBranch) TrainAllExits(rng *tensor.RNG, ds *data.Dataset, epochs int, lr float32, batch int) {
 	opt := nn.NewAdam(lr)
 	defer opt.Release()
+	defer nn.ReleaseBuffers(nn.NewSequential(slices.Concat(m.Stages, m.Exits)...))
 	params := m.Params()
+	nn.EnsureGrads(params)
 	for e := 0; e < epochs; e++ {
 		ds.Batches(rng, batch, func(x *tensor.Tensor, y []int) {
 			// Forward all stages once, caching intermediate activations, and

@@ -220,9 +220,7 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 			if sel == nil {
 				sel = s.roundWorkers(1)[0].sel
 			}
-			sub := s.deriveFresh(sel, c)
-			sub.Park()
-			down = s.adoptFresh(id, sub)
+			down = s.adoptFresh(id, s.deriveFresh(sel, c))
 		}
 		s.record(trace.Churn(round, id, "join", down))
 		s.mark(tid, parent, "fed.churn", id, round, "join", 0)

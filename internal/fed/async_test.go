@@ -75,7 +75,7 @@ func asyncChurnScenario(t *testing.T, workers int, reg *obs.Registry) ([]byte, C
 
 // asyncChurnScenarioOver is asyncChurnScenario with the link chosen: lossy
 // puts the whole lifecycle on the simulated v2 wire (delta + top-k pushes)
-// under a fault model, so parked sub-models, upload carriers and wire
+// under a fault model, so released sub-models, upload carriers and wire
 // references cross pend, land, leave and join.
 func asyncChurnScenarioOver(t *testing.T, workers int, reg *obs.Registry, lossy bool) ([]byte, Costs, []float32, *Nebula) {
 	t.Helper()

@@ -129,9 +129,10 @@ type System interface {
 // TrainLayer runs mini-batch cross-entropy training on a model — a plain
 // network, one branch of a MultiBranch, or a Nebula sub-model (whose selector
 // stays frozen): SGD with momentum, gradients clipped to norm 5. Parameters
-// without a gradient accumulator (a parked sub-model's) get one first.
-// afterBackward, when non-nil, sees the parameters after each backward pass
-// and before clipping; FedProx's proximal step is its one user.
+// without a gradient accumulator get one first; the bout ends as it returns
+// (nn.ReleaseBuffers). afterBackward, when non-nil, sees the parameters after
+// each backward pass and before clipping; FedProx's proximal step is its one
+// user.
 func TrainLayer(rng *tensor.RNG, m nn.Layer, ds *data.Dataset, epochs int, lr float32, batch int, afterBackward func(params []*nn.Param)) {
 	trainParams(rng, m, m.Params(), ds, epochs, lr, batch, afterBackward)
 }
@@ -139,6 +140,7 @@ func TrainLayer(rng *tensor.RNG, m nn.Layer, ds *data.Dataset, epochs int, lr fl
 // trainParams is TrainLayer on m's parameter list params, for a caller that
 // already holds it.
 func trainParams(rng *tensor.RNG, m nn.Layer, params []*nn.Param, ds *data.Dataset, epochs int, lr float32, batch int, afterBackward func(params []*nn.Param)) {
+	defer nn.ReleaseBuffers(m)
 	if ds.Len() == 0 {
 		return
 	}
@@ -159,8 +161,9 @@ func trainParams(rng *tensor.RNG, m nn.Layer, params []*nn.Param, ds *data.Datas
 	}
 }
 
-// EvalLayer returns a model's accuracy on a dataset.
+// EvalLayer returns a model's accuracy on a dataset and ends its bout.
 func EvalLayer(m nn.Layer, ds *data.Dataset) float64 {
+	defer nn.ReleaseBuffers(m)
 	if ds.Len() == 0 {
 		return 0
 	}

@@ -148,8 +148,6 @@ func TestPullBlendReadsInPlace(t *testing.T) {
 				// The device trains on; its reference stays what the wire delivered.
 				TrainLayer(tensor.NewRNG(67), got, tc.train, 1, 0.05, 16, nil)
 				TrainLayer(tensor.NewRNG(67), want, tc.train, 1, 0.05, 16, nil)
-				got.Park()
-				want.Park()
 				if !reflect.DeepEqual(subModelBits(got), subModelBits(want)) {
 					t.Fatalf("%s: training after the pull diverges from the copying path", when)
 				}

@@ -115,7 +115,7 @@ func layerBits(m nn.Layer) []uint32 {
 
 // TestTrainLayerMatchesLegacyLoops: two epochs through the one surviving loop
 // leave exactly the parameters the loop it replaced left — for a dense and a
-// conv model, a fresh and a parked sub-model, and FedProx's proximal step —
+// conv model, a fresh and a released sub-model, and FedProx's proximal step —
 // and EvalLayer scores a sub-model exactly as the sub-model evaluation loop
 // did.
 func TestTrainLayerMatchesLegacyLoops(t *testing.T) {
@@ -173,23 +173,23 @@ func TestTrainLayerMatchesLegacyLoops(t *testing.T) {
 				active[l] = append(active[l], i)
 			}
 		}
-		for _, parked := range []bool{false, true} {
+		for _, released := range []bool{false, true} {
 			got, want := model.Extract(active), model.Extract(active)
-			if parked {
-				got.Park()
-				want.Park()
+			if released {
+				nn.ReleaseBuffers(got)
+				nn.ReleaseBuffers(want)
 			}
 			TrainLayer(tensor.NewRNG(seed), got, tc.dev.Train, epochs, lr, batch, nil)
 			legacyTrainSubModel(tensor.NewRNG(seed), want, tc.dev.Train, epochs, lr, batch)
 			if !reflect.DeepEqual(subModelBits(got), subModelBits(want)) {
-				t.Errorf("%s sub-model (parked=%v): TrainLayer diverges from the sub-model loop", tc.name, parked)
+				t.Errorf("%s sub-model (released=%v): TrainLayer diverges from the sub-model loop", tc.name, released)
 			}
 			if reflect.DeepEqual(subModelBits(got), subModelBits(model.Extract(active))) {
-				t.Errorf("%s sub-model (parked=%v): training moved nothing", tc.name, parked)
+				t.Errorf("%s sub-model (released=%v): training moved nothing", tc.name, released)
 			}
 			test := tc.dev.TestSet(150) // more than one evaluation chunk
 			if a, b := EvalLayer(got, test), legacyEvalSubModel(want, test); a != b {
-				t.Errorf("%s sub-model (parked=%v): EvalLayer %v, the sub-model loop %v", tc.name, parked, a, b)
+				t.Errorf("%s sub-model (released=%v): EvalLayer %v, the sub-model loop %v", tc.name, released, a, b)
 			}
 		}
 	}

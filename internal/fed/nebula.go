@@ -429,9 +429,6 @@ func (s *Nebula) runDevices(p *roundPrep, round int) {
 				pspan.End()
 			}
 		}
-		// The device goes back to the pool (or pends) as the model alone; its
-		// training scratch is dead weight until it is sampled again.
-		sub.Park()
 		d.sub, d.down, d.t = sub, bytes, t
 	})
 }
@@ -561,7 +558,6 @@ func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 	subs, fresh := serve(s.cfg.Workers, clients, s.subs, s.deriveOwn(clients), func(i int, sub *modular.SubModel) {
 		c := clients[i]
 		TrainLayer(s.streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, BatchSize, nil)
-		sub.Park()
 		_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
 		ts[i] = trainTime(c.Mon.Profile(), fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs)
 	})
@@ -657,7 +653,6 @@ func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 	accs := make([]float64, len(clients))
 	subs, fresh := serve(s.cfg.Workers, clients, s.subs, s.deriveOwn(clients), func(i int, sub *modular.SubModel) {
 		accs[i] = EvalLayer(sub, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
-		sub.Park() // the evaluation batch's activations go; the model stays
 	})
 	for i, c := range clients {
 		if fresh[i] {
@@ -672,7 +667,8 @@ func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 // Costs returns accumulated accounting.
 func (s *Nebula) Costs() Costs { return s.costs }
 
-// SubModelOf returns the stored sub-model of a client (nil if none). Stored
-// sub-models are parked (modular.SubModel.Park): they evaluate as they are
-// and TrainLayer re-arms them.
+// SubModelOf returns the stored sub-model of a client (nil if none). Once a
+// bout ran on it, it holds its weights and nothing else (TrainLayer and
+// EvalLayer end their bouts with nn.ReleaseBuffers): it evaluates as it is
+// and TrainLayer re-arms it.
 func (s *Nebula) SubModelOf(id int) *modular.SubModel { return s.subs[id] }

@@ -87,18 +87,17 @@ func (ml *ModuleLayer) Params() []*nn.Param {
 	return ps
 }
 
-// park ends a bout on a routed layer, in place: every tensor the layer holds
-// goes back to the arena, and each module is replaced by shed(module) —
-// nn.Bare, or nn.ReleaseBuffers keeping the module itself. The routing tables
-// stay: index arrays of a few KB that hold no activations and that the next
-// bout would size identically.
-func (ml *ModuleLayer) park(shed func(nn.Layer) nn.Layer) {
+// release ends a bout on a routed layer, in place: every tensor the layer
+// and its modules hold goes back to the arena (nn.ReleaseBuffers for each
+// module). The routing tables stay: index arrays of a few KB that hold no
+// activations and that the next bout would size identically.
+func (ml *ModuleLayer) release() {
 	ml.releaseStep()
 	tensor.Release(ml.y)
 	tensor.Release(ml.dx)
 	ml.y, ml.dx = nil, nil
-	for i, m := range ml.Modules {
-		ml.Modules[i] = shed(m)
+	for _, m := range ml.Modules {
+		nn.ReleaseBuffers(m)
 	}
 }
 

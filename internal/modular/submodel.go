@@ -144,43 +144,28 @@ func (s *SubModel) WithBackbone(vec []float32) *SubModel {
 	return c
 }
 
-// Park ends a training or evaluation bout: s sheds everything it holds beyond
-// the model itself — gradient accumulators, the last batch's activations and
-// routing, layer reuse buffers — keeping weights, states, selector and
-// mapping, and every shed array goes back to the arena (nn.Bare), where the
-// next bout on this worker, on whichever device's sub-model, borrows it. A
-// device's sub-model spends most rounds unsampled; parked, it pins what it
-// would cost to ship, not what it cost to train. Tensors s returned before
-// the call are dead. Training a parked sub-model needs nn.EnsureGrads first
-// (fed.TrainLayer does it); the optimizer leaves gradients zero after every
-// step, so train → Park → train computes exactly what train → train does.
-func (s *SubModel) Park() {
-	s.Stem, s.Head = nn.Bare(s.Stem), nn.Bare(s.Head)
-	for _, layer := range s.Layers {
-		layer.park(nn.Bare)
-	}
-	if s.Selector != nil {
-		s.Selector = s.Selector.bare()
-	}
+// ReleaseBuffers is how nn.ReleaseBuffers, and with it every loop that runs
+// a bout, ends one on a sub-model: Model.Park on its parts, and its gate rows
+// go. It keeps weights, states, selector and mapping.
+func (s *SubModel) ReleaseBuffers() {
+	(&Model{Stem: s.Stem, Layers: s.Layers, Head: s.Head, Selector: s.Selector}).Park()
 	s.gateRows, s.gateFlat = nil, nil
 }
 
-// Park is SubModel.Park for the cloud model, which sits idle between the
-// offline stage and whatever trains it next: TrainEndToEnd and AbilityEnhance
-// re-arm its gradients as they start and park it as they return. Its layers
-// stay the objects they were, with the input geometry they recorded while
-// training, so the module costs the model holds for that geometry
-// (ModuleCosts, which Derive reads) hold after a Park too.
+// Park ends a training or evaluation bout on m in place, as nn.ReleaseBuffers
+// does for a layer: TrainEndToEnd and AbilityEnhance park the cloud model as
+// they return. Its layers stay the objects they were, with the input
+// geometry they recorded, so the module costs the model holds for that
+// geometry (ModuleCosts, which Derive reads) hold after a Park too.
 func (m *Model) Park() {
 	nn.ReleaseBuffers(m.Stem)
 	nn.ReleaseBuffers(m.Head)
 	for _, layer := range m.Layers {
-		layer.park(func(l nn.Layer) nn.Layer {
-			nn.ReleaseBuffers(l)
-			return l
-		})
+		layer.release()
 	}
-	m.Selector = m.Selector.bare()
+	if m.Selector != nil {
+		m.Selector.release()
+	}
 	m.lastProbs = nil
 }
 
@@ -193,8 +178,15 @@ func (m *Model) Park() {
 // instead; it is only ever consumed by noisy-top-k training forwards, which
 // edge-side selector copies (frozen, train=false) never perform.
 func (s *Selector) Clone() *Selector {
-	// "selector": constant, parent stream untouched
-	return s.remade(nn.CloneWeights, tensor.NewRNG(0x5e1ec708))
+	c := &Selector{
+		Embed:    nn.CloneWeights(s.Embed).(*nn.Sequential),
+		NoiseStd: s.NoiseStd,
+		rng:      tensor.NewRNG(0x5e1ec708), // "selector": constant, parent stream untouched
+	}
+	for _, h := range s.Heads {
+		c.Heads = append(c.Heads, nn.CloneWeights(h).(*nn.Dense))
+	}
+	return c
 }
 
 // CloneInto is Clone for a caller that keeps its copy: dst, a copy of a
@@ -221,27 +213,17 @@ func (s *Selector) CloneInto(dst *Selector) *Selector {
 	return dst
 }
 
-// bare is the selector over the same weights and noise stream with its
-// activation caches dropped and their arrays back in the arena (see nn.Bare).
-// s must not be used afterwards.
-func (s *Selector) bare() *Selector {
+// release ends a bout on the selector in place: its activation caches go,
+// their arrays back in the arena, and it keeps its weights and noise stream.
+func (s *Selector) release() {
 	for _, p := range s.probs {
 		tensor.Release(p)
 	}
-	s.probs, s.rows = nil, nil
-	return s.remade(nn.Bare, s.rng)
-}
-
-func (s *Selector) remade(remake func(nn.Layer) nn.Layer, rng *tensor.RNG) *Selector {
-	c := &Selector{
-		Embed:    remake(s.Embed).(*nn.Sequential),
-		NoiseStd: s.NoiseStd,
-		rng:      rng,
-	}
+	s.h, s.flat, s.logits, s.probs, s.rows = nil, nil, nil, nil, nil
+	nn.ReleaseBuffers(s.Embed)
 	for _, h := range s.Heads {
-		c.Heads = append(c.Heads, remake(h).(*nn.Dense))
+		nn.ReleaseBuffers(h)
 	}
-	return c
 }
 
 // Forward runs the compact sub-model. Selector probabilities are computed at
@@ -303,7 +285,7 @@ func (s *SubModel) Params() []*nn.Param {
 // stem's and the head's). A caller that walks one sub-model several times —
 // a device round: refresh, train, push — takes it once and hands it to each
 // walk. It lists the layers the sub-model had when it was taken, so it is
-// not kept across a Park or anything else that replaces them.
+// not kept across anything that replaces them.
 type Backbone struct {
 	Params []*nn.Param
 	States []*tensor.Tensor

@@ -32,25 +32,24 @@ func CloneOver(l Layer, vec []float32) (Layer, []float32) {
 	return c, vec
 }
 
-// Bare returns l's architecture over the very same weight and state tensors
-// and nothing else: no gradient accumulators, no cached activations, no reuse
-// buffers, no recorded input geometry, no per-call closures. It is how a
-// model that sits idle between training bouts sheds everything that is not
-// the model, and where the bout's loan ends (ReleaseBuffers). EnsureGrads
-// makes the result trainable again. l must not be used afterwards — the two
-// share weights.
-func Bare(l Layer) Layer {
-	ReleaseBuffers(l)
-	return cloneLayer(l, shareWeights)
-}
+// Releaser is a layer built from parts this package does not walk (a routed
+// sub-model): ReleaseBuffers hands the whole release to its method, which
+// must leave it as ReleaseBuffers leaves a layer of this package.
+type Releaser interface{ ReleaseBuffers() }
 
 // ReleaseBuffers ends a training or evaluation bout on l in place: every
 // gradient accumulator and every reuse buffer its tree holds goes back to the
 // arena (tensor.Release) for the next bout — on whichever model — to borrow.
-// Tensors l returned before the call are dead. l keeps its weights, states
-// and what it recorded about its input geometry (Conv2D.Cost reads that);
-// EnsureGrads re-arms it, and it needs a Forward before its next Backward.
+// The loops that run a bout call it as they return, so a model kept between
+// bouts holds its weights and nothing else. Tensors l returned before the
+// call are dead. l keeps its layer objects, weights, states and what it
+// recorded about its input geometry (Conv2D.Cost reads that); EnsureGrads
+// re-arms it, and it needs a Forward before its next Backward.
 func ReleaseBuffers(l Layer) {
+	if r, ok := l.(Releaser); ok {
+		r.ReleaseBuffers()
+		return
+	}
 	for _, p := range l.Params() {
 		release(&p.G)
 	}
@@ -64,13 +63,15 @@ func releaseActivations(l Layer) {
 		v.x = nil
 	case *Conv2D:
 		release(&v.y, &v.dx)
-		v.fwdX, v.trained = nil, false
+		v.fwdX, v.bwdGrad, v.trained = nil, nil, false
 	case *BatchNorm:
 		release(&v.y, &v.dx, &v.xhat)
+		v.invStd, v.accA, v.accB = nil, nil, nil
 	case *ReLU:
 		release(&v.y, &v.dx)
 	case *MaxPool2D:
 		release(&v.y, &v.dx)
+		v.fwdX = nil
 	case *GlobalAvgPool:
 		release(&v.y, &v.dx)
 	case *Sequential:
@@ -92,8 +93,9 @@ func release(bufs ...**tensor.Tensor) {
 	}
 }
 
-// EnsureGrads gives every parameter that lacks one (CloneWeights, Bare) a
-// zero gradient accumulator — the state every optimizer step leaves behind.
+// EnsureGrads gives every parameter that lacks one (CloneWeights,
+// ReleaseBuffers) a zero gradient accumulator — the state every optimizer
+// step leaves behind.
 func EnsureGrads(params []*Param) {
 	for _, p := range params {
 		if p.G == nil {
@@ -116,29 +118,21 @@ type cloneMode int
 const (
 	cloneTrainable cloneMode = iota // copied weights and states, zero gradients
 	cloneWeights                    // copied weights and states, no gradients
-	shareWeights                    // the source's own weights and states, no gradients
 	viewWeights                     // the source's own weights until CloneOver re-points them, copied states, no gradients
 )
 
 func (m cloneMode) param(p *Param) *Param {
 	switch m {
 	case cloneTrainable:
-		// A plain accumulator, not a loan: most trainable clones are never
-		// parked, and a borrowed array would cost them its size class for
-		// nothing.
+		// A plain accumulator, not a loan: a clone trained by hand, not
+		// through a bout loop, is never released, and a borrowed array
+		// would cost it its size class for nothing.
 		return &Param{Name: p.Name, W: p.W.Clone(), G: tensor.New(p.W.Shape()...)}
 	case cloneWeights:
 		return &Param{Name: p.Name, W: p.W.Clone()}
 	default:
 		return &Param{Name: p.Name, W: p.W}
 	}
-}
-
-func (m cloneMode) state(t *tensor.Tensor) *tensor.Tensor {
-	if m == shareWeights {
-		return t
-	}
-	return t.Clone()
 }
 
 func cloneLayer(l Layer, m cloneMode) Layer {
@@ -153,7 +147,7 @@ func cloneLayer(l Layer, m cloneMode) Layer {
 	case *BatchNorm:
 		return &BatchNorm{Feat: v.Feat, Eps: v.Eps, Momentum: v.Momentum,
 			Gamma: m.param(v.Gamma), Beta: m.param(v.Beta),
-			RunMean: m.state(v.RunMean), RunVar: m.state(v.RunVar)}
+			RunMean: v.RunMean.Clone(), RunVar: v.RunVar.Clone()}
 	case *ReLU:
 		return NewReLU()
 	case *MaxPool2D:

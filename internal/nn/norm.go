@@ -15,7 +15,7 @@ import (
 // elements are met in ascending flat index, which fixes the order of every
 // float64 accumulation. The output, normalized-input and input-gradient
 // tensors and the per-feature accumulators are layer-owned and reused under
-// the ownership contract of reuse.go; nn.Bare drops them.
+// the ownership contract of reuse.go; ReleaseBuffers drops them.
 type BatchNorm struct {
 	Feat     int
 	Eps      float32

@@ -140,8 +140,8 @@ func TestBatchNormMatchesClosureImplementation(t *testing.T) {
 }
 
 // TestBatchNormZeroAllocSteadyState: once its buffers are warm, a BatchNorm
-// forward+backward pair allocates nothing, for either input rank; Bare — what
-// a parked sub-model is rebuilt with — drops every one of those buffers.
+// forward+backward pair allocates nothing, for either input rank;
+// ReleaseBuffers — how every bout ends — drops every one of those buffers.
 func TestBatchNormZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates; alloc counts are meaningless under -race")
@@ -162,12 +162,13 @@ func TestBatchNormZeroAllocSteadyState(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 			t.Errorf("BatchNorm forward+backward on %v: %v allocs/op in steady state, want 0", shape, allocs)
 		}
-		bare := Bare(bn).(*BatchNorm)
-		if bare.y != nil || bare.xhat != nil || bare.dx != nil || bare.accA != nil || bare.invStd != nil {
-			t.Errorf("Bare(BatchNorm) on %v kept a reuse buffer", shape)
+		gamma, mean := bn.Gamma.W, bn.RunMean
+		ReleaseBuffers(bn)
+		if bn.y != nil || bn.xhat != nil || bn.dx != nil || bn.accA != nil || bn.invStd != nil {
+			t.Errorf("ReleaseBuffers(BatchNorm) on %v kept a reuse buffer", shape)
 		}
-		if bare.Gamma.W != bn.Gamma.W || bare.RunMean != bn.RunMean {
-			t.Errorf("Bare(BatchNorm) on %v did not share weights and state", shape)
+		if bn.Gamma.W != gamma || bn.RunMean != mean {
+			t.Errorf("ReleaseBuffers(BatchNorm) on %v did not keep weights and state", shape)
 		}
 	}
 }

@@ -5,14 +5,15 @@ import "repro/internal/tensor"
 // Layers keep one output tensor and one input-gradient tensor alive across
 // steps instead of allocating fresh ones per call, so steady-state training
 // does no hot-path allocation. The buffers are not the layer's for good: they
-// are lent to it (tensor.Borrow) for one training or evaluation bout. The
-// ownership contract (see docs/PERF.md):
+// are lent to it (tensor.Borrow) for one training or evaluation bout, which
+// ends in the loop that ran it (ReleaseBuffers). The ownership contract (see
+// docs/PERF.md):
 //
 //   - a layer's Forward/Backward result is valid only until that layer's next
-//     Forward/Backward, and dead once the layer went through Bare (Park):
-//     its backing array is then back in the arena, and the next bout — on
-//     whichever model the worker picks up — is handed it. Callers that hold a
-//     result longer must Clone it.
+//     Forward/Backward, and dead once its bout ended: its backing array is
+//     then back in the arena, and the next bout — on whichever model the
+//     worker picks up — is handed it. Callers that hold a result longer must
+//     Clone it.
 //   - a consumer must not write into a tensor a layer's Forward returned.
 //     ReLU.Backward reads the output ReLU.Forward produced instead of keeping
 //     a mask of its own. (Accumulating into a Backward result is legal:

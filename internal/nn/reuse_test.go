@@ -79,11 +79,11 @@ func TestReLUMatchesMaskReference(t *testing.T) {
 	}
 }
 
-// TestBareEndsTheLoan: nn.Bare hands every buffer and gradient accumulator
-// the old layer tree held back to the arena (seen here through the poison
-// seam: the arrays read NaN afterwards), shares the weights, and leaves a
-// tree that trains on.
-func TestBareEndsTheLoan(t *testing.T) {
+// TestReleaseBuffersEndsTheLoan: ReleaseBuffers hands every buffer and
+// gradient accumulator the layer tree held back to the arena (seen here
+// through the poison seam: the arrays read NaN afterwards), keeps the
+// weights, and leaves a tree that trains on.
+func TestReleaseBuffersEndsTheLoan(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	net := NewSequential(
 		NewConv2D(rng, 2, 4, 3, 1, 1), NewBatchNorm(4), NewReLU(), NewMaxPool2D(2, 2),
@@ -93,9 +93,9 @@ func TestBareEndsTheLoan(t *testing.T) {
 	rng.FillNormal(x, 0, 1)
 	g := tensor.New(4, 3)
 	rng.FillNormal(g, 0, 1)
-	// Gradients of a model under construction are plain tensors; a parked
-	// one's are loans. Go through one park so both kinds of buffer are.
-	net = Bare(net).(*Sequential)
+	// Gradients of a model under construction are plain tensors; a released
+	// one's are loans. Go through one release so both kinds of buffer are.
+	ReleaseBuffers(net)
 	EnsureGrads(net.Params())
 	net.Forward(x, true)
 	net.Backward(g)
@@ -118,39 +118,36 @@ func TestBareEndsTheLoan(t *testing.T) {
 	}
 	weights := net.Params()[0].W
 
-	bare := Bare(net).(*Sequential)
+	ReleaseBuffers(net)
 	for i, d := range held {
 		if !math.IsNaN(float64(d[0])) || !math.IsNaN(float64(d[len(d)-1])) {
-			t.Fatalf("buffer %d of the old tree was not returned to the arena by Bare", i)
+			t.Fatalf("buffer %d of the tree was not returned to the arena by ReleaseBuffers", i)
 		}
 	}
-	for _, p := range bare.Params() {
+	for _, p := range net.Params() {
 		if p.G != nil {
-			t.Fatalf("bare %s holds a gradient", p.Name)
+			t.Fatalf("released %s holds a gradient", p.Name)
 		}
-	}
-	if bare.Params()[0].W != weights {
-		t.Fatal("Bare must share the weight tensors")
 	}
 	for _, v := range weights.Data {
 		if math.IsNaN(float64(v)) {
-			t.Fatal("Bare returned a weight array to the arena")
+			t.Fatal("ReleaseBuffers returned a weight array to the arena")
 		}
 	}
-	EnsureGrads(bare.Params())
-	for _, p := range bare.Params() {
+	EnsureGrads(net.Params())
+	for _, p := range net.Params() {
 		for _, v := range p.G.Data {
 			if v != 0 {
 				t.Fatalf("re-armed gradient of %s is not zero: %v", p.Name, v)
 			}
 		}
 	}
-	out := bare.Forward(x, true)
-	bare.Backward(g)
+	out := net.Forward(x, true)
+	net.Backward(g)
 	if out.HasNaN() {
-		t.Fatal("a bare tree computed NaN from recycled buffers")
+		t.Fatal("a released tree computed NaN from recycled buffers")
 	}
-	for _, p := range bare.Params() {
+	for _, p := range net.Params() {
 		if p.G.HasNaN() {
 			t.Fatalf("gradient of %s picked up NaN from a recycled buffer", p.Name)
 		}

@@ -206,9 +206,10 @@ func (s *Scratch) Zero() {
 // Borrow lends a tensor of the given shape whose backing array comes from the
 // layer-buffer arena. Its contents are unspecified: the borrower overwrites
 // or zeroes all of it before reading. The loan lasts for one training or
-// evaluation bout; Release ends it. A borrowed tensor that is simply dropped
-// is collected like any other — a missed Release is a missed reuse, never a
-// leak.
+// evaluation bout; Release ends it. A borrowed tensor that is dropped is
+// collected like any other, but one a kept model still points to is pinned
+// for as long as the model is kept: the loops that run a bout release what
+// their model borrowed (nn.ReleaseBuffers).
 func Borrow(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
