@@ -70,11 +70,14 @@ bench:
 # The end-to-end benchmark is a module of its own (bench/, replace repro =>
 # ../) that `go build/vet/test ./...` from the root never compile. This
 # checks it still builds, passes its tests and counts deterministically
-# against the tree as it is now. Read-only: nothing under bench/ changes.
+# against the tree as it is now, and that the traced loopback_rpc pass at the
+# default length fits the harness's span recorder (a dropped span fails the
+# run). Read-only: nothing under bench/ changes.
 bench-e2e-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) run -C bench . -check-determinism
+	$(GO) run -C bench . --workload loopback_rpc --trace 1 >/dev/null
 
 # Regenerate every table and figure (quick profile).
 sweep:

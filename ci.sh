@@ -255,7 +255,7 @@ go test -run 'ZeroAlloc|AllocBudget' ./internal/tensor/ ./internal/nn/ ./interna
 echo "== make fuzz-smoke (every native Fuzz* target in the tree, 5s each beyond its seed corpus)"
 make fuzz-smoke
 
-echo "== make bench-e2e-check (bench/ vets, passes its tests and counts deterministically against this tree)"
+echo "== make bench-e2e-check (bench/ vets, passes its tests, counts deterministically against this tree and its traced loopback_rpc pass drops no span)"
 make bench-e2e-check >/dev/null
 
 if [ "${1:-}" != "" ]; then

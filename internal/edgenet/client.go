@@ -216,14 +216,6 @@ func (c *EdgeClient) ctxSpan(kind string, parent span.SpanID) span.Active {
 	return a
 }
 
-// reqSpan opens a span under the context already stamped on an outgoing
-// request (used below the per-attempt level, e.g. chunk frames).
-func (c *EdgeClient) reqSpan(req *Request, kind string) span.Active {
-	a := c.Spans.Start(span.TraceID(req.TraceID), span.SpanID(req.SpanID), kind)
-	a.SetDevice(c.DeviceID)
-	return a
-}
-
 // call runs one request with the retry policy. Every protocol request is
 // safe to retry: Hello/FetchSubModel/Stats are idempotent reads,
 // and PushUpdate is round-tagged so the server dedupes replays.
@@ -356,9 +348,7 @@ func (c *EdgeClient) exchange(req *Request, out []WireChunk, to time.Duration) (
 		}
 	}
 	armRead()
-	err := c.codec.sendMessage(req, out, armWrite,
-		func() span.Active { return c.reqSpan(req, "rpc.chunk_send") })
-	if err != nil {
+	if err := c.codec.sendMessage(req, out, armWrite); err != nil {
 		return nil, nil, err
 	}
 	var resp Response
@@ -367,9 +357,8 @@ func (c *EdgeClient) exchange(req *Request, out []WireChunk, to time.Duration) (
 	}
 	var pay *WirePayload
 	if resp.OK && resp.Payload != nil {
-		pay, err = c.codec.recvPayload(resp.Payload, c.maxVec(), armRead,
-			func() span.Active { return c.reqSpan(req, "rpc.chunk_recv") })
-		if err != nil {
+		var err error
+		if pay, err = c.codec.recvPayload(resp.Payload, c.maxVec(), armRead); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -207,7 +207,7 @@ func TestConcurrentDevicesMatchSerialReplay(t *testing.T) {
 			// reply over a connection that survives.
 			refused := func(what string, active [][]int, p *WirePayload) {
 				req := &Request{Kind: KindPushUpdate, DeviceID: 99, Seq: 1, Active: active, Importance: imp, Weight: 1, Payload: &p.Header}
-				if err := raw.sendMessage(req, p.Chunks, func() {}, noChunkSpan); err != nil {
+				if err := raw.sendMessage(req, p.Chunks, func() {}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,7 +1,9 @@
 package edgenet
 
 import (
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -176,18 +178,33 @@ func TestAggregateEveryBuffers(t *testing.T) {
 	}
 }
 
+// TestBadRequestReturnsError sends fetches whose importance the server must
+// refuse at the door — a row per layer, one finite entry per module, the
+// check a push gets too — and finds the connection usable after each.
 func TestBadRequestReturnsError(t *testing.T) {
 	cloud := buildModel(6)
 	skeleton := buildModel(6)
 	srv := NewServer(cloud, 1)
 	cl := pipePair(t, srv, skeleton)
-	_, err := cl.FetchSubModel([][]float64{{1}, {2}}, looseBudget()) // wrong layer count
-	if err == nil {
-		t.Fatal("expected error for malformed importance")
+	for _, tc := range []struct {
+		name string
+		bend func(imp [][]float64) [][]float64
+	}{
+		{"wrong layer count", func([][]float64) [][]float64 { return [][]float64{{1}, {2}} }},
+		{"NaN entry", func(imp [][]float64) [][]float64 { imp[0][1] = math.NaN(); return imp }},
+		{"long row", func(imp [][]float64) [][]float64 { imp[0] = append(imp[0], 0.5); return imp }},
+		{"short row", func(imp [][]float64) [][]float64 { imp[0] = imp[0][:1]; return imp }},
+	} {
+		_, err := cl.FetchSubModel(tc.bend(uniformImportance(cloud)), looseBudget())
+		if err == nil || !strings.Contains(err.Error(), "importance") {
+			t.Fatalf("%s: fetch returned %v, want the importance refused", tc.name, err)
+		}
+		if err := cl.Hello(); err != nil {
+			t.Fatalf("%s: connection broken after error: %v", tc.name, err)
+		}
 	}
-	// Connection must still work afterwards.
-	if err := cl.Hello(); err != nil {
-		t.Fatalf("connection broken after error: %v", err)
+	if st := srv.StatsSnapshot(); st.SubModelsServed != 0 {
+		t.Fatalf("server served %d sub-models for refused fetches", st.SubModelsServed)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/modular"
-	"repro/internal/obs/span"
 )
 
 // MsgKind discriminates protocol messages.
@@ -224,20 +223,15 @@ func (c *Codec) Send(v any) error {
 // itself when it fills) rather than one per frame. arm runs ahead of the
 // envelope and of every chunk frame; it is where the caller re-arms its write
 // deadline, which therefore bounds each physical write, never the whole
-// payload. chunkSpan opens the span a chunk frame is recorded under (the zero
-// Active for a sender that records none).
-func (c *Codec) sendMessage(env any, chunks []WireChunk, arm func(), chunkSpan func() span.Active) error {
+// payload.
+func (c *Codec) sendMessage(env any, chunks []WireChunk, arm func()) error {
 	arm()
 	if err := c.enc.Encode(env); err != nil {
 		return fmt.Errorf("edgenet: send: %w", err)
 	}
 	for i := range chunks {
 		arm()
-		cs := chunkSpan()
-		err := writeFrame(c.w, &chunks[i])
-		cs.SetErr(err)
-		cs.End()
-		if err != nil {
+		if err := writeFrame(c.w, &chunks[i]); err != nil {
 			return fmt.Errorf("edgenet: send chunk %d/%d: %w", i+1, len(chunks), err)
 		}
 	}
@@ -339,24 +333,23 @@ func readFrame(r *bufio.Reader, ch *WireChunk, free []byte, remaining int) ([]by
 }
 
 // RecvPayload reads the chunk frames header h announced, as recvPayload does
-// for a caller with deadlines and spans.
+// for a caller that sets no deadline.
 func (c *Codec) RecvPayload(h *WireHeader, maxLen int) (*WirePayload, error) {
-	return c.recvPayload(h, maxLen, func() {}, noChunkSpan)
+	return c.recvPayload(h, maxLen, func() {})
 }
 
 // recvPayload assembles the payload header h announced from the h.Chunks
 // frames that follow it on the stream, into the codec's receive buffers: the
 // payload is valid until the next one is received. arm runs before every
 // frame — where the caller re-arms its read deadline, so a timeout bounds one
-// stalled frame, not the whole payload — and chunkSpan opens the span a
-// frame's read is recorded under.
+// stalled frame, not the whole payload.
 //
 // The header is the peer's word, so nothing is sized from it until it is
 // plausible for this receiver: every chunk reconstructs at least one element,
 // and no vector is longer than maxLen, the receiver's own full backbone. A
 // rejected header leaves its frames unread on the stream, so like a failed
 // frame it ends the connection.
-func (c *Codec) recvPayload(h *WireHeader, maxLen int, arm func(), chunkSpan func() span.Active) (*WirePayload, error) {
+func (c *Codec) recvPayload(h *WireHeader, maxLen int, arm func()) (*WirePayload, error) {
 	if h.Len < 0 || h.Len > maxLen || h.Chunks < 0 || h.Chunks > h.Len {
 		return nil, fmt.Errorf("edgenet: payload header announces %d chunks for %d elements, this peer's model holds %d",
 			h.Chunks, h.Len, maxLen)
@@ -372,18 +365,11 @@ func (c *Codec) recvPayload(h *WireHeader, maxLen int, arm func(), chunkSpan fun
 	free, remaining := c.frames, h.Len
 	for i := range p.Chunks {
 		arm()
-		cs := chunkSpan()
 		var err error
-		free, err = readFrame(c.r, &p.Chunks[i], free, remaining)
-		cs.SetErr(err)
-		cs.End()
-		if err != nil {
+		if free, err = readFrame(c.r, &p.Chunks[i], free, remaining); err != nil {
 			return nil, fmt.Errorf("edgenet: recv chunk %d/%d: %w", i+1, h.Chunks, err)
 		}
 		remaining -= p.Chunks[i].N
 	}
 	return p, nil
 }
-
-// noChunkSpan is the span opener of a side that records no span per frame.
-func noChunkSpan() span.Active { return span.Active{} }

@@ -303,13 +303,13 @@ func (s *Server) ServeConn(rw interface {
 		hs := s.reqSpan(&req, span.SpanID(req.SpanID), "srv."+kindName(req.Kind))
 		// An upload streams its chunk frames right behind the envelope;
 		// they are part of this request, so they arrive before the request
-		// size is observed and before the handler runs. The client's
-		// rpc.chunk_send spans cover them; the server records none.
+		// size is observed and before the handler runs. srv.decode covers
+		// them all; no span is recorded per frame, on either side.
 		ds := s.reqSpan(&req, hs.ID(), "srv.decode")
 		var inPay *WirePayload
 		var err error
 		if req.Payload != nil {
-			inPay, err = codec.recvPayload(req.Payload, s.maxVecLen, armRead, noChunkSpan)
+			inPay, err = codec.recvPayload(req.Payload, s.maxVecLen, armRead)
 		}
 		in, _ := codec.Traffic()
 		ds.SetBytes(in - prevIn)
@@ -335,7 +335,7 @@ func (s *Server) ServeConn(rw interface {
 		if outPay != nil {
 			outChunks = outPay.Chunks
 		}
-		if err := codec.sendMessage(resp, outChunks, armWrite, noChunkSpan); err != nil {
+		if err := codec.sendMessage(resp, outChunks, armWrite); err != nil {
 			s.noteConnError("send", err)
 			return
 		}
@@ -406,17 +406,20 @@ func (s *Server) serveSubModel(req *Request, enc *Encoder, ps span.SpanID) (resp
 			resp, out, err = nil, nil, fmt.Errorf("malformed request: %v", r)
 		}
 	}()
-	if len(req.Importance) != len(s.Model.Layers) {
-		return nil, nil, errors.New("importance layer count mismatch")
+	if err := s.checkImportance(req.Importance); err != nil {
+		return nil, nil, err
 	}
-	// Hold the model lock only for derivation and the parameter snapshot —
-	// one flatten of the cloud's own tensors for the selection, straight into
-	// the wire vector; quantization runs outside the lock instead of
-	// serializing every device behind one fetch. The flat vector is quantized
-	// and dropped before this handler returns, so its array is borrowed.
+	// Hold the model lock only for derivation, the parameter snapshot — one
+	// flatten of the cloud's own tensors for the selection, straight into the
+	// wire vector — and the read of the device's reference with the version
+	// stamp; quantization runs outside the lock instead of serializing every
+	// device behind one fetch. The flat vector is quantized and dropped before
+	// this handler returns, so its array is borrowed.
 	sc := tensor.GetScratch(s.maxVecLen)
 	defer tensor.PutScratch(sc)
 	var active [][]int
+	var old *WireRef
+	var ver uint64
 	vec := sc.Data[:0]
 	// The derive span covers the lock wait plus the locked derivation —
 	// on a contended server it shows devices queueing on s.mu.
@@ -426,6 +429,9 @@ func (s *Server) serveSubModel(req *Request, enc *Encoder, ps span.SpanID) (resp
 		defer s.mu.Unlock()
 		active = s.Model.Derive(req.Importance, req.Budget.ToBudget(), false)
 		vec = s.Model.AppendBackboneVector(vec, active)
+		old = s.readRef(req.DeviceID, req.HaveVer, active)
+		s.wireVer++
+		ver = s.wireVer
 	}()
 	dvs.End()
 	s.metrics.subModelsServed.Inc()
@@ -437,23 +443,18 @@ func (s *Server) serveSubModel(req *Request, enc *Encoder, ps span.SpanID) (resp
 		s.Logf("device %d sub-model: %d modules, %d B", req.DeviceID, modules, 4*len(vec))
 	}
 	es := s.reqSpan(req, ps, "srv.encode")
-	out = s.encodeServe(req, active, vec, enc)
+	out = s.encodeServe(req.DeviceID, active, vec, enc, old, ver)
 	es.End()
 	return &Response{OK: true, Active: active, Payload: &out.Header}, out, nil
 }
 
-// encodeServe builds the downlink payload for one sub-model serve in enc:
-// delta against the device's cached reference when the client still holds the
-// same version and the mapping is structurally unchanged, full otherwise. It
-// also advances the cache — the new reference is the *reconstruction* the
-// client will decode, so both ends stay bit-identical.
-func (s *Server) encodeServe(req *Request, active [][]int, vec []float32, enc *Encoder) *WirePayload {
-	s.mu.Lock()
-	old := s.readRef(req.DeviceID, req.HaveVer, active)
-	s.wireVer++
-	ver := s.wireVer
-	s.mu.Unlock()
-
+// encodeServe builds the downlink payload of version ver for one sub-model
+// serve in enc: delta against old — the device's reference, read with a hold
+// when the client still holds its version and the mapping is structurally
+// unchanged — full when old is nil. It also advances the cache — the new
+// reference is the *reconstruction* the client will decode, so both ends stay
+// bit-identical.
+func (s *Server) encodeServe(device int, active [][]int, vec []float32, enc *Encoder, old *WireRef, ver uint64) *WirePayload {
 	// Quantization and reconstruction — one walk over the vector — are CPU
 	// work on private data and on a reference held for reading: outside the
 	// lock, like the rest of this handler.
@@ -468,10 +469,10 @@ func (s *Server) encodeServe(req *Request, active [][]int, vec []float32, enc *E
 	defer s.mu.Unlock()
 	s.dropRef(old)
 	// The new reference replaces the record's, which drops its hold.
-	rec := s.devices[req.DeviceID]
+	rec := s.devices[device]
 	s.dropRef(rec.ref)
 	rec.ref = next
-	s.devices[req.DeviceID] = rec
+	s.devices[device] = rec
 	s.metrics.refBytes.Add(float64(4 * cap(next.buf.Data)))
 	return p
 }
@@ -619,10 +620,24 @@ func (s *Server) checkUpdate(req *Request) error {
 			}
 		}
 	}
-	if len(req.Importance) != len(s.Model.Layers) {
+	if err := s.checkImportance(req.Importance); err != nil {
+		return err
+	}
+	if w := req.Weight; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		return fmt.Errorf("update weight %v is not a finite non-negative number", w)
+	}
+	return nil
+}
+
+// checkImportance rejects a peer's importance that Derive and aggregation
+// cannot use: one row per layer, one finite entry per module. Both handlers
+// that read importance call it; it reads architecture only, so it needs no
+// lock.
+func (s *Server) checkImportance(imp [][]float64) error {
+	if len(imp) != len(s.Model.Layers) {
 		return errors.New("importance layer count mismatch")
 	}
-	for l, row := range req.Importance {
+	for l, row := range imp {
 		if n := s.Model.Layers[l].N(); len(row) != n {
 			return fmt.Errorf("importance for layer %d has %d entries, the layer has %d modules", l, len(row), n)
 		}
@@ -631,9 +646,6 @@ func (s *Server) checkUpdate(req *Request) error {
 				return fmt.Errorf("importance[%d][%d] is %v", l, i, v)
 			}
 		}
-	}
-	if w := req.Weight; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-		return fmt.Errorf("update weight %v is not a finite non-negative number", w)
 	}
 	return nil
 }

@@ -2,12 +2,15 @@ package edgenet
 
 import (
 	"io"
+	"maps"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/modular"
 	"repro/internal/obs/span"
+	"repro/internal/tensor"
 )
 
 // Interop gates for the trace context riding the RPC plane
@@ -37,55 +40,79 @@ func countKindPrefix(spans []span.Span, prefix string) int {
 	return n
 }
 
+// TestTraceContextCrossesTheWire runs one traced hello, fetch and push per
+// model and pins the span tree they record: the same kinds, as many of each,
+// whether a payload is one chunk frame or dozens — no span is recorded per
+// frame, so what one exchange records is fixed.
 func TestTraceContextCrossesTheWire(t *testing.T) {
-	cloud := buildModel(60)
-	skeleton := buildModel(60)
-	srv := NewServer(cloud, 1)
-	srvRec := span.NewRecorder(256)
-	srv.Spans = srvRec
-	cl := pipePair(t, srv, skeleton)
-	clRec := span.NewRecorder(256)
-	clRec.SetSampler(1, 1)
-	cl.Spans = clRec
-	tid, ok := clRec.Trace(7)
-	if !ok {
-		t.Fatal("sampler at rate 1 rejected the trace")
+	want := map[string]int{
+		"rpc.hello": 1, "rpc.get_sub_model": 1, "rpc.push_update": 1, "rpc.attempt": 3,
+		"srv.hello": 1, "srv.get_sub_model": 1, "srv.push_update": 1, "srv.decode": 3,
+		"srv.derive": 1, "srv.encode": 1, "srv.dequantize": 1, "srv.lock_wait": 1, "srv.aggregate": 1,
 	}
-	cl.SetTraceContext(tid, 0)
+	cfg := modular.Config{ModulesPerLayer: 4, TopK: 2, EmbedDim: 16, ResidualModules: true, MinShrink: 0.25, MaxShrink: 0.5}
+	for _, tc := range []struct {
+		name      string
+		build     func() *modular.Model
+		minChunks int
+	}{
+		{"small", func() *modular.Model { return buildModel(60) }, 1},
+		{"large", func() *modular.Model { return modular.NewModularMLP(tensor.NewRNG(60), 64, 160, 4, cfg) }, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cloud, skeleton := tc.build(), tc.build()
+			srv := NewServer(cloud, 1)
+			srvRec := span.NewRecorder(256)
+			srv.Spans = srvRec
+			cl := pipePair(t, srv, skeleton)
+			clRec := span.NewRecorder(256)
+			clRec.SetSampler(1, 1)
+			cl.Spans = clRec
+			tid, ok := clRec.Trace(7)
+			if !ok {
+				t.Fatal("sampler at rate 1 rejected the trace")
+			}
+			cl.SetTraceContext(tid, 0)
 
-	if err := cl.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	imp := uniformImportance(cloud)
-	sub, err := cl.FetchSubModel(imp, looseBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.PushUpdate(sub, imp, 1); err != nil {
-		t.Fatal(err)
-	}
+			if err := cl.Hello(); err != nil {
+				t.Fatal(err)
+			}
+			imp := uniformImportance(cloud)
+			sub, err := cl.FetchSubModel(imp, looseBudget())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Both legs carry the sub-model's backbone vector.
+			if c := (len(sub.AppendBackboneVector(nil)) + chunkLen - 1) / chunkLen; c < tc.minChunks {
+				t.Fatalf("payloads span %d chunk frames each way, want at least %d", c, tc.minChunks)
+			}
+			if err := cl.PushUpdate(sub, imp, 1); err != nil {
+				t.Fatal(err)
+			}
 
-	all := combined(clRec, srvRec)
-	if err := span.ValidateParents(all); err != nil {
-		t.Fatalf("client+server spans do not stitch into one tree: %v", err)
-	}
-	for _, s := range all {
-		if s.Trace != tid {
-			t.Fatalf("span %s recorded under trace %d, want %d", s.Kind, s.Trace, tid)
-		}
-	}
-	// The server observed the context: its handler and phase spans are
-	// parented under the client's attempt spans, across the gob boundary.
-	if n := countKindPrefix(srvRec.Snapshot(), "srv."); n == 0 {
-		t.Fatal("server recorded no spans despite a traced client")
-	}
-	for _, s := range srvRec.Snapshot() {
-		if s.Parent == 0 {
-			t.Fatalf("server span %s is a root; it must parent under the client's attempt", s.Kind)
-		}
-	}
-	if n := countKindPrefix(clRec.Snapshot(), "rpc.attempt"); n < 3 {
-		t.Fatalf("client recorded %d rpc.attempt spans, want one per RPC (≥3)", n)
+			all := combined(clRec, srvRec)
+			if err := span.ValidateParents(all); err != nil {
+				t.Fatalf("client+server spans do not stitch into one tree: %v", err)
+			}
+			got := map[string]int{}
+			for _, s := range all {
+				if s.Trace != tid {
+					t.Fatalf("span %s recorded under trace %d, want %d", s.Kind, s.Trace, tid)
+				}
+				got[s.Kind]++
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("one traced hello, fetch and push recorded %v, want %v", got, want)
+			}
+			// The server observed the context: its handler and phase spans
+			// are parented under the client's attempt spans, across the gob
+			// boundary.
+			for _, s := range srvRec.Snapshot() {
+				if s.Parent == 0 {
+					t.Fatalf("server span %s is a root; it must parent under the client's attempt", s.Kind)
+				}
+			}
+		})
 	}
 }
 
@@ -267,17 +294,11 @@ func TestFaultyChunkStreamTracesTruncated(t *testing.T) {
 	if err := span.ValidateParents(all); err != nil {
 		t.Fatalf("faulty-link capture has orphans: %v", err)
 	}
-	var chunk, errSpans int
+	errSpans := 0
 	for _, s := range all {
-		if s.Kind == "rpc.chunk_send" || s.Kind == "rpc.chunk_recv" {
-			chunk++
-		}
 		if s.Err != "" {
 			errSpans++
 		}
-	}
-	if chunk == 0 {
-		t.Fatal("no chunk-stream spans recorded over the v2 faulty link")
 	}
 	if rs := cl.RetryStats(); rs.Retries == 0 {
 		t.Fatalf("fault rates too gentle to exercise truncation: %+v", rs)

@@ -18,7 +18,7 @@ func leakyAttempt(rec *span.Recorder, t span.TraceID, fail bool) int {
 }
 
 func leakySwallow(rec *span.Recorder, t span.TraceID) {
-	s := rec.Start(t, 0, "rpc.chunk_send") // want: swallow never Ends its parameter
+	s := rec.Start(t, 0, "rpc.attempt") // want: swallow never Ends its parameter
 	swallow(s)
 }
 
