@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet portable fmt-check lint lint-json race check fuzz-smoke bench bench-e2e-check sweep examples clean
+.PHONY: all build test vet portable fmt-check lint race check fuzz-smoke bench bench-e2e-check sweep examples clean
 
 all: check
 
@@ -30,12 +30,9 @@ fmt-check:
 
 # Project-specific static analysis: the typed whole-program engine
 # (cross-package RNG-escape, lock-scope, and artifact-taint dataflow; see
-# docs/ANALYSIS.md). `make lint-json` emits the byte-stable JSON report.
+# docs/ANALYSIS.md).
 lint:
 	$(GO) run ./cmd/nebula-lint ./...
-
-lint-json:
-	$(GO) run ./cmd/nebula-lint -json ./...
 
 race:
 	$(GO) test -race ./...
@@ -47,8 +44,7 @@ race:
 # ./internal/modular/, *AllocBudget* in ./internal/edgenet/ ./internal/fed/
 # ./internal/data/) skip under -race;
 # `make test` runs them, and ci.sh has a stage for them. ci.sh runs these
-# stages (all but lint, whose report it archives itself), fuzz-smoke and
-# bench-e2e-check through this file.
+# stages, fuzz-smoke and bench-e2e-check through this file.
 check: build vet portable fmt-check lint race
 
 test:

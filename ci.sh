@@ -1,11 +1,11 @@
 #!/bin/sh
 # ci.sh — the repository's full verification gate. The Makefile owns the
 # stages it shares with `make check` (build, vet, the arm64 listing, gofmt,
-# race tests), fuzz-smoke and bench-e2e-check, and this script runs them
-# through make; what it adds is the nebula-lint report archive, the
-# allocation tests, the nebula-sim end-to-end gates and the seed audit (the
-# lint fixture self-check is internal/lint's TestEveryCheckTripsAFixture).
-# Exits nonzero on the first failure.
+# nebula-lint, race tests), fuzz-smoke and bench-e2e-check, and this script
+# runs them through make; what it adds is the allocation tests, the
+# nebula-sim end-to-end gates and the seed audit (the lint fixture self-check
+# is internal/lint's TestEveryCheckTripsAFixture). Exits nonzero on the first
+# failure; on success the last line names every gate that ran.
 #
 # Optionally pass a seed to also audit experiment determinism end-to-end:
 #   ./ci.sh 7    # additionally runs `nebula-sim -exp fig1b -seed 7 -seed-audit`
@@ -33,6 +33,11 @@ await_quiescent() {
     kill "$2" 2>/dev/null || true
     fail "$1: run never reached quiescence (last statusz line: $state)"
 }
+
+# stage <gates> <what they check>: announce a stage and record the short
+# names of its gates for the closing line.
+gates=""
+stage() { gates="$gates $1"; echo "== $1: $2"; }
 
 # fail <what went wrong>: report and stop the gate.
 fail() { echo "ci: $*" >&2; exit 1; }
@@ -86,27 +91,13 @@ sim=$bintmp/nebula-sim tracer=$bintmp/nebula-trace
 go build -o "$sim" ./cmd/nebula-sim
 go build -o "$tracer" ./cmd/nebula-trace
 
-echo "== make build vet portable fmt-check (go build + vet natively and for arm64, no fused multiply-add in the arm64 listing, gofmt)"
-make build vet portable fmt-check
+stage "build vet portable fmt-check lint" "go build + vet natively and for arm64, no fused multiply-add in the arm64 listing, gofmt, nebula-lint"
+make build vet portable fmt-check lint
 
-echo "== nebula-lint ./... (typed whole-program engine)"
-linttmp=$(mktemp -d)
-go build -o "$linttmp/nebula-lint" ./cmd/nebula-lint
-# Findings gate the build; the clean run is then archived in both wire forms
-# (text + byte-stable JSON) as CI artifacts.
-artifact_dir="${CI_ARTIFACT_DIR:-$linttmp/artifacts}"
-mkdir -p "$artifact_dir"
-if ! "$linttmp/nebula-lint" ./... >"$artifact_dir/lint-report.txt" 2>&1; then
-    cat "$artifact_dir/lint-report.txt" >&2
-    fail "nebula-lint found violations (report archived at $artifact_dir/lint-report.txt)"
-fi
-"$linttmp/nebula-lint" -json ./... >"$artifact_dir/lint-report.json"
-rm -rf "$linttmp"
-
-echo "== make race"
+stage race "the test suite under -race"
 make race
 
-echo "== workers differential gate (artifacts identical for -workers 1 vs 4, and for -workers 4 at GOMAXPROCS=1)"
+stage workers "artifacts identical for -workers 1 vs 4, and for -workers 4 at GOMAXPROCS=1"
 # -admin-addr stays on: artifacts must be identical with the telemetry
 # plane live (the registry is write-only; docs/OBSERVABILITY.md). The third
 # run asks tensor's pool, which has GOMAXPROCS goroutines, for more workers
@@ -118,14 +109,14 @@ workers_gate "experiment output" "trace JSONL" "" "" "" 4/1 \
     -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5 \
     -admin-addr 127.0.0.1:0
 
-echo "== conv gate (fig7 on the CNN tasks: output identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4)"
+stage conv "fig7 on the CNN tasks: output identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4"
 # Every other gate here runs the HAR MLP; this one trains convolutions, whose
 # weight-gradient reduction is the one cross-sample sum in the kernels.
 workers_gate "fig7 output" "" "" "" "" "" \
     -exp fig7 -devices 6 -proxy 6 -rounds 2 -per-round 3 \
     -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
 
-echo "== AdaptiveNet gate (table1: output identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4)"
+stage adaptivenet "table1: output identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4"
 # table1 is the only experiment that runs the AdaptiveNet baseline: its
 # branches are views over one multi-branch model, trained, evaluated and
 # timed through nn.Sequential on a held or fresh per-device copy.
@@ -133,7 +124,7 @@ workers_gate "table1 output" "" "" "" "" "" \
     -exp table1 -devices 6 -proxy 6 -rounds 2 -per-round 3 \
     -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
 
-echo "== local-adaptation gate (fig10: NA, LA and Nebula w/o cloud on all four tasks; output and trace identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4)"
+stage fig10 "NA, LA and Nebula w/o cloud on all four tasks; output and trace identical for -workers 1 vs 4 and GOMAXPROCS 1 vs 4"
 # fig10 is the one experiment that runs NA, LA and Nebula's w/o-cloud step
 # and their evaluation on all four tasks: the per-device models that are
 # either held or built on a worker (fed's serve).
@@ -141,7 +132,7 @@ workers_gate "fig10 output" "fig10 trace JSONL" "" "" "" "" \
     -exp fig10 -devices 6 -proxy 6 -rounds 2 -per-round 3 -steps 2 \
     -pretrain-epochs 1 -local-epochs 1 -finetune-epochs 1 -seed 3
 
-echo "== semi-async gate (straggler experiment: latency win at equal accuracy; async artifacts identical for -workers 1 vs 4)"
+stage straggler "semi-async latency win at equal accuracy; async artifacts identical for -workers 1 vs 4"
 # The straggler experiment runs bulk-sync and semi-async on one seeded
 # dynamic fleet (churn + pinned stragglers) and prints a machine-checkable
 # verdict line; only the async run writes the trace, so the byte-diff
@@ -153,7 +144,7 @@ workers_gate "straggler experiment output" "semi-async trace JSONL" straggler-ga
     -exp straggler -devices 6 -proxy 8 -steps 3 \
     -pretrain-epochs 1 -finetune-epochs 1 -local-epochs 1 -seed 5
 
-echo "== wire-compression gate (compress experiment: >=2x traffic cut at bounded accuracy delta, counters exact; artifacts identical for -workers 1 vs 4)"
+stage compress "wire format v2 cuts traffic >=2x at bounded accuracy delta, counters exact; artifacts identical for -workers 1 vs 4"
 # The compress experiment runs one seeded adaptation twice — exact float32
 # transfers vs the wire-format v2 codec (docs/PROTOCOL.md) — and prints a
 # machine-checkable verdict: traffic ratio >= 2, accuracy within epsilon,
@@ -164,7 +155,7 @@ workers_gate "compress experiment output" "" compress-gate \
     -exp compress -devices 8 -proxy 8 -rounds 3 \
     -per-round 6 -pretrain-epochs 1 -local-epochs 1 -seed 5
 
-echo "== admin plane gate (live /healthz, /metrics, pprof; scrapes byte-stable at quiescence)"
+stage admin "live /healthz, /metrics, pprof; scrapes byte-stable at quiescence"
 admtmp=$(mktemp -d)
 # The run doubles as a seed audit with the admin plane live: determinism must
 # hold while scraped.
@@ -199,7 +190,7 @@ kill "$simpid" 2>/dev/null || true
 wait "$simpid" 2>/dev/null || true
 rm -rf "$admtmp"
 
-echo "== span tracing gate (faulty straggler run: /spans scrape byte-matches capture, parents validate, round roots == trace rounds, artifacts identical to tracing off)"
+stage spans "faulty straggler run: /spans scrape byte-matches capture, parents validate, round roots == trace rounds, artifacts identical to tracing off"
 spantmp=$(mktemp -d)
 # Traced pass: the straggler experiment over a lossy wire-v2 link with full
 # span sampling, flight recorder mounted at /spans, capture written on exit.
@@ -249,18 +240,18 @@ same "$spantmp/traced.jsonl" "$spantmp/base.jsonl" \
     "trace JSONL differs with span tracing on vs off"
 rm -rf "$spantmp"
 
-echo "== allocation gates (AllocsPerRun and allocation-budget tests skip under -race, so run them once without it)"
+stage alloc "AllocsPerRun and allocation-budget tests skip under -race, so run them once without it"
 go test -run 'ZeroAlloc|AllocBudget' ./internal/tensor/ ./internal/nn/ ./internal/modular/ ./internal/edgenet/ ./internal/fed/ ./internal/data/
 
-echo "== make fuzz-smoke (every native Fuzz* target in the tree, 5s each beyond its seed corpus)"
+stage fuzz "make fuzz-smoke: every native Fuzz* target in the tree, 5s each beyond its seed corpus"
 make fuzz-smoke
 
-echo "== make bench-e2e-check (bench/ vets, passes its tests, counts deterministically against this tree and its traced loopback_rpc pass drops no span)"
+stage bench-e2e "make bench-e2e-check: bench/ vets, passes its tests, counts deterministically against this tree and its traced loopback_rpc pass drops no span"
 make bench-e2e-check >/dev/null
 
 if [ "${1:-}" != "" ]; then
-    echo "== seed audit (seed $1)"
+    stage seed-audit "fig1b at seed $1 twice, byte-identical"
     "$sim" -exp fig1b -seed "$1" -seed-audit >/dev/null
 fi
 
-echo "ci: all gates passed"
+echo "ci: all gates passed:$gates"

@@ -1,50 +1,6 @@
 package main
 
-import (
-	"bytes"
-	"encoding/json"
-	"go/token"
-	"testing"
-
-	"repro/internal/lint"
-)
-
-// TestRenderJSONByteStable pins the -json wire format: fixed field order,
-// valid JSON, byte-identical across renders (ci.sh archives the output as a
-// build artifact and diffs it between runs).
-func TestRenderJSONByteStable(t *testing.T) {
-	diags := []lint.Diagnostic{
-		{Pos: token.Position{Filename: "a.go", Line: 3}, Check: "maporder", Message: `quote " and slash \`},
-		{Pos: token.Position{Filename: "b.go", Line: 7}, Check: "lockedcall", Message: "plain"},
-	}
-	first := renderJSON(diags)
-	for i := 0; i < 3; i++ {
-		if got := renderJSON(diags); !bytes.Equal(got, first) {
-			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, got, first)
-		}
-	}
-	var parsed []struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Check   string `json:"check"`
-		Message string `json:"message"`
-	}
-	if err := json.Unmarshal(first, &parsed); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, first)
-	}
-	if len(parsed) != 2 || parsed[0].File != "a.go" || parsed[0].Line != 3 ||
-		parsed[1].Check != "lockedcall" || parsed[0].Message != `quote " and slash \` {
-		t.Fatalf("round-trip mismatch: %+v", parsed)
-	}
-}
-
-// TestRenderJSONEmpty: no findings is the empty array, newline-terminated —
-// never null — so downstream jq/grep always see an array.
-func TestRenderJSONEmpty(t *testing.T) {
-	if got := renderJSON(nil); string(got) != "[]\n" {
-		t.Fatalf("empty render = %q, want %q", got, "[]\n")
-	}
-}
+import "testing"
 
 // TestCheckSet: -checks accepts real and pseudo names and rejects unknowns.
 func TestCheckSet(t *testing.T) {

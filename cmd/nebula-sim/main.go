@@ -56,7 +56,7 @@ func main() {
 		list      = flag.Bool("list", false, "list available experiments")
 		scale     = flag.String("scale", "quick", "experiment scale: quick | paper")
 		seedAudit = flag.Bool("seed-audit", false, "run the experiment twice with the same seed and verify byte-identical output")
-		faults    = flag.String("faults", "", "inject a seeded lossy link into online-stage experiments, e.g. 'drop=0.25,delay=20ms,reset=0.05' (seed=N to replay a specific fault stream; defaults to -seed)")
+		faults    = flag.String("faults", "", "inject a seeded lossy link under every Nebula an online-stage experiment adapts (the baselines have no simulated link and stay clean), e.g. 'drop=0.25,delay=20ms,reset=0.05' (seed=N to replay a specific fault stream; defaults to -seed)")
 		tracePath = flag.String("trace", "", "write the online-stage adaptation log (JSON lines) to this file")
 
 		spansPath  = flag.String("spans", "", "write the distributed span capture (JSON lines, read by cmd/nebula-trace) to this file; implies -span-sample 1 unless set")
@@ -215,7 +215,7 @@ func writeSpans(path string, rec *span.Recorder) error {
 		return err
 	}
 	if err := rec.WriteJSON(f); err != nil {
-		_ = f.Close() //nolint:errdrop -- the write error is the one to report
+		_ = f.Close() // the write error is the one to report
 		return err
 	}
 	return f.Close()

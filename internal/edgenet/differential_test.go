@@ -294,7 +294,7 @@ func TestConcurrentDevicesMatchSerialReplay(t *testing.T) {
 			if st.UpdatesReceived != devices*rounds || st.Dedups != 1 || st.WireFallbacks != 1 {
 				t.Fatalf("server counted %+v for %d pushes, one replay and one bounce", st, devices*rounds)
 			}
-			srv.Close() //nolint:errdrop -- Server.Close returns nothing
+			srv.Close()
 			if got := tensor.ScratchLiveBytes(); got != live {
 				t.Fatalf("%d borrowed bytes not returned", got-live)
 			}

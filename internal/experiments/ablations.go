@@ -23,7 +23,7 @@ func RunAblations(opt Options) *metrics.Table {
 	})
 
 	run := func(mutate func(*fed.Nebula)) (float64, int64) {
-		nb := fed.NewNebula(task, cfg)
+		nb := opt.newNebula(task, cfg)
 		nb.TrainCfg.Epochs = opt.PretrainEpochs
 		mutate(nb)
 		srng := tensor.NewRNG(opt.Seed + 97)

@@ -71,9 +71,8 @@ func RunCompress(opt Options) *CompressResult {
 		}
 		rng := tensor.NewRNG(opt.Seed + 80)
 		proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
-		nb := fed.NewNebula(task, fcfg)
+		nb := opt.newNebula(task, fcfg)
 		nb.TrainCfg.Epochs = opt.PretrainEpochs
-		nb.Faults = opt.faultModel()
 		// Each run logs to its own buffer so the gate can cross-check the
 		// Costs ledger against trace.Summarize — the counters-exact clause.
 		var log bytes.Buffer

@@ -39,11 +39,10 @@ func runContinuousTask(opt Options, task *fed.Task, salt int64) *ContinuousResul
 	proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
 
 	mkNebula := func(local, cloud bool) *fed.Nebula {
-		nb := fed.NewNebula(task, cfg)
+		nb := opt.newNebula(task, cfg)
 		nb.LocalTraining = local
 		nb.CloudCollaboration = cloud
 		nb.TrainCfg.Epochs = opt.PretrainEpochs
-		nb.Faults = opt.faultModel()
 		return nb
 	}
 	fullNebula := mkNebula(true, true)

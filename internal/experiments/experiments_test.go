@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/edgenet"
 	"repro/internal/fed"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
@@ -193,6 +195,19 @@ func TestAblationsTable(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("variant %q missing", want)
 		}
+	}
+}
+
+// TestFaultsReachAblations: -faults puts every Nebula an online-stage
+// experiment adapts on the lossy link, the ablations' included. With every
+// exchange lost, the full system's row cannot match the clean run's.
+func TestFaultsReachAblations(t *testing.T) {
+	clean := RunAblations(micro()).Rows[0]
+	o := micro()
+	o.Faults = edgenet.FaultConfig{Drop: 1}
+	lossy := RunAblations(o).Rows[0]
+	if slices.Equal(clean, lossy) {
+		t.Fatalf("nebula (full) row %v is the same over a link that loses every exchange", clean)
 	}
 }
 

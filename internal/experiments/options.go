@@ -48,8 +48,9 @@ type Options struct {
 	// Sub-model sweep (Fig 12).
 	RandomSubModels int
 
-	// Faults replays a seeded lossy edge-cloud link in the online-stage
-	// experiments (nebula-sim -faults). Zero value = clean network.
+	// Faults replays a seeded lossy edge-cloud link under every Nebula an
+	// online-stage experiment adapts (nebula-sim -faults); the baselines have
+	// no simulated link. Zero value = clean network.
 	Faults edgenet.FaultConfig
 
 	// Stragglers pins this many devices at maximum contention in the
@@ -120,6 +121,14 @@ func (o Options) faultModel() *fed.FaultModel {
 		cfg.Seed = o.Seed
 	}
 	return fed.NewFaultModel(cfg)
+}
+
+// newNebula builds a Nebula that an online-stage experiment adapts, on the
+// experiment's simulated link (faultModel; clean without -faults).
+func (o Options) newNebula(task *fed.Task, cfg fed.Config) *fed.Nebula {
+	nb := fed.NewNebula(task, cfg)
+	nb.Faults = o.faultModel()
+	return nb
 }
 
 func (o Options) logf(format string, args ...any) {

@@ -72,6 +72,7 @@ func runRow(opt Options, row Row) (accs map[string]float64, costs map[string]fed
 		if nb, ok := sys.(*fed.Nebula); ok {
 			nb.Trace = opt.Trace
 			nb.Spans = opt.Spans
+			nb.Faults = opt.faultModel()
 		}
 		srng := tensor.NewRNG(opt.Seed + 77) // same stream for fairness
 		sys.Pretrain(srng, proxy)
@@ -119,7 +120,7 @@ func RunFig7(opt Options) *metrics.Table {
 			MinVolume: 50, MaxVolume: 150, FeatureSkew: row.FeatureSkew,
 		})
 		res := map[string]int64{}
-		for _, sys := range []fed.System{fed.NewFedAvg(row.Task, cfg), fed.NewHeteroFL(row.Task, cfg), fed.NewNebula(row.Task, cfg)} {
+		for _, sys := range []fed.System{fed.NewFedAvg(row.Task, cfg), fed.NewHeteroFL(row.Task, cfg), opt.newNebula(row.Task, cfg)} {
 			srng := tensor.NewRNG(opt.Seed + 6)
 			sys.Pretrain(srng, proxy)
 			clients := fed.NewClients(tensor.NewRNG(opt.Seed+7), fleet)

@@ -37,7 +37,7 @@ func nebulaAccuracyAtRatio(opt Options, row Row, ratio float64) float64 {
 		NumDevices: opt.Devices, ClassesPerDevice: row.ClassesPerDevice,
 		MinVolume: 50, MaxVolume: 150, FeatureSkew: row.FeatureSkew,
 	})
-	nb := fed.NewNebula(row.Task, cfg)
+	nb := opt.newNebula(row.Task, cfg)
 	nb.MinFraction = ratio
 	nb.MaxFraction = ratio
 	nb.TrainCfg.Epochs = opt.PretrainEpochs
@@ -85,7 +85,7 @@ func nebulaAccuracyAtGranularity(opt Options, task *fed.Task, modulesPerLayer in
 	nbTask.BuildModular = func(r *tensor.RNG) *modular.Model {
 		return rebuildGranularity(r, task, modulesPerLayer, opt.Scale)
 	}
-	nb := fed.NewNebula(&nbTask, cfg)
+	nb := opt.newNebula(&nbTask, cfg)
 	nb.TrainCfg.Epochs = opt.PretrainEpochs
 	srng := tensor.NewRNG(opt.Seed + 87)
 	nb.Pretrain(srng, proxy)
@@ -167,7 +167,7 @@ func RunFig13c(opt Options) *metrics.Table {
 			}
 			return metrics.TimeToTarget(times, accs, target), accs[len(accs)-1]
 		}
-		nb := fed.NewNebula(task, cfg)
+		nb := opt.newNebula(task, cfg)
 		nb.TrainCfg.Epochs = opt.PretrainEpochs
 		nebT, _ := run(nb)
 		faT, _ := run(fed.NewFedAvg(task, cfg))

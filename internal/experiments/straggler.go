@@ -62,9 +62,8 @@ func RunStraggler(opt Options) *StragglerResult {
 		cfg.Async = async
 		rng := tensor.NewRNG(opt.Seed + 40)
 		proxy := data.MakeBalancedDataset(rng, task.Gen, data.DefaultEnv(), opt.ProxyPerClass)
-		nb := fed.NewNebula(task, cfg)
+		nb := opt.newNebula(task, cfg)
 		nb.TrainCfg.Epochs = opt.PretrainEpochs
-		nb.Faults = opt.faultModel()
 		if async {
 			// Only the async run logs, so one -trace file holds one coherent
 			// semi-async log (the mode the differential gates exercise).

@@ -3,35 +3,13 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 )
 
-// ErrDrop flags statements that discard the error result of I/O, network,
-// and encoding calls on the protocol and checkpoint paths. A swallowed short
-// write on the edgenet wire or a half-written checkpoint is exactly the
-// silent corruption the testbed papers warn about; every such error must be
-// checked, returned, or explicitly assigned to `_` (which stays visible in
-// review).
-//
-// The check is name-based (this is a stdlib-only analyzer without full
-// cross-package type information): a bare expression statement calling one
-// of the known error-returning I/O methods or package functions is a
-// finding. Deferred calls are exempt — `defer f.Close()` on a read path is
-// idiomatic; write paths should close explicitly and check.
-type ErrDrop struct{}
-
-// Name implements Analyzer.
-func (ErrDrop) Name() string { return "errdrop" }
-
-// Doc implements Analyzer.
-func (ErrDrop) Doc() string {
-	return "dropped error from io/net/encoding call on the protocol or checkpoint path"
-}
-
-// DefaultPaths implements Analyzer: scoped to the wire protocol and model
-// serialization, where a silent I/O failure corrupts state.
-func (ErrDrop) DefaultPaths() []string {
-	return []string{"internal/edgenet", "internal/modular/checkpoint"}
-}
+// errDropPaths are the parts of the tree errdrop applies to: the wire
+// protocol and model serialization, where a silent I/O failure corrupts
+// state.
+var errDropPaths = []string{"internal/edgenet", "internal/modular/checkpoint"}
 
 // errReturningCalls are method/function names from io, net, and encoding
 // whose error results must not be dropped.
@@ -45,8 +23,22 @@ var errReturningCalls = map[string]bool{
 	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
 }
 
-// Check implements Analyzer.
-func (ErrDrop) Check(f *File) []Diagnostic {
+// errDrop flags statements that discard the error result of I/O, network,
+// and encoding calls on the protocol and checkpoint paths (errDropPaths). A
+// swallowed short write on the edgenet wire or a half-written checkpoint is
+// exactly the silent corruption the testbed papers warn about; every such
+// error must be checked, returned, or explicitly assigned to `_` (which
+// stays visible in review).
+//
+// The check is typed: a bare expression statement is a finding when the
+// callee's name is on the I/O list and go/types says the call's last result
+// is `error`, so a Close that returns nothing is not one. Deferred calls are
+// exempt — `defer f.Close()` on a read path is idiomatic; write paths should
+// close explicitly and check.
+func errDrop(f *File) []Diagnostic {
+	if !f.inModule(errDropPaths...) {
+		return nil
+	}
 	var out []Diagnostic
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		stmt, ok := n.(*ast.ExprStmt)
@@ -58,7 +50,7 @@ func (ErrDrop) Check(f *File) []Diagnostic {
 			return true
 		}
 		name := calleeName(call)
-		if !errReturningCalls[name] {
+		if !errReturningCalls[name] || !returnsError(f, call) {
 			return true
 		}
 		out = append(out, Diagnostic{
@@ -70,4 +62,17 @@ func (ErrDrop) Check(f *File) []Diagnostic {
 		return true
 	})
 	return out
+}
+
+// returnsError reports whether go/types resolved call's last result to the
+// predeclared error type.
+func returnsError(f *File, call *ast.CallExpr) bool {
+	t := f.TypeOf(call)
+	if tup, ok := t.(*types.Tuple); ok {
+		if tup.Len() == 0 {
+			return false
+		}
+		t = tup.At(tup.Len() - 1).Type()
+	}
+	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }

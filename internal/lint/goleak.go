@@ -4,28 +4,14 @@ import (
 	"go/ast"
 )
 
-// GoLeak flags `go func(...) {...}(...)` launches with no visible lifecycle:
+// goLeak flags `go func(...) {...}(...)` launches with no visible lifecycle:
 // no sync.WaitGroup Add/Done, no done-channel operation, no select, and no
 // context in sight. Such goroutines outlive their spawner silently — the
 // failure mode behind leaked connection handlers in edgenet and orphaned
 // kernel workers in tensor fan-outs. The sanctioned patterns are the ones
 // tensor.ParallelFor and edgenet.Server use: WaitGroup bracketing, a done
 // channel, or a context the goroutine observes.
-type GoLeak struct{}
-
-// Name implements Analyzer.
-func (GoLeak) Name() string { return "goleak" }
-
-// Doc implements Analyzer.
-func (GoLeak) Doc() string {
-	return "goroutine launched without WaitGroup/done-channel/context (leak-free fan-out)"
-}
-
-// DefaultPaths implements Analyzer: fan-out discipline applies everywhere.
-func (GoLeak) DefaultPaths() []string { return nil }
-
-// Check implements Analyzer.
-func (GoLeak) Check(f *File) []Diagnostic {
+func goLeak(f *File) []Diagnostic {
 	var out []Diagnostic
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		gs, ok := n.(*ast.GoStmt)

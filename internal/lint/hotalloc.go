@@ -5,7 +5,7 @@ import (
 	"go/ast"
 )
 
-// HotAlloc flags `make(` inside function literals passed to a parallel
+// hotAlloc flags `make(` inside function literals passed to a parallel
 // executor (parallelExecutors: ParallelFor, ParallelForWorkers, serve,
 // globalRound, the list rngescape reads). These closures are the training
 // hot path: an allocation there repeats per step (and per work item), which
@@ -13,22 +13,7 @@ import (
 // eliminate. The canonical fix is tensor.GetScratch/PutScratch, or a buffer
 // owned by the enclosing layer or worker; a deliberate exception needs
 // `//nolint:hotalloc` with a justification.
-type HotAlloc struct{}
-
-// Name implements Analyzer.
-func (HotAlloc) Name() string { return "hotalloc" }
-
-// Doc implements Analyzer.
-func (HotAlloc) Doc() string {
-	return "make() inside a parallel executor body; use the tensor scratch arena"
-}
-
-// DefaultPaths implements Analyzer: everywhere — hot-path allocation is a
-// whole-tree concern, the kernels are called from nn, modular and fed alike.
-func (HotAlloc) DefaultPaths() []string { return nil }
-
-// Check implements Analyzer.
-func (HotAlloc) Check(f *File) []Diagnostic {
+func hotAlloc(f *File) []Diagnostic {
 	var out []Diagnostic
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -91,71 +91,54 @@ func (f *File) ObjectOf(id *ast.Ident) types.Object {
 	return f.Pkg.Info.Defs[id]
 }
 
-// Analyzer is one project-specific check.
-type Analyzer interface {
+// Check is one project-specific check: a row of the Checks table.
+type Check struct {
 	// Name is the short id used in diagnostics and //nolint directives.
-	Name() string
+	Name string
 	// Doc is a one-line description of the invariant the check protects.
-	Doc() string
-	// DefaultPaths restricts where the check applies (substring match on the
-	// slash-separated file path). Empty means everywhere.
-	DefaultPaths() []string
-	// Check inspects one file and returns its findings.
-	Check(f *File) []Diagnostic
+	Doc string
+	// Run inspects one file and returns its findings. It is nil for the
+	// pseudo-checks, whose findings come from the loader (loaderror) and from
+	// the //nolint scan in the package-level Run (nolint).
+	Run func(f *File) []Diagnostic
 }
 
-// All returns the full set of nebula-lint analyzers in stable order.
-func All() []Analyzer {
-	return []Analyzer{
-		MapOrder{},
-		GoLeak{},
-		ErrDrop{},
-		SeedRand{},
-		HotAlloc{},
-		RawClock{},
-		RNGEscape{},
-		LockedCall{},
-		SpanLeak{},
-	}
+// Checks is every check nebula-lint knows, in stable order. Every check runs
+// on every file it is given; the two that apply to part of the tree
+// (rawclock, errdrop) say so in their own Run.
+var Checks = []Check{
+	{"maporder", "map iteration with an order-dependent effect (append, indexed write, send, float accumulation, emission into a typed artifact sink); sort keys first", mapOrder},
+	{"goleak", "goroutine launched without WaitGroup/done-channel/context (leak-free fan-out)", goLeak},
+	{"errdrop", "dropped error from io/net/encoding call on the protocol or checkpoint path", errDrop},
+	{"seedrand", "unseeded or time-seeded math/rand use; thread a *tensor.RNG from the config seed", seedRand},
+	{"hotalloc", "make() inside a parallel executor body; use the tensor scratch arena", hotAlloc},
+	{"rawclock", "direct time.Now/time.Since outside internal/obs; use obs.Stopwatch", rawClock},
+	{"rngescape", "master RNG stream (typed) captured by a parallel worker body; pre-split per-device streams", rngEscape},
+	{"lockedcall", "blocking call (net I/O, gob encode, quantization — resolved transitively) while a sync mutex is held", lockedCall},
+	{"spanleak", "started span (obs/span.Active) whose End() is unreachable on some return path — the span never lands in the flight recorder", spanLeak},
+	{LoadErrorCheck, "package failed to load cleanly: parse error or module-local import cycle", nil},
+	{"nolint", "//nolint directive without a `-- reason` justification", nil},
 }
 
-// PseudoChecks are diagnostic sources that are not Analyzers: the loader's
-// error channel and the nolint-justification enforcement. They participate in
-// -list, -checks, and the fixture self-check like real checks.
-func PseudoChecks() []struct{ Name, Doc string } {
-	return []struct{ Name, Doc string }{
-		{LoadErrorCheck, "package failed to load cleanly: parse error or module-local import cycle"},
-		{"nolint", "//nolint directive without a `-- reason` justification"},
-	}
-}
-
-// Runner applies analyzers to packages and filters suppressions.
-type Runner struct {
-	Analyzers []Analyzer
-	// Unscoped ignores each analyzer's DefaultPaths (used by tests and when
-	// linting fixture trees that live outside the scoped directories).
-	Unscoped bool
-}
-
-// Run lints every file of every package and returns diagnostics sorted by
-// file, line, and check. Unjustified //nolint directives are reported under
-// the pseudo-check "nolint"; loader problems under "loaderror".
-func (r *Runner) Run(pkgs []*Package) []Diagnostic {
+// Run lints every file of every package with every check and returns the
+// diagnostics that survive //nolint filtering, sorted by file, line, and
+// check. Unjustified //nolint directives are reported under the pseudo-check
+// "nolint"; loader problems under "loaderror".
+func Run(pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		out = append(out, pkg.LoadErrs...)
 		for _, f := range pkg.Files {
 			sup := collectNolint(f)
 			out = append(out, sup.unjustified...)
-			for _, a := range r.Analyzers {
-				if !r.Unscoped && !pathInScope(f.Path, a.DefaultPaths()) {
+			for _, c := range Checks {
+				if c.Run == nil {
 					continue
 				}
-				for _, d := range a.Check(f) {
-					if sup.suppresses(d.Pos.Line, a.Name()) {
-						continue
+				for _, d := range c.Run(f) {
+					if !sup.suppresses(d.Pos.Line, c.Name) {
+						out = append(out, d)
 					}
-					out = append(out, d)
 				}
 			}
 		}
@@ -175,18 +158,13 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	return out
 }
 
-func pathInScope(path string, scopes []string) bool {
-	if len(scopes) == 0 {
-		return true
-	}
-	// Resolve relative paths (e.g. "../edgenet/server.go" when linting from
-	// a subdirectory) so scope matching sees the full repository path.
-	if abs, err := filepath.Abs(path); err == nil {
-		path = abs
-	}
-	slashed := filepath.ToSlash(path)
-	for _, s := range scopes {
-		if strings.Contains(slashed, s) {
+// inModule reports whether f's path inside its module — the package's import
+// path plus the file name, e.g. repro/internal/modular/checkpoint.go —
+// contains any of parts. Where the checkout lives does not matter.
+func (f *File) inModule(parts ...string) bool {
+	path := f.Pkg.PkgPath + "/" + filepath.Base(f.Path)
+	for _, p := range parts {
+		if strings.Contains(path, p) {
 			return true
 		}
 	}

@@ -22,13 +22,11 @@ func loadFixtures(t *testing.T) []*Package {
 	return pkgs
 }
 
-// runOn lints the fixtures unscoped (testdata lives outside every check's
-// default path scope) and groups diagnostics by fixture base name.
+// runOn lints the fixtures and groups diagnostics by fixture base name.
 func runOn(t *testing.T, pkgs []*Package) map[string][]Diagnostic {
 	t.Helper()
-	r := &Runner{Analyzers: All(), Unscoped: true}
 	byFile := map[string][]Diagnostic{}
-	for _, d := range r.Run(pkgs) {
+	for _, d := range Run(pkgs) {
 		byFile[filepath.Base(d.Pos.Filename)] = append(byFile[filepath.Base(d.Pos.Filename)], d)
 	}
 	return byFile
@@ -36,12 +34,14 @@ func runOn(t *testing.T, pkgs []*Package) map[string][]Diagnostic {
 
 // TestFixtures is the golden table: every trigger file produces exactly one
 // diagnostic of its namesake check, the clean and suppressed files produce
-// none, and a bare //nolint surfaces as the "nolint" pseudo-check.
+// none, and a bare //nolint surfaces as the "nolint" pseudo-check. errdrop.go
+// lies outside the paths errdrop applies to, so it is quiet; its in-scope
+// twin is the xmod/errdrop mini-module (TestErrDropTyped).
 func TestFixtures(t *testing.T) {
 	want := map[string][]string{
 		"maporder.go":   {"maporder"},
 		"goleak.go":     {"goleak"},
-		"errdrop.go":    {"errdrop"},
+		"errdrop.go":    nil,
 		"seedrand.go":   {"seedrand"},
 		"hotalloc.go":   {"hotalloc", "hotalloc"},
 		"rngescape.go":  {"rngescape", "rngescape", "rngescape"},
@@ -73,7 +73,7 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestEveryCheckTripsAFixture: one unscoped run over the whole fixture tree
+// TestEveryCheckTripsAFixture: one run over the whole fixture tree
 // (the flat files and the cross-package mini-modules under xmod/) reports a
 // finding of every check -list names, the loaderror and nolint pseudo-checks
 // included, so no registered check can go dead without a test failing. serve
@@ -84,7 +84,7 @@ func TestEveryCheckTripsAFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load(testdata/...): %v", err)
 	}
-	diags := (&Runner{Analyzers: All(), Unscoped: true}).Run(pkgs)
+	diags := Run(pkgs)
 	seen := map[string]bool{}
 	var escapes []string
 	for _, d := range diags {
@@ -93,16 +93,9 @@ func TestEveryCheckTripsAFixture(t *testing.T) {
 			escapes = append(escapes, d.Message)
 		}
 	}
-	var names []string
-	for _, a := range All() {
-		names = append(names, a.Name())
-	}
-	for _, p := range PseudoChecks() {
-		names = append(names, p.Name)
-	}
-	for _, name := range names {
-		if !seen[name] {
-			t.Errorf("no fixture trips check %q: every registered check needs a tripping fixture", name)
+	for _, c := range Checks {
+		if !seen[c.Name] {
+			t.Errorf("no fixture trips check %q: every registered check needs a tripping fixture", c.Name)
 		}
 	}
 	for _, executor := range []string{"serve", "globalRound"} {
@@ -129,19 +122,6 @@ func TestDiagnosticFormat(t *testing.T) {
 	}
 }
 
-// TestScoping verifies path-scoped checks stay quiet outside their
-// directories when the runner is scoped: errdrop and seedrand fixtures live
-// under testdata/, not internal/edgenet or internal/experiments.
-func TestScoping(t *testing.T) {
-	pkgs := loadFixtures(t)
-	r := &Runner{Analyzers: All()} // scoped
-	for _, d := range r.Run(pkgs) {
-		if d.Check == "errdrop" || d.Check == "seedrand" {
-			t.Errorf("scoped run produced %s outside its default paths: %s", d.Check, d)
-		}
-	}
-}
-
 // TestSelfClean locks in the tentpole invariant: the analyzer exits clean on
 // the repository's own tree, so `make check` stays green.
 func TestSelfClean(t *testing.T) {
@@ -149,8 +129,7 @@ func TestSelfClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load(../...): %v", err)
 	}
-	r := &Runner{Analyzers: All()}
-	if diags := r.Run(pkgs); len(diags) != 0 {
+	if diags := Run(pkgs); len(diags) != 0 {
 		for _, d := range diags {
 			t.Errorf("repository tree is not lint-clean: %s", d)
 		}
@@ -176,8 +155,7 @@ func TestNolintGrammar(t *testing.T) {
 			src := "package p\n\nfunc f(m map[int]int) []int {\n\tvar out []int\n\t" +
 				tc.directive + "\n\tfor k := range m {\n\t\tout = append(out, k+1)\n\t}\n\treturn out\n}\n"
 			pkgs := parseSource(t, src)
-			r := &Runner{Analyzers: []Analyzer{MapOrder{}}, Unscoped: true}
-			diags := r.Run(pkgs)
+			diags := Run(pkgs)
 			var gotMap, gotNolint bool
 			for _, d := range diags {
 				switch d.Check {
@@ -200,19 +178,30 @@ func TestNolintGrammar(t *testing.T) {
 }
 
 // runXmod loads one cross-package mini-module fixture recursively and lints
-// it unscoped, returning diagnostics grouped by check name.
+// it, returning diagnostics grouped by check name.
 func runXmod(t *testing.T, sub string) map[string][]Diagnostic {
 	t.Helper()
 	pkgs, err := Load([]string{filepath.Join("testdata", "xmod", sub) + "/..."})
 	if err != nil {
 		t.Fatalf("Load(xmod/%s): %v", sub, err)
 	}
-	r := &Runner{Analyzers: All(), Unscoped: true}
 	byCheck := map[string][]Diagnostic{}
-	for _, d := range r.Run(pkgs) {
+	for _, d := range Run(pkgs) {
 		byCheck[d.Check] = append(byCheck[d.Check], d)
 	}
 	return byCheck
+}
+
+// TestErrDropTyped: inside a path errdrop applies to, a dropped error from
+// an io.Closer is a finding and a Close that returns nothing is not.
+func TestErrDropTyped(t *testing.T) {
+	got := runXmod(t, "errdrop")["errdrop"]
+	if len(got) != 1 {
+		t.Fatalf("errdrop findings = %v, want exactly 1 (conn.Close flagged, srv.Close quiet)", got)
+	}
+	if !strings.Contains(got[0].String(), "conn.go:17:") {
+		t.Errorf("finding is not on conn.Close: %s", got[0])
+	}
 }
 
 // TestCrossPackageRNGEscape: the captured stream's type (*pool.RNG) is
@@ -301,9 +290,8 @@ func TestBrokenDependencyDiagnostic(t *testing.T) {
 	if !sawApp {
 		t.Fatal("importing package app did not load")
 	}
-	r := &Runner{Analyzers: All(), Unscoped: true}
 	var sawParse bool
-	for _, d := range r.Run(pkgs) {
+	for _, d := range Run(pkgs) {
 		if d.Check == LoadErrorCheck && filepath.Base(d.Pos.Filename) == "dep.go" {
 			sawParse = true
 		}

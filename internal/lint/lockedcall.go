@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// LockedCall flags calls that can block — or burn unbounded CPU — while a
+// lockedCall flags calls that can block — or burn unbounded CPU — while a
 // sync.Mutex/RWMutex acquired in the enclosing function is still held. One
 // slow network peer (or one large quantization) inside a critical section
 // serializes every other goroutine behind the lock; in edgenet that is every
@@ -24,24 +24,7 @@ import (
 // under it, and a weight clone of the cloud model. The sanctioned shape is
 // serveSubModel's: snapshot under the lock in a small closure, do the slow
 // work outside.
-type LockedCall struct{}
-
-// Name implements Analyzer.
-func (LockedCall) Name() string { return "lockedcall" }
-
-// Doc implements Analyzer.
-func (LockedCall) Doc() string {
-	return "blocking call (net I/O, gob encode, quantization — resolved transitively) while a sync mutex is held"
-}
-
-// DefaultPaths implements Analyzer: the RPC, telemetry, and trace planes,
-// where a long critical section serializes the fleet.
-func (LockedCall) DefaultPaths() []string {
-	return []string{"internal/edgenet", "internal/fed", "internal/obs", "internal/trace"}
-}
-
-// Check implements Analyzer.
-func (LockedCall) Check(f *File) []Diagnostic {
+func lockedCall(f *File) []Diagnostic {
 	c := &lockedCallPass{f: f, memo: map[*types.Func]string{}}
 	for _, body := range functionBodies(f.AST) {
 		c.checkBody(body)

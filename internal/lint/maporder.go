@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// MapOrder flags `for k := range m` over maps whose loop body has an
+// mapOrder flags `for k := range m` over maps whose loop body has an
 // order-dependent effect. Go randomizes map iteration order, so any such loop
 // makes aggregation buffers, parameter vectors, trace logs, exposition bytes
 // or payloads differ run to run — the property the `ci.sh` byte-compare gates
@@ -25,21 +25,7 @@ import (
 //
 // The canonical fix is to collect the keys, sort them, and range over the
 // sorted slice.
-type MapOrder struct{}
-
-// Name implements Analyzer.
-func (MapOrder) Name() string { return "maporder" }
-
-// Doc implements Analyzer.
-func (MapOrder) Doc() string {
-	return "map iteration with an order-dependent effect (append, indexed write, send, float accumulation, emission into a typed artifact sink); sort keys first"
-}
-
-// DefaultPaths implements Analyzer: nondeterminism is poison everywhere.
-func (MapOrder) DefaultPaths() []string { return nil }
-
-// Check implements Analyzer.
-func (MapOrder) Check(f *File) []Diagnostic {
+func mapOrder(f *File) []Diagnostic {
 	var out []Diagnostic
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		var body ast.Node

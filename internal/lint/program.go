@@ -33,7 +33,7 @@ import (
 
 // LoadErrorCheck is the pseudo-check name for loader diagnostics (parse
 // failures, import cycles). It participates in -checks filtering and //nolint
-// like any analyzer name.
+// like any other check name.
 const LoadErrorCheck = "loaderror"
 
 // Program is the result of one Load: every package reached (requested or
@@ -455,7 +455,7 @@ func (ld *loader) typeCheck(pkg *Package) {
 	if len(files) == 0 {
 		return
 	}
-	tpkg, _ := conf.Check(pkg.PkgPath, ld.fset, files, info) //nolint:errdrop -- type errors are expected (build-tag twins, cycle stubs); partial Info is the point
+	tpkg, _ := conf.Check(pkg.PkgPath, ld.fset, files, info)
 	pkg.Info = info
 	pkg.Types = tpkg
 }

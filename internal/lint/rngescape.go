@@ -6,7 +6,18 @@ import (
 	"go/types"
 )
 
-// RNGEscape flags a master-RNG stream escaping into concurrent code: any
+// parallelExecutors are the fan-out entry points whose function-literal
+// arguments (worker bodies and per-worker state constructors) run
+// concurrently, once per work item: the one list rngescape and hotalloc
+// read.
+var parallelExecutors = map[string]bool{
+	"ParallelFor":        true,
+	"ParallelForWorkers": true,
+	"serve":              true,
+	"globalRound":        true,
+}
+
+// rngEscape flags a master-RNG stream escaping into concurrent code: any
 // value whose type is the coordinator stream (*tensor.RNG, or *rand.Rand)
 // captured by a function literal passed to a parallel executor
 // (ParallelFor / ParallelForWorkers / serve / globalRound), whether
@@ -23,33 +34,7 @@ import (
 // (`streams := splitStreams(rng, n)`) and index them by the worker's device
 // index (`streams[i]` is fine: the captured value is the slice, and each
 // body touches only its own element).
-type RNGEscape struct{}
-
-// Name implements Analyzer.
-func (RNGEscape) Name() string { return "rngescape" }
-
-// Doc implements Analyzer.
-func (RNGEscape) Doc() string {
-	return "master RNG stream (typed) captured by a parallel worker body; pre-split per-device streams"
-}
-
-// DefaultPaths implements Analyzer: a shared stream in any parallel body is
-// a determinism bug wherever it happens.
-func (RNGEscape) DefaultPaths() []string { return nil }
-
-// parallelExecutors are the fan-out entry points whose function-literal
-// arguments (worker bodies and per-worker state constructors) run
-// concurrently, once per work item: the one list rngescape and hotalloc
-// read.
-var parallelExecutors = map[string]bool{
-	"ParallelFor":        true,
-	"ParallelForWorkers": true,
-	"serve":              true,
-	"globalRound":        true,
-}
-
-// Check implements Analyzer.
-func (RNGEscape) Check(f *File) []Diagnostic {
+func rngEscape(f *File) []Diagnostic {
 	var out []Diagnostic
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

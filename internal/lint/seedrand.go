@@ -7,28 +7,6 @@ import (
 	"strings"
 )
 
-// SeedRand flags math/rand usage that breaks run-to-run reproducibility in
-// the experiment and data pipelines: calls on the shared global source
-// (rand.Intn, rand.Float64, ...), rand.Seed, and sources seeded from
-// time.Now. Every experiment must be replayable from the single config seed
-// (nebula-sim -seed); the canonical fix is to thread a *tensor.RNG derived
-// from Options.Seed instead of touching package-level rand state.
-type SeedRand struct{}
-
-// Name implements Analyzer.
-func (SeedRand) Name() string { return "seedrand" }
-
-// Doc implements Analyzer.
-func (SeedRand) Doc() string {
-	return "unseeded or time-seeded math/rand use; thread a *tensor.RNG from the config seed"
-}
-
-// DefaultPaths implements Analyzer: scoped to the packages whose outputs are
-// the paper's tables and figures, which must reproduce exactly.
-func (SeedRand) DefaultPaths() []string {
-	return []string{"internal/experiments", "internal/data"}
-}
-
 // globalSourceFuncs are the package-level math/rand functions backed by the
 // shared, unseeded-by-config global source.
 var globalSourceFuncs = map[string]bool{
@@ -38,8 +16,12 @@ var globalSourceFuncs = map[string]bool{
 	"Shuffle": true, "N": true, "IntN": true, "Int32N": true, "Int64N": true,
 }
 
-// Check implements Analyzer.
-func (SeedRand) Check(f *File) []Diagnostic {
+// seedRand flags math/rand usage that breaks run-to-run reproducibility:
+// calls on the shared global source (rand.Intn, rand.Float64, ...),
+// rand.Seed, and sources seeded from time.Now. Every experiment must be replayable from the single config seed
+// (nebula-sim -seed); the canonical fix is to thread a *tensor.RNG derived
+// from Options.Seed instead of touching package-level rand state.
+func seedRand(f *File) []Diagnostic {
 	randName, ok := importName(f.AST, "math/rand", "math/rand/v2")
 	if !ok {
 		return nil

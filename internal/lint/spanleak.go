@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// SpanLeak flags a started tracing span (internal/obs/span.Active) whose
+// spanLeak flags a started tracing span (internal/obs/span.Active) whose
 // End() is not reachable on every path out of the statement list that
 // started it. A span that never Ends never reaches the flight recorder: the
 // trace silently loses the operation — worse than no instrumentation,
@@ -25,25 +25,7 @@ import (
 // branchy statement discharges the whole obligation) so early-End paths do
 // not produce noise; the check exists to catch the common leak, a bare
 // `return` before the span's End.
-type SpanLeak struct{}
-
-// Name implements Analyzer.
-func (SpanLeak) Name() string { return "spanleak" }
-
-// Doc implements Analyzer.
-func (SpanLeak) Doc() string {
-	return "started span (obs/span.Active) whose End() is unreachable on some return path — the span never lands in the flight recorder"
-}
-
-// DefaultPaths implements Analyzer: the planes that carry span
-// instrumentation — the RPC stack, the round engines, the telemetry layer,
-// and the binaries that wire them together.
-func (SpanLeak) DefaultPaths() []string {
-	return []string{"internal/edgenet", "internal/fed", "internal/obs", "internal/experiments", "cmd"}
-}
-
-// Check implements Analyzer.
-func (SpanLeak) Check(f *File) []Diagnostic {
+func spanLeak(f *File) []Diagnostic {
 	c := &spanLeakPass{f: f, memo: map[endsParamKey]bool{}}
 	for _, body := range functionBodies(f.AST) {
 		for _, stmts := range statementLists(body) {

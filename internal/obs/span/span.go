@@ -314,7 +314,7 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	}
 	// A mid-scrape client disconnect is the client's problem; there is no
 	// useful recovery once the header is sent.
-	_ = r.WriteJSON(w) //nolint:errdrop -- best-effort scrape reply; the write error surfaces client-side
+	_ = r.WriteJSON(w)
 }
 
 // ValidateParents checks the structural invariant a complete trace file
