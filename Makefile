@@ -12,16 +12,21 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The portable paths: gemm_kernel_generic.go and every loop whose bits rest on
-# an explicit float32(a*b) are otherwise only ever compiled for amd64. arm64
-# fuses a*b+c into one rounding unless a conversion rounds the product first,
-# and amd64 never fuses, so only this listing can see the bits move: no fused
-# multiply-add may appear in the arm64 listing of the module.
+# The portable paths: gemm_kernel_generic.go, quantize_generic.go and every
+# loop whose bits rest on an explicit float32(a*b) are otherwise only ever
+# compiled for amd64. arm64 fuses a*b+c into one rounding unless a conversion
+# rounds the product first, and amd64 never fuses, so only this listing can see
+# the bits move: no fused multiply-add may appear in the arm64 listing of the
+# module. The amd64 assembly is written by hand, so no FMA instruction
+# (VFMADD…, VFMSUB…, VFNMADD…, VFNMSUB…) may appear in any .s file outside a
+# comment either.
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
 	@fused=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./... 2>&1 | grep -E 'FN?M(ADD|SUB)' || true); \
 		[ -z "$$fused" ] || { echo "fused multiply-add in the arm64 build (round the product with an explicit conversion): $$fused" >&2; exit 1; }
+	@fused=$$(find . -name '*.s' -not -path './.git/*' -exec grep -nHE '^[^/]*VFN?M(ADD|SUB)' {} + || true); \
+		[ -z "$$fused" ] || { echo "FMA instruction in the assembly (keep VMULPS and VADDPS separate): $$fused" >&2; exit 1; }
 
 # Formatting: gofmt must have nothing to say outside the linter's fixtures.
 fmt-check:

@@ -217,7 +217,7 @@ func (e *Encoder) exchangeChunk(i int, vals, ref []float32, cut *topKCut, recon 
 			lo, hi = nn.Range(enc)
 		}
 	case ref != nil:
-		lo, hi = diffRange(e.diff, vals, ref)
+		lo, hi = nn.DiffRange(e.diff, vals, ref)
 		enc = e.diff[:len(vals)]
 	default:
 		lo, hi = nn.Range(vals)
@@ -228,30 +228,6 @@ func (e *Encoder) exchangeChunk(i int, vals, ref []float32, cut *topKCut, recon 
 	if recon != nil {
 		c.decodeInto(recon, ref)
 	}
-}
-
-// diffRange writes vals − ref into diff and returns the difference's range,
-// found in the same walk with nn.Range's comparisons in nn.Range's order (the
-// first difference starts both ends; comparing it with itself moves
-// neither). The loop runs in exchangeChunk, a call of its own, so it keeps its
-// index in a register: inside encode's chunk loop the compiler spilled it
-// every iteration, a sixth of EncodeVec's time.
-func diffRange(diff, vals, ref []float32) (lo, hi float32) {
-	// Re-sliced to one length so the loop carries no bounds check.
-	diff, ref = diff[:len(vals)], ref[:len(vals)]
-	lo = vals[0] - ref[0]
-	hi = lo
-	for i, x := range vals {
-		d := x - ref[i]
-		diff[i] = d
-		if d < lo {
-			lo = d
-		}
-		if d > hi {
-			hi = d
-		}
-	}
-	return lo, hi
 }
 
 // magKey is a coordinate's selection key: its IEEE-754 bit pattern with the

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -734,7 +737,10 @@ type fuzzedPayload struct {
 }
 
 // FuzzDecodeVec: whatever a peer sends, DecodeVec returns — a vector of the
-// header's length or an error — and never panics or indexes out of range.
+// header's length or an error — and never panics or indexes out of range. It
+// returns the same with the codec's SIMD twins on and off (nn.CodecTwinsForTests):
+// the same error, or the same bits, a NaN's payload aside (docs/PERF.md
+// invariant 8); and what it returns encodes to the same frame bytes both ways.
 func FuzzDecodeVec(f *testing.F) {
 	seed := func(p *WirePayload, baseLen int) {
 		var buf bytes.Buffer
@@ -755,9 +761,31 @@ func FuzzDecodeVec(f *testing.F) {
 		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&in); err != nil {
 			return // not a payload
 		}
-		out, err := DecodeVec(&in.P, make([]float32, baseLen))
+		var outs [2][]float32
+		var errs [2]error
+		var frames [2][]byte
+		for k, on := range []bool{false, true} {
+			was := nn.CodecTwinsForTests(on)
+			outs[k], errs[k] = DecodeVec(&in.P, make([]float32, baseLen))
+			if errs[k] == nil {
+				_, frames[k] = overFrames(t, EncodeVec(outs[k], make([]float32, baseLen), WireOpts{}))
+			}
+			nn.CodecTwinsForTests(was)
+		}
+		out, err := outs[0], errs[0]
 		if err == nil && len(out) != in.P.Header.Len {
 			t.Fatalf("decoded %d elements, header says %d", len(out), in.P.Header.Len)
+		}
+		if fmt.Sprint(errs[1]) != fmt.Sprint(err) {
+			t.Fatalf("with the twins: error %v, without %v", errs[1], err)
+		}
+		if !slices.EqualFunc(outs[1], out, func(a, b float32) bool {
+			return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
+		}) {
+			t.Fatalf("with the twins the payload decodes to other bits")
+		}
+		if !bytes.Equal(frames[1], frames[0]) {
+			t.Fatalf("with the twins the decoded vector encodes to other frame bytes")
 		}
 	})
 }

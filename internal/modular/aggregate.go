@@ -2,6 +2,7 @@ package modular
 
 import (
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // Update is one device's contribution to module-wise aggregation: its
@@ -176,10 +177,7 @@ func aggregateClassifier(head nn.Layer, updates []*Update, retain float64) {
 			}
 			src := finalDense(u.Sub.Head)
 			w := float32((1 - retain) * float64(u.ClassWeights[c]) / total)
-			srow := src.Weight.W.Data[c*in : (c+1)*in]
-			for i := range row {
-				row[i] += float32(w * srow[i])
-			}
+			tensor.Axpy(w, src.Weight.W.Data[c*in:(c+1)*in], row)
 			target.Bias.W.Data[c] += float32(w * src.Bias.W.Data[c])
 		}
 	}

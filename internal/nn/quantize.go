@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/tensor"
+)
 
 // Quantized8 is an 8-bit affine quantization of a float32 vector:
 // value ≈ Min + Scale·code. It cuts parameter-transfer bytes by ~4× at a
@@ -39,6 +43,51 @@ func Range(vec []float32) (lo, hi float32) {
 		}
 	}
 	return lo, hi
+}
+
+// DiffRange writes vals − ref into diff and returns the difference's range,
+// found in the same walk with Range's comparisons in Range's order (the first
+// difference starts both ends; comparing it with itself moves neither): the
+// delta codec's walk of one chunk. vals is not empty; diff and ref hold at
+// least len(vals) elements.
+// Whole blocks of eight run through an AVX2 twin where one is selected
+// (diffRangeBlocks); a chunk whose range the twin cannot vouch for is walked
+// again here.
+func DiffRange(diff, vals, ref []float32) (lo, hi float32) {
+	// Re-sliced to one length so the loop carries no bounds check, and so
+	// that the twin's reach is checked before it runs.
+	diff, ref = diff[:len(vals)], ref[:len(vals)]
+	if lo, hi, ok := diffRangeBlocks(diff, vals, ref); ok {
+		return lo, hi
+	}
+	lo = vals[0] - ref[0]
+	hi = lo
+	for i, x := range vals {
+		d := x - ref[i]
+		diff[i] = d
+		if d < lo {
+			lo = d
+		}
+		if d > hi {
+			hi = d
+		}
+	}
+	return lo, hi
+}
+
+// codecTwins selects the AVX2 twins of the codec's chunk loops — DiffRange,
+// Quantize8Range and Quantized8.AddInto (quantize_amd64.s) — over their Go
+// loops, which stay the portable path and the oracle the twins are pinned
+// against. Set at package init from the CPU flag tensor probes; only tests
+// toggle it afterwards (CodecTwinsForTests).
+var codecTwins = tensor.HasAVX2()
+
+// CodecTwinsForTests selects the codec's AVX2 twins (on, where the CPU has
+// AVX2) or their Go loops (off) and returns the previous setting. It exists
+// for tests that hold the twins to the Go loops; nothing else may call it.
+func CodecTwinsForTests(on bool) (was bool) {
+	was, codecTwins = codecTwins, on && tensor.HasAVX2()
+	return was
 }
 
 // maxScale is the largest step whose 255th multiple is finite: math.MaxFloat32
@@ -81,10 +130,15 @@ func Quantize8Range(codes []byte, vec []float32, lo, hi float32) Quantized8 {
 	// the clamped top of the range, NaN — are redone below: a call inside the
 	// loop, even a cold one, costs every element a register spill and halves the
 	// loop's speed.
+	//
+	// Whole blocks of eight go through the AVX2 twin where one is selected
+	// (quantize8Blocks): the same float32 subtract and multiply, exact widen,
+	// float64 add and truncation, a lane that fails the test left to the pass
+	// below as here.
 	inv := 1 / scale
-	left := false
-	for i, v := range vec {
-		f := float64((v-lo)*inv) + 0.5
+	i, left := quantize8Blocks(codes, vec, lo, inv)
+	for ; i < len(vec); i++ {
+		f := float64((vec[i]-lo)*inv) + 0.5
 		if !(f < 256) {
 			left, f = true, 0
 		}
@@ -125,7 +179,8 @@ func (q Quantized8) Dequantize8() []float32 {
 // for decoders that already own the destination (the wire codec writes
 // straight into its output vector). The conversion rounds the product before
 // the sum: a platform that fuses multiply-adds would decode other bits, and
-// the two ends of a link must hold one reconstruction.
+// the two ends of a link must hold one reconstruction. It is not AddInto over
+// a zero base: +0 + −0 is +0, so a −0 decoded value would come out +0.
 func (q Quantized8) DequantizeInto(dst []float32) {
 	dst = dst[:len(q.Codes)]
 	for i, c := range q.Codes {
@@ -136,11 +191,13 @@ func (q Quantized8) DequantizeInto(dst []float32) {
 // AddInto writes base[i] plus the i-th decoded value into dst[i] — a delta
 // payload's dequantize and its add to the reference in one pass, each
 // rounded to float32 as DequantizeInto followed by the add rounds them. dst
-// and base hold len(q.Codes) elements and may be the same array.
+// and base hold len(q.Codes) elements and may be the same array. Whole blocks
+// of eight run through an AVX2 twin where one is selected (addIntoBlocks):
+// the same multiply, then add of Min, then add to base, no fused step.
 func (q Quantized8) AddInto(dst, base []float32) {
 	dst, base = dst[:len(q.Codes)], base[:len(q.Codes)]
-	for i, c := range q.Codes {
-		dst[i] = base[i] + float32(q.Min+float32(q.Scale*float32(c)))
+	for i := addIntoBlocks(q, dst, base); i < len(q.Codes); i++ {
+		dst[i] = base[i] + float32(q.Min+float32(q.Scale*float32(q.Codes[i])))
 	}
 }
 

@@ -325,7 +325,10 @@ func TestQuantize8FiniteRangeOverflow(t *testing.T) {
 }
 
 // FuzzQuantize8 feeds Quantize8 arbitrary float32 bit patterns and holds it
-// to the math.Round reference.
+// to the math.Round reference, with the codec's SIMD twins on and off: the
+// two must code identical bytes. It also walks the input as a delta chunk
+// against itself rotated by one element (DiffRange, Quantize8Range, AddInto)
+// both ways, which must agree bit for bit, a NaN's payload aside.
 func FuzzQuantize8(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0x7f, 0x43, 0, 0, 0, 0x3f}) // 0, 255, 0.5
 	f.Add([]byte{0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x3f})          // NaN, 1
@@ -335,9 +338,24 @@ func FuzzQuantize8(f *testing.F) {
 		for i := range vec {
 			vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
-		if got, want := Quantize8(vec), quantize8Reference(vec); !sameQuantized8(got, want) {
-			t.Fatalf("Quantize8(%x) = {%v %v %v}, reference {%v %v %v}",
-				raw, got.Min, got.Scale, got.Codes, want.Min, want.Scale, want.Codes)
+		want := quantize8Reference(vec)
+		for _, on := range []bool{false, true} {
+			var got Quantized8
+			withCodecTwins(on, func() { got = Quantize8(vec) })
+			if !sameQuantized8(got, want) {
+				t.Fatalf("Quantize8(%x), twins %v = {%v %v %v}, reference {%v %v %v}",
+					raw, on, got.Min, got.Scale, got.Codes, want.Min, want.Scale, want.Codes)
+			}
+		}
+		ref := make([]float32, len(vec))
+		for i := range ref {
+			ref[i] = vec[(i+1)%len(vec)]
+		}
+		var off, on codecWalk
+		withCodecTwins(false, func() { off = walkChunk(vec, ref) })
+		withCodecTwins(true, func() { on = walkChunk(vec, ref) })
+		if d := diffWalks(on, off); d != "" {
+			t.Fatalf("delta walk of %x with the twins: %s", raw, d)
 		}
 	})
 }

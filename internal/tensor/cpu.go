@@ -29,6 +29,10 @@ var strictAVX bool
 // set without strictAVX.
 var strictAVX512 bool
 
+// HasAVX2 reports whether the CPU and the OS run AVX2: the flag that selects
+// the wire codec's SIMD twins in nn, read there so that one probe serves both.
+func HasAVX2() bool { return cpuHasAVX2 }
+
 // CPUFeatures returns the detected SIMD feature set as a provenance string
 // for bench reports, e.g. "sse4.2+avx2+fma"; "baseline" when none of the
 // probed features are present (or off amd64).

@@ -42,21 +42,19 @@ func (t *Tensor) Scale(a float32) {
 	}
 }
 
-// AddScaled computes t += a*o elementwise (axpy).
+// AddScaled computes t += a*o elementwise: Axpy over the two arrays.
 func (t *Tensor) AddScaled(a float32, o *Tensor) {
 	if len(t.Data) != len(o.Data) {
 		panic(fmt.Sprintf("tensor: AddScaled size mismatch %v vs %v", t.shape, o.shape))
 	}
-	for i, v := range o.Data {
-		t.Data[i] += float32(a * v)
-	}
+	Axpy(a, o.Data, t.Data)
 }
 
 // Axpy computes y += a*x on raw slices, each y[i] + float32(a*x[i]): the
-// hot loop of module combines and scatters and of Conv2D's half merge.
-// Whole blocks of eight run through a strict AVX twin where one is selected
-// (axpyBlocks), bit for bit this loop but for a NaN's payload
-// (docs/PERF.md invariant 8).
+// hot loop of module combines and scatters, of Conv2D's half merge and of
+// aggregation (AddScaled). Whole blocks of eight run through a strict AVX
+// twin where one is selected (axpyBlocks), bit for bit this loop but for a
+// NaN's payload (docs/PERF.md invariant 8).
 func Axpy(a float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
